@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "CirculantBipartiteGraph",
@@ -103,8 +104,16 @@ class CirculantBipartiteGraph:
         """Rows adjacent to column j, in column-offset order."""
         return [(j + d) % self.order for d in self.col_offsets()]
 
+    @cached_property
+    def _offset_set(self) -> frozenset[int]:
+        return frozenset(self.base_offsets)
+
+    @cached_property
+    def _real_offset_set(self) -> frozenset[int]:
+        return frozenset(self.real_base_offsets)
+
     def has_edge(self, row: int, col: int) -> bool:
-        return (col - row) % self.order in set(self.base_offsets)
+        return (col - row) % self.order in self._offset_set
 
     def is_real_edge(self, row: int, col: int) -> bool:
         """True when the edge existed before any expansion."""
@@ -114,13 +123,13 @@ class CirculantBipartiteGraph:
             return True
         if row >= self.real_order or col >= self.real_order:
             return False
-        return (col - row) % self.real_order in set(self.real_base_offsets)
+        return (col - row) % self.real_order in self._real_offset_set
 
     def real_edge_count(self) -> int:
         return self.real_order * len(self.real_base_offsets)
 
     def adjacency_matrix(self) -> list[list[int]]:
-        offsets = set(self.base_offsets)
+        offsets = self._offset_set
         n = self.order
         return [[1 if (j - i) % n in offsets else 0 for j in range(n)] for i in range(n)]
 

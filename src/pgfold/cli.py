@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import tempfile
@@ -25,12 +24,15 @@ from .circulant import (
 )
 from .emit import (
     EmissionConfig,
+    _json_text,
     emit_graph_json,
     emit_incidence_csv,
     plan_json_dict,
+    sha256_text,
     write_run_directory,
 )
 from .folding import (
+    PIPELINE_LEVELS,
     FoldPlan,
     compute_rho,
     cross_fold_endpoints,
@@ -50,7 +52,6 @@ from .simulator import (
 __all__ = ["main", "UsageError"]
 
 FORMATS = ("csv", "json", "hdl")
-PIPELINE_LEVELS = ("none", "writeback", "node", "graph")
 
 DEFAULTS = {
     "geometry": None,
@@ -312,14 +313,6 @@ def _require_out(settings: dict) -> Path:
     return Path(settings["out"])
 
 
-def _json_text(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _write_sim_outputs(run_dir: Path, report, verdict: dict) -> None:
     """Store the simulation verdicts and fold them into the manifest."""
     extra = {
@@ -334,7 +327,7 @@ def _write_sim_outputs(run_dir: Path, report, verdict: dict) -> None:
     if manifest_path.is_file():
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         for name, text in extra.items():
-            manifest["files"][name] = _sha256(text)
+            manifest["files"][name] = sha256_text(text)
         manifest_path.write_text(_json_text(manifest), encoding="utf-8")
 
 
@@ -615,7 +608,7 @@ def _verify_run_directory(run_dir: Path, iterations: int) -> tuple[bool, list[st
         path = run_dir / name
         if not path.is_file():
             problems.append(f"{name} listed but absent")
-        elif _sha256(path.read_text(encoding="utf-8")) != digest:
+        elif sha256_text(path.read_text(encoding="utf-8")) != digest:
             problems.append(f"{name} hash mismatch")
     unlisted = on_disk - set(manifest.get("files", {})) - {"manifest.json"}
     problems.extend(f"{name} on disk but unlisted" for name in sorted(unlisted))

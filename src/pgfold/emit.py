@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -229,8 +230,9 @@ def emit_write_lut_csv(schedule: WriteSchedule) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["pmu", "index", "slot", "port", "address", "real", "producer_real"])
-    for pmu in sorted(schedule.per_pmu()):
-        for index, e in enumerate(schedule.per_pmu()[pmu]):
+    per_pmu = schedule.per_pmu()
+    for pmu in sorted(per_pmu):
+        for index, e in enumerate(per_pmu[pmu]):
             writer.writerow(
                 [
                     pmu,
@@ -717,6 +719,7 @@ _END_ENTITY_RE = re.compile(r"^END (\w+);$", re.MULTILINE)
 _ARCH_RE = re.compile(r"^ARCHITECTURE (\w+) OF (\w+) IS$", re.MULTILINE)
 _SIGNAL_RE = re.compile(r"^\s*SIGNAL (\w+)\s*:", re.MULTILINE)
 _INSTANCE_RE = re.compile(r"^\s*(\w+) : (\w+) PORT MAP", re.MULTILINE)
+_IDENTIFIER_RE = re.compile(r"\w+")
 
 
 def check_hdl(files: dict[str, str]) -> list[str]:
@@ -724,7 +727,10 @@ def check_hdl(files: dict[str, str]) -> list[str]:
 
     Checks entity/end balance, architecture attribution, that every
     declared signal is referenced beyond its declaration, and that every
-    instantiated component has an emitted entity.
+    instantiated component has an emitted entity.  The signal check makes
+    one pass per file: it tokenises the file once, and a signal's uses are
+    the identifier tokens equal to its name, so a name that only occurs
+    inside a longer identifier is not a use.
     """
     problems: list[str] = []
     entities: set[str] = set()
@@ -743,9 +749,9 @@ def check_hdl(files: dict[str, str]) -> list[str]:
                 )
             if arch not in ends:
                 problems.append(f"{name}: architecture {arch} has no matching end")
+        tokens = Counter(_IDENTIFIER_RE.findall(text))
         for sig in _SIGNAL_RE.findall(text):
-            uses = len(re.findall(rf"\b{re.escape(sig)}\b", text))
-            if uses < 2:
+            if tokens[sig] < 2:
                 problems.append(f"{name}: signal {sig} declared but never used")
         for label, component in _INSTANCE_RE.findall(text):
             if component not in entities:

@@ -60,7 +60,7 @@ class _Inputs:
     order: int
     real_order: int
     base_offsets: list[int]
-    real_base_offsets: list[int]
+    real_base_offsets: frozenset[int]
     q: int
     units: int
     design_option: int
@@ -76,7 +76,7 @@ class _Inputs:
     out_rows: dict[str, list[tuple[int, int]]]
     in_rows: dict[str, list[tuple[int, int]]]
     invalid: dict[str, int]
-    wire_by_src: dict[tuple[str, int], dict]
+    wire_by_src: dict[tuple[str, int], tuple[str, str, int]]
     writes_by_slot: dict[str, dict[int, list[dict]]]
     reader_offsets: dict[str, list[int]]
 
@@ -122,9 +122,15 @@ def _load(run_dir: Path) -> _Inputs:
                 raise SimulationStructureError(
                     f"lut_{instance}_{kind}.csv row count != pattern count"
                 )
+    # source port -> (wire name, destination switch id, destination unit)
     wire_by_src = {}
     for wire in netlist["wires"]:
-        wire_by_src[(wire["src"][0], wire["src"][1])] = wire
+        dst = wire["dst"][0]
+        wire_by_src[(wire["src"][0], wire["src"][1])] = (
+            wire["name"],
+            dst,
+            int(dst.rsplit("_", 1)[1]),
+        )
     writes_by_slot: dict[str, dict[int, list[dict]]] = {}
     for side in ("row", "col"):
         rows = _read_csv(run_dir, f"write_lut_{side}.csv")
@@ -149,7 +155,7 @@ def _load(run_dir: Path) -> _Inputs:
         order=order,
         real_order=graph["real_J"],
         base_offsets=list(graph["base_offsets"]),
-        real_base_offsets=list(graph["real_base_offsets"]),
+        real_base_offsets=frozenset(graph["real_base_offsets"]),
         q=plan["q"],
         units=plan["units_per_side"],
         design_option=plan["design_option"],
@@ -292,6 +298,14 @@ def simulate(run_dir: str | Path, iterations: int = 1) -> SimReport:
     port_use: set = set()
     wire_use: set = set()
     switch_use: set = set()
+    # Use keys end in their cycle.  Every event of a half lies at or above
+    # its floor: the half's base plus the lowest offset in timing.json, or
+    # the base itself.  Floors move monotonically with side_span, so a key
+    # below the current floor can never be hit again (with side_span < 0 no
+    # key is ever below one) and is forgotten.
+    reach = min(
+        0, min(inputs.read_cycles, default=0), min(inputs.write_cycles, default=0)
+    )
 
     def apply_writes(side: str, iteration: int, base: int, record: bool) -> None:
         offsets = inputs.producer_offsets(side)
@@ -326,6 +340,8 @@ def simulate(run_dir: str | Path, iterations: int = 1) -> SimReport:
         base = (iteration * 2 + half_index) * inputs.side_span
         rel_base = half_index * inputs.side_span
         record = iteration == 0
+        for use in (port_use, wire_use, switch_use):
+            use.difference_update([key for key in use if key[-1] < base + reach])
         cons_offsets = inputs.reader_offsets[reading]
         prod_offsets = inputs.reader_offsets[producing]
         delivered_side = report.delivered[iteration][reading]
@@ -353,7 +369,7 @@ def simulate(run_dir: str | Path, iterations: int = 1) -> SimReport:
                             f"switch table references missing wire at "
                             f"{instance} out switch {m} port {code} (pattern {l})"
                         )
-                    dst_unit = int(wire["dst"][0].rsplit("_", 1)[1])
+                    wire_name, dst, dst_unit = wire
                     if dst_unit not in active_readers:
                         continue
                     switch_key = (instance, "out", m, code, cycle)
@@ -363,10 +379,10 @@ def simulate(run_dir: str | Path, iterations: int = 1) -> SimReport:
                             f"port {code} cycle {cycle}"
                         )
                     switch_use.add(switch_key)
-                    wire_key = (wire["name"], cycle)
+                    wire_key = (wire_name, cycle)
                     if wire_key in wire_use:
                         report.conflicts.append(
-                            f"wire double drive: {wire['name']} cycle {cycle}"
+                            f"wire double drive: {wire_name} cycle {cycle}"
                         )
                     wire_use.add(wire_key)
                     address = 2 * slot + b
@@ -380,7 +396,7 @@ def simulate(run_dir: str | Path, iterations: int = 1) -> SimReport:
                     report.pmu_port_reads[producing] += 1
                     if record:
                         observed[producing].append((rel_cycle, m, b, address, "R"))
-                    driven[(wire["dst"][0], code)] = mem[producing][m].get(address)
+                    driven[(dst, code)] = mem[producing][m].get(address)
             # Unit-side switches select, one cycle staggered.
             for i in sorted(active_readers):
                 lpu = k * units + i

@@ -297,6 +297,30 @@ class TestHdl:
         problems = check_hdl(files)
         assert any("missing component processing_unit" in p for p in problems)
 
+    def test_self_check_catches_signal_used_only_as_prefix(self):
+        files = self.build()
+        declaration = "  SIGNAL row_write_0_0 : STD_LOGIC_VECTOR(7 DOWNTO 0);\n"
+        assert declaration in files["top.vhd"]
+        files["top.vhd"] = files["top.vhd"].replace(
+            declaration,
+            "  SIGNAL row_write_0 : STD_LOGIC_VECTOR(7 DOWNTO 0);\n" + declaration,
+        )
+        assert check_hdl(files) == [
+            "top.vhd: signal row_write_0 declared but never used"
+        ]
+
+    def test_self_check_accepts_signal_used_once(self):
+        files = self.build()
+        files["top.vhd"] = (
+            files["top.vhd"]
+            .replace(
+                "BEGIN\n",
+                "  SIGNAL spare_0 : STD_LOGIC_VECTOR(7 DOWNTO 0);\nBEGIN\n",
+            )
+            .replace("END structural;", "  spare_0 <= row_write_0_0;\nEND structural;")
+        )
+        assert check_hdl(files) == []
+
     def test_width_overflow_rejected(self):
         with pytest.raises(ValueError, match="width overflow"):
             self.build(config=EmissionConfig(mu_width=2))

@@ -56,6 +56,20 @@ def rewrite_csv(run_dir, name, mutate):
     path.write_text(buffer.getvalue(), encoding="utf-8")
 
 
+def rewrite_timing(run_dir, mutate):
+    timing = json.loads((run_dir / "timing.json").read_text())
+    mutate(timing)
+    (run_dir / "timing.json").write_text(json.dumps(timing))
+    return timing
+
+
+def first_row_write(run_dir):
+    """(pmu, port, slot) of the first row-side write the replay performs."""
+    with (run_dir / "write_lut_row.csv").open(newline="", encoding="utf-8") as handle:
+        entry = next(r for r in csv.DictReader(handle) if r["producer_real"] == "1")
+    return int(entry["pmu"]), int(entry["port"]), int(entry["slot"])
+
+
 @pytest.fixture(scope="module")
 def base_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("sim") / "base"
@@ -280,6 +294,41 @@ class TestFaultInjection:
         (scratch_run / "timing.json").write_text(json.dumps(timing))
         with pytest.raises(SimulationStructureError, match="slot count"):
             simulate(scratch_run)
+
+    def test_late_write_collides_with_next_half_read(self, scratch_run):
+        # Slot 0 of the col half reads both ports of every row memory.
+        pmu, port, slot = first_row_write(scratch_run)
+
+        def mutate(timing):
+            timing["write_cycles"][slot] = (
+                timing["side_span"] + timing["read_cycles"][0]
+            )
+
+        timing = rewrite_timing(scratch_run, mutate)
+        report = simulate(scratch_run, iterations=2)
+        span = timing["side_span"]
+        for cycle in (span, 3 * span):
+            assert (
+                f"pmu port double access: side row pmu {pmu} port {port} "
+                f"cycle {cycle + timing['read_cycles'][0]}"
+            ) in report.conflicts
+
+    def test_read_before_half_base_collides_with_earlier_write(self, scratch_run):
+        pmu, port, slot = first_row_write(scratch_run)
+
+        def mutate(timing):
+            timing["read_cycles"][0] = (
+                timing["write_cycles"][slot] - timing["side_span"]
+            )
+
+        timing = rewrite_timing(scratch_run, mutate)
+        assert timing["read_cycles"][0] < 0
+        report = simulate(scratch_run, iterations=2)
+        for base in (0, 2 * timing["side_span"]):
+            assert (
+                f"pmu port double access: side row pmu {pmu} port {port} "
+                f"cycle {base + timing['write_cycles'][slot]}"
+            ) in report.conflicts
 
     def test_missing_artifact_rejected(self, scratch_run):
         (scratch_run / "netlist.json").unlink()
