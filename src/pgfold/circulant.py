@@ -88,10 +88,6 @@ class CirculantBipartiteGraph:
     def is_expanded(self) -> bool:
         return self.real_order < self.order
 
-    @property
-    def real_degree(self) -> int:
-        return len(self.real_base_offsets)
-
     def col_offsets(self) -> tuple[int, ...]:
         """Offset set seen from the column side: col j touches rows j + d'."""
         return tuple(sorted((-d) % self.order for d in self.base_offsets))
@@ -124,9 +120,6 @@ class CirculantBipartiteGraph:
         if row >= self.real_order or col >= self.real_order:
             return False
         return (col - row) % self.real_order in self._real_offset_set
-
-    def real_edge_count(self) -> int:
-        return self.real_order * len(self.real_base_offsets)
 
     def adjacency_matrix(self) -> list[list[int]]:
         offsets = self._offset_set

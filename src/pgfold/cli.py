@@ -244,52 +244,68 @@ def _divisor_table(order: int) -> str:
     return ", ".join(f"q={d} gives {order // d} units" for d in divisors(order))
 
 
+def _expand(graph: CirculantBipartiteGraph, alpha: int) -> CirculantBipartiteGraph:
+    try:
+        return expand_circulant(graph, alpha)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _fold_factors_in_range(order: int, lo: int, hi: int) -> list[int]:
+    return [q for q in divisors(order) if q > 1 and lo <= order // q <= hi]
+
+
+def _auto_alpha(
+    graph: CirculantBipartiteGraph, q_setting: int | str, target_f: tuple[int, int]
+) -> int:
+    """Expansion size chosen by --alpha auto: the smallest that a fixed q
+    divides, else the smallest giving a fold factor with a unit count in
+    target_f."""
+    if isinstance(q_setting, int):
+        return _alpha_candidates_for_divisibility(graph.order, q_setting)[0]
+    lo, hi = target_f
+    candidates = choose_alpha(graph, (lo, hi))
+    if not candidates:
+        raise UsageError(
+            f"no expansion up to alpha={graph.order} gives the "
+            f"order-{graph.order} graph a unit count in [{lo}, {hi}]"
+        )
+    return candidates[0]["alpha"]
+
+
 def _resolve_fold_inputs(settings: dict) -> tuple[CirculantBipartiteGraph, int]:
     """Acquire the graph, expand it if requested or needed, pick q."""
     graph = _acquire_graph(settings)
     q_setting, alpha_setting = settings["q"], settings["alpha"]
     lo, hi = settings["target_f"]
     if isinstance(alpha_setting, int):
-        try:
-            graph = expand_circulant(graph, alpha_setting)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    order = graph.order
+        graph = _expand(graph, alpha_setting)
     if q_setting == "auto":
-        fits = [q for q in divisors(order) if q > 1 and lo <= order // q <= hi]
-        if fits:
-            q = fits[0]
-        elif alpha_setting == "auto":
-            candidates = choose_alpha(graph, (lo, hi))
-            if not candidates:
-                raise UsageError(
-                    f"no expansion up to alpha={order} gives the order-{order} graph "
-                    f"a unit count in [{lo}, {hi}]"
-                )
-            best = candidates[0]
-            graph = expand_circulant(graph, best["alpha"])
+        fits = _fold_factors_in_range(graph.order, lo, hi)
+        if not fits and alpha_setting == "auto":
+            graph = _expand(graph, _auto_alpha(graph, q_setting, (lo, hi)))
+            fits = _fold_factors_in_range(graph.order, lo, hi)
+        if not fits:
             order = graph.order
-            q = [qq for qq in best["fold_factors"] if lo <= order // qq <= hi][0]
-        else:
             hints = [c["alpha"] for c in choose_alpha(graph, (lo, hi))[:3]]
             raise UsageError(
                 f"q=auto found no fold factor of the order-{order} graph with a "
                 f"unit count in [{lo}, {hi}] ({_divisor_table(order)}); pass "
                 f"--alpha auto or expand first with an alpha from {hints}"
             )
+        q = fits[0]
     else:
         q = q_setting
+        order = graph.order
         if order % q != 0:
-            if alpha_setting == "auto":
-                alpha = _alpha_candidates_for_divisibility(order, q)[0]
-                graph = expand_circulant(graph, alpha)
-            else:
+            if alpha_setting != "auto":
                 raise UsageError(
                     f"fold factor {q} does not divide the graph order {order}; "
                     f"valid fold factors are {divisors(order)}, or expand first: "
                     f"alpha candidates for q={q} are "
                     f"{_alpha_candidates_for_divisibility(order, q)}"
                 )
+            graph = _expand(graph, _auto_alpha(graph, q, (lo, hi)))
     return pad_dummy_offset(graph), q
 
 
@@ -375,24 +391,10 @@ def cmd_expand(args: argparse.Namespace) -> int:
     if alpha_setting is None:
         raise UsageError("expand requires --alpha INT or --alpha auto")
     if alpha_setting == "auto":
-        q_setting = settings["q"]
-        if isinstance(q_setting, int):
-            alpha = _alpha_candidates_for_divisibility(graph.order, q_setting)[0]
-        else:
-            lo, hi = settings["target_f"]
-            candidates = choose_alpha(graph, (lo, hi))
-            if not candidates:
-                raise UsageError(
-                    f"no expansion up to alpha={graph.order} gives the "
-                    f"order-{graph.order} graph a unit count in [{lo}, {hi}]"
-                )
-            alpha = candidates[0]["alpha"]
+        alpha = _auto_alpha(graph, settings["q"], settings["target_f"])
     else:
         alpha = alpha_setting
-    try:
-        expanded = expand_circulant(graph, alpha)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    expanded = _expand(graph, alpha)
     out.mkdir(parents=True, exist_ok=True)
     (out / "graph.json").write_text(emit_graph_json(expanded), encoding="utf-8")
     (out / "incidence.csv").write_text(emit_incidence_csv(expanded), encoding="utf-8")
@@ -677,8 +679,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if not {"csv", "json"} <= set(formats):
                 formats = ("csv", "json")
             run_dir, _ = _emit_directory(settings, formats)
-            report, verdict = _simulate_directory(run_dir, settings["iterations"])
-            _write_sim_outputs(run_dir, report, verdict)
             passed, checks = _verify_run_directory(run_dir, settings["iterations"])
     else:
         raise UsageError(

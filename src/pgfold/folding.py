@@ -23,6 +23,7 @@ __all__ = [
     "generate_folded_sequence",
     "verify_balance",
     "cross_fold_endpoints",
+    "switch_ports",
     "compute_rho",
 ]
 
@@ -340,17 +341,26 @@ def cross_fold_endpoints(
     return table
 
 
+def switch_ports(sequence: FoldedSequence) -> tuple[dict[int, int], dict[int, int], int]:
+    """Switch port codes of one reader side's folded patterns.
+
+    Distinct folded offsets take codes 0..rho-1 in ascending order; each
+    doubled pattern takes one extra code after them, in pattern order.
+    Returns ({folded offset: code}, {pattern index: extra code}, rho_hat).
+    """
+    deltas = sorted({f for p in sequence.patterns for f in p.folded if f is not None})
+    port_of = {delta: code for code, delta in enumerate(deltas)}
+    doubled = [p.index for p in sequence.patterns if p.doubled]
+    extra_ports = {l: len(deltas) + n for n, l in enumerate(doubled)}
+    return port_of, extra_ports, len(deltas) + len(doubled)
+
+
 def compute_rho(
     graph: CirculantBipartiteGraph, plan: FoldPlan, side: str = "row"
 ) -> tuple[int, int, int]:
     """Switch sizing: distinct folded offsets rho, doubled patterns theta,
     and ports rho_hat = rho + theta for the given reader side."""
-    offsets = reader_offsets(graph, side)
-    f_units = plan.units_per_side
-    rho = len({d % f_units for d in offsets if d is not None})
-    theta = 0
-    for l in range(len(offsets) // 2):
-        d0, d1 = offsets[2 * l], offsets[2 * l + 1]
-        if d0 is not None and d1 is not None and d0 % f_units == d1 % f_units:
-            theta += 1
-    return rho, theta, rho + theta
+    port_of, extra_ports, rho_hat = switch_ports(
+        generate_folded_sequence(graph, plan, side)
+    )
+    return len(port_of), len(extra_ports), rho_hat

@@ -300,12 +300,8 @@ class FiniteField:
         if q < 2 or (self.order - 1) % (q - 1) != 0:
             raise ValueError(f"GF({q}) is not a subfield of GF({self.p}^{self.k})")
         # q must be p^s with s | k
-        s = 0
-        value = 1
-        while value < q:
-            value *= self.p
-            s += 1
-        if value != q or self.k % s != 0:
+        s = self._s_of(q)
+        if self.p**s != q or self.k % s != 0:
             raise ValueError(f"GF({q}) is not a subfield of GF({self.p}^{self.k})")
         return (self.order - 1) // (q - 1)
 

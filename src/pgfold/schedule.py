@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from .circulant import CirculantBipartiteGraph
 from .folding import (
     FoldPlan,
-    FoldedSequence,
     generate_folded_sequence,
     reader_offsets,
+    switch_ports,
 )
 
 __all__ = [
@@ -346,24 +346,6 @@ class SwitchLUT:
         return [(l, a, b) for l, (a, b) in enumerate(self.rows)]
 
 
-def _instance_ports(graph: CirculantBipartiteGraph, plan: FoldPlan, instance: str):
-    """Distinct folded offsets, their port codes, and extra doubled ports."""
-    side = reader_of(instance)
-    offsets = reader_offsets(graph, side)
-    f_units = plan.units_per_side
-    deltas = sorted({d % f_units for d in offsets if d is not None})
-    port_of = {delta: idx for idx, delta in enumerate(deltas)}
-    rho = len(deltas)
-    extra_ports = {}  # pattern index -> port code
-    next_port = rho
-    for l in range(len(offsets) // 2):
-        d0, d1 = offsets[2 * l], offsets[2 * l + 1]
-        if d0 is not None and d1 is not None and d0 % f_units == d1 % f_units:
-            extra_ports[l] = next_port
-            next_port += 1
-    return offsets, deltas, port_of, extra_ports, next_port
-
-
 def switch_luts(
     graph: CirculantBipartiteGraph, plan: FoldPlan
 ) -> dict[str, dict[str, SwitchLUT]]:
@@ -375,21 +357,14 @@ def switch_luts(
     """
     out: dict[str, dict[str, SwitchLUT]] = {}
     for instance in INSTANCES:
-        offsets, deltas, port_of, extra_ports, port_count = _instance_ports(
-            graph, plan, instance
-        )
-        f_units = plan.units_per_side
+        sequence = generate_folded_sequence(graph, plan, reader_of(instance))
+        port_of, extra_ports, port_count = switch_ports(sequence)
         rows = []
-        for l in range(len(offsets) // 2):
-            d0, d1 = offsets[2 * l], offsets[2 * l + 1]
-            j0 = port_of[d0 % f_units]
-            if d1 is None:
-                j1 = port_count  # invalid code: tristate
-            elif l in extra_ports:
-                j1 = extra_ports[l]
-            else:
-                j1 = port_of[d1 % f_units]
-            rows.append((j0, j1))
+        for pattern in sequence.patterns:
+            f0, f1 = pattern.folded
+            # A dummy second access (f1 None) carries the invalid code.
+            j1 = extra_ports.get(pattern.index, port_of.get(f1, port_count))
+            rows.append((port_of[f0], j1))
         out[instance] = {
             "out": SwitchLUT(
                 instance=instance,
@@ -466,11 +441,8 @@ def build_netlist(graph: CirculantBipartiteGraph, plan: FoldPlan) -> Netlist:
     for instance in INSTANCES:
         reading = reader_of(instance)
         producing = other_side(reading)
-        offsets, deltas, port_of, extra_ports, port_count = _instance_ports(
-            graph, plan, instance
-        )
-        rho = len(deltas)
-        theta = len(extra_ports)
+        sequence = generate_folded_sequence(graph, plan, reading)
+        port_of, extra_ports, port_count = switch_ports(sequence)
         for m in range(f_units):
             components.append(
                 {
@@ -491,8 +463,7 @@ def build_netlist(graph: CirculantBipartiteGraph, plan: FoldPlan) -> Netlist:
                 }
             )
         for m in range(f_units):
-            for delta in deltas:
-                j = port_of[delta]
+            for delta, j in port_of.items():
                 wires.append(
                     {
                         "name": f"{instance}_w_{m}_{j}",
@@ -503,8 +474,8 @@ def build_netlist(graph: CirculantBipartiteGraph, plan: FoldPlan) -> Netlist:
                         "copy": 0,
                     }
                 )
-            for l, j in sorted(extra_ports.items()):
-                delta = offsets[2 * l] % f_units
+            for l, j in extra_ports.items():
+                delta = sequence.patterns[l].folded[0]
                 wires.append(
                     {
                         "name": f"{instance}_w_{m}_{j}",
@@ -516,8 +487,8 @@ def build_netlist(graph: CirculantBipartiteGraph, plan: FoldPlan) -> Netlist:
                     }
                 )
         annotations["instances"][instance] = {
-            "rho": rho,
-            "theta": theta,
+            "rho": len(port_of),
+            "theta": len(extra_ports),
             "rho_hat": port_count,
             "wire_count": f_units * port_count,
         }

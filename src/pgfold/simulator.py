@@ -80,9 +80,6 @@ class _Inputs:
     writes_by_slot: dict[str, dict[int, list[dict]]]
     reader_offsets: dict[str, list[int]]
 
-    def producer_offsets(self, side: str) -> list[int]:
-        return self.reader_offsets[side]
-
 
 def _load(run_dir: Path) -> _Inputs:
     graph = _read_json(run_dir, "graph.json")
@@ -308,7 +305,7 @@ def simulate(run_dir: str | Path, iterations: int = 1) -> SimReport:
     )
 
     def apply_writes(side: str, iteration: int, base: int, record: bool) -> None:
-        offsets = inputs.producer_offsets(side)
+        offsets = inputs.reader_offsets[side]
         for slot, entries in sorted(inputs.writes_by_slot[side].items()):
             l, k = inputs.slots[side][slot]
             cycle = base + inputs.write_cycles[slot]

@@ -186,6 +186,28 @@ class TestFold:
         assert "alpha candidates" in err
         assert "6" in err
 
+    def test_auto_alpha_on_expanded_graph_is_usage_error(self, pg13_dir, tmp_path, capsys):
+        expanded = tmp_path / "exp"
+        source = str(pg13_dir / "graph.json")
+        assert main(["expand", "--graph", source, "--alpha", "1", "--out", str(expanded)]) == 0
+        capsys.readouterr()
+        code = main(
+            [
+                "fold",
+                "--graph",
+                str(expanded / "graph.json"),
+                "--alpha",
+                "auto",
+                "--q",
+                "3",
+                "--out",
+                str(tmp_path / "x"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "only an unexpanded, unpadded graph can be expanded" in err
+
     def test_requires_out(self, pg15_dir, capsys):
         code = main(["fold", "--graph", str(pg15_dir / "graph.json"), "--q", "3"])
         assert code == 2
@@ -462,6 +484,22 @@ class TestVerify:
     def test_fresh_pipeline_inputs(self, capsys):
         assert main(["verify", "--geometry", "3,2,1", "--q", "3"]) == 0
         assert "verify: PASS" in capsys.readouterr().out
+
+    def test_fresh_pipeline_replays_design_and_reference_once(self, monkeypatch, capsys):
+        import pgfold.cli as cli
+
+        replayed_q = []
+        original = cli.simulate
+
+        def counting(run_dir, *args, **kwargs):
+            replayed_q.append(read_json(run_dir / "plan.json")["q"])
+            return original(run_dir, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate", counting)
+        assert main(["verify", "--geometry", "3,2,1", "--q", "3"]) == 0
+        assert "verify: PASS" in capsys.readouterr().out
+        # The folded design, then its unfolded q = 1 reference.
+        assert replayed_q == [3, 1]
 
 
 class TestEntryPoints:

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 import time
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgfold.circulant import (
     CirculantBipartiteGraph,
@@ -154,6 +158,90 @@ class TestVerifyIncidence:
         report = verify_pg_incidence(bad, PgParams(2, 2, 1))
         assert not report.ok
         assert report.failures
+
+    def test_perturbed_solid_fails(self):
+        # P(3, GF(2)) offsets with 10 moved to 11: order and degree still
+        # fit, but rows 0 and 2 now share 2 points instead of 3.
+        bad = CirculantBipartiteGraph.plain(15, (0, 1, 2, 4, 5, 8, 11))
+        report = verify_pg_incidence(bad, PgParams(3, 2, 1))
+        assert not report.ok
+        assert report.failures == ("rows 0 and 2 share 2 points, expected 3",)
+        assert not brute_force_incidence_ok(bad, PgParams(3, 2, 1))
+
+
+PROPERTY_GEOMETRIES = (PgParams(2, 2, 1), PgParams(3, 2, 1), PgParams(2, 3, 1))
+
+
+@cache
+def _singer_offsets(params: PgParams) -> tuple[int, ...]:
+    return build_pg_graph(params).base_offsets
+
+
+def brute_force_incidence_ok(graph: CirculantBipartiteGraph, params: PgParams) -> bool:
+    """Reference verdict: size checks, every row and column degree, and
+    the meet of every pair of rows."""
+    j_nodes, gamma = params.nodes_per_side, params.node_degree
+    meet = point_count(params.n - 2, params.q)
+    if graph.order != j_nodes:
+        return False
+    rows = [set(graph.incidence_row(i)) for i in range(graph.order)]
+    if any(len(row) != gamma for row in rows):
+        return False
+    col_degree = [0] * graph.order
+    for row in rows:
+        for c in row:
+            col_degree[c] += 1
+    if any(d != gamma for d in col_degree):
+        return False
+    return all(len(a & b) == meet for a, b in itertools.combinations(rows, 2))
+
+
+@st.composite
+def offset_graphs(draw):
+    """A geometry with a candidate graph: an affine image of its Singer
+    offsets, that image with one offset moved, dropped or added, or a
+    random offset set of degree gamma - 1, gamma or gamma + 1; the order
+    is J or a wrong J - 1 or J + 1."""
+    params = draw(st.sampled_from(PROPERTY_GEOMETRIES))
+    j_nodes, gamma = params.nodes_per_side, params.node_degree
+    order = draw(st.sampled_from((j_nodes,) * 3 + (j_nodes - 1, j_nodes + 1)))
+    kind = draw(st.sampled_from(("singer",) * 2 + ("moved", "dropped", "added", "random")))
+    if kind == "random":
+        size = draw(st.sampled_from((gamma - 1, gamma, gamma + 1)))
+        offsets = draw(
+            st.sets(st.integers(0, order - 1), min_size=size, max_size=size)
+        )
+        return params, CirculantBipartiteGraph.plain(order, offsets)
+    units = [u for u in range(1, j_nodes) if math.gcd(u, j_nodes) == 1]
+    u = draw(st.sampled_from(units))
+    c = draw(st.integers(0, j_nodes - 1))
+    offsets = {d % order for d in apply_affine(_singer_offsets(params), j_nodes, u, c)}
+    outside = sorted(set(range(order)) - offsets)
+    if kind in ("moved", "dropped"):
+        offsets.discard(draw(st.sampled_from(sorted(offsets))))
+    if kind in ("moved", "added"):
+        offsets.add(draw(st.sampled_from(outside)))
+    return params, CirculantBipartiteGraph.plain(order, offsets)
+
+
+class TestIncidenceProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(offset_graphs())
+    def test_histogram_matches_pairwise_reference(self, case):
+        params, graph = case
+        report = verify_pg_incidence(graph, params)
+        assert report.ok == brute_force_incidence_ok(graph, params), report.failures
+
+    def test_affine_images_of_singer_offsets_pass(self):
+        for params in PROPERTY_GEOMETRIES:
+            j_nodes = params.nodes_per_side
+            for u in range(1, j_nodes):
+                if math.gcd(u, j_nodes) != 1:
+                    continue
+                offsets = apply_affine(_singer_offsets(params), j_nodes, u, 1)
+                graph = CirculantBipartiteGraph.plain(j_nodes, offsets)
+                assert verify_pg_incidence(graph, params).ok
+                assert brute_force_incidence_ok(graph, params)
 
 
 class TestOracle:
