@@ -13,6 +13,17 @@ mirrors this.  Column memories are preloaded once so the first row half
 has data.  Every memory, wire, and switch port access is checked for
 exclusive use per cycle, every delivered token for reaching exactly the
 consumer the graph prescribes.
+
+The replay runs in three steps.  Load reads each file once and rejects
+out-of-range table values with their file, row and field.  Compile turns
+each side's read half and write half into a plan, once per call: integer
+ids of the switch ports, wires and memory ports each slot claims, the
+memory cell that feeds each unit-side switch port, and the consumer, rank
+and expected producer of each real delivery.  Replay then runs every
+half of every iteration at its absolute cycles, checking each claim
+against the ids already used in that cycle and each delivery against the
+token its cell holds; messages are built only for a conflict or a
+misroute.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 __all__ = [
@@ -47,37 +59,82 @@ def _read_json(run_dir: Path, name: str) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _read_csv(run_dir: Path, name: str) -> list[dict]:
+def _read_csv(
+    run_dir: Path, name: str, ints: tuple[str, ...], texts: tuple[str, ...] = ()
+) -> list[tuple[int, tuple]]:
+    """(line, values) of each record: the ``ints`` columns as integers, then
+    the ``texts`` columns as strings.
+
+    A missing column, a short row or a cell that is not an integer raises
+    ``SimulationStructureError("file:line:field ...")``; the header is line 1.
+    """
     path = run_dir / name
     if not path.is_file():
         raise SimulationStructureError(f"missing artifact {name}")
+    fields = ints + texts
     with path.open(newline="", encoding="utf-8") as handle:
-        return list(csv.DictReader(handle))
+        reader = csv.reader(handle)
+        header = {column: index for index, column in enumerate(next(reader, []))}
+        for column in fields:
+            if column not in header:
+                raise SimulationStructureError(f"{name}:1:{column} column missing")
+        pick = itemgetter(*(header[column] for column in fields))
+        width = len(ints)
+        records = []
+        for row in reader:
+            if not row:
+                continue  # a blank line holds no record
+            try:
+                cells = pick(row)
+                values = (*map(int, cells[:width]), *cells[width:])
+            except (IndexError, ValueError):
+                raise SimulationStructureError(
+                    _bad_cell(name, reader.line_num, row, fields, header, width)
+                ) from None
+            records.append((reader.line_num, values))
+    return records
+
+
+def _bad_cell(name: str, line: int, row: list, fields, header: dict, width: int) -> str:
+    """Locus of the first missing cell, or of the first of the ``width``
+    integer cells that does not parse."""
+    for position, column in enumerate(fields):
+        index = header[column]
+        if index >= len(row):
+            return f"{name}:{line}:{column} missing"
+        if position < width:
+            try:
+                int(row[index])
+            except ValueError:
+                return f"{name}:{line}:{column} {row[index]!r} is not an integer"
+    return f"{name}:{line}: unreadable row"
+
+
+def _outside(name: str, line: int, column: str, value: int, low: int, high: int) -> None:
+    if not low <= value < high:
+        raise SimulationStructureError(
+            f"{name}:{line}:{column} {value} outside [{low}, {high})"
+        )
 
 
 @dataclass
 class _Inputs:
     order: int
     real_order: int
-    base_offsets: list[int]
     real_base_offsets: frozenset[int]
-    q: int
     units: int
-    design_option: int
     pipeline_level: str
-    capacity: int
     slots: dict[str, list[tuple[int, int]]]
-    pattern_count: dict[str, int]
     read_cycles: list[int]
     write_cycles: list[int]
     side_span: int
-    half_length: int
-    full_iteration: int
     out_rows: dict[str, list[tuple[int, int]]]
     in_rows: dict[str, list[tuple[int, int]]]
     invalid: dict[str, int]
     wire_by_src: dict[tuple[str, int], tuple[str, str, int]]
-    writes_by_slot: dict[str, dict[int, list[dict]]]
+    # (slot, pmu, port, address, producer_real) in replay order: by slot,
+    # then file order
+    writes: dict[str, list[tuple[int, int, int, int, int]]]
     reader_offsets: dict[str, list[int]]
 
 
@@ -89,20 +146,27 @@ def _load(run_dir: Path) -> _Inputs:
     netlist = _read_json(run_dir, "netlist.json")
     order = graph["J"]
     col_offsets = sorted((-d) % order for d in graph["base_offsets"])
+    units = plan["units_per_side"]
+    capacity = layout["capacity"]
     slots = {}
     pattern_count = {}
     for side in ("row", "col"):
         fold = _read_json(run_dir, f"fold_{side}.json")
         slots[side] = [tuple(s) for s in fold["slots"]]
         pattern_count[side] = len(fold["patterns"])
-        if fold["F"] != plan["units_per_side"]:
+        if fold["F"] != units:
             raise SimulationStructureError(
                 f"fold_{side}.json unit count disagrees with plan.json"
             )
     if pattern_count["row"] != pattern_count["col"]:
         raise SimulationStructureError("sides disagree on pattern count")
-    if len(timing["read_cycles"]) != len(slots["row"]):
-        raise SimulationStructureError("timing slot count disagrees with fold slots")
+    slot_count = len(slots["row"])
+    for cycles in ("read_cycles", "write_cycles"):
+        if len(timing[cycles]) != slot_count:
+            raise SimulationStructureError(
+                f"timing slot count disagrees with fold slots ({cycles})"
+            )
+    ranks = len(graph["base_offsets"])
     out_rows = {}
     in_rows = {}
     invalid = {}
@@ -110,15 +174,24 @@ def _load(run_dir: Path) -> _Inputs:
         ann = netlist["annotations"]["instances"][instance]
         invalid[instance] = ann["rho_hat"]
         for kind, store in (("out", out_rows), ("in", in_rows)):
-            rows = _read_csv(run_dir, f"lut_{instance}_{kind}.csv")
-            store[instance] = [
-                (int(r["port0"]), int(r["port1"]))
-                for r in sorted(rows, key=lambda r: int(r["slot"]))
-            ]
-            if len(store[instance]) != pattern_count["row"]:
-                raise SimulationStructureError(
-                    f"lut_{instance}_{kind}.csv row count != pattern count"
-                )
+            name = f"lut_{instance}_{kind}.csv"
+            records = _read_csv(run_dir, name, ("slot", "port0", "port1"))
+            records.sort(key=lambda record: record[1][0])
+            if len(records) != pattern_count["row"]:
+                raise SimulationStructureError(f"{name} row count != pattern count")
+            store[instance] = [(port0, port1) for _, (_, port0, port1) in records]
+            if kind == "out":
+                continue
+            # Ranks past the reader offsets are the padded sentinel port,
+            # which only the unused code may select.
+            for pattern, (line, (_, *codes)) in enumerate(records):
+                for b, code in enumerate(codes):
+                    if 2 * pattern + b >= ranks and code != invalid[instance]:
+                        raise SimulationStructureError(
+                            f"{name}:{line}:port{b} code {code} selects rank "
+                            f"{2 * pattern + b}, past the {ranks} reader offsets "
+                            f"(only {invalid[instance]} may)"
+                        )
     # source port -> (wire name, destination switch id, destination unit)
     wire_by_src = {}
     for wire in netlist["wires"]:
@@ -128,48 +201,36 @@ def _load(run_dir: Path) -> _Inputs:
             dst,
             int(dst.rsplit("_", 1)[1]),
         )
-    writes_by_slot: dict[str, dict[int, list[dict]]] = {}
+    writes = {}
     for side in ("row", "col"):
-        rows = _read_csv(run_dir, f"write_lut_{side}.csv")
-        per_slot: dict[int, list[dict]] = {}
-        for r in rows:
-            entry = {
-                "pmu": int(r["pmu"]),
-                "slot": int(r["slot"]),
-                "port": int(r["port"]),
-                "address": int(r["address"]),
-                "real": bool(int(r["real"])),
-                "producer_real": bool(int(r["producer_real"])),
-            }
-            if entry["address"] >= layout["capacity"]:
+        name = f"write_lut_{side}.csv"
+        records = _read_csv(
+            run_dir, name, ("slot", "pmu", "port", "address", "producer_real")
+        )
+        for line, (slot, pmu, port, address, _) in records:
+            _outside(name, line, "pmu", pmu, 0, units)
+            _outside(name, line, "port", port, 0, 2)
+            _outside(name, line, "slot", slot, 0, slot_count)
+            if not 0 <= address < capacity:
                 raise SimulationStructureError(
-                    f"write_lut_{side}.csv address {entry['address']} "
-                    f"outside capacity {layout['capacity']}"
+                    f"{name}:{line}:address {address} outside capacity {capacity}"
                 )
-            per_slot.setdefault(entry["slot"], []).append(entry)
-        writes_by_slot[side] = per_slot
+        writes[side] = sorted((values for _, values in records), key=lambda w: w[0])
     return _Inputs(
         order=order,
         real_order=graph["real_J"],
-        base_offsets=list(graph["base_offsets"]),
         real_base_offsets=frozenset(graph["real_base_offsets"]),
-        q=plan["q"],
-        units=plan["units_per_side"],
-        design_option=plan["design_option"],
+        units=units,
         pipeline_level=plan["pipeline_level"],
-        capacity=layout["capacity"],
         slots=slots,
-        pattern_count=pattern_count,
         read_cycles=list(timing["read_cycles"]),
         write_cycles=list(timing["write_cycles"]),
         side_span=timing["side_span"],
-        half_length=timing["half_length"],
-        full_iteration=timing["full_iteration"],
         out_rows=out_rows,
         in_rows=in_rows,
         invalid=invalid,
         wire_by_src=wire_by_src,
-        writes_by_slot=writes_by_slot,
+        writes=writes,
         reader_offsets={"row": list(graph["base_offsets"]), "col": col_offsets},
     )
 
@@ -253,7 +314,34 @@ def summarize(report: SimReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# core simulation
+# compile
+
+
+@dataclass
+class _Half:
+    """One side's read half and write half, compiled once from the files.
+
+    Claims are (cycle offset from the half's base, resource ids, ids all
+    distinct) in event order.  A cell indexes the flat memory of a side:
+    one entry per (unit, address) that side's write LUT fills, plus a last
+    entry that is never written.  A token is (producer · J + consumer,
+    producer, edge rank).
+    """
+
+    reading: str
+    producing: str
+    read_claims: list[tuple[int, tuple[int, ...], bool]] = field(default_factory=list)
+    # (cell, token key it must hold, consumer, rank, expected producer)
+    deliveries: list[tuple[int, int, int, int, int]] = field(default_factory=list)
+    busy: int = 0
+    port_reads: int = 0
+    cells: int = 0  # written cells of the reading side's memory
+    write_claims: list[tuple[int, tuple[int, ...], bool]] = field(default_factory=list)
+    # (cell, token), with None for the sentinel rank's filler
+    writes: list[tuple[int, tuple | None]] = field(default_factory=list)
+    # first-iteration access trace rows of the producing and the reading side
+    read_trace: list[tuple] = field(default_factory=list)
+    write_trace: list[tuple] = field(default_factory=list)
 
 
 def _is_real_edge(inputs: _Inputs, row: int, col: int) -> bool:
@@ -262,10 +350,185 @@ def _is_real_edge(inputs: _Inputs, row: int, col: int) -> bool:
     return (col - row) % inputs.real_order in inputs.real_base_offsets
 
 
-def _edge_real_for_reader(inputs: _Inputs, side: str, lpu: int, producer: int) -> bool:
-    if side == "row":
-        return _is_real_edge(inputs, lpu, producer)
-    return _is_real_edge(inputs, producer, lpu)
+def _ids(ids: list[int]) -> tuple[tuple[int, ...], bool]:
+    """The ids of a claim, and whether they are all distinct."""
+    return tuple(ids), len(set(ids)) == len(ids)
+
+
+def _compile(inputs: _Inputs) -> tuple[dict[str, _Half], list[tuple]]:
+    """Both halves, and the key of each resource id."""
+    ids: dict[tuple, int] = {}
+
+    def rid(key: tuple) -> int:
+        return ids.setdefault(key, len(ids))
+
+    halves = {"row": _Half("row", "col"), "col": _Half("col", "row")}
+    cells = {
+        side: _compile_writes(inputs, half, half_index * inputs.side_span, rid)
+        for half_index, (side, half) in enumerate(halves.items())
+    }
+    for half_index, half in enumerate(halves.values()):
+        _compile_reads(inputs, half, half_index * inputs.side_span, cells[half.producing], rid)
+    return halves, list(ids)
+
+
+def _compile_writes(inputs: _Inputs, half: _Half, rel_base: int, rid) -> dict:
+    """Fill the write half; return the side's cell of each (unit, address)."""
+    units, order = inputs.units, inputs.order
+    offsets = inputs.reader_offsets[half.reading]
+    cells: dict[tuple[int, int], int] = {}
+    groups: dict[int, list[int]] = {}
+    for slot, pmu, port, address, producer_real in inputs.writes[half.reading]:
+        if not producer_real:
+            continue
+        l, k = inputs.slots[half.reading][slot]
+        producer = k * units + pmu
+        t = 2 * l + port
+        token = None  # sentinel: reserved-cell filler
+        if t < len(offsets):
+            token = (producer * order + (producer + offsets[t]) % order, producer, t)
+        groups.setdefault(slot, []).append(rid(("port", half.reading, pmu, port)))
+        cell = cells.setdefault((pmu, address), len(cells))
+        half.writes.append((cell, token))
+        cycle = rel_base + inputs.write_cycles[slot]
+        half.write_trace.append((cycle, pmu, port, address, "W"))
+    half.write_claims = [
+        (inputs.write_cycles[slot], *_ids(group)) for slot, group in groups.items()
+    ]
+    half.cells = len(cells)
+    return cells
+
+
+def _compile_reads(inputs: _Inputs, half: _Half, rel_base: int, cells: dict, rid) -> None:
+    instance = f"{half.reading}_reads"
+    units, order = inputs.units, inputs.order
+    blank = len(cells)
+    cons_offsets = inputs.reader_offsets[half.reading]
+    patterns: dict[tuple[int, int], tuple] = {}
+    for slot, (l, k) in enumerate(inputs.slots[half.reading]):
+        offset = inputs.read_cycles[slot]
+        active = max(0, min(units, inputs.real_order - k * units))
+        pattern = patterns.get((l, active))
+        if pattern is None:
+            pattern = patterns[(l, active)] = _compile_pattern(
+                inputs, instance, half.producing, l, active, rid
+            )
+        out_claims, drives, in_claims, selects = pattern
+        half.read_claims += ((offset, *out_claims), (offset + 1, *in_claims))
+        half.busy += active
+        half.port_reads += len(drives)
+        # Per unit-side switch port the last drive of the slot wins.
+        driven: dict[tuple[str, int], int] = {}
+        for m, b, dst, code in drives:
+            address = 2 * slot + b
+            half.read_trace.append((rel_base + offset, m, b, address, "R"))
+            driven[(dst, code)] = cells.get((m, address), blank)
+        for i, b, code, in_id in selects:
+            lpu = k * units + i
+            rank = 2 * l + b
+            producer = (lpu + cons_offsets[rank]) % order
+            if half.reading == "row":
+                real = _is_real_edge(inputs, lpu, producer)
+            else:
+                real = _is_real_edge(inputs, producer, lpu)
+            if real:
+                cell = driven.get((in_id, code), blank)
+                half.deliveries.append((cell, producer * order + lpu, lpu, rank, producer))
+
+
+def _compile_pattern(
+    inputs: _Inputs, instance: str, producing: str, l: int, active: int, rid
+) -> tuple:
+    """Claims, drives and selects of pattern ``l`` with units [0, active)
+    busy, shared by every slot that runs it."""
+    invalid = inputs.invalid[instance]
+    # Memory-side switches drive their wires.
+    out_ids = []
+    drives = []
+    for m in range(inputs.units):
+        for b, code in enumerate(inputs.out_rows[instance][l]):
+            if code == invalid:
+                continue
+            wire = inputs.wire_by_src.get((f"{instance}_out_{m}", code))
+            if wire is None:
+                raise SimulationStructureError(
+                    f"switch table references missing wire at "
+                    f"{instance} out switch {m} port {code} (pattern {l})"
+                )
+            wire_name, dst, dst_unit = wire
+            if not 0 <= dst_unit < active:
+                continue
+            out_ids += (
+                rid(("switch", instance, "out", m, code)),
+                rid(("wire", wire_name)),
+                rid(("port", producing, m, b)),
+            )
+            drives.append((m, b, dst, code))
+    # Unit-side switches select, one cycle staggered.
+    in_ids = []
+    selects = []
+    for i in range(active):
+        for b, code in enumerate(inputs.in_rows[instance][l]):
+            if code == invalid:
+                continue
+            in_ids.append(rid(("switch", instance, "in", i, code)))
+            selects.append((i, b, code, f"{instance}_in_{i}"))
+    return _ids(out_ids), drives, _ids(in_ids), selects
+
+
+# ---------------------------------------------------------------------------
+# replay
+
+
+def _conflict(key: tuple, cycle: int) -> str:
+    if key[0] == "port":
+        _, side, pmu, port = key
+        return f"pmu port double access: side {side} pmu {pmu} port {port} cycle {cycle}"
+    if key[0] == "wire":
+        return f"wire double drive: {key[1]} cycle {cycle}"
+    _, instance, direction, unit, code = key
+    return (
+        f"switch port double select: {instance} {direction} {unit} "
+        f"port {code} cycle {cycle}"
+    )
+
+
+def _claim(claims, base: int, use: dict[int, set[int]], keys: list, conflicts: list) -> None:
+    for offset, ids, distinct in claims:
+        cycle = base + offset
+        used = use.get(cycle)
+        if used is None:
+            used = use[cycle] = set()
+        if distinct and used.isdisjoint(ids):
+            used.update(ids)
+            continue
+        for rid in ids:
+            if rid in used:
+                conflicts.append(_conflict(keys[rid], cycle))
+            used.add(rid)
+
+
+def _deliver(half: _Half, memory: list, delivered: dict, misroutes: list) -> int:
+    """Check each real delivery against the token its cell holds; return
+    how many arrived intact."""
+    arrived = 0
+    for cell, key, consumer, rank, producer in half.deliveries:
+        token = memory[cell]
+        if token is None:
+            misroutes.append(
+                f"missing token: {half.reading} consumer {consumer} "
+                f"rank {rank} expected producer {producer}"
+            )
+        elif token[0] != key:
+            misroutes.append(
+                f"misrouted token: {half.reading} consumer {consumer} "
+                f"rank {rank} expected producer {producer}, "
+                f"got producer {token[1]} edge {token[2]}"
+            )
+        else:
+            arrived += 1
+            delivered.setdefault(consumer, []).append((rank, producer, token[2]))
+    return arrived
 
 
 def simulate(run_dir: str | Path, iterations: int = 1) -> SimReport:
@@ -280,172 +543,49 @@ def simulate(run_dir: str | Path, iterations: int = 1) -> SimReport:
     """
     run_dir = Path(run_dir)
     inputs = _load(run_dir)
+    halves, keys = _compile(inputs)
     units = inputs.units
     report = SimReport(iterations=iterations)
-    mem: dict[str, list[dict]] = {
-        side: [dict() for _ in range(units)] for side in ("row", "col")
-    }
+    memory = {side: [None] * (half.cells + 1) for side, half in halves.items()}
     slot_count = len(inputs.slots["row"])
     report.ppu_slots = units * slot_count * iterations
     report.pmu_port_slots = 2 * units * slot_count * iterations
     report.ppu_busy = {"row": 0, "col": 0}
     report.pmu_port_reads = {"row": 0, "col": 0}
     report.real_tokens = {"row": 0, "col": 0}
-    observed: dict[str, list[tuple[int, int, int, int, str]]] = {"row": [], "col": []}
-    port_use: set = set()
-    wire_use: set = set()
-    switch_use: set = set()
-    # Use keys end in their cycle.  Every event of a half lies at or above
-    # its floor: the half's base plus the lowest offset in timing.json, or
-    # the base itself.  Floors move monotonically with side_span, so a key
-    # below the current floor can never be hit again (with side_span < 0 no
-    # key is ever below one) and is forgotten.
+    # cycle -> ids of the switch ports, wires and memory ports it has used.
+    # Every event of a half lies at or above its floor: the half's base
+    # plus the lowest offset in timing.json, or the base itself.  Floors
+    # move monotonically with side_span, so a cycle below the current floor
+    # can never be hit again (with side_span < 0 none is ever below one)
+    # and is forgotten.
+    use: dict[int, set[int]] = {}
     reach = min(
         0, min(inputs.read_cycles, default=0), min(inputs.write_cycles, default=0)
     )
 
-    def apply_writes(side: str, iteration: int, base: int, record: bool) -> None:
-        offsets = inputs.reader_offsets[side]
-        for slot, entries in sorted(inputs.writes_by_slot[side].items()):
-            l, k = inputs.slots[side][slot]
-            cycle = base + inputs.write_cycles[slot]
-            for e in entries:
-                if not e["producer_real"]:
-                    continue
-                producer = k * units + e["pmu"]
-                t = 2 * l + e["port"]
-                if t >= len(offsets):
-                    token = None  # sentinel: reserved-cell filler
-                else:
-                    token = (side, producer, t, iteration)
-                key = (side, e["pmu"], e["port"], cycle)
-                if key in port_use:
-                    report.conflicts.append(
-                        f"pmu port double access: side {side} pmu {e['pmu']} "
-                        f"port {e['port']} cycle {cycle}"
-                    )
-                port_use.add(key)
-                mem[side][e["pmu"]][e["address"]] = token
-                if record:
-                    observed[side].append(
-                        (cycle, e["pmu"], e["port"], e["address"], "W")
-                    )
-
-    def run_half(reading: str, iteration: int, half_index: int) -> None:
-        producing = "col" if reading == "row" else "row"
-        instance = f"{reading}_reads"
-        base = (iteration * 2 + half_index) * inputs.side_span
-        rel_base = half_index * inputs.side_span
-        record = iteration == 0
-        for use in (port_use, wire_use, switch_use):
-            use.difference_update([key for key in use if key[-1] < base + reach])
-        cons_offsets = inputs.reader_offsets[reading]
-        prod_offsets = inputs.reader_offsets[producing]
-        delivered_side = report.delivered[iteration][reading]
-        for slot, (l, k) in enumerate(inputs.slots[reading]):
-            cycle = base + inputs.read_cycles[slot]
-            rel_cycle = rel_base + inputs.read_cycles[slot]
-            out_row = inputs.out_rows[instance][l]
-            in_row = inputs.in_rows[instance][l]
-            invalid = inputs.invalid[instance]
-            # Memory-side switches drive their wires.
-            driven: dict[tuple[str, int], tuple] = {}
-            active_readers = set()
-            for i in range(units):
-                if k * units + i < inputs.real_order:
-                    active_readers.add(i)
-                    report.ppu_busy[reading] += 1
-            for m in range(units):
-                for b, code in enumerate(out_row):
-                    if code == invalid:
-                        continue
-                    src = (f"{instance}_out_{m}", code)
-                    wire = inputs.wire_by_src.get(src)
-                    if wire is None:
-                        raise SimulationStructureError(
-                            f"switch table references missing wire at "
-                            f"{instance} out switch {m} port {code} (pattern {l})"
-                        )
-                    wire_name, dst, dst_unit = wire
-                    if dst_unit not in active_readers:
-                        continue
-                    switch_key = (instance, "out", m, code, cycle)
-                    if switch_key in switch_use:
-                        report.conflicts.append(
-                            f"switch port double select: {instance} out {m} "
-                            f"port {code} cycle {cycle}"
-                        )
-                    switch_use.add(switch_key)
-                    wire_key = (wire_name, cycle)
-                    if wire_key in wire_use:
-                        report.conflicts.append(
-                            f"wire double drive: {wire_name} cycle {cycle}"
-                        )
-                    wire_use.add(wire_key)
-                    address = 2 * slot + b
-                    port_key = (producing, m, b, cycle)
-                    if port_key in port_use:
-                        report.conflicts.append(
-                            f"pmu port double access: side {producing} pmu {m} "
-                            f"port {b} cycle {cycle}"
-                        )
-                    port_use.add(port_key)
-                    report.pmu_port_reads[producing] += 1
-                    if record:
-                        observed[producing].append((rel_cycle, m, b, address, "R"))
-                    driven[(dst, code)] = mem[producing][m].get(address)
-            # Unit-side switches select, one cycle staggered.
-            for i in sorted(active_readers):
-                lpu = k * units + i
-                in_id = f"{instance}_in_{i}"
-                for b, code in enumerate(in_row):
-                    if code == invalid:
-                        continue
-                    switch_key = (instance, "in", i, code, cycle + 1)
-                    if switch_key in switch_use:
-                        report.conflicts.append(
-                            f"switch port double select: {instance} in {i} "
-                            f"port {code} cycle {cycle + 1}"
-                        )
-                    switch_use.add(switch_key)
-                    token = driven.get((in_id, code))
-                    rank = 2 * l + b
-                    producer = (lpu + cons_offsets[rank]) % inputs.order
-                    real = _edge_real_for_reader(inputs, reading, lpu, producer)
-                    if token is None:
-                        if real:
-                            report.misroutes.append(
-                                f"missing token: {reading} consumer {lpu} "
-                                f"rank {rank} expected producer {producer}"
-                            )
-                        continue
-                    tok_side, tok_producer, tok_edge, _ = token
-                    tok_consumer = (
-                        tok_producer + prod_offsets[tok_edge]
-                    ) % inputs.order
-                    if tok_side != producing or tok_consumer != lpu or (
-                        tok_producer != producer
-                    ):
-                        if real:
-                            report.misroutes.append(
-                                f"misrouted token: {reading} consumer {lpu} "
-                                f"rank {rank} expected producer {producer}, "
-                                f"got producer {tok_producer} edge {tok_edge}"
-                            )
-                        continue
-                    if real:
-                        report.real_tokens[reading] += 1
-                        delivered_side.setdefault(lpu, []).append(
-                            (rank, producer, tok_edge)
-                        )
-        apply_writes(reading, iteration, base, record)
+    def write(half: _Half, base: int) -> None:
+        _claim(half.write_claims, base, use, keys, report.conflicts)
+        cells = memory[half.reading]
+        for cell, token in half.writes:
+            cells[cell] = token
 
     # Preload the column memories so the first row half has data.
-    apply_writes("col", -1, -2 * inputs.side_span, record=False)
+    write(halves["col"], -2 * inputs.side_span)
     for iteration in range(iterations):
-        report.delivered.append({"row": {}, "col": {}})
-        run_half("row", iteration, 0)
-        run_half("col", iteration, 1)
+        delivered = {"row": {}, "col": {}}
+        report.delivered.append(delivered)
+        for half_index, half in enumerate(halves.values()):
+            base = (iteration * 2 + half_index) * inputs.side_span
+            for cycle in [cycle for cycle in use if cycle < base + reach]:
+                del use[cycle]
+            _claim(half.read_claims, base, use, keys, report.conflicts)
+            report.ppu_busy[half.reading] += half.busy
+            report.pmu_port_reads[half.producing] += half.port_reads
+            report.real_tokens[half.reading] += _deliver(
+                half, memory[half.producing], delivered[half.reading], report.misroutes
+            )
+            write(half, base)
 
     # Measured lengths per the pipeline level's completion criterion: a
     # half is done when its last operand fetch retires, except with
@@ -456,11 +596,18 @@ def simulate(run_dir: str | Path, iterations: int = 1) -> SimReport:
         finish = max(inputs.read_cycles) + 1
     report.measured_half = {"row": finish, "col": finish}
     report.measured_full = 2 * inputs.side_span
+    observed = {"row": [], "col": []}
+    if iterations > 0:
+        for half in halves.values():
+            observed[half.producing] += half.read_trace
+            observed[half.reading] += half.write_trace
     for side in ("row", "col"):
         trace_name = f"access_trace_{side}.csv"
         expected_rows = [
-            (int(r["cycle"]), int(r["pmu"]), int(r["port"]), int(r["address"]), r["rw"])
-            for r in _read_csv(run_dir, trace_name)
+            values
+            for _, values in _read_csv(
+                run_dir, trace_name, ("cycle", "pmu", "port", "address"), ("rw",)
+            )
         ]
         got = sorted(observed[side])
         if got != sorted(expected_rows):

@@ -9,6 +9,7 @@ import shutil
 import pytest
 
 from pgfold.circulant import CirculantBipartiteGraph, expand_circulant
+from pgfold.cli import main
 from pgfold.emit import EmissionConfig, write_run_directory
 from pgfold.folding import FoldPlan, pad_dummy_offset
 from pgfold.simulator import (
@@ -295,6 +296,11 @@ class TestFaultInjection:
         with pytest.raises(SimulationStructureError, match="slot count"):
             simulate(scratch_run)
 
+    def test_truncated_write_timing_rejected(self, scratch_run):
+        rewrite_timing(scratch_run, lambda timing: timing["write_cycles"].pop())
+        with pytest.raises(SimulationStructureError, match="slot count"):
+            simulate(scratch_run)
+
     def test_late_write_collides_with_next_half_read(self, scratch_run):
         # Slot 0 of the col half reads both ports of every row memory.
         pmu, port, slot = first_row_write(scratch_run)
@@ -330,7 +336,66 @@ class TestFaultInjection:
                 f"cycle {base + timing['write_cycles'][slot]}"
             ) in report.conflicts
 
+    def test_late_write_collides_in_every_iteration(self, scratch_run):
+        # Each iteration is replayed at its own cycles, so the row half's
+        # late write meets the col half's first read at every odd half
+        # boundary, not only in the iterations a shortcut would replay.
+        pmu, port, slot = first_row_write(scratch_run)
+
+        def mutate(timing):
+            timing["write_cycles"][slot] = (
+                timing["side_span"] + timing["read_cycles"][0]
+            )
+
+        timing = rewrite_timing(scratch_run, mutate)
+        report = simulate(scratch_run, iterations=5)
+        span = timing["side_span"]
+        for i in range(5):
+            assert (
+                f"pmu port double access: side row pmu {pmu} port {port} "
+                f"cycle {span * (2 * i + 1) + timing['read_cycles'][0]}"
+            ) in report.conflicts
+
+    def test_census_grows_with_every_iteration(self, base_run):
+        once = simulate(base_run).real_tokens
+        assert simulate(base_run, iterations=5).real_tokens == {
+            side: 5 * count for side, count in once.items()
+        }
+
     def test_missing_artifact_rejected(self, scratch_run):
         (scratch_run / "netlist.json").unlink()
         with pytest.raises(SimulationStructureError, match="missing artifact"):
             simulate(scratch_run)
+
+
+class TestLoadErrors:
+    """Table values the replay cannot index end in a structural error that
+    names the file, the line (the header is line 1) and the field."""
+
+    @pytest.mark.parametrize(
+        "name, index, column, value, locus",
+        [
+            ("write_lut_row.csv", 0, "pmu", "5", "write_lut_row.csv:2:pmu 5 outside [0, 5)"),
+            ("write_lut_col.csv", 2, "pmu", "-1", "write_lut_col.csv:4:pmu -1 outside [0, 5)"),
+            ("write_lut_row.csv", 1, "port", "2", "write_lut_row.csv:3:port 2 outside [0, 2)"),
+            ("write_lut_col.csv", 1, "port", "-1", "write_lut_col.csv:3:port -1 outside [0, 2)"),
+            ("write_lut_row.csv", 0, "address", "-1", "write_lut_row.csv:2:address -1 outside capacity 24"),
+            ("write_lut_row.csv", 3, "slot", "12", "write_lut_row.csv:5:slot 12 outside [0, 12)"),
+            ("lut_row_reads_in.csv", 3, "port1", "0", "lut_row_reads_in.csv:5:port1 code 0 selects rank 7"),
+            ("lut_col_reads_in.csv", 3, "port1", "2", "lut_col_reads_in.csv:5:port1 code 2 selects rank 7"),
+            ("write_lut_row.csv", 0, "address", "x", "write_lut_row.csv:2:address 'x' is not an integer"),
+        ],
+    )
+    def test_rejected_with_locus(self, scratch_run, capsys, name, index, column, value, locus):
+        def mutate(rows):
+            rows[index][column] = value
+
+        rewrite_csv(scratch_run, name, mutate)
+        with pytest.raises(SimulationStructureError) as caught:
+            simulate(scratch_run)
+        assert str(caught.value).startswith(locus)
+        for argv in (["simulate"], ["verify"]):
+            assert main([*argv, "--out", str(scratch_run)]) in (1, 2)
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.out + captured.err
+            assert locus in captured.out + captured.err
