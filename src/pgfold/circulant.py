@@ -22,7 +22,42 @@ __all__ = [
     "offsets_equivalent",
     "normalize_offsets",
     "apply_affine",
+    "is_int",
+    "json_value",
+    "json_int",
+    "json_ints",
 ]
+
+
+def is_int(value: object) -> bool:
+    """An integer that is not a bool (JSON ``true`` and ``false``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def json_value(data: object, key: str, default: object = None) -> object:
+    """``data[key]`` of a parsed JSON object; a missing key gives ``default``.
+    A missing required key (no default) raises ValueError naming it."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    if key in data:
+        return data[key]
+    if default is None:
+        raise ValueError(f"{key} missing")
+    return default
+
+
+def json_int(data: object, key: str, default: int | None = None) -> int:
+    value = json_value(data, key, default)
+    if not is_int(value):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def json_ints(data: object, key: str, default: list | None = None) -> tuple[int, ...]:
+    value = json_value(data, key, default)
+    if not (isinstance(value, list) and all(is_int(v) for v in value)):
+        raise ValueError(f"{key} must be a list of integers, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -144,16 +179,29 @@ class CirculantBipartiteGraph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CirculantBipartiteGraph":
-        geometry = data.get("geometry")
+        """Inverse of ``to_json_dict``.  A missing field, or a value of the
+        wrong JSON type or range, raises ValueError naming the field."""
+        order = json_int(data, "J")
+        base_offsets = json_ints(data, "base_offsets")
+        padded = json_value(data, "dummy_offset_padded", False)
+        if not isinstance(padded, bool):
+            raise ValueError(
+                f"dummy_offset_padded must be true or false, got {padded!r}"
+            )
+        geometry = None
+        if data.get("geometry") is not None:
+            geometry = json_ints(data, "geometry")
+            if len(geometry) != 3:
+                raise ValueError(
+                    f"geometry must be three integers n, p, s, got {list(geometry)!r}"
+                )
         return cls(
-            order=data["J"],
-            base_offsets=tuple(data["base_offsets"]),
-            real_order=data.get("real_J", data["J"]),
-            real_base_offsets=tuple(
-                data.get("real_base_offsets", data["base_offsets"])
-            ),
-            dummy_offset_padded=data.get("dummy_offset_padded", False),
-            geometry=tuple(geometry) if geometry is not None else None,
+            order=order,
+            base_offsets=base_offsets,
+            real_order=json_int(data, "real_J", order),
+            real_base_offsets=json_ints(data, "real_base_offsets", list(base_offsets)),
+            dummy_offset_padded=padded,
+            geometry=geometry,
         )
 
     @classmethod

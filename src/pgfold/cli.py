@@ -21,13 +21,14 @@ from .circulant import (
     choose_alpha,
     divisors,
     expand_circulant,
+    is_int,
 )
 from .emit import (
     EmissionConfig,
     _json_text,
     emit_graph_json,
     emit_incidence_csv,
-    plan_json_dict,
+    render_run_files,
     sha256_text,
     write_run_directory,
 )
@@ -41,7 +42,9 @@ from .folding import (
     verify_balance,
 )
 from .projective import PgParams, build_pg_graph, verify_pg_incidence
+from .schedule import full_timing
 from .simulator import (
+    SimReport,
     SimulationStructureError,
     check_dataflow_equivalence,
     measure_throughput,
@@ -122,21 +125,27 @@ def _validated(settings: dict) -> dict:
         if not (
             isinstance(geometry, (list, tuple))
             and len(geometry) == 3
-            and all(isinstance(v, int) for v in geometry)
+            and all(is_int(v) for v in geometry)
         ):
             raise UsageError(f"geometry must be three integers n,p,s, got {geometry!r}")
         settings["geometry"] = list(geometry)
+    for key in ("graph", "out"):
+        if not (settings[key] is None or isinstance(settings[key], str)):
+            raise UsageError(f"{key} must be a path, got {settings[key]!r}")
     for key, flag in (("q", "--q"), ("alpha", "--alpha")):
         value = settings[key]
-        if isinstance(value, str) and value != "auto":
+        if isinstance(value, str):
             settings[key] = _parse_int_or_auto(value, flag)
-        elif isinstance(value, int) and value < 1:
-            raise UsageError(f"{flag} expects a positive integer or 'auto', got {value}")
+        elif not ((is_int(value) and value >= 1) or (key == "alpha" and value is None)):
+            raise UsageError(
+                f"{flag} expects a positive integer or 'auto', got {value!r}"
+            )
     if isinstance(settings["emit"], str):
         settings["emit"] = _parse_emit(settings["emit"])
     elif not (
         isinstance(settings["emit"], list)
         and settings["emit"]
+        and all(isinstance(f, str) for f in settings["emit"])
         and set(settings["emit"]) <= set(FORMATS)
     ):
         raise UsageError(
@@ -148,7 +157,7 @@ def _validated(settings: dict) -> dict:
     if not (
         isinstance(target, (list, tuple))
         and len(target) == 2
-        and all(isinstance(v, int) for v in target)
+        and all(is_int(v) for v in target)
         and 1 <= target[0] <= target[1]
     ):
         raise UsageError(
@@ -156,7 +165,7 @@ def _validated(settings: dict) -> dict:
         )
     settings["target_f"] = list(target)
     for key in ("design_option", "T", "delta", "iterations"):
-        if not isinstance(settings[key], int):
+        if not is_int(settings[key]):
             raise UsageError(f"{key} must be an integer, got {settings[key]!r}")
     if settings["design_option"] not in (1, 2):
         raise UsageError(
@@ -229,7 +238,7 @@ def _acquire_graph(settings: dict) -> CirculantBipartiteGraph:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
         return CirculantBipartiteGraph.from_json_dict(data)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"graph file {path} is not a valid graph: {exc}") from None
 
 
@@ -358,6 +367,27 @@ def _simulate_directory(run_dir: Path, iterations: int) -> tuple[object, dict]:
     return report, verdict
 
 
+def _replay_and_report(
+    run_dir: Path, iterations: int, command: str, preamble: str | None = None
+) -> int:
+    """Replay a run directory, store and print its verdicts, and return the
+    exit code; ``preamble`` is printed before the replay summary."""
+    try:
+        report, verdict = _simulate_directory(run_dir, iterations)
+    except SimulationStructureError as exc:
+        print(f"structural inconsistency: {exc}", file=sys.stderr)
+        print(f"{command}: FAIL")
+        return 1
+    _write_sim_outputs(run_dir, report, verdict)
+    if preamble is not None:
+        print(preamble)
+    sys.stdout.write(summarize(report))
+    for failure in verdict["failures"][:10]:
+        print(f"dataflow: {failure}")
+    print(f"{command}: {'PASS' if verdict['ok'] else 'FAIL'}")
+    return 0 if verdict["ok"] else 1
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -412,7 +442,7 @@ def cmd_fold(args: argparse.Namespace) -> int:
     plan = _build_plan(settings=settings, graph=graph, q=q)
     out.mkdir(parents=True, exist_ok=True)
     (out / "graph.json").write_text(emit_graph_json(graph), encoding="utf-8")
-    (out / "plan.json").write_text(_json_text(plan_json_dict(plan)), encoding="utf-8")
+    (out / "plan.json").write_text(_json_text(plan.to_json_dict()), encoding="utf-8")
     for side in ("row", "col"):
         sequence = generate_folded_sequence(graph, plan, side)
         (out / f"fold_{side}.json").write_text(
@@ -461,21 +491,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     run_dir = _require_out(settings)
     if not run_dir.is_dir():
         raise UsageError(f"run directory {run_dir} not found")
-    try:
-        report, verdict = _simulate_directory(run_dir, settings["iterations"])
-    except SimulationStructureError as exc:
-        print(f"structural inconsistency: {exc}", file=sys.stderr)
-        print("simulate: FAIL")
-        return 1
-    _write_sim_outputs(run_dir, report, verdict)
-    sys.stdout.write(summarize(report))
-    if not verdict["ok"]:
-        for failure in verdict["failures"][:10]:
-            print(f"dataflow: {failure}")
-        print("simulate: FAIL")
-        return 1
-    print("simulate: PASS")
-    return 0
+    return _replay_and_report(run_dir, settings["iterations"], "simulate")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -486,37 +502,16 @@ def cmd_run(args: argparse.Namespace) -> int:
             "run simulates the emitted files, so --emit must include csv and json"
         )
     out, manifest = _emit_directory(settings, formats)
-    try:
-        report, verdict = _simulate_directory(out, settings["iterations"])
-    except SimulationStructureError as exc:
-        print(f"structural inconsistency: {exc}", file=sys.stderr)
-        print("run: FAIL")
-        return 1
-    _write_sim_outputs(out, report, verdict)
-    print(f"wrote {len(manifest['files']) + 2} artifacts to {out}")
-    sys.stdout.write(summarize(report))
-    if not verdict["ok"]:
-        for failure in verdict["failures"][:10]:
-            print(f"dataflow: {failure}")
-        print("run: FAIL")
-        return 1
-    print("run: PASS")
-    return 0
+    return _replay_and_report(
+        out,
+        settings["iterations"],
+        "run",
+        preamble=f"wrote {len(manifest['files']) + 2} artifacts to {out}",
+    )
 
 
 # ---------------------------------------------------------------------------
 # verify
-
-
-def _plan_from_json(data: dict) -> FoldPlan:
-    return FoldPlan(
-        q=data["q"],
-        units_per_side=data["units_per_side"],
-        design_option=data["design_option"],
-        T=data["T"],
-        delta=data["delta"],
-        pipeline_level=data["pipeline_level"],
-    )
 
 
 def _detect_formats(run_dir: Path) -> tuple[str, ...]:
@@ -528,6 +523,102 @@ def _detect_formats(run_dir: Path) -> tuple[str, ...]:
     if (run_dir / "hdl").is_dir():
         formats.append("hdl")
     return tuple(formats)
+
+
+def _read_artifact(run_dir: Path, name: str, parse):
+    try:
+        return parse(json.loads((run_dir / name).read_text(encoding="utf-8")))
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _read_design(run_dir: Path) -> tuple[CirculantBipartiteGraph, FoldPlan]:
+    """The graph and fold plan of a run directory.  A file that does not
+    parse, or a plan the graph cannot be folded and timed with, raises
+    ValueError naming the file and the cause."""
+    graph = _read_artifact(
+        run_dir, "graph.json", CirculantBipartiteGraph.from_json_dict
+    )
+    plan = _read_artifact(run_dir, "plan.json", FoldPlan.from_json_dict)
+    try:
+        generate_folded_sequence(graph, plan)
+        full_timing(graph, plan)
+    except ValueError as exc:
+        raise ValueError(f"plan.json does not fit graph.json: {exc}") from None
+    return graph, plan
+
+
+def _check_stored_files(
+    run_dir: Path, graph: CirculantBipartiteGraph, plan: FoldPlan, check
+) -> None:
+    """The re-derivation and manifest checks.  Each stored file is read
+    once and compared both with an in-memory render of the design and with
+    its digest in manifest.json."""
+    rendered = render_run_files(
+        graph, plan, EmissionConfig(formats=_detect_formats(run_dir))
+    )
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    listed = manifest.get("files", {})
+    on_disk = {
+        str(p.relative_to(run_dir)).replace("\\", "/")
+        for p in run_dir.rglob("*")
+        if p.is_file()
+    }
+    stored = {
+        name: (run_dir / name).read_text(encoding="utf-8")
+        for name in on_disk & (set(rendered) | set(listed))
+    }
+    mismatched = []
+    for name in sorted(rendered):
+        if name not in stored:
+            mismatched.append(f"{name} missing")
+        elif stored[name] != rendered[name]:
+            mismatched.append(name)
+    problems = []
+    for name, digest in sorted(listed.items()):
+        if name not in stored:
+            problems.append(f"{name} listed but absent")
+        elif sha256_text(stored[name]) != digest:
+            problems.append(f"{name} hash mismatch")
+    unlisted = on_disk - set(listed) - {"manifest.json"}
+    problems.extend(f"{name} on disk but unlisted" for name in sorted(unlisted))
+    expected = set(rendered) | {"manifest.json", "sim_report.json", "sim_summary.txt"}
+    problems.extend(f"{name} unexpected" for name in sorted(on_disk - expected))
+    check(
+        "re-derivation",
+        not mismatched,
+        f"differs: {mismatched[:5]}" if mismatched else f"{len(rendered)} artifacts",
+    )
+    check(
+        "manifest",
+        not problems,
+        f"{problems[:5]}" if problems else f"{len(listed)} files hashed",
+    )
+
+
+def _replay_counts(report: SimReport) -> str:
+    return (
+        f"{len(report.conflicts)} conflicts, {len(report.misroutes)} misroutes, "
+        f"{len(report.file_mismatches)} file mismatches"
+    )
+
+
+def _reference_replay(graph: CirculantBipartiteGraph, plan: FoldPlan) -> SimReport:
+    """Replay of the unfolded (q = 1) build of the design."""
+    flat_plan = FoldPlan.for_graph(
+        graph,
+        1,
+        design_option=plan.design_option,
+        T=plan.T,
+        delta=plan.delta,
+        pipeline_level=plan.pipeline_level,
+    )
+    with tempfile.TemporaryDirectory() as scratch:
+        flat_dir = Path(scratch) / "flat"
+        write_run_directory(
+            flat_dir, graph, flat_plan, config=EmissionConfig(formats=("csv", "json"))
+        )
+        return simulate(flat_dir)
 
 
 def _verify_run_directory(run_dir: Path, iterations: int) -> tuple[bool, list[str]]:
@@ -543,18 +634,20 @@ def _verify_run_directory(run_dir: Path, iterations: int) -> tuple[bool, list[st
     for required in ("graph.json", "plan.json", "manifest.json"):
         if not (run_dir / required).is_file():
             raise UsageError(f"missing artifact {required} in {run_dir}")
-    graph = CirculantBipartiteGraph.from_json_dict(
-        json.loads((run_dir / "graph.json").read_text(encoding="utf-8"))
-    )
-    plan = _plan_from_json(
-        json.loads((run_dir / "plan.json").read_text(encoding="utf-8"))
-    )
+    try:
+        graph, plan = _read_design(run_dir)
+    except ValueError as exc:
+        check("design", False, str(exc))
+        return False, checks
 
     # Incidence structure, when the graph came from a geometry.
     if graph.geometry is not None and graph.order == graph.real_order:
-        params = PgParams(*graph.geometry)
-        report = verify_pg_incidence(graph, params)
-        check("incidence", report.ok, f"P{tuple(graph.geometry)}")
+        try:
+            report = verify_pg_incidence(graph, PgParams(*graph.geometry))
+        except ValueError as exc:
+            check("incidence", False, f"graph.json geometry: {exc}")
+        else:
+            check("incidence", report.ok, f"P{tuple(graph.geometry)}")
     else:
         checks.append("incidence: skipped (expanded or hand-supplied graph)")
 
@@ -570,59 +663,9 @@ def _verify_run_directory(run_dir: Path, iterations: int) -> tuple[bool, list[st
         details.append(f"{side} rho={rho} theta={theta} rho_hat={rho_hat}")
     check("schedule balance and endpoints", balance_ok, "; ".join(details))
 
-    # Byte-identical re-derivation of every emitted artifact.
-    formats = _detect_formats(run_dir)
-    with tempfile.TemporaryDirectory() as scratch:
-        fresh_dir = Path(scratch) / "fresh"
-        fresh_manifest = write_run_directory(
-            fresh_dir, graph, plan, config=EmissionConfig(formats=formats)
-        )
-        mismatched = []
-        for name in sorted(fresh_manifest["files"]):
-            fresh_text = (fresh_dir / name).read_text(encoding="utf-8")
-            stored = run_dir / name
-            if not stored.is_file():
-                mismatched.append(f"{name} missing")
-            elif stored.read_text(encoding="utf-8") != fresh_text:
-                mismatched.append(name)
-        check(
-            "re-derivation",
-            not mismatched,
-            f"{len(fresh_manifest['files'])} artifacts"
-            if not mismatched
-            else f"differs: {mismatched[:5]}",
-        )
-        expected_names = set(fresh_manifest["files"]) | {
-            "manifest.json",
-            "sim_report.json",
-            "sim_summary.txt",
-        }
-
-    # Manifest completeness and hashes.
-    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-    on_disk = {
-        str(p.relative_to(run_dir)).replace("\\", "/")
-        for p in run_dir.rglob("*")
-        if p.is_file()
-    }
-    problems = []
-    for name, digest in sorted(manifest.get("files", {}).items()):
-        path = run_dir / name
-        if not path.is_file():
-            problems.append(f"{name} listed but absent")
-        elif sha256_text(path.read_text(encoding="utf-8")) != digest:
-            problems.append(f"{name} hash mismatch")
-    unlisted = on_disk - set(manifest.get("files", {})) - {"manifest.json"}
-    problems.extend(f"{name} on disk but unlisted" for name in sorted(unlisted))
-    stray = on_disk - expected_names
-    problems.extend(f"{name} unexpected" for name in sorted(stray))
-    check(
-        "manifest",
-        not problems,
-        f"{len(manifest.get('files', {}))} files hashed"
-        if not problems
-        else f"{problems[:5]}",
-    )
+    # The stored files against a render of the design and the manifest,
+    # in a call of its own so that neither is held during the replays.
+    _check_stored_files(run_dir, graph, plan, check)
 
     # Cycle-accurate replay of the emitted files.
     try:
@@ -630,33 +673,22 @@ def _verify_run_directory(run_dir: Path, iterations: int) -> tuple[bool, list[st
     except SimulationStructureError as exc:
         check("simulation", False, str(exc))
         return (not failed), checks
-    check(
-        "simulation",
-        report.ok,
-        f"{len(report.conflicts)} conflicts, {len(report.misroutes)} misroutes, "
-        f"{len(report.file_mismatches)} file mismatches",
-    )
+    check("simulation", report.ok, _replay_counts(report))
     check(
         "dataflow equivalence",
         verdict["ok"],
         f"{report.real_tokens['row']}+{report.real_tokens['col']} real tokens",
     )
 
-    # Throughput against an unfolded build of the same graph.
-    with tempfile.TemporaryDirectory() as scratch:
-        flat_dir = Path(scratch) / "flat"
-        flat_plan = FoldPlan.for_graph(
-            graph,
-            1,
-            design_option=plan.design_option,
-            T=plan.T,
-            delta=plan.delta,
-            pipeline_level=plan.pipeline_level,
-        )
-        write_run_directory(
-            flat_dir, graph, flat_plan, config=EmissionConfig(formats=("csv", "json"))
-        )
-        flat_report = simulate(flat_dir)
+    # Throughput against a passing replay of the unfolded build.
+    try:
+        flat_report = _reference_replay(graph, plan)
+    except SimulationStructureError as exc:
+        check("throughput", False, f"q = 1 reference: {exc}")
+        return (not failed), checks
+    if not flat_report.ok:
+        check("throughput", False, f"q = 1 reference: {_replay_counts(flat_report)}")
+        return (not failed), checks
     throughput = measure_throughput(report, flat_report, q=plan.q)
     check(
         "throughput",

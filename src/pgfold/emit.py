@@ -45,12 +45,12 @@ __all__ = [
     "emit_graph_json",
     "emit_incidence_csv",
     "emit_switch_lut_csv",
-    "plan_json_dict",
     "emit_read_counter_params",
     "emit_write_lut_csv",
     "emit_access_trace",
     "emit_hdl",
     "check_hdl",
+    "render_run_files",
     "write_run_directory",
     "sha256_text",
 ]
@@ -178,18 +178,6 @@ def emit_netlist_json(netlist: Netlist) -> str:
 
 def emit_graph_json(graph: CirculantBipartiteGraph) -> str:
     return _json_text(graph.to_json_dict())
-
-
-def plan_json_dict(plan: FoldPlan) -> dict:
-    return {
-        "format_version": 1,
-        "q": plan.q,
-        "units_per_side": plan.units_per_side,
-        "design_option": plan.design_option,
-        "T": plan.T,
-        "delta": plan.delta,
-        "pipeline_level": plan.pipeline_level,
-    }
 
 
 def emit_incidence_csv(graph: CirculantBipartiteGraph) -> str:
@@ -765,23 +753,18 @@ def check_hdl(files: dict[str, str]) -> list[str]:
 # run directory
 
 
-def write_run_directory(
-    out_dir: str | Path,
+def render_run_files(
     graph: CirculantBipartiteGraph,
     plan: FoldPlan,
     config: EmissionConfig | None = None,
-    extra_files: dict[str, str] | None = None,
-) -> dict:
-    """Emit every artifact of one synthesis run and its hash manifest.
-
-    Returns the manifest dict; the directory afterwards contains the graph,
-    folded sequences, schedule tables, memory layout and address files,
-    switch tables, netlist, timing, access traces, resource report, any
-    extra files, optional HDL, and manifest.json hashing all of it.
+) -> dict[str, str]:
+    """Every artifact of one synthesis run, keyed by its path in the run
+    directory: the graph, folded sequences, schedule tables, memory layout
+    and address files, switch tables, netlist, timing, access traces,
+    resource report and, when selected, the HDL, which must pass
+    ``check_hdl``.  Nothing is written.
     """
     config = config or EmissionConfig()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     sequences = {
         side: generate_folded_sequence(graph, plan, side) for side in ("row", "col")
     }
@@ -793,7 +776,7 @@ def write_run_directory(
     files: dict[str, str] = {}
     if "json" in config.formats:
         files["graph.json"] = emit_graph_json(graph)
-        files["plan.json"] = _json_text(plan_json_dict(plan))
+        files["plan.json"] = _json_text(plan.to_json_dict())
         for side in ("row", "col"):
             files[f"fold_{side}.json"] = _json_text(sequences[side].to_json_dict())
         files["layout.json"] = _json_text(
@@ -826,8 +809,23 @@ def write_run_directory(
             raise AssertionError("emitted HDL failed self-check: " + "; ".join(problems))
         for name, text in hdl.items():
             files[f"hdl/{name}"] = text
-    for name, text in (extra_files or {}).items():
-        files[name] = text
+    return files
+
+
+def write_run_directory(
+    out_dir: str | Path,
+    graph: CirculantBipartiteGraph,
+    plan: FoldPlan,
+    config: EmissionConfig | None = None,
+    extra_files: dict[str, str] | None = None,
+) -> dict:
+    """Write the rendered artifacts of one synthesis run, any extra files,
+    and manifest.json hashing all of them.  Returns the manifest dict.
+    """
+    files = render_run_files(graph, plan, config)
+    files.update(extra_files or {})
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         path = out / name
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .circulant import CirculantBipartiteGraph, divisors
+from .circulant import CirculantBipartiteGraph, divisors, json_int, json_value
 
 __all__ = [
     "FoldPlan",
@@ -63,6 +63,29 @@ class FoldPlan:
     @property
     def order(self) -> int:
         return self.q * self.units_per_side
+
+    def to_json_dict(self) -> dict:
+        return {
+            "format_version": 1,
+            "q": self.q,
+            "units_per_side": self.units_per_side,
+            "design_option": self.design_option,
+            "T": self.T,
+            "delta": self.delta,
+            "pipeline_level": self.pipeline_level,
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "FoldPlan":
+        """Inverse of ``to_json_dict``.  A missing field, or a value of the
+        wrong JSON type or range, raises ValueError naming the field."""
+        return cls(
+            **{
+                key: json_int(data, key)
+                for key in ("q", "units_per_side", "design_option", "T", "delta")
+            },
+            pipeline_level=json_value(data, "pipeline_level"),
+        )
 
     @classmethod
     def for_graph(

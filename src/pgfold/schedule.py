@@ -200,28 +200,6 @@ class WriteSchedule:
             out.setdefault(entry.pmu, []).append(entry)
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "producer_side": self.producer_side,
-            "design_option": self.design_option,
-            "entries": [
-                {
-                    "producer": e.producer,
-                    "edge": e.edge,
-                    "slot": e.slot,
-                    "pmu": e.pmu,
-                    "port": e.port,
-                    "address": e.address,
-                    "real": e.real,
-                    "producer_real": e.producer_real,
-                    "consumer": e.consumer,
-                    "consumer_rank": e.consumer_rank,
-                }
-                for e in self.entries
-            ],
-        }
-
 
 def consumer_rank(graph: CirculantBipartiteGraph, producer_side: str, t: int) -> int:
     """Rank of a producer's edge t in its consumer's sorted offset order."""

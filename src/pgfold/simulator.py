@@ -110,10 +110,12 @@ def _bad_cell(name: str, line: int, row: list, fields, header: dict, width: int)
     return f"{name}:{line}: unreadable row"
 
 
-def _outside(name: str, line: int, column: str, value: int, low: int, high: int) -> None:
+def _outside(
+    name: str, entry: int | str, column: str, value: int, low: int, high: int
+) -> None:
     if not low <= value < high:
         raise SimulationStructureError(
-            f"{name}:{line}:{column} {value} outside [{low}, {high})"
+            f"{name}:{entry}:{column} {value} outside [{low}, {high})"
         )
 
 
@@ -151,13 +153,27 @@ def _load(run_dir: Path) -> _Inputs:
     slots = {}
     pattern_count = {}
     for side in ("row", "col"):
-        fold = _read_json(run_dir, f"fold_{side}.json")
-        slots[side] = [tuple(s) for s in fold["slots"]]
+        name = f"fold_{side}.json"
+        fold = _read_json(run_dir, name)
         pattern_count[side] = len(fold["patterns"])
         if fold["F"] != units:
             raise SimulationStructureError(
-                f"fold_{side}.json unit count disagrees with plan.json"
+                f"{name} unit count disagrees with plan.json"
             )
+        # A slot (l, k) runs pattern l for fold k.
+        for index, slot in enumerate(fold["slots"]):
+            entry = f"slots[{index}]"
+            if not (
+                isinstance(slot, list)
+                and len(slot) == 2
+                and all(type(value) is int for value in slot)
+            ):
+                raise SimulationStructureError(
+                    f"{name}:{entry} {slot!r} is not a (pattern, fold) pair of integers"
+                )
+            _outside(name, entry, "pattern", slot[0], 0, pattern_count[side])
+            _outside(name, entry, "fold", slot[1], 0, plan["q"])
+        slots[side] = [tuple(slot) for slot in fold["slots"]]
     if pattern_count["row"] != pattern_count["col"]:
         raise SimulationStructureError("sides disagree on pattern count")
     slot_count = len(slots["row"])
@@ -194,13 +210,15 @@ def _load(run_dir: Path) -> _Inputs:
                         )
     # source port -> (wire name, destination switch id, destination unit)
     wire_by_src = {}
-    for wire in netlist["wires"]:
+    for index, wire in enumerate(netlist["wires"]):
         dst = wire["dst"][0]
-        wire_by_src[(wire["src"][0], wire["src"][1])] = (
-            wire["name"],
-            dst,
-            int(dst.rsplit("_", 1)[1]),
-        )
+        try:
+            dst_unit = int(dst.rpartition("_")[2])
+        except (AttributeError, ValueError):
+            raise SimulationStructureError(
+                f"netlist.json:wires[{index}]:dst {dst!r} does not end in a unit number"
+            ) from None
+        wire_by_src[(wire["src"][0], wire["src"][1])] = (wire["name"], dst, dst_unit)
     writes = {}
     for side in ("row", "col"):
         name = f"write_lut_{side}.csv"

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from pgfold.cli import main
+from pgfold.simulator import SimulationStructureError
 
 from .test_simulator import rewrite_csv
 
@@ -416,6 +417,24 @@ class TestConfigFile:
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"q": 2.5}, "--q expects a positive integer or 'auto', got 2.5"),
+            ({"q": [3]}, "--q expects a positive integer or 'auto', got [3]"),
+            ({"alpha": 1.5}, "--alpha expects a positive integer or 'auto', got 1.5"),
+            ({"T": True}, "T must be an integer, got True"),
+            ({"out": 5}, "out must be a path, got 5"),
+        ],
+    )
+    def test_wrong_json_type_rejected(self, tmp_path, capsys, values, message):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"geometry": [3, 2, 1], "out": str(tmp_path / "run"), **values})
+        )
+        assert main(["run", "--config", str(config)]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_replays_run_directory(self, run15_dir, tmp_path, capsys):
@@ -500,6 +519,92 @@ class TestVerify:
         assert "verify: PASS" in capsys.readouterr().out
         # The folded design, then its unfolded q = 1 reference.
         assert replayed_q == [3, 1]
+
+    def test_stored_run_is_compared_with_an_in_memory_render(
+        self, run15_dir, monkeypatch, capsys
+    ):
+        import pgfold.cli as cli
+
+        written_q = []
+        original = cli.write_run_directory
+
+        def counting(out_dir, graph, plan, *args, **kwargs):
+            written_q.append(plan.q)
+            return original(out_dir, graph, plan, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "write_run_directory", counting)
+        assert main(["verify", "--out", str(run15_dir)]) == 0
+        assert "re-derivation: ok" in capsys.readouterr().out
+        # Only the unfolded q = 1 reference is written, because its replay
+        # reads files.
+        assert written_q == [1]
+
+    @pytest.mark.parametrize(
+        "name, key, value, cause",
+        [
+            ("graph.json", "J", "x", "design: FAIL (graph.json: J must be an integer, got 'x')"),
+            (
+                "plan.json",
+                "q",
+                5,
+                "design: FAIL (plan.json does not fit graph.json: "
+                "fold plan was built for a different graph order)",
+            ),
+            ("plan.json", "pipeline_level", None, "design: FAIL (plan.json: pipeline_level missing)"),
+            ("plan.json", "T", "1", "design: FAIL (plan.json: T must be an integer, got '1')"),
+            (
+                "plan.json",
+                "pipeline_level",
+                "graph",
+                "design: FAIL (plan.json does not fit graph.json: "
+                "graph-level pipelining requires design option 2",
+            ),
+            (
+                "graph.json",
+                "geometry",
+                [3, 1, 1],
+                "incidence: FAIL (graph.json geometry: field order must be >= 2)",
+            ),
+        ],
+    )
+    def test_malformed_design_file_fails_with_cause(
+        self, run15_dir, tmp_path, capsys, name, key, value, cause
+    ):
+        work = tmp_path / "malformed"
+        shutil.copytree(run15_dir, work)
+        data = read_json(work / name)
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+        (work / name).write_text(json.dumps(data))
+        assert main(["verify", "--out", str(work)]) == 1
+        out = capsys.readouterr().out
+        assert cause in out
+        assert out.endswith("verify: FAIL\n")
+
+    @pytest.mark.parametrize("failure", ["report", "structure"])
+    def test_throughput_requires_a_passing_reference(
+        self, run15_dir, monkeypatch, capsys, failure
+    ):
+        import pgfold.cli as cli
+
+        original = cli.simulate
+
+        def failing_reference(run_dir, *args, **kwargs):
+            report = original(run_dir, *args, **kwargs)
+            if read_json(run_dir / "plan.json")["q"] == 1:
+                if failure == "structure":
+                    raise SimulationStructureError("timing.json: injected")
+                report.conflicts.append("injected conflict")
+            return report
+
+        monkeypatch.setattr(cli, "simulate", failing_reference)
+        assert main(["verify", "--out", str(run15_dir)]) == 1
+        out = capsys.readouterr().out
+        assert "simulation: ok" in out
+        assert "throughput: FAIL (q = 1 reference: " in out
+        assert out.endswith("verify: FAIL\n")
 
 
 class TestEntryPoints:

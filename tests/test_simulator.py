@@ -399,3 +399,34 @@ class TestLoadErrors:
             captured = capsys.readouterr()
             assert "Traceback" not in captured.out + captured.err
             assert locus in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "name, path, value, locus",
+        [
+            ("fold_row.json", ("slots", 0), [9, 0], "fold_row.json:slots[0]:pattern 9 outside [0, 4)"),
+            ("fold_col.json", ("slots", 2), [-1, 0], "fold_col.json:slots[2]:pattern -1 outside [0, 4)"),
+            ("fold_row.json", ("slots", 1), [0, 3], "fold_row.json:slots[1]:fold 3 outside [0, 3)"),
+            ("fold_row.json", ("slots", 1), [0], "fold_row.json:slots[1] [0] is not a (pattern, fold) pair"),
+            (
+                "netlist.json",
+                ("wires", 0, "dst", 0),
+                "row_reads_in_x",
+                "netlist.json:wires[0]:dst 'row_reads_in_x' does not end in a unit number",
+            ),
+        ],
+    )
+    def test_json_entry_rejected_with_locus(self, scratch_run, capsys, name, path, value, locus):
+        data = json.loads((scratch_run / name).read_text())
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        (scratch_run / name).write_text(json.dumps(data))
+        with pytest.raises(SimulationStructureError) as caught:
+            simulate(scratch_run)
+        assert str(caught.value).startswith(locus)
+        for argv in (["simulate"], ["verify"]):
+            assert main([*argv, "--out", str(scratch_run)]) == 1
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.out + captured.err
+            assert locus in captured.out + captured.err
