@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
+from collections.abc import Mapping
 from pathlib import Path
 
 from .circulant import (
@@ -22,12 +22,14 @@ from .circulant import (
     divisors,
     expand_circulant,
     is_int,
+    json_value,
 )
 from .emit import (
     EmissionConfig,
     _json_text,
     emit_graph_json,
     emit_incidence_csv,
+    emit_manifest_json,
     render_run_files,
     sha256_text,
     write_run_directory,
@@ -44,10 +46,13 @@ from .folding import (
 from .projective import PgParams, build_pg_graph, verify_pg_incidence
 from .schedule import full_timing
 from .simulator import (
+    RunDirectory,
     SimReport,
     SimulationStructureError,
+    _field,
     check_dataflow_equivalence,
     measure_throughput,
+    read_json,
     simulate,
     summarize,
 )
@@ -338,7 +343,18 @@ def _require_out(settings: dict) -> Path:
     return Path(settings["out"])
 
 
-def _write_sim_outputs(run_dir: Path, report, verdict: dict) -> None:
+def _read_manifest(files: Mapping[str, str]) -> dict:
+    """manifest.json, whose ``files`` must be an object of digests."""
+    manifest = read_json(files, "manifest.json")
+    listed = _field("manifest.json", manifest, "files", json_value)
+    if not isinstance(listed, dict):
+        raise SimulationStructureError(
+            f"manifest.json: files must be an object, got {listed!r}"
+        )
+    return manifest
+
+
+def _write_sim_outputs(run_dir: Path, report, verdict: dict, manifest: dict | None) -> None:
     """Store the simulation verdicts and fold them into the manifest."""
     extra = {
         "sim_report.json": _json_text(
@@ -348,23 +364,21 @@ def _write_sim_outputs(run_dir: Path, report, verdict: dict) -> None:
     }
     for name, text in extra.items():
         (run_dir / name).write_text(text, encoding="utf-8")
-    manifest_path = run_dir / "manifest.json"
-    if manifest_path.is_file():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if manifest is not None:
         for name, text in extra.items():
             manifest["files"][name] = sha256_text(text)
-        manifest_path.write_text(_json_text(manifest), encoding="utf-8")
+        (run_dir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
 
 
-def _simulate_directory(run_dir: Path, iterations: int) -> tuple[object, dict]:
+def _replay(files: Mapping[str, str], iterations: int, where: str | Path) -> tuple[SimReport, dict]:
+    """The replay of ``files`` and its verdict; a missing file is a usage error."""
     try:
-        report = simulate(run_dir, iterations=iterations)
+        report = simulate(files, iterations=iterations)
     except SimulationStructureError as exc:
         if "missing artifact" in str(exc):
-            raise UsageError(f"{exc} in {run_dir}") from None
+            raise UsageError(f"{exc} in {where}") from None
         raise
-    verdict = check_dataflow_equivalence(report, run_dir)
-    return report, verdict
+    return report, check_dataflow_equivalence(report, files)
 
 
 def _replay_and_report(
@@ -372,13 +386,15 @@ def _replay_and_report(
 ) -> int:
     """Replay a run directory, store and print its verdicts, and return the
     exit code; ``preamble`` is printed before the replay summary."""
+    files = RunDirectory(run_dir)
     try:
-        report, verdict = _simulate_directory(run_dir, iterations)
+        report, verdict = _replay(files, iterations, run_dir)
+        manifest = _read_manifest(files) if "manifest.json" in files else None
     except SimulationStructureError as exc:
         print(f"structural inconsistency: {exc}", file=sys.stderr)
         print(f"{command}: FAIL")
         return 1
-    _write_sim_outputs(run_dir, report, verdict)
+    _write_sim_outputs(run_dir, report, verdict, manifest)
     if preamble is not None:
         print(preamble)
     sys.stdout.write(summarize(report))
@@ -514,32 +530,31 @@ def cmd_run(args: argparse.Namespace) -> int:
 # verify
 
 
-def _detect_formats(run_dir: Path) -> tuple[str, ...]:
+def _detect_formats(files: Mapping[str, str]) -> tuple[str, ...]:
     formats = []
-    if any(run_dir.glob("*.csv")):
+    if any(name.endswith(".csv") and "/" not in name for name in files):
         formats.append("csv")
-    if (run_dir / "graph.json").is_file():
+    if "graph.json" in files:
         formats.append("json")
-    if (run_dir / "hdl").is_dir():
+    if any(name.startswith("hdl/") for name in files):
         formats.append("hdl")
     return tuple(formats)
 
 
-def _read_artifact(run_dir: Path, name: str, parse):
+def _read_artifact(files: Mapping[str, str], name: str, parse):
+    data = read_json(files, name)
     try:
-        return parse(json.loads((run_dir / name).read_text(encoding="utf-8")))
+        return parse(data)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
 
 
-def _read_design(run_dir: Path) -> tuple[CirculantBipartiteGraph, FoldPlan]:
-    """The graph and fold plan of a run directory.  A file that does not
-    parse, or a plan the graph cannot be folded and timed with, raises
-    ValueError naming the file and the cause."""
-    graph = _read_artifact(
-        run_dir, "graph.json", CirculantBipartiteGraph.from_json_dict
-    )
-    plan = _read_artifact(run_dir, "plan.json", FoldPlan.from_json_dict)
+def _read_design(files: Mapping[str, str]) -> tuple[CirculantBipartiteGraph, FoldPlan]:
+    """The graph and fold plan of a run.  A file that does not parse, or a
+    plan the graph cannot be folded and timed with, raises ValueError
+    naming the file and the cause."""
+    graph = _read_artifact(files, "graph.json", CirculantBipartiteGraph.from_json_dict)
+    plan = _read_artifact(files, "plan.json", FoldPlan.from_json_dict)
     try:
         generate_folded_sequence(graph, plan)
         full_timing(graph, plan)
@@ -549,46 +564,52 @@ def _read_design(run_dir: Path) -> tuple[CirculantBipartiteGraph, FoldPlan]:
 
 
 def _check_stored_files(
-    run_dir: Path, graph: CirculantBipartiteGraph, plan: FoldPlan, check
+    files: Mapping[str, str], graph: CirculantBipartiteGraph, plan: FoldPlan, check
 ) -> None:
     """The re-derivation and manifest checks.  Each stored file is read
     once and compared both with an in-memory render of the design and with
     its digest in manifest.json."""
-    rendered = render_run_files(
-        graph, plan, EmissionConfig(formats=_detect_formats(run_dir))
-    )
-    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-    listed = manifest.get("files", {})
-    on_disk = {
-        str(p.relative_to(run_dir)).replace("\\", "/")
-        for p in run_dir.rglob("*")
-        if p.is_file()
-    }
-    stored = {
-        name: (run_dir / name).read_text(encoding="utf-8")
-        for name in on_disk & (set(rendered) | set(listed))
-    }
+    rendered = render_run_files(graph, plan, EmissionConfig(formats=_detect_formats(files)))
+    try:
+        listed = _read_manifest(files)["files"]
+    except SimulationStructureError as exc:
+        listed, manifest_error = {}, str(exc)
+    else:
+        manifest_error = None
+    stored, unreadable = {}, {}
+    for name in files.keys() & (rendered.keys() | listed.keys()):
+        try:
+            stored[name] = files[name]
+        except SimulationStructureError as exc:
+            unreadable[name] = str(exc)
     mismatched = []
     for name in sorted(rendered):
-        if name not in stored:
+        if name in unreadable:
+            mismatched.append(unreadable[name])
+        elif name not in stored:
             mismatched.append(f"{name} missing")
         elif stored[name] != rendered[name]:
             mismatched.append(name)
     problems = []
     for name, digest in sorted(listed.items()):
-        if name not in stored:
+        if name in unreadable:
+            problems.append(unreadable[name])
+        elif name not in stored:
             problems.append(f"{name} listed but absent")
         elif sha256_text(stored[name]) != digest:
             problems.append(f"{name} hash mismatch")
-    unlisted = on_disk - set(listed) - {"manifest.json"}
+    unlisted = files.keys() - listed.keys() - {"manifest.json"}
     problems.extend(f"{name} on disk but unlisted" for name in sorted(unlisted))
-    expected = set(rendered) | {"manifest.json", "sim_report.json", "sim_summary.txt"}
-    problems.extend(f"{name} unexpected" for name in sorted(on_disk - expected))
+    expected = rendered.keys() | {"manifest.json", "sim_report.json", "sim_summary.txt"}
+    problems.extend(f"{name} unexpected" for name in sorted(files.keys() - expected))
     check(
         "re-derivation",
         not mismatched,
         f"differs: {mismatched[:5]}" if mismatched else f"{len(rendered)} artifacts",
     )
+    if manifest_error is not None:
+        check("manifest", False, manifest_error)
+        return
     check(
         "manifest",
         not problems,
@@ -613,15 +634,15 @@ def _reference_replay(graph: CirculantBipartiteGraph, plan: FoldPlan) -> SimRepo
         delta=plan.delta,
         pipeline_level=plan.pipeline_level,
     )
-    with tempfile.TemporaryDirectory() as scratch:
-        flat_dir = Path(scratch) / "flat"
-        write_run_directory(
-            flat_dir, graph, flat_plan, config=EmissionConfig(formats=("csv", "json"))
-        )
-        return simulate(flat_dir)
+    return simulate(
+        render_run_files(graph, flat_plan, EmissionConfig(formats=("csv", "json")))
+    )
 
 
-def _verify_run_directory(run_dir: Path, iterations: int) -> tuple[bool, list[str]]:
+def _verify_files(
+    files: Mapping[str, str], where: str | Path, iterations: int
+) -> tuple[bool, list[str]]:
+    """Every check of a run's files; a missing required file is a usage error."""
     checks: list[str] = []
     failed = False
 
@@ -632,10 +653,10 @@ def _verify_run_directory(run_dir: Path, iterations: int) -> tuple[bool, list[st
         checks.append(f"{name}: {'ok' if ok else 'FAIL'}{suffix}")
 
     for required in ("graph.json", "plan.json", "manifest.json"):
-        if not (run_dir / required).is_file():
-            raise UsageError(f"missing artifact {required} in {run_dir}")
+        if required not in files:
+            raise UsageError(f"missing artifact {required} in {where}")
     try:
-        graph, plan = _read_design(run_dir)
+        graph, plan = _read_design(files)
     except ValueError as exc:
         check("design", False, str(exc))
         return False, checks
@@ -665,11 +686,11 @@ def _verify_run_directory(run_dir: Path, iterations: int) -> tuple[bool, list[st
 
     # The stored files against a render of the design and the manifest,
     # in a call of its own so that neither is held during the replays.
-    _check_stored_files(run_dir, graph, plan, check)
+    _check_stored_files(files, graph, plan, check)
 
     # Cycle-accurate replay of the emitted files.
     try:
-        report, verdict = _simulate_directory(run_dir, iterations)
+        report, verdict = _replay(files, iterations, where)
     except SimulationStructureError as exc:
         check("simulation", False, str(exc))
         return (not failed), checks
@@ -702,16 +723,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
     out = settings["out"]
     if out and Path(out).is_dir():
-        passed, checks = _verify_run_directory(Path(out), settings["iterations"])
+        passed, checks = _verify_files(RunDirectory(out), out, settings["iterations"])
     elif settings["geometry"] is not None or settings["graph"] is not None:
-        with tempfile.TemporaryDirectory() as scratch:
-            settings = dict(settings)
-            settings["out"] = str(Path(scratch) / "run")
-            formats = tuple(settings["emit"])
-            if not {"csv", "json"} <= set(formats):
-                formats = ("csv", "json")
-            run_dir, _ = _emit_directory(settings, formats)
-            passed, checks = _verify_run_directory(run_dir, settings["iterations"])
+        formats = tuple(settings["emit"])
+        if not {"csv", "json"} <= set(formats):
+            formats = ("csv", "json")
+        graph, q = _resolve_fold_inputs(settings)
+        plan = _build_plan(settings=settings, graph=graph, q=q)
+        try:
+            files = render_run_files(graph, plan, EmissionConfig(formats=formats))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        files["manifest.json"] = emit_manifest_json(files)
+        passed, checks = _verify_files(files, "the rendered run", settings["iterations"])
     else:
         raise UsageError(
             "verify needs an existing run directory (--out DIR) or pipeline "

@@ -51,6 +51,7 @@ __all__ = [
     "emit_hdl",
     "check_hdl",
     "render_run_files",
+    "emit_manifest_json",
     "write_run_directory",
     "sha256_text",
 ]
@@ -812,6 +813,12 @@ def render_run_files(
     return files
 
 
+def emit_manifest_json(files: dict[str, str]) -> str:
+    """manifest.json of a run: the SHA-256 of each file's text, by name."""
+    digests = {name: sha256_text(files[name]) for name in sorted(files)}
+    return _json_text({"format_version": 1, "files": digests})
+
+
 def write_run_directory(
     out_dir: str | Path,
     graph: CirculantBipartiteGraph,
@@ -824,15 +831,11 @@ def write_run_directory(
     """
     files = render_run_files(graph, plan, config)
     files.update(extra_files or {})
+    files["manifest.json"] = emit_manifest_json(files)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         path = out / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
-    manifest = {
-        "format_version": 1,
-        "files": {name: sha256_text(files[name]) for name in sorted(files)},
-    }
-    (out / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
-    return manifest
+    return json.loads(files["manifest.json"])

@@ -4,7 +4,9 @@ This module deliberately reimplements the access semantics from the files
 a run directory contains (graph, fold sequences, write LUTs, switch
 tables, netlist, timing) rather than reusing the synthesis code, so a
 passing simulation also validates the file formats and their mutual
-consistency.
+consistency.  The files come from a read-only ``name → text`` mapping:
+an in-memory render, or a run directory through ``RunDirectory``, which
+lists the files once and reads and decodes each only when it is looked up.
 
 One iteration is a row compute half followed by a col compute half.  Row
 units read the column-side memories through the row_reads interconnect,
@@ -15,27 +17,34 @@ exclusive use per cycle, every delivered token for reaching exactly the
 consumer the graph prescribes.
 
 The replay runs in three steps.  Load reads each file once and rejects
-out-of-range table values with their file, row and field.  Compile turns
-each side's read half and write half into a plan, once per call: integer
-ids of the switch ports, wires and memory ports each slot claims, the
-memory cell that feeds each unit-side switch port, and the consumer, rank
-and expected producer of each real delivery.  Replay then runs every
-half of every iteration at its absolute cycles, checking each claim
-against the ids already used in that cycle and each delivery against the
-token its cell holds; messages are built only for a conflict or a
-misroute.
+text that is not UTF-8, JSON that does not parse, a JSON field of the
+wrong type and out-of-range table values with their file, row and field.
+Compile turns each side's read half and write half into a plan, once per
+call: integer ids of the switch ports, wires and memory ports each slot
+claims, the memory cell that feeds each unit-side switch port, and the
+consumer, rank and expected producer of each real delivery.  Replay then
+runs every half of every iteration at its absolute cycles, checking each
+claim against the ids already used in that cycle and each delivery
+against the token its cell holds; messages are built only for a conflict
+or a misroute.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 
+from .circulant import is_int, json_int, json_ints, json_value
+
 __all__ = [
+    "RunDirectory",
     "SimulationStructureError",
+    "read_json",
     "SimReport",
     "simulate",
     "check_dataflow_equivalence",
@@ -52,35 +61,90 @@ class SimulationStructureError(ValueError):
 # independent file readers
 
 
-def _read_json(run_dir: Path, name: str) -> dict:
-    path = run_dir / name
-    if not path.is_file():
+class RunDirectory(Mapping):
+    """A run directory as a read-only ``name → text`` mapping.  Its files are
+    listed once; each is read and decoded only when looked up, and bytes that
+    are not UTF-8 raise SimulationStructureError naming the file."""
+
+    def __init__(self, root: str | Path) -> None:
+        root = Path(root)
+        paths = (path for path in sorted(root.rglob("*")) if path.is_file())
+        self._paths = {path.relative_to(root).as_posix(): path for path in paths}
+
+    def __getitem__(self, name: str) -> str:
+        try:
+            return self._paths[name].read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SimulationStructureError(
+                f"{name}: not UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from None
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._paths
+
+    def __iter__(self):
+        return iter(self._paths)
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+
+def _source(files: Mapping[str, str] | str | Path) -> Mapping[str, str]:
+    return files if isinstance(files, Mapping) else RunDirectory(files)
+
+
+def _text(files: Mapping[str, str], name: str) -> str:
+    if name not in files:
         raise SimulationStructureError(f"missing artifact {name}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    return files[name]
+
+
+def read_json(files: Mapping[str, str], name: str) -> object:
+    """The parsed JSON of file ``name``; text that does not parse raises
+    ``SimulationStructureError("<name>: not JSON ...")``."""
+    try:
+        return json.loads(_text(files, name))
+    except json.JSONDecodeError as exc:
+        raise SimulationStructureError(f"{name}: not JSON ({exc})") from None
+
+
+def _json_list(data: object, key: str) -> list:
+    value = json_value(data, key)
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _field(name: str, data: object, key: str, read=json_int):
+    """``read(data, key)`` of file ``name``'s JSON; a missing key or a value
+    of the wrong type raises ``SimulationStructureError("<name>: <key> ...")``."""
+    try:
+        return read(data, key)
+    except ValueError as exc:
+        raise SimulationStructureError(f"{name}: {exc}") from None
 
 
 def _read_csv(
-    run_dir: Path, name: str, ints: tuple[str, ...], texts: tuple[str, ...] = ()
+    files: Mapping[str, str], name: str, ints: tuple[str, ...], texts: tuple[str, ...] = ()
 ) -> list[tuple[int, tuple]]:
     """(line, values) of each record: the ``ints`` columns as integers, then
     the ``texts`` columns as strings.
 
-    A missing column, a short row or a cell that is not an integer raises
+    A missing column, a short row, a cell that is not an integer or a line
+    the CSV reader rejects raises
     ``SimulationStructureError("file:line:field ...")``; the header is line 1.
     """
-    path = run_dir / name
-    if not path.is_file():
-        raise SimulationStructureError(f"missing artifact {name}")
     fields = ints + texts
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    lines = re.finditer(r".*\n|.+", _text(files, name))  # one at a time, no copy
+    reader = csv.reader(map(re.Match.group, lines))
+    records = []
+    try:
         header = {column: index for index, column in enumerate(next(reader, []))}
         for column in fields:
             if column not in header:
                 raise SimulationStructureError(f"{name}:1:{column} column missing")
         pick = itemgetter(*(header[column] for column in fields))
         width = len(ints)
-        records = []
         for row in reader:
             if not row:
                 continue  # a blank line holds no record
@@ -92,6 +156,8 @@ def _read_csv(
                     _bad_cell(name, reader.line_num, row, fields, header, width)
                 ) from None
             records.append((reader.line_num, values))
+    except csv.Error as exc:
+        raise SimulationStructureError(f"{name}:{reader.line_num}: {exc}") from None
     return records
 
 
@@ -140,28 +206,60 @@ class _Inputs:
     reader_offsets: dict[str, list[int]]
 
 
-def _load(run_dir: Path) -> _Inputs:
-    graph = _read_json(run_dir, "graph.json")
-    plan = _read_json(run_dir, "plan.json")
-    layout = _read_json(run_dir, "layout.json")
-    timing = _read_json(run_dir, "timing.json")
-    netlist = _read_json(run_dir, "netlist.json")
-    order = graph["J"]
-    col_offsets = sorted((-d) % order for d in graph["base_offsets"])
-    units = plan["units_per_side"]
-    capacity = layout["capacity"]
+_PIPELINE_LEVELS = ("none", "writeback", "node", "graph")
+
+
+def _json_level(data: object, key: str) -> str:
+    value = json_value(data, key)
+    if value not in _PIPELINE_LEVELS:
+        raise ValueError(
+            f"{key} must be one of {', '.join(_PIPELINE_LEVELS)}, got {value!r}"
+        )
+    return value
+
+
+def _graph_fields(graph: object) -> tuple[int, tuple, int, tuple]:
+    """J, base offsets, real J and real base offsets of graph.json."""
+    order = _field("graph.json", graph, "J")
+    if order < 1:
+        raise SimulationStructureError(f"graph.json: J must be positive, got {order}")
+    return (
+        order,
+        _field("graph.json", graph, "base_offsets", json_ints),
+        _field("graph.json", graph, "real_J"),
+        _field("graph.json", graph, "real_base_offsets", json_ints),
+    )
+
+
+def _load(files: Mapping[str, str]) -> _Inputs:
+    docs = {
+        name: read_json(files, f"{name}.json")
+        for name in ("graph", "plan", "layout", "timing", "netlist")
+    }
+    order, base_offsets, real_order, real_base_offsets = _graph_fields(docs["graph"])
+    col_offsets = sorted((-d) % order for d in base_offsets)
+    plan, timing, netlist = docs["plan"], docs["timing"], docs["netlist"]
+    units = _field("plan.json", plan, "units_per_side")
+    folds = _field("plan.json", plan, "q")
+    pipeline_level = _field("plan.json", plan, "pipeline_level", _json_level)
+    capacity = _field("layout.json", docs["layout"], "capacity")
+    cycles = {
+        key: list(_field("timing.json", timing, key, json_ints))
+        for key in ("read_cycles", "write_cycles")
+    }
+    side_span = _field("timing.json", timing, "side_span")
     slots = {}
     pattern_count = {}
     for side in ("row", "col"):
         name = f"fold_{side}.json"
-        fold = _read_json(run_dir, name)
-        pattern_count[side] = len(fold["patterns"])
-        if fold["F"] != units:
+        fold = read_json(files, name)
+        pattern_count[side] = len(_field(name, fold, "patterns", _json_list))
+        if _field(name, fold, "F") != units:
             raise SimulationStructureError(
                 f"{name} unit count disagrees with plan.json"
             )
         # A slot (l, k) runs pattern l for fold k.
-        for index, slot in enumerate(fold["slots"]):
+        for index, slot in enumerate(_field(name, fold, "slots", _json_list)):
             entry = f"slots[{index}]"
             if not (
                 isinstance(slot, list)
@@ -172,26 +270,29 @@ def _load(run_dir: Path) -> _Inputs:
                     f"{name}:{entry} {slot!r} is not a (pattern, fold) pair of integers"
                 )
             _outside(name, entry, "pattern", slot[0], 0, pattern_count[side])
-            _outside(name, entry, "fold", slot[1], 0, plan["q"])
+            _outside(name, entry, "fold", slot[1], 0, folds)
         slots[side] = [tuple(slot) for slot in fold["slots"]]
     if pattern_count["row"] != pattern_count["col"]:
         raise SimulationStructureError("sides disagree on pattern count")
     slot_count = len(slots["row"])
-    for cycles in ("read_cycles", "write_cycles"):
-        if len(timing[cycles]) != slot_count:
+    for key, values in cycles.items():
+        if len(values) != slot_count:
             raise SimulationStructureError(
-                f"timing slot count disagrees with fold slots ({cycles})"
+                f"timing slot count disagrees with fold slots ({key})"
             )
-    ranks = len(graph["base_offsets"])
+    ranks = len(base_offsets)
+    instances = netlist
+    for key in ("annotations", "instances"):
+        instances = _field("netlist.json", instances, key, json_value)
     out_rows = {}
     in_rows = {}
     invalid = {}
     for instance in ("row_reads", "col_reads"):
-        ann = netlist["annotations"]["instances"][instance]
-        invalid[instance] = ann["rho_hat"]
+        annotation = _field("netlist.json", instances, instance, json_value)
+        invalid[instance] = _field(f"netlist.json:{instance}", annotation, "rho_hat")
         for kind, store in (("out", out_rows), ("in", in_rows)):
             name = f"lut_{instance}_{kind}.csv"
-            records = _read_csv(run_dir, name, ("slot", "port0", "port1"))
+            records = _read_csv(files, name, ("slot", "port0", "port1"))
             records.sort(key=lambda record: record[1][0])
             if len(records) != pattern_count["row"]:
                 raise SimulationStructureError(f"{name} row count != pattern count")
@@ -210,20 +311,38 @@ def _load(run_dir: Path) -> _Inputs:
                         )
     # source port -> (wire name, destination switch id, destination unit)
     wire_by_src = {}
-    for index, wire in enumerate(netlist["wires"]):
+    for index, wire in enumerate(_field("netlist.json", netlist, "wires", _json_list)):
+        if not isinstance(wire, dict):
+            raise SimulationStructureError(f"netlist.json:wires[{index}] is not an object")
+        for key in ("src", "dst"):
+            end = wire.get(key)
+            if not (
+                isinstance(end, list)
+                and len(end) == 2
+                and isinstance(end[0], str)
+                and is_int(end[1])
+            ):
+                raise SimulationStructureError(
+                    f"netlist.json:wires[{index}]:{key} {end!r} is not a (switch, port) pair"
+                )
+        wire_name = wire.get("name")
+        if not isinstance(wire_name, str):
+            raise SimulationStructureError(
+                f"netlist.json:wires[{index}]:name {wire_name!r} is not a string"
+            )
         dst = wire["dst"][0]
         try:
             dst_unit = int(dst.rpartition("_")[2])
-        except (AttributeError, ValueError):
+        except ValueError:
             raise SimulationStructureError(
                 f"netlist.json:wires[{index}]:dst {dst!r} does not end in a unit number"
             ) from None
-        wire_by_src[(wire["src"][0], wire["src"][1])] = (wire["name"], dst, dst_unit)
+        wire_by_src[tuple(wire["src"])] = (wire_name, dst, dst_unit)
     writes = {}
     for side in ("row", "col"):
         name = f"write_lut_{side}.csv"
         records = _read_csv(
-            run_dir, name, ("slot", "pmu", "port", "address", "producer_real")
+            files, name, ("slot", "pmu", "port", "address", "producer_real")
         )
         for line, (slot, pmu, port, address, _) in records:
             _outside(name, line, "pmu", pmu, 0, units)
@@ -236,20 +355,20 @@ def _load(run_dir: Path) -> _Inputs:
         writes[side] = sorted((values for _, values in records), key=lambda w: w[0])
     return _Inputs(
         order=order,
-        real_order=graph["real_J"],
-        real_base_offsets=frozenset(graph["real_base_offsets"]),
+        real_order=real_order,
+        real_base_offsets=frozenset(real_base_offsets),
         units=units,
-        pipeline_level=plan["pipeline_level"],
+        pipeline_level=pipeline_level,
         slots=slots,
-        read_cycles=list(timing["read_cycles"]),
-        write_cycles=list(timing["write_cycles"]),
-        side_span=timing["side_span"],
+        read_cycles=cycles["read_cycles"],
+        write_cycles=cycles["write_cycles"],
+        side_span=side_span,
         out_rows=out_rows,
         in_rows=in_rows,
         invalid=invalid,
         wire_by_src=wire_by_src,
         writes=writes,
-        reader_offsets={"row": list(graph["base_offsets"]), "col": col_offsets},
+        reader_offsets={"row": list(base_offsets), "col": col_offsets},
     )
 
 
@@ -549,8 +668,11 @@ def _deliver(half: _Half, memory: list, delivered: dict, misroutes: list) -> int
     return arrived
 
 
-def simulate(run_dir: str | Path, iterations: int = 1) -> SimReport:
+def simulate(files: Mapping[str, str] | str | Path, iterations: int = 1) -> SimReport:
     """Replay the emitted schedules cycle-accurately and audit them.
+
+    ``files`` maps run-directory names to file text; a path stands for the
+    run directory there.
 
     Checks per cycle: each memory port serves at most one access, each
     wire carries at most one datum, each switch port is selected at most
@@ -559,8 +681,8 @@ def simulate(run_dir: str | Path, iterations: int = 1) -> SimReport:
     and rank.  Also compares all observed memory traffic of the first
     iteration with the emitted access trace files.
     """
-    run_dir = Path(run_dir)
-    inputs = _load(run_dir)
+    files = _source(files)
+    inputs = _load(files)
     halves, keys = _compile(inputs)
     units = inputs.units
     report = SimReport(iterations=iterations)
@@ -624,7 +746,7 @@ def simulate(run_dir: str | Path, iterations: int = 1) -> SimReport:
         expected_rows = [
             values
             for _, values in _read_csv(
-                run_dir, trace_name, ("cycle", "pmu", "port", "address"), ("rw",)
+                files, trace_name, ("cycle", "pmu", "port", "address"), ("rw",)
             )
         ]
         got = sorted(observed[side])
@@ -639,19 +761,21 @@ def simulate(run_dir: str | Path, iterations: int = 1) -> SimReport:
     return report
 
 
-def check_dataflow_equivalence(report: SimReport, run_dir: str | Path) -> dict:
+def check_dataflow_equivalence(
+    report: SimReport, files: Mapping[str, str] | str | Path
+) -> dict:
     """Did every real consumer receive exactly its incident real tokens,
-    each exactly once, in folded-sequence order?"""
-    run_dir = Path(run_dir)
-    graph = _read_json(run_dir, "graph.json")
-    order = graph["J"]
-    real_order = graph["real_J"]
-    real_offsets = set(graph["real_base_offsets"])
+    each exactly once, in folded-sequence order?  ``files`` is the source
+    ``simulate`` replayed."""
+    order, base_offsets, real_order, real_offsets = _graph_fields(
+        read_json(_source(files), "graph.json")
+    )
+    real_offsets = set(real_offsets)
     failures: list[str] = []
     if not report.delivered:
         return {"ok": False, "failures": ["no iterations simulated"]}
-    col_offsets = sorted((-d) % order for d in graph["base_offsets"])
-    reader_offsets = {"row": list(graph["base_offsets"]), "col": col_offsets}
+    col_offsets = sorted((-d) % order for d in base_offsets)
+    reader_offsets = {"row": list(base_offsets), "col": col_offsets}
     for side in ("row", "col"):
         offsets = reader_offsets[side]
         for iteration, delivered in enumerate(report.delivered):

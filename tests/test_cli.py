@@ -510,9 +510,9 @@ class TestVerify:
         replayed_q = []
         original = cli.simulate
 
-        def counting(run_dir, *args, **kwargs):
-            replayed_q.append(read_json(run_dir / "plan.json")["q"])
-            return original(run_dir, *args, **kwargs)
+        def counting(files, *args, **kwargs):
+            replayed_q.append(json.loads(files["plan.json"])["q"])
+            return original(files, *args, **kwargs)
 
         monkeypatch.setattr(cli, "simulate", counting)
         assert main(["verify", "--geometry", "3,2,1", "--q", "3"]) == 0
@@ -535,9 +535,9 @@ class TestVerify:
         monkeypatch.setattr(cli, "write_run_directory", counting)
         assert main(["verify", "--out", str(run15_dir)]) == 0
         assert "re-derivation: ok" in capsys.readouterr().out
-        # Only the unfolded q = 1 reference is written, because its replay
-        # reads files.
-        assert written_q == [1]
+        # The unfolded q = 1 reference replays from its render, so nothing
+        # is written.
+        assert written_q == []
 
     @pytest.mark.parametrize(
         "name, key, value, cause",
@@ -591,9 +591,9 @@ class TestVerify:
 
         original = cli.simulate
 
-        def failing_reference(run_dir, *args, **kwargs):
-            report = original(run_dir, *args, **kwargs)
-            if read_json(run_dir / "plan.json")["q"] == 1:
+        def failing_reference(files, *args, **kwargs):
+            report = original(files, *args, **kwargs)
+            if json.loads(files["plan.json"])["q"] == 1:
                 if failure == "structure":
                     raise SimulationStructureError("timing.json: injected")
                 report.conflicts.append("injected conflict")
@@ -605,6 +605,77 @@ class TestVerify:
         assert "simulation: ok" in out
         assert "throughput: FAIL (q = 1 reference: " in out
         assert out.endswith("verify: FAIL\n")
+
+
+class TestHostileFiles:
+    """Stored files that do not decode or parse end in exit 1 with the file
+    named, never in a traceback."""
+
+    @pytest.mark.parametrize("name", ["timing.json", "write_lut_row.csv"])
+    def test_non_utf8_file_is_named(self, run15_dir, tmp_path, capsys, name):
+        work = tmp_path / "bytes"
+        shutil.copytree(run15_dir, work)
+        with (work / name).open("ab") as handle:
+            handle.write(b"\xff\xfe")
+        assert main(["simulate", "--out", str(work)]) == 1
+        captured = capsys.readouterr()
+        assert f"structural inconsistency: {name}: not UTF-8" in captured.err
+        assert captured.out == "simulate: FAIL\n"
+        assert main(["verify", "--out", str(work)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        lines = captured.out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "incidence",
+            "schedule balance and endpoints",
+            "re-derivation",
+            "manifest",
+            "simulation",
+            "verify",
+        ]
+        # re-derivation, manifest and simulation each name the file.
+        for line in lines[2:5]:
+            assert ": FAIL (" in line and f"{name}: not UTF-8" in line
+        assert lines[-1] == "verify: FAIL"
+
+    @pytest.mark.parametrize("text", ["not json", "[]", '{"files": 3}'])
+    def test_malformed_manifest_is_named(self, run15_dir, tmp_path, capsys, text):
+        work = tmp_path / "manifest"
+        shutil.copytree(run15_dir, work)
+        (work / "manifest.json").write_text(text)
+        assert main(["verify", "--out", str(work)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "manifest: FAIL (manifest.json: " in captured.out
+        assert "simulation: ok" in captured.out
+        assert captured.out.endswith("verify: FAIL\n")
+        assert main(["simulate", "--out", str(work)]) in (1, 2)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "manifest.json" in captured.err
+
+    def test_wrongly_typed_graph_field_fails_simulate(self, run15_dir, tmp_path, capsys):
+        work = tmp_path / "typed"
+        shutil.copytree(run15_dir, work)
+        graph = read_json(work / "graph.json")
+        graph["J"] = "x"
+        (work / "graph.json").write_text(json.dumps(graph))
+        assert main(["simulate", "--out", str(work)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "graph.json: J must be an integer, got 'x'" in captured.err
+
+    def test_verify_makes_no_scratch_directory(self, run15_dir, monkeypatch, capsys):
+        import tempfile
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify made a scratch directory")
+
+        monkeypatch.setattr(tempfile, "TemporaryDirectory", forbidden)
+        monkeypatch.setattr(tempfile, "mkdtemp", forbidden)
+        for inputs in (["--out", str(run15_dir)], ["--geometry", "3,2,1", "--q", "3"]):
+            assert main(["verify", *inputs]) == 0
+            assert capsys.readouterr().out.endswith("verify: PASS\n")
 
 
 class TestEntryPoints:

@@ -10,7 +10,7 @@ import pytest
 
 from pgfold.circulant import CirculantBipartiteGraph, expand_circulant
 from pgfold.cli import main
-from pgfold.emit import EmissionConfig, write_run_directory
+from pgfold.emit import EmissionConfig, render_run_files, write_run_directory
 from pgfold.folding import FoldPlan, pad_dummy_offset
 from pgfold.simulator import (
     SimulationStructureError,
@@ -34,12 +34,15 @@ def build_run(out_dir, order, offsets, q, **plan_kwargs):
     return out_dir
 
 
-def build_expanded_run(out_dir, q):
+def expanded_design(q):
     graph = pad_dummy_offset(
         expand_circulant(CirculantBipartiteGraph.plain(13, OFFSETS_13), 1)
     )
-    plan = FoldPlan.for_graph(graph, q)
-    write_run_directory(out_dir, graph, plan, config=FLAT)
+    return graph, FoldPlan.for_graph(graph, q)
+
+
+def build_expanded_run(out_dir, q):
+    write_run_directory(out_dir, *expanded_design(q), config=FLAT)
     return out_dir
 
 
@@ -430,3 +433,102 @@ class TestLoadErrors:
             captured = capsys.readouterr()
             assert "Traceback" not in captured.out + captured.err
             assert locus in captured.out + captured.err
+
+
+class TestFileSource:
+    """The replay reads a ``name → text`` mapping; a run directory is one."""
+
+    @pytest.mark.parametrize(
+        "design, iterations",
+        [
+            ("15-option1", 1),
+            ("15-option2-graph", 3),
+            ("13-expanded-to-14", 1),
+        ],
+    )
+    def test_render_replays_like_its_directory(self, tmp_path, design, iterations):
+        if design == "13-expanded-to-14":
+            graph, plan = expanded_design(2)
+        else:
+            graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
+            options = {"design_option": 2, "delta": 2, "pipeline_level": "graph"}
+            plan = FoldPlan.for_graph(graph, 3, **(options if "graph" in design else {}))
+        write_run_directory(tmp_path / "run", graph, plan, config=FLAT)
+        render = render_run_files(graph, plan, FLAT)
+        stored = simulate(tmp_path / "run", iterations)
+        rendered = simulate(render, iterations)
+        assert stored.ok
+        assert rendered.to_json_dict() == stored.to_json_dict()
+        assert rendered.delivered == stored.delivered
+        assert check_dataflow_equivalence(rendered, render) == {"ok": True, "failures": []}
+
+
+@pytest.fixture(scope="module")
+def render15():
+    graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
+    return render_run_files(graph, FoldPlan.for_graph(graph, 3), FLAT)
+
+
+# (file, path to the field, the kind of value it holds)
+JSON_FIELDS = [
+    ("graph.json", ("J",), "int"),
+    ("graph.json", ("base_offsets",), "ints"),
+    ("graph.json", ("real_J",), "int"),
+    ("graph.json", ("real_base_offsets",), "ints"),
+    ("plan.json", ("q",), "int"),
+    ("plan.json", ("units_per_side",), "int"),
+    ("plan.json", ("pipeline_level",), "level"),
+    ("layout.json", ("capacity",), "int"),
+    ("timing.json", ("read_cycles",), "ints"),
+    ("timing.json", ("write_cycles",), "ints"),
+    ("timing.json", ("side_span",), "int"),
+    *(
+        (f"fold_{side}.json", (key,), kind)
+        for side in ("row", "col")
+        for key, kind in (("F", "int"), ("patterns", "list"), ("slots", "pairs"))
+    ),
+    *(
+        ("netlist.json", ("annotations", "instances", instance, "rho_hat"), "int")
+        for instance in ("row_reads", "col_reads")
+    ),
+    ("netlist.json", ("wires", 1, "src"), "pair"),
+    ("netlist.json", ("wires", 1, "dst"), "pair"),
+    ("netlist.json", ("wires", 1, "name"), "str"),
+]
+# A value of the right type for its field is not a type error.
+RIGHT_TYPE = {"ints": [[1]], "list": [[1]], "str": ["x"]}
+
+
+@pytest.mark.parametrize(
+    "name, path, value",
+    [
+        pytest.param(name, path, value, id=f"{name}:{'.'.join(map(str, path))}={value!r}")
+        for name, path, kind in JSON_FIELDS
+        for value in ("x", True, None, [1])
+        if value not in RIGHT_TYPE.get(kind, [])
+    ],
+)
+def test_wrongly_typed_json_field_names_file_and_field(render15, name, path, value):
+    data = json.loads(render15[name])
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    files = {**render15, name: json.dumps(data)}
+    with pytest.raises(SimulationStructureError) as caught:
+        simulate(files)
+    message = str(caught.value)
+    assert message.startswith(name)
+    assert str(path[-1]) in message
+    if name == "graph.json":
+        with pytest.raises(SimulationStructureError, match=f"^graph.json: {path[-1]}"):
+            check_dataflow_equivalence(simulate(render15), files)
+
+
+def test_nonpositive_order_names_the_field(render15):
+    graph = json.loads(render15["graph.json"])
+    graph["J"] = 0
+    files = {**render15, "graph.json": json.dumps(graph)}
+    for replay in (simulate, lambda files: check_dataflow_equivalence(simulate(render15), files)):
+        with pytest.raises(SimulationStructureError, match="^graph.json: J must be positive, got 0"):
+            replay(files)
