@@ -43,7 +43,7 @@ from .folding import (
     pad_dummy_offset,
     verify_balance,
 )
-from .projective import PgParams, build_pg_graph, verify_pg_incidence
+from .projective import PgParams, SelfCheckError, build_pg_graph, verify_pg_incidence
 from .schedule import full_timing
 from .simulator import (
     RunDirectory,
@@ -232,9 +232,9 @@ def _acquire_graph(settings: dict) -> CirculantBipartiteGraph:
             raise UsageError(str(exc)) from None
         report = verify_pg_incidence(graph, params)
         if not report.ok:
-            raise AssertionError(
+            raise SelfCheckError(
                 f"incidence self-check failed for P({n}, GF({p}^{s})): "
-                f"{report.failures[:3]}"
+                + "; ".join(report.failures[:3])
             )
         return graph
     path = Path(graph_file)
@@ -815,3 +815,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SelfCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1

@@ -1,9 +1,19 @@
-"""Exact arithmetic in GF(p) and GF(p^k) built on log/antilog tables.
+"""Exact arithmetic in GF(p) and GF(p^k): the primitive modulus search and
+log/antilog tables.
 
-Elements of GF(p^k) are dense integer indices: 0 is the zero element and
-index i >= 1 stands for alpha^(i-1), where alpha is a root of the primitive
-modulus polynomial.  This labeling makes multiplicative structure (and the
-cyclic point labeling built on top of it) directly visible in the indices.
+The modulus search never builds the field: a candidate f of degree k is
+primitive when x^(p^k - 1) = 1 and x^((p^k - 1)/r) != 1 modulo f for every
+prime r dividing p^k - 1, each power taken by square-and-multiply
+(``x_power_mod``), so the work is polynomial in k.  ``projective`` builds
+its offsets from the modulus and ``x_power_mod`` alone.
+
+``FiniteField`` tabulates all p^k elements.  It serves the coordinate
+incidence oracle, the tests and the public API, not the graph
+construction.  Elements are dense integer indices: 0 is the zero element
+and index i >= 1 stands for alpha^(i-1), where alpha is a root of the
+primitive modulus polynomial.  This labeling makes multiplicative
+structure (and the cyclic point labeling built on top of it) directly
+visible in the indices.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ __all__ = [
     "Polynomial",
     "FiniteField",
     "find_primitive_polynomial",
+    "x_power_mod",
     "field_build",
 ]
 
@@ -91,41 +102,70 @@ class Polynomial:
         return "+".join(terms)
 
 
-def _poly_key(coefficients: tuple[int, ...], p: int) -> int:
-    """Total order used for deterministic selection: sum of c_i * p^i."""
-    return sum(c * p**i for i, c in enumerate(coefficients))
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, by trial division."""
+    factors = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    return factors
 
 
-def _multiplicative_order_is_full(coeffs: tuple[int, ...], p: int, k: int) -> bool:
-    """True when x has multiplicative order p^k - 1 modulo the given monic poly.
+def x_power_mod(exponent: int, coefficients: tuple[int, ...], p: int) -> list[int]:
+    """x^exponent modulo the monic polynomial with the given coefficients
+    (lowest degree first) over GF(p), as its k low coefficients.
 
-    Repeatedly multiplies the power vector by x, reducing with the modulus.
-    This doubles as a primitivity test: a reducible or non-primitive modulus
-    closes the cycle early.
+    Square-and-multiply: each bit squares the running power (O(k^2)) and
+    a set bit multiplies it by x, a shift with one reduction (O(k)).
     """
-    order = p**k
-    target = order - 1
-    # Power vector of x^1, length k, lowest degree first.
-    vec = [0] * k
-    if k == 1:
-        vec[0] = (-coeffs[0]) % p
-    else:
-        vec[1] = 1
-    one = tuple([1] + [0] * (k - 1))
-    seen_one_at = None
-    current = tuple(vec)
-    for step in range(1, target + 1):
-        if current == one:
-            seen_one_at = step
-            break
-        # multiply by x: shift up, reduce the overflow with the modulus
-        overflow = current[k - 1]
-        shifted = [0] + list(current[: k - 1])
-        if overflow:
-            for i in range(k):
-                shifted[i] = (shifted[i] - overflow * coeffs[i]) % p
-        current = tuple(shifted)
-    return seen_one_at == target
+    k = len(coefficients) - 1
+    taps = [(t, c) for t, c in enumerate(coefficients[:k]) if c]
+    power = [1] + [0] * (k - 1)
+    for bit in bin(exponent)[2:]:
+        square = [0] * (2 * k - 1)
+        for i, a in enumerate(power):
+            if a:
+                for j, b in enumerate(power):
+                    square[i + j] += a * b
+        # x^d = -sum f_t x^(d - k + t) for d >= k
+        for d in range(2 * k - 2, k - 1, -1):
+            top = square[d] % p
+            if top:
+                for t, c in taps:
+                    square[d - k + t] -= top * c
+        power = [c % p for c in square[:k]]
+        if bit == "1":
+            top = power[-1]
+            power = [0] + power[:-1]
+            if top:
+                for t, c in taps:
+                    power[t] = (power[t] - top * c) % p
+    return power
+
+
+def _is_primitive(coefficients: tuple[int, ...], p: int) -> bool:
+    """True when x has multiplicative order exactly p^k - 1 modulo the monic
+    degree-k polynomial: x^(p^k - 1) = 1 and x^((p^k - 1)/r) != 1 for every
+    prime r dividing p^k - 1 (Lidl & Niederreiter, Finite Fields, ch. 3).
+
+    A unit of order p^k - 1 exists only when GF(p)[x]/(f) is a field, so
+    this also proves f irreducible.  A zero constant term makes x a zero
+    divisor, so no power of it is 1.
+    """
+    k = len(coefficients) - 1
+    order = p**k - 1
+    one = [1] + [0] * (k - 1)
+    if x_power_mod(order, coefficients, p) != one:
+        return False
+    return all(
+        x_power_mod(order // r, coefficients, p) != one for r in _prime_factors(order)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -133,9 +173,10 @@ def find_primitive_polynomial(p: int, k: int) -> Polynomial:
     """Return the deterministic primitive polynomial for GF(p^k).
 
     The result is monic of degree k and its root has multiplicative order
-    p^k - 1.  Among all candidates the lexicographically smallest one (by
-    the base-p encoding of the coefficient vector) is chosen so repeated
-    builds agree.
+    p^k - 1.  Among all candidates the smallest one by the base-p encoding
+    of its coefficient vector is chosen, so repeated builds agree.  The
+    candidates are enumerated in that order and the first that passes the
+    order test is returned, so the work is polynomial in k per candidate.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -148,26 +189,20 @@ def find_primitive_polynomial(p: int, k: int) -> Polynomial:
     cached = _KNOWN_PRIMITIVE.get((p, k))
     if cached is not None:
         return Polynomial(cached, p)
-    best = None
-    best_key = None
-    # Enumerate monic degree-k candidates by their low-order coefficients.
-    for encoded in range(p**k):
+    # Monic degree-k candidates in key order, encoded by their low-order
+    # coefficients; x divides those with a zero constant term.
+    for encoded in range(1, p**k):
+        if encoded % p == 0:
+            continue
         coeffs = []
         rest = encoded
         for _ in range(k):
             coeffs.append(rest % p)
             rest //= p
         coeffs.append(1)
-        candidate = tuple(coeffs)
-        key = _poly_key(candidate, p)
-        if best_key is not None and key >= best_key:
-            continue
-        if _multiplicative_order_is_full(candidate, p, k):
-            best = candidate
-            best_key = key
-    if best is None:
-        raise ValueError(f"no primitive polynomial found for GF({p}^{k})")
-    return Polynomial(best, p)
+        if _is_primitive(tuple(coeffs), p):
+            return Polynomial(tuple(coeffs), p)
+    raise ValueError(f"no primitive polynomial found for GF({p}^{k})")
 
 
 class FiniteField:

@@ -4,10 +4,15 @@ The space P(n, GF(q)) with q = p^s is realized through the cyclic labeling
 induced by a generator of GF(q^(n+1)): point i is the projective class of
 alpha^i, and hyperplane 0 is the trace-zero kernel, so hyperplane j touches
 exactly the points (j + d) mod J for the fixed offset set D of hyperplane 0.
+``build_pg_graph`` finds D without building GF(q^(n+1)): the traces of the
+powers of alpha obey a linear recurrence whose taps are the coefficients of
+the primitive modulus, so D costs J steps of O(k) work per tap, with
+k = s(n + 1).
 
 An independent oracle (enumerate_pg_incidence) rebuilds the same incidence
-from homogeneous coordinates and linear-form kernels, without the trace, so
-the construction is certified rather than assumed.
+from homogeneous coordinates and linear-form kernels over the tabulated
+field, without the trace, so the construction is certified rather than
+assumed.  The oracle shares only the modulus with the construction.
 """
 
 from __future__ import annotations
@@ -15,17 +20,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circulant import CirculantBipartiteGraph
-from .galois import FiniteField, field_build
+from .galois import field_build, find_primitive_polynomial, x_power_mod
 
 __all__ = [
     "PgParams",
     "phi",
     "point_count",
     "build_pg_graph",
+    "SelfCheckError",
     "verify_pg_incidence",
     "IncidenceReport",
     "enumerate_pg_incidence",
 ]
+
+
+class SelfCheckError(AssertionError):
+    """A construction invariant that the code itself guarantees did not
+    hold; the message names the invariant and the geometry."""
 
 
 def point_count(d: int, s: int) -> int:
@@ -83,20 +94,36 @@ class PgParams:
 
 def build_pg_graph(params: PgParams) -> CirculantBipartiteGraph:
     """Build the point-hyperplane incidence of P(n, GF(p^s)) as a circulant
-    graph whose base offset set is the point set of hyperplane 0."""
-    q = params.q
-    m = params.n + 1
-    big = field_build(params.p, params.s * m)
+    graph whose base offset set is the point set of hyperplane 0.
+
+    The base offsets are the i in [0, J) with Tr(alpha^i) = 0, where alpha
+    is a root of the primitive modulus f of GF(p^k), k = s(n + 1), and Tr
+    is the trace down to GF(q).  Tr is GF(p)-linear and
+    alpha^k = -sum f_t alpha^t, so Tr(alpha^(i+k)) = -sum f_t Tr(alpha^(i+t)).
+    The k seeds Tr(alpha^t) = sum_j x^(t q^j) mod f are coefficient
+    vectors; the recurrence then takes J steps of O(k) work per nonzero
+    tap, and the field is never built."""
+    p, q, m = params.p, params.q, params.n + 1
+    k = params.s * m
     j_nodes = params.nodes_per_side
-    offsets = []
-    for i in range(j_nodes):
-        element = big.element_of_exponent(i)
-        if big.trace_to_subfield(element, q) == 0:
-            offsets.append(i)
+    coeffs = find_primitive_polynomial(p, k).coefficients
+    taps = [(t, (-c) % p) for t, c in enumerate(coeffs[:k]) if c]
+    traces = []
+    for t in range(k):
+        total = [0] * k
+        for j in range(m):
+            total = [a + b for a, b in zip(total, x_power_mod(t * q**j, coeffs, p))]
+        traces.append([c % p for c in total])
+    for i in range(j_nodes - k):
+        total = [0] * k
+        for t, c in taps:
+            total = [a + c * b for a, b in zip(total, traces[i + t])]
+        traces.append([a % p for a in total])
+    offsets = [i for i in range(j_nodes) if not any(traces[i])]
     if len(offsets) != params.node_degree:
-        raise AssertionError(
-            f"construction self-check failed: |D| = {len(offsets)}, "
-            f"expected {params.node_degree}"
+        raise SelfCheckError(
+            f"construction self-check failed for P({params.n}, GF({params.p}^{params.s})): "
+            f"|D| = {len(offsets)}, expected {params.node_degree}"
         )
     return CirculantBipartiteGraph.plain(
         j_nodes, offsets, geometry=(params.n, params.p, params.s)

@@ -241,6 +241,11 @@ def _load(files: Mapping[str, str]) -> _Inputs:
     plan, timing, netlist = docs["plan"], docs["timing"], docs["netlist"]
     units = _field("plan.json", plan, "units_per_side")
     folds = _field("plan.json", plan, "q")
+    if order != folds * units:
+        raise SimulationStructureError(
+            f"graph.json: J {order} disagrees with plan.json: "
+            f"q × units_per_side = {folds} × {units} = {folds * units}"
+        )
     pipeline_level = _field("plan.json", plan, "pipeline_level", _json_level)
     capacity = _field("layout.json", docs["layout"], "capacity")
     cycles = {

@@ -1,6 +1,7 @@
 """End-to-end command line checks: staged subcommands, auto parameter
 selection, config handling, exit codes, and the verify flow."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -69,6 +70,77 @@ class TestBuildPg:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+# SHA-256 of build-pg's graph.json and incidence.csv, pinned so a change to
+# the offset construction that alters any byte of the ladder fails here.
+BUILD_PG_DIGESTS = {
+    "2,3,3": (  # J = 757
+        "9b18346712bc44e9bd5a4e1b3835d926325aa697c07e2b40ceef4afb497ba564",
+        "87720dc85a1c826aa8e763cb73ea681c8676f3f19084559f58b61a680021bba9",
+    ),
+    "2,31,1": (  # J = 993
+        "3eee7eaf1a451967cfc1f062cc2196ebd6178e84741bf1d1d64d879102ccd2d4",
+        "b6b421053122da89e4ea8f9d37defc696f51ffd2f8fde51ff6f09f61b31b99eb",
+    ),
+    "2,2,5": (  # J = 1057
+        "3baacb58e361c798cef3b1864cf2bed1dc8763e4f7d5ba66148269061599f35a",
+        "e69bb8ef77ca6b5954e9b49ddee89d279211268671c69074c24ec5cbb6210b19",
+    ),
+    "2,2,6": (  # J = 4161
+        "651db6eb58cd6e8b3f6222bc1ddd5b7c4b7e2a51a19f6a2594cbeab816dc7252",
+        "e9059a00421afb5595e8bf01ec2e19d9c1d65e440732dd4468a8d74da01c1c95",
+    ),
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(BUILD_PG_DIGESTS))
+def test_build_pg_ladder_digests(tmp_path, capsys, geometry):
+    out = tmp_path / "pg"
+    assert main(["build-pg", "--geometry", geometry, "--out", str(out)]) == 0
+    digests = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("graph.json", "incidence.csv")
+    )
+    assert digests == BUILD_PG_DIGESTS[geometry]
+
+
+class TestSelfChecks:
+    """A broken construction ends in exit 1 with the invariant named."""
+
+    def test_non_primitive_modulus_fails_construction_check(self, monkeypatch, tmp_path, capsys):
+        import pgfold.projective as projective
+        from pgfold.galois import Polynomial
+
+        # x^4+x^3+x^2+x+1 is irreducible over GF(2), but its root has order 5.
+        monkeypatch.setattr(
+            projective, "find_primitive_polynomial", lambda p, k: Polynomial((1, 1, 1, 1, 1), 2)
+        )
+        for command in ("build-pg", "run"):
+            assert main([command, "--geometry", "3,2,1", "--out", str(tmp_path / command)]) == 1
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.out + captured.err
+            assert captured.err == (
+                "error: construction self-check failed for P(3, GF(2^1)): "
+                "|D| = 3, expected 7\n"
+            )
+        assert not (tmp_path / "build-pg").exists()
+
+    def test_wrong_offsets_fail_incidence_check(self, monkeypatch, tmp_path, capsys):
+        import pgfold.cli as cli
+        from pgfold.circulant import CirculantBipartiteGraph
+
+        monkeypatch.setattr(
+            cli, "build_pg_graph", lambda params: CirculantBipartiteGraph.plain(15, (0, 1, 2, 4, 5, 8, 11))
+        )
+        assert main(["build-pg", "--geometry", "3,2,1", "--out", str(tmp_path / "pg")]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.err == (
+            "error: incidence self-check failed for P(3, GF(2^1)): "
+            "rows 0 and 2 share 2 points, expected 3\n"
+        )
+        assert not (tmp_path / "pg").exists()
 
 
 class TestExpand:
@@ -664,6 +736,21 @@ class TestHostileFiles:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
         assert "graph.json: J must be an integer, got 'x'" in captured.err
+
+    def test_order_disagreeing_with_plan_fails_simulate(self, run15_dir, tmp_path, capsys):
+        work = tmp_path / "order"
+        shutil.copytree(run15_dir, work)
+        graph = read_json(work / "graph.json")
+        graph["J"] = 1000000
+        (work / "graph.json").write_text(json.dumps(graph))
+        assert main(["simulate", "--out", str(work)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert (
+            "graph.json: J 1000000 disagrees with plan.json: "
+            "q × units_per_side = 3 × 5 = 15" in captured.err
+        )
+        assert captured.out == "simulate: FAIL\n"
 
     def test_verify_makes_no_scratch_directory(self, run15_dir, monkeypatch, capsys):
         import tempfile

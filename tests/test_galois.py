@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from pgfold.galois import (
     FiniteField,
     Polynomial,
+    _is_primitive,
     field_build,
     find_primitive_polynomial,
+    x_power_mod,
 )
 
 
@@ -54,6 +56,16 @@ def root_order(coeffs: tuple[int, ...], p: int, k: int) -> int:
     return 0
 
 
+# Every (p, k) with p^k <= 2048.
+SMALL_FIELDS = [
+    (p, k)
+    for p in range(2, 2049)
+    if all(p % d for d in range(2, int(p**0.5) + 1))
+    for k in range(1, 12)
+    if p**k <= 2048
+]
+
+
 class TestPolynomial:
     def test_make_normalizes(self):
         poly = Polynomial.make([3, 1, 0, 2, 0], 3)
@@ -81,7 +93,7 @@ class TestPrimitivePolynomial:
     def test_gf2_golden(self):
         assert find_primitive_polynomial(2, 1).coefficients == (1, 1)
 
-    @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 2), (2, 6), (3, 3)])
+    @pytest.mark.parametrize("p,k", SMALL_FIELDS)
     def test_matches_independent_search(self, p, k):
         assert find_primitive_polynomial(p, k).coefficients == brute_force_primitive(p, k)
 
@@ -90,6 +102,25 @@ class TestPrimitivePolynomial:
 
         for (p, k), coeffs in _KNOWN_PRIMITIVE.items():
             assert coeffs == brute_force_primitive(p, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_order_test_agrees_with_root_order(self, data):
+        # Zero-constant and reducible candidates are drawn as often as any.
+        p, k = data.draw(st.sampled_from([(2, 1), (2, 3), (2, 6), (3, 2), (3, 4), (5, 2), (5, 3), (7, 2)]))
+        low = data.draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+        coeffs = tuple(low) + (1,)
+        assert _is_primitive(coeffs, p) == (root_order(coeffs, p, k) == p**k - 1)
+
+    @pytest.mark.parametrize("coeffs, p", [((1, 1, 0, 1), 2), ((2, 1, 1), 3), ((3, 0, 1, 1), 5)])
+    def test_x_power_mod_matches_repeated_multiplication(self, coeffs, p):
+        k = len(coeffs) - 1
+        power = [1] + [0] * (k - 1)
+        for exponent in range(40):
+            assert x_power_mod(exponent, coeffs, p) == power
+            top = power[-1]
+            power = [0] + power[:-1]
+            power = [(c - top * f) % p for c, f in zip(power, coeffs)]
 
     def test_capacity_cap(self):
         with pytest.raises(ValueError, match="capacity"):

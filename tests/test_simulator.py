@@ -532,3 +532,14 @@ def test_nonpositive_order_names_the_field(render15):
     for replay in (simulate, lambda files: check_dataflow_equivalence(simulate(render15), files)):
         with pytest.raises(SimulationStructureError, match="^graph.json: J must be positive, got 0"):
             replay(files)
+
+
+def test_order_disagreeing_with_plan_names_both_files(render15):
+    graph = json.loads(render15["graph.json"])
+    graph["J"] = 1000000
+    files = {**render15, "graph.json": json.dumps(graph)}
+    with pytest.raises(
+        SimulationStructureError,
+        match=r"^graph.json: J 1000000 disagrees with plan.json: q × units_per_side = 3 × 5 = 15$",
+    ):
+        simulate(files)
