@@ -26,7 +26,13 @@ __all__ = [
     "json_value",
     "json_int",
     "json_ints",
+    "SelfCheckError",
 ]
+
+
+class SelfCheckError(AssertionError):
+    """An invariant that the code itself guarantees did not hold; the
+    message names the invariant and where it failed."""
 
 
 def is_int(value: object) -> bool:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .circulant import (
     CirculantBipartiteGraph,
+    SelfCheckError,
     choose_alpha,
     divisors,
     expand_circulant,
@@ -43,7 +44,7 @@ from .folding import (
     pad_dummy_offset,
     verify_balance,
 )
-from .projective import PgParams, SelfCheckError, build_pg_graph, verify_pg_incidence
+from .projective import PgParams, build_pg_graph, verify_pg_incidence
 from .schedule import full_timing
 from .simulator import (
     RunDirectory,
@@ -639,6 +640,30 @@ def _reference_replay(graph: CirculantBipartiteGraph, plan: FoldPlan) -> SimRepo
     )
 
 
+def _check_replay(
+    files: Mapping[str, str], iterations: int, where: str | Path, check
+) -> SimReport | None:
+    """The simulation and dataflow checks.  Returns the replay's measured
+    lengths alone, so that nothing per iteration outlives the checks, or
+    None when the files did not load."""
+    try:
+        report, verdict = _replay(files, iterations, where)
+    except SimulationStructureError as exc:
+        check("simulation", False, str(exc))
+        return None
+    check("simulation", report.ok, _replay_counts(report))
+    check(
+        "dataflow equivalence",
+        verdict["ok"],
+        f"{report.real_tokens['row']}+{report.real_tokens['col']} real tokens",
+    )
+    return SimReport(
+        report.iterations,
+        measured_half=report.measured_half,
+        measured_full=report.measured_full,
+    )
+
+
 def _verify_files(
     files: Mapping[str, str], where: str | Path, iterations: int
 ) -> tuple[bool, list[str]]:
@@ -679,7 +704,11 @@ def _verify_files(
         sequence = generate_folded_sequence(graph, plan, side)
         result = verify_balance(sequence, graph, plan)
         balance_ok = balance_ok and result.ok
-        cross_fold_endpoints(graph, plan, side)
+        try:
+            cross_fold_endpoints(graph, plan, side)
+        except SelfCheckError as exc:
+            balance_ok = False
+            details.append(str(exc))
         rho, theta, rho_hat = compute_rho(graph, plan, side)
         details.append(f"{side} rho={rho} theta={theta} rho_hat={rho_hat}")
     check("schedule balance and endpoints", balance_ok, "; ".join(details))
@@ -689,17 +718,9 @@ def _verify_files(
     _check_stored_files(files, graph, plan, check)
 
     # Cycle-accurate replay of the emitted files.
-    try:
-        report, verdict = _replay(files, iterations, where)
-    except SimulationStructureError as exc:
-        check("simulation", False, str(exc))
+    report = _check_replay(files, iterations, where, check)
+    if report is None:
         return (not failed), checks
-    check("simulation", report.ok, _replay_counts(report))
-    check(
-        "dataflow equivalence",
-        verdict["ok"],
-        f"{report.real_tokens['row']}+{report.real_tokens['col']} real tokens",
-    )
 
     # Throughput against a passing replay of the unfolded build.
     try:

@@ -16,9 +16,10 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
-from .circulant import CirculantBipartiteGraph
+from .circulant import CirculantBipartiteGraph, SelfCheckError
 from .folding import FoldPlan, FoldedSequence, generate_folded_sequence
 from .schedule import (
     MemoryLayout,
@@ -57,8 +58,20 @@ __all__ = [
 ]
 
 
+_JSON_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+
+
 def _json_text(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, joined a few
+    thousand chunks at a time.  With ``indent`` the encoder yields one
+    small string per token and ``dumps`` holds all of them before joining:
+    about 800k strings for the 5.7 MB netlist of a J = 308 unfolded run."""
+    chunks = _JSON_ENCODER.iterencode(data)
+    pieces = []
+    while piece := "".join(islice(chunks, 4096)):
+        pieces.append(piece)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 def sha256_text(text: str) -> str:
@@ -807,7 +820,7 @@ def render_run_files(
         hdl = emit_hdl(graph, plan, netlist, luts, schedules, layout, config)
         problems = check_hdl(hdl)
         if problems:
-            raise AssertionError("emitted HDL failed self-check: " + "; ".join(problems))
+            raise SelfCheckError("HDL self-check failed: " + "; ".join(problems))
         for name, text in hdl.items():
             files[f"hdl/{name}"] = text
     return files

@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .circulant import CirculantBipartiteGraph, divisors, json_int, json_value
+from .circulant import (
+    CirculantBipartiteGraph,
+    SelfCheckError,
+    divisors,
+    json_int,
+    json_value,
+)
 
 __all__ = [
     "FoldPlan",
@@ -342,9 +348,9 @@ def cross_fold_endpoints(
     """Canonical folded endpoint per (serving unit, edge index).
 
     The folded endpoint of edge t at unit i is the same in every fold; this
-    recomputes it per fold from absolute node labels and aborts on any
-    disagreement (which would mean the folding arithmetic is broken, not a
-    data problem).
+    recomputes it per fold from absolute node labels and raises
+    SelfCheckError on any disagreement (which would mean the folding
+    arithmetic is broken, not a data problem).
     """
     offsets = [d for d in reader_offsets(graph, side) if d is not None]
     f_units = plan.units_per_side
@@ -356,9 +362,10 @@ def cross_fold_endpoints(
                 for k in range(plan.q)
             }
             if len(endpoints) != 1:
-                raise AssertionError(
-                    f"folded endpoint of (unit {i}, edge {t}) varies across folds: "
-                    f"{sorted(endpoints)}"
+                raise SelfCheckError(
+                    f"cross-fold endpoint self-check failed on the {side} side: "
+                    f"folded endpoint of (unit {i}, edge {t}) varies across "
+                    f"folds: {sorted(endpoints)}"
                 )
             table[(i, t)] = endpoints.pop()
     return table

@@ -29,6 +29,7 @@ __all__ = [
     "field_build",
 ]
 
+# FiniteField keeps two tables of p^k entries.
 MAX_FIELD_ORDER = 2**20
 
 # Verified cache for frequently used fields.  Every entry is re-derived by
@@ -182,10 +183,6 @@ def find_primitive_polynomial(p: int, k: int) -> Polynomial:
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
-    if p**k > MAX_FIELD_ORDER:
-        raise ValueError(
-            f"field order {p}^{k} exceeds the supported capacity {MAX_FIELD_ORDER}"
-        )
     cached = _KNOWN_PRIMITIVE.get((p, k))
     if cached is not None:
         return Polynomial(cached, p)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circulant import CirculantBipartiteGraph
+from .circulant import CirculantBipartiteGraph, SelfCheckError
 from .galois import field_build, find_primitive_polynomial, x_power_mod
 
 __all__ = [
@@ -33,10 +33,9 @@ __all__ = [
     "enumerate_pg_incidence",
 ]
 
-
-class SelfCheckError(AssertionError):
-    """A construction invariant that the code itself guarantees did not
-    hold; the message names the invariant and the geometry."""
+# The largest J × degree incidence that build_pg_graph constructs; the
+# files a build writes grow with it.  P(2, GF(128)) has 2,130,177 cells.
+MAX_INCIDENCE_CELLS = 2**22
 
 
 def point_count(d: int, s: int) -> int:
@@ -102,10 +101,18 @@ def build_pg_graph(params: PgParams) -> CirculantBipartiteGraph:
     alpha^k = -sum f_t alpha^t, so Tr(alpha^(i+k)) = -sum f_t Tr(alpha^(i+t)).
     The k seeds Tr(alpha^t) = sum_j x^(t q^j) mod f are coefficient
     vectors; the recurrence then takes J steps of O(k) work per nonzero
-    tap, and the field is never built."""
+    tap, and the field is never built.  A geometry of more than
+    MAX_INCIDENCE_CELLS incidence cells raises ValueError."""
     p, q, m = params.p, params.q, params.n + 1
     k = params.s * m
     j_nodes = params.nodes_per_side
+    cells = j_nodes * params.node_degree
+    if cells > MAX_INCIDENCE_CELLS:
+        raise ValueError(
+            f"P({params.n}, GF({p}^{params.s})) has J × degree = {j_nodes} × "
+            f"{params.node_degree} = {cells} incidence cells, beyond the "
+            f"supported {MAX_INCIDENCE_CELLS} (2^22)"
+        )
     coeffs = find_primitive_polynomial(p, k).coefficients
     taps = [(t, (-c) % p) for t, c in enumerate(coeffs[:k]) if c]
     traces = []

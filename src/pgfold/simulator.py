@@ -13,8 +13,8 @@ units read the column-side memories through the row_reads interconnect,
 then write results into their collocated row-side memories; the col half
 mirrors this.  Column memories are preloaded once so the first row half
 has data.  Every memory, wire, and switch port access is checked for
-exclusive use per cycle, every delivered token for reaching exactly the
-consumer the graph prescribes.
+exclusive use per cycle, every delivered token for being the one its
+consumer and rank prescribe.
 
 The replay runs in three steps.  Load reads each file once and rejects
 text that is not UTF-8, JSON that does not parse, a JSON field of the
@@ -27,6 +27,15 @@ runs every half of every iteration at its absolute cycles, checking each
 claim against the ids already used in that cycle and each delivery
 against the token its cell holds; messages are built only for a conflict
 or a misroute.
+
+What each consumer received is kept as a loss census rather than a list
+of tokens: every half makes the same compiled deliveries in every
+iteration, so the report keeps each side's deliveries once and, per
+iteration, only the indices of those that did not arrive intact.  A
+passing run keeps nothing per iteration, and the replay's memory does not
+grow with the iteration count.  ``check_dataflow_equivalence`` checks
+each distinct loss set once against the incidence it derives from
+graph.json.
 """
 
 from __future__ import annotations
@@ -383,6 +392,11 @@ def _load(files: Mapping[str, str]) -> _Inputs:
 
 @dataclass
 class SimReport:
+    """Verdicts, counters and measured lengths of one replay, plus its loss
+    census.  ``to_json_dict`` is what sim_report.json stores; the census
+    (``deliveries`` and ``lost``) is read by ``check_dataflow_equivalence``
+    and is not stored."""
+
     iterations: int
     conflicts: list[str] = field(default_factory=list)
     misroutes: list[str] = field(default_factory=list)
@@ -394,7 +408,13 @@ class SimReport:
     real_tokens: dict = field(default_factory=dict)
     measured_half: dict = field(default_factory=dict)
     measured_full: int = 0
-    delivered: list = field(default_factory=list)
+    # The loss census.  Each side's real deliveries as (consumer, rank,
+    # expected producer), compiled once and made in this order every
+    # iteration; per side, iteration -> indices of the deliveries that did
+    # not arrive intact.  An iteration that lost none is absent, so a
+    # passing run keeps nothing per iteration.
+    deliveries: dict = field(default_factory=dict)
+    lost: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -650,11 +670,11 @@ def _claim(claims, base: int, use: dict[int, set[int]], keys: list, conflicts: l
             used.add(rid)
 
 
-def _deliver(half: _Half, memory: list, delivered: dict, misroutes: list) -> int:
+def _deliver(half: _Half, memory: list, misroutes: list) -> tuple[int, ...]:
     """Check each real delivery against the token its cell holds; return
-    how many arrived intact."""
-    arrived = 0
-    for cell, key, consumer, rank, producer in half.deliveries:
+    the indices of those that did not arrive intact."""
+    lost = []
+    for index, (cell, key, consumer, rank, producer) in enumerate(half.deliveries):
         token = memory[cell]
         if token is None:
             misroutes.append(
@@ -668,9 +688,9 @@ def _deliver(half: _Half, memory: list, delivered: dict, misroutes: list) -> int
                 f"got producer {token[1]} edge {token[2]}"
             )
         else:
-            arrived += 1
-            delivered.setdefault(consumer, []).append((rank, producer, token[2]))
-    return arrived
+            continue
+        lost.append(index)
+    return tuple(lost)
 
 
 def simulate(files: Mapping[str, str] | str | Path, iterations: int = 1) -> SimReport:
@@ -698,6 +718,11 @@ def simulate(files: Mapping[str, str] | str | Path, iterations: int = 1) -> SimR
     report.ppu_busy = {"row": 0, "col": 0}
     report.pmu_port_reads = {"row": 0, "col": 0}
     report.real_tokens = {"row": 0, "col": 0}
+    report.deliveries = {
+        side: [delivery[2:] for delivery in half.deliveries]
+        for side, half in halves.items()
+    }
+    report.lost = {"row": {}, "col": {}}
     # cycle -> ids of the switch ports, wires and memory ports it has used.
     # Every event of a half lies at or above its floor: the half's base
     # plus the lowest offset in timing.json, or the base itself.  Floors
@@ -718,8 +743,6 @@ def simulate(files: Mapping[str, str] | str | Path, iterations: int = 1) -> SimR
     # Preload the column memories so the first row half has data.
     write(halves["col"], -2 * inputs.side_span)
     for iteration in range(iterations):
-        delivered = {"row": {}, "col": {}}
-        report.delivered.append(delivered)
         for half_index, half in enumerate(halves.values()):
             base = (iteration * 2 + half_index) * inputs.side_span
             for cycle in [cycle for cycle in use if cycle < base + reach]:
@@ -727,9 +750,10 @@ def simulate(files: Mapping[str, str] | str | Path, iterations: int = 1) -> SimR
             _claim(half.read_claims, base, use, keys, report.conflicts)
             report.ppu_busy[half.reading] += half.busy
             report.pmu_port_reads[half.producing] += half.port_reads
-            report.real_tokens[half.reading] += _deliver(
-                half, memory[half.producing], delivered[half.reading], report.misroutes
-            )
+            lost = _deliver(half, memory[half.producing], report.misroutes)
+            if lost:
+                report.lost[half.reading][iteration] = lost
+            report.real_tokens[half.reading] += len(half.deliveries) - len(lost)
             write(half, base)
 
     # Measured lengths per the pipeline level's completion criterion: a
@@ -771,57 +795,87 @@ def check_dataflow_equivalence(
 ) -> dict:
     """Did every real consumer receive exactly its incident real tokens,
     each exactly once, in folded-sequence order?  ``files`` is the source
-    ``simulate`` replayed."""
+    ``simulate`` replayed.
+
+    What a consumer received in an iteration is its share of the side's
+    compiled deliveries minus those the census lists as lost, so each
+    distinct loss set is checked once and its failures are repeated, with
+    their ``iteration i:`` prefix, for every iteration that had it.
+    """
     order, base_offsets, real_order, real_offsets = _graph_fields(
         read_json(_source(files), "graph.json")
     )
     real_offsets = set(real_offsets)
     failures: list[str] = []
-    if not report.delivered:
+    if report.iterations < 1:
         return {"ok": False, "failures": ["no iterations simulated"]}
     col_offsets = sorted((-d) % order for d in base_offsets)
     reader_offsets = {"row": list(base_offsets), "col": col_offsets}
     for side in ("row", "col"):
-        offsets = reader_offsets[side]
-        for iteration, delivered in enumerate(report.delivered):
-            got = delivered[side]
-            for consumer in range(real_order):
-                expected = set()
-                for rank, d in enumerate(offsets):
-                    producer = (consumer + d) % order
-                    if side == "row":
-                        real = (
-                            producer < real_order
-                            and (producer - consumer) % real_order in real_offsets
-                        )
-                    else:
-                        real = (
-                            producer < real_order
-                            and (consumer - producer) % real_order in real_offsets
-                        )
-                    if real:
-                        expected.add((rank, producer))
-                received = got.get(consumer, [])
-                pairs = [(rank, producer) for rank, producer, _ in received]
-                if sorted(pairs) != sorted(set(pairs)):
-                    failures.append(
-                        f"iteration {iteration}: duplicate delivery to "
-                        f"{side} consumer {consumer}"
+        expected = []
+        for consumer in range(real_order):
+            incident = set()
+            for rank, d in enumerate(reader_offsets[side]):
+                producer = (consumer + d) % order
+                if side == "row":
+                    real = (
+                        producer < real_order
+                        and (producer - consumer) % real_order in real_offsets
                     )
-                if set(pairs) != expected:
-                    missing = expected - set(pairs)
-                    surplus = set(pairs) - expected
-                    failures.append(
-                        f"iteration {iteration}: {side} consumer {consumer} "
-                        f"missing {sorted(missing)} unexpected {sorted(surplus)}"
+                else:
+                    real = (
+                        producer < real_order
+                        and (consumer - producer) % real_order in real_offsets
                     )
-                ranks = [rank for rank, _ in pairs]
-                if ranks != sorted(ranks):
-                    failures.append(
-                        f"iteration {iteration}: {side} consumer {consumer} "
-                        f"received ranks out of schedule order"
-                    )
+                if real:
+                    incident.add((rank, producer))
+            expected.append(incident)
+        # consumer -> (index, rank, producer) of its deliveries, in order
+        received: dict[int, list[tuple[int, int, int]]] = {}
+        for index, (consumer, rank, producer) in enumerate(report.deliveries[side]):
+            received.setdefault(consumer, []).append((index, rank, producer))
+        lost = report.lost[side]
+        verdicts = {
+            indices: _received_failures(side, expected, received, set(indices))
+            for indices in {(), *lost.values()}
+        }
+        # An iteration absent from the census lost nothing; unless that
+        # itself fails, only the iterations with losses can fail.
+        for iteration in range(report.iterations) if verdicts[()] else sorted(lost):
+            failures += (
+                f"iteration {iteration}: {failure}"
+                for failure in verdicts[lost.get(iteration, ())]
+            )
     return {"ok": not failures and report.ok, "failures": failures}
+
+
+def _received_failures(
+    side: str, expected: list[set], received: dict, lost: set[int]
+) -> list[str]:
+    """The dataflow failures of one iteration of ``side`` that lost the
+    deliveries ``lost``, without the iteration prefix."""
+    failures = []
+    for consumer, incident in enumerate(expected):
+        pairs = [
+            (rank, producer)
+            for index, rank, producer in received.get(consumer, ())
+            if index not in lost
+        ]
+        if sorted(pairs) != sorted(set(pairs)):
+            failures.append(f"duplicate delivery to {side} consumer {consumer}")
+        if set(pairs) != incident:
+            missing = incident - set(pairs)
+            surplus = set(pairs) - incident
+            failures.append(
+                f"{side} consumer {consumer} "
+                f"missing {sorted(missing)} unexpected {sorted(surplus)}"
+            )
+        ranks = [rank for rank, _ in pairs]
+        if ranks != sorted(ranks):
+            failures.append(
+                f"{side} consumer {consumer} received ranks out of schedule order"
+            )
+    return failures
 
 
 def measure_throughput(folded: SimReport, unfolded: SimReport, q: int) -> dict:

@@ -71,6 +71,26 @@ class TestBuildPg:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_builds_past_the_field_table_capacity(self, tmp_path):
+        # P(2, GF(128)) needs GF(2^21), past FiniteField's 2^20 tables.
+        out = tmp_path / "pg"
+        assert main(["build-pg", "--geometry", "2,2,7", "--out", str(out)]) == 0
+        graph = read_json(out / "graph.json")
+        order, offsets = graph["J"], graph["base_offsets"]
+        assert (order, graph["gamma"]) == (16513, 129)
+        # A planar difference set: each nonzero difference occurs once.
+        differences = sorted((a - b) % order for a in offsets for b in offsets if a != b)
+        assert differences == list(range(1, order))
+
+    def test_rejects_geometry_past_the_incidence_bound(self, tmp_path, capsys):
+        out = tmp_path / "pg"
+        assert main(["build-pg", "--geometry", "2,2,8", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: P(2, GF(2^8)) has J × degree = 65793 × 257 = 16908801 incidence "
+            "cells, beyond the supported 4194304 (2^22)\n"
+        )
+        assert not out.exists()
+
 
 # SHA-256 of build-pg's graph.json and incidence.csv, pinned so a change to
 # the offset construction that alters any byte of the ladder fails here.
@@ -141,6 +161,50 @@ class TestSelfChecks:
             "rows 0 and 2 share 2 points, expected 3\n"
         )
         assert not (tmp_path / "pg").exists()
+
+    def test_failed_hdl_check_ends_run_and_verify(self, monkeypatch, tmp_path, capsys):
+        import pgfold.emit as emit
+
+        argv = ["--geometry", "3,2,1", "--q", "3", "--out", str(tmp_path / "run")]
+        assert main(["run", *argv]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(emit, "check_hdl", lambda files: ["top.vhd: entity top has no matching end"])
+        for command in (["verify", "--out", str(tmp_path / "run")], ["run", *argv[:-1], str(tmp_path / "again")]):
+            assert main(command) == 1
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.out + captured.err
+            assert captured.err == (
+                "error: HDL self-check failed: top.vhd: entity top has no matching end\n"
+            )
+        assert not (tmp_path / "again").exists()
+
+    def test_varying_cross_fold_endpoint_fails_verify(self, monkeypatch, tmp_path, capsys):
+        import types
+
+        import pgfold.cli as cli
+        from pgfold.folding import cross_fold_endpoints
+
+        out = str(tmp_path / "run")
+        assert main(["run", "--geometry", "3,2,1", "--q", "3", "--emit", "csv,json", "--out", out]) == 0
+        capsys.readouterr()
+
+        # Four units a fold do not divide the 15 nodes.
+        def misfolded(graph, plan, side):
+            return cross_fold_endpoints(graph, types.SimpleNamespace(q=3, units_per_side=4), side)
+
+        monkeypatch.setattr(cli, "cross_fold_endpoints", misfolded)
+        assert main(["verify", "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        lines = captured.out.splitlines()
+        assert lines[1] == (
+            "schedule balance and endpoints: FAIL (cross-fold endpoint self-check failed "
+            "on the row side: folded endpoint of (unit 0, edge 5) varies across folds: "
+            "[0, 1]; row rho=5 theta=0 rho_hat=5; cross-fold endpoint self-check failed "
+            "on the col side: folded endpoint of (unit 0, edge 2) varies across folds: "
+            "[0, 3]; col rho=5 theta=1 rho_hat=6)"
+        )
+        assert lines[-2:] == ["throughput: ok (ratio 3.00 within fold factor 3)", "verify: FAIL"]
 
 
 class TestExpand:

@@ -10,10 +10,13 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgfold.circulant import CirculantBipartiteGraph
 from pgfold.emit import (
     EmissionConfig,
+    _json_text,
     check_hdl,
     decode_schedule_cell,
     emit_access_trace,
@@ -388,3 +391,22 @@ class TestRunDirectory:
             tmp_path / "run", graph, plan, extra_files={"config.json": "{}\n"}
         )
         assert "config.json" in manifest["files"]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(JSON_VALUES)
+def test_json_text_is_sorted_indented_dumps(data):
+    assert _json_text(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_text_joins_a_long_chunk_stream_exactly():
+    # ~90k encoder chunks: many batches, the last one partial.
+    data = {"wires": [{"dst": ["x", i], "name": f"w{i}", "src": ["y", -i]} for i in range(5000)]}
+    assert _json_text(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"

@@ -124,7 +124,12 @@ class TestPrimitivePolynomial:
 
     def test_capacity_cap(self):
         with pytest.raises(ValueError, match="capacity"):
-            find_primitive_polynomial(2, 21)
+            field_build(2, 21)
+
+    def test_search_is_not_capped_by_the_field_tables(self):
+        modulus = find_primitive_polynomial(2, 21)
+        assert modulus.degree == 21
+        assert _is_primitive(modulus.coefficients, 2)
 
 
 class TestFieldBuild:

@@ -12,6 +12,12 @@ The edits were drawn with ``random.Random(4)``; only those whose replay
 returns a failing report (rather than raising or passing) were kept, and
 they are stored explicitly in golden_sim_reports.json.  Print a fresh table with
 ``PYTHONPATH=src python -m tests.test_sim_report_digests``.
+
+golden_dataflow_verdicts.json pins, per case, the SHA-256 of the sorted-key
+JSON of ``check_dataflow_equivalence``'s verdict on the same replay and its
+number of failures, so the dataflow audit keeps its messages and their
+order too.  Print a fresh table with
+``PYTHONPATH=src python -m tests.test_sim_report_digests --verdicts``.
 """
 
 import csv
@@ -29,9 +35,10 @@ import pytest
 from pgfold.circulant import CirculantBipartiteGraph
 from pgfold.emit import EmissionConfig, write_run_directory
 from pgfold.folding import FoldPlan, pad_dummy_offset
-from pgfold.simulator import simulate
+from pgfold.simulator import check_dataflow_equivalence, simulate
 
 GOLDEN_PATH = Path(__file__).with_name("golden_sim_reports.json")
+VERDICTS_PATH = Path(__file__).with_name("golden_dataflow_verdicts.json")
 OFFSETS_15 = (0, 1, 2, 4, 5, 8, 10)
 BASES = {
     "opt1": {},
@@ -70,14 +77,34 @@ def apply_edit(run_dir: Path, edit: dict) -> None:
     path.write_text(buffer.getvalue(), encoding="utf-8")
 
 
+def _digest(data) -> str:
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def report_digest(report) -> str:
-    text = json.dumps(report.to_json_dict(), sort_keys=True)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _digest(report.to_json_dict())
+
+
+def verdict_pin(verdict: dict) -> dict:
+    return {"failures": len(verdict["failures"]), "sha256": _digest(verdict)}
+
+
+def replay_case(case: dict, base_dir: Path, run_dir: Path):
+    """The report of ``case``'s edits applied to a copy of ``base_dir``."""
+    shutil.copytree(base_dir, run_dir)
+    for edit in case["edits"]:
+        apply_edit(run_dir, edit)
+    return simulate(run_dir, case["iterations"])
 
 
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def verdicts():
+    return json.loads(VERDICTS_PATH.read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="module")
@@ -97,13 +124,28 @@ def test_table_holds_failing_reports_of_both_bases(golden):
 )
 def test_fault_injected_report_digest_unchanged(case_id, golden, base_runs, tmp_path):
     case = golden[case_id]
-    run_dir = tmp_path / "run"
-    shutil.copytree(base_runs[case["base"]], run_dir)
-    for edit in case["edits"]:
-        apply_edit(run_dir, edit)
-    report = simulate(run_dir, case["iterations"])
+    report = replay_case(case, base_runs[case["base"]], tmp_path / "run")
     assert not report.ok
     assert report_digest(report) == case["sha256"]
+
+
+def test_verdict_table_covers_every_case(golden, verdicts):
+    assert verdicts.keys() == golden.keys()
+    assert sum(pin["failures"] > 0 for pin in verdicts.values()) == 34
+
+
+@pytest.mark.parametrize(
+    "case_id", sorted(json.loads(GOLDEN_PATH.read_text(encoding="utf-8")))
+)
+def test_fault_injected_dataflow_verdict_unchanged(
+    case_id, golden, verdicts, base_runs, tmp_path
+):
+    case = golden[case_id]
+    run_dir = tmp_path / "run"
+    report = replay_case(case, base_runs[case["base"]], run_dir)
+    verdict = check_dataflow_equivalence(report, run_dir)
+    assert not verdict["ok"]
+    assert verdict_pin(verdict) == verdicts[case_id]
 
 
 # ---------------------------------------------------------------------------
@@ -180,5 +222,21 @@ def _print_table(candidates: int = 60) -> None:
     sys.stdout.write(json.dumps(table, indent=2, sort_keys=True) + "\n")
 
 
+def _print_verdicts() -> None:
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    table = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        bases = {base: build_base(root / base, base) for base in BASES}
+        for case_id, case in sorted(golden.items()):
+            run_dir = root / case_id
+            report = replay_case(case, bases[case["base"]], run_dir)
+            table[case_id] = verdict_pin(check_dataflow_equivalence(report, run_dir))
+    sys.stdout.write(json.dumps(table, indent=2, sort_keys=True) + "\n")
+
+
 if __name__ == "__main__":
-    _print_table()
+    if sys.argv[1:] == ["--verdicts"]:
+        _print_verdicts()
+    else:
+        _print_table()

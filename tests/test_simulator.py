@@ -5,12 +5,14 @@ import csv
 import io
 import json
 import shutil
+import tracemalloc
 
 import pytest
 
 from pgfold.circulant import CirculantBipartiteGraph, expand_circulant
 from pgfold.cli import main
 from pgfold.emit import EmissionConfig, render_run_files, write_run_directory
+from pgfold import simulator
 from pgfold.folding import FoldPlan, pad_dummy_offset
 from pgfold.simulator import (
     SimulationStructureError,
@@ -459,7 +461,7 @@ class TestFileSource:
         rendered = simulate(render, iterations)
         assert stored.ok
         assert rendered.to_json_dict() == stored.to_json_dict()
-        assert rendered.delivered == stored.delivered
+        assert (rendered.deliveries, rendered.lost) == (stored.deliveries, stored.lost)
         assert check_dataflow_equivalence(rendered, render) == {"ok": True, "failures": []}
 
 
@@ -543,3 +545,63 @@ def test_order_disagreeing_with_plan_names_both_files(render15):
         match=r"^graph.json: J 1000000 disagrees with plan.json: q × units_per_side = 3 × 5 = 15$",
     ):
         simulate(files)
+
+
+class TestLossCensus:
+    """The report keeps each side's compiled deliveries once and, per
+    iteration, only the indices of those that did not arrive."""
+
+    def test_passing_run_keeps_nothing_per_iteration(self, render15):
+        report = simulate(render15, 4)
+        assert report.lost == {"row": {}, "col": {}}
+        assert {side: len(report.deliveries[side]) for side in ("row", "col")} == {
+            "row": 105,
+            "col": 105,
+        }
+
+    def test_replay_memory_does_not_grow_with_iterations(self, render15):
+        def peak(iterations):
+            tracemalloc.start()
+            try:
+                report = simulate(render15, iterations)
+                assert check_dataflow_equivalence(report, render15)["ok"]
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm caches
+        # Keeping the 210 deliveries of each iteration would cost ~18 KiB
+        # an iteration, ~880 KiB over the 49 extra ones.
+        assert peak(50) - peak(1) < 64 * 1024
+
+    def test_loss_in_later_iterations_names_exactly_those(self, render15, monkeypatch):
+        # Memory fault: from iteration 2 on, the cell feeding the row half's
+        # first delivery is cleared before the half reads it.
+        deliver = simulator._deliver
+        calls = []
+
+        def faulty(half, memory, *rest):
+            if half.reading == "row" and len(calls) >= 4:  # two calls an iteration
+                memory[half.deliveries[0][0]] = None
+            calls.append(half.reading)
+            return deliver(half, memory, *rest)
+
+        monkeypatch.setattr(simulator, "_deliver", faulty)
+        report = simulate(render15, 4)
+        monkeypatch.undo()
+        assert report.lost == {"row": {2: (0,), 3: (0,)}, "col": {}}
+        consumer, rank, producer = report.deliveries["row"][0]
+        expected = [
+            f"missing token: row consumer {consumer} rank {rank} expected producer {producer}"
+        ] * 2
+        assert report.misroutes == expected
+        assert report.real_tokens == {"row": 4 * 105 - 2, "col": 4 * 105}
+        verdict = check_dataflow_equivalence(report, render15)
+        assert verdict == {
+            "ok": False,
+            "failures": [
+                f"iteration {iteration}: row consumer {consumer} "
+                f"missing [({rank}, {producer})] unexpected []"
+                for iteration in (2, 3)
+            ],
+        }
