@@ -14,7 +14,7 @@ from .circulant import (
     expand_circulant,
     offsets_equivalent,
 )
-from .emit import EmissionConfig, emit_schedule_table, write_run_directory
+from .emit import emit_schedule_table, write_run_directory
 from .folding import FoldPlan, generate_folded_sequence, pad_dummy_offset
 from .galois import FiniteField, Polynomial, field_build, find_primitive_polynomial
 from .projective import PgParams, build_pg_graph, phi, verify_pg_incidence
@@ -41,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CirculantBipartiteGraph",
-    "EmissionConfig",
     "FiniteField",
     "FoldPlan",
     "MemoryLayout",

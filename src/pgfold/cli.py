@@ -26,7 +26,7 @@ from .circulant import (
     json_value,
 )
 from .emit import (
-    EmissionConfig,
+    FORMATS,
     _json_text,
     emit_graph_json,
     emit_incidence_csv,
@@ -59,8 +59,6 @@ from .simulator import (
 )
 
 __all__ = ["main", "UsageError"]
-
-FORMATS = ("csv", "json", "hdl")
 
 DEFAULTS = {
     "geometry": None,
@@ -478,9 +476,7 @@ def _emit_directory(settings: dict, formats: tuple[str, ...]) -> tuple[Path, dic
     graph, q = _resolve_fold_inputs(settings)
     plan = _build_plan(settings=settings, graph=graph, q=q)
     try:
-        manifest = write_run_directory(
-            out, graph, plan, config=EmissionConfig(formats=formats)
-        )
+        manifest = write_run_directory(out, graph, plan, formats)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return out, manifest
@@ -570,7 +566,7 @@ def _check_stored_files(
     """The re-derivation and manifest checks.  Each stored file is read
     once and compared both with an in-memory render of the design and with
     its digest in manifest.json."""
-    rendered = render_run_files(graph, plan, EmissionConfig(formats=_detect_formats(files)))
+    rendered = render_run_files(graph, plan, _detect_formats(files))
     try:
         listed = _read_manifest(files)["files"]
     except SimulationStructureError as exc:
@@ -635,9 +631,7 @@ def _reference_replay(graph: CirculantBipartiteGraph, plan: FoldPlan) -> SimRepo
         delta=plan.delta,
         pipeline_level=plan.pipeline_level,
     )
-    return simulate(
-        render_run_files(graph, flat_plan, EmissionConfig(formats=("csv", "json")))
-    )
+    return simulate(render_run_files(graph, flat_plan, ("csv", "json")))
 
 
 def _check_replay(
@@ -752,7 +746,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         graph, q = _resolve_fold_inputs(settings)
         plan = _build_plan(settings=settings, graph=graph, q=q)
         try:
-            files = render_run_files(graph, plan, EmissionConfig(formats=formats))
+            files = render_run_files(graph, plan, formats)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         files["manifest.json"] = emit_manifest_json(files)

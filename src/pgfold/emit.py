@@ -4,7 +4,12 @@ Human-readable tables go out as CSV, machine artifacts as JSON with sorted
 keys, and the hardware skeleton as VHDL-style text: memory units with a
 counter read path and a LUT write path, switches with embedded
 port-selection tables, and a structural top level wiring F units per side.
-All output is deterministic: identical inputs give byte-identical files.
+Everything is rendered from the graph, the fold plan and a subset of
+``FORMATS``.  Data ports are ``DATA_WIDTH`` bits; the unit-id and address
+widths are the fewest bits that index F units and a memory's capacity.
+Each entity's ports are declared once and rendered into both its ENTITY
+clause and its COMPONENT declaration in top.vhd.  All output is
+deterministic: identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import io
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
@@ -37,7 +41,7 @@ from .schedule import (
 )
 
 __all__ = [
-    "EmissionConfig",
+    "FORMATS",
     "format_schedule_cell",
     "emit_schedule_table",
     "parse_schedule_table",
@@ -78,48 +82,8 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class EmissionConfig:
-    """Word widths and format selection for emitted artifacts.
-
-    Field widths left as None are derived from the architecture: the unit
-    id needs ceil(log2 F) bits and an address ceil(log2 capacity) bits.
-    Explicit widths narrower than required are a configuration error.
-    """
-
-    data_width: int = 8
-    mu_width: int | None = None
-    addr_width: int | None = None
-    formats: tuple[str, ...] = ("csv", "json", "hdl")
-
-    def __post_init__(self) -> None:
-        if self.data_width < 1:
-            raise ValueError("data width must be >= 1")
-        for fmt in self.formats:
-            if fmt not in ("csv", "json", "hdl"):
-                raise ValueError(f"unknown emission format {fmt!r}")
-
-    def resolved_mu_width(self, units_per_side: int) -> int:
-        needed = max(1, (units_per_side - 1).bit_length())
-        if self.mu_width is None:
-            return needed
-        if self.mu_width < needed:
-            raise ValueError(
-                f"unit id width overflow: {units_per_side} units need "
-                f"{needed} bits, configured {self.mu_width}"
-            )
-        return self.mu_width
-
-    def resolved_addr_width(self, capacity: int) -> int:
-        needed = max(1, (capacity - 1).bit_length())
-        if self.addr_width is None:
-            return needed
-        if self.addr_width < needed:
-            raise ValueError(
-                f"address width overflow: capacity {capacity} needs "
-                f"{needed} bits, configured {self.addr_width}"
-            )
-        return self.addr_width
+# Artifact families a run can emit, in emission order.
+FORMATS = ("csv", "json", "hdl")
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +257,70 @@ def emit_access_trace(
 # ---------------------------------------------------------------------------
 # HDL skeleton
 
+# Word width of every data port and memory cell.
+DATA_WIDTH = 8
+
+# A port of an emitted entity: (name, mode, sizing generic).  A port with
+# no generic is one STD_LOGIC; otherwise it is a vector of that width.
+Port = tuple[str, str, str | None]
+
+_CONTROL_PORTS: list[Port] = [(name, "IN", None) for name in ("clock", "reset", "enable")]
+
+
+def _data_ports(prefix: str, mode: str, count: int) -> list[Port]:
+    return [(f"{prefix}{j}", mode, "data_width") for j in range(count)]
+
+
+_MEMORY_UNIT_PORTS: list[Port] = [
+    *_CONTROL_PORTS,
+    ("mu_id", "IN", "mu_width"),
+    ("rw0", "IN", None),
+    ("rw1", "IN", None),
+    *_data_ports("data_in", "IN", 2),
+    *_data_ports("data_out", "OUT", 2),
+]
+_PROCESSING_UNIT_PORTS: list[Port] = [
+    *_CONTROL_PORTS,
+    *_data_ports("data_in", "IN", 2),
+    *_data_ports("data_out", "OUT", 2),
+]
+
+
+def _switch_ports(lut: SwitchLUT) -> list[Port]:
+    """A memory-side switch fans two memory ports out to the wires; a
+    unit-side switch selects two unit operands from them."""
+    inputs, outputs = (2, lut.port_count) if lut.kind == "pmu_out" else (lut.port_count, 2)
+    return [
+        *_CONTROL_PORTS,
+        *_data_ports("in", "IN", inputs),
+        *_data_ports("out", "OUT", outputs),
+    ]
+
+
+def _port_list(ports: list[Port], widths: dict[str, int] | None = None) -> str:
+    """The body of a PORT clause.  An ENTITY's (no ``widths``) aligns the
+    names and sizes each vector by its generic; a COMPONENT's in top.vhd
+    gives each vector's width as a number from ``widths``."""
+    lines = []
+    for name, mode, generic in ports:
+        if generic is None:
+            kind = "STD_LOGIC"
+        elif widths is None:
+            kind = f"STD_LOGIC_VECTOR({generic}-1 DOWNTO 0)"
+        else:
+            kind = f"STD_LOGIC_VECTOR({widths[generic] - 1} DOWNTO 0)"
+        if widths is None:
+            lines.append(f"    {name:<9} : {mode} {kind}")
+        else:
+            lines.append(f"      {name} : {mode} {kind}")
+    return ";\n".join(lines)
+
+
+def _width(count: int) -> int:
+    """Bits that index ``count`` values: the unit id of F units, the
+    address of a memory of that capacity."""
+    return max(1, (count - 1).bit_length())
+
 
 def _vhdl_int_array(values: list[int], per_line: int = 12) -> str:
     if len(values) == 1:
@@ -305,15 +333,9 @@ def _vhdl_int_array(values: list[int], per_line: int = 12) -> str:
 
 
 def _memory_unit_vhdl(
-    side: str,
-    schedule: WriteSchedule,
-    layout: MemoryLayout,
-    units_per_side: int,
-    config: EmissionConfig,
+    side: str, schedule: WriteSchedule, layout: MemoryLayout, units_per_side: int
 ) -> str:
     name = f"memory_unit_{side}"
-    mu_width = config.resolved_mu_width(units_per_side)
-    addr_width = config.resolved_addr_width(layout.capacity)
     per_pmu = schedule.per_pmu()
     steps = len(per_pmu[0])
     flat: list[int] = []
@@ -329,22 +351,13 @@ USE ieee.numeric_std.ALL;
 
 ENTITY {name} IS
   GENERIC (
-    data_width : INTEGER := {config.data_width};
-    addr_width : INTEGER := {addr_width};
-    mu_width   : INTEGER := {mu_width};
+    data_width : INTEGER := {DATA_WIDTH};
+    addr_width : INTEGER := {_width(layout.capacity)};
+    mu_width   : INTEGER := {_width(units_per_side)};
     depth      : INTEGER := {layout.capacity}
   );
   PORT (
-    clock     : IN STD_LOGIC;
-    reset     : IN STD_LOGIC;
-    enable    : IN STD_LOGIC;
-    mu_id     : IN STD_LOGIC_VECTOR(mu_width-1 DOWNTO 0);
-    rw0       : IN STD_LOGIC;
-    rw1       : IN STD_LOGIC;
-    data_in0  : IN STD_LOGIC_VECTOR(data_width-1 DOWNTO 0);
-    data_in1  : IN STD_LOGIC_VECTOR(data_width-1 DOWNTO 0);
-    data_out0 : OUT STD_LOGIC_VECTOR(data_width-1 DOWNTO 0);
-    data_out1 : OUT STD_LOGIC_VECTOR(data_width-1 DOWNTO 0)
+{_port_list(_MEMORY_UNIT_PORTS)}
   );
 END {name};
 
@@ -396,23 +409,13 @@ END behavioral;
 """
 
 
-def _switch_vhdl(lut: SwitchLUT, config: EmissionConfig) -> str:
+def _switch_vhdl(lut: SwitchLUT) -> str:
     name = f"switch_{lut.instance}_{'out' if lut.kind == 'pmu_out' else 'in'}"
     ports = lut.port_count
     rows = lut.rows
     lut0 = _vhdl_int_array([a for a, _ in rows])
     lut1 = _vhdl_int_array([b for _, b in rows])
     if lut.kind == "pmu_out":
-        data_ports = "\n".join(
-            [
-                "    in0       : IN STD_LOGIC_VECTOR(data_width-1 DOWNTO 0);",
-                "    in1       : IN STD_LOGIC_VECTOR(data_width-1 DOWNTO 0);",
-            ]
-            + [
-                f"    out{j}      : OUT STD_LOGIC_VECTOR(data_width-1 DOWNTO 0);"
-                for j in range(ports)
-            ]
-        ).rstrip(";")
         body = "\n".join(
             f"""      IF port0_lut(step) = {j} THEN
         out{j} <= in0;
@@ -422,29 +425,13 @@ def _switch_vhdl(lut: SwitchLUT, config: EmissionConfig) -> str:
             for j in range(ports)
         )
     else:
-        data_ports = "\n".join(
-            [
-                f"    in{j}       : IN STD_LOGIC_VECTOR(data_width-1 DOWNTO 0);"
-                for j in range(ports)
-            ]
-            + [
-                "    out0      : OUT STD_LOGIC_VECTOR(data_width-1 DOWNTO 0);",
-                "    out1      : OUT STD_LOGIC_VECTOR(data_width-1 DOWNTO 0);",
-            ]
-        ).rstrip(";")
-        select0 = "\n".join(
-            f"""      IF port0_lut(step) = {j} THEN
-        out0 <= in{j};
+        body = "\n".join(
+            f"""      IF port{b}_lut(step) = {j} THEN
+        out{b} <= in{j};
       END IF;"""
+            for b in (0, 1)
             for j in range(ports)
         )
-        select1 = "\n".join(
-            f"""      IF port1_lut(step) = {j} THEN
-        out1 <= in{j};
-      END IF;"""
-            for j in range(ports)
-        )
-        body = select0 + "\n" + select1
     return f"""-- Port-selection switch for the {lut.instance} interconnect
 -- ({'memory output side' if lut.kind == 'pmu_out' else 'unit input side'}).
 -- The selection table has one row per access pattern; the invalid code
@@ -455,13 +442,10 @@ USE ieee.numeric_std.ALL;
 
 ENTITY {name} IS
   GENERIC (
-    data_width : INTEGER := {config.data_width}
+    data_width : INTEGER := {DATA_WIDTH}
   );
   PORT (
-    clock     : IN STD_LOGIC;
-    reset     : IN STD_LOGIC;
-    enable    : IN STD_LOGIC;
-{data_ports}
+{_port_list(_switch_ports(lut))}
   );
 END {name};
 
@@ -490,7 +474,7 @@ END behavioral;
 """
 
 
-def _processing_unit_vhdl(config: EmissionConfig) -> str:
+def _processing_unit_vhdl() -> str:
     return f"""-- Processing unit shell: the datapath body is application-defined;
 -- this skeleton fixes the scheduling interface only.
 LIBRARY ieee;
@@ -498,16 +482,10 @@ USE ieee.std_logic_1164.ALL;
 
 ENTITY processing_unit IS
   GENERIC (
-    data_width : INTEGER := {config.data_width}
+    data_width : INTEGER := {DATA_WIDTH}
   );
   PORT (
-    clock     : IN STD_LOGIC;
-    reset     : IN STD_LOGIC;
-    enable    : IN STD_LOGIC;
-    data_in0  : IN STD_LOGIC_VECTOR(data_width-1 DOWNTO 0);
-    data_in1  : IN STD_LOGIC_VECTOR(data_width-1 DOWNTO 0);
-    data_out0 : OUT STD_LOGIC_VECTOR(data_width-1 DOWNTO 0);
-    data_out1 : OUT STD_LOGIC_VECTOR(data_width-1 DOWNTO 0)
+{_port_list(_PROCESSING_UNIT_PORTS)}
   );
 END processing_unit;
 
@@ -533,140 +511,77 @@ END behavioral;
 """
 
 
-def _component_decl(entity_name: str, port_lines: list[str]) -> str:
-    ports = ";\n".join("      " + line for line in port_lines)
-    return f"""  COMPONENT {entity_name} IS
-    PORT (
-{ports}
-    );
-  END COMPONENT;"""
-
-
 def _top_vhdl(
-    graph: CirculantBipartiteGraph,
-    plan: FoldPlan,
-    netlist: Netlist,
-    luts: dict[str, dict[str, SwitchLUT]],
-    config: EmissionConfig,
+    plan: FoldPlan, netlist: Netlist, luts: dict[str, dict[str, SwitchLUT]]
 ) -> str:
     f_units = plan.units_per_side
-    mu_width = config.resolved_mu_width(f_units)
-    dw = config.data_width
-    vec = f"STD_LOGIC_VECTOR({dw - 1} DOWNTO 0)"
-    decls: list[str] = []
-    mu_ports = [
-        "clock : IN STD_LOGIC",
-        "reset : IN STD_LOGIC",
-        "enable : IN STD_LOGIC",
-        f"mu_id : IN STD_LOGIC_VECTOR({mu_width - 1} DOWNTO 0)",
-        "rw0 : IN STD_LOGIC",
-        "rw1 : IN STD_LOGIC",
-        f"data_in0 : IN {vec}",
-        f"data_in1 : IN {vec}",
-        f"data_out0 : OUT {vec}",
-        f"data_out1 : OUT {vec}",
-    ]
-    pu_ports = [
-        "clock : IN STD_LOGIC",
-        "reset : IN STD_LOGIC",
-        "enable : IN STD_LOGIC",
-        f"data_in0 : IN {vec}",
-        f"data_in1 : IN {vec}",
-        f"data_out0 : OUT {vec}",
-        f"data_out1 : OUT {vec}",
-    ]
-    for side in ("row", "col"):
-        decls.append(_component_decl(f"memory_unit_{side}", mu_ports))
-    decls.append(_component_decl("processing_unit", pu_ports))
+    mu_width = _width(f_units)
+    components = {f"memory_unit_{side}": _MEMORY_UNIT_PORTS for side in ("row", "col")}
+    components["processing_unit"] = _PROCESSING_UNIT_PORTS
     for instance in ("row_reads", "col_reads"):
-        out_lut = luts[instance]["out"]
-        ports = out_lut.port_count
-        out_ports = (
-            ["clock : IN STD_LOGIC", "reset : IN STD_LOGIC", "enable : IN STD_LOGIC"]
-            + [f"in0 : IN {vec}", f"in1 : IN {vec}"]
-            + [f"out{j} : OUT {vec}" for j in range(ports)]
-        )
-        in_ports = (
-            ["clock : IN STD_LOGIC", "reset : IN STD_LOGIC", "enable : IN STD_LOGIC"]
-            + [f"in{j} : IN {vec}" for j in range(ports)]
-            + [f"out0 : OUT {vec}", f"out1 : OUT {vec}"]
-        )
-        decls.append(_component_decl(f"switch_{instance}_out", out_ports))
-        decls.append(_component_decl(f"switch_{instance}_in", in_ports))
+        for kind in ("out", "in"):
+            components[f"switch_{instance}_{kind}"] = _switch_ports(luts[instance][kind])
+    widths = {"data_width": DATA_WIDTH, "mu_width": mu_width}
+    decls = [
+        f"""  COMPONENT {entity} IS
+    PORT (
+{_port_list(ports, widths)}
+    );
+  END COMPONENT;"""
+        for entity, ports in components.items()
+    ]
 
-    signals: list[str] = []
-    assocs: dict[str, dict[str, str]] = {}
+    # The local channels of unit i on a side: "write" carries its outputs
+    # into the collocated memory, "read" that memory's outputs into the
+    # interconnect, and "operand" the unit-side switch outputs into it.
+    def channel(side: str, name: str, i: int) -> list[str]:
+        return [f"{side}_{name}_{i}_{b}" for b in (0, 1)]
 
-    def signal(name: str) -> str:
-        signals.append(f"  SIGNAL {name} : {vec};")
-        return name
-
-    # Local channels: unit outputs feed the collocated memory write ports,
-    # memory read ports feed back through the interconnect.
-    for side in ("row", "col"):
-        for i in range(f_units):
-            assocs[f"{side}_pmu_{i}"] = {
-                "data_in0": signal(f"{side}_write_{i}_0"),
-                "data_in1": signal(f"{side}_write_{i}_1"),
-                "data_out0": signal(f"{side}_read_{i}_0"),
-                "data_out1": signal(f"{side}_read_{i}_1"),
-            }
-            assocs[f"{side}_ppu_{i}"] = {
-                "data_in0": signal(f"{side}_operand_{i}_0"),
-                "data_in1": signal(f"{side}_operand_{i}_1"),
-                "data_out0": f"{side}_write_{i}_0",
-                "data_out1": f"{side}_write_{i}_1",
-            }
+    signals = [
+        signal
+        for side in ("row", "col")
+        for i in range(f_units)
+        for name in ("write", "read", "operand")
+        for signal in channel(side, name, i)
+    ]
     wire_names: dict[tuple[str, int], str] = {}
     for wire in netlist.wires:
-        name = signal(wire["name"])
-        wire_names[(wire["src"][0], wire["src"][1])] = name
-        wire_names[(wire["dst"][0], wire["dst"][1])] = name
+        signals.append(wire["name"])
+        wire_names[tuple(wire["src"])] = wire_names[tuple(wire["dst"])] = wire["name"]
 
     insts: list[str] = []
 
-    def port_map(label: str, component: str, mapping: dict[str, str]) -> None:
-        pairs = ["clock => clock", "reset => reset", "enable => enable"]
-        pairs += [f"{formal} => {actual}" for formal, actual in mapping.items()]
-        joined = ",\n    ".join(pairs)
+    def port_map(label: str, component: str, actuals: list[str]) -> None:
+        """Instance ``label`` with ``actuals`` bound, in order, to the
+        component's ports after the three control inputs."""
+        formals = [name for name, _, _ in components[component]]
+        actuals = ["clock", "reset", "enable", *actuals]
+        joined = ",\n    ".join(
+            f"{formal} => {actual}" for formal, actual in zip(formals, actuals, strict=True)
+        )
         insts.append(f"  {label} : {component} PORT MAP (\n    {joined}\n  );")
 
     for side in ("row", "col"):
         for i in range(f_units):
-            port_map(
-                f"{side}_pmu_{i}",
-                f"memory_unit_{side}",
-                {
-                    "mu_id": f'STD_LOGIC_VECTOR(TO_UNSIGNED({i}, {mu_width}))',
-                    "rw0": "enable",
-                    "rw1": "enable",
-                    **assocs[f"{side}_pmu_{i}"],
-                },
-            )
-            port_map(
-                f"{side}_ppu_{i}", "processing_unit", assocs[f"{side}_ppu_{i}"]
-            )
+            mu_id = f"STD_LOGIC_VECTOR(TO_UNSIGNED({i}, {mu_width}))"
+            write, operand = channel(side, "write", i), channel(side, "operand", i)
+            memory = [mu_id, "enable", "enable", *write, *channel(side, "read", i)]
+            port_map(f"{side}_pmu_{i}", f"memory_unit_{side}", memory)
+            port_map(f"{side}_ppu_{i}", "processing_unit", [*operand, *write])
     for instance in ("row_reads", "col_reads"):
         reading = instance.split("_")[0]
-        producing = other_side(reading)
-        ports = luts[instance]["out"].port_count
+        codes = range(luts[instance]["out"].port_count)
         for m in range(f_units):
-            mapping = {
-                "in0": f"{producing}_read_{m}_0",
-                "in1": f"{producing}_read_{m}_1",
-            }
-            for j in range(ports):
-                mapping[f"out{j}"] = wire_names[(f"{instance}_out_{m}", j)]
-            port_map(f"{instance}_out_{m}", f"switch_{instance}_out", mapping)
-            mapping_in = {}
-            for j in range(ports):
-                mapping_in[f"in{j}"] = wire_names[(f"{instance}_in_{m}", j)]
-            mapping_in["out0"] = f"{reading}_operand_{m}_0"
-            mapping_in["out1"] = f"{reading}_operand_{m}_1"
-            port_map(f"{instance}_in_{m}", f"switch_{instance}_in", mapping_in)
+            out_wires = [wire_names[(f"{instance}_out_{m}", j)] for j in codes]
+            in_wires = [wire_names[(f"{instance}_in_{m}", j)] for j in codes]
+            read = channel(other_side(reading), "read", m)
+            operand = channel(reading, "operand", m)
+            port_map(f"{instance}_out_{m}", f"switch_{instance}_out", [*read, *out_wires])
+            port_map(f"{instance}_in_{m}", f"switch_{instance}_in", [*in_wires, *operand])
 
     decl_text = "\n".join(decls)
-    signal_text = "\n".join(signals)
+    vec = f"STD_LOGIC_VECTOR({DATA_WIDTH - 1} DOWNTO 0)"
+    signal_text = "\n".join(f"  SIGNAL {name} : {vec};" for name in signals)
     inst_text = "\n".join(insts)
     return f"""-- Structural top level: {f_units} processing and {f_units} memory units
 -- per side plus the two static interconnect instances.
@@ -692,27 +607,23 @@ END structural;
 
 
 def emit_hdl(
-    graph: CirculantBipartiteGraph,
     plan: FoldPlan,
     netlist: Netlist,
     luts: dict[str, dict[str, SwitchLUT]],
     write_schedules: dict[str, WriteSchedule],
     layout: MemoryLayout,
-    config: EmissionConfig | None = None,
 ) -> dict[str, str]:
     """All HDL skeleton files, keyed by file name."""
-    config = config or EmissionConfig()
     files: dict[str, str] = {}
     for side in ("row", "col"):
         files[f"memory_unit_{side}.vhd"] = _memory_unit_vhdl(
-            side, write_schedules[side], layout, plan.units_per_side, config
+            side, write_schedules[side], layout, plan.units_per_side
         )
-    files["processing_unit.vhd"] = _processing_unit_vhdl(config)
+    files["processing_unit.vhd"] = _processing_unit_vhdl()
     for instance in ("row_reads", "col_reads"):
         for kind in ("out", "in"):
-            lut = luts[instance][kind]
-            files[f"switch_{instance}_{kind}.vhd"] = _switch_vhdl(lut, config)
-    files["top.vhd"] = _top_vhdl(graph, plan, netlist, luts, config)
+            files[f"switch_{instance}_{kind}.vhd"] = _switch_vhdl(luts[instance][kind])
+    files["top.vhd"] = _top_vhdl(plan, netlist, luts)
     return files
 
 
@@ -770,15 +681,17 @@ def check_hdl(files: dict[str, str]) -> list[str]:
 def render_run_files(
     graph: CirculantBipartiteGraph,
     plan: FoldPlan,
-    config: EmissionConfig | None = None,
+    formats: tuple[str, ...] = FORMATS,
 ) -> dict[str, str]:
-    """Every artifact of one synthesis run, keyed by its path in the run
-    directory: the graph, folded sequences, schedule tables, memory layout
-    and address files, switch tables, netlist, timing, access traces,
-    resource report and, when selected, the HDL, which must pass
-    ``check_hdl``.  Nothing is written.
+    """Every artifact of one synthesis run in the selected ``formats``,
+    keyed by its path in the run directory: the graph, folded sequences,
+    schedule tables, memory layout and address files, switch tables,
+    netlist, timing, access traces, resource report and the HDL, which
+    must pass ``check_hdl``.  Nothing is written.
     """
-    config = config or EmissionConfig()
+    for fmt in formats:
+        if fmt not in FORMATS:
+            raise ValueError(f"unknown emission format {fmt!r}")
     sequences = {
         side: generate_folded_sequence(graph, plan, side) for side in ("row", "col")
     }
@@ -788,7 +701,7 @@ def render_run_files(
     layout = layout_addresses(plan, graph)
     timing = full_timing(graph, plan)
     files: dict[str, str] = {}
-    if "json" in config.formats:
+    if "json" in formats:
         files["graph.json"] = emit_graph_json(graph)
         files["plan.json"] = _json_text(plan.to_json_dict())
         for side in ("row", "col"):
@@ -803,7 +716,7 @@ def render_run_files(
         files["timing.json"] = _json_text(timing.to_json_dict())
         files["read_counter_params.json"] = emit_read_counter_params(layout, graph)
         files["resource_report.json"] = _json_text(resource_report(graph, plan))
-    if "csv" in config.formats:
+    if "csv" in formats:
         files["incidence.csv"] = emit_incidence_csv(graph)
         for side in ("row", "col"):
             files[f"schedule_table_{side}.csv"] = emit_schedule_table(sequences[side])
@@ -816,8 +729,8 @@ def render_run_files(
                 files[f"lut_{instance}_{kind}.csv"] = emit_switch_lut_csv(
                     luts[instance][kind]
                 )
-    if "hdl" in config.formats:
-        hdl = emit_hdl(graph, plan, netlist, luts, schedules, layout, config)
+    if "hdl" in formats:
+        hdl = emit_hdl(plan, netlist, luts, schedules, layout)
         problems = check_hdl(hdl)
         if problems:
             raise SelfCheckError("HDL self-check failed: " + "; ".join(problems))
@@ -836,14 +749,12 @@ def write_run_directory(
     out_dir: str | Path,
     graph: CirculantBipartiteGraph,
     plan: FoldPlan,
-    config: EmissionConfig | None = None,
-    extra_files: dict[str, str] | None = None,
+    formats: tuple[str, ...] = FORMATS,
 ) -> dict:
-    """Write the rendered artifacts of one synthesis run, any extra files,
-    and manifest.json hashing all of them.  Returns the manifest dict.
+    """Write the rendered artifacts of one synthesis run and manifest.json
+    hashing all of them.  Returns the manifest dict.
     """
-    files = render_run_files(graph, plan, config)
-    files.update(extra_files or {})
+    files = render_run_files(graph, plan, formats)
     files["manifest.json"] = emit_manifest_json(files)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -32,6 +32,10 @@ __all__ = [
 # FiniteField keeps two tables of p^k entries.
 MAX_FIELD_ORDER = 2**20
 
+# The primitive search factors p^k - 1 by trial division, up to sqrt(p^k)
+# steps: about 0.1 s at the bound of 2^40 elements.
+MAX_SEARCH_BITS = 40
+
 # Verified cache for frequently used fields.  Every entry is re-derived by
 # the brute-force search in the test suite.
 _KNOWN_PRIMITIVE = {
@@ -178,7 +182,15 @@ def find_primitive_polynomial(p: int, k: int) -> Polynomial:
     of its coefficient vector is chosen, so repeated builds agree.  The
     candidates are enumerated in that order and the first that passes the
     order test is returned, so the work is polynomial in k per candidate.
+    Fields of more than 2^``MAX_SEARCH_BITS`` elements are refused before
+    any trial division.
     """
+    # With p >= 2, any k > MAX_SEARCH_BITS is past the bound, so p**k is
+    # only formed when it is small.
+    if p >= 2 and (k > MAX_SEARCH_BITS or p**k > 2**MAX_SEARCH_BITS):
+        raise ValueError(
+            f"field order {p}^{k} exceeds the primitive search bound 2^{MAX_SEARCH_BITS}"
+        )
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if k < 1:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from collections.abc import Mapping
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -240,13 +240,30 @@ def _graph_fields(graph: object) -> tuple[int, tuple, int, tuple]:
     )
 
 
+def _reader_offsets(order: int, base_offsets: tuple[int, ...]) -> dict[str, list[int]]:
+    """Each side's reader offsets by rank: row consumer i reads column
+    i + d for each base offset d in file order, column consumer j reads
+    row j + e for each e = -d mod J in ascending order."""
+    return {"row": list(base_offsets), "col": sorted((-d) % order for d in base_offsets)}
+
+
+def _is_real_edge(
+    real_order: int, real_offsets: Set[int], side: str, consumer: int, producer: int
+) -> bool:
+    """Is the edge between a ``side`` consumer and its producer one of the
+    unexpanded graph's?"""
+    row, col = (consumer, producer) if side == "row" else (producer, consumer)
+    if row >= real_order or col >= real_order:
+        return False
+    return (col - row) % real_order in real_offsets
+
+
 def _load(files: Mapping[str, str]) -> _Inputs:
     docs = {
         name: read_json(files, f"{name}.json")
         for name in ("graph", "plan", "layout", "timing", "netlist")
     }
     order, base_offsets, real_order, real_base_offsets = _graph_fields(docs["graph"])
-    col_offsets = sorted((-d) % order for d in base_offsets)
     plan, timing, netlist = docs["plan"], docs["timing"], docs["netlist"]
     units = _field("plan.json", plan, "units_per_side")
     folds = _field("plan.json", plan, "q")
@@ -382,7 +399,7 @@ def _load(files: Mapping[str, str]) -> _Inputs:
         invalid=invalid,
         wire_by_src=wire_by_src,
         writes=writes,
-        reader_offsets={"row": list(base_offsets), "col": col_offsets},
+        reader_offsets=_reader_offsets(order, base_offsets),
     )
 
 
@@ -506,12 +523,6 @@ class _Half:
     write_trace: list[tuple] = field(default_factory=list)
 
 
-def _is_real_edge(inputs: _Inputs, row: int, col: int) -> bool:
-    if row >= inputs.real_order or col >= inputs.real_order:
-        return False
-    return (col - row) % inputs.real_order in inputs.real_base_offsets
-
-
 def _ids(ids: list[int]) -> tuple[tuple[int, ...], bool]:
     """The ids of a claim, and whether they are all distinct."""
     return tuple(ids), len(set(ids)) == len(ids)
@@ -589,11 +600,9 @@ def _compile_reads(inputs: _Inputs, half: _Half, rel_base: int, cells: dict, rid
             lpu = k * units + i
             rank = 2 * l + b
             producer = (lpu + cons_offsets[rank]) % order
-            if half.reading == "row":
-                real = _is_real_edge(inputs, lpu, producer)
-            else:
-                real = _is_real_edge(inputs, producer, lpu)
-            if real:
+            if _is_real_edge(
+                inputs.real_order, inputs.real_base_offsets, half.reading, lpu, producer
+            ):
                 cell = driven.get((in_id, code), blank)
                 half.deliveries.append((cell, producer * order + lpu, lpu, rank, producer))
 
@@ -809,25 +818,14 @@ def check_dataflow_equivalence(
     failures: list[str] = []
     if report.iterations < 1:
         return {"ok": False, "failures": ["no iterations simulated"]}
-    col_offsets = sorted((-d) % order for d in base_offsets)
-    reader_offsets = {"row": list(base_offsets), "col": col_offsets}
+    reader_offsets = _reader_offsets(order, base_offsets)
     for side in ("row", "col"):
         expected = []
         for consumer in range(real_order):
             incident = set()
             for rank, d in enumerate(reader_offsets[side]):
                 producer = (consumer + d) % order
-                if side == "row":
-                    real = (
-                        producer < real_order
-                        and (producer - consumer) % real_order in real_offsets
-                    )
-                else:
-                    real = (
-                        producer < real_order
-                        and (consumer - producer) % real_order in real_offsets
-                    )
-                if real:
+                if _is_real_edge(real_order, real_offsets, side, consumer, producer):
                     incident.add((rank, producer))
             expected.append(incident)
         # consumer -> (index, rank, producer) of its deliveries, in order

@@ -23,7 +23,7 @@ from pgfold.circulant import (
     normalize_offsets,
 )
 from pgfold.cli import main as cli_main
-from pgfold.emit import EmissionConfig, emit_schedule_table, write_run_directory
+from pgfold.emit import emit_schedule_table, write_run_directory
 from pgfold.folding import (
     FoldPlan,
     compute_rho,
@@ -92,7 +92,7 @@ def _sweep_subjects():
 def sweep(tmp_path_factory):
     """Emit and simulate every (graph, fold factor, option, level) combo."""
     root = tmp_path_factory.mktemp("acceptance_sweep")
-    flat = EmissionConfig(formats=("csv", "json"))
+    flat = ("csv", "json")
     results = []
     started = time.monotonic()
     index = 0
@@ -108,7 +108,7 @@ def sweep(tmp_path_factory):
                     )
                     out = root / f"run{index:03d}"
                     index += 1
-                    write_run_directory(out, graph, plan, config=flat)
+                    write_run_directory(out, graph, plan, flat)
                     report = simulate(out)
                     results.append(
                         {
@@ -300,10 +300,10 @@ class TestAcceptance:
                     f"{item['label']} q={item['q']} option={item['option']} "
                     f"level={item['level']}"
                 )
-            flat = EmissionConfig(formats=("csv", "json"))
+            flat = ("csv", "json")
             graph, slow_plan = running_example(T=12)
             out = tmp_path / "slow"
-            write_run_directory(out, graph, slow_plan, config=flat)
+            write_run_directory(out, graph, slow_plan, flat)
             assert simulate(out).measured_half == {"row": 144, "col": 144}
             wide = pad_dummy_offset(
                 CirculantBipartiteGraph.plain(70, tuple(range(10)))
@@ -312,7 +312,7 @@ class TestAcceptance:
                 wide, 7, design_option=2, delta=2, pipeline_level="graph"
             )
             out = tmp_path / "wide"
-            write_run_directory(out, wide, wide_plan, config=flat)
+            write_run_directory(out, wide, wide_plan, flat)
             measured = simulate(out).measured_half
             assert measured == {"row": 39, "col": 39}
             detail.append("degree-10 fold-by-7 graph-pipelined half is 39 cycles")
@@ -337,14 +337,14 @@ class TestAcceptance:
                     f"{item['label']} q={item['q']} option={item['option']} "
                     f"level={item['level']}: ratio {float(ratio):.2f}"
                 )
-            flat = EmissionConfig(formats=("csv", "json"))
+            flat = ("csv", "json")
             measured = {}
             for q in (3, 1):
                 graph, plan = running_example(
                     q=q, design_option=2, T=12, delta=1, pipeline_level="graph"
                 )
                 out = tmp_path / f"pipelined_q{q}"
-                write_run_directory(out, graph, plan, config=flat)
+                write_run_directory(out, graph, plan, flat)
                 measured[q] = simulate(out).measured_full
             ratio = Fraction(measured[3], measured[1])
             assert Fraction(3, 2) <= ratio < 3

@@ -8,6 +8,7 @@ out by hand from the folded patterns before the emitter existed.
 import csv
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 
 from pgfold.circulant import CirculantBipartiteGraph
 from pgfold.emit import (
-    EmissionConfig,
     _json_text,
     check_hdl,
     decode_schedule_cell,
@@ -29,9 +29,11 @@ from pgfold.emit import (
     emit_switch_lut_csv,
     emit_write_lut_csv,
     parse_schedule_table,
+    render_run_files,
     write_run_directory,
 )
 from pgfold.folding import FoldPlan, generate_folded_sequence, pad_dummy_offset
+from pgfold.projective import PgParams, build_pg_graph
 from pgfold.schedule import (
     build_netlist,
     full_timing,
@@ -244,13 +246,13 @@ class TestAccessTrace:
 
 
 class TestHdl:
-    def build(self, config=None, **kwargs):
+    def build(self, **kwargs):
         graph, plan = running_example(**kwargs)
         netlist = build_netlist(graph, plan)
         luts = switch_luts(graph, plan)
         schedules = {s: write_schedule(graph, plan, s) for s in ("row", "col")}
         layout = layout_addresses(plan, graph)
-        return emit_hdl(graph, plan, netlist, luts, schedules, layout, config)
+        return emit_hdl(plan, netlist, luts, schedules, layout)
 
     def test_file_set(self):
         files = self.build()
@@ -324,14 +326,84 @@ class TestHdl:
         )
         assert check_hdl(files) == []
 
-    def test_width_overflow_rejected(self):
-        with pytest.raises(ValueError, match="width overflow"):
-            self.build(config=EmissionConfig(mu_width=2))
-
     def test_single_unit_architecture(self):
         files = self.build(q=15)
         assert "mu_width   : INTEGER := 1" in files["memory_unit_row.vhd"]
         assert check_hdl(files) == []
+
+
+_CLAUSE_RE = re.compile(r"(ENTITY|COMPONENT) (\w+) IS\n(.*?)\n\s*END", re.DOTALL)
+_GENERIC_RE = re.compile(r"^\s*(\w+)\s+: INTEGER := (\d+)", re.MULTILINE)
+_PORT_RE = re.compile(
+    r"^\s*(\w+)\s+: (IN|OUT) STD_LOGIC(?:_VECTOR\((?:(\w+)-1|(\d+)) DOWNTO 0\))?;?$",
+    re.MULTILINE,
+)
+_PORT_MAP_RE = re.compile(r"^  (\w+) : (\w+) PORT MAP \((.*?)\);", re.MULTILINE | re.DOTALL)
+
+
+def hdl_interfaces(files):
+    """Entity name -> [(port, mode, width)] of every ENTITY clause and of
+    every COMPONENT declaration, with each generic resolved to its default."""
+    entities, components = {}, {}
+    for text in files.values():
+        for kind, name, body in _CLAUSE_RE.findall(text):
+            generics = {g: int(v) for g, v in _GENERIC_RE.findall(body)}
+            ports = [
+                (port, mode, generics[g] if g else int(top) + 1 if top else 1)
+                for port, mode, g, top in _PORT_RE.findall(body)
+            ]
+            (entities if kind == "ENTITY" else components)[name] = ports
+    return entities, components
+
+
+def pg_design(geometry, q):
+    graph = pad_dummy_offset(build_pg_graph(PgParams(*geometry)))
+    return graph, FoldPlan.for_graph(graph, q)
+
+
+class TestHdlInterfaces:
+    """top.vhd declares each component exactly as its entity file does and
+    binds every port of it in each instance, for designs of 1 to 20
+    units per side and 4 to 11 switch ports."""
+
+    @pytest.fixture(
+        params=[
+            ("J15-q3", lambda: running_example()),
+            ("J15-q15", lambda: running_example(q=15)),
+            ("J40-q2", lambda: pg_design((3, 3, 1), 2)),
+            ("J91-q7", lambda: pg_design((2, 3, 2), 7)),
+        ],
+        ids=lambda param: param[0],
+    )
+    def hdl(self, request):
+        graph, plan = request.param[1]()
+        rendered = render_run_files(graph, plan, ("hdl",))
+        return {name.removeprefix("hdl/"): text for name, text in rendered.items()}
+
+    def test_components_declare_their_entity_ports(self, hdl):
+        entities, components = hdl_interfaces(hdl)
+        assert set(components) == set(entities) - {"folded_top"}
+        for name, ports in components.items():
+            assert ports == entities[name], name
+            assert ports[:3] == [(c, "IN", 1) for c in ("clock", "reset", "enable")]
+
+    def test_instances_bind_every_component_port_in_order(self, hdl):
+        _, components = hdl_interfaces(hdl)
+        instances = _PORT_MAP_RE.findall(hdl["top.vhd"])
+        assert {component for _, component, _ in instances} == set(components)
+        for label, component, body in instances:
+            formals = re.findall(r"(\w+) =>", body)
+            assert formals == [port for port, _, _ in components[component]], label
+
+    def test_two_digit_switch_ports_align(self):
+        graph, plan = pg_design((3, 3, 1), 2)
+        files = render_run_files(graph, plan, ("hdl",))
+        _, components = hdl_interfaces(files)
+        names = [port for port, _, _ in components["switch_row_reads_in"]]
+        assert names[-3:] == ["in10", "out0", "out1"]
+        text = files["hdl/switch_row_reads_in.vhd"]
+        assert "    in9       : IN STD_LOGIC_VECTOR(data_width-1 DOWNTO 0);\n" in text
+        assert "    in10      : IN STD_LOGIC_VECTOR(data_width-1 DOWNTO 0);\n" in text
 
 
 class TestRunDirectory:
@@ -380,17 +452,13 @@ class TestRunDirectory:
 
     def test_format_selection(self, tmp_path):
         graph, plan = running_example()
-        manifest = write_run_directory(
-            tmp_path / "run", graph, plan, EmissionConfig(formats=("json",))
-        )
+        manifest = write_run_directory(tmp_path / "run", graph, plan, ("json",))
         assert all(name.endswith(".json") for name in manifest["files"])
 
-    def test_extra_files_hashed(self, tmp_path):
+    def test_unknown_format_rejected(self):
         graph, plan = running_example()
-        manifest = write_run_directory(
-            tmp_path / "run", graph, plan, extra_files={"config.json": "{}\n"}
-        )
-        assert "config.json" in manifest["files"]
+        with pytest.raises(ValueError, match="unknown emission format 'vhdl'"):
+            render_run_files(graph, plan, ("csv", "vhdl"))
 
 
 JSON_VALUES = st.recursive(

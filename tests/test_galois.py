@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -129,6 +130,19 @@ class TestPrimitivePolynomial:
     def test_search_is_not_capped_by_the_field_tables(self):
         modulus = find_primitive_polynomial(2, 21)
         assert modulus.degree == 21
+        assert _is_primitive(modulus.coefficients, 2)
+
+    def test_search_refuses_fields_past_its_bound_at_once(self):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=r"primitive search bound 2\^40"):
+            find_primitive_polynomial(2, 61)
+        with pytest.raises(ValueError, match="bound"):
+            find_primitive_polynomial(2**61 - 1, 1)
+        assert time.perf_counter() - started < 1.0
+
+    def test_search_reaches_its_bound(self):
+        modulus = find_primitive_polynomial(2, 40)
+        assert modulus.degree == 40
         assert _is_primitive(modulus.coefficients, 2)
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from pgfold.circulant import divisors, expand_circulant
-from pgfold.emit import EmissionConfig, write_run_directory
+from pgfold.emit import write_run_directory
 from pgfold.folding import PIPELINE_LEVELS, FoldPlan, pad_dummy_offset
 from pgfold.projective import PgParams, build_pg_graph
 
@@ -42,6 +42,8 @@ def _configs() -> dict[str, tuple]:
         configs[f"J13to14-q{q}-o1-none"] = ((2, 3, 1), 1, q, 1, "none", 1, 1, ALL_FORMATS)
         configs[f"J13to14-q{q}-o2-graph"] = ((2, 3, 1), 1, q, 2, "graph", 1, 1, ALL_FORMATS)
     configs["J91-q7-o1-none-hdl"] = ((2, 3, 2), None, 7, 1, "none", 1, 1, ALL_FORMATS)
+    # P(3, GF(3)) folded by 2 has 11 switch ports: two-digit port names.
+    configs["J40-q2-o1-none-hdl"] = ((3, 3, 1), None, 2, 1, "none", 1, 1, ALL_FORMATS)
     return configs
 
 
@@ -57,7 +59,7 @@ def manifest_digest(config: tuple, out_dir: Path) -> str:
     plan = FoldPlan.for_graph(
         graph, q, design_option=option, T=T, delta=delta, pipeline_level=level
     )
-    write_run_directory(out_dir, graph, plan, config=EmissionConfig(formats=formats))
+    write_run_directory(out_dir, graph, plan, formats)
     return hashlib.sha256((out_dir / "manifest.json").read_bytes()).hexdigest()
 
 

@@ -33,7 +33,7 @@ from pathlib import Path
 import pytest
 
 from pgfold.circulant import CirculantBipartiteGraph
-from pgfold.emit import EmissionConfig, write_run_directory
+from pgfold.emit import write_run_directory
 from pgfold.folding import FoldPlan, pad_dummy_offset
 from pgfold.simulator import check_dataflow_equivalence, simulate
 
@@ -54,7 +54,7 @@ SWITCH_LUTS = [
 def build_base(out_dir: Path, base: str) -> Path:
     graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
     plan = FoldPlan.for_graph(graph, 3, **BASES[base])
-    write_run_directory(out_dir, graph, plan, config=EmissionConfig(formats=("csv", "json")))
+    write_run_directory(out_dir, graph, plan, ("csv", "json"))
     return out_dir
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from pgfold.circulant import CirculantBipartiteGraph, expand_circulant
 from pgfold.cli import main
-from pgfold.emit import EmissionConfig, render_run_files, write_run_directory
+from pgfold.emit import render_run_files, write_run_directory
 from pgfold import simulator
 from pgfold.folding import FoldPlan, pad_dummy_offset
 from pgfold.simulator import (
@@ -26,13 +26,13 @@ OFFSETS_15 = (0, 1, 2, 4, 5, 8, 10)
 FANO_OFFSETS = (0, 1, 3)
 OFFSETS_13 = (0, 1, 3, 9)
 
-FLAT = EmissionConfig(formats=("csv", "json"))
+FLAT = ("csv", "json")
 
 
 def build_run(out_dir, order, offsets, q, **plan_kwargs):
     graph = pad_dummy_offset(CirculantBipartiteGraph.plain(order, offsets))
     plan = FoldPlan.for_graph(graph, q, **plan_kwargs)
-    write_run_directory(out_dir, graph, plan, config=FLAT)
+    write_run_directory(out_dir, graph, plan, FLAT)
     return out_dir
 
 
@@ -44,7 +44,7 @@ def expanded_design(q):
 
 
 def build_expanded_run(out_dir, q):
-    write_run_directory(out_dir, *expanded_design(q), config=FLAT)
+    write_run_directory(out_dir, *expanded_design(q), FLAT)
     return out_dir
 
 
@@ -455,7 +455,7 @@ class TestFileSource:
             graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
             options = {"design_option": 2, "delta": 2, "pipeline_level": "graph"}
             plan = FoldPlan.for_graph(graph, 3, **(options if "graph" in design else {}))
-        write_run_directory(tmp_path / "run", graph, plan, config=FLAT)
+        write_run_directory(tmp_path / "run", graph, plan, FLAT)
         render = render_run_files(graph, plan, FLAT)
         stored = simulate(tmp_path / "run", iterations)
         rendered = simulate(render, iterations)
