@@ -28,6 +28,7 @@ from .circulant import (
 from .emit import (
     FORMATS,
     _json_text,
+    _manifest_text,
     emit_graph_json,
     emit_incidence_csv,
     emit_manifest_json,
@@ -599,6 +600,10 @@ def _check_stored_files(
     problems.extend(f"{name} on disk but unlisted" for name in sorted(unlisted))
     expected = rendered.keys() | {"manifest.json", "sim_report.json", "sim_summary.txt"}
     problems.extend(f"{name} unexpected" for name in sorted(files.keys() - expected))
+    # The digests pin every other file; the manifest's own bytes must be
+    # the ones emitted for its digests.
+    if manifest_error is None and files["manifest.json"] != _manifest_text(listed):
+        problems.append("manifest.json is not the manifest emitted for its digests")
     check(
         "re-derivation",
         not mismatched,

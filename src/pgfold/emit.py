@@ -18,9 +18,12 @@ import csv
 import hashlib
 import io
 import json
+import math
 import re
 from collections import Counter
+from collections.abc import Iterator
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .circulant import CirculantBipartiteGraph, SelfCheckError
@@ -62,20 +65,113 @@ __all__ = [
 ]
 
 
-_JSON_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+def _json_text(data: object) -> str:
+    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
-
-def _json_text(data: dict) -> str:
-    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, joined a few
-    thousand chunks at a time.  With ``indent`` the encoder yields one
-    small string per token and ``dumps`` holds all of them before joining:
-    about 800k strings for the 5.7 MB netlist of a J = 308 unfolded run."""
-    chunks = _JSON_ENCODER.iterencode(data)
+    With ``indent`` the standard encoder runs in Python and yields one
+    string per token.  Here every container below the top two levels is
+    encoded as one string, and the pieces of the top two levels (for a
+    netlist, about two per wire) are joined a few thousand at a time, so
+    that the text is held at most twice while it is built."""
+    chunks = _json_chunks(data, "\n", 2)
     pieces = []
     while piece := "".join(islice(chunks, 4096)):
         pieces.append(piece)
     pieces.append("\n")
     return "".join(pieces)
+
+
+def _json_chunks(value: object, newline: str, levels: int) -> Iterator[str]:
+    """``value`` indented at ``newline``, in pieces: containers ``levels``
+    deep and below come as one piece."""
+    if not (levels and value and isinstance(value, (dict, list, tuple))):
+        yield _json_encode(value, newline)
+        return
+    inner = newline + "  "
+    if isinstance(value, dict):
+        opening, closing = "{", "}"
+        members = ((_json_key(key) + ": ", item) for key, item in sorted(value.items()))
+    else:
+        opening, closing = "[", "]"
+        members = (("", item) for item in value)
+    separator = opening + inner
+    for prefix, item in members:
+        yield separator + prefix
+        yield from _json_chunks(item, inner, levels - 1)
+        separator = "," + inner
+    yield newline + closing
+
+
+def _json_encode(value: object, newline: str) -> str:
+    """``value`` indented at ``newline`` as one string; strings and ints,
+    which make up most of every artifact, are encoded inline."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        parts = []
+        for key, item in sorted(value.items()):
+            kind = type(item)
+            if kind is str:
+                text = encode_basestring_ascii(item)
+            elif kind is int:
+                text = repr(item)
+            else:
+                text = _json_encode(item, inner)
+            parts.append(_json_key(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        parts = [
+            encode_basestring_ascii(item)
+            if type(item) is str
+            else repr(item)
+            if type(item) is int
+            else _json_encode(item, inner)
+            for item in value
+        ]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    if isinstance(value, dict):
+        return _json_encode(dict(value), newline)
+    if isinstance(value, (list, tuple)):
+        return _json_encode(list(value), newline)
+    return _json_scalar(value)
+
+
+def _json_scalar(value: object) -> str:
+    """A value that is neither an object nor an array, as the standard
+    encoder writes it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_key(key: object) -> str:
+    """An object key as the standard encoder writes it, quotes included."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring_ascii(_json_scalar(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def sha256_text(text: str) -> str:
@@ -741,7 +837,11 @@ def render_run_files(
 
 def emit_manifest_json(files: dict[str, str]) -> str:
     """manifest.json of a run: the SHA-256 of each file's text, by name."""
-    digests = {name: sha256_text(files[name]) for name in sorted(files)}
+    return _manifest_text({name: sha256_text(files[name]) for name in sorted(files)})
+
+
+def _manifest_text(digests: dict) -> str:
+    """manifest.json listing ``digests``, a digest by file name."""
     return _json_text({"format_version": 1, "files": digests})
 
 

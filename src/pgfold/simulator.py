@@ -18,15 +18,22 @@ consumer and rank prescribe.
 
 The replay runs in three steps.  Load reads each file once and rejects
 text that is not UTF-8, JSON that does not parse, a JSON field of the
-wrong type and out-of-range table values with their file, row and field.
-Compile turns each side's read half and write half into a plan, once per
-call: integer ids of the switch ports, wires and memory ports each slot
-claims, the memory cell that feeds each unit-side switch port, and the
-consumer, rank and expected producer of each real delivery.  Replay then
-runs every half of every iteration at its absolute cycles, checking each
-claim against the ids already used in that cycle and each delivery
-against the token its cell holds; messages are built only for a conflict
-or a misroute.
+wrong type and out-of-range table values with their file, row and field;
+it indexes the netlist's wires by integer keys and drops the parsed
+netlist before it reads the write tables.  Compile turns each side's
+read half and write half into a plan, once per call: the resource ids
+each slot claims, the memory cell that feeds each unit-side switch port,
+and the consumer, rank and expected producer of each real delivery.
+Resource ids are computed, not tabulated: a wire's id is the index in
+netlist.json of the first wire with its name, and memory ports and
+switch ports follow in ranges sized from the loaded tables.  A token is one integer that encodes its
+producer, consumer and edge.  The first iteration's memory traffic
+depends on the plan alone, so it is compared with the access trace files
+before the replay, as a multiset of rows each coded as one integer.
+Replay then runs every half of every iteration at its absolute cycles,
+checking each claim against the ids already used in that cycle and each
+delivery against the token its cell holds; messages are decoded from the
+ids and tokens only for a conflict, a misroute or a trace mismatch.
 
 What each consumer received is kept as a loss census rather than a list
 of tokens: every half makes the same compiled deliveries in every
@@ -43,7 +50,8 @@ from __future__ import annotations
 import csv
 import json
 import re
-from collections.abc import Mapping, Set
+from collections import Counter
+from collections.abc import Iterator, Mapping, Set
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -135,9 +143,9 @@ def _field(name: str, data: object, key: str, read=json_int):
 
 def _read_csv(
     files: Mapping[str, str], name: str, ints: tuple[str, ...], texts: tuple[str, ...] = ()
-) -> list[tuple[int, tuple]]:
-    """(line, values) of each record: the ``ints`` columns as integers, then
-    the ``texts`` columns as strings.
+) -> Iterator[tuple[int, tuple]]:
+    """(line, values) of each record, one at a time: the ``ints`` columns
+    as integers, then the ``texts`` columns as strings.
 
     A missing column, a short row, a cell that is not an integer or a line
     the CSV reader rejects raises
@@ -146,7 +154,6 @@ def _read_csv(
     fields = ints + texts
     lines = re.finditer(r".*\n|.+", _text(files, name))  # one at a time, no copy
     reader = csv.reader(map(re.Match.group, lines))
-    records = []
     try:
         header = {column: index for index, column in enumerate(next(reader, []))}
         for column in fields:
@@ -164,10 +171,9 @@ def _read_csv(
                 raise SimulationStructureError(
                     _bad_cell(name, reader.line_num, row, fields, header, width)
                 ) from None
-            records.append((reader.line_num, values))
+            yield reader.line_num, values
     except csv.Error as exc:
         raise SimulationStructureError(f"{name}:{reader.line_num}: {exc}") from None
-    return records
 
 
 def _bad_cell(name: str, line: int, row: list, fields, header: dict, width: int) -> str:
@@ -195,11 +201,36 @@ def _outside(
 
 
 @dataclass
+class _Wires:
+    """The netlist's wires, indexed by the integers the replay looks them up
+    by.  A wire's index is its position in netlist.json's wire list."""
+
+    # the key of an out-switch port -> the index of the last wire it drives
+    by_src: dict[int, int]
+    names: list[str]
+    # per wire: the index of the first wire with its name, which is the
+    # wire a drive claims
+    first: list[int]
+    # per wire: the unit number its destination switch ends in
+    dst_unit: list[int]
+    # wires whose destination is not ``<instance>_in_<unit>`` of their
+    # source's instance: they are claimed, but no unit-side switch selects them
+    foreign: frozenset[int]
+
+    @staticmethod
+    def src_key(instance: int, unit: int, code: int, units: int) -> int:
+        """The key of port ``code`` of out switch ``unit`` of instance 0
+        (row_reads) or 1 (col_reads)."""
+        return (code * 2 + instance) * units + unit
+
+
+@dataclass
 class _Inputs:
     order: int
     real_order: int
     real_base_offsets: frozenset[int]
     units: int
+    capacity: int
     pipeline_level: str
     slots: dict[str, list[tuple[int, int]]]
     read_cycles: list[int]
@@ -208,11 +239,15 @@ class _Inputs:
     out_rows: dict[str, list[tuple[int, int]]]
     in_rows: dict[str, list[tuple[int, int]]]
     invalid: dict[str, int]
-    wire_by_src: dict[tuple[str, int], tuple[str, str, int]]
-    # (slot, pmu, port, address, producer_real) in replay order: by slot,
-    # then file order
-    writes: dict[str, list[tuple[int, int, int, int, int]]]
+    wires: _Wires
+    # per side, per slot, the real writes in file order, each
+    # (pmu · capacity + address) · 2 + port
+    writes: dict[str, list[list[int]]]
     reader_offsets: dict[str, list[int]]
+
+
+_INSTANCES = ("row_reads", "col_reads")
+_SOURCE = re.compile(r"(row_reads|col_reads)_out_(0|[1-9][0-9]*)")
 
 
 _PIPELINE_LEVELS = ("none", "writeback", "node", "graph")
@@ -264,7 +299,8 @@ def _load(files: Mapping[str, str]) -> _Inputs:
         for name in ("graph", "plan", "layout", "timing", "netlist")
     }
     order, base_offsets, real_order, real_base_offsets = _graph_fields(docs["graph"])
-    plan, timing, netlist = docs["plan"], docs["timing"], docs["netlist"]
+    plan, timing = docs["plan"], docs["timing"]
+    netlist = docs.pop("netlist")
     units = _field("plan.json", plan, "units_per_side")
     folds = _field("plan.json", plan, "q")
     if order != folds * units:
@@ -318,13 +354,15 @@ def _load(files: Mapping[str, str]) -> _Inputs:
     out_rows = {}
     in_rows = {}
     invalid = {}
-    for instance in ("row_reads", "col_reads"):
+    for instance in _INSTANCES:
         annotation = _field("netlist.json", instances, instance, json_value)
         invalid[instance] = _field(f"netlist.json:{instance}", annotation, "rho_hat")
         for kind, store in (("out", out_rows), ("in", in_rows)):
             name = f"lut_{instance}_{kind}.csv"
-            records = _read_csv(files, name, ("slot", "port0", "port1"))
-            records.sort(key=lambda record: record[1][0])
+            records = sorted(
+                _read_csv(files, name, ("slot", "port0", "port1")),
+                key=lambda record: record[1][0],
+            )
             if len(records) != pattern_count["row"]:
                 raise SimulationStructureError(f"{name} row count != pattern count")
             store[instance] = [(port0, port1) for _, (_, port0, port1) in records]
@@ -340,9 +378,60 @@ def _load(files: Mapping[str, str]) -> _Inputs:
                             f"{2 * pattern + b}, past the {ranks} reader offsets "
                             f"(only {invalid[instance]} may)"
                         )
-    # source port -> (wire name, destination switch id, destination unit)
-    wire_by_src = {}
-    for index, wire in enumerate(_field("netlist.json", netlist, "wires", _json_list)):
+    wires = _load_wires(_field("netlist.json", netlist, "wires", _json_list), units)
+    # The parsed netlist is the largest structure of the load; drop it
+    # before the write tables are read.
+    del netlist
+    writes = {}
+    for side in ("row", "col"):
+        name = f"write_lut_{side}.csv"
+        by_slot: list[list[int]] = [[] for _ in range(slot_count)]
+        for line, (slot, pmu, port, address, producer_real) in _read_csv(
+            files, name, ("slot", "pmu", "port", "address", "producer_real")
+        ):
+            _outside(name, line, "pmu", pmu, 0, units)
+            _outside(name, line, "port", port, 0, 2)
+            _outside(name, line, "slot", slot, 0, slot_count)
+            if not 0 <= address < capacity:
+                raise SimulationStructureError(
+                    f"{name}:{line}:address {address} outside capacity {capacity}"
+                )
+            if producer_real:
+                by_slot[slot].append((pmu * capacity + address) * 2 + port)
+        writes[side] = by_slot
+    return _Inputs(
+        order=order,
+        real_order=real_order,
+        real_base_offsets=frozenset(real_base_offsets),
+        units=units,
+        capacity=capacity,
+        pipeline_level=pipeline_level,
+        slots=slots,
+        read_cycles=cycles["read_cycles"],
+        write_cycles=cycles["write_cycles"],
+        side_span=side_span,
+        out_rows=out_rows,
+        in_rows=in_rows,
+        invalid=invalid,
+        wires=wires,
+        writes=writes,
+        reader_offsets=_reader_offsets(order, base_offsets),
+    )
+
+
+def _load_wires(entries: list, units: int) -> _Wires:
+    """Check every wire of netlist.json and index those an out switch of
+    units [0, ``units``) can drive by their source port."""
+    by_src = {}
+    names = []
+    first = []
+    dst_units = []
+    foreign = set()
+    seen: dict[str, int] = {}
+    # Switch names repeat once per port: each is parsed once.
+    sources: dict[str, tuple[int, int, str] | None] = {}
+    destinations: dict[str, int] = {}
+    for index, wire in enumerate(entries):
         if not isinstance(wire, dict):
             raise SimulationStructureError(f"netlist.json:wires[{index}] is not an object")
         for key in ("src", "dst"):
@@ -362,45 +451,31 @@ def _load(files: Mapping[str, str]) -> _Inputs:
                 f"netlist.json:wires[{index}]:name {wire_name!r} is not a string"
             )
         dst = wire["dst"][0]
-        try:
-            dst_unit = int(dst.rpartition("_")[2])
-        except ValueError:
-            raise SimulationStructureError(
-                f"netlist.json:wires[{index}]:dst {dst!r} does not end in a unit number"
-            ) from None
-        wire_by_src[tuple(wire["src"])] = (wire_name, dst, dst_unit)
-    writes = {}
-    for side in ("row", "col"):
-        name = f"write_lut_{side}.csv"
-        records = _read_csv(
-            files, name, ("slot", "pmu", "port", "address", "producer_real")
-        )
-        for line, (slot, pmu, port, address, _) in records:
-            _outside(name, line, "pmu", pmu, 0, units)
-            _outside(name, line, "port", port, 0, 2)
-            _outside(name, line, "slot", slot, 0, slot_count)
-            if not 0 <= address < capacity:
+        dst_unit = destinations.get(dst)
+        if dst_unit is None:
+            try:
+                dst_unit = destinations[dst] = int(dst.rpartition("_")[2])
+            except ValueError:
                 raise SimulationStructureError(
-                    f"{name}:{line}:address {address} outside capacity {capacity}"
-                )
-        writes[side] = sorted((values for _, values in records), key=lambda w: w[0])
-    return _Inputs(
-        order=order,
-        real_order=real_order,
-        real_base_offsets=frozenset(real_base_offsets),
-        units=units,
-        pipeline_level=pipeline_level,
-        slots=slots,
-        read_cycles=cycles["read_cycles"],
-        write_cycles=cycles["write_cycles"],
-        side_span=side_span,
-        out_rows=out_rows,
-        in_rows=in_rows,
-        invalid=invalid,
-        wire_by_src=wire_by_src,
-        writes=writes,
-        reader_offsets=_reader_offsets(order, base_offsets),
-    )
+                    f"netlist.json:wires[{index}]:dst {dst!r} does not end in a unit number"
+                ) from None
+        names.append(wire_name)
+        first.append(seen.setdefault(wire_name, index))
+        dst_units.append(dst_unit)
+        src, code = wire["src"]
+        if src not in sources:
+            match = _SOURCE.fullmatch(src)
+            sources[src] = None
+            if match is not None and int(match[2]) < units:
+                sources[src] = (_INSTANCES.index(match[1]), int(match[2]), match[1])
+        source = sources[src]
+        if source is None:
+            continue  # no out switch of the replay drives it
+        instance, unit, instance_name = source
+        by_src[_Wires.src_key(instance, unit, code, units)] = index
+        if dst != f"{instance_name}_in_{dst_unit}":
+            foreign.add(index)
+    return _Wires(by_src, names, first, dst_units, frozenset(foreign))
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +571,97 @@ def summarize(report: SimReport) -> str:
 # compile
 
 
+class _Resources:
+    """Integer ids of the wires, memory ports and switch ports a replay
+    claims, computed rather than tabulated, and the text of each for a
+    conflict message.
+
+    The ids are consecutive ranges: the wires by index in netlist.json
+    (wires that share a name share the first one's id); the memory ports
+    by (side, unit, port); then, for each instance and
+    direction, the switch ports by (unit, code), the code range spanning
+    the lowest to the highest code of that switch table.
+    """
+
+    def __init__(self, inputs: _Inputs) -> None:
+        self.units = max(inputs.units, 0)
+        self.wire_names = inputs.wires.names
+        self.port_base = len(self.wire_names)
+        # One int object per port, shared by every claim of it.
+        self.ports = list(range(self.port_base, self.port_base + 4 * self.units))
+        base = self.port_base + len(self.ports)
+        # (instance, direction) -> (first id, lowest code, codes per unit)
+        self.switches: dict[tuple[str, str], tuple[int, int, int]] = {}
+        for instance in _INSTANCES:
+            for direction, rows in (("out", inputs.out_rows), ("in", inputs.in_rows)):
+                codes = [code for row in rows[instance] for code in row]
+                low = min(codes, default=0)
+                width = max(codes, default=low - 1) - low + 1
+                self.switches[(instance, direction)] = (base, low, width)
+                base += self.units * width
+
+    def port(self, side: str, pmu: int, port: int) -> int:
+        return self.ports[((side == "col") * self.units + pmu) * 2 + port]
+
+    def switch(self, instance: str, direction: str, unit: int, code: int) -> int | None:
+        """The id of port ``code`` of switch ``unit``, or None when the
+        switch table holds no such code."""
+        base, low, width = self.switches[(instance, direction)]
+        if not low <= code < low + width:
+            return None
+        return base + unit * width + code - low
+
+    def conflict(self, rid: int, cycle: int) -> str:
+        if rid < self.port_base:
+            return f"wire double drive: {self.wire_names[rid]} cycle {cycle}"
+        if rid < self.port_base + len(self.ports):
+            side, rest = divmod(rid - self.port_base, 2 * self.units)
+            pmu, port = divmod(rest, 2)
+            return (
+                f"pmu port double access: side {('row', 'col')[side]} "
+                f"pmu {pmu} port {port} cycle {cycle}"
+            )
+        for (instance, direction), (base, low, width) in self.switches.items():
+            if rid < base + self.units * width:
+                unit, code = divmod(rid - base, width)
+                return (
+                    f"switch port double select: {instance} {direction} {unit} "
+                    f"port {code + low} cycle {cycle}"
+                )
+        raise ValueError(f"resource id {rid} out of range")
+
+
+class _Trace:
+    """Codes an access-trace row (cycle, pmu, port, address, rw) as one
+    integer, so that a trace is a multiset of integers.  Rows with a pmu in
+    [0, units), port 0 or 1, an address in [0, span) and rw "R" or "W" have
+    a code, which covers every access the replay makes; no other row
+    does."""
+
+    def __init__(self, units: int, span: int) -> None:
+        self.units = max(units, 1)
+        self.span = max(span, 1)
+
+    def code(self, cycle: int, pmu: int, port: int, address: int, rw: str) -> int | None:
+        if not (
+            0 <= pmu < self.units
+            and port in (0, 1)
+            and 0 <= address < self.span
+            and rw in ("R", "W")
+        ):
+            return None
+        return (((cycle * self.units + pmu) * 2 + port) * self.span + address) * 2 + (
+            rw == "W"
+        )
+
+    def row(self, code: int) -> tuple[int, int, int, int, str]:
+        code, write = divmod(code, 2)
+        code, address = divmod(code, self.span)
+        code, port = divmod(code, 2)
+        cycle, pmu = divmod(code, self.units)
+        return cycle, pmu, port, address, "RW"[write]
+
+
 @dataclass
 class _Half:
     """One side's read half and write half, compiled once from the files.
@@ -503,24 +669,24 @@ class _Half:
     Claims are (cycle offset from the half's base, resource ids, ids all
     distinct) in event order.  A cell indexes the flat memory of a side:
     one entry per (unit, address) that side's write LUT fills, plus a last
-    entry that is never written.  A token is (producer · J + consumer,
-    producer, edge rank).
+    entry that is never written.  A token is one integer,
+    (producer · J + consumer) · ranks + edge rank: a delivery to consumer c
+    from producer p expects a token whose // ranks is p · J + c.
     """
 
     reading: str
     producing: str
+    order: int
+    ranks: int
     read_claims: list[tuple[int, tuple[int, ...], bool]] = field(default_factory=list)
-    # (cell, token key it must hold, consumer, rank, expected producer)
-    deliveries: list[tuple[int, int, int, int, int]] = field(default_factory=list)
+    # (cell, (consumer, rank, expected producer))
+    deliveries: list[tuple[int, tuple[int, int, int]]] = field(default_factory=list)
     busy: int = 0
     port_reads: int = 0
-    cells: int = 0  # written cells of the reading side's memory
     write_claims: list[tuple[int, tuple[int, ...], bool]] = field(default_factory=list)
-    # (cell, token), with None for the sentinel rank's filler
-    writes: list[tuple[int, tuple | None]] = field(default_factory=list)
-    # first-iteration access trace rows of the producing and the reading side
-    read_trace: list[tuple] = field(default_factory=list)
-    write_trace: list[tuple] = field(default_factory=list)
+    # The token each written cell of the reading side's memory holds after
+    # the write half (its last write); None for the sentinel rank's filler.
+    tokens: list[int | None] = field(default_factory=list)
 
 
 def _ids(ids: list[int]) -> tuple[tuple[int, ...], bool]:
@@ -528,55 +694,92 @@ def _ids(ids: list[int]) -> tuple[tuple[int, ...], bool]:
     return tuple(ids), len(set(ids)) == len(ids)
 
 
-def _compile(inputs: _Inputs) -> tuple[dict[str, _Half], list[tuple]]:
-    """Both halves, and the key of each resource id."""
-    ids: dict[tuple, int] = {}
-
-    def rid(key: tuple) -> int:
-        return ids.setdefault(key, len(ids))
-
-    halves = {"row": _Half("row", "col"), "col": _Half("col", "row")}
+def _compile(inputs: _Inputs) -> tuple[dict[str, _Half], _Resources, _Trace, dict[str, Counter]]:
+    """Both halves, their resource ids, and the first iteration's access
+    trace of each side's memory as coded rows."""
+    resources = _Resources(inputs)
+    ranks = len(inputs.reader_offsets["row"])
+    trace = _Trace(inputs.units, max(inputs.capacity, 2 * len(inputs.slots["row"])))
+    observed: dict[str, list[int]] = {"row": [], "col": []}
+    halves = {
+        "row": _Half("row", "col", inputs.order, ranks),
+        "col": _Half("col", "row", inputs.order, ranks),
+    }
     cells = {
-        side: _compile_writes(inputs, half, half_index * inputs.side_span, rid)
+        side: _compile_writes(
+            inputs, half, half_index * inputs.side_span, resources, trace, observed
+        )
         for half_index, (side, half) in enumerate(halves.items())
     }
     for half_index, half in enumerate(halves.values()):
-        _compile_reads(inputs, half, half_index * inputs.side_span, cells[half.producing], rid)
-    return halves, list(ids)
+        _compile_reads(
+            inputs,
+            half,
+            half_index * inputs.side_span,
+            cells[half.producing],
+            resources,
+            trace,
+            observed,
+        )
+    return halves, resources, trace, {side: Counter(codes) for side, codes in observed.items()}
 
 
-def _compile_writes(inputs: _Inputs, half: _Half, rel_base: int, rid) -> dict:
-    """Fill the write half; return the side's cell of each (unit, address)."""
-    units, order = inputs.units, inputs.order
+def _compile_writes(
+    inputs: _Inputs,
+    half: _Half,
+    rel_base: int,
+    resources: _Resources,
+    trace: _Trace,
+    observed: dict[str, list[int]],
+) -> dict[int, int]:
+    """Fill the write half; return the side's cell of each pmu · capacity +
+    address."""
+    units, order, capacity = inputs.units, inputs.order, inputs.capacity
     offsets = inputs.reader_offsets[half.reading]
-    cells: dict[tuple[int, int], int] = {}
-    groups: dict[int, list[int]] = {}
-    for slot, pmu, port, address, producer_real in inputs.writes[half.reading]:
-        if not producer_real:
+    rows = observed[half.reading]
+    cells: dict[int, int] = {}
+    tokens = half.tokens
+    for slot, writes in enumerate(inputs.writes[half.reading]):
+        if not writes:
             continue
         l, k = inputs.slots[half.reading][slot]
-        producer = k * units + pmu
-        t = 2 * l + port
-        token = None  # sentinel: reserved-cell filler
-        if t < len(offsets):
-            token = (producer * order + (producer + offsets[t]) % order, producer, t)
-        groups.setdefault(slot, []).append(rid(("port", half.reading, pmu, port)))
-        cell = cells.setdefault((pmu, address), len(cells))
-        half.writes.append((cell, token))
-        cycle = rel_base + inputs.write_cycles[slot]
-        half.write_trace.append((cycle, pmu, port, address, "W"))
-    half.write_claims = [
-        (inputs.write_cycles[slot], *_ids(group)) for slot, group in groups.items()
-    ]
-    half.cells = len(cells)
+        cycle = inputs.write_cycles[slot]
+        group = []
+        for write in writes:
+            place, port = divmod(write, 2)
+            pmu, address = divmod(place, capacity)
+            producer = k * units + pmu
+            t = 2 * l + port
+            token = None  # sentinel: reserved-cell filler
+            if t < half.ranks:
+                consumer = (producer + offsets[t]) % order
+                token = (producer * order + consumer) * half.ranks + t
+            group.append(resources.port(half.reading, pmu, port))
+            cell = cells.setdefault(place, len(cells))
+            if cell < len(tokens):
+                tokens[cell] = token
+            else:
+                tokens.append(token)
+            rows.append(trace.code(rel_base + cycle, pmu, port, address, "W"))
+        half.write_claims.append((cycle, *_ids(group)))
     return cells
 
 
-def _compile_reads(inputs: _Inputs, half: _Half, rel_base: int, cells: dict, rid) -> None:
+def _compile_reads(
+    inputs: _Inputs,
+    half: _Half,
+    rel_base: int,
+    cells: dict[int, int],
+    resources: _Resources,
+    trace: _Trace,
+    observed: dict[str, list[int]],
+) -> None:
     instance = f"{half.reading}_reads"
-    units, order = inputs.units, inputs.order
+    units, order, capacity = inputs.units, inputs.order, inputs.capacity
     blank = len(cells)
     cons_offsets = inputs.reader_offsets[half.reading]
+    numbers: dict[int, int] = {}  # unit numbers, one shared int object each
+    rows = observed[half.producing]
     patterns: dict[tuple[int, int], tuple] = {}
     for slot, (l, k) in enumerate(inputs.slots[half.reading]):
         offset = inputs.read_cycles[slot]
@@ -584,35 +787,46 @@ def _compile_reads(inputs: _Inputs, half: _Half, rel_base: int, cells: dict, rid
         pattern = patterns.get((l, active))
         if pattern is None:
             pattern = patterns[(l, active)] = _compile_pattern(
-                inputs, instance, half.producing, l, active, rid
+                inputs, resources, instance, half.producing, l, active
             )
         out_claims, drives, in_claims, selects = pattern
         half.read_claims += ((offset, *out_claims), (offset + 1, *in_claims))
         half.busy += active
         half.port_reads += len(drives)
         # Per unit-side switch port the last drive of the slot wins.
-        driven: dict[tuple[str, int], int] = {}
-        for m, b, dst, code in drives:
+        driven: dict[int, int] = {}
+        for m, b, target in drives:
             address = 2 * slot + b
-            half.read_trace.append((rel_base + offset, m, b, address, "R"))
-            driven[(dst, code)] = cells.get((m, address), blank)
-        for i, b, code, in_id in selects:
+            rows.append(trace.code(rel_base + offset, m, b, address, "R"))
+            if target is not None:
+                driven[target] = (
+                    cells.get(m * capacity + address, blank) if address < capacity else blank
+                )
+        for i, b, in_id in selects:
             lpu = k * units + i
             rank = 2 * l + b
             producer = (lpu + cons_offsets[rank]) % order
             if _is_real_edge(
                 inputs.real_order, inputs.real_base_offsets, half.reading, lpu, producer
             ):
-                cell = driven.get((in_id, code), blank)
-                half.deliveries.append((cell, producer * order + lpu, lpu, rank, producer))
+                delivery = (
+                    numbers.setdefault(lpu, lpu),
+                    rank,
+                    numbers.setdefault(producer, producer),
+                )
+                half.deliveries.append((driven.get(in_id, blank), delivery))
 
 
 def _compile_pattern(
-    inputs: _Inputs, instance: str, producing: str, l: int, active: int, rid
+    inputs: _Inputs, resources: _Resources, instance: str, producing: str, l: int, active: int
 ) -> tuple:
     """Claims, drives and selects of pattern ``l`` with units [0, active)
-    busy, shared by every slot that runs it."""
+    busy, shared by every slot that runs it.  A drive is (memory unit,
+    port, the unit-side switch port it feeds or None); a select is
+    (unit, rank within the pattern, switch port id)."""
     invalid = inputs.invalid[instance]
+    wires = inputs.wires
+    index = _INSTANCES.index(instance)
     # Memory-side switches drive their wires.
     out_ids = []
     drives = []
@@ -620,21 +834,24 @@ def _compile_pattern(
         for b, code in enumerate(inputs.out_rows[instance][l]):
             if code == invalid:
                 continue
-            wire = inputs.wire_by_src.get((f"{instance}_out_{m}", code))
+            wire = wires.by_src.get(_Wires.src_key(index, m, code, inputs.units))
             if wire is None:
                 raise SimulationStructureError(
                     f"switch table references missing wire at "
                     f"{instance} out switch {m} port {code} (pattern {l})"
                 )
-            wire_name, dst, dst_unit = wire
+            dst_unit = wires.dst_unit[wire]
             if not 0 <= dst_unit < active:
                 continue
             out_ids += (
-                rid(("switch", instance, "out", m, code)),
-                rid(("wire", wire_name)),
-                rid(("port", producing, m, b)),
+                resources.switch(instance, "out", m, code),
+                wires.first[wire],
+                resources.port(producing, m, b),
             )
-            drives.append((m, b, dst, code))
+            target = None
+            if wire not in wires.foreign:
+                target = resources.switch(instance, "in", dst_unit, code)
+            drives.append((m, b, target))
     # Unit-side switches select, one cycle staggered.
     in_ids = []
     selects = []
@@ -642,8 +859,9 @@ def _compile_pattern(
         for b, code in enumerate(inputs.in_rows[instance][l]):
             if code == invalid:
                 continue
-            in_ids.append(rid(("switch", instance, "in", i, code)))
-            selects.append((i, b, code, f"{instance}_in_{i}"))
+            in_id = resources.switch(instance, "in", i, code)
+            in_ids.append(in_id)
+            selects.append((i, b, in_id))
     return _ids(out_ids), drives, _ids(in_ids), selects
 
 
@@ -651,20 +869,9 @@ def _compile_pattern(
 # replay
 
 
-def _conflict(key: tuple, cycle: int) -> str:
-    if key[0] == "port":
-        _, side, pmu, port = key
-        return f"pmu port double access: side {side} pmu {pmu} port {port} cycle {cycle}"
-    if key[0] == "wire":
-        return f"wire double drive: {key[1]} cycle {cycle}"
-    _, instance, direction, unit, code = key
-    return (
-        f"switch port double select: {instance} {direction} {unit} "
-        f"port {code} cycle {cycle}"
-    )
-
-
-def _claim(claims, base: int, use: dict[int, set[int]], keys: list, conflicts: list) -> None:
+def _claim(
+    claims, base: int, use: dict[int, set[int]], resources: _Resources, conflicts: list
+) -> None:
     for offset, ids, distinct in claims:
         cycle = base + offset
         used = use.get(cycle)
@@ -675,7 +882,7 @@ def _claim(claims, base: int, use: dict[int, set[int]], keys: list, conflicts: l
             continue
         for rid in ids:
             if rid in used:
-                conflicts.append(_conflict(keys[rid], cycle))
+                conflicts.append(resources.conflict(rid, cycle))
             used.add(rid)
 
 
@@ -683,23 +890,56 @@ def _deliver(half: _Half, memory: list, misroutes: list) -> tuple[int, ...]:
     """Check each real delivery against the token its cell holds; return
     the indices of those that did not arrive intact."""
     lost = []
-    for index, (cell, key, consumer, rank, producer) in enumerate(half.deliveries):
+    ranks, order = half.ranks, half.order
+    for index, (cell, (consumer, rank, producer)) in enumerate(half.deliveries):
         token = memory[cell]
         if token is None:
             misroutes.append(
                 f"missing token: {half.reading} consumer {consumer} "
                 f"rank {rank} expected producer {producer}"
             )
-        elif token[0] != key:
+        elif token // ranks != producer * order + consumer:
             misroutes.append(
                 f"misrouted token: {half.reading} consumer {consumer} "
                 f"rank {rank} expected producer {producer}, "
-                f"got producer {token[1]} edge {token[2]}"
+                f"got producer {token // ranks // order} edge {token % ranks}"
             )
         else:
             continue
         lost.append(index)
     return tuple(lost)
+
+
+def _check_trace(
+    files: Mapping[str, str], side: str, trace: _Trace, observed: Counter
+) -> str | None:
+    """Compare ``side``'s access trace file with the observed rows as
+    multisets, consuming ``observed``; return the mismatch, if any."""
+    name = f"access_trace_{side}.csv"
+    columns = (("cycle", "pmu", "port", "address"), ("rw",))
+    unmatched = observed.total()
+    encode = trace.code
+    for _, values in _read_csv(files, name, *columns):
+        row = encode(*values)
+        count = observed.get(row)
+        if not count:
+            break
+        observed[row] = count - 1
+        unmatched -= 1
+    else:
+        if not unmatched:
+            return None
+    # Described as sets: a row that only occurs more often on one side is
+    # neither missing nor extra.
+    expected = {values for _, values in _read_csv(files, name, *columns)}
+    got = {trace.row(code) for code in observed}
+    missing = expected - got
+    extra = got - expected
+    sample = sorted(missing | extra)[:3]
+    return (
+        f"{name} disagrees with simulated traffic "
+        f"({len(missing)} missing, {len(extra)} extra, sample {sample})"
+    )
 
 
 def simulate(files: Mapping[str, str] | str | Path, iterations: int = 1) -> SimReport:
@@ -717,18 +957,30 @@ def simulate(files: Mapping[str, str] | str | Path, iterations: int = 1) -> SimR
     """
     files = _source(files)
     inputs = _load(files)
-    halves, keys = _compile(inputs)
-    units = inputs.units
-    report = SimReport(iterations=iterations)
-    memory = {side: [None] * (half.cells + 1) for side, half in halves.items()}
+    halves, resources, trace, observed = _compile(inputs)
+    units, side_span = inputs.units, inputs.side_span
+    read_cycles, write_cycles = inputs.read_cycles, inputs.write_cycles
     slot_count = len(inputs.slots["row"])
+    pipeline_level = inputs.pipeline_level
+    del inputs  # the load-only indexes
+    report = SimReport(iterations=iterations)
+    # The first iteration's traffic depends on the compiled plan alone, so
+    # it is checked before the replay and not kept through it.
+    for side in ("row", "col"):
+        mismatch = _check_trace(
+            files, side, trace, observed[side] if iterations > 0 else Counter()
+        )
+        if mismatch is not None:
+            report.file_mismatches.append(mismatch)
+    del observed
+    memory = {side: [None] * (len(half.tokens) + 1) for side, half in halves.items()}
     report.ppu_slots = units * slot_count * iterations
     report.pmu_port_slots = 2 * units * slot_count * iterations
     report.ppu_busy = {"row": 0, "col": 0}
     report.pmu_port_reads = {"row": 0, "col": 0}
     report.real_tokens = {"row": 0, "col": 0}
     report.deliveries = {
-        side: [delivery[2:] for delivery in half.deliveries]
+        side: [delivery for _, delivery in half.deliveries]
         for side, half in halves.items()
     }
     report.lost = {"row": {}, "col": {}}
@@ -739,24 +991,20 @@ def simulate(files: Mapping[str, str] | str | Path, iterations: int = 1) -> SimR
     # can never be hit again (with side_span < 0 none is ever below one)
     # and is forgotten.
     use: dict[int, set[int]] = {}
-    reach = min(
-        0, min(inputs.read_cycles, default=0), min(inputs.write_cycles, default=0)
-    )
+    reach = min(0, min(read_cycles, default=0), min(write_cycles, default=0))
 
     def write(half: _Half, base: int) -> None:
-        _claim(half.write_claims, base, use, keys, report.conflicts)
-        cells = memory[half.reading]
-        for cell, token in half.writes:
-            cells[cell] = token
+        _claim(half.write_claims, base, use, resources, report.conflicts)
+        memory[half.reading][: len(half.tokens)] = half.tokens
 
     # Preload the column memories so the first row half has data.
-    write(halves["col"], -2 * inputs.side_span)
+    write(halves["col"], -2 * side_span)
     for iteration in range(iterations):
         for half_index, half in enumerate(halves.values()):
-            base = (iteration * 2 + half_index) * inputs.side_span
+            base = (iteration * 2 + half_index) * side_span
             for cycle in [cycle for cycle in use if cycle < base + reach]:
                 del use[cycle]
-            _claim(half.read_claims, base, use, keys, report.conflicts)
+            _claim(half.read_claims, base, use, resources, report.conflicts)
             report.ppu_busy[half.reading] += half.busy
             report.pmu_port_reads[half.producing] += half.port_reads
             lost = _deliver(half, memory[half.producing], report.misroutes)
@@ -768,34 +1016,12 @@ def simulate(files: Mapping[str, str] | str | Path, iterations: int = 1) -> SimR
     # Measured lengths per the pipeline level's completion criterion: a
     # half is done when its last operand fetch retires, except with
     # graph-level pipelining where the last write marks completion.
-    if inputs.pipeline_level == "graph":
-        finish = max(inputs.write_cycles) + 1
+    if pipeline_level == "graph":
+        finish = max(write_cycles) + 1
     else:
-        finish = max(inputs.read_cycles) + 1
+        finish = max(read_cycles) + 1
     report.measured_half = {"row": finish, "col": finish}
-    report.measured_full = 2 * inputs.side_span
-    observed = {"row": [], "col": []}
-    if iterations > 0:
-        for half in halves.values():
-            observed[half.producing] += half.read_trace
-            observed[half.reading] += half.write_trace
-    for side in ("row", "col"):
-        trace_name = f"access_trace_{side}.csv"
-        expected_rows = [
-            values
-            for _, values in _read_csv(
-                files, trace_name, ("cycle", "pmu", "port", "address"), ("rw",)
-            )
-        ]
-        got = sorted(observed[side])
-        if got != sorted(expected_rows):
-            missing = set(expected_rows) - set(got)
-            extra = set(got) - set(expected_rows)
-            sample = sorted(missing | extra)[:3]
-            report.file_mismatches.append(
-                f"{trace_name} disagrees with simulated traffic "
-                f"({len(missing)} missing, {len(extra)} extra, sample {sample})"
-            )
+    report.measured_full = 2 * side_span
     return report
 
 

@@ -774,6 +774,24 @@ class TestHostileFiles:
             assert ": FAIL (" in line and f"{name}: not UTF-8" in line
         assert lines[-1] == "verify: FAIL"
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [('"format_version": 1', '"format_version": 2'), ('\n  "files"', '\n\t"files"')],
+    )
+    def test_manifest_must_be_as_emitted(self, run15_dir, tmp_path, capsys, old, new):
+        # Every digest still matches its file; only the manifest's own
+        # bytes changed.
+        work = tmp_path / "manifest"
+        shutil.copytree(run15_dir, work)
+        text = (work / "manifest.json").read_text(encoding="utf-8")
+        assert old in text
+        (work / "manifest.json").write_text(text.replace(old, new), encoding="utf-8")
+        assert main(["verify", "--out", str(work)]) == 1
+        out = capsys.readouterr().out
+        assert (
+            "manifest: FAIL (['manifest.json is not the manifest emitted for its digests'])"
+        ) in out.splitlines()
+
     @pytest.mark.parametrize("text", ["not json", "[]", '{"files": 3}'])
     def test_malformed_manifest_is_named(self, run15_dir, tmp_path, capsys, text):
         work = tmp_path / "manifest"

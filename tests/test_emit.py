@@ -463,12 +463,16 @@ class TestRunDirectory:
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner)
+    | st.dictionaries(st.integers(), inner)
+    | st.dictionaries(st.floats(), inner),
     max_leaves=20,
 )
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(JSON_VALUES)
 def test_json_text_is_sorted_indented_dumps(data):
     assert _json_text(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"

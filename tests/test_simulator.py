@@ -8,12 +8,15 @@ import shutil
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pgfold import cli, simulator
 from pgfold.circulant import CirculantBipartiteGraph, expand_circulant
 from pgfold.cli import main
-from pgfold.emit import render_run_files, write_run_directory
-from pgfold import simulator
+from pgfold.emit import emit_manifest_json, render_run_files, write_run_directory
 from pgfold.folding import FoldPlan, pad_dummy_offset
+from pgfold.projective import PgParams, build_pg_graph
 from pgfold.simulator import (
     SimulationStructureError,
     check_dataflow_equivalence,
@@ -574,6 +577,23 @@ class TestLossCensus:
         # an iteration, ~880 KiB over the 49 extra ones.
         assert peak(50) - peak(1) < 64 * 1024
 
+    def test_unfolded_replay_memory_is_bounded(self):
+        # The q = 1 build is verify's throughput reference, with J units
+        # and J·γ wires.  Its replay peaks at 1.84 MiB on Python 3.11,
+        # the parsed netlist.json included.  A dict keyed by resource
+        # tuples, tuple tokens and a tuple per trace row take it to
+        # 2.74 MiB.
+        graph = pad_dummy_offset(build_pg_graph(PgParams(2, 3, 2)))
+        files = render_run_files(graph, FoldPlan.for_graph(graph, 1), FLAT)
+        simulate(files)  # warm caches
+        tracemalloc.start()
+        try:
+            assert simulate(files).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.3 * 2**20
+
     def test_loss_in_later_iterations_names_exactly_those(self, render15, monkeypatch):
         # Memory fault: from iteration 2 on, the cell feeding the row half's
         # first delivery is cleared before the half reads it.
@@ -605,3 +625,159 @@ class TestLossCensus:
                 for iteration in (2, 3)
             ],
         }
+
+
+def edited(files, name, old, new):
+    """``files`` with the first ``old`` in file ``name`` replaced by ``new``."""
+    assert old in files[name]
+    return {**files, name: files[name].replace(old, new, 1)}
+
+
+class TestDecodedMessages:
+    """Resource ids and tokens are integers; the messages decode them back
+    into the switch, wire, memory port, producer and edge they stand for.
+    Slot s of the J=15 q=3 render reads at cycle s, pattern 0 runs in
+    slots 0-2 and pattern 1 in slots 3-5, and the row half writes slot 0
+    at cycle 12."""
+
+    def test_memory_port_conflict(self, render15):
+        # The first row write moves to port 1, which the second one uses.
+        files = edited(render15, "write_lut_row.csv", "\n0,0,0,0,0,1,1\n", "\n0,0,0,1,0,1,1\n")
+        assert simulate(files).conflicts == [
+            "pmu port double access: side row pmu 0 port 1 cycle 12"
+        ]
+
+    def test_wire_conflict(self, render15):
+        # Two wires of out switch 0 that pattern 0 drives share a name.
+        files = edited(
+            render15, "netlist.json", '"name": "row_reads_w_0_1"', '"name": "row_reads_w_0_0"'
+        )
+        assert simulate(files).conflicts == [
+            f"wire double drive: row_reads_w_0_0 cycle {slot}" for slot in range(3)
+        ]
+
+    def test_out_switch_port_conflict(self, render15):
+        # Pattern 0 drives memory-side code 0 from both ports: the switch
+        # port and its wire are claimed twice.
+        files = edited(render15, "lut_row_reads_out.csv", "\n0,0,1\n", "\n0,0,0\n")
+        conflicts = simulate(files).conflicts
+        assert conflicts[:2] == [
+            "switch port double select: row_reads out 0 port 0 cycle 0",
+            "wire double drive: row_reads_w_0_0 cycle 0",
+        ]
+        assert len(conflicts) == 2 * 5 * 3  # two per unit, three slots
+
+    def test_in_switch_port_conflict(self, render15):
+        files = edited(render15, "lut_row_reads_in.csv", "\n0,0,1\n", "\n0,0,0\n")
+        assert simulate(files).conflicts == [
+            f"switch port double select: row_reads in {unit} port 0 cycle {slot + 1}"
+            for slot in range(3)
+            for unit in range(5)
+        ]
+
+    def test_misroute_names_producer_and_edge(self, render15):
+        # Pattern 1 selects rank 3's wire for rank 2: row consumer 0 gets
+        # the token of column producer 0 + d3, whose edge to it is the rank
+        # of 0 - (0 + d3) among the column side's reader offsets.
+        files = edited(render15, "lut_row_reads_in.csv", "\n1,2,4\n", "\n1,4,2\n")
+        producer = OFFSETS_15[3] % 15
+        edge = sorted((-d) % 15 for d in OFFSETS_15).index((0 - producer) % 15)
+        assert (producer, edge) == (4, 4)
+        assert simulate(files).misroutes[0] == (
+            f"misrouted token: row consumer 0 rank 2 expected producer {OFFSETS_15[2]}, "
+            f"got producer {producer} edge {edge}"
+        )
+
+    @pytest.mark.parametrize(
+        "new, counts",
+        [
+            # The rows as sets agree; the file holds one access twice.
+            ("\n12,0,0,0,W\n12,0,0,0,W\n", "0 missing, 0 extra, sample []"),
+            # The file lacks one access the replay makes.
+            ("\n", "0 missing, 1 extra, sample [(12, 0, 0, 0, 'W')]"),
+        ],
+    )
+    def test_trace_rows_compare_as_multisets(self, render15, new, counts):
+        files = edited(render15, "access_trace_row.csv", "\n12,0,0,0,W\n", new)
+        assert simulate(files).file_mismatches == [
+            f"access_trace_row.csv disagrees with simulated traffic ({counts})"
+        ]
+
+
+def _int_leaves(data, path=()):
+    """Paths of the integer leaves of parsed JSON."""
+    if isinstance(data, dict):
+        items = data.items()
+    elif isinstance(data, list):
+        items = enumerate(data)
+    else:
+        return [path] if type(data) is int else []
+    return [leaf for key, value in items for leaf in _int_leaves(value, (*path, key))]
+
+
+@st.composite
+def mutants(draw, files):
+    """``files`` with one field or one byte edited: a CSV cell, a switch
+    table code, an integer of a JSON file, the port of a netlist wire end,
+    or any byte."""
+    kind = draw(st.sampled_from(["csv", "code", "json", "port", "byte"]))
+    names = sorted(files)
+    if kind in ("csv", "code"):
+        name = draw(
+            st.sampled_from([n for n in names if n.startswith("lut_")])
+            if kind == "code"
+            else st.sampled_from([n for n in names if n.endswith(".csv")])
+        )
+        rows = list(csv.reader(io.StringIO(files[name])))
+        row = draw(st.integers(1, len(rows) - 1))
+        header = rows[0]
+        column = (
+            header.index(draw(st.sampled_from(["port0", "port1"])))
+            if kind == "code"
+            else draw(st.integers(0, len(header) - 1))
+        )
+        rows[row][column] = draw(
+            st.one_of(st.integers(-2, 40).map(str), st.sampled_from(["", "x", "R", "W"]))
+        )
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(rows)
+        return {**files, name: buffer.getvalue()}
+    if kind in ("json", "port"):
+        name = "netlist.json" if kind == "port" else draw(
+            st.sampled_from([n for n in names if n.endswith(".json")])
+        )
+        data = json.loads(files[name])
+        if kind == "port":
+            wire = draw(st.integers(0, len(data["wires"]) - 1))
+            path = ("wires", wire, draw(st.sampled_from(["src", "dst"])), 1)
+        else:
+            path = draw(st.sampled_from(_int_leaves(data)))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = draw(st.integers(-2, 40))
+        return {**files, name: json.dumps(data, indent=2, sort_keys=True) + "\n"}
+    name = draw(st.sampled_from(names))
+    text = files[name]
+    index = draw(st.integers(0, len(text) - 1))
+    byte = draw(st.sampled_from(sorted(set('0123456789-,:[]{}" \nxRW'))))
+    return {**files, name: text[:index] + byte + text[index + 1 :]}
+
+
+class TestMutatedRender:
+    """Malformed input ends in a report or a SimulationStructureError,
+    never in another exception, and verify rejects any changed byte."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_single_edit(self, render15, data):
+        stored = {**render15, "manifest.json": emit_manifest_json(render15)}
+        files = data.draw(mutants(stored))
+        try:
+            report = simulate(files)
+            check_dataflow_equivalence(report, files)
+        except SimulationStructureError:
+            pass
+        if files != stored:
+            passed, checks = cli._verify_files(files, "the mutant", 1)
+            assert not passed, checks
