@@ -66,13 +66,16 @@ __all__ = [
 
 
 def _json_text(data: object) -> str:
-    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    where an iterator in the top two levels stands for the list of its items.
 
     With ``indent`` the standard encoder runs in Python and yields one
     string per token.  Here every container below the top two levels is
     encoded as one string, and the pieces of the top two levels (for a
     netlist, about two per wire) are joined a few thousand at a time, so
-    that the text is held at most twice while it is built."""
+    that the text is held at most twice while it is built.  An iterator is
+    drawn one item at a time: netlist.json's wires come from
+    ``Netlist.iter_wires``, so one wire dict is alive at a time."""
     chunks = _json_chunks(data, "\n", 2)
     pieces = []
     while piece := "".join(islice(chunks, 4096)):
@@ -84,7 +87,7 @@ def _json_text(data: object) -> str:
 def _json_chunks(value: object, newline: str, levels: int) -> Iterator[str]:
     """``value`` indented at ``newline``, in pieces: containers ``levels``
     deep and below come as one piece."""
-    if not (levels and value and isinstance(value, (dict, list, tuple))):
+    if not (levels and isinstance(value, (dict, list, tuple, Iterator))):
         yield _json_encode(value, newline)
         return
     inner = newline + "  "
@@ -99,7 +102,7 @@ def _json_chunks(value: object, newline: str, levels: int) -> Iterator[str]:
         yield separator + prefix
         yield from _json_chunks(item, inner, levels - 1)
         separator = "," + inner
-    yield newline + closing
+    yield newline + closing if separator[0] == "," else opening + closing
 
 
 def _json_encode(value: object, newline: str) -> str:
@@ -247,7 +250,7 @@ def parse_schedule_table(text: str) -> dict:
 
 
 def emit_netlist_json(netlist: Netlist) -> str:
-    return _json_text(netlist.to_json_dict())
+    return _json_text(netlist.streamed_json_dict())
 
 
 def emit_graph_json(graph: CirculantBipartiteGraph) -> str:
@@ -641,7 +644,7 @@ def _top_vhdl(
         for signal in channel(side, name, i)
     ]
     wire_names: dict[tuple[str, int], str] = {}
-    for wire in netlist.wires:
+    for wire in netlist.iter_wires():
         signals.append(wire["name"])
         wire_names[tuple(wire["src"])] = wire_names[tuple(wire["dst"])] = wire["name"]
 

@@ -14,6 +14,7 @@ bare counter; all placement intelligence sits on the write side.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .circulant import CirculantBipartiteGraph
@@ -366,30 +367,66 @@ def switch_luts(
 
 @dataclass(frozen=True)
 class Netlist:
-    """Static component and wire inventory of the folded architecture."""
+    """Static component and wire inventory of the folded architecture.
+
+    The wires are not stored: ``ports`` keeps, per interconnect instance,
+    the port code of each distinct folded offset and the folded offset of
+    each extra port, and every wire follows from those and F by circulant
+    rotation.  ``iter_wires`` makes them one dict at a time, and ``wires``
+    makes them all afresh on each access.
+    """
 
     units_per_side: int
     components: tuple[dict, ...]
-    wires: tuple[dict, ...]
+    # instance -> ({folded offset: port code}, {extra port code: folded offset})
+    ports: dict[str, tuple[dict[int, int], dict[int, int]]]
     local_channels: tuple[dict, ...]
     annotations: dict
 
+    def iter_wires(self) -> Iterator[dict]:
+        """Every wire, in netlist.json order: per instance and memory m, one
+        wire per port from m's output switch to the input switch of reading
+        unit (m - delta) mod F, first the offset ports, then the extra ones."""
+        f_units = self.units_per_side
+        for instance, (port_of, extra_ports) in self.ports.items():
+            offsets = [(delta, j, 0) for delta, j in port_of.items()]
+            offsets += [(delta, j, 1) for j, delta in extra_ports.items()]
+            for m in range(f_units):
+                for delta, j, copy in offsets:
+                    yield {
+                        "name": f"{instance}_w_{m}_{j}",
+                        "instance": instance,
+                        "src": [f"{instance}_out_{m}", j],
+                        "dst": [f"{instance}_in_{(m - delta) % f_units}", j],
+                        "folded_offset": delta,
+                        "copy": copy,
+                    }
+
+    @property
+    def wires(self) -> tuple[dict, ...]:
+        return tuple(self.iter_wires())
+
     def wires_of(self, instance: str) -> list[dict]:
-        return [w for w in self.wires if w["instance"] == instance]
+        return [w for w in self.iter_wires() if w["instance"] == instance]
 
     def wire_lookup(self) -> dict[tuple[str, int], dict]:
         """Map (source switch, source port) -> wire."""
-        return {(w["src"][0], w["src"][1]): w for w in self.wires}
+        return {(w["src"][0], w["src"][1]): w for w in self.iter_wires()}
 
-    def to_json_dict(self) -> dict:
+    def streamed_json_dict(self) -> dict:
+        """netlist.json's fields with "wires" the one-shot ``iter_wires()``,
+        so that ``emit._json_text`` holds one wire dict at a time."""
         return {
             "format_version": 1,
             "units_per_side": self.units_per_side,
             "components": list(self.components),
-            "wires": list(self.wires),
+            "wires": self.iter_wires(),
             "local_channels": list(self.local_channels),
             "annotations": self.annotations,
         }
+
+    def to_json_dict(self) -> dict:
+        return {**self.streamed_json_dict(), "wires": list(self.iter_wires())}
 
 
 def build_netlist(graph: CirculantBipartiteGraph, plan: FoldPlan) -> Netlist:
@@ -407,7 +444,7 @@ def build_netlist(graph: CirculantBipartiteGraph, plan: FoldPlan) -> Netlist:
         for i in range(f_units):
             components.append({"id": f"{side}_ppu_{i}", "kind": "ppu", "side": side})
             components.append({"id": f"{side}_pmu_{i}", "kind": "pmu", "side": side})
-    wires: list[dict] = []
+    ports: dict[str, tuple[dict[int, int], dict[int, int]]] = {}
     annotations: dict = {
         "q": plan.q,
         "design_option": plan.design_option,
@@ -440,30 +477,11 @@ def build_netlist(graph: CirculantBipartiteGraph, plan: FoldPlan) -> Netlist:
                     "ports": port_count,
                 }
             )
-        for m in range(f_units):
-            for delta, j in port_of.items():
-                wires.append(
-                    {
-                        "name": f"{instance}_w_{m}_{j}",
-                        "instance": instance,
-                        "src": [f"{instance}_out_{m}", j],
-                        "dst": [f"{instance}_in_{(m - delta) % f_units}", j],
-                        "folded_offset": delta,
-                        "copy": 0,
-                    }
-                )
-            for l, j in extra_ports.items():
-                delta = sequence.patterns[l].folded[0]
-                wires.append(
-                    {
-                        "name": f"{instance}_w_{m}_{j}",
-                        "instance": instance,
-                        "src": [f"{instance}_out_{m}", j],
-                        "dst": [f"{instance}_in_{(m - delta) % f_units}", j],
-                        "folded_offset": delta,
-                        "copy": 1,
-                    }
-                )
+        # A doubled pattern's extra port carries its first folded offset.
+        ports[instance] = (
+            port_of,
+            {j: sequence.patterns[l].folded[0] for l, j in extra_ports.items()},
+        )
         annotations["instances"][instance] = {
             "rho": len(port_of),
             "theta": len(extra_ports),
@@ -478,7 +496,7 @@ def build_netlist(graph: CirculantBipartiteGraph, plan: FoldPlan) -> Netlist:
     return Netlist(
         units_per_side=f_units,
         components=tuple(components),
-        wires=tuple(wires),
+        ports=ports,
         local_channels=tuple(local_channels),
         annotations=annotations,
     )

@@ -18,22 +18,26 @@ consumer and rank prescribe.
 
 The replay runs in three steps.  Load reads each file once and rejects
 text that is not UTF-8, JSON that does not parse, a JSON field of the
-wrong type and out-of-range table values with their file, row and field;
-it indexes the netlist's wires by integer keys and drops the parsed
-netlist before it reads the write tables.  Compile turns each side's
-read half and write half into a plan, once per call: the resource ids
-each slot claims, the memory cell that feeds each unit-side switch port,
-and the consumer, rank and expected producer of each real delivery.
-Resource ids are computed, not tabulated: a wire's id is the index in
-netlist.json of the first wire with its name, and memory ports and
-switch ports follow in ranges sized from the loaded tables.  A token is one integer that encodes its
-producer, consumer and edge.  The first iteration's memory traffic
-depends on the plan alone, so it is compared with the access trace files
-before the replay, as a multiset of rows each coded as one integer.
-Replay then runs every half of every iteration at its absolute cycles,
-checking each claim against the ids already used in that cycle and each
-delivery against the token its cell holds; messages are decoded from the
-ids and tokens only for a conflict, a misroute or a trace mismatch.
+wrong type and out-of-range table values with their file, row and field.
+It reads netlist.json in one decode pass that puts each wire into an
+index by integer keys as soon as it is decoded, so the wires are never
+held as a list; every other member, and any layout of the text, reads as
+``json.loads`` reads it, and a faulty wire is reported after the switch
+table checks, as a whole-file parse would have it.  Compile turns each
+side's read half and write half into a plan, once per call: the resource
+ids each slot claims, the memory cell that feeds each unit-side switch
+port, and the consumer, rank and expected producer of each real
+delivery.  Resource ids are computed, not tabulated: a wire's id is the
+index in netlist.json of the first wire with its name, and memory ports
+and switch ports follow in ranges sized from the loaded tables.  A token
+is one integer that encodes its producer, consumer and edge.  The first
+iteration's memory traffic depends on the plan alone, so it is compared
+with the access trace files before the replay, as a multiset of rows
+each coded as one integer.  Replay then runs every half of every
+iteration at its absolute cycles, checking each claim against the ids
+already used in that cycle and each delivery against the token its cell
+holds; messages are decoded from the ids and tokens only for a conflict,
+a misroute or a trace mismatch.
 
 What each consumer received is kept as a loss census rather than a list
 of tokens: every half makes the same compiled deliveries in every
@@ -51,7 +55,7 @@ import csv
 import json
 import re
 from collections import Counter
-from collections.abc import Iterator, Mapping, Set
+from collections.abc import Iterable, Iterator, Mapping, Set
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -119,8 +123,12 @@ def _text(files: Mapping[str, str], name: str) -> str:
 def read_json(files: Mapping[str, str], name: str) -> object:
     """The parsed JSON of file ``name``; text that does not parse raises
     ``SimulationStructureError("<name>: not JSON ...")``."""
+    return _parse_json(name, _text(files, name))
+
+
+def _parse_json(name: str, text: str) -> object:
     try:
-        return json.loads(_text(files, name))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SimulationStructureError(f"{name}: not JSON ({exc})") from None
 
@@ -295,12 +303,15 @@ def _is_real_edge(
 
 def _load(files: Mapping[str, str]) -> _Inputs:
     docs = {
-        name: read_json(files, f"{name}.json")
-        for name in ("graph", "plan", "layout", "timing", "netlist")
+        name: read_json(files, f"{name}.json") for name in ("graph", "plan", "layout", "timing")
     }
-    order, base_offsets, real_order, real_base_offsets = _graph_fields(docs["graph"])
     plan, timing = docs["plan"], docs["timing"]
-    netlist = docs.pop("netlist")
+    # The wires are indexed as netlist.json is read, by plan.json's unit
+    # count; if that is not an integer, its check below fails before the
+    # index is used.
+    units = plan.get("units_per_side") if isinstance(plan, dict) else None
+    netlist, wires = _read_netlist(files, units if is_int(units) else 0)
+    order, base_offsets, real_order, real_base_offsets = _graph_fields(docs["graph"])
     units = _field("plan.json", plan, "units_per_side")
     folds = _field("plan.json", plan, "q")
     if order != folds * units:
@@ -378,9 +389,10 @@ def _load(files: Mapping[str, str]) -> _Inputs:
                             f"{2 * pattern + b}, past the {ranks} reader offsets "
                             f"(only {invalid[instance]} may)"
                         )
-    wires = _load_wires(_field("netlist.json", netlist, "wires", _json_list), units)
-    # The parsed netlist is the largest structure of the load; drop it
-    # before the write tables are read.
+    if isinstance(wires, SimulationStructureError):
+        raise wires
+    if wires is None:
+        wires = _load_wires(_field("netlist.json", netlist, "wires", _json_list), units)
     del netlist
     writes = {}
     for side in ("row", "col"):
@@ -419,9 +431,9 @@ def _load(files: Mapping[str, str]) -> _Inputs:
     )
 
 
-def _load_wires(entries: list, units: int) -> _Wires:
-    """Check every wire of netlist.json and index those an out switch of
-    units [0, ``units``) can drive by their source port."""
+def _load_wires(entries: Iterable[object], units: int) -> _Wires:
+    """Check every wire of netlist.json, in file order, and index those an
+    out switch of units [0, ``units``) can drive by their source port."""
     by_src = {}
     names = []
     first = []
@@ -476,6 +488,31 @@ def _load_wires(entries: list, units: int) -> _Wires:
         if dst != f"{instance_name}_in_{dst_unit}":
             foreign.add(index)
     return _Wires(by_src, names, first, dst_units, frozenset(foreign))
+
+
+def _read_netlist(
+    files: Mapping[str, str], units: int
+) -> tuple[object, _Wires | SimulationStructureError | None]:
+    """netlist.json in one decode pass, each wire going into the index of
+    out switches of units [0, ``units``) as it is decoded.
+
+    Returns the document without its ``wires`` list, and that list's index
+    or the first wire error, which the caller raises after its table
+    checks.  With ``wires`` absent or not a list it stays in the document
+    and the second value is None; so it is for text that is not a JSON
+    object, which ``json.loads`` decodes or names the fault of."""
+
+    def index(items: Iterator[object]) -> _Wires | SimulationStructureError:
+        try:
+            return _load_wires(items, units)
+        except SimulationStructureError as exc:
+            return exc
+
+    # Imported here, so that commands that replay nothing do not compile it.
+    from .jsonstream import load_streamed
+
+    text = _text(files, "netlist.json")
+    return load_streamed(text, "wires", index) or (_parse_json("netlist.json", text), None)
 
 
 # ---------------------------------------------------------------------------

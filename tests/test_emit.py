@@ -144,6 +144,12 @@ class TestFlatArtifacts:
         assert len(data["wires"]) == 55
         assert data["annotations"]["instances"]["row_reads"]["rho_hat"] == 5
 
+    def test_netlist_json_streams_the_wires_as_listed(self):
+        graph, plan = running_example()
+        netlist = build_netlist(graph, plan)
+        expected = json.dumps(netlist.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        assert emit_netlist_json(netlist) == expected
+
     def test_graph_json_round_trip(self):
         graph, _ = running_example()
         data = json.loads(emit_graph_json(graph))
@@ -482,3 +488,14 @@ def test_json_text_joins_a_long_chunk_stream_exactly():
     # ~90k encoder chunks: many batches, the last one partial.
     data = {"wires": [{"dst": ["x", i], "name": f"w{i}", "src": ["y", -i]} for i in range(5000)]}
     assert _json_text(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.dictionaries(st.text(), st.lists(JSON_VALUES, max_size=4)))
+def test_json_text_draws_an_iterator_as_its_list(data):
+    # netlist.json's wires come from a generator, one wire at a time.
+    expected = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    assert _json_text({key: iter(items) for key, items in data.items()}) == expected
+    items = list(data.values())
+    expected = json.dumps(items, indent=2, sort_keys=True) + "\n"
+    assert _json_text(iter(items)) == expected

@@ -4,6 +4,7 @@ census and utilization goldens, throughput bound, fault injection."""
 import csv
 import io
 import json
+import random
 import shutil
 import tracemalloc
 
@@ -579,10 +580,11 @@ class TestLossCensus:
 
     def test_unfolded_replay_memory_is_bounded(self):
         # The q = 1 build is verify's throughput reference, with J units
-        # and J·γ wires.  Its replay peaks at 1.84 MiB on Python 3.11,
-        # the parsed netlist.json included.  A dict keyed by resource
-        # tuples, tuple tokens and a tuple per trace row take it to
-        # 2.74 MiB.
+        # and J·γ wires.  Its replay peaks at 1.25 MiB on Python 3.11,
+        # the wire index of netlist.json included.  Parsing netlist.json
+        # whole with json.loads takes it to 1.84 MiB; a dict keyed by
+        # resource tuples, tuple tokens and a tuple per trace row then
+        # to 2.74 MiB.
         graph = pad_dummy_offset(build_pg_graph(PgParams(2, 3, 2)))
         files = render_run_files(graph, FoldPlan.for_graph(graph, 1), FLAT)
         simulate(files)  # warm caches
@@ -592,7 +594,23 @@ class TestLossCensus:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.3 * 2**20
+        assert peak < 1.6 * 2**20
+
+    def test_reference_replay_memory_is_bounded(self):
+        # verify's q = 1 reference for P(2, GF(9)) folded by 7, render and
+        # replay, peaks at 1.58 MiB on Python 3.11.  Keeping the 1,820
+        # wires as dicts in the netlist and parsing netlist.json whole with
+        # json.loads take it to 2.67 MiB.
+        graph = pad_dummy_offset(build_pg_graph(PgParams(2, 3, 2)))
+        plan = FoldPlan.for_graph(graph, 7)
+        cli._reference_replay(graph, plan)  # warm caches
+        tracemalloc.start()
+        try:
+            assert cli._reference_replay(graph, plan).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.98 * 2**20
 
     def test_loss_in_later_iterations_names_exactly_those(self, render15, monkeypatch):
         # Memory fault: from iteration 2 on, the cell feeding the row half's
@@ -781,3 +799,125 @@ class TestMutatedRender:
         if files != stored:
             passed, checks = cli._verify_files(files, "the mutant", 1)
             assert not passed, checks
+
+
+def _outcome(files):
+    """The report of ``simulate(files)``, or the message it fails with."""
+    try:
+        return simulate(files).to_json_dict()
+    except SimulationStructureError as exc:
+        return str(exc)
+
+
+def _netlist_by_json_loads(files, units):
+    """``simulator._read_netlist`` as ``json.loads`` of the whole file: the
+    wires stay in the document, to be indexed after the table checks."""
+    return simulator.read_json(files, "netlist.json"), None
+
+
+def _spaced(value, rng):
+    """``value`` as JSON with random whitespace around every token."""
+
+    def space():
+        return rng.choice(["", " ", "\n", "\t", " \r\n  "])
+
+    if isinstance(value, dict):
+        members = [
+            f"{space()}{json.dumps(key)}{space()}:{space()}{_spaced(item, rng)}{space()}"
+            for key, item in value.items()
+        ]
+        return "{" + ",".join(members) + space() + "}"
+    if isinstance(value, list):
+        items = [f"{space()}{_spaced(item, rng)}{space()}" for item in value]
+        return "[" + ",".join(items) + space() + "]"
+    return json.dumps(value)
+
+
+class TestStreamedNetlist:
+    """netlist.json is read in one pass that indexes each wire as it is
+    decoded.  Any JSON layout reads as ``json.loads`` reads it, and every
+    fault fails with the message and in the order of a ``json.loads`` read."""
+
+    @pytest.fixture(scope="class")
+    def netlist15(self, render15):
+        return json.loads(render15["netlist.json"])
+
+    def relaid(self, netlist15):
+        data = netlist15
+        rest = {key: value for key, value in data.items() if key != "wires"}
+        compact = json.dumps(data)
+        odd_names = json.loads(compact)
+        for wire in odd_names["wires"]:
+            wire["name"] += ' ],"\\\\'
+        rng = random.Random(11)
+        return {
+            "compact": compact,
+            "no spaces": json.dumps(data, separators=(",", ":")),
+            "indent 0": json.dumps(data, indent=0),
+            "indent 4": json.dumps(data, indent=4),
+            "wires first": json.dumps({"wires": data["wires"], **rest}),
+            "wires last": json.dumps({**rest, "wires": data["wires"]}),
+            "duplicate wires": '{"wires": [1, "x", {}], ' + compact[1:],
+            "duplicate non-list wires": '{"wires": 5, ' + compact[1:],
+            "spaced": _spaced(data, rng),
+            "spaced, odd names": _spaced(odd_names, rng),
+        }
+
+    def test_layouts_read_as_json_loads_reads_them(self, render15, netlist15):
+        passing = simulate(render15).to_json_dict()
+        for layout, text in self.relaid(netlist15).items():
+            document, wires = simulator._read_netlist({"netlist.json": text}, 5)
+            expected = json.loads(text)
+            assert wires == simulator._load_wires(expected.pop("wires"), 5), layout
+            assert document == expected, layout
+            assert _outcome({**render15, "netlist.json": text}) == passing, layout
+
+    def faulty(self, render15, netlist15):
+        text = render15["netlist.json"]
+        rng = random.Random(7)
+        cuts = sorted(rng.sample(range(len(text)), 24)) + [0, 1, len(text) - 2]
+        bad_name = json.loads(text)
+        bad_name["wires"][3]["name"] = 5
+        bad_name = json.dumps(bad_name)
+        wires = json.dumps(netlist15["wires"])
+        rest = json.dumps({k: v for k, v in netlist15.items() if k != "wires"})
+        faults = {
+            **{f"cut at {cut}": text[:cut] for cut in cuts},
+            "trailing garbage": text + "x",
+            "trailing array": text + "[]",
+            "trailing comma": text.rstrip()[:-1] + ",}",
+            "comma in wires": text.replace("}\n  ],\n", "},\n  ],\n", 1),
+            "wires a number": rest[:-1] + ', "wires": 5}',
+            "wires an object": rest[:-1] + ', "wires": {"0": {}}}',
+            "wires missing": rest,
+            "later wires not a list": text.rstrip()[:-1] + ', "wires": "[]"}',
+            "top level a list": wires,
+            "top level a string": '"netlist"',
+            "top level null": "null",
+            "byte order mark": "\ufeff" + text,
+            "bad wire name": bad_name,
+            "bad wire name, then garbage": bad_name + "]",
+            "bad wire name, then good wires": bad_name[:-1] + ", " + '"wires": ' + wires + "}",
+            "bad wire name, good wires before": '{"wires": ' + wires + ", " + bad_name[1:],
+        }
+        assert text not in faults.values()
+        return faults
+
+    def test_faults_fail_as_json_loads_reads_them(self, render15, netlist15, monkeypatch):
+        for fault, text in self.faulty(render15, netlist15).items():
+            files = {**render15, "netlist.json": text}
+            for other in ({}, {"lut_row_reads_in.csv": "slot,port0\n"}):
+                streamed = _outcome({**files, **other})
+                with monkeypatch.context() as patch:
+                    patch.setattr(simulator, "_read_netlist", _netlist_by_json_loads)
+                    assert streamed == _outcome({**files, **other}), (fault, other)
+            if fault != "bad wire name, then good wires":  # the later wires win
+                assert isinstance(_outcome(files), str), fault
+
+    def test_wire_errors_follow_the_table_checks(self, render15, netlist15):
+        data = json.loads(render15["netlist.json"])
+        data["wires"][3]["name"] = 5
+        files = {**render15, "netlist.json": json.dumps(data)}
+        assert _outcome(files) == "netlist.json:wires[3]:name 5 is not a string"
+        files["lut_row_reads_in.csv"] = "slot,port0\n"
+        assert _outcome(files) == "lut_row_reads_in.csv:1:port1 column missing"
