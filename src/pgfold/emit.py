@@ -21,8 +21,6 @@ import json
 import math
 import re
 from collections import Counter
-from collections.abc import Iterator
-from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -66,43 +64,12 @@ __all__ = [
 
 
 def _json_text(data: object) -> str:
-    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, byte for byte,
-    where an iterator in the top two levels stands for the list of its items.
+    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
     With ``indent`` the standard encoder runs in Python and yields one
-    string per token.  Here every container below the top two levels is
-    encoded as one string, and the pieces of the top two levels (for a
-    netlist, about two per wire) are joined a few thousand at a time, so
-    that the text is held at most twice while it is built.  An iterator is
-    drawn one item at a time: netlist.json's wires come from
-    ``Netlist.iter_wires``, so one wire dict is alive at a time."""
-    chunks = _json_chunks(data, "\n", 2)
-    pieces = []
-    while piece := "".join(islice(chunks, 4096)):
-        pieces.append(piece)
-    pieces.append("\n")
-    return "".join(pieces)
-
-
-def _json_chunks(value: object, newline: str, levels: int) -> Iterator[str]:
-    """``value`` indented at ``newline``, in pieces: containers ``levels``
-    deep and below come as one piece."""
-    if not (levels and isinstance(value, (dict, list, tuple, Iterator))):
-        yield _json_encode(value, newline)
-        return
-    inner = newline + "  "
-    if isinstance(value, dict):
-        opening, closing = "{", "}"
-        members = ((_json_key(key) + ": ", item) for key, item in sorted(value.items()))
-    else:
-        opening, closing = "[", "]"
-        members = (("", item) for item in value)
-    separator = opening + inner
-    for prefix, item in members:
-        yield separator + prefix
-        yield from _json_chunks(item, inner, levels - 1)
-        separator = "," + inner
-    yield newline + closing if separator[0] == "," else opening + closing
+    string per token; here strings and ints are encoded inline and each
+    container is joined once."""
+    return _json_encode(data, "\n") + "\n"
 
 
 def _json_encode(value: object, newline: str) -> str:
@@ -211,23 +178,35 @@ def emit_schedule_table(sequence: FoldedSequence) -> str:
 
     A banner row opens each group: the q slots of one pattern under design
     option 1, the patterns of one fold under option 2.  Cells read
-    "[PUi : MUa, MUb ]" with "D" in place of the dummy access.
+    "[PUi : MUa, MUb ]" with "D" in place of the dummy access.  Unit i of
+    every slot of pattern l reads memories (f0 + i) mod F and (f1 + i)
+    mod F, so the q slots of a pattern share one row of cells.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    f_units = sequence.units_per_side
+    cells = []
+    for pattern in sequence.patterns:
+        f0, f1 = pattern.folded
+        # Every cell holds ", ", so the CSV quotes it.
+        cells.append(
+            ",".join(
+                '"'
+                + format_schedule_cell(
+                    i, (f0 + i) % f_units, None if f1 is None else (f1 + i) % f_units
+                )
+                + '"'
+                for i in range(f_units)
+            )
+        )
     group_size = sequence.q if sequence.design_option == 1 else sequence.pattern_count
+    lines = []
     for slot, (l, k) in enumerate(sequence.slots):
         if slot % group_size == 0:
             if sequence.design_option == 1:
-                writer.writerow([f"Full Perfect Access Pattern {l}"])
+                lines.append(f"Full Perfect Access Pattern {l}\n")
             else:
-                writer.writerow([f"Fold {k}"])
-        cells = [
-            format_schedule_cell(a["ppu"], a["pmus"][0], a["pmus"][1])
-            for a in sequence.accesses(slot)
-        ]
-        writer.writerow([str(slot)] + cells)
-    return buffer.getvalue()
+                lines.append(f"Fold {k}\n")
+        lines.append(f"{slot},{cells[l]}\n")
+    return "".join(lines)
 
 
 def parse_schedule_table(text: str) -> dict:
@@ -249,8 +228,64 @@ def parse_schedule_table(text: str) -> dict:
 # flat artifacts
 
 
+# One wire of netlist.json, as ``_json_text`` indents it there: copy, the
+# destination switch and port, folded offset, instance, name, and the
+# source switch and port.
+_WIRE_JSON = """    {
+      "copy": %d,
+      "dst": [
+        "%s_in_%d",
+        %d
+      ],
+      "folded_offset": %d,
+      "instance": "%s",
+      "name": "%s_w_%d_%d",
+      "src": [
+        "%s_out_%d",
+        %d
+      ]
+    }"""
+
+
 def emit_netlist_json(netlist: Netlist) -> str:
-    return _json_text(netlist.streamed_json_dict())
+    """``netlist.to_json_dict()`` as ``_json_text`` writes it.
+
+    "wires" sorts last, so the text is that of the other fields with the
+    wires spliced in.  Each wire is written from its port codes by one
+    template, the wires of one switch make one piece, and the pieces are
+    joined once, so that the text is held no more than twice."""
+    head = _json_text({**netlist.json_fields(), "wires": []})
+    f_units = netlist.units_per_side
+    pieces = [head[: -len("[]\n}\n")] + "[\n"]
+    for instance in netlist.ports:
+        ports = netlist.wire_ports(instance)
+        for m in range(f_units):
+            pieces.append(
+                ",\n".join(
+                    [
+                        _WIRE_JSON
+                        % (
+                            copy,
+                            instance,
+                            (m - delta) % f_units,
+                            j,
+                            delta,
+                            instance,
+                            instance,
+                            m,
+                            j,
+                            instance,
+                            m,
+                            j,
+                        )
+                        for delta, j, copy in ports
+                    ]
+                )
+            )
+            pieces.append(",\n")
+    # A graph has at least one offset, so every switch has a wire.
+    pieces[-1] = "\n  ]\n}\n"
+    return "".join(pieces)
 
 
 def emit_graph_json(graph: CirculantBipartiteGraph) -> str:
@@ -292,24 +327,34 @@ def emit_read_counter_params(layout: MemoryLayout, graph: CirculantBipartiteGrap
 
 
 def emit_write_lut_csv(schedule: WriteSchedule) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["pmu", "index", "slot", "port", "address", "real", "producer_real"])
-    per_pmu = schedule.per_pmu()
-    for pmu in sorted(per_pmu):
-        for index, e in enumerate(per_pmu[pmu]):
-            writer.writerow(
+    """One row per write, by memory unit: unit m's writes in slot and port
+    order, numbered by ``index``."""
+    f_units = schedule.units_per_side
+    stride = 2 * f_units
+    addresses, real = schedule.addresses, schedule.real
+    # The index, slot and port columns of each slot's two rows, and the
+    # real producers of its fold: the same for every unit.
+    steps = [f"{j},{j >> 1},{j & 1}," for j in range(2 * len(schedule.slots))]
+    real_units = [schedule.real_units(k) for _, k in schedule.slots]
+    lines = ["pmu,index,slot,port,address,real,producer_real\n"]
+    for pmu in range(f_units):
+        lines.append(
+            "".join(
                 [
-                    pmu,
-                    index,
-                    e.slot,
-                    e.port,
-                    e.address,
-                    int(e.real),
-                    int(e.producer_real),
+                    f"{pmu},{step0}{a0},{r0}{p}{pmu},{step1}{a1},{r1}{p}"
+                    for step0, step1, a0, a1, r0, r1, p in zip(
+                        steps[0::2],
+                        steps[1::2],
+                        addresses[2 * pmu :: stride],
+                        addresses[2 * pmu + 1 :: stride],
+                        real[2 * pmu :: stride],
+                        real[2 * pmu + 1 :: stride],
+                        [",1\n" if pmu < n else ",0\n" for n in real_units],
+                    )
                 ]
             )
-    return buffer.getvalue()
+        )
+    return "".join(lines)
 
 
 def emit_access_trace(
@@ -325,32 +370,56 @@ def emit_access_trace(
     Reads come from the opposite side's compute half at counter addresses
     2*slot and 2*slot+1; writes come from this side's own half at the
     scheduled LUT addresses.  Idle dummy-node slots produce no traffic.
+
+    Rows are sorted by cycle, then unit, port and address.  Every read and
+    write cycle of a half lies within that half's ``side_span``, and each
+    rises with the slot, so the row half's slots come first, then the col
+    half's, each slot's rows by unit and port.
     """
+    f_units = plan.units_per_side
     reader = other_side(pmu_side)
     sequence = sequences[reader]
     read_base = 0 if reader == "row" else timing.side_span
-    write_base = 0 if pmu_side == "row" else timing.side_span
-    rows: list[tuple[int, int, int, int, str]] = []
-    for slot in range(sequence.slot_count):
+    reads = []
+    for slot, (l, k) in enumerate(sequence.slots):
+        # Unit i reads memory (f + i) mod F on each port; its logical unit
+        # k*F + i is real for i < real_units.
+        real_units = write_schedules[reader].real_units(k)
+        f0, f1 = sequence.patterns[l].folded
+        ports = [(f0, f",0,{2 * slot},R\n")]
+        if f1 is not None:
+            ports.append((f1, f",1,{2 * slot + 1},R\n"))
         cycle = read_base + timing.read_cycles[slot]
-        for access in sequence.accesses(slot):
-            if access["lpu"] >= graph.real_order:
-                continue
-            p0, p1 = access["pmus"]
-            rows.append((cycle, p0, 0, 2 * slot, "R"))
-            if p1 is not None:
-                rows.append((cycle, p1, 1, 2 * slot + 1, "R"))
-    for e in write_schedules[pmu_side].entries:
-        if not e.producer_real:
-            continue
-        cycle = write_base + timing.write_cycles[e.slot]
-        rows.append((cycle, e.pmu, e.port, e.address, "W"))
-    rows.sort()
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["cycle", "pmu", "port", "address", "rw"])
-    writer.writerows(rows)
-    return buffer.getvalue()
+        reads.append(
+            "".join(
+                [
+                    f"{cycle},{m}{tail}"
+                    for m in range(f_units)
+                    for f, tail in ports
+                    if (m - f) % f_units < real_units
+                ]
+            )
+        )
+    schedule = write_schedules[pmu_side]
+    write_base = 0 if pmu_side == "row" else timing.side_span
+    unit_ports = [f"{i},{b}," for i in range(f_units) for b in (0, 1)]
+    writes = []
+    for slot, (_, k) in enumerate(schedule.slots):
+        start = 2 * f_units * slot
+        cycle = write_base + timing.write_cycles[slot]
+        writes.append(
+            "".join(
+                [
+                    f"{cycle},{unit_port}{address},W\n"
+                    for unit_port, address in zip(
+                        unit_ports,
+                        schedule.addresses[start : start + 2 * schedule.real_units(k)],
+                    )
+                ]
+            )
+        )
+    first, second = (reads, writes) if reader == "row" else (writes, reads)
+    return "".join(["cycle,pmu,port,address,rw\n", *first, *second])
 
 
 # ---------------------------------------------------------------------------

@@ -191,15 +191,66 @@ class WriteEntry:
 
 @dataclass(frozen=True)
 class WriteSchedule:
+    """All writes of one side's compute half, as parallel int columns.
+
+    Write n = (slot * F + pmu) * 2 + port is the result of edge
+    2 * l + port of producer k * F + pmu, where (l, k) = ``slots[slot]``.
+    ``addresses[n]`` is the cell it lands in, and ``real[n]`` is 1 when
+    the edge existed before expansion.  ``entries`` and ``per_pmu`` make
+    ``WriteEntry`` views of the columns on demand.
+    """
+
     producer_side: str
     design_option: int
-    entries: tuple[WriteEntry, ...]
+    order: int
+    real_order: int
+    units_per_side: int
+    slots: tuple[tuple[int, int], ...]
+    # Per edge t: the producer's offset (None for the sentinel) and the
+    # edge's rank in its consumer's sorted offset order.
+    offsets: tuple[int | None, ...]
+    ranks: tuple[int | None, ...]
+    addresses: list[int]
+    real: bytes
+
+    def real_units(self, k: int) -> int:
+        """How many producers of fold k are real nodes; they come first."""
+        f_units = self.units_per_side
+        return min(f_units, max(0, self.real_order - k * f_units))
+
+    def _entry(self, n: int) -> WriteEntry:
+        f_units = self.units_per_side
+        slot, pmu, port = n // (2 * f_units), n // 2 % f_units, n % 2
+        l, k = self.slots[slot]
+        producer = k * f_units + pmu
+        d = self.offsets[2 * l + port]
+        return WriteEntry(
+            producer=producer,
+            edge=2 * l + port,
+            slot=slot,
+            pmu=pmu,
+            port=port,
+            address=self.addresses[n],
+            real=bool(self.real[n]),
+            producer_real=producer < self.real_order,
+            consumer=None if d is None else (producer + d) % self.order,
+            consumer_rank=self.ranks[2 * l + port],
+        )
+
+    @property
+    def entries(self) -> tuple[WriteEntry, ...]:
+        return tuple(map(self._entry, range(len(self.addresses))))
 
     def per_pmu(self) -> dict[int, list[WriteEntry]]:
-        out: dict[int, list[WriteEntry]] = {}
-        for entry in self.entries:
-            out.setdefault(entry.pmu, []).append(entry)
-        return out
+        stride = 2 * self.units_per_side
+        return {
+            pmu: [
+                self._entry(n)
+                for first in range(2 * pmu, len(self.addresses), stride)
+                for n in (first, first + 1)
+            ]
+            for pmu in range(self.units_per_side)
+        }
 
 
 def consumer_rank(graph: CirculantBipartiteGraph, producer_side: str, t: int) -> int:
@@ -220,67 +271,65 @@ def write_schedule(
     is the edge's position in the consumer's own sorted offset order.  The
     sentinel edge of a padded degree writes into the reserved cell of its
     producer's fold; dummy producer nodes stay idle (entries flagged).
+
+    In slot (l, k) the F producers k*F + i of edge t reach the consumers
+    (k*F + i + d) mod J, d = D[t]: those with i < F - d mod F lie in fold
+    (k + d//F) mod q and the rest in the fold after it, so each slot and
+    port fills its address column with two runs of one address each, and
+    its real column with a few runs of one flag each.
     """
-    j_nodes = graph.order
+    j_nodes, r_nodes = graph.order, graph.real_order
     f_units = plan.units_per_side
     layout = layout_addresses(plan, graph)
     pattern_count = layout.pattern_count
     sequence = generate_folded_sequence(graph, plan, producer_side)
-    prod_offsets = reader_offsets(graph, producer_side)
+    offsets = reader_offsets(graph, producer_side)
     cons_offsets = [
         d for d in reader_offsets(graph, other_side(producer_side)) if d is not None
     ]
     rank_of = {d: idx for idx, d in enumerate(cons_offsets)}
-    entries: list[WriteEntry] = []
-    for slot in range(sequence.slot_count):
-        l, k = sequence.slots[slot]
-        for i in range(f_units):
-            h = k * f_units + i
-            producer_real = h < graph.real_order
-            for which in (0, 1):
-                t = 2 * l + which
-                d = prod_offsets[t]
-                if d is None:
-                    entries.append(
-                        WriteEntry(
-                            producer=h,
-                            edge=t,
-                            slot=slot,
-                            pmu=i,
-                            port=which,
-                            address=layout.address(pattern_count - 1, k, 1),
-                            real=False,
-                            producer_real=producer_real,
-                            consumer=None,
-                            consumer_rank=None,
-                        )
-                    )
-                    continue
-                c = (h + d) % j_nodes
-                rank = rank_of[(-d) % j_nodes]
-                address = layout.address(rank // 2, c // f_units, rank % 2)
+    ranks = tuple(None if d is None else rank_of[(-d) % j_nodes] for d in offsets)
+    addresses = [0] * (2 * f_units * sequence.slot_count)
+    real = bytearray(len(addresses))
+    for slot, (l, k) in enumerate(sequence.slots):
+        for port in (0, 1):
+            column = slice(2 * f_units * slot + port, 2 * f_units * (slot + 1), 2)
+            d, rank = offsets[2 * l + port], ranks[2 * l + port]
+            if d is None:
+                reserved = layout.address(pattern_count - 1, k, 1)
+                addresses[column] = [reserved] * f_units
+                continue
+            fold = (k + d // f_units) % plan.q
+            run = f_units - d % f_units
+            first = layout.address(rank // 2, fold, rank % 2)
+            second = layout.address(rank // 2, (fold + 1) % plan.q, rank % 2)
+            addresses[column] = [first] * run + [second] * (f_units - run)
+            # Whether edge (h, (h + d) mod J) is real changes only where h
+            # or its consumer crosses the real order, or the consumer wraps.
+            base = k * f_units
+            changes = {r_nodes, r_nodes - d, j_nodes - d, j_nodes + r_nodes - d}
+            cuts = sorted(
+                {base, base + f_units} | {h for h in changes if base < h < base + f_units}
+            )
+            for start, stop in zip(cuts, cuts[1:]):
+                c = (start + d) % j_nodes
                 if producer_side == "row":
-                    real = graph.is_real_edge(h, c)
+                    flag = graph.is_real_edge(start, c)
                 else:
-                    real = graph.is_real_edge(c, h)
-                entries.append(
-                    WriteEntry(
-                        producer=h,
-                        edge=t,
-                        slot=slot,
-                        pmu=i,
-                        port=which,
-                        address=address,
-                        real=real,
-                        producer_real=producer_real,
-                        consumer=c,
-                        consumer_rank=rank,
-                    )
-                )
+                    flag = graph.is_real_edge(c, start)
+                n = 2 * f_units * slot + port + 2 * (start - base)
+                real[n : n + 2 * (stop - start) : 2] = bytes([flag]) * (stop - start)
     return WriteSchedule(
         producer_side=producer_side,
         design_option=plan.design_option,
-        entries=tuple(entries),
+        order=j_nodes,
+        real_order=r_nodes,
+        units_per_side=f_units,
+        slots=sequence.slots,
+        offsets=offsets,
+        ranks=ranks,
+        addresses=addresses,
+        real=bytes(real),
     )
 
 
@@ -383,16 +432,24 @@ class Netlist:
     local_channels: tuple[dict, ...]
     annotations: dict
 
+    def wire_ports(self, instance: str) -> list[tuple[int, int, int]]:
+        """(folded offset, port code, copy) of each wire of one of the
+        instance's switches, in netlist.json order: first the offset
+        ports, then the extra ones (copy 1)."""
+        port_of, extra_ports = self.ports[instance]
+        return [(delta, j, 0) for delta, j in port_of.items()] + [
+            (delta, j, 1) for j, delta in extra_ports.items()
+        ]
+
     def iter_wires(self) -> Iterator[dict]:
         """Every wire, in netlist.json order: per instance and memory m, one
         wire per port from m's output switch to the input switch of reading
-        unit (m - delta) mod F, first the offset ports, then the extra ones."""
+        unit (m - delta) mod F."""
         f_units = self.units_per_side
-        for instance, (port_of, extra_ports) in self.ports.items():
-            offsets = [(delta, j, 0) for delta, j in port_of.items()]
-            offsets += [(delta, j, 1) for j, delta in extra_ports.items()]
+        for instance in self.ports:
+            ports = self.wire_ports(instance)
             for m in range(f_units):
-                for delta, j, copy in offsets:
+                for delta, j, copy in ports:
                     yield {
                         "name": f"{instance}_w_{m}_{j}",
                         "instance": instance,
@@ -413,20 +470,18 @@ class Netlist:
         """Map (source switch, source port) -> wire."""
         return {(w["src"][0], w["src"][1]): w for w in self.iter_wires()}
 
-    def streamed_json_dict(self) -> dict:
-        """netlist.json's fields with "wires" the one-shot ``iter_wires()``,
-        so that ``emit._json_text`` holds one wire dict at a time."""
+    def json_fields(self) -> dict:
+        """netlist.json's fields but "wires"."""
         return {
             "format_version": 1,
             "units_per_side": self.units_per_side,
             "components": list(self.components),
-            "wires": self.iter_wires(),
             "local_channels": list(self.local_channels),
             "annotations": self.annotations,
         }
 
     def to_json_dict(self) -> dict:
-        return {**self.streamed_json_dict(), "wires": list(self.iter_wires())}
+        return {**self.json_fields(), "wires": list(self.iter_wires())}
 
 
 def build_netlist(graph: CirculantBipartiteGraph, plan: FoldPlan) -> Netlist:

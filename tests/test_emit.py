@@ -28,6 +28,7 @@ from pgfold.emit import (
     emit_schedule_table,
     emit_switch_lut_csv,
     emit_write_lut_csv,
+    format_schedule_cell,
     parse_schedule_table,
     render_run_files,
     write_run_directory,
@@ -38,9 +39,12 @@ from pgfold.schedule import (
     build_netlist,
     full_timing,
     layout_addresses,
+    other_side,
     switch_luts,
     write_schedule,
 )
+
+from .test_schedule import render_designs
 
 OFFSETS_15 = (0, 1, 2, 4, 5, 8, 10)
 
@@ -485,17 +489,74 @@ def test_json_text_is_sorted_indented_dumps(data):
 
 
 def test_json_text_joins_a_long_chunk_stream_exactly():
-    # ~90k encoder chunks: many batches, the last one partial.
+    # A netlist-shaped value: 5000 wires of nested lists and strings.
     data = {"wires": [{"dst": ["x", i], "name": f"w{i}", "src": ["y", -i]} for i in range(5000)]}
     assert _json_text(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.dictionaries(st.text(), st.lists(JSON_VALUES, max_size=4)))
-def test_json_text_draws_an_iterator_as_its_list(data):
-    # netlist.json's wires come from a generator, one wire at a time.
-    expected = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    assert _json_text({key: iter(items) for key, items in data.items()}) == expected
-    items = list(data.values())
-    expected = json.dumps(items, indent=2, sort_keys=True) + "\n"
-    assert _json_text(iter(items)) == expected
+def csv_text(rows):
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+class TestColumnWritersMatchObjectViews:
+    """The writers read int columns and the folded patterns arithmetically;
+    each must write what the ``WriteEntry``, access-dict and wire-dict
+    views of the same design give."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(render_designs())
+    def test_every_writer_matches_its_oracle(self, design):
+        graph, plan = design
+        netlist = build_netlist(graph, plan)
+        expected = json.dumps(netlist.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        assert emit_netlist_json(netlist) == expected
+
+        sides = ("row", "col")
+        sequences = {s: generate_folded_sequence(graph, plan, s) for s in sides}
+        schedules = {s: write_schedule(graph, plan, s) for s in sides}
+        timing = full_timing(graph, plan)
+        for side in sides:
+            per_pmu = schedules[side].per_pmu()
+            lut_rows = [["pmu", "index", "slot", "port", "address", "real", "producer_real"]]
+            lut_rows += [
+                [pmu, index, e.slot, e.port, e.address, int(e.real), int(e.producer_real)]
+                for pmu in sorted(per_pmu)
+                for index, e in enumerate(per_pmu[pmu])
+            ]
+            assert emit_write_lut_csv(schedules[side]) == csv_text(lut_rows)
+
+            reader = other_side(side)
+            read_base = 0 if reader == "row" else timing.side_span
+            write_base = 0 if side == "row" else timing.side_span
+            trace = []
+            for slot in range(sequences[reader].slot_count):
+                cycle = read_base + timing.read_cycles[slot]
+                for access in sequences[reader].accesses(slot):
+                    if access["lpu"] >= graph.real_order:
+                        continue
+                    p0, p1 = access["pmus"]
+                    trace.append((cycle, p0, 0, 2 * slot, "R"))
+                    if p1 is not None:
+                        trace.append((cycle, p1, 1, 2 * slot + 1, "R"))
+            trace += [
+                (write_base + timing.write_cycles[e.slot], e.pmu, e.port, e.address, "W")
+                for e in schedules[side].entries
+                if e.producer_real
+            ]
+            text = emit_access_trace(side, graph, plan, timing, sequences, schedules)
+            assert text == csv_text([("cycle", "pmu", "port", "address", "rw"), *sorted(trace)])
+
+            sequence = sequences[side]
+            group = sequence.q if sequence.design_option == 1 else sequence.pattern_count
+            grid = []
+            for slot, (l, k) in enumerate(sequence.slots):
+                if slot % group == 0:
+                    option1 = sequence.design_option == 1
+                    grid.append([f"Full Perfect Access Pattern {l}" if option1 else f"Fold {k}"])
+                cells = [
+                    format_schedule_cell(a["ppu"], *a["pmus"]) for a in sequence.accesses(slot)
+                ]
+                grid.append([str(slot), *cells])
+            assert emit_schedule_table(sequence) == csv_text(grid)

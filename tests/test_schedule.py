@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgfold.circulant import CirculantBipartiteGraph, expand_circulant
+from pgfold.circulant import CirculantBipartiteGraph, divisors, expand_circulant
 from pgfold.folding import (
     FoldPlan,
     compute_rho,
@@ -576,11 +576,33 @@ def folded_graphs(draw):
         )
     )
     graph = pad_dummy_offset(CirculantBipartiteGraph.plain(order, offsets))
-    from pgfold.circulant import divisors
-
     q = draw(st.sampled_from(divisors(order)))
     option = draw(st.sampled_from([1, 2]))
     return graph, FoldPlan.for_graph(graph, q, design_option=option)
+
+
+@st.composite
+def render_designs(draw):
+    """A ``folded_graphs`` graph, expanded or not, folded by any divisor
+    of its order (q = 1 included) under a random option, pipeline level,
+    T and delta."""
+    graph, _ = draw(folded_graphs())
+    graph = CirculantBipartiteGraph.plain(graph.order, graph.base_offsets)
+    if draw(st.booleans()):
+        graph = expand_circulant(graph, draw(st.integers(min_value=1, max_value=8)))
+    graph = pad_dummy_offset(graph)
+    q = draw(st.sampled_from([1, *divisors(graph.order)]))
+    option = draw(st.sampled_from([1, 2]))
+    levels = ["none", "writeback", "node"] + (["graph"] if option == 2 else [])
+    plan = FoldPlan.for_graph(
+        graph,
+        q,
+        design_option=option,
+        T=draw(st.integers(min_value=1, max_value=4)),
+        delta=draw(st.integers(min_value=0, max_value=3)),
+        pipeline_level=draw(st.sampled_from(levels)),
+    )
+    return graph, plan
 
 
 class TestWriteScheduleProperties:
@@ -604,3 +626,16 @@ class TestWriteScheduleProperties:
                 if e.consumer is None:
                     continue
                 assert (cons[e.consumer_rank] + e.consumer) % plan.units_per_side == e.pmu
+
+    @settings(max_examples=60, deadline=None)
+    @given(render_designs())
+    def test_real_flags_are_the_graphs_real_edges(self, design):
+        graph, plan = design
+        for side in ("row", "col"):
+            for e in write_schedule(graph, plan, side).entries:
+                if e.consumer is None:
+                    assert not e.real
+                elif side == "row":
+                    assert e.real == graph.is_real_edge(e.producer, e.consumer)
+                else:
+                    assert e.real == graph.is_real_edge(e.consumer, e.producer)
