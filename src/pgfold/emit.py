@@ -18,10 +18,8 @@ import csv
 import hashlib
 import io
 import json
-import math
 import re
 from collections import Counter
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .circulant import CirculantBipartiteGraph, SelfCheckError
@@ -64,84 +62,9 @@ __all__ = [
 
 
 def _json_text(data: object) -> str:
-    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, byte for byte.
-
-    With ``indent`` the standard encoder runs in Python and yields one
-    string per token; here strings and ints are encoded inline and each
-    container is joined once."""
-    return _json_encode(data, "\n") + "\n"
-
-
-def _json_encode(value: object, newline: str) -> str:
-    """``value`` indented at ``newline`` as one string; strings and ints,
-    which make up most of every artifact, are encoded inline."""
-    kind = type(value)
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        parts = []
-        for key, item in sorted(value.items()):
-            kind = type(item)
-            if kind is str:
-                text = encode_basestring_ascii(item)
-            elif kind is int:
-                text = repr(item)
-            else:
-                text = _json_encode(item, inner)
-            parts.append(_json_key(key) + ": " + text)
-        return "{" + inner + ("," + inner).join(parts) + newline + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        parts = [
-            encode_basestring_ascii(item)
-            if type(item) is str
-            else repr(item)
-            if type(item) is int
-            else _json_encode(item, inner)
-            for item in value
-        ]
-        return "[" + inner + ("," + inner).join(parts) + newline + "]"
-    if isinstance(value, dict):
-        return _json_encode(dict(value), newline)
-    if isinstance(value, (list, tuple)):
-        return _json_encode(list(value), newline)
-    return _json_scalar(value)
-
-
-def _json_scalar(value: object) -> str:
-    """A value that is neither an object nor an array, as the standard
-    encoder writes it."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json_key(key: object) -> str:
-    """An object key as the standard encoder writes it, quotes included."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):
-        return encode_basestring_ascii(_json_scalar(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    """``data`` as every JSON artifact is written: sorted keys, two-space
+    indent and a final newline."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def sha256_text(text: str) -> str:
@@ -359,7 +282,6 @@ def emit_write_lut_csv(schedule: WriteSchedule) -> str:
 
 def emit_access_trace(
     pmu_side: str,
-    graph: CirculantBipartiteGraph,
     plan: FoldPlan,
     timing: TimingPlan,
     sequences: dict[str, FoldedSequence],
@@ -890,7 +812,7 @@ def render_run_files(
             files[f"schedule_table_{side}.csv"] = emit_schedule_table(sequences[side])
             files[f"write_lut_{side}.csv"] = emit_write_lut_csv(schedules[side])
             files[f"access_trace_{side}.csv"] = emit_access_trace(
-                side, graph, plan, timing, sequences, schedules
+                side, plan, timing, sequences, schedules
             )
         for instance in ("row_reads", "col_reads"):
             for kind in ("out", "in"):

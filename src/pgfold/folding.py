@@ -9,6 +9,7 @@ accesses per step.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .circulant import (
@@ -290,55 +291,54 @@ def verify_balance(
 ) -> BalanceReport:
     """Check the two defining properties of a folded perfect access sequence.
 
-    Per slot: serving units, first accesses, and second accesses each cover
-    [0, F) exactly (dummy second accesses exempt), and every access lands on
-    the folded image of the edge's true endpoint.  Across the sequence:
-    every (node, edge) pair is read exactly once.
+    Unit i of slot (l, k) serves node k*F + i and reads memory (f + i) mod F
+    for each folded offset f of pattern l, a rotation, so each port of a
+    slot covers [0, F) once by construction.  What can fail is the pattern
+    and slot arithmetic, checked without visiting a unit:
+
+    - a folded offset that is not its edge's offset mod F: every unit of
+      the slot misses the edge's endpoint, reported at unit 0;
+    - an edge of a fold, that is of its F nodes, read other than exactly
+      once: a (pattern, fold) slot missing or repeated, or a pattern that
+      drops an edge;
+    - a read the graph has no edge for: a dummy second access made real,
+      or a fold out of range.
     """
-    failures: list[str] = []
     f_units = plan.units_per_side
-    full = set(range(f_units))
+    if plan.order != graph.order or sequence.units_per_side != f_units:
+        return BalanceReport(
+            ok=False,
+            failures=(
+                f"plan folds {plan.order} nodes onto {f_units} units; the graph has "
+                f"{graph.order} nodes and the sequence {sequence.units_per_side} units",
+            ),
+        )
+    failures: list[str] = []
     offsets = reader_offsets(graph, sequence.side)
-    seen: dict[tuple[int, int], int] = {}
-    for slot in range(sequence.slot_count):
-        l, k = sequence.slots[slot]
-        entries = sequence.accesses(slot)
-        for e in entries:
-            for which in (0, 1):
-                t = e["edges"][which]
-                d = offsets[t] if t < len(offsets) else None
-                pmu = e["pmus"][which]
-                if d is None or pmu is None:
-                    continue
-                expected = ((e["lpu"] + d) % graph.order) % f_units
-                if pmu != expected:
-                    failures.append(
-                        f"slot ({l},{k}): unit {e['ppu']} access {which} hits "
-                        f"memory {pmu}, edge endpoint folds to {expected}"
-                    )
-        ppus = {e["ppu"] for e in entries}
-        if ppus != full:
-            failures.append(f"slot ({l},{k}): serving units cover {sorted(ppus)}")
-        first = [e["pmus"][0] for e in entries]
-        if set(first) != full or len(first) != f_units:
-            failures.append(f"slot ({l},{k}): first accesses do not cover [0,{f_units})")
-        second = [e["pmus"][1] for e in entries if e["pmus"][1] is not None]
-        if second and (set(second) != full or len(second) != f_units):
-            failures.append(f"slot ({l},{k}): second accesses do not cover [0,{f_units})")
-        for e in entries:
-            t0, t1 = e["edges"]
-            seen[(e["lpu"], t0)] = seen.get((e["lpu"], t0), 0) + 1
-            if e["pmus"][1] is not None:
-                seen[(e["lpu"], t1)] = seen.get((e["lpu"], t1), 0) + 1
-    degree = graph.degree
-    for node in range(graph.order):
-        for t in range(degree):
-            count = seen.pop((node, t), 0)
+    patterns = sequence.patterns
+    reads: Counter[tuple[int, int]] = Counter()
+    for l, k in sequence.slots:
+        for port, f in enumerate(patterns[l].folded):
+            if f is None:
+                continue
+            t = 2 * l + port
+            d = offsets[t] if t < len(offsets) else None
+            if d is not None and (f - d) % f_units:
+                failures.append(
+                    f"slot ({l},{k}): unit 0 access {port} hits memory "
+                    f"{f % f_units}, edge endpoint folds to {d % f_units}"
+                )
+            reads[t, k] += 1
+    for t in range(graph.degree):
+        for k in range(plan.q):
+            count = reads.pop((t, k), 0)
             if count != 1:
-                failures.append(f"edge (node {node}, index {t}) scheduled {count} times")
-    extras = [key for key, count in seen.items() if count]
-    if extras:
-        failures.append(f"unexpected scheduled edges: {sorted(extras)[:4]}")
+                failures.append(
+                    f"edge (nodes {k * f_units}..{(k + 1) * f_units - 1}, index {t}) "
+                    f"scheduled {count} times"
+                )
+    if reads:
+        failures.append(f"unexpected scheduled edges (index, fold): {sorted(reads)[:4]}")
     return BalanceReport(ok=not failures, failures=tuple(failures))
 
 

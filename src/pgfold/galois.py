@@ -4,8 +4,10 @@ log/antilog tables.
 The modulus search never builds the field: a candidate f of degree k is
 primitive when x^(p^k - 1) = 1 and x^((p^k - 1)/r) != 1 modulo f for every
 prime r dividing p^k - 1, each power taken by square-and-multiply
-(``x_power_mod``), so the work is polynomial in k.  ``projective`` builds
-its offsets from the modulus and ``x_power_mod`` alone.
+(``x_power_mod``), so the work is polynomial in k.  Every field's
+modulus comes from this search, small fields included; each result is
+kept per (p, k) for the life of the process.  ``projective`` builds its
+offsets from the modulus and ``x_power_mod`` alone.
 
 ``FiniteField`` tabulates all p^k elements.  It serves the coordinate
 incidence oracle, the tests and the public API, not the graph
@@ -35,17 +37,6 @@ MAX_FIELD_ORDER = 2**20
 # The primitive search factors p^k - 1 by trial division, up to sqrt(p^k)
 # steps: about 0.1 s at the bound of 2^40 elements.
 MAX_SEARCH_BITS = 40
-
-# Verified cache for frequently used fields.  Every entry is re-derived by
-# the brute-force search in the test suite.
-_KNOWN_PRIMITIVE = {
-    (2, 1): (1, 1),
-    (2, 2): (1, 1, 1),
-    (2, 3): (1, 1, 0, 1),
-    (2, 4): (1, 1, 0, 0, 1),
-    (3, 1): (1, 1),
-    (3, 2): (2, 1, 1),
-}
 
 
 def _is_prime(n: int) -> bool:
@@ -195,9 +186,6 @@ def find_primitive_polynomial(p: int, k: int) -> Polynomial:
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
-    cached = _KNOWN_PRIMITIVE.get((p, k))
-    if cached is not None:
-        return Polynomial(cached, p)
     # Monic degree-k candidates in key order, encoded by their low-order
     # coefficients; x divides those with a zero constant term.
     for encoded in range(1, p**k):

@@ -253,14 +253,6 @@ class WriteSchedule:
         }
 
 
-def consumer_rank(graph: CirculantBipartiteGraph, producer_side: str, t: int) -> int:
-    """Rank of a producer's edge t in its consumer's sorted offset order."""
-    prod = [d for d in reader_offsets(graph, producer_side) if d is not None]
-    cons = [d for d in reader_offsets(graph, other_side(producer_side)) if d is not None]
-    d = prod[t]
-    return cons.index((-d) % graph.order)
-
-
 def write_schedule(
     graph: CirculantBipartiteGraph, plan: FoldPlan, producer_side: str = "row"
 ) -> WriteSchedule:

@@ -12,11 +12,9 @@ import re
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pgfold.circulant import CirculantBipartiteGraph
 from pgfold.emit import (
-    _json_text,
     check_hdl,
     decode_schedule_cell,
     emit_access_trace,
@@ -203,7 +201,7 @@ class TestAccessTrace:
             s: generate_folded_sequence(graph, plan, s) for s in ("row", "col")
         }
         schedules = {s: write_schedule(graph, plan, s) for s in ("row", "col")}
-        text = emit_access_trace(pmu_side, graph, plan, timing, sequences, schedules)
+        text = emit_access_trace(pmu_side, plan, timing, sequences, schedules)
         return graph, plan, timing, text
 
     def test_header_and_census(self):
@@ -471,29 +469,6 @@ class TestRunDirectory:
             render_run_files(graph, plan, ("csv", "vhdl"))
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner)
-    | st.lists(inner).map(tuple)
-    | st.dictionaries(st.text(), inner)
-    | st.dictionaries(st.integers(), inner)
-    | st.dictionaries(st.floats(), inner),
-    max_leaves=20,
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(JSON_VALUES)
-def test_json_text_is_sorted_indented_dumps(data):
-    assert _json_text(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def test_json_text_joins_a_long_chunk_stream_exactly():
-    # A netlist-shaped value: 5000 wires of nested lists and strings.
-    data = {"wires": [{"dst": ["x", i], "name": f"w{i}", "src": ["y", -i]} for i in range(5000)]}
-    assert _json_text(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
 def csv_text(rows):
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
@@ -545,7 +520,7 @@ class TestColumnWritersMatchObjectViews:
                 for e in schedules[side].entries
                 if e.producer_real
             ]
-            text = emit_access_trace(side, graph, plan, timing, sequences, schedules)
+            text = emit_access_trace(side, plan, timing, sequences, schedules)
             assert text == csv_text([("cycle", "pmu", "port", "address", "rw"), *sorted(trace)])
 
             sequence = sequences[side]

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgfold.circulant import CirculantBipartiteGraph, divisors, expand_circulant
 from pgfold.folding import (
@@ -17,6 +19,8 @@ from pgfold.folding import (
     verify_balance,
 )
 from pgfold.projective import PgParams, build_pg_graph
+
+from .test_schedule import folded_graphs
 
 
 def graph_15() -> CirculantBipartiteGraph:
@@ -146,6 +150,85 @@ class TestBalance:
         for side in ("row", "col"):
             seq = generate_folded_sequence(g, plan, side)
             assert verify_balance(seq, g, plan).ok
+
+
+def balance_by_walk(sequence, graph, plan) -> bool:
+    """Whether a sequence is balanced, by the unit-by-unit walk that
+    ``verify_balance`` replaces: every unit's accesses of every slot, each
+    slot's port coverage, and a count of every (node, edge) pair read."""
+    f_units = plan.units_per_side
+    full = set(range(f_units))
+    offsets = reader_offsets(graph, sequence.side)
+    ok = True
+    seen: dict[tuple[int, int], int] = {}
+    for slot in range(sequence.slot_count):
+        entries = sequence.accesses(slot)
+        for e in entries:
+            for which in (0, 1):
+                t = e["edges"][which]
+                d = offsets[t] if t < len(offsets) else None
+                pmu = e["pmus"][which]
+                if d is not None and pmu is not None:
+                    ok = ok and pmu == (e["lpu"] + d) % graph.order % f_units
+        first = [e["pmus"][0] for e in entries]
+        second = [e["pmus"][1] for e in entries if e["pmus"][1] is not None]
+        ok = ok and {e["ppu"] for e in entries} == full
+        ok = ok and set(first) == full and len(first) == f_units
+        ok = ok and (not second or (set(second) == full and len(second) == f_units))
+        for e in entries:
+            t0, t1 = e["edges"]
+            seen[(e["lpu"], t0)] = seen.get((e["lpu"], t0), 0) + 1
+            if e["pmus"][1] is not None:
+                seen[(e["lpu"], t1)] = seen.get((e["lpu"], t1), 0) + 1
+    for node in range(graph.order):
+        for t in range(graph.degree):
+            ok = ok and seen.pop((node, t), 0) == 1
+    return ok and not any(seen.values())
+
+
+CORRUPTIONS = (
+    "none",
+    "folded offset",
+    "duplicated slot",
+    "dropped slot",
+    "dummy access",
+    "dropped edge",
+)
+
+
+@st.composite
+def balance_cases(draw):
+    """A folded sequence of a ``folded_graphs`` design, as generated or
+    with one corruption."""
+    graph, plan = draw(folded_graphs())
+    sequence = generate_folded_sequence(graph, plan, draw(st.sampled_from(["row", "col"])))
+    patterns, slots = list(sequence.patterns), list(sequence.slots)
+    kind = draw(st.sampled_from(CORRUPTIONS))
+    l = draw(st.integers(min_value=0, max_value=len(patterns) - 1))
+    f0, f1 = patterns[l].folded
+    if kind == "folded offset":
+        changed = draw(st.integers(min_value=0, max_value=2 * plan.units_per_side - 1))
+        folded = (changed, f1) if f1 is None or draw(st.booleans()) else (f0, changed)
+        patterns[l] = dataclasses.replace(patterns[l], folded=folded)
+    elif kind == "duplicated slot":
+        slots.insert(draw(st.integers(0, len(slots))), draw(st.sampled_from(slots)))
+    elif kind == "dropped slot":
+        del slots[draw(st.integers(0, len(slots) - 1))]
+    elif kind == "dummy access" and patterns[-1].has_dummy:
+        dummy = patterns[-1]
+        extra = draw(st.integers(min_value=0, max_value=plan.units_per_side - 1))
+        patterns[-1] = dataclasses.replace(dummy, folded=(dummy.folded[0], extra))
+    elif kind == "dropped edge":
+        patterns[l] = dataclasses.replace(patterns[l], folded=(f0, None))
+    corrupted = dataclasses.replace(sequence, patterns=tuple(patterns), slots=tuple(slots))
+    return graph, plan, corrupted
+
+
+@settings(max_examples=300, deadline=None)
+@given(balance_cases())
+def test_balance_agrees_with_the_unit_walk(case):
+    graph, plan, sequence = case
+    assert verify_balance(sequence, graph, plan).ok == balance_by_walk(sequence, graph, plan)
 
 
 class TestCrossFold:

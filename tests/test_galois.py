@@ -98,12 +98,6 @@ class TestPrimitivePolynomial:
     def test_matches_independent_search(self, p, k):
         assert find_primitive_polynomial(p, k).coefficients == brute_force_primitive(p, k)
 
-    def test_known_table_matches_search(self):
-        from pgfold.galois import _KNOWN_PRIMITIVE
-
-        for (p, k), coeffs in _KNOWN_PRIMITIVE.items():
-            assert coeffs == brute_force_primitive(p, k)
-
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_order_test_agrees_with_root_order(self, data):

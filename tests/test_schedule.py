@@ -21,7 +21,6 @@ from pgfold.schedule import (
     MemoryLayout,
     assign_memory_units,
     build_netlist,
-    consumer_rank,
     edge_shift_replica,
     full_timing,
     layout_addresses,
@@ -290,16 +289,19 @@ class TestWriteSchedule:
 class TestConsumerRank:
     def test_spot_values(self):
         graph, plan = running_example()
-        assert consumer_rank(graph, "row", 0) == 0
-        assert consumer_rank(graph, "row", 6) == 1
-        assert consumer_rank(graph, "row", 4) == 3
+        ranks = write_schedule(graph, plan, "row").ranks
+        assert ranks[0] == 0
+        assert ranks[6] == 1
+        assert ranks[4] == 3
 
     def test_reciprocal(self):
-        graph, _ = running_example()
-        row = [d for d in reader_offsets(graph, "row") if d is not None]
-        for t in range(len(row)):
-            back = consumer_rank(graph, "col", consumer_rank(graph, "row", t))
-            assert back == t
+        graph, plan = running_example()
+        row = write_schedule(graph, plan, "row").ranks
+        col = write_schedule(graph, plan, "col").ranks
+        real = [t for t, rank in enumerate(row) if rank is not None]
+        assert real == list(range(graph.degree))
+        for t in real:
+            assert col[row[t]] == t
 
 
 class TestEdgeShiftReplica:

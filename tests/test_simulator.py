@@ -26,6 +26,8 @@ from pgfold.simulator import (
     summarize,
 )
 
+from .test_schedule import render_designs
+
 OFFSETS_15 = (0, 1, 2, 4, 5, 8, 10)
 FANO_OFFSETS = (0, 1, 3)
 OFFSETS_13 = (0, 1, 3, 9)
@@ -467,6 +469,14 @@ class TestFileSource:
         assert rendered.to_json_dict() == stored.to_json_dict()
         assert (rendered.deliveries, rendered.lost) == (stored.deliveries, stored.lost)
         assert check_dataflow_equivalence(rendered, render) == {"ok": True, "failures": []}
+
+    @settings(max_examples=100, deadline=None)
+    @given(render_designs())
+    def test_random_design_replays_end_to_end(self, design):
+        render = render_run_files(*design, FLAT)
+        report = simulate(render, 2)
+        assert report.ok, summarize(report)
+        assert check_dataflow_equivalence(report, render) == {"ok": True, "failures": []}
 
 
 @pytest.fixture(scope="module")
