@@ -23,30 +23,37 @@ It reads netlist.json in one decode pass that puts each wire into an
 index by integer keys as soon as it is decoded, so the wires are never
 held as a list; every other member, and any layout of the text, reads as
 ``json.loads`` reads it, and a faulty wire is reported after the switch
-table checks, as a whole-file parse would have it.  Compile turns each
-side's read half and write half into a plan, once per call: the resource
-ids each slot claims, the memory cell that feeds each unit-side switch
-port, and the consumer, rank and expected producer of each real
-delivery.  Resource ids are computed, not tabulated: a wire's id is the
-index in netlist.json of the first wire with its name, and memory ports
-and switch ports follow in ranges sized from the loaded tables.  A token
-is one integer that encodes its producer, consumer and edge.  The first
-iteration's memory traffic depends on the plan alone, so it is compared
-with the access trace files before the replay, as a multiset of rows
-each coded as one integer.  Replay then runs every half of every
-iteration at its absolute cycles, checking each claim against the ids
-already used in that cycle and each delivery against the token its cell
-holds; messages are decoded from the ids and tokens only for a conflict,
-a misroute or a trace mismatch.
+table checks, as a whole-file parse would have it.  Each side's real
+writes are kept as one column of integer codes per slot.  Compile turns
+each side's read half and write half into a plan, once per call: the
+resource ids each slot claims, the memory cell that feeds each unit-side
+switch port, and the cell, expected key and rank of each real delivery.
+Resource ids are computed, not tabulated: a wire's id is the index in
+netlist.json of the first wire with its name, and memory ports and
+switch ports follow in ranges sized from the loaded tables.  A token is
+one integer that encodes its producer, consumer and edge.  Every
+per-event fact of the plan (write, token, delivery, access-trace row) is
+one entry of an ``array('q')`` column, not a Python object, so the
+plan's memory is 8 bytes per event.  The first iteration's memory
+traffic depends on the plan alone, so it is compared with the access
+trace files before the replay.  Each trace row is coded as one integer
+whose order is the rows' order; a file whose text is the sorted codes'
+own rendering holds exactly the observed rows, and any other file is
+parsed and compared with them as a multiset of rows.  Replay then runs
+every half of every iteration at its absolute cycles, checking each
+claim against the id tuples already claimed in that cycle and each
+delivery against the token its cell holds; messages are decoded from the
+ids and tokens only for a conflict, a misroute or a trace mismatch.
 
 What each consumer received is kept as a loss census rather than a list
 of tokens: every half makes the same compiled deliveries in every
-iteration, so the report keeps each side's deliveries once and, per
-iteration, only the indices of those that did not arrive intact.  A
-passing run keeps nothing per iteration, and the replay's memory does not
-grow with the iteration count.  ``check_dataflow_equivalence`` checks
-each distinct loss set once against the incidence it derives from
-graph.json.
+iteration, so the report keeps each side's deliveries once, as columns,
+and, per iteration, only the indices of those that did not arrive
+intact.  A passing run keeps nothing per iteration, and the replay's
+memory does not grow with the iteration count.
+``check_dataflow_equivalence`` groups each side's delivery indices by
+consumer and checks each distinct loss set once against the incidence it
+derives from graph.json.
 """
 
 from __future__ import annotations
@@ -54,10 +61,12 @@ from __future__ import annotations
 import csv
 import json
 import re
+from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Set
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import count, islice
+from operator import itemgetter, le
 from pathlib import Path
 
 from .circulant import is_int, json_int, json_ints, json_value
@@ -248,9 +257,9 @@ class _Inputs:
     in_rows: dict[str, list[tuple[int, int]]]
     invalid: dict[str, int]
     wires: _Wires
-    # per side, per slot, the real writes in file order, each
+    # Per side, per slot, the real writes in file order as a column, each
     # (pmu · capacity + address) · 2 + port
-    writes: dict[str, list[list[int]]]
+    writes: dict[str, list[array]]
     reader_offsets: dict[str, list[int]]
 
 
@@ -394,10 +403,18 @@ def _load(files: Mapping[str, str]) -> _Inputs:
     if wires is None:
         wires = _load_wires(_field("netlist.json", netlist, "wires", _json_list), units)
     del netlist
+    # Each write, token, delivery and trace row is one signed 64-bit integer.
+    latest = abs(side_span) + max(map(abs, sum(cycles.values(), [])), default=0)
+    span = max(capacity, 2 * slot_count, 1)
+    if max(order * order * ranks, (latest + 1) * units * 4 * span) >= 2**63:
+        raise SimulationStructureError(
+            f"timing.json, layout.json: cycles up to {latest}, capacity {capacity} "
+            f"and J {order} are too large to replay"
+        )
     writes = {}
     for side in ("row", "col"):
         name = f"write_lut_{side}.csv"
-        by_slot: list[list[int]] = [[] for _ in range(slot_count)]
+        by_slot = [array("q") for _ in range(slot_count)]
         for line, (slot, pmu, port, address, producer_real) in _read_csv(
             files, name, ("slot", "pmu", "port", "address", "producer_real")
         ):
@@ -524,7 +541,8 @@ class SimReport:
     """Verdicts, counters and measured lengths of one replay, plus its loss
     census.  ``to_json_dict`` is what sim_report.json stores; the census
     (``deliveries`` and ``lost``) is read by ``check_dataflow_equivalence``
-    and is not stored."""
+    and is not stored.  The census holds each side's deliveries as two
+    ``array('q')`` columns, not an object per delivery."""
 
     iterations: int
     conflicts: list[str] = field(default_factory=list)
@@ -537,11 +555,11 @@ class SimReport:
     real_tokens: dict = field(default_factory=dict)
     measured_half: dict = field(default_factory=dict)
     measured_full: int = 0
-    # The loss census.  Each side's real deliveries as (consumer, rank,
-    # expected producer), compiled once and made in this order every
-    # iteration; per side, iteration -> indices of the deliveries that did
-    # not arrive intact.  An iteration that lost none is absent, so a
-    # passing run keeps nothing per iteration.
+    # The loss census.  Each side's real deliveries as the columns (keys,
+    # ranks), compiled once and made in this order every iteration; a key
+    # is expected producer · J + consumer.  Per side, iteration -> indices
+    # of the deliveries that did not arrive intact.  An iteration that
+    # lost none is absent, so a passing run keeps nothing per iteration.
     deliveries: dict = field(default_factory=dict)
     lost: dict = field(default_factory=dict)
 
@@ -670,10 +688,13 @@ class _Resources:
 
 class _Trace:
     """Codes an access-trace row (cycle, pmu, port, address, rw) as one
-    integer, so that a trace is a multiset of integers.  Rows with a pmu in
-    [0, units), port 0 or 1, an address in [0, span) and rw "R" or "W" have
-    a code, which covers every access the replay makes; no other row
-    does."""
+    integer, so that a trace is a column of integers, and the codes' order
+    is the rows' order by cycle, pmu, port, address and rw.  Rows with a
+    pmu in [0, units), port 0 or 1, an address in [0, span) and rw "R" or
+    "W" have a code, which covers every access the replay makes; no other
+    row does."""
+
+    HEADER = "cycle,pmu,port,address,rw\n"
 
     def __init__(self, units: int, span: int) -> None:
         self.units = max(units, 1)
@@ -698,6 +719,27 @@ class _Trace:
         cycle, pmu = divmod(code, self.units)
         return cycle, pmu, port, address, "RW"[write]
 
+    def renders(self, text: str, codes: array) -> bool:
+        """Is ``text`` the header and then the rows ``codes`` stand for, in
+        their order, as CSV lines?  Compared a chunk of rows at a time, so
+        that no whole rendering is made."""
+        if not text.startswith(self.HEADER):
+            return False
+        position = len(self.HEADER)
+        row = self.row
+        for start in range(0, len(codes), 4096):
+            chunk = "".join(
+                ["%d,%d,%d,%d,%s\n" % row(code) for code in codes[start : start + 4096]]
+            )
+            if not text.startswith(chunk, position):
+                return False
+            position += len(chunk)
+        return position == len(text)
+
+
+def _column() -> array:
+    return array("q")
+
 
 @dataclass
 class _Half:
@@ -705,10 +747,12 @@ class _Half:
 
     Claims are (cycle offset from the half's base, resource ids, ids all
     distinct) in event order.  A cell indexes the flat memory of a side:
-    one entry per (unit, address) that side's write LUT fills, plus a last
-    entry that is never written.  A token is one integer,
-    (producer · J + consumer) · ranks + edge rank: a delivery to consumer c
-    from producer p expects a token whose // ranks is p · J + c.
+    one entry per (unit, address) that side's write LUT fills and a read
+    can reach, plus a last entry that is never written.  A token is one
+    integer, (producer · J + consumer) · ranks + edge rank, and -1 stands
+    for no token: a delivery to consumer c from producer p expects a token
+    whose // ranks is its key p · J + c.  Deliveries and tokens are
+    ``array('q')`` columns, so the plan holds no object per event.
     """
 
     reading: str
@@ -716,14 +760,17 @@ class _Half:
     order: int
     ranks: int
     read_claims: list[tuple[int, tuple[int, ...], bool]] = field(default_factory=list)
-    # (cell, (consumer, rank, expected producer))
-    deliveries: list[tuple[int, tuple[int, int, int]]] = field(default_factory=list)
+    # The real deliveries, in the order they are made: the cell each reads,
+    # its key and its rank.
+    cells: array = field(default_factory=_column)
+    keys: array = field(default_factory=_column)
+    delivery_ranks: array = field(default_factory=_column)
     busy: int = 0
     port_reads: int = 0
     write_claims: list[tuple[int, tuple[int, ...], bool]] = field(default_factory=list)
     # The token each written cell of the reading side's memory holds after
-    # the write half (its last write); None for the sentinel rank's filler.
-    tokens: list[int | None] = field(default_factory=list)
+    # the write half (its last write); -1 for the sentinel rank's filler.
+    tokens: array = field(default_factory=_column)
 
 
 def _ids(ids: list[int]) -> tuple[tuple[int, ...], bool]:
@@ -731,20 +778,33 @@ def _ids(ids: list[int]) -> tuple[tuple[int, ...], bool]:
     return tuple(ids), len(set(ids)) == len(ids)
 
 
-def _compile(inputs: _Inputs) -> tuple[dict[str, _Half], _Resources, _Trace, dict[str, Counter]]:
+def _compile(inputs: _Inputs) -> tuple[dict[str, _Half], _Resources, _Trace, dict[str, array]]:
     """Both halves, their resource ids, and the first iteration's access
-    trace of each side's memory as coded rows."""
+    trace of each side's memory as row codes: the row half's accesses,
+    then the col half's, each half's in the order it makes them."""
     resources = _Resources(inputs)
     ranks = len(inputs.reader_offsets["row"])
-    trace = _Trace(inputs.units, max(inputs.capacity, 2 * len(inputs.slots["row"])))
-    observed: dict[str, list[int]] = {"row": [], "col": []}
+    slot_count = len(inputs.slots["row"])
+    trace = _Trace(inputs.units, max(inputs.capacity, 2 * slot_count))
+    # A memory's cells are indexed by pmu · depth + address: the reads
+    # address [0, 2 · slots), and only below the capacity, so a cell at or
+    # past the depth is never read and is not kept.
+    depth = max(0, min(inputs.capacity, 2 * slot_count))
+    # memory side -> the row codes of the row half's and the col half's accesses
+    observed = {side: (array("q"), array("q")) for side in ("row", "col")}
     halves = {
         "row": _Half("row", "col", inputs.order, ranks),
         "col": _Half("col", "row", inputs.order, ranks),
     }
-    cells = {
+    cell_index = {
         side: _compile_writes(
-            inputs, half, half_index * inputs.side_span, resources, trace, observed
+            inputs,
+            half,
+            half_index * inputs.side_span,
+            depth,
+            resources,
+            trace,
+            observed[side][half_index],
         )
         for half_index, (side, half) in enumerate(halves.items())
     }
@@ -753,28 +813,32 @@ def _compile(inputs: _Inputs) -> tuple[dict[str, _Half], _Resources, _Trace, dic
             inputs,
             half,
             half_index * inputs.side_span,
-            cells[half.producing],
+            cell_index[half.producing],
+            depth,
+            len(halves[half.producing].tokens),
             resources,
             trace,
-            observed,
+            observed[half.producing][half_index],
         )
-    return halves, resources, trace, {side: Counter(codes) for side, codes in observed.items()}
+    del cell_index
+    observed = {side: first + second for side, (first, second) in observed.items()}
+    return halves, resources, trace, observed
 
 
 def _compile_writes(
     inputs: _Inputs,
     half: _Half,
     rel_base: int,
+    depth: int,
     resources: _Resources,
     trace: _Trace,
-    observed: dict[str, list[int]],
-) -> dict[int, int]:
-    """Fill the write half; return the side's cell of each pmu · capacity +
-    address."""
+    rows: array,
+) -> array:
+    """Fill the write half; return the side's cell of each pmu · depth +
+    address, or -1 where nothing is written."""
     units, order, capacity = inputs.units, inputs.order, inputs.capacity
     offsets = inputs.reader_offsets[half.reading]
-    rows = observed[half.reading]
-    cells: dict[int, int] = {}
+    index = array("q", [-1]) * (max(units, 0) * depth)
     tokens = half.tokens
     for slot, writes in enumerate(inputs.writes[half.reading]):
         if not writes:
@@ -787,36 +851,41 @@ def _compile_writes(
             pmu, address = divmod(place, capacity)
             producer = k * units + pmu
             t = 2 * l + port
-            token = None  # sentinel: reserved-cell filler
+            token = -1  # sentinel: reserved-cell filler
             if t < half.ranks:
                 consumer = (producer + offsets[t]) % order
                 token = (producer * order + consumer) * half.ranks + t
             group.append(resources.port(half.reading, pmu, port))
-            cell = cells.setdefault(place, len(cells))
-            if cell < len(tokens):
-                tokens[cell] = token
-            else:
-                tokens.append(token)
             rows.append(trace.code(rel_base + cycle, pmu, port, address, "W"))
+            if address < depth:
+                spot = pmu * depth + address
+                cell = index[spot]
+                if cell < 0:
+                    index[spot] = len(tokens)
+                    tokens.append(token)
+                else:
+                    tokens[cell] = token
         half.write_claims.append((cycle, *_ids(group)))
-    return cells
+    return index
 
 
 def _compile_reads(
     inputs: _Inputs,
     half: _Half,
     rel_base: int,
-    cells: dict[int, int],
+    index: array,
+    depth: int,
+    blank: int,
     resources: _Resources,
     trace: _Trace,
-    observed: dict[str, list[int]],
+    rows: array,
 ) -> None:
+    """Fill the read half from the producing side's cell ``index``; a read
+    of no written cell reads cell ``blank``, which is never written."""
     instance = f"{half.reading}_reads"
-    units, order, capacity = inputs.units, inputs.order, inputs.capacity
-    blank = len(cells)
+    units, order = inputs.units, inputs.order
     cons_offsets = inputs.reader_offsets[half.reading]
-    numbers: dict[int, int] = {}  # unit numbers, one shared int object each
-    rows = observed[half.producing]
+    cells, keys, delivery_ranks = half.cells, half.keys, half.delivery_ranks
     patterns: dict[tuple[int, int], tuple] = {}
     for slot, (l, k) in enumerate(inputs.slots[half.reading]):
         offset = inputs.read_cycles[slot]
@@ -836,9 +905,8 @@ def _compile_reads(
             address = 2 * slot + b
             rows.append(trace.code(rel_base + offset, m, b, address, "R"))
             if target is not None:
-                driven[target] = (
-                    cells.get(m * capacity + address, blank) if address < capacity else blank
-                )
+                cell = index[m * depth + address] if address < depth else -1
+                driven[target] = blank if cell < 0 else cell
         for i, b, in_id in selects:
             lpu = k * units + i
             rank = 2 * l + b
@@ -846,12 +914,9 @@ def _compile_reads(
             if _is_real_edge(
                 inputs.real_order, inputs.real_base_offsets, half.reading, lpu, producer
             ):
-                delivery = (
-                    numbers.setdefault(lpu, lpu),
-                    rank,
-                    numbers.setdefault(producer, producer),
-                )
-                half.deliveries.append((driven.get(in_id, blank), delivery))
+                cells.append(driven.get(in_id, blank))
+                keys.append(producer * order + lpu)
+                delivery_ranks.append(rank)
 
 
 def _compile_pattern(
@@ -907,61 +972,74 @@ def _compile_pattern(
 
 
 def _claim(
-    claims, base: int, use: dict[int, set[int]], resources: _Resources, conflicts: list
+    claims, base: int, use: dict[int, list], resources: _Resources, conflicts: list
 ) -> None:
+    """Claim the ids of each claim in its cycle.  A cycle keeps the id
+    tuples claimed in it rather than a set of their ids, which would cost
+    tens of bytes per id for every cycle a half spans."""
     for offset, ids, distinct in claims:
         cycle = base + offset
-        used = use.get(cycle)
-        if used is None:
-            used = use[cycle] = set()
-        if distinct and used.isdisjoint(ids):
-            used.update(ids)
+        held = use.setdefault(cycle, [])
+        if distinct and (not held or all(map(set(ids).isdisjoint, held))):
+            held.append(ids)
             continue
+        used = set().union(*held)
         for rid in ids:
             if rid in used:
                 conflicts.append(resources.conflict(rid, cycle))
             used.add(rid)
+        held.append(ids)
 
 
-def _deliver(half: _Half, memory: list, misroutes: list) -> tuple[int, ...]:
+def _deliver(half: _Half, memory: array, misroutes: list) -> tuple[int, ...]:
     """Check each real delivery against the token its cell holds; return
     the indices of those that did not arrive intact."""
-    lost = []
     ranks, order = half.ranks, half.order
-    for index, (cell, (consumer, rank, producer)) in enumerate(half.deliveries):
-        token = memory[cell]
-        if token is None:
-            misroutes.append(
-                f"missing token: {half.reading} consumer {consumer} "
-                f"rank {rank} expected producer {producer}"
-            )
-        elif token // ranks != producer * order + consumer:
-            misroutes.append(
-                f"misrouted token: {half.reading} consumer {consumer} "
-                f"rank {rank} expected producer {producer}, "
-                f"got producer {token // ranks // order} edge {token % ranks}"
-            )
-        else:
-            continue
-        lost.append(index)
+    lost = [
+        index
+        for index, cell, key in zip(count(), half.cells, half.keys)
+        if memory[cell] // ranks != key  # no token, -1, has key -1
+    ]
+    for index in lost:
+        producer, consumer = divmod(half.keys[index], order)
+        token = memory[half.cells[index]]
+        delivery = (
+            f"{half.reading} consumer {consumer} "
+            f"rank {half.delivery_ranks[index]} expected producer {producer}"
+        )
+        misroutes.append(
+            f"missing token: {delivery}"
+            if token < 0
+            else f"misrouted token: {delivery}, "
+            f"got producer {token // ranks // order} edge {token % ranks}"
+        )
     return tuple(lost)
 
 
 def _check_trace(
-    files: Mapping[str, str], side: str, trace: _Trace, observed: Counter
+    files: Mapping[str, str], side: str, trace: _Trace, observed: array
 ) -> str | None:
-    """Compare ``side``'s access trace file with the observed rows as
-    multisets, consuming ``observed``; return the mismatch, if any."""
+    """Compare ``side``'s access trace file with the observed row codes as
+    multisets; return the mismatch, if any.
+
+    A file whose text is the rows' own rendering, the header and then the
+    rows in code order, holds exactly the observed rows.  Only any other
+    file is parsed and compared row by row."""
     name = f"access_trace_{side}.csv"
+    if not all(map(le, observed, islice(observed, 1, None))):
+        observed = array("q", sorted(observed))
+    if trace.renders(_text(files, name), observed):
+        return None
     columns = (("cycle", "pmu", "port", "address"), ("rw",))
-    unmatched = observed.total()
+    counts = Counter(observed)
+    unmatched = len(observed)
     encode = trace.code
     for _, values in _read_csv(files, name, *columns):
         row = encode(*values)
-        count = observed.get(row)
+        count = counts.get(row)
         if not count:
             break
-        observed[row] = count - 1
+        counts[row] = count - 1
         unmatched -= 1
     else:
         if not unmatched:
@@ -969,7 +1047,7 @@ def _check_trace(
     # Described as sets: a row that only occurs more often on one side is
     # neither missing nor extra.
     expected = {values for _, values in _read_csv(files, name, *columns)}
-    got = {trace.row(code) for code in observed}
+    got = {trace.row(code) for code in counts}
     missing = expected - got
     extra = got - expected
     sample = sorted(missing | extra)[:3]
@@ -1005,29 +1083,26 @@ def simulate(files: Mapping[str, str] | str | Path, iterations: int = 1) -> SimR
     # it is checked before the replay and not kept through it.
     for side in ("row", "col"):
         mismatch = _check_trace(
-            files, side, trace, observed[side] if iterations > 0 else Counter()
+            files, side, trace, observed[side] if iterations > 0 else array("q")
         )
         if mismatch is not None:
             report.file_mismatches.append(mismatch)
     del observed
-    memory = {side: [None] * (len(half.tokens) + 1) for side, half in halves.items()}
+    memory = {side: array("q", [-1]) * (len(half.tokens) + 1) for side, half in halves.items()}
     report.ppu_slots = units * slot_count * iterations
     report.pmu_port_slots = 2 * units * slot_count * iterations
     report.ppu_busy = {"row": 0, "col": 0}
     report.pmu_port_reads = {"row": 0, "col": 0}
     report.real_tokens = {"row": 0, "col": 0}
-    report.deliveries = {
-        side: [delivery for _, delivery in half.deliveries]
-        for side, half in halves.items()
-    }
+    report.deliveries = {side: (half.keys, half.delivery_ranks) for side, half in halves.items()}
     report.lost = {"row": {}, "col": {}}
-    # cycle -> ids of the switch ports, wires and memory ports it has used.
-    # Every event of a half lies at or above its floor: the half's base
-    # plus the lowest offset in timing.json, or the base itself.  Floors
-    # move monotonically with side_span, so a cycle below the current floor
-    # can never be hit again (with side_span < 0 none is ever below one)
-    # and is forgotten.
-    use: dict[int, set[int]] = {}
+    # cycle -> the id tuples of the switch ports, wires and memory ports it
+    # has used.  Every event of a half lies at or above its floor: the
+    # half's base plus the lowest offset in timing.json, or the base
+    # itself.  Floors move monotonically with side_span, so a cycle below
+    # the current floor can never be hit again (with side_span < 0 none is
+    # ever below one) and is forgotten.
+    use: dict[int, list] = {}
     reach = min(0, min(read_cycles, default=0), min(write_cycles, default=0))
 
     def write(half: _Half, base: int) -> None:
@@ -1047,7 +1122,7 @@ def simulate(files: Mapping[str, str] | str | Path, iterations: int = 1) -> SimR
             lost = _deliver(half, memory[half.producing], report.misroutes)
             if lost:
                 report.lost[half.reading][iteration] = lost
-            report.real_tokens[half.reading] += len(half.deliveries) - len(lost)
+            report.real_tokens[half.reading] += len(half.keys) - len(lost)
             write(half, base)
 
     # Measured lengths per the pipeline level's completion criterion: a
@@ -1083,23 +1158,27 @@ def check_dataflow_equivalence(
         return {"ok": False, "failures": ["no iterations simulated"]}
     reader_offsets = _reader_offsets(order, base_offsets)
     for side in ("row", "col"):
-        expected = []
+        keys, ranks = report.deliveries[side]
+        # consumer -> the indices of its deliveries, in the order made
+        received = [array("q") for _ in range(max(order, real_order))]
+        for index, key in enumerate(keys):
+            received[key % order].append(index)
+        lost = report.lost[side]
+        dropped = {indices: set(indices) for indices in {(), *lost.values()}}
+        verdicts = {indices: [] for indices in dropped}
         for consumer in range(real_order):
             incident = set()
             for rank, d in enumerate(reader_offsets[side]):
                 producer = (consumer + d) % order
                 if _is_real_edge(real_order, real_offsets, side, consumer, producer):
                     incident.add((rank, producer))
-            expected.append(incident)
-        # consumer -> (index, rank, producer) of its deliveries, in order
-        received: dict[int, list[tuple[int, int, int]]] = {}
-        for index, (consumer, rank, producer) in enumerate(report.deliveries[side]):
-            received.setdefault(consumer, []).append((index, rank, producer))
-        lost = report.lost[side]
-        verdicts = {
-            indices: _received_failures(side, expected, received, set(indices))
-            for indices in {(), *lost.values()}
-        }
+            for indices, failed in verdicts.items():
+                pairs = [
+                    (ranks[index], keys[index] // order)
+                    for index in received[consumer]
+                    if index not in dropped[indices]
+                ]
+                failed += _consumer_failures(side, consumer, incident, pairs)
         # An iteration absent from the census lost nothing; unless that
         # itself fails, only the iterations with losses can fail.
         for iteration in range(report.iterations) if verdicts[()] else sorted(lost):
@@ -1110,32 +1189,25 @@ def check_dataflow_equivalence(
     return {"ok": not failures and report.ok, "failures": failures}
 
 
-def _received_failures(
-    side: str, expected: list[set], received: dict, lost: set[int]
+def _consumer_failures(
+    side: str, consumer: int, incident: set, pairs: list[tuple[int, int]]
 ) -> list[str]:
-    """The dataflow failures of one iteration of ``side`` that lost the
-    deliveries ``lost``, without the iteration prefix."""
+    """The dataflow failures of one consumer of ``side`` in one iteration,
+    without the iteration prefix: it received the (rank, producer) ``pairs``
+    in this order, and ``incident`` are its edges."""
     failures = []
-    for consumer, incident in enumerate(expected):
-        pairs = [
-            (rank, producer)
-            for index, rank, producer in received.get(consumer, ())
-            if index not in lost
-        ]
-        if sorted(pairs) != sorted(set(pairs)):
-            failures.append(f"duplicate delivery to {side} consumer {consumer}")
-        if set(pairs) != incident:
-            missing = incident - set(pairs)
-            surplus = set(pairs) - incident
-            failures.append(
-                f"{side} consumer {consumer} "
-                f"missing {sorted(missing)} unexpected {sorted(surplus)}"
-            )
-        ranks = [rank for rank, _ in pairs]
-        if ranks != sorted(ranks):
-            failures.append(
-                f"{side} consumer {consumer} received ranks out of schedule order"
-            )
+    if sorted(pairs) != sorted(set(pairs)):
+        failures.append(f"duplicate delivery to {side} consumer {consumer}")
+    if set(pairs) != incident:
+        missing = incident - set(pairs)
+        surplus = set(pairs) - incident
+        failures.append(
+            f"{side} consumer {consumer} "
+            f"missing {sorted(missing)} unexpected {sorted(surplus)}"
+        )
+    ranks = [rank for rank, _ in pairs]
+    if ranks != sorted(ranks):
+        failures.append(f"{side} consumer {consumer} received ranks out of schedule order")
     return failures
 
 
