@@ -1,15 +1,17 @@
 """Serialization of every synthesis artifact.
 
 Human-readable tables go out as CSV, machine artifacts as JSON with sorted
-keys, and the hardware skeleton as VHDL-style text: memory units with a
-counter read path and a LUT write path, switches with embedded
-port-selection tables, and a structural top level wiring F units per side.
-Everything is rendered from the graph, the fold plan and a subset of
-``FORMATS``.  Data ports are ``DATA_WIDTH`` bits; the unit-id and address
-widths are the fewest bits that index F units and a memory's capacity.
-Each entity's ports are declared once and rendered into both its ENTITY
-clause and its COMPONENT declaration in top.vhd.  All output is
-deterministic: identical inputs give byte-identical files.
+keys, and the hardware as two VHDL files.  hdl/folded_luts.vhd is a ROM
+package: one integer array per LUT file of the run, named after it and
+holding that file's column (the write LUT addresses, unit by unit, and
+each switch table's two port columns), which the replay compares with
+the CSV integer by integer.  hdl/top.vhd is the structural top level: it
+declares the memory unit, processing unit and switch components and wires
+F units per side through the static interconnect; the component bodies
+are not emitted.  Everything is rendered from the graph, the fold plan
+and a subset of ``FORMATS``.  Data ports are ``DATA_WIDTH`` bits; a unit
+id is the fewest bits that index F units.  All output is deterministic:
+identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -345,35 +347,36 @@ def emit_access_trace(
 
 
 # ---------------------------------------------------------------------------
-# HDL skeleton
+# HDL: the LUT ROM package and the structural top level
 
-# Word width of every data port and memory cell.
+# Word width of every data port.
 DATA_WIDTH = 8
 
-# A port of an emitted entity: (name, mode, sizing generic).  A port with
-# no generic is one STD_LOGIC; otherwise it is a vector of that width.
-Port = tuple[str, str, str | None]
+# A port of a component in top.vhd: (name, mode, width).  A port of width
+# None is one STD_LOGIC; otherwise it is a vector of that many bits.
+Port = tuple[str, str, int | None]
 
 _CONTROL_PORTS: list[Port] = [(name, "IN", None) for name in ("clock", "reset", "enable")]
 
 
 def _data_ports(prefix: str, mode: str, count: int) -> list[Port]:
-    return [(f"{prefix}{j}", mode, "data_width") for j in range(count)]
+    return [(f"{prefix}{j}", mode, DATA_WIDTH) for j in range(count)]
 
 
-_MEMORY_UNIT_PORTS: list[Port] = [
-    *_CONTROL_PORTS,
-    ("mu_id", "IN", "mu_width"),
-    ("rw0", "IN", None),
-    ("rw1", "IN", None),
-    *_data_ports("data_in", "IN", 2),
-    *_data_ports("data_out", "OUT", 2),
-]
 _PROCESSING_UNIT_PORTS: list[Port] = [
     *_CONTROL_PORTS,
     *_data_ports("data_in", "IN", 2),
     *_data_ports("data_out", "OUT", 2),
 ]
+
+
+def _memory_unit_ports(units_per_side: int) -> list[Port]:
+    return [
+        *_CONTROL_PORTS,
+        ("mu_id", "IN", _width(units_per_side)),
+        *_data_ports("data_in", "IN", 2),
+        *_data_ports("data_out", "OUT", 2),
+    ]
 
 
 def _switch_ports(lut: SwitchLUT) -> list[Port]:
@@ -387,28 +390,17 @@ def _switch_ports(lut: SwitchLUT) -> list[Port]:
     ]
 
 
-def _port_list(ports: list[Port], widths: dict[str, int] | None = None) -> str:
-    """The body of a PORT clause.  An ENTITY's (no ``widths``) aligns the
-    names and sizes each vector by its generic; a COMPONENT's in top.vhd
-    gives each vector's width as a number from ``widths``."""
-    lines = []
-    for name, mode, generic in ports:
-        if generic is None:
-            kind = "STD_LOGIC"
-        elif widths is None:
-            kind = f"STD_LOGIC_VECTOR({generic}-1 DOWNTO 0)"
-        else:
-            kind = f"STD_LOGIC_VECTOR({widths[generic] - 1} DOWNTO 0)"
-        if widths is None:
-            lines.append(f"    {name:<9} : {mode} {kind}")
-        else:
-            lines.append(f"      {name} : {mode} {kind}")
-    return ";\n".join(lines)
+def _port_list(ports: list[Port]) -> str:
+    """The body of a COMPONENT's PORT clause."""
+    return ";\n".join(
+        f"      {name} : {mode} "
+        + ("STD_LOGIC" if width is None else f"STD_LOGIC_VECTOR({width - 1} DOWNTO 0)")
+        for name, mode, width in ports
+    )
 
 
 def _width(count: int) -> int:
-    """Bits that index ``count`` values: the unit id of F units, the
-    address of a memory of that capacity."""
+    """Bits that index ``count`` values: the unit id of F units."""
     return max(1, (count - 1).bit_length())
 
 
@@ -422,182 +414,37 @@ def _vhdl_int_array(values: list[int], per_line: int = 12) -> str:
     return f"(\n    {body}\n  )"
 
 
-def _memory_unit_vhdl(
-    side: str, schedule: WriteSchedule, layout: MemoryLayout, units_per_side: int
+def _roms_vhdl(
+    luts: dict[str, dict[str, SwitchLUT]], write_schedules: dict[str, WriteSchedule]
 ) -> str:
-    name = f"memory_unit_{side}"
-    per_pmu = schedule.per_pmu()
-    steps = len(per_pmu[0])
-    flat: list[int] = []
-    for pmu in range(units_per_side):
-        flat.extend(e.address for e in per_pmu[pmu])
-    lut_text = _vhdl_int_array(flat)
-    return f"""-- Dual-port memory unit of the {side} side.
--- Read addressing is a plain counter stepping two cells per slot; write
--- addressing replays a per-unit LUT selected by the unit id.
-LIBRARY ieee;
-USE ieee.std_logic_1164.ALL;
-USE ieee.numeric_std.ALL;
-
-ENTITY {name} IS
-  GENERIC (
-    data_width : INTEGER := {DATA_WIDTH};
-    addr_width : INTEGER := {_width(layout.capacity)};
-    mu_width   : INTEGER := {_width(units_per_side)};
-    depth      : INTEGER := {layout.capacity}
-  );
-  PORT (
-{_port_list(_MEMORY_UNIT_PORTS)}
-  );
-END {name};
-
-ARCHITECTURE behavioral OF {name} IS
-  TYPE memory_array IS ARRAY (0 TO depth-1) OF STD_LOGIC_VECTOR(data_width-1 DOWNTO 0);
-  TYPE write_lut_array IS ARRAY (0 TO {units_per_side * steps - 1}) OF INTEGER;
-  CONSTANT steps_per_unit : INTEGER := {steps};
-  CONSTANT write_lut : write_lut_array := {lut_text};
-  SIGNAL storage      : memory_array;
-  SIGNAL slot_counter : INTEGER RANGE 0 TO depth/2 - 1;
-  SIGNAL write_step   : INTEGER RANGE 0 TO steps_per_unit - 1;
-BEGIN
-  access_process : PROCESS (clock)
-    VARIABLE lut_base : INTEGER;
-  BEGIN
-    IF rising_edge(clock) THEN
-      IF reset = '1' THEN
-        slot_counter <= 0;
-        write_step <= 0;
-      ELSIF enable = '1' THEN
-        lut_base := TO_INTEGER(UNSIGNED(mu_id)) * steps_per_unit;
-        IF rw0 = '0' THEN
-          data_out0 <= storage(2 * slot_counter);
-        ELSE
-          storage(write_lut(lut_base + write_step)) <= data_in0;
-        END IF;
-        IF rw1 = '0' THEN
-          data_out1 <= storage(2 * slot_counter + 1);
-        ELSE
-          storage(write_lut(lut_base + write_step + 1)) <= data_in1;
-        END IF;
-        IF rw0 = '0' THEN
-          IF slot_counter = depth/2 - 1 THEN
-            slot_counter <= 0;
-          ELSE
-            slot_counter <= slot_counter + 1;
-          END IF;
-        ELSE
-          IF write_step >= steps_per_unit - 2 THEN
-            write_step <= 0;
-          ELSE
-            write_step <= write_step + 2;
-          END IF;
-        END IF;
-      END IF;
-    END IF;
-  END PROCESS access_process;
-END behavioral;
-"""
-
-
-def _switch_vhdl(lut: SwitchLUT) -> str:
-    name = f"switch_{lut.instance}_{'out' if lut.kind == 'pmu_out' else 'in'}"
-    ports = lut.port_count
-    rows = lut.rows
-    lut0 = _vhdl_int_array([a for a, _ in rows])
-    lut1 = _vhdl_int_array([b for _, b in rows])
-    if lut.kind == "pmu_out":
-        body = "\n".join(
-            f"""      IF port0_lut(step) = {j} THEN
-        out{j} <= in0;
-      ELSIF port1_lut(step) = {j} THEN
-        out{j} <= in1;
-      END IF;"""
-            for j in range(ports)
-        )
-    else:
-        body = "\n".join(
-            f"""      IF port{b}_lut(step) = {j} THEN
-        out{b} <= in{j};
-      END IF;"""
-            for b in (0, 1)
-            for j in range(ports)
-        )
-    return f"""-- Port-selection switch for the {lut.instance} interconnect
--- ({'memory output side' if lut.kind == 'pmu_out' else 'unit input side'}).
--- The selection table has one row per access pattern; the invalid code
--- {lut.invalid_code} leaves every routed port untouched (tristate).
-LIBRARY ieee;
-USE ieee.std_logic_1164.ALL;
-USE ieee.numeric_std.ALL;
-
-ENTITY {name} IS
-  GENERIC (
-    data_width : INTEGER := {DATA_WIDTH}
-  );
-  PORT (
-{_port_list(_switch_ports(lut))}
-  );
-END {name};
-
-ARCHITECTURE behavioral OF {name} IS
-  TYPE lut_array IS ARRAY (0 TO {len(rows) - 1}) OF INTEGER;
-  CONSTANT port0_lut : lut_array := {lut0};
-  CONSTANT port1_lut : lut_array := {lut1};
-  SIGNAL step : INTEGER RANGE 0 TO {len(rows) - 1};
-BEGIN
-  route_process : PROCESS (clock)
-  BEGIN
-    IF rising_edge(clock) THEN
-      IF reset = '1' THEN
-        step <= 0;
-      ELSIF enable = '1' THEN
-{body}
-        IF step = {len(rows) - 1} THEN
-          step <= 0;
-        ELSE
-          step <= step + 1;
-        END IF;
-      END IF;
-    END IF;
-  END PROCESS route_process;
-END behavioral;
-"""
-
-
-def _processing_unit_vhdl() -> str:
-    return f"""-- Processing unit shell: the datapath body is application-defined;
--- this skeleton fixes the scheduling interface only.
-LIBRARY ieee;
-USE ieee.std_logic_1164.ALL;
-
-ENTITY processing_unit IS
-  GENERIC (
-    data_width : INTEGER := {DATA_WIDTH}
-  );
-  PORT (
-{_port_list(_PROCESSING_UNIT_PORTS)}
-  );
-END processing_unit;
-
-ARCHITECTURE behavioral OF processing_unit IS
-  SIGNAL hold0 : STD_LOGIC_VECTOR(data_width-1 DOWNTO 0);
-  SIGNAL hold1 : STD_LOGIC_VECTOR(data_width-1 DOWNTO 0);
-BEGIN
-  body_process : PROCESS (clock)
-  BEGIN
-    IF rising_edge(clock) THEN
-      IF reset = '1' THEN
-        hold0 <= (OTHERS => '0');
-        hold1 <= (OTHERS => '0');
-      ELSIF enable = '1' THEN
-        hold0 <= data_in0;
-        hold1 <= data_in1;
-        data_out0 <= hold0;
-        data_out1 <= hold1;
-      END IF;
-    END IF;
-  END PROCESS body_process;
-END behavioral;
+    """The ROM package: one integer array per LUT file of the run, named
+    after it.  ``write_lut_<side>`` is the address column of
+    write_lut_<side>.csv in its row order, unit by unit; the
+    ``lut_<instance>_<kind>_port<b>`` arrays are column port<b> of
+    lut_<instance>_<kind>.csv, by slot."""
+    roms: dict[str, list[int]] = {}
+    for side in ("row", "col"):
+        per_pmu = write_schedules[side].per_pmu()
+        roms[f"write_lut_{side}"] = [e.address for pmu in sorted(per_pmu) for e in per_pmu[pmu]]
+    for instance in ("row_reads", "col_reads"):
+        for kind in ("out", "in"):
+            rows = luts[instance][kind].rows
+            for b in (0, 1):
+                roms[f"lut_{instance}_{kind}_port{b}"] = [row[b] for row in rows]
+    constants = "\n".join(
+        f"  CONSTANT {name} : integer_rom(0 TO {len(values) - 1}) := "
+        f"{_vhdl_int_array(values)};"
+        for name, values in roms.items()
+    )
+    return f"""-- ROM contents of the folded schedule: one array per LUT file of the
+-- run, named after it.  write_lut_<side> is the address column of
+-- write_lut_<side>.csv in its row order: each memory unit's writes in
+-- turn, two per slot.  lut_<instance>_<kind>_port<b> is column port<b>
+-- of lut_<instance>_<kind>.csv, one entry per slot.
+PACKAGE folded_luts IS
+  TYPE integer_rom IS ARRAY (NATURAL RANGE <>) OF INTEGER;
+{constants}
+END folded_luts;
 """
 
 
@@ -606,16 +453,15 @@ def _top_vhdl(
 ) -> str:
     f_units = plan.units_per_side
     mu_width = _width(f_units)
-    components = {f"memory_unit_{side}": _MEMORY_UNIT_PORTS for side in ("row", "col")}
+    components = {f"memory_unit_{side}": _memory_unit_ports(f_units) for side in ("row", "col")}
     components["processing_unit"] = _PROCESSING_UNIT_PORTS
     for instance in ("row_reads", "col_reads"):
         for kind in ("out", "in"):
             components[f"switch_{instance}_{kind}"] = _switch_ports(luts[instance][kind])
-    widths = {"data_width": DATA_WIDTH, "mu_width": mu_width}
     decls = [
         f"""  COMPONENT {entity} IS
     PORT (
-{_port_list(ports, widths)}
+{_port_list(ports)}
     );
   END COMPONENT;"""
         for entity, ports in components.items()
@@ -655,7 +501,7 @@ def _top_vhdl(
         for i in range(f_units):
             mu_id = f"STD_LOGIC_VECTOR(TO_UNSIGNED({i}, {mu_width}))"
             write, operand = channel(side, "write", i), channel(side, "operand", i)
-            memory = [mu_id, "enable", "enable", *write, *channel(side, "read", i)]
+            memory = [mu_id, *write, *channel(side, "read", i)]
             port_map(f"{side}_pmu_{i}", f"memory_unit_{side}", memory)
             port_map(f"{side}_ppu_{i}", "processing_unit", [*operand, *write])
     for instance in ("row_reads", "col_reads"):
@@ -674,7 +520,9 @@ def _top_vhdl(
     signal_text = "\n".join(f"  SIGNAL {name} : {vec};" for name in signals)
     inst_text = "\n".join(insts)
     return f"""-- Structural top level: {f_units} processing and {f_units} memory units
--- per side plus the two static interconnect instances.
+-- per side plus the two static interconnect instances.  The component
+-- bodies are not emitted; folded_luts.vhd holds the contents of their
+-- LUTs.
 LIBRARY ieee;
 USE ieee.std_logic_1164.ALL;
 USE ieee.numeric_std.ALL;
@@ -701,25 +549,20 @@ def emit_hdl(
     netlist: Netlist,
     luts: dict[str, dict[str, SwitchLUT]],
     write_schedules: dict[str, WriteSchedule],
-    layout: MemoryLayout,
 ) -> dict[str, str]:
-    """All HDL skeleton files, keyed by file name."""
-    files: dict[str, str] = {}
-    for side in ("row", "col"):
-        files[f"memory_unit_{side}.vhd"] = _memory_unit_vhdl(
-            side, write_schedules[side], layout, plan.units_per_side
-        )
-    files["processing_unit.vhd"] = _processing_unit_vhdl()
-    for instance in ("row_reads", "col_reads"):
-        for kind in ("out", "in"):
-            files[f"switch_{instance}_{kind}.vhd"] = _switch_vhdl(luts[instance][kind])
-    files["top.vhd"] = _top_vhdl(plan, netlist, luts)
-    return files
+    """The HDL files, keyed by file name: the ROM package and the
+    structural top level."""
+    return {
+        "folded_luts.vhd": _roms_vhdl(luts, write_schedules),
+        "top.vhd": _top_vhdl(plan, netlist, luts),
+    }
 
 
-_ENTITY_RE = re.compile(r"^ENTITY (\w+) IS$", re.MULTILINE)
-_END_ENTITY_RE = re.compile(r"^END (\w+);$", re.MULTILINE)
-_ARCH_RE = re.compile(r"^ARCHITECTURE (\w+) OF (\w+) IS$", re.MULTILINE)
+# A design unit and its kind; an ARCHITECTURE's END names the
+# architecture.
+_UNIT_RE = re.compile(r"^(ENTITY|ARCHITECTURE|PACKAGE) (\w+)(?: OF \w+)? IS$", re.MULTILINE)
+_END_RE = re.compile(r"^END (\w+);$", re.MULTILINE)
+_COMPONENT_RE = re.compile(r"^\s*COMPONENT (\w+) IS$", re.MULTILINE)
 _SIGNAL_RE = re.compile(r"^\s*SIGNAL (\w+)\s*:", re.MULTILINE)
 _INSTANCE_RE = re.compile(r"^\s*(\w+) : (\w+) PORT MAP", re.MULTILINE)
 _IDENTIFIER_RE = re.compile(r"\w+")
@@ -728,36 +571,26 @@ _IDENTIFIER_RE = re.compile(r"\w+")
 def check_hdl(files: dict[str, str]) -> list[str]:
     """Lexical well-formedness of the emitted HDL set.
 
-    Checks entity/end balance, architecture attribution, that every
-    declared signal is referenced beyond its declaration, and that every
-    instantiated component has an emitted entity.  The signal check makes
-    one pass per file: it tokenises the file once, and a signal's uses are
-    the identifier tokens equal to its name, so a name that only occurs
-    inside a longer identifier is not a use.
+    Checks that every ENTITY, ARCHITECTURE and PACKAGE has its END, that
+    every declared signal is referenced beyond its declaration, and that
+    every instance names a COMPONENT declared in its file.  The signal
+    check makes one pass per file: it tokenises the file once, and a
+    signal's uses are the identifier tokens equal to its name, so a name
+    that only occurs inside a longer identifier is not a use.
     """
     problems: list[str] = []
-    entities: set[str] = set()
     for name, text in files.items():
-        entities.update(_ENTITY_RE.findall(text))
-    for name, text in files.items():
-        declared = _ENTITY_RE.findall(text)
-        ends = _END_ENTITY_RE.findall(text)
-        for entity in declared:
-            if entity not in ends:
-                problems.append(f"{name}: entity {entity} has no matching end")
-        for arch, of_entity in _ARCH_RE.findall(text):
-            if of_entity not in declared:
-                problems.append(
-                    f"{name}: architecture {arch} targets unknown entity {of_entity}"
-                )
-            if arch not in ends:
-                problems.append(f"{name}: architecture {arch} has no matching end")
+        ends = set(_END_RE.findall(text))
+        for kind, unit in _UNIT_RE.findall(text):
+            if unit not in ends:
+                problems.append(f"{name}: {kind.lower()} {unit} has no matching end")
         tokens = Counter(_IDENTIFIER_RE.findall(text))
         for sig in _SIGNAL_RE.findall(text):
             if tokens[sig] < 2:
                 problems.append(f"{name}: signal {sig} declared but never used")
+        components = set(_COMPONENT_RE.findall(text))
         for label, component in _INSTANCE_RE.findall(text):
-            if component not in entities:
+            if component not in components:
                 problems.append(
                     f"{name}: instance {label} references missing component {component}"
                 )
@@ -820,7 +653,7 @@ def render_run_files(
                     luts[instance][kind]
                 )
     if "hdl" in formats:
-        hdl = emit_hdl(plan, netlist, luts, schedules, layout)
+        hdl = emit_hdl(plan, netlist, luts, schedules)
         problems = check_hdl(hdl)
         if problems:
             raise SelfCheckError("HDL self-check failed: " + "; ".join(problems))

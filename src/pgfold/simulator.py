@@ -24,7 +24,13 @@ index by integer keys as soon as it is decoded, so the wires are never
 held as a list; every other member, and any layout of the text, reads as
 ``json.loads`` reads it, and a faulty wire is reported after the switch
 table checks, as a whole-file parse would have it.  Each side's real
-writes are kept as one column of integer codes per slot.  Compile turns
+writes are kept as one column of integer codes per slot.  In a run with
+HDL, load also parses every array of the ROM package hdl/folded_luts.vhd
+and compares it, integer by integer, with the LUT file column it is named
+after: a difference is a file mismatch naming the array and the first
+differing index, and a package that is absent or does not parse fails
+the load with the file and array named.  hdl/top.vhd is not read.
+Compile turns
 each side's read half and write half into a plan, once per call: the
 resource ids each slot claims, the memory cell that feeds each unit-side
 switch port, and the cell, expected key and rank of each real delivery.
@@ -261,6 +267,8 @@ class _Inputs:
     # (pmu · capacity + address) · 2 + port
     writes: dict[str, list[array]]
     reader_offsets: dict[str, list[int]]
+    # Where hdl/folded_luts.vhd disagrees with the LUT files it mirrors
+    rom_mismatches: list[str]
 
 
 _INSTANCES = ("row_reads", "col_reads")
@@ -362,6 +370,10 @@ def _load(files: Mapping[str, str]) -> _Inputs:
     if pattern_count["row"] != pattern_count["col"]:
         raise SimulationStructureError("sides disagree on pattern count")
     slot_count = len(slots["row"])
+    if len(slots["col"]) != slot_count:
+        raise SimulationStructureError(
+            f"fold_col.json: {len(slots['col'])} slots, but fold_row.json has {slot_count}"
+        )
     for key, values in cycles.items():
         if len(values) != slot_count:
             raise SimulationStructureError(
@@ -374,6 +386,8 @@ def _load(files: Mapping[str, str]) -> _Inputs:
     out_rows = {}
     in_rows = {}
     invalid = {}
+    roms = _read_roms(files)
+    rom_mismatches = []
     for instance in _INSTANCES:
         annotation = _field("netlist.json", instances, instance, json_value)
         invalid[instance] = _field(f"netlist.json:{instance}", annotation, "rho_hat")
@@ -386,6 +400,14 @@ def _load(files: Mapping[str, str]) -> _Inputs:
             if len(records) != pattern_count["row"]:
                 raise SimulationStructureError(f"{name} row count != pattern count")
             store[instance] = [(port0, port1) for _, (_, port0, port1) in records]
+            if roms is not None:
+                for b in (0, 1):
+                    rom_mismatches += _rom_mismatch(
+                        roms,
+                        f"lut_{instance}_{kind}_port{b}",
+                        f"{name} port{b}",
+                        [row[b] for row in store[instance]],
+                    )
             if kind == "out":
                 continue
             # Ranks past the reader offsets are the padded sentinel port,
@@ -415,6 +437,7 @@ def _load(files: Mapping[str, str]) -> _Inputs:
     for side in ("row", "col"):
         name = f"write_lut_{side}.csv"
         by_slot = [array("q") for _ in range(slot_count)]
+        addresses = array("q")  # every row's, in file order, for the ROM
         for line, (slot, pmu, port, address, producer_real) in _read_csv(
             files, name, ("slot", "pmu", "port", "address", "producer_real")
         ):
@@ -427,7 +450,13 @@ def _load(files: Mapping[str, str]) -> _Inputs:
                 )
             if producer_real:
                 by_slot[slot].append((pmu * capacity + address) * 2 + port)
+            if roms is not None:
+                addresses.append(address)
         writes[side] = by_slot
+        if roms is not None:
+            rom_mismatches += _rom_mismatch(
+                roms, f"write_lut_{side}", f"{name} address", addresses
+            )
     return _Inputs(
         order=order,
         real_order=real_order,
@@ -445,6 +474,7 @@ def _load(files: Mapping[str, str]) -> _Inputs:
         wires=wires,
         writes=writes,
         reader_offsets=_reader_offsets(order, base_offsets),
+        rom_mismatches=rom_mismatches,
     )
 
 
@@ -530,6 +560,75 @@ def _read_netlist(
 
     text = _text(files, "netlist.json")
     return load_streamed(text, "wires", index) or (_parse_json("netlist.json", text), None)
+
+
+# The ROM package of a run with HDL: one integer array per LUT file
+_ROM_FILE = "hdl/folded_luts.vhd"
+_ROM_NAMES = ("write_lut_row", "write_lut_col") + tuple(
+    f"lut_{instance}_{kind}_port{b}"
+    for instance in _INSTANCES
+    for kind in ("out", "in")
+    for b in (0, 1)
+)
+_ROM_CONSTANT = re.compile(r"\bCONSTANT\s+(\w+)([^;]*);")
+_ROM_DECLARATION = re.compile(
+    r"\s*:\s*integer_rom\(0 TO (\d+)\)\s*:=\s*\((?:\s*0\s*=>)?(.*)\)\s*", re.DOTALL
+)
+_ROM_VALUE = re.compile(r"-?\d{1,18}")
+
+
+def _read_roms(files: Mapping[str, str]) -> dict[str, array] | None:
+    """The arrays of the ROM package by name, or None for a run without
+    HDL.  Each must read ``CONSTANT <name> : integer_rom(0 TO <n - 1>) :=
+    (<n integers>);``, with ``(0 => <integer>)`` for one integer.  A
+    missing package, a constant that does not parse or holds another
+    count, and a missing or unknown name raise SimulationStructureError."""
+    if not any(name.startswith("hdl/") for name in files):
+        return None
+    if _ROM_FILE not in files:
+        raise SimulationStructureError(f"{_ROM_FILE}: absent, but the run has hdl/ files")
+    roms = {}
+    for match in _ROM_CONSTANT.finditer(files[_ROM_FILE]):
+        name, declaration = match.groups()
+        where = f"{_ROM_FILE}: constant {name}"
+        parsed = _ROM_DECLARATION.fullmatch(declaration)
+        if parsed is None:
+            raise SimulationStructureError(f"{where} is not an integer_rom(0 TO n) aggregate")
+        if name not in _ROM_NAMES or name in roms:
+            raise SimulationStructureError(f"{where} is not one LUT of the run")
+        top = int(parsed[1])
+        values = array("q")
+        for index, cell in enumerate(parsed[2].split(",")):
+            if _ROM_VALUE.fullmatch(cell.strip()) is None:
+                raise SimulationStructureError(
+                    f"{where}({index}) {cell.strip()!r} is not an integer"
+                )
+            values.append(int(cell))
+        if len(values) != top + 1:
+            raise SimulationStructureError(
+                f"{where} declares {top + 1} values but holds {len(values)}"
+            )
+        roms[name] = values
+    for name in _ROM_NAMES:
+        if name not in roms:
+            raise SimulationStructureError(f"{_ROM_FILE}: constant {name} missing")
+    return roms
+
+
+def _rom_mismatch(roms: dict[str, array], name: str, twin: str, values) -> list[str]:
+    """ROM array ``name`` against ``values``, the column ``twin`` of its
+    LUT file: one message for any difference, naming the first."""
+    rom = roms[name]
+    if len(rom) != len(values):
+        return [f"{_ROM_FILE}: {name} holds {len(rom)} values, {twin} {len(values)}"]
+    differ = [index for index, (a, b) in enumerate(zip(rom, values)) if a != b]
+    if not differ:
+        return []
+    index = differ[0]
+    return [
+        f"{_ROM_FILE}: {name}({index}) = {rom[index]}, but {twin}({index}) = "
+        f"{values[index]} ({len(differ)} of {len(rom)} values differ)"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1074,11 +1173,11 @@ def simulate(files: Mapping[str, str] | str | Path, iterations: int = 1) -> SimR
     inputs = _load(files)
     halves, resources, trace, observed = _compile(inputs)
     units, side_span = inputs.units, inputs.side_span
+    report = SimReport(iterations=iterations, file_mismatches=inputs.rom_mismatches)
     read_cycles, write_cycles = inputs.read_cycles, inputs.write_cycles
     slot_count = len(inputs.slots["row"])
     pipeline_level = inputs.pipeline_level
     del inputs  # the load-only indexes
-    report = SimReport(iterations=iterations)
     # The first iteration's traffic depends on the compiled plan alone, so
     # it is checked before the replay and not kept through it.
     for side in ("row", "col"):

@@ -259,34 +259,34 @@ class TestHdl:
         netlist = build_netlist(graph, plan)
         luts = switch_luts(graph, plan)
         schedules = {s: write_schedule(graph, plan, s) for s in ("row", "col")}
-        layout = layout_addresses(plan, graph)
-        return emit_hdl(plan, netlist, luts, schedules, layout)
+        return emit_hdl(plan, netlist, luts, schedules)
 
     def test_file_set(self):
         files = self.build()
-        assert set(files) == {
-            "memory_unit_row.vhd",
-            "memory_unit_col.vhd",
-            "processing_unit.vhd",
-            "switch_row_reads_out.vhd",
-            "switch_row_reads_in.vhd",
-            "switch_col_reads_out.vhd",
-            "switch_col_reads_in.vhd",
-            "top.vhd",
-        }
+        assert set(files) == {"folded_luts.vhd", "top.vhd"}
 
     def test_memory_unit_widths(self):
         files = self.build()
-        text = files["memory_unit_row.vhd"]
-        assert "mu_width   : INTEGER := 3" in text
-        assert "depth      : INTEGER := 24" in text
-        assert "mu_id     : IN STD_LOGIC_VECTOR(mu_width-1 DOWNTO 0);" in text
+        text = files["top.vhd"]
+        assert "      mu_id : IN STD_LOGIC_VECTOR(2 DOWNTO 0);\n" in text
+        assert "STD_LOGIC_VECTOR(TO_UNSIGNED(4, 3))" in text
 
     def test_switch_has_lut_constants(self):
         files = self.build()
-        text = files["switch_row_reads_out.vhd"]
-        assert "CONSTANT port0_lut" in text
-        assert "CONSTANT port1_lut" in text
+        text = files["folded_luts.vhd"]
+        assert "  CONSTANT lut_row_reads_out_port0 : integer_rom(0 TO 3) := (\n" in text
+        assert "  CONSTANT lut_row_reads_out_port1 : integer_rom(0 TO 3) := (\n" in text
+
+    def test_write_lut_constant_is_the_csv_address_column(self):
+        graph, plan = running_example()
+        files = render_run_files(graph, plan)
+        rows = list(csv.DictReader(io.StringIO(files["write_lut_col.csv"])))
+        body = re.search(
+            r"CONSTANT write_lut_col : integer_rom\(0 TO 119\) := \((.*?)\);",
+            files["hdl/folded_luts.vhd"],
+            re.DOTALL,
+        )[1]
+        assert [int(v) for v in body.split(",")] == [int(row["address"]) for row in rows]
 
     def test_top_instance_count(self):
         files = self.build()
@@ -298,17 +298,23 @@ class TestHdl:
 
     def test_self_check_catches_unbalanced_entity(self):
         files = self.build()
-        files["memory_unit_row.vhd"] = files["memory_unit_row.vhd"].replace(
-            "END memory_unit_row;", ""
-        )
-        problems = check_hdl(files)
-        assert any("no matching end" in p for p in problems)
+        files["top.vhd"] = files["top.vhd"].replace("END folded_top;", "")
+        assert check_hdl(files) == ["top.vhd: entity folded_top has no matching end"]
+
+    def test_self_check_catches_unbalanced_package(self):
+        files = self.build()
+        files["folded_luts.vhd"] = files["folded_luts.vhd"].replace("END folded_luts;", "")
+        assert check_hdl(files) == [
+            "folded_luts.vhd: package folded_luts has no matching end"
+        ]
 
     def test_self_check_catches_missing_component(self):
         files = self.build()
-        del files["processing_unit.vhd"]
+        files["top.vhd"] = files["top.vhd"].replace(
+            "COMPONENT processing_unit IS", "COMPONENT processing_core IS"
+        )
         problems = check_hdl(files)
-        assert any("missing component processing_unit" in p for p in problems)
+        assert "top.vhd: instance row_ppu_0 references missing component processing_unit" in problems
 
     def test_self_check_catches_signal_used_only_as_prefix(self):
         files = self.build()
@@ -336,32 +342,27 @@ class TestHdl:
 
     def test_single_unit_architecture(self):
         files = self.build(q=15)
-        assert "mu_width   : INTEGER := 1" in files["memory_unit_row.vhd"]
+        assert "      mu_id : IN STD_LOGIC_VECTOR(0 DOWNTO 0);\n" in files["top.vhd"]
         assert check_hdl(files) == []
 
 
-_CLAUSE_RE = re.compile(r"(ENTITY|COMPONENT) (\w+) IS\n(.*?)\n\s*END", re.DOTALL)
-_GENERIC_RE = re.compile(r"^\s*(\w+)\s+: INTEGER := (\d+)", re.MULTILINE)
+_COMPONENT_RE = re.compile(r"COMPONENT (\w+) IS\n(.*?)\n\s*END COMPONENT;", re.DOTALL)
 _PORT_RE = re.compile(
-    r"^\s*(\w+)\s+: (IN|OUT) STD_LOGIC(?:_VECTOR\((?:(\w+)-1|(\d+)) DOWNTO 0\))?;?$",
-    re.MULTILINE,
+    r"^\s*(\w+) : (IN|OUT) STD_LOGIC(?:_VECTOR\((\d+) DOWNTO 0\))?;?$", re.MULTILINE
 )
 _PORT_MAP_RE = re.compile(r"^  (\w+) : (\w+) PORT MAP \((.*?)\);", re.MULTILINE | re.DOTALL)
 
 
-def hdl_interfaces(files):
-    """Entity name -> [(port, mode, width)] of every ENTITY clause and of
-    every COMPONENT declaration, with each generic resolved to its default."""
-    entities, components = {}, {}
-    for text in files.values():
-        for kind, name, body in _CLAUSE_RE.findall(text):
-            generics = {g: int(v) for g, v in _GENERIC_RE.findall(body)}
-            ports = [
-                (port, mode, generics[g] if g else int(top) + 1 if top else 1)
-                for port, mode, g, top in _PORT_RE.findall(body)
-            ]
-            (entities if kind == "ENTITY" else components)[name] = ports
-    return entities, components
+def hdl_interfaces(text):
+    """Component name -> [(port, mode, width)] of every COMPONENT
+    declaration in top.vhd's ``text``."""
+    return {
+        name: [
+            (port, mode, int(high) + 1 if high else 1)
+            for port, mode, high in _PORT_RE.findall(body)
+        ]
+        for name, body in _COMPONENT_RE.findall(text)
+    }
 
 
 def pg_design(geometry, q):
@@ -370,9 +371,9 @@ def pg_design(geometry, q):
 
 
 class TestHdlInterfaces:
-    """top.vhd declares each component exactly as its entity file does and
-    binds every port of it in each instance, for designs of 1 to 20
-    units per side and 4 to 11 switch ports."""
+    """hdl/ holds the ROM package and a structural top.vhd, which binds
+    every port of each declared component in each instance, for designs of
+    1 to 20 units per side and 4 to 11 switch ports."""
 
     @pytest.fixture(
         params=[
@@ -388,30 +389,30 @@ class TestHdlInterfaces:
         rendered = render_run_files(graph, plan, ("hdl",))
         return {name.removeprefix("hdl/"): text for name, text in rendered.items()}
 
-    def test_components_declare_their_entity_ports(self, hdl):
-        entities, components = hdl_interfaces(hdl)
-        assert set(components) == set(entities) - {"folded_top"}
-        for name, ports in components.items():
-            assert ports == entities[name], name
-            assert ports[:3] == [(c, "IN", 1) for c in ("clock", "reset", "enable")]
+    def test_only_roms_and_structure(self, hdl):
+        assert set(hdl) == {"folded_luts.vhd", "top.vhd"}
+        for text in hdl.values():
+            for word in ("ARCHITECTURE behavioral", "PROCESS", "rw0", "rw1"):
+                assert word not in text
 
     def test_instances_bind_every_component_port_in_order(self, hdl):
-        _, components = hdl_interfaces(hdl)
+        components = hdl_interfaces(hdl["top.vhd"])
         instances = _PORT_MAP_RE.findall(hdl["top.vhd"])
         assert {component for _, component, _ in instances} == set(components)
+        for ports in components.values():
+            assert ports[:3] == [(c, "IN", 1) for c in ("clock", "reset", "enable")]
         for label, component, body in instances:
             formals = re.findall(r"(\w+) =>", body)
             assert formals == [port for port, _, _ in components[component]], label
 
     def test_two_digit_switch_ports_align(self):
         graph, plan = pg_design((3, 3, 1), 2)
-        files = render_run_files(graph, plan, ("hdl",))
-        _, components = hdl_interfaces(files)
-        names = [port for port, _, _ in components["switch_row_reads_in"]]
+        top = render_run_files(graph, plan, ("hdl",))["hdl/top.vhd"]
+        names = [port for port, _, _ in hdl_interfaces(top)["switch_row_reads_in"]]
         assert names[-3:] == ["in10", "out0", "out1"]
-        text = files["hdl/switch_row_reads_in.vhd"]
-        assert "    in9       : IN STD_LOGIC_VECTOR(data_width-1 DOWNTO 0);\n" in text
-        assert "    in10      : IN STD_LOGIC_VECTOR(data_width-1 DOWNTO 0);\n" in text
+        assert "      in9 : IN STD_LOGIC_VECTOR(7 DOWNTO 0);\n" in top
+        assert "      in10 : IN STD_LOGIC_VECTOR(7 DOWNTO 0);\n" in top
+        assert "    in10 => row_reads_w_0_10,\n" in top
 
 
 class TestRunDirectory:

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import random
+import re
 import shutil
 import tracemalloc
 
@@ -442,6 +443,21 @@ class TestLoadErrors:
             assert "Traceback" not in captured.out + captured.err
             assert locus in captured.out + captured.err
 
+    @pytest.mark.parametrize("edit, count", [("last dropped", 11), ("first repeated", 13)])
+    def test_fold_slot_counts_disagree(self, scratch_run, capsys, edit, count):
+        fold = json.loads((scratch_run / "fold_col.json").read_text())
+        slots = fold["slots"]
+        fold["slots"] = slots[:-1] if edit == "last dropped" else [slots[0], *slots]
+        (scratch_run / "fold_col.json").write_text(json.dumps(fold))
+        locus = f"fold_col.json: {count} slots, but fold_row.json has 12"
+        with pytest.raises(SimulationStructureError, match=f"^{locus}$"):
+            simulate(scratch_run)
+        for argv in (["simulate"], ["verify"]):
+            assert main([*argv, "--out", str(scratch_run)]) == 1
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.out + captured.err
+            assert locus in captured.out + captured.err
+
 
 class TestFileSource:
     """The replay reads a ``name → text`` mapping; a run directory is one."""
@@ -473,7 +489,7 @@ class TestFileSource:
     @settings(max_examples=100, deadline=None)
     @given(render_designs())
     def test_random_design_replays_end_to_end(self, design):
-        render = render_run_files(*design, FLAT)
+        render = render_run_files(*design)
         report = simulate(render, 2)
         assert report.ok, summarize(report)
         assert check_dataflow_equivalence(report, render) == {"ok": True, "failures": []}
@@ -574,6 +590,194 @@ def test_sizes_past_64_bit_event_codes_name_the_files(render15, name, key, value
         match=r"^timing.json, layout.json: cycles up to \d+, capacity \d+ and J 15 are too large",
     ):
         simulate({**render15, name: json.dumps(data)})
+
+
+ROM_FILE = "hdl/folded_luts.vhd"
+ROM_NAMES = [
+    "write_lut_row",
+    "write_lut_col",
+    *(
+        f"lut_{instance}_{kind}_port{b}"
+        for instance in ("row_reads", "col_reads")
+        for kind in ("out", "in")
+        for b in (0, 1)
+    ),
+]
+_ROM_RE = re.compile(r"  CONSTANT (\w+) : integer_rom\(0 TO (\d+)\) := \(([^;]*)\);\n")
+
+
+def rom_values(text, name):
+    """The integers of ROM array ``name``, in order."""
+    body = next(m[3] for m in _ROM_RE.finditer(text) if m[1] == name)
+    return [int(v) for v in body.removeprefix("0 =>").split(",")]
+
+
+def with_rom(text, name, values):
+    """``text`` with ROM array ``name`` holding ``values`` under its old
+    declared range, or without the array for ``values`` None."""
+
+    def edit(match):
+        if match[1] != name:
+            return match[0]
+        if values is None:
+            return ""
+        return f"  CONSTANT {name} : integer_rom(0 TO {match[2]}) := ({', '.join(map(str, values))});\n"
+
+    return _ROM_RE.sub(edit, text)
+
+
+def csv_twin(name):
+    """The LUT file column a ROM array mirrors, as mismatches name it."""
+    if name.startswith("write_lut_"):
+        return f"{name}.csv address"
+    table, _, column = name.rpartition("_")
+    return f"{table}.csv {column}"
+
+
+@pytest.fixture(scope="module")
+def hdl_renders():
+    """In-memory renders with HDL: J=15 folded by 3, and J=40 folded by 2,
+    whose switches have 11 ports."""
+    graph15 = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
+    graph40 = pad_dummy_offset(build_pg_graph(PgParams(3, 3, 1)))
+    renders = {}
+    for design, graph, q in (("J15-q3", graph15, 3), ("J40-q2", graph40, 2)):
+        files = render_run_files(graph, FoldPlan.for_graph(graph, q))
+        renders[design] = {**files, "manifest.json": emit_manifest_json(files)}
+    return renders
+
+
+ROM_CASES = [
+    pytest.param(design, name, id=f"{design}-{name}")
+    for design in ("J15-q3", "J40-q2")
+    for name in ROM_NAMES
+]
+
+
+class TestRomPackage:
+    """The replay reads every integer of hdl/folded_luts.vhd and compares
+    it with the LUT file column the array is named after."""
+
+    def test_clean_renders_pass(self, hdl_renders):
+        for files in hdl_renders.values():
+            assert set(re.findall(r"CONSTANT (\w+)", files[ROM_FILE])) == set(ROM_NAMES)
+            report = simulate(files)
+            assert report.ok, summarize(report)
+
+    def test_one_entry_arrays_are_read(self):
+        # Degree 2 makes one pattern: each switch array is "(0 => code)".
+        graph = pad_dummy_offset(CirculantBipartiteGraph.plain(4, (0, 1)))
+        files = render_run_files(graph, FoldPlan.for_graph(graph, 2))
+        declaration = "  CONSTANT lut_col_reads_in_port1 : integer_rom(0 TO 0) := (0 => 1);\n"
+        assert declaration in files[ROM_FILE]
+        assert simulate(files).ok
+        files[ROM_FILE] = files[ROM_FILE].replace(declaration, declaration.replace("=> 1", "=> 0"))
+        assert simulate(files).file_mismatches == [
+            f"{ROM_FILE}: lut_col_reads_in_port1(0) = 0, but lut_col_reads_in.csv port1(0) = 1 "
+            "(1 of 1 values differ)"
+        ]
+
+    @pytest.mark.parametrize("design, name", ROM_CASES)
+    def test_changed_integer_fails_with_its_locus(self, hdl_renders, design, name):
+        files = dict(hdl_renders[design])
+        values = rom_values(files[ROM_FILE], name)
+        index = len(values) // 2
+        old = values[index]
+        values[index] += 1
+        files[ROM_FILE] = with_rom(files[ROM_FILE], name, values)
+        files["manifest.json"] = emit_manifest_json(
+            {key: text for key, text in files.items() if key != "manifest.json"}
+        )
+        report = simulate(files)
+        assert report.file_mismatches == [
+            f"{ROM_FILE}: {name}({index}) = {old + 1}, but {csv_twin(name)}({index}) = {old} "
+            f"(1 of {len(values)} values differ)"
+        ]
+        assert not (report.conflicts or report.misroutes)
+        passed, checks = cli._verify_files(files, "the mutant", 1)
+        assert not passed
+        assert any(line.startswith("simulation: FAIL") for line in checks), checks
+
+    def test_array_shorter_than_its_column_is_a_mismatch(self, hdl_renders):
+        files = dict(hdl_renders["J15-q3"])
+        values = rom_values(files[ROM_FILE], "write_lut_row")
+        files[ROM_FILE] = with_rom(files[ROM_FILE], "write_lut_row", values[:-1]).replace(
+            "write_lut_row : integer_rom(0 TO 119)", "write_lut_row : integer_rom(0 TO 118)"
+        )
+        assert simulate(files).file_mismatches == [
+            f"{ROM_FILE}: write_lut_row holds 119 values, write_lut_row.csv address 120"
+        ]
+
+    @pytest.mark.parametrize("design, name", ROM_CASES)
+    @pytest.mark.parametrize("edit", ["integer dropped", "constant missing"])
+    def test_unreadable_array_exits_1_naming_it(
+        self, hdl_renders, tmp_path, capsys, design, name, edit
+    ):
+        files = dict(hdl_renders[design])
+        values = rom_values(files[ROM_FILE], name)
+        if edit == "integer dropped":
+            files[ROM_FILE] = with_rom(files[ROM_FILE], name, values[:-1])
+            locus = f"{ROM_FILE}: constant {name} declares {len(values)} values but holds {len(values) - 1}"
+        else:
+            files[ROM_FILE] = with_rom(files[ROM_FILE], name, None)
+            locus = f"{ROM_FILE}: constant {name} missing"
+        with pytest.raises(SimulationStructureError, match=f"^{re.escape(locus)}$"):
+            simulate(files)
+        run = tmp_path / "run"
+        for file_name, text in files.items():
+            (run / file_name).parent.mkdir(parents=True, exist_ok=True)
+            (run / file_name).write_text(text, encoding="utf-8")
+        for argv in (["simulate"], ["verify"]):
+            assert main([*argv, "--out", str(run)]) == 1
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.out + captured.err
+            assert locus in captured.out + captured.err
+
+    @pytest.mark.parametrize("design", ["J15-q3", "J40-q2"])
+    def test_missing_package_beside_top_exits_1(self, hdl_renders, tmp_path, capsys, design):
+        run = tmp_path / "run"
+        for file_name, text in hdl_renders[design].items():
+            if file_name != ROM_FILE:
+                (run / file_name).parent.mkdir(parents=True, exist_ok=True)
+                (run / file_name).write_text(text, encoding="utf-8")
+        locus = f"{ROM_FILE}: absent, but the run has hdl/ files"
+        for argv in (["simulate"], ["verify"]):
+            assert main([*argv, "--out", str(run)]) == 1
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.out + captured.err
+            assert locus in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "edit, locus",
+        [
+            (("integer_rom(0 TO 3) := (\n    0, 2,", "integer_rom(0 TO 3) := (\n    0, x,"),
+             "constant lut_row_reads_out_port0(1) 'x' is not an integer"),
+            (("CONSTANT write_lut_col : integer_rom(0 TO 119)", "CONSTANT write_lut_col : rom(0 TO 119)"),
+             "constant write_lut_col is not an integer_rom(0 TO n) aggregate"),
+            (("END folded_luts;", "  CONSTANT spare : integer_rom(0 TO 0) := (0 => 1);\nEND folded_luts;"),
+             "constant spare is not one LUT of the run"),
+        ],
+        ids=["not an integer", "not an integer_rom", "unknown array"],
+    )
+    def test_unparsable_package_names_the_array(self, hdl_renders, edit, locus):
+        files = dict(hdl_renders["J15-q3"])
+        assert edit[0] in files[ROM_FILE]
+        files[ROM_FILE] = files[ROM_FILE].replace(edit[0], edit[1], 1)
+        with pytest.raises(SimulationStructureError, match=f"^{re.escape(ROM_FILE)}: {re.escape(locus)}$"):
+            simulate(files)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_byte_edit_ends_in_a_report_or_a_locus(self, hdl_renders, data):
+        files = dict(hdl_renders["J15-q3"])
+        text = files[ROM_FILE]
+        index = data.draw(st.integers(0, len(text) - 1))
+        byte = data.draw(st.sampled_from(sorted(set("0123456789-,:;() \n=>xCONSTANT"))))
+        files[ROM_FILE] = text[:index] + byte + text[index + 1 :]
+        try:
+            simulate(files)
+        except SimulationStructureError as exc:
+            assert str(exc).startswith(ROM_FILE)
 
 
 class TestLossCensus:
