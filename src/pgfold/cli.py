@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from collections.abc import Mapping
+from dataclasses import replace
 from pathlib import Path
 
 from .circulant import (
@@ -565,9 +566,10 @@ def _check_stored_files(
     files: Mapping[str, str], graph: CirculantBipartiteGraph, plan: FoldPlan, check
 ) -> None:
     """The re-derivation and manifest checks.  Each stored file is read
-    once and compared both with an in-memory render of the design and with
-    its digest in manifest.json."""
+    and hashed once, and its digest compared both with that of an
+    in-memory render of the design and with its digest in manifest.json."""
     rendered = render_run_files(graph, plan, _detect_formats(files))
+    rendered = {name: sha256_text(text) for name, text in rendered.items()}
     try:
         listed = _read_manifest(files)["files"]
     except SimulationStructureError as exc:
@@ -577,25 +579,20 @@ def _check_stored_files(
     stored, unreadable = {}, {}
     for name in files.keys() & (rendered.keys() | listed.keys()):
         try:
-            stored[name] = files[name]
+            stored[name] = sha256_text(files[name])
         except SimulationStructureError as exc:
             unreadable[name] = str(exc)
-    mismatched = []
-    for name in sorted(rendered):
-        if name in unreadable:
-            mismatched.append(unreadable[name])
-        elif name not in stored:
-            mismatched.append(f"{name} missing")
-        elif stored[name] != rendered[name]:
-            mismatched.append(name)
-    problems = []
-    for name, digest in sorted(listed.items()):
-        if name in unreadable:
-            problems.append(unreadable[name])
-        elif name not in stored:
-            problems.append(f"{name} listed but absent")
-        elif sha256_text(stored[name]) != digest:
-            problems.append(f"{name} hash mismatch")
+
+    def faults(digests: dict, absent: str, differs: str) -> list[str]:
+        """Each file of ``digests`` that is unreadable, absent or of another digest."""
+        return [
+            f"{name}{differs}" if name in stored else unreadable.get(name, f"{name} {absent}")
+            for name, digest in sorted(digests.items())
+            if stored.get(name) != digest
+        ]
+
+    mismatched = faults(rendered, "missing", "")
+    problems = faults(listed, "listed but absent", " hash mismatch")
     unlisted = files.keys() - listed.keys() - {"manifest.json"}
     problems.extend(f"{name} on disk but unlisted" for name in sorted(unlisted))
     expected = rendered.keys() | {"manifest.json", "sim_report.json", "sim_summary.txt"}
@@ -626,25 +623,21 @@ def _replay_counts(report: SimReport) -> str:
     )
 
 
-class _NetlistReadOnce(dict):
-    """A render that hands out netlist.json once and then forgets it, so
-    that its text is not held after the replay's load has read it."""
+class _WriteLutsReadOnce(dict):
+    """A render that hands out each write LUT once and then forgets it: the
+    largest files that the replay is done with before it compiles."""
 
     def __getitem__(self, name: str) -> str:
-        return self.pop(name) if name == "netlist.json" else super().__getitem__(name)
+        return self.pop(name) if name.startswith("write_lut_") else super().__getitem__(name)
 
 
 def _reference_replay(graph: CirculantBipartiteGraph, plan: FoldPlan) -> SimReport:
     """Replay of the unfolded (q = 1) build of the design."""
-    flat_plan = FoldPlan.for_graph(
-        graph,
-        1,
-        design_option=plan.design_option,
-        T=plan.T,
-        delta=plan.delta,
-        pipeline_level=plan.pipeline_level,
-    )
-    return simulate(_NetlistReadOnce(render_run_files(graph, flat_plan, ("csv", "json"))))
+    flat_plan = replace(plan, q=1, units_per_side=graph.order)
+    files = _WriteLutsReadOnce(render_run_files(graph, flat_plan, ("csv", "json")))
+    for name in ("incidence.csv", "schedule_table_row.csv", "schedule_table_col.csv"):
+        del files[name]  # large tables that the replay does not read
+    return simulate(files)
 
 
 def _check_replay(

@@ -22,6 +22,8 @@ import io
 import json
 import re
 from collections import Counter
+from collections.abc import Callable, Iterable, Iterator
+from itertools import islice
 from pathlib import Path
 
 from .circulant import CirculantBipartiteGraph, SelfCheckError
@@ -45,8 +47,6 @@ __all__ = [
     "FORMATS",
     "format_schedule_cell",
     "emit_schedule_table",
-    "parse_schedule_table",
-    "decode_schedule_cell",
     "emit_netlist_json",
     "emit_graph_json",
     "emit_incidence_csv",
@@ -57,6 +57,7 @@ __all__ = [
     "emit_hdl",
     "check_hdl",
     "render_run_files",
+    "TextPieces",
     "emit_manifest_json",
     "write_run_directory",
     "sha256_text",
@@ -69,8 +70,25 @@ def _json_text(data: object) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+class TextPieces:
+    """A file's text as the pieces ``make(*args)`` makes afresh on each
+    iteration, so that the whole text is never held."""
+
+    def __init__(self, make: Callable[..., Iterator[str]], *args: object) -> None:
+        self._make, self._args = make, args
+
+    def __iter__(self) -> Iterator[str]:
+        return self._make(*self._args)
+
+
+Text = str | Iterable[str]  # a file's text: one string, or its pieces in order
+
+
+def sha256_text(text: Text) -> str:
+    digest = hashlib.sha256()
+    for piece in (text,) if isinstance(text, str) else text:
+        digest.update(piece.encode("utf-8"))
+    return digest.hexdigest()
 
 
 # Artifact families a run can emit, in emission order.
@@ -85,17 +103,6 @@ def format_schedule_cell(pu: int, first: int, second: int | None) -> str:
     if second is None:
         return f"[PU{pu} : MU{first}, D ]"
     return f"[PU{pu} : MU{first}, MU{second} ]"
-
-
-_CELL_RE = re.compile(r"^\[PU(\d+) : MU(\d+), (?:MU(\d+)|D) \]$")
-
-
-def decode_schedule_cell(cell: str) -> tuple[int, int, int | None]:
-    match = _CELL_RE.match(cell)
-    if match is None:
-        raise ValueError(f"malformed schedule cell {cell!r}")
-    pu, first, second = match.groups()
-    return int(pu), int(first), None if second is None else int(second)
 
 
 def emit_schedule_table(sequence: FoldedSequence) -> str:
@@ -134,21 +141,6 @@ def emit_schedule_table(sequence: FoldedSequence) -> str:
     return "".join(lines)
 
 
-def parse_schedule_table(text: str) -> dict:
-    """Inverse of emit_schedule_table: banners plus decoded data rows."""
-    banners: list[tuple[int, str]] = []
-    rows: list[tuple[int, list[tuple[int, int, int | None]]]] = []
-    for record in csv.reader(io.StringIO(text)):
-        if not record:
-            continue
-        if len(record) == 1:
-            banners.append((len(rows), record[0]))
-            continue
-        slot = int(record[0])
-        rows.append((slot, [decode_schedule_cell(cell) for cell in record[1:]]))
-    return {"banners": banners, "rows": rows}
-
-
 # ---------------------------------------------------------------------------
 # flat artifacts
 
@@ -172,45 +164,52 @@ _WIRE_JSON = """    {
     }"""
 
 
-def emit_netlist_json(netlist: Netlist) -> str:
-    """``netlist.to_json_dict()`` as ``_json_text`` writes it.
+def emit_netlist_json(netlist: Netlist) -> TextPieces:
+    """``netlist.to_json_dict()`` as ``_json_text`` writes it, as pieces:
+    the lists are spliced into the text of the other fields, 64 items a
+    piece, so that no list is held whole.  Each wire is written from its
+    port codes by one template."""
+    return TextPieces(_netlist_pieces, netlist)
 
-    "wires" sorts last, so the text is that of the other fields with the
-    wires spliced in.  Each wire is written from its port codes by one
-    template, the wires of one switch make one piece, and the pieces are
-    joined once, so that the text is held no more than twice."""
-    head = _json_text({**netlist.json_fields(), "wires": []})
+
+def _netlist_pieces(netlist: Netlist) -> Iterator[str]:
+    lists = {
+        "components": map(_json_items, _batches(netlist.iter_components())),
+        "local_channels": map(_json_items, _batches(netlist.iter_local_channels())),
+        "wires": map(",\n".join, _batches(_wire_texts(netlist))),
+    }
+    text = _json_text({**netlist.json_fields(), **dict.fromkeys(lists, [])})
+    # No list is empty: F >= 1, and a graph has at least one offset.
+    for key, pieces in lists.items():
+        head, text = text.split(f'"{key}": []', 1)
+        yield f'{head}"{key}": [\n'
+        separator = ""
+        for piece in pieces:
+            yield separator + piece
+            separator = ",\n"
+        yield "\n  ]"
+    yield text
+
+
+def _batches(items: Iterable) -> Iterator[list]:
+    items = iter(items)
+    while batch := list(islice(items, 64)):
+        yield batch
+
+
+def _json_items(items: list) -> str:
+    """``items`` as ``_json_text`` indents items of a top-level list."""
+    return "  " + json.dumps(items, indent=2, sort_keys=True)[2:-2].replace("\n", "\n  ")
+
+
+def _wire_texts(netlist: Netlist) -> Iterator[str]:
     f_units = netlist.units_per_side
-    pieces = [head[: -len("[]\n}\n")] + "[\n"]
-    for instance in netlist.ports:
-        ports = netlist.wire_ports(instance)
+    for inst in netlist.ports:
+        ports = netlist.wire_ports(inst)
         for m in range(f_units):
-            pieces.append(
-                ",\n".join(
-                    [
-                        _WIRE_JSON
-                        % (
-                            copy,
-                            instance,
-                            (m - delta) % f_units,
-                            j,
-                            delta,
-                            instance,
-                            instance,
-                            m,
-                            j,
-                            instance,
-                            m,
-                            j,
-                        )
-                        for delta, j, copy in ports
-                    ]
-                )
-            )
-            pieces.append(",\n")
-    # A graph has at least one offset, so every switch has a wire.
-    pieces[-1] = "\n  ]\n}\n"
-    return "".join(pieces)
+            for delta, j, copy in ports:
+                dst = (m - delta) % f_units
+                yield _WIRE_JSON % (copy, inst, dst, j, delta, inst, inst, m, j, inst, m, j)
 
 
 def emit_graph_json(graph: CirculantBipartiteGraph) -> str:
@@ -605,12 +604,13 @@ def render_run_files(
     graph: CirculantBipartiteGraph,
     plan: FoldPlan,
     formats: tuple[str, ...] = FORMATS,
-) -> dict[str, str]:
+) -> dict[str, Text]:
     """Every artifact of one synthesis run in the selected ``formats``,
     keyed by its path in the run directory: the graph, folded sequences,
     schedule tables, memory layout and address files, switch tables,
     netlist, timing, access traces, resource report and the HDL, which
-    must pass ``check_hdl``.  Nothing is written.
+    must pass ``check_hdl``.  Each is a string, but for netlist.json's
+    ``TextPieces``.  Nothing is written.
     """
     for fmt in formats:
         if fmt not in FORMATS:
@@ -623,7 +623,7 @@ def render_run_files(
     netlist = build_netlist(graph, plan)
     layout = layout_addresses(plan, graph)
     timing = full_timing(graph, plan)
-    files: dict[str, str] = {}
+    files: dict[str, Text] = {}
     if "json" in formats:
         files["graph.json"] = emit_graph_json(graph)
         files["plan.json"] = _json_text(plan.to_json_dict())
@@ -662,7 +662,7 @@ def render_run_files(
     return files
 
 
-def emit_manifest_json(files: dict[str, str]) -> str:
+def emit_manifest_json(files: dict[str, Text]) -> str:
     """manifest.json of a run: the SHA-256 of each file's text, by name."""
     return _manifest_text({name: sha256_text(files[name]) for name in sorted(files)})
 
@@ -688,5 +688,6 @@ def write_run_directory(
     for name, text in files.items():
         path = out / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        with path.open("w", encoding="utf-8") as handle:
+            handle.writelines((text,) if isinstance(text, str) else text)
     return json.loads(files["manifest.json"])

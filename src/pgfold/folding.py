@@ -159,30 +159,6 @@ class FoldedSequence:
             return l * self.q + k
         return k * self.pattern_count + l
 
-    def accesses(self, slot: int) -> list[dict]:
-        """Per-unit accesses of one slot.
-
-        Each entry: {"ppu", "lpu", "edges": (t0, t1), "pmus": (p0, p1)};
-        the second pmu is None for the dummy half of a padded pattern.
-        """
-        l, k = self.slots[slot]
-        pattern = self.patterns[l]
-        f_units = self.units_per_side
-        out = []
-        for i in range(f_units):
-            d0, d1 = pattern.folded
-            p0 = (d0 + i) % f_units
-            p1 = (d1 + i) % f_units if d1 is not None else None
-            out.append(
-                {
-                    "ppu": i,
-                    "lpu": k * f_units + i,
-                    "edges": (2 * l, 2 * l + 1),
-                    "pmus": (p0, p1),
-                }
-            )
-        return out
-
     def to_json_dict(self) -> dict:
         return {
             "format_version": 1,

@@ -1,121 +1,159 @@
 """One-pass reading of a JSON object with one array member too large to
-hold as a list.
+hold as a list, from text held whole or as pieces that are never joined.
 
-``load_streamed`` decodes a JSON object member by member with the json
-module's own scanner, so every value decodes exactly as ``json.loads``
-decodes it, but it hands the items of one array member to a consumer as
-they are decoded instead of collecting them.  Text that is not a JSON
-object, or not JSON at all, is left to ``json.loads``, which decodes it or
-names the fault.
+Values are decoded by the json module's own scanner, as ``json.loads``
+decodes them; a value cut by a piece boundary is scanned again once the
+next piece is drawn.  Text that is not a JSON object, or not JSON at all,
+is left to ``json.loads``, which decodes it or names the fault.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Container, Iterable, Iterator
 
 __all__ = ["load_streamed"]
 
-_SPACE = re.compile(r"[ \t\n\r]*")  # JSON whitespace, as the json module skips it
-_MEMBER_END = re.compile(r"[ \t\n\r]*([,}])[ \t\n\r]*")
-_ITEM_END = re.compile(r"[ \t\n\r]*([,\]])[ \t\n\r]*")
+_WS = "[ \t\n\r]*"  # JSON whitespace, as the json module skips it
+_ITEM_END = re.compile(rf"{_WS}([,\]]){_WS}")
 _scan_once = json.JSONDecoder().scan_once  # one value at an index, as json.loads decodes it
+# A scan that ends this close to the end of the text drawn so far may end
+# elsewhere in the whole text: a number cut after "1." or "1e+" scans as 1.
+_LOOKAHEAD = 3
 
 
 class _Unreadable(Exception):
     """The text is not a JSON object; ``json.loads`` tells what it is."""
 
 
-class _ArrayItems:
-    """The items of the JSON array whose "[" ends before ``text[start]``,
-    decoded one at a time when iterated; ``end`` is then the index after
-    the "]" and the whitespace that follows it."""
+def _matcher(pattern: str) -> Callable[[str, int], tuple[re.Match, int]]:
+    """A scan for ``pattern``, as ``_scan_once`` scans for a value."""
+    match = re.compile(pattern).match
 
-    def __init__(self, text: str, start: int) -> None:
-        self.text = text
-        self.end = start
+    def scan(text: str, index: int) -> tuple[re.Match, int]:
+        found = match(text, index)
+        if found is None:
+            raise StopIteration
+        return found, found.end()
 
-    def __iter__(self) -> Iterator[object]:
-        text = self.text
-        index = _SPACE.match(text, self.end).end()
-        if text.startswith("]", index):
-            self.end = _SPACE.match(text, index + 1).end()
-            return
+    return scan
+
+
+_open = _matcher(rf"{_WS}\{{{_WS}(\}}{_WS})?")
+_colon = _matcher(rf"{_WS}:{_WS}")
+_array_open = _matcher(rf"\[{_WS}(\]{_WS})?")
+_member_end = _matcher(rf"{_WS}([,}}]){_WS}")
+_item_end = _matcher(_ITEM_END.pattern)
+
+
+class _Cursor:
+    """A read position in text held as pieces: ``text[index:]`` is the
+    unread part of the pieces drawn so far."""
+
+    def __init__(self, pieces: Iterable[str]) -> None:
+        self.pieces = iter(pieces)
+        self.text = ""
+        self.index = 0
+
+    def draw(self, need: int) -> bool:
+        """Draw pieces until at least ``need`` characters are unread,
+        dropping those read; False when no text was left to draw."""
+        rest = self.text[self.index :]
+        drawn = [rest] if rest else []  # so that one piece is not copied
+        size = len(rest)
+        for piece in self.pieces:
+            drawn.append(piece)
+            size += len(piece)
+            if size >= need:
+                break
+        if size == len(rest):
+            return False
+        self.text, self.index = "".join(drawn), 0
+        return True
+
+    def take(self, scan: Callable[[str, int], tuple[object, int]]) -> object:
+        """``scan(text, index)``'s value, read past.  A scan that fails or
+        ends within ``_LOOKAHEAD`` of the drawn text is repeated on more,
+        at least twice the unread text after a failure; a scan that fails
+        on all of the text raises _Unreadable."""
         while True:
+            unread = len(self.text) - self.index
             try:
-                item, index = _scan_once(text, index)
-            except StopIteration:  # no value here
+                value, end = scan(self.text, self.index)
+            except (StopIteration, json.JSONDecodeError):
+                if self.draw(2 * unread + 1):
+                    continue
                 raise _Unreadable from None
-            yield item
-            after = _ITEM_END.match(text, index)
-            if after is None:
-                raise _Unreadable
-            index = after.end()
-            if after[1] == "]":
-                self.end = index
-                return
+            if end + _LOOKAHEAD > len(self.text) and self.draw(unread + 1):
+                continue
+            self.index = end
+            return value
+
+
+def _items(cursor: _Cursor) -> Iterator[object]:
+    """The items of the array whose "[" is next, decoded one at a time;
+    the last leaves the cursor past the "]" and the whitespace after it."""
+    if cursor.take(_array_open)[1] is not None:
+        return
+    while True:
+        # Most items end well inside the drawn text: they skip ``take``.
+        text, index = cursor.text, cursor.index
+        try:
+            item, end = _scan_once(text, index)
+            after = _ITEM_END.match(text, end)
+        except (StopIteration, json.JSONDecodeError):
+            after = None
+        if after is not None and after.end() + _LOOKAHEAD <= len(text):
+            cursor.index = after.end()
+        else:
+            item = cursor.take(_scan_once)
+            after = cursor.take(_item_end)
+        yield item
+        if after[1] == "]":
+            return
 
 
 def load_streamed(
-    text: str, key: str, consume: Callable[[Iterator[object]], object]
+    text: str | Iterable[str],
+    key: str,
+    consume: Callable[[Iterator[object]], object],
+    keep: Container[str] = (),
 ) -> tuple[dict, object] | None:
-    """The JSON object ``text``, decoded in one pass, with each array value
-    of member ``key`` handed to ``consume`` as an iterator of its items.
-
-    Returns the object without an array ``key`` and ``consume``'s result
-    for it.  A duplicate key resolves as in ``json.loads``, the last one
-    winning; when that last ``key`` is not an array, it stays in the
-    object and the result is None, as it is without a ``key``.  Items that
-    ``consume`` leaves undrawn are decoded after it returns, so the whole
-    text is checked.  Returns None for text that is not a JSON object or
-    not JSON."""
-    try:
-        return _load(text, key, consume)
-    except (_Unreadable, json.JSONDecodeError):
-        return None
-
-
-def _load(
-    text: str, key: str, consume: Callable[[Iterator[object]], object]
-) -> tuple[dict, object]:
+    """The members ``keep`` of the JSON object ``text``, a string or its
+    pieces in order, and ``consume``'s result for an iterator of the items
+    of array member ``key``, decoded in one pass; every other member is
+    decoded, an array an item at a time, and dropped.  A duplicate key
+    resolves as in ``json.loads``: when the last ``key`` is not an array,
+    it is kept and the result is None, as without a ``key``.  Items left
+    undrawn by ``consume`` are decoded after it, so all text is checked.
+    Returns None for text that is not a JSON object or not JSON."""
+    cursor = _Cursor((text,) if isinstance(text, str) else text)
     document: dict = {}
     result = None
-    index = _SPACE.match(text).end()
-    if not text.startswith("{", index):
-        raise _Unreadable
-    index = _SPACE.match(text, index + 1).end()
-    closed = text.startswith("}", index)
-    if closed:
-        index = _SPACE.match(text, index + 1).end()
-    while not closed:
-        if not text.startswith('"', index):
-            raise _Unreadable
-        name, index = _scan_once(text, index)
-        index = _SPACE.match(text, index).end()
-        if not text.startswith(":", index):
-            raise _Unreadable
-        index = _SPACE.match(text, index + 1).end()
-        if name == key and text.startswith("[", index):
-            array = _ArrayItems(text, index + 1)
-            items = iter(array)
-            result = consume(items)
-            for _ in items:
-                pass
-            document.pop(name, None)
-            index = array.end
-        else:
-            try:
-                document[name], index = _scan_once(text, index)
-            except StopIteration:  # no value here
-                raise _Unreadable from None
-            if name == key:
-                result = None
-        after = _MEMBER_END.match(text, index)
-        if after is None:
-            raise _Unreadable
-        index = after.end()
-        closed = after[1] == "}"
-    if index != len(text):
-        raise _Unreadable
+    try:
+        closed = cursor.take(_open)[1] is not None
+        while not closed:
+            name = cursor.take(_scan_once)
+            if not isinstance(name, str):
+                return None
+            cursor.take(_colon)
+            if cursor.text.startswith("[", cursor.index) and (name == key or name not in keep):
+                items = _items(cursor)
+                if name == key:
+                    result = consume(items)
+                    document.pop(name, None)
+                for _ in items:
+                    pass
+            else:
+                value = cursor.take(_scan_once)
+                if name == key or name in keep:
+                    document[name] = value
+                if name == key:
+                    result = None
+            closed = cursor.take(_member_end)[1] == "}"
+    except _Unreadable:
+        return None
+    if cursor.index < len(cursor.text) or cursor.draw(1):
+        return None
     return document, result

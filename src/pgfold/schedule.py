@@ -410,18 +410,15 @@ def switch_luts(
 class Netlist:
     """Static component and wire inventory of the folded architecture.
 
-    The wires are not stored: ``ports`` keeps, per interconnect instance,
+    Nothing per unit is stored: ``ports`` keeps, per interconnect instance,
     the port code of each distinct folded offset and the folded offset of
-    each extra port, and every wire follows from those and F by circulant
-    rotation.  ``iter_wires`` makes them one dict at a time, and ``wires``
-    makes them all afresh on each access.
+    each extra port, and the components, local channels and wires follow
+    from those and F.  The ``iter_*`` methods make them one dict at a time.
     """
 
     units_per_side: int
-    components: tuple[dict, ...]
     # instance -> ({folded offset: port code}, {extra port code: folded offset})
     ports: dict[str, tuple[dict[int, int], dict[int, int]]]
-    local_channels: tuple[dict, ...]
     annotations: dict
 
     def wire_ports(self, instance: str) -> list[tuple[int, int, int]]:
@@ -432,6 +429,31 @@ class Netlist:
         return [(delta, j, 0) for delta, j in port_of.items()] + [
             (delta, j, 1) for j, delta in extra_ports.items()
         ]
+
+    def iter_components(self) -> Iterator[dict]:
+        """Per side the units, then per instance its two switches per unit."""
+        f_units = self.units_per_side
+        for side in ("row", "col"):
+            for i in range(f_units):
+                for kind in ("ppu", "pmu"):
+                    yield {"id": f"{side}_{kind}_{i}", "kind": kind, "side": side}
+        for instance in self.ports:
+            reading = reader_of(instance)
+            ports = self.annotations["instances"][instance]["rho_hat"]
+            for m in range(f_units):
+                for kind, at in (("out", f"{other_side(reading)}_pmu"), ("in", f"{reading}_ppu")):
+                    yield {
+                        "id": f"{instance}_{kind}_{m}",
+                        "kind": "switch_pmu_out" if kind == "out" else "switch_ppu_in",
+                        "instance": instance,
+                        "at": f"{at}_{m}",
+                        "ports": ports,
+                    }
+
+    def iter_local_channels(self) -> Iterator[dict]:
+        for side in ("row", "col"):
+            for i in range(self.units_per_side):
+                yield {"ppu": f"{side}_ppu_{i}", "pmu": f"{side}_pmu_{i}", "ports": 2}
 
     def iter_wires(self) -> Iterator[dict]:
         """Every wire, in netlist.json order: per instance and memory m, one
@@ -451,29 +473,21 @@ class Netlist:
                         "copy": copy,
                     }
 
-    @property
-    def wires(self) -> tuple[dict, ...]:
-        return tuple(self.iter_wires())
-
-    def wires_of(self, instance: str) -> list[dict]:
-        return [w for w in self.iter_wires() if w["instance"] == instance]
-
-    def wire_lookup(self) -> dict[tuple[str, int], dict]:
-        """Map (source switch, source port) -> wire."""
-        return {(w["src"][0], w["src"][1]): w for w in self.iter_wires()}
-
     def json_fields(self) -> dict:
-        """netlist.json's fields but "wires"."""
+        """netlist.json's fields but its lists."""
         return {
             "format_version": 1,
             "units_per_side": self.units_per_side,
-            "components": list(self.components),
-            "local_channels": list(self.local_channels),
             "annotations": self.annotations,
         }
 
     def to_json_dict(self) -> dict:
-        return {**self.json_fields(), "wires": list(self.iter_wires())}
+        return {
+            **self.json_fields(),
+            "components": list(self.iter_components()),
+            "local_channels": list(self.iter_local_channels()),
+            "wires": list(self.iter_wires()),
+        }
 
 
 def build_netlist(graph: CirculantBipartiteGraph, plan: FoldPlan) -> Netlist:
@@ -486,11 +500,6 @@ def build_netlist(graph: CirculantBipartiteGraph, plan: FoldPlan) -> Netlist:
     switch pair on their extra port.
     """
     f_units = plan.units_per_side
-    components: list[dict] = []
-    for side in ("row", "col"):
-        for i in range(f_units):
-            components.append({"id": f"{side}_ppu_{i}", "kind": "ppu", "side": side})
-            components.append({"id": f"{side}_pmu_{i}", "kind": "pmu", "side": side})
     ports: dict[str, tuple[dict[int, int], dict[int, int]]] = {}
     annotations: dict = {
         "q": plan.q,
@@ -501,29 +510,8 @@ def build_netlist(graph: CirculantBipartiteGraph, plan: FoldPlan) -> Netlist:
         "instances": {},
     }
     for instance in INSTANCES:
-        reading = reader_of(instance)
-        producing = other_side(reading)
-        sequence = generate_folded_sequence(graph, plan, reading)
+        sequence = generate_folded_sequence(graph, plan, reader_of(instance))
         port_of, extra_ports, port_count = switch_ports(sequence)
-        for m in range(f_units):
-            components.append(
-                {
-                    "id": f"{instance}_out_{m}",
-                    "kind": "switch_pmu_out",
-                    "instance": instance,
-                    "at": f"{producing}_pmu_{m}",
-                    "ports": port_count,
-                }
-            )
-            components.append(
-                {
-                    "id": f"{instance}_in_{m}",
-                    "kind": "switch_ppu_in",
-                    "instance": instance,
-                    "at": f"{reading}_ppu_{m}",
-                    "ports": port_count,
-                }
-            )
         # A doubled pattern's extra port carries its first folded offset.
         ports[instance] = (
             port_of,
@@ -535,18 +523,7 @@ def build_netlist(graph: CirculantBipartiteGraph, plan: FoldPlan) -> Netlist:
             "rho_hat": port_count,
             "wire_count": f_units * port_count,
         }
-    local_channels = [
-        {"ppu": f"{side}_ppu_{i}", "pmu": f"{side}_pmu_{i}", "ports": 2}
-        for side in ("row", "col")
-        for i in range(f_units)
-    ]
-    return Netlist(
-        units_per_side=f_units,
-        components=tuple(components),
-        ports=ports,
-        local_channels=tuple(local_channels),
-        annotations=annotations,
-    )
+    return Netlist(units_per_side=f_units, ports=ports, annotations=annotations)
 
 
 # ---------------------------------------------------------------------------

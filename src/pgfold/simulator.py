@@ -1,65 +1,44 @@
 """Cycle-accurate token simulator of an emitted folded architecture.
 
 This module deliberately reimplements the access semantics from the files
-a run directory contains (graph, fold sequences, write LUTs, switch
-tables, netlist, timing) rather than reusing the synthesis code, so a
-passing simulation also validates the file formats and their mutual
-consistency.  The files come from a read-only ``name → text`` mapping:
-an in-memory render, or a run directory through ``RunDirectory``, which
-lists the files once and reads and decodes each only when it is looked up.
+of a run (graph, fold sequences, write LUTs, switch tables, netlist,
+timing) rather than reusing the synthesis code, so a passing simulation
+also validates the file formats and their mutual consistency.  The files
+come from a read-only ``name → text`` mapping: an in-memory render, whose
+text may be held as a sequence of pieces, or a run directory through
+``RunDirectory``, which reads and decodes each file only when looked up.
 
-One iteration is a row compute half followed by a col compute half.  Row
-units read the column-side memories through the row_reads interconnect,
-then write results into their collocated row-side memories; the col half
-mirrors this.  Column memories are preloaded once so the first row half
-has data.  Every memory, wire, and switch port access is checked for
+One iteration is a row compute half, in which row units read the column
+memories through the row_reads interconnect and write their collocated
+row memories, then the mirrored col half; the column memories are
+preloaded.  Every memory, wire and switch port access is checked for
 exclusive use per cycle, every delivered token for being the one its
 consumer and rank prescribe.
 
-The replay runs in three steps.  Load reads each file once and rejects
-text that is not UTF-8, JSON that does not parse, a JSON field of the
-wrong type and out-of-range table values with their file, row and field.
-It reads netlist.json in one decode pass that puts each wire into an
-index by integer keys as soon as it is decoded, so the wires are never
-held as a list; every other member, and any layout of the text, reads as
-``json.loads`` reads it, and a faulty wire is reported after the switch
-table checks, as a whole-file parse would have it.  Each side's real
-writes are kept as one column of integer codes per slot.  In a run with
-HDL, load also parses every array of the ROM package hdl/folded_luts.vhd
-and compares it, integer by integer, with the LUT file column it is named
-after: a difference is a file mismatch naming the array and the first
-differing index, and a package that is absent or does not parse fails
-the load with the file and array named.  hdl/top.vhd is not read.
-Compile turns
-each side's read half and write half into a plan, once per call: the
-resource ids each slot claims, the memory cell that feeds each unit-side
-switch port, and the cell, expected key and rank of each real delivery.
-Resource ids are computed, not tabulated: a wire's id is the index in
-netlist.json of the first wire with its name, and memory ports and
-switch ports follow in ranges sized from the loaded tables.  A token is
-one integer that encodes its producer, consumer and edge.  Every
-per-event fact of the plan (write, token, delivery, access-trace row) is
-one entry of an ``array('q')`` column, not a Python object, so the
-plan's memory is 8 bytes per event.  The first iteration's memory
-traffic depends on the plan alone, so it is compared with the access
-trace files before the replay.  Each trace row is coded as one integer
-whose order is the rows' order; a file whose text is the sorted codes'
-own rendering holds exactly the observed rows, and any other file is
-parsed and compared with them as a multiset of rows.  Replay then runs
-every half of every iteration at its absolute cycles, checking each
-claim against the id tuples already claimed in that cycle and each
-delivery against the token its cell holds; messages are decoded from the
-ids and tokens only for a conflict, a misroute or a trace mismatch.
+Load reads each file once and names the file, row and field of any fault.
+netlist.json is decoded in one pass, its pieces never joined, and each
+wire goes into integer columns as it is decoded; a faulty wire is
+reported after the switch table checks, as a whole-file parse would have
+it.  With HDL, each array of hdl/folded_luts.vhd is compared integer by
+integer with the LUT file column it is named after; hdl/top.vhd is not
+read.  Compile turns each half into a plan: the resource ids each slot
+claims, the cell that feeds each unit-side switch port, and the cell,
+expected key and rank of each real delivery.  Resource ids are computed,
+not tabulated, and every per-event fact (claim id, write, token,
+delivery, access-trace row) is one entry of an ``array('q')`` column, so
+the plan holds no object per event.  The first iteration's traffic
+depends on the plan alone and is compared with the access trace files
+before the replay: a file whose text is the sorted row codes' own
+rendering holds exactly the observed rows, any other is parsed and
+compared as a multiset.  Replay runs every half of every iteration at its
+absolute cycles; messages are decoded from ids and tokens only for a
+conflict, a misroute or a trace mismatch.
 
-What each consumer received is kept as a loss census rather than a list
-of tokens: every half makes the same compiled deliveries in every
-iteration, so the report keeps each side's deliveries once, as columns,
-and, per iteration, only the indices of those that did not arrive
-intact.  A passing run keeps nothing per iteration, and the replay's
-memory does not grow with the iteration count.
-``check_dataflow_equivalence`` groups each side's delivery indices by
-consumer and checks each distinct loss set once against the incidence it
-derives from graph.json.
+What each consumer received is kept as a loss census: the report keeps
+each side's compiled deliveries once, as columns, and per iteration only
+the indices of those that did not arrive intact, so the replay's memory
+does not grow with the iteration count.  ``check_dataflow_equivalence``
+checks each distinct loss set once against the incidence of graph.json.
 """
 
 from __future__ import annotations
@@ -69,13 +48,17 @@ import json
 import re
 from array import array
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Set
+from collections.abc import Iterator, Mapping, Set
 from dataclasses import dataclass, field
-from itertools import count, islice
+from itertools import chain, count, islice
 from operator import itemgetter, le
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .circulant import is_int, json_int, json_ints, json_value
+
+if TYPE_CHECKING:
+    from .wires import _Wires
 
 __all__ = [
     "RunDirectory",
@@ -129,10 +112,12 @@ def _source(files: Mapping[str, str] | str | Path) -> Mapping[str, str]:
     return files if isinstance(files, Mapping) else RunDirectory(files)
 
 
-def _text(files: Mapping[str, str], name: str) -> str:
+def _text(files: Mapping[str, str], name: str, pieces: bool = False) -> str:
+    """File ``name``'s text, its pieces joined unless ``pieces`` asks for them."""
     if name not in files:
         raise SimulationStructureError(f"missing artifact {name}")
-    return files[name]
+    text = files[name]
+    return text if pieces or isinstance(text, str) else "".join(text)
 
 
 def read_json(files: Mapping[str, str], name: str) -> object:
@@ -224,30 +209,6 @@ def _outside(
 
 
 @dataclass
-class _Wires:
-    """The netlist's wires, indexed by the integers the replay looks them up
-    by.  A wire's index is its position in netlist.json's wire list."""
-
-    # the key of an out-switch port -> the index of the last wire it drives
-    by_src: dict[int, int]
-    names: list[str]
-    # per wire: the index of the first wire with its name, which is the
-    # wire a drive claims
-    first: list[int]
-    # per wire: the unit number its destination switch ends in
-    dst_unit: list[int]
-    # wires whose destination is not ``<instance>_in_<unit>`` of their
-    # source's instance: they are claimed, but no unit-side switch selects them
-    foreign: frozenset[int]
-
-    @staticmethod
-    def src_key(instance: int, unit: int, code: int, units: int) -> int:
-        """The key of port ``code`` of out switch ``unit`` of instance 0
-        (row_reads) or 1 (col_reads)."""
-        return (code * 2 + instance) * units + unit
-
-
-@dataclass
 class _Inputs:
     order: int
     real_order: int
@@ -272,7 +233,7 @@ class _Inputs:
 
 
 _INSTANCES = ("row_reads", "col_reads")
-_SOURCE = re.compile(r"(row_reads|col_reads)_out_(0|[1-9][0-9]*)")
+_SIDES = {"row": "col", "col": "row"}  # a half's reading side -> the side whose memories it reads
 
 
 _PIPELINE_LEVELS = ("none", "writeback", "node", "graph")
@@ -423,6 +384,8 @@ def _load(files: Mapping[str, str]) -> _Inputs:
     if isinstance(wires, SimulationStructureError):
         raise wires
     if wires is None:
+        from .wires import _load_wires
+
         wires = _load_wires(_field("netlist.json", netlist, "wires", _json_list), units)
     del netlist
     # Each write, token, delivery and trace row is one signed 64-bit integer.
@@ -478,76 +441,19 @@ def _load(files: Mapping[str, str]) -> _Inputs:
     )
 
 
-def _load_wires(entries: Iterable[object], units: int) -> _Wires:
-    """Check every wire of netlist.json, in file order, and index those an
-    out switch of units [0, ``units``) can drive by their source port."""
-    by_src = {}
-    names = []
-    first = []
-    dst_units = []
-    foreign = set()
-    seen: dict[str, int] = {}
-    # Switch names repeat once per port: each is parsed once.
-    sources: dict[str, tuple[int, int, str] | None] = {}
-    destinations: dict[str, int] = {}
-    for index, wire in enumerate(entries):
-        if not isinstance(wire, dict):
-            raise SimulationStructureError(f"netlist.json:wires[{index}] is not an object")
-        for key in ("src", "dst"):
-            end = wire.get(key)
-            if not (
-                isinstance(end, list)
-                and len(end) == 2
-                and isinstance(end[0], str)
-                and is_int(end[1])
-            ):
-                raise SimulationStructureError(
-                    f"netlist.json:wires[{index}]:{key} {end!r} is not a (switch, port) pair"
-                )
-        wire_name = wire.get("name")
-        if not isinstance(wire_name, str):
-            raise SimulationStructureError(
-                f"netlist.json:wires[{index}]:name {wire_name!r} is not a string"
-            )
-        dst = wire["dst"][0]
-        dst_unit = destinations.get(dst)
-        if dst_unit is None:
-            try:
-                dst_unit = destinations[dst] = int(dst.rpartition("_")[2])
-            except ValueError:
-                raise SimulationStructureError(
-                    f"netlist.json:wires[{index}]:dst {dst!r} does not end in a unit number"
-                ) from None
-        names.append(wire_name)
-        first.append(seen.setdefault(wire_name, index))
-        dst_units.append(dst_unit)
-        src, code = wire["src"]
-        if src not in sources:
-            match = _SOURCE.fullmatch(src)
-            sources[src] = None
-            if match is not None and int(match[2]) < units:
-                sources[src] = (_INSTANCES.index(match[1]), int(match[2]), match[1])
-        source = sources[src]
-        if source is None:
-            continue  # no out switch of the replay drives it
-        instance, unit, instance_name = source
-        by_src[_Wires.src_key(instance, unit, code, units)] = index
-        if dst != f"{instance_name}_in_{dst_unit}":
-            foreign.add(index)
-    return _Wires(by_src, names, first, dst_units, frozenset(foreign))
-
-
 def _read_netlist(
     files: Mapping[str, str], units: int
 ) -> tuple[object, _Wires | SimulationStructureError | None]:
-    """netlist.json in one decode pass, each wire going into the index of
-    out switches of units [0, ``units``) as it is decoded.
+    """netlist.json's ``annotations``, the one other member the replay
+    reads, and the index of its wires for out switches of units [0,
+    ``units``) or the first wire error, which the caller raises after its
+    table checks; decoded in one pass.  With ``wires`` absent or not a list
+    that member is kept and the index is None; for text that is not a JSON
+    object, ``json.loads`` decodes the whole document or names the fault."""
 
-    Returns the document without its ``wires`` list, and that list's index
-    or the first wire error, which the caller raises after its table
-    checks.  With ``wires`` absent or not a list it stays in the document
-    and the second value is None; so it is for text that is not a JSON
-    object, which ``json.loads`` decodes or names the fault of."""
+    # Imported here, so that commands that replay nothing do not compile them.
+    from .jsonstream import load_streamed
+    from .wires import _load_wires
 
     def index(items: Iterator[object]) -> _Wires | SimulationStructureError:
         try:
@@ -555,11 +461,9 @@ def _read_netlist(
         except SimulationStructureError as exc:
             return exc
 
-    # Imported here, so that commands that replay nothing do not compile it.
-    from .jsonstream import load_streamed
-
-    text = _text(files, "netlist.json")
-    return load_streamed(text, "wires", index) or (_parse_json("netlist.json", text), None)
+    text = _text(files, "netlist.json", pieces=True)
+    streamed = load_streamed(text, "wires", index, keep=("annotations",))
+    return streamed or (read_json(files, "netlist.json"), None)
 
 
 # The ROM package of a run with HDL: one integer array per LUT file
@@ -730,20 +634,18 @@ class _Resources:
     claims, computed rather than tabulated, and the text of each for a
     conflict message.
 
-    The ids are consecutive ranges: the wires by index in netlist.json
-    (wires that share a name share the first one's id); the memory ports
-    by (side, unit, port); then, for each instance and
-    direction, the switch ports by (unit, code), the code range spanning
-    the lowest to the highest code of that switch table.
+    The wires' ids are their names' (see ``wires._Wires``); then follow
+    consecutive ranges: the memory ports by (side, unit, port); then, for
+    each instance and direction, the switch ports by (unit, code), the
+    code range spanning the lowest to the highest code of that switch
+    table.  Every id fits an ``array('q')`` column.
     """
 
     def __init__(self, inputs: _Inputs) -> None:
         self.units = max(inputs.units, 0)
-        self.wire_names = inputs.wires.names
-        self.port_base = len(self.wire_names)
-        # One int object per port, shared by every claim of it.
-        self.ports = list(range(self.port_base, self.port_base + 4 * self.units))
-        base = self.port_base + len(self.ports)
+        self.wires = inputs.wires
+        self.port_base = max(self.wires.ids, default=-1) + 1
+        base = self.port_base + 4 * self.units
         # (instance, direction) -> (first id, lowest code, codes per unit)
         self.switches: dict[tuple[str, str], tuple[int, int, int]] = {}
         for instance in _INSTANCES:
@@ -753,22 +655,27 @@ class _Resources:
                 width = max(codes, default=low - 1) - low + 1
                 self.switches[(instance, direction)] = (base, low, width)
                 base += self.units * width
+                if base >= 2**63:
+                    raise SimulationStructureError(
+                        f"lut_{instance}_{direction}.csv: codes {low} to "
+                        f"{low + width - 1} are too many to replay"
+                    )
 
     def port(self, side: str, pmu: int, port: int) -> int:
-        return self.ports[((side == "col") * self.units + pmu) * 2 + port]
+        return self.port_base + ((side == "col") * self.units + pmu) * 2 + port
 
-    def switch(self, instance: str, direction: str, unit: int, code: int) -> int | None:
-        """The id of port ``code`` of switch ``unit``, or None when the
+    def switch(self, instance: str, direction: str, unit: int, code: int) -> int:
+        """The id of port ``code`` of switch ``unit``, or -1 when the
         switch table holds no such code."""
         base, low, width = self.switches[(instance, direction)]
         if not low <= code < low + width:
-            return None
+            return -1
         return base + unit * width + code - low
 
     def conflict(self, rid: int, cycle: int) -> str:
         if rid < self.port_base:
-            return f"wire double drive: {self.wire_names[rid]} cycle {cycle}"
-        if rid < self.port_base + len(self.ports):
+            return f"wire double drive: {self.wires.name(rid)} cycle {cycle}"
+        if rid < self.port_base + 4 * self.units:
             side, rest = divmod(rid - self.port_base, 2 * self.units)
             pmu, port = divmod(rest, 2)
             return (
@@ -825,11 +732,15 @@ class _Trace:
         if not text.startswith(self.HEADER):
             return False
         position = len(self.HEADER)
-        row = self.row
-        for start in range(0, len(codes), 4096):
-            chunk = "".join(
-                ["%d,%d,%d,%d,%s\n" % row(code) for code in codes[start : start + 4096]]
-            )
+        span, pairs = self.span, 2 * self.units
+        ports = [f"{pmu},{port}," for pmu in range(self.units) for port in (0, 1)]
+        for start in range(0, len(codes), 1024):
+            lines = []
+            for code in codes[start : start + 1024]:
+                rest, address = divmod(code >> 1, span)
+                cycle, pair = divmod(rest, pairs)
+                lines.append(f"{cycle},{ports[pair]}{address},{'RW'[code & 1]}\n")
+            chunk = "".join(lines)
             if not text.startswith(chunk, position):
                 return False
             position += len(chunk)
@@ -845,20 +756,21 @@ class _Half:
     """One side's read half and write half, compiled once from the files.
 
     Claims are (cycle offset from the half's base, resource ids, ids all
-    distinct) in event order.  A cell indexes the flat memory of a side:
-    one entry per (unit, address) that side's write LUT fills and a read
-    can reach, plus a last entry that is never written.  A token is one
-    integer, (producer · J + consumer) · ranks + edge rank, and -1 stands
+    distinct, lowest id, highest id) in event order.  A cell indexes the
+    flat memory of a side: one entry per (unit, address) that side's write
+    LUT fills and a read can reach, plus a last entry that is never
+    written.  A token is one integer, (producer · J + consumer) · ranks +
+    edge rank, and -1 stands
     for no token: a delivery to consumer c from producer p expects a token
-    whose // ranks is its key p · J + c.  Deliveries and tokens are
-    ``array('q')`` columns, so the plan holds no object per event.
+    whose // ranks is its key p · J + c.  Claim ids, deliveries and tokens
+    are ``array('q')`` columns, so the plan holds no object per event.
     """
 
     reading: str
     producing: str
     order: int
     ranks: int
-    read_claims: list[tuple[int, tuple[int, ...], bool]] = field(default_factory=list)
+    read_claims: list[tuple[int, array, bool, int, int]] = field(default_factory=list)
     # The real deliveries, in the order they are made: the cell each reads,
     # its key and its rank.
     cells: array = field(default_factory=_column)
@@ -866,15 +778,16 @@ class _Half:
     delivery_ranks: array = field(default_factory=_column)
     busy: int = 0
     port_reads: int = 0
-    write_claims: list[tuple[int, tuple[int, ...], bool]] = field(default_factory=list)
+    write_claims: list[tuple[int, array, bool, int, int]] = field(default_factory=list)
     # The token each written cell of the reading side's memory holds after
     # the write half (its last write); -1 for the sentinel rank's filler.
     tokens: array = field(default_factory=_column)
 
 
-def _ids(ids: list[int]) -> tuple[tuple[int, ...], bool]:
-    """The ids of a claim, and whether they are all distinct."""
-    return tuple(ids), len(set(ids)) == len(ids)
+def _ids(ids: list[int]) -> tuple[array, bool, int, int]:
+    """The ids of a claim as a column, whether they are all distinct, and the lowest and highest."""
+    unique = set(ids)
+    return array("q", ids), len(unique) == len(ids), min(unique, default=0), max(unique, default=-1)
 
 
 def _compile(inputs: _Inputs) -> tuple[dict[str, _Half], _Resources, _Trace, dict[str, array]]:
@@ -891,35 +804,16 @@ def _compile(inputs: _Inputs) -> tuple[dict[str, _Half], _Resources, _Trace, dic
     depth = max(0, min(inputs.capacity, 2 * slot_count))
     # memory side -> the row codes of the row half's and the col half's accesses
     observed = {side: (array("q"), array("q")) for side in ("row", "col")}
-    halves = {
-        "row": _Half("row", "col", inputs.order, ranks),
-        "col": _Half("col", "row", inputs.order, ranks),
-    }
-    cell_index = {
-        side: _compile_writes(
-            inputs,
-            half,
-            half_index * inputs.side_span,
-            depth,
-            resources,
-            trace,
-            observed[side][half_index],
-        )
-        for half_index, (side, half) in enumerate(halves.items())
-    }
+    halves = {side: _Half(side, other, inputs.order, ranks) for side, other in _SIDES.items()}
+    cell_index = {}
+    for half_index, (side, half) in enumerate(halves.items()):
+        rel_base, rows = half_index * inputs.side_span, observed[side][half_index]
+        cell_index[side] = _compile_writes(inputs, half, rel_base, depth, resources, trace, rows)
     for half_index, half in enumerate(halves.values()):
-        _compile_reads(
-            inputs,
-            half,
-            half_index * inputs.side_span,
-            cell_index[half.producing],
-            depth,
-            len(halves[half.producing].tokens),
-            resources,
-            trace,
-            observed[half.producing][half_index],
-        )
-    del cell_index
+        rel_base, rows = half_index * inputs.side_span, observed[half.producing][half_index]
+        index, blank = cell_index[half.producing], len(halves[half.producing].tokens)
+        _compile_reads(inputs, half, rel_base, index, depth, blank, resources, trace, rows)
+    del cell_index, index
     observed = {side: first + second for side, (first, second) in observed.items()}
     return halves, resources, trace, observed
 
@@ -985,28 +879,32 @@ def _compile_reads(
     units, order = inputs.units, inputs.order
     cons_offsets = inputs.reader_offsets[half.reading]
     cells, keys, delivery_ranks = half.cells, half.keys, half.delivery_ranks
+    # A slot runs pattern l on units [0, active); a pattern is kept until its last slot.
+    slots = inputs.slots[half.reading]
+    runs = [(l, max(0, min(units, inputs.real_order - k * units))) for l, k in slots]
+    uses = Counter(runs)
     patterns: dict[tuple[int, int], tuple] = {}
-    for slot, (l, k) in enumerate(inputs.slots[half.reading]):
+    for slot, ((l, k), (_, active)) in enumerate(zip(slots, runs)):
         offset = inputs.read_cycles[slot]
-        active = max(0, min(units, inputs.real_order - k * units))
-        pattern = patterns.get((l, active))
-        if pattern is None:
-            pattern = patterns[(l, active)] = _compile_pattern(
-                inputs, resources, instance, half.producing, l, active
-            )
+        pattern = patterns.pop((l, active), None) or _compile_pattern(
+            inputs, resources, instance, half.producing, l, active
+        )
+        uses[(l, active)] -= 1
+        if uses[(l, active)]:
+            patterns[(l, active)] = pattern
         out_claims, drives, in_claims, selects = pattern
         half.read_claims += ((offset, *out_claims), (offset + 1, *in_claims))
         half.busy += active
-        half.port_reads += len(drives)
+        half.port_reads += len(drives[0])
         # Per unit-side switch port the last drive of the slot wins.
         driven: dict[int, int] = {}
-        for m, b, target in drives:
+        for m, b, target in zip(*drives):
             address = 2 * slot + b
             rows.append(trace.code(rel_base + offset, m, b, address, "R"))
-            if target is not None:
+            if target >= 0:
                 cell = index[m * depth + address] if address < depth else -1
                 driven[target] = blank if cell < 0 else cell
-        for i, b, in_id in selects:
+        for i, b, in_id in zip(*selects, in_claims[0]):
             lpu = k * units + i
             rank = 2 * l + b
             producer = (lpu + cons_offsets[rank]) % order
@@ -1022,21 +920,21 @@ def _compile_pattern(
     inputs: _Inputs, resources: _Resources, instance: str, producing: str, l: int, active: int
 ) -> tuple:
     """Claims, drives and selects of pattern ``l`` with units [0, active)
-    busy, shared by every slot that runs it.  A drive is (memory unit,
-    port, the unit-side switch port it feeds or None); a select is
-    (unit, rank within the pattern, switch port id)."""
+    busy, shared by every slot that runs it, as ``array('q')`` columns: a
+    drive is (memory unit, port, unit-side switch port it feeds or -1), a
+    select (unit, rank within the pattern) with the in-claim's id."""
     invalid = inputs.invalid[instance]
     wires = inputs.wires
     index = _INSTANCES.index(instance)
     # Memory-side switches drive their wires.
-    out_ids = []
-    drives = []
+    out_ids, drives = [], (array("q"), array("q"), array("q"))
     for m in range(inputs.units):
         for b, code in enumerate(inputs.out_rows[instance][l]):
             if code == invalid:
                 continue
-            wire = wires.by_src.get(_Wires.src_key(index, m, code, inputs.units))
-            if wire is None:
+            key = wires.src_key(index, m, code, inputs.units)
+            wire = wires.by_src[key] if 0 <= key < len(wires.by_src) else -1
+            if wire < 0:
                 raise SimulationStructureError(
                     f"switch table references missing wire at "
                     f"{instance} out switch {m} port {code} (pattern {l})"
@@ -1044,25 +942,21 @@ def _compile_pattern(
             dst_unit = wires.dst_unit[wire]
             if not 0 <= dst_unit < active:
                 continue
-            out_ids += (
-                resources.switch(instance, "out", m, code),
-                wires.first[wire],
-                resources.port(producing, m, b),
-            )
-            target = None
-            if wire not in wires.foreign:
-                target = resources.switch(instance, "in", dst_unit, code)
-            drives.append((m, b, target))
+            out_switch = resources.switch(instance, "out", m, code)
+            out_ids += (out_switch, wires.ids[wire], resources.port(producing, m, b))
+            target = resources.switch(instance, "in", dst_unit, code)
+            drives[0].append(m)
+            drives[1].append(b)
+            drives[2].append(-1 if wire in wires.foreign else target)
     # Unit-side switches select, one cycle staggered.
-    in_ids = []
-    selects = []
+    in_ids, selects = [], (array("q"), array("q"))
     for i in range(active):
         for b, code in enumerate(inputs.in_rows[instance][l]):
             if code == invalid:
                 continue
-            in_id = resources.switch(instance, "in", i, code)
-            in_ids.append(in_id)
-            selects.append((i, b, in_id))
+            in_ids.append(resources.switch(instance, "in", i, code))
+            selects[0].append(i)
+            selects[1].append(b)
     return _ids(out_ids), drives, _ids(in_ids), selects
 
 
@@ -1073,21 +967,22 @@ def _compile_pattern(
 def _claim(
     claims, base: int, use: dict[int, list], resources: _Resources, conflicts: list
 ) -> None:
-    """Claim the ids of each claim in its cycle.  A cycle keeps the id
-    tuples claimed in it rather than a set of their ids, which would cost
-    tens of bytes per id for every cycle a half spans."""
-    for offset, ids, distinct in claims:
+    """Claim the ids of each claim in its cycle.  A cycle keeps the id columns
+    claimed in it with their id ranges, not a set of their ids, which would
+    cost tens of bytes per id; only claims whose ranges meet are compared."""
+    for offset, ids, distinct, low, high in claims:
         cycle = base + offset
         held = use.setdefault(cycle, [])
-        if distinct and (not held or all(map(set(ids).isdisjoint, held))):
-            held.append(ids)
+        meets = [other for other, first, last in held if first <= high and low <= last]
+        if distinct and (not meets or set(ids).isdisjoint(chain.from_iterable(meets))):
+            held.append((ids, low, high))
             continue
-        used = set().union(*held)
+        used = set().union(*(other for other, _, _ in held))
         for rid in ids:
             if rid in used:
                 conflicts.append(resources.conflict(rid, cycle))
             used.add(rid)
-        held.append(ids)
+        held.append((ids, low, high))
 
 
 def _deliver(half: _Half, memory: array, misroutes: list) -> tuple[int, ...]:

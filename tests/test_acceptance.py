@@ -43,6 +43,7 @@ from pgfold.simulator import simulate
 
 from .test_emit import FROZEN_SCHEDULE_GRID
 from .test_projective import INCIDENCE_15, REFERENCE_OFFSETS_15
+from .test_schedule import accesses
 
 GEOMETRIES = ((2, 2, 1), (3, 2, 1), (2, 3, 1), (2, 3, 2))
 REFERENCE_PROTOTYPE_CYCLES = 63
@@ -164,7 +165,7 @@ class TestAcceptance:
             assert len(sequence.patterns) == 4
             assert emit_schedule_table(sequence) == FROZEN_SCHEDULE_GRID
             for slot in (9, 10, 11):
-                for access in sequence.accesses(slot):
+                for access in accesses(sequence, slot):
                     assert access["pmus"][1] is None
 
     def test_criterion_03_address_goldens(self):

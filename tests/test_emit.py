@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from pgfold.circulant import CirculantBipartiteGraph
 from pgfold.emit import (
     check_hdl,
-    decode_schedule_cell,
     emit_access_trace,
     emit_graph_json,
     emit_hdl,
@@ -27,7 +26,6 @@ from pgfold.emit import (
     emit_switch_lut_csv,
     emit_write_lut_csv,
     format_schedule_cell,
-    parse_schedule_table,
     render_run_files,
     write_run_directory,
 )
@@ -42,9 +40,35 @@ from pgfold.schedule import (
     write_schedule,
 )
 
-from .test_schedule import render_designs
+from .test_schedule import accesses, render_designs
 
 OFFSETS_15 = (0, 1, 2, 4, 5, 8, 10)
+
+# The inverse of emit_schedule_table, an oracle for its grid.
+CELL_RE = re.compile(r"^\[PU(\d+) : MU(\d+), (?:MU(\d+)|D) \]$")
+
+
+def decode_schedule_cell(cell: str) -> tuple[int, int, int | None]:
+    match = CELL_RE.match(cell)
+    if match is None:
+        raise ValueError(f"malformed schedule cell {cell!r}")
+    pu, first, second = match.groups()
+    return int(pu), int(first), None if second is None else int(second)
+
+
+def parse_schedule_table(text: str) -> dict:
+    """Banners plus decoded data rows."""
+    banners: list[tuple[int, str]] = []
+    rows: list[tuple[int, list[tuple[int, int, int | None]]]] = []
+    for record in csv.reader(io.StringIO(text)):
+        if not record:
+            continue
+        if len(record) == 1:
+            banners.append((len(rows), record[0]))
+            continue
+        slot = int(record[0])
+        rows.append((slot, [decode_schedule_cell(cell) for cell in record[1:]]))
+    return {"banners": banners, "rows": rows}
 
 _P0 = '"[PU0 : MU0, MU1 ]","[PU1 : MU1, MU2 ]","[PU2 : MU2, MU3 ]","[PU3 : MU3, MU4 ]","[PU4 : MU4, MU0 ]"'
 _P1 = '"[PU0 : MU2, MU4 ]","[PU1 : MU3, MU0 ]","[PU2 : MU4, MU1 ]","[PU3 : MU0, MU2 ]","[PU4 : MU1, MU3 ]"'
@@ -125,7 +149,7 @@ class TestScheduleTable:
                 for slot, cells in parsed["rows"]:
                     expected = [
                         (a["ppu"], a["pmus"][0], a["pmus"][1])
-                        for a in sequence.accesses(slot)
+                        for a in accesses(sequence, slot)
                     ]
                     assert cells == expected
 
@@ -139,7 +163,7 @@ class TestScheduleTable:
 class TestFlatArtifacts:
     def test_netlist_json(self):
         graph, plan = running_example()
-        data = json.loads(emit_netlist_json(build_netlist(graph, plan)))
+        data = json.loads("".join(emit_netlist_json(build_netlist(graph, plan))))
         assert len(data["components"]) == 40
         switches = [c for c in data["components"] if c["kind"].startswith("switch")]
         assert len(switches) == 20
@@ -150,7 +174,7 @@ class TestFlatArtifacts:
         graph, plan = running_example()
         netlist = build_netlist(graph, plan)
         expected = json.dumps(netlist.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        assert emit_netlist_json(netlist) == expected
+        assert "".join(emit_netlist_json(netlist)) == expected
 
     def test_graph_json_round_trip(self):
         graph, _ = running_example()
@@ -487,7 +511,7 @@ class TestColumnWritersMatchObjectViews:
         graph, plan = design
         netlist = build_netlist(graph, plan)
         expected = json.dumps(netlist.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        assert emit_netlist_json(netlist) == expected
+        assert "".join(emit_netlist_json(netlist)) == expected
 
         sides = ("row", "col")
         sequences = {s: generate_folded_sequence(graph, plan, s) for s in sides}
@@ -509,7 +533,7 @@ class TestColumnWritersMatchObjectViews:
             trace = []
             for slot in range(sequences[reader].slot_count):
                 cycle = read_base + timing.read_cycles[slot]
-                for access in sequences[reader].accesses(slot):
+                for access in accesses(sequences[reader], slot):
                     if access["lpu"] >= graph.real_order:
                         continue
                     p0, p1 = access["pmus"]
@@ -532,7 +556,7 @@ class TestColumnWritersMatchObjectViews:
                     option1 = sequence.design_option == 1
                     grid.append([f"Full Perfect Access Pattern {l}" if option1 else f"Fold {k}"])
                 cells = [
-                    format_schedule_cell(a["ppu"], *a["pmus"]) for a in sequence.accesses(slot)
+                    format_schedule_cell(a["ppu"], *a["pmus"]) for a in accesses(sequence, slot)
                 ]
                 grid.append([str(slot), *cells])
             assert emit_schedule_table(sequence) == csv_text(grid)

@@ -20,7 +20,7 @@ from pgfold.folding import (
 )
 from pgfold.projective import PgParams, build_pg_graph
 
-from .test_schedule import folded_graphs
+from .test_schedule import accesses, folded_graphs
 
 
 def graph_15() -> CirculantBipartiteGraph:
@@ -75,7 +75,7 @@ class TestPadding:
 class TestSequenceGolden:
     def test_slot_0_units(self):
         seq = generate_folded_sequence(graph_15(), FoldPlan.for_graph(graph_15(), 3))
-        entries = seq.accesses(0)
+        entries = accesses(seq, 0)
         assert [(e["ppu"], e["pmus"]) for e in entries] == [
             (0, (0, 1)),
             (1, (1, 2)),
@@ -89,14 +89,14 @@ class TestSequenceGolden:
         # offsets (5, 8) fold to (0, 3)
         assert seq.patterns[2].folded == (0, 3)
         slot = seq.slot_index(2, 0)
-        assert seq.accesses(slot)[0]["pmus"] == (0, 3)
+        assert accesses(seq, slot)[0]["pmus"] == (0, 3)
 
     def test_pattern_3_dummy(self):
         seq = generate_folded_sequence(graph_15(), FoldPlan.for_graph(graph_15(), 3))
         assert seq.patterns[3].offsets == (10, None)
         assert seq.patterns[3].folded == (0, None)
         slot = seq.slot_index(3, 0)
-        assert seq.accesses(slot)[0]["pmus"] == (0, None)
+        assert accesses(seq, slot)[0]["pmus"] == (0, None)
 
     def test_option_orders(self):
         g = graph_15()
@@ -113,7 +113,7 @@ class TestSequenceGolden:
             seq = generate_folded_sequence(g, FoldPlan.for_graph(g, 3, design_option=option))
             triples = set()
             for slot in range(seq.slot_count):
-                for e in seq.accesses(slot):
+                for e in accesses(seq, slot):
                     triples.add((e["lpu"], e["edges"][0], e["pmus"][0]))
                     if e["pmus"][1] is not None:
                         triples.add((e["lpu"], e["edges"][1], e["pmus"][1]))
@@ -162,7 +162,7 @@ def balance_by_walk(sequence, graph, plan) -> bool:
     ok = True
     seen: dict[tuple[int, int], int] = {}
     for slot in range(sequence.slot_count):
-        entries = sequence.accesses(slot)
+        entries = accesses(sequence, slot)
         for e in entries:
             for which in (0, 1):
                 t = e["edges"][which]

@@ -40,6 +40,39 @@ def running_example(q=3, design_option=1, **kwargs):
     return graph, plan
 
 
+# Object views that the emitters no longer use: oracles for the tests.
+
+
+def accesses(sequence, slot):
+    """Per-unit accesses of one slot of a folded sequence.
+
+    Each entry: {"ppu", "lpu", "edges": (t0, t1), "pmus": (p0, p1)};
+    the second pmu is None for the dummy half of a padded pattern.
+    """
+    l, k = sequence.slots[slot]
+    d0, d1 = sequence.patterns[l].folded
+    f_units = sequence.units_per_side
+    return [
+        {
+            "ppu": i,
+            "lpu": k * f_units + i,
+            "edges": (2 * l, 2 * l + 1),
+            "pmus": ((d0 + i) % f_units, None if d1 is None else (d1 + i) % f_units),
+        }
+        for i in range(f_units)
+    ]
+
+
+def wires_of(netlist, instance=None):
+    """The netlist's wires, or one instance's, as dicts."""
+    return [w for w in netlist.iter_wires() if instance in (None, w["instance"])]
+
+
+def wire_lookup(netlist):
+    """Map (source switch, source port) -> wire."""
+    return {tuple(w["src"]): w for w in netlist.iter_wires()}
+
+
 class TestMemoryLayout:
     def test_running_example_capacity(self):
         graph, plan = running_example()
@@ -118,7 +151,7 @@ class TestAssignMemoryUnits:
             sequence = generate_folded_sequence(graph, plan, side)
             for slot in range(sequence.slot_count):
                 l, k = sequence.slots[slot]
-                for access in sequence.accesses(slot):
+                for access in accesses(sequence, slot):
                     assert table[(k, access["ppu"], l)] == access["pmus"]
 
     def test_sentinel_second_member(self):
@@ -379,7 +412,7 @@ class TestNetlist:
         graph, plan = running_example()
         net = build_netlist(graph, plan)
         kinds = {}
-        for c in net.components:
+        for c in list(net.iter_components()):
             kinds[c["kind"]] = kinds.get(c["kind"], 0) + 1
         assert kinds == {
             "ppu": 10,
@@ -387,7 +420,7 @@ class TestNetlist:
             "switch_pmu_out": 10,
             "switch_ppu_in": 10,
         }
-        ids = {c["id"] for c in net.components}
+        ids = {c["id"] for c in list(net.iter_components())}
         assert "row_ppu_0" in ids
         assert "col_pmu_4" in ids
         assert "row_reads_out_0" in ids
@@ -396,7 +429,7 @@ class TestNetlist:
     def test_switch_placement(self):
         graph, plan = running_example()
         net = build_netlist(graph, plan)
-        by_id = {c["id"]: c for c in net.components}
+        by_id = {c["id"]: c for c in list(net.iter_components())}
         # Row units read column memories, so the memory-side switches of
         # the row_reads instance sit at column memories.
         assert by_id["row_reads_out_2"]["at"] == "col_pmu_2"
@@ -406,9 +439,9 @@ class TestNetlist:
     def test_wire_counts(self):
         graph, plan = running_example()
         net = build_netlist(graph, plan)
-        assert len(net.wires_of("row_reads")) == 25
-        assert len(net.wires_of("col_reads")) == 30
-        assert len(net.wires) == 55
+        assert len(wires_of(net, "row_reads")) == 25
+        assert len(wires_of(net, "col_reads")) == 30
+        assert len(wires_of(net)) == 55
         ann = net.annotations["instances"]
         assert ann["row_reads"] == {
             "rho": 5,
@@ -427,7 +460,7 @@ class TestNetlist:
         graph, plan = running_example()
         net = build_netlist(graph, plan)
         f_units = plan.units_per_side
-        for wire in net.wires:
+        for wire in wires_of(net):
             src_sw, src_port = wire["src"]
             dst_sw, dst_port = wire["dst"]
             assert dst_port == src_port
@@ -439,7 +472,7 @@ class TestNetlist:
         graph, plan = running_example()
         net = build_netlist(graph, plan)
         seen = {}
-        for wire in net.wires:
+        for wire in wires_of(net):
             key = tuple(wire["dst"])
             assert key not in seen
             seen[key] = wire
@@ -451,15 +484,15 @@ class TestNetlist:
     def test_local_channels(self):
         graph, plan = running_example()
         net = build_netlist(graph, plan)
-        assert len(net.local_channels) == 10
-        assert {"ppu": "row_ppu_0", "pmu": "row_pmu_0", "ports": 2} in net.local_channels
+        assert len(list(net.iter_local_channels())) == 10
+        assert {"ppu": "row_ppu_0", "pmu": "row_pmu_0", "ports": 2} in list(net.iter_local_channels())
 
     def test_annotations_and_lookup(self):
         graph, plan = running_example()
         net = build_netlist(graph, plan)
         assert net.annotations["q"] == 3
         assert net.annotations["register_replication"] == 3
-        wire = net.wire_lookup()[("row_reads_out_0", 0)]
+        wire = wire_lookup(net)[("row_reads_out_0", 0)]
         assert wire["dst"] == ["row_reads_in_0", 0]
 
     def test_json_round_shape(self):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgfold import cli, simulator
+from pgfold import cli, simulator, wires
 from pgfold.circulant import CirculantBipartiteGraph, expand_circulant
 from pgfold.cli import main
 from pgfold.emit import emit_manifest_json, render_run_files, write_run_directory
@@ -34,6 +34,12 @@ FANO_OFFSETS = (0, 1, 3)
 OFFSETS_13 = (0, 1, 3, 9)
 
 FLAT = ("csv", "json")
+
+
+def as_text(files):
+    """``files`` with netlist.json's pieces joined, for tests that edit
+    file text."""
+    return {name: "".join(text) for name, text in files.items()}
 
 
 def build_run(out_dir, order, offsets, q, **plan_kwargs):
@@ -498,7 +504,7 @@ class TestFileSource:
 @pytest.fixture(scope="module")
 def render15():
     graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
-    return render_run_files(graph, FoldPlan.for_graph(graph, 3), FLAT)
+    return as_text(render_run_files(graph, FoldPlan.for_graph(graph, 3), FLAT))
 
 
 # (file, path to the field, the kind of value it holds)
@@ -642,7 +648,7 @@ def hdl_renders():
     graph40 = pad_dummy_offset(build_pg_graph(PgParams(3, 3, 1)))
     renders = {}
     for design, graph, q in (("J15-q3", graph15, 3), ("J40-q2", graph40, 2)):
-        files = render_run_files(graph, FoldPlan.for_graph(graph, q))
+        files = as_text(render_run_files(graph, FoldPlan.for_graph(graph, q)))
         renders[design] = {**files, "manifest.json": emit_manifest_json(files)}
     return renders
 
@@ -810,11 +816,12 @@ class TestLossCensus:
 
     def test_unfolded_replay_memory_is_bounded(self):
         # The q = 1 build is verify's throughput reference, with J units
-        # and J·γ wires.  Its replay peaks at 0.75 MiB on Python 3.11,
-        # the wire index of netlist.json included.  An int object per
-        # trace row, write, token and delivery, a Counter of the trace
-        # rows and a tuple per delivery take it to 1.25 MiB; parsing
-        # netlist.json whole with json.loads then to 1.84 MiB.
+        # and J·γ wires.  Its replay peaks at 0.38 MiB on Python 3.11: the
+        # render makes netlist.json's text a piece at a time as the replay
+        # reads it, the wire index is integer columns, and every claim is
+        # an array('q') column.  A name, a dict entry and an int per wire
+        # and a tuple per access took it to 0.75 MiB; an int object per
+        # trace row, write, token and delivery then to 1.25 MiB.
         graph = pad_dummy_offset(build_pg_graph(PgParams(2, 3, 2)))
         files = render_run_files(graph, FoldPlan.for_graph(graph, 1), FLAT)
         simulate(files)  # warm caches
@@ -824,17 +831,19 @@ class TestLossCensus:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.86 * 2**20
+        assert peak < 0.5 * 2**20
 
     def test_reference_replay_memory_is_bounded(self):
         # verify's q = 1 reference for P(2, GF(9)) folded by 7, render and
-        # replay, peaks at 1.42 MiB on Python 3.11, in the render's join of
-        # the netlist text.  The replay stays below that, so an int object
-        # per trace row, write, token and delivery also peaks at 1.42 MiB;
-        # keeping the 1,820 wires as dicts in the netlist and parsing
-        # netlist.json whole with json.loads take it to 2.67 MiB.
+        # replay, peaks at 0.43 MiB on Python 3.11, below the 0.52 MiB of
+        # its own netlist.json text: the text is never held whole, and the
+        # replay keeps no object per wire or access.  Joining the text and
+        # keeping a name and an int per wire and a tuple per access took
+        # the peak to 1.42 MiB.
         graph = pad_dummy_offset(build_pg_graph(PgParams(2, 3, 2)))
         plan = FoldPlan.for_graph(graph, 7)
+        netlist = render_run_files(graph, FoldPlan.for_graph(graph, 1), FLAT)["netlist.json"]
+        length = sum(map(len, netlist))
         cli._reference_replay(graph, plan)  # warm caches
         tracemalloc.start()
         try:
@@ -842,7 +851,7 @@ class TestLossCensus:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.63 * 2**20
+        assert peak < length
 
     def test_loss_in_later_iterations_names_exactly_those(self, render15, monkeypatch):
         # Memory fault: from iteration 2 on, the cell feeding the row half's
@@ -907,6 +916,31 @@ class TestDecodedMessages:
         assert simulate(files).conflicts == [
             f"wire double drive: row_reads_w_0_0 cycle {slot}" for slot in range(3)
         ]
+
+    @pytest.mark.parametrize(
+        "name",
+        # not of the form <instance>_w_<unit>_<code>, a unit past the 5 units,
+        # a code not in canonical decimal
+        ["shared wire", "row_reads_w_5_0", "row_reads_w_0_01"],
+    )
+    def test_wire_conflict_of_a_name_of_another_form(self, render15, name):
+        # The two wires of the test above, both renamed: the index gives
+        # names of every form the duplicate-name semantics of the emitted one.
+        files = edited(render15, "netlist.json", '"name": "row_reads_w_0_0"', f'"name": "{name}"')
+        files = edited(files, "netlist.json", '"name": "row_reads_w_0_1"', f'"name": "{name}"')
+        assert simulate(files).conflicts == [
+            f"wire double drive: {name} cycle {slot}" for slot in range(3)
+        ]
+
+    def test_switch_codes_past_the_id_range_name_the_table(self, render15):
+        # Resource ids are signed 64-bit integers: a code that would take a
+        # switch's id range past them fails the compile with the table named.
+        files = edited(render15, "lut_row_reads_in.csv", "\n0,0,1\n", f"\n0,{2**70},1\n")
+        with pytest.raises(
+            SimulationStructureError,
+            match=f"^lut_row_reads_in.csv: codes 0 to {2**70} are too many to replay$",
+        ):
+            simulate(files)
 
     def test_out_switch_port_conflict(self, render15):
         # Pattern 0 drives memory-side code 0 from both ports: the switch
@@ -1154,10 +1188,10 @@ class TestStreamedNetlist:
     def test_layouts_read_as_json_loads_reads_them(self, render15, netlist15):
         passing = simulate(render15).to_json_dict()
         for layout, text in self.relaid(netlist15).items():
-            document, wires = simulator._read_netlist({"netlist.json": text}, 5)
+            document, index = simulator._read_netlist({"netlist.json": text}, 5)
             expected = json.loads(text)
-            assert wires == simulator._load_wires(expected.pop("wires"), 5), layout
-            assert document == expected, layout
+            assert index == wires._load_wires(expected.pop("wires"), 5), layout
+            assert document == {"annotations": expected["annotations"]}, layout
             assert _outcome({**render15, "netlist.json": text}) == passing, layout
 
     def faulty(self, render15, netlist15):
@@ -1201,6 +1235,42 @@ class TestStreamedNetlist:
                     assert streamed == _outcome({**files, **other}), (fault, other)
             if fault != "bad wire name, then good wires":  # the later wires win
                 assert isinstance(_outcome(files), str), fault
+
+    @pytest.fixture(scope="class")
+    def cut_texts(self, render15, netlist15):
+        """The emitted text, and copies with a planted fault."""
+        text = render15["netlist.json"]
+        bad_wire = json.loads(text)
+        bad_wire["wires"][4]["src"] = ["row_reads_out_0"]
+        return {
+            "emitted": text,
+            "truncated": text[: len(text) // 2],
+            "malformed wire": json.dumps(bad_wire, indent=2, sort_keys=True) + "\n",
+            "duplicate wires": '{"wires": [1, "x", {}], ' + text[1:],
+            "trailing garbage": text + "]x",
+        }
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_pieces_read_as_the_whole_text(self, render15, cut_texts, data):
+        # The text cut at random points, empty pieces included, gives the
+        # same document and wire index, or the same error, as the text whole.
+        fault = data.draw(st.sampled_from(sorted(cut_texts)))
+        text = cut_texts[fault]
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=16)))
+        pieces = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+
+        def read(netlist):
+            try:
+                document, index = simulator._read_netlist({"netlist.json": netlist}, 5)
+            except SimulationStructureError as exc:
+                return str(exc)
+            return document, str(index) if isinstance(index, Exception) else index
+
+        assert read(pieces) == read(text), fault
+        assert _outcome({**render15, "netlist.json": pieces}) == _outcome(
+            {**render15, "netlist.json": text}
+        ), fault
 
     def test_wire_errors_follow_the_table_checks(self, render15, netlist15):
         data = json.loads(render15["netlist.json"])
