@@ -623,21 +623,10 @@ def _replay_counts(report: SimReport) -> str:
     )
 
 
-class _WriteLutsReadOnce(dict):
-    """A render that hands out each write LUT once and then forgets it: the
-    largest files that the replay is done with before it compiles."""
-
-    def __getitem__(self, name: str) -> str:
-        return self.pop(name) if name.startswith("write_lut_") else super().__getitem__(name)
-
-
 def _reference_replay(graph: CirculantBipartiteGraph, plan: FoldPlan) -> SimReport:
     """Replay of the unfolded (q = 1) build of the design."""
     flat_plan = replace(plan, q=1, units_per_side=graph.order)
-    files = _WriteLutsReadOnce(render_run_files(graph, flat_plan, ("csv", "json")))
-    for name in ("incidence.csv", "schedule_table_row.csv", "schedule_table_col.csv"):
-        del files[name]  # large tables that the replay does not read
-    return simulate(files)
+    return simulate(render_run_files(graph, flat_plan, ("csv", "json")))
 
 
 def _check_replay(

@@ -17,13 +17,12 @@ identical inputs give byte-identical files.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 from .circulant import CirculantBipartiteGraph, SelfCheckError
@@ -71,20 +70,24 @@ def _json_text(data: object) -> str:
 
 
 class TextPieces:
-    """A file's text as the pieces ``make(*args)`` makes afresh on each
-    iteration, so that the whole text is never held."""
+    """A file's text as the pieces, or the one string, that ``make(*args)``
+    makes afresh on each iteration, so that the text is made only when read."""
 
-    def __init__(self, make: Callable[..., Iterator[str]], *args: object) -> None:
+    def __init__(self, make: Callable[..., Iterable[str] | str], *args: object) -> None:
         self._make, self._args = make, args
 
     def __iter__(self) -> Iterator[str]:
-        return self._make(*self._args)
+        text = self._make(*self._args)
+        return iter((text,) if isinstance(text, str) else text)
 
 
 Text = str | Iterable[str]  # a file's text: one string, or its pieces in order
 
 
 def sha256_text(text: Text) -> str:
+    # Imported here, so that commands that hash nothing do not load OpenSSL.
+    import hashlib
+
     digest = hashlib.sha256()
     for piece in (text,) if isinstance(text, str) else text:
         digest.update(piece.encode("utf-8"))
@@ -287,8 +290,9 @@ def emit_access_trace(
     timing: TimingPlan,
     sequences: dict[str, FoldedSequence],
     write_schedules: dict[str, WriteSchedule],
-) -> str:
-    """Every memory transaction touching one side's memory units.
+) -> TextPieces:
+    """Every memory transaction touching one side's memory units, as
+    pieces: the header, then one piece per slot of each half.
 
     Reads come from the opposite side's compute half at counter addresses
     2*slot and 2*slot+1; writes come from this side's own half at the
@@ -301,20 +305,20 @@ def emit_access_trace(
     """
     f_units = plan.units_per_side
     reader = other_side(pmu_side)
-    sequence = sequences[reader]
-    read_base = 0 if reader == "row" else timing.side_span
-    reads = []
-    for slot, (l, k) in enumerate(sequence.slots):
-        # Unit i reads memory (f + i) mod F on each port; its logical unit
-        # k*F + i is real for i < real_units.
-        real_units = write_schedules[reader].real_units(k)
-        f0, f1 = sequence.patterns[l].folded
-        ports = [(f0, f",0,{2 * slot},R\n")]
-        if f1 is not None:
-            ports.append((f1, f",1,{2 * slot + 1},R\n"))
-        cycle = read_base + timing.read_cycles[slot]
-        reads.append(
-            "".join(
+
+    def reads() -> Iterator[str]:
+        sequence = sequences[reader]
+        read_base = 0 if reader == "row" else timing.side_span
+        for slot, (l, k) in enumerate(sequence.slots):
+            # Unit i reads memory (f + i) mod F on each port; its logical
+            # unit k*F + i is real for i < real_units.
+            real_units = write_schedules[reader].real_units(k)
+            f0, f1 = sequence.patterns[l].folded
+            ports = [(f0, f",0,{2 * slot},R\n")]
+            if f1 is not None:
+                ports.append((f1, f",1,{2 * slot + 1},R\n"))
+            cycle = read_base + timing.read_cycles[slot]
+            yield "".join(
                 [
                     f"{cycle},{m}{tail}"
                     for m in range(f_units)
@@ -322,16 +326,15 @@ def emit_access_trace(
                     if (m - f) % f_units < real_units
                 ]
             )
-        )
-    schedule = write_schedules[pmu_side]
-    write_base = 0 if pmu_side == "row" else timing.side_span
-    unit_ports = [f"{i},{b}," for i in range(f_units) for b in (0, 1)]
-    writes = []
-    for slot, (_, k) in enumerate(schedule.slots):
-        start = 2 * f_units * slot
-        cycle = write_base + timing.write_cycles[slot]
-        writes.append(
-            "".join(
+
+    def writes() -> Iterator[str]:
+        schedule = write_schedules[pmu_side]
+        write_base = 0 if pmu_side == "row" else timing.side_span
+        unit_ports = [f"{i},{b}," for i in range(f_units) for b in (0, 1)]
+        for slot, (_, k) in enumerate(schedule.slots):
+            start = 2 * f_units * slot
+            cycle = write_base + timing.write_cycles[slot]
+            yield "".join(
                 [
                     f"{cycle},{unit_port}{address},W\n"
                     for unit_port, address in zip(
@@ -340,9 +343,9 @@ def emit_access_trace(
                     )
                 ]
             )
-        )
-    first, second = (reads, writes) if reader == "row" else (writes, reads)
-    return "".join(["cycle,pmu,port,address,rw\n", *first, *second])
+
+    halves = (reads, writes) if reader == "row" else (writes, reads)
+    return TextPieces(lambda: chain(["cycle,pmu,port,address,rw\n"], *(half() for half in halves)))
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +612,9 @@ def render_run_files(
     keyed by its path in the run directory: the graph, folded sequences,
     schedule tables, memory layout and address files, switch tables,
     netlist, timing, access traces, resource report and the HDL, which
-    must pass ``check_hdl``.  Each is a string, but for netlist.json's
-    ``TextPieces``.  Nothing is written.
+    must pass ``check_hdl``.  netlist.json and the CSV tables but the
+    switch tables are ``TextPieces``, made only when read; the others are
+    strings.  Nothing is written.
     """
     for fmt in formats:
         if fmt not in FORMATS:
@@ -640,10 +644,10 @@ def render_run_files(
         files["read_counter_params.json"] = emit_read_counter_params(layout, graph)
         files["resource_report.json"] = _json_text(resource_report(graph, plan))
     if "csv" in formats:
-        files["incidence.csv"] = emit_incidence_csv(graph)
+        files["incidence.csv"] = TextPieces(emit_incidence_csv, graph)
         for side in ("row", "col"):
-            files[f"schedule_table_{side}.csv"] = emit_schedule_table(sequences[side])
-            files[f"write_lut_{side}.csv"] = emit_write_lut_csv(schedules[side])
+            files[f"schedule_table_{side}.csv"] = TextPieces(emit_schedule_table, sequences[side])
+            files[f"write_lut_{side}.csv"] = TextPieces(emit_write_lut_csv, schedules[side])
             files[f"access_trace_{side}.csv"] = emit_access_trace(
                 side, plan, timing, sequences, schedules
             )
@@ -678,16 +682,25 @@ def write_run_directory(
     plan: FoldPlan,
     formats: tuple[str, ...] = FORMATS,
 ) -> dict:
-    """Write the rendered artifacts of one synthesis run and manifest.json
-    hashing all of them.  Returns the manifest dict.
+    """Write the rendered artifacts of one synthesis run, each hashed as it
+    is written, and manifest.json of their digests.  Returns the manifest dict.
     """
     files = render_run_files(graph, plan, formats)
-    files["manifest.json"] = emit_manifest_json(files)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    digests = {}
     for name, text in files.items():
         path = out / name
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", encoding="utf-8") as handle:
-            handle.writelines((text,) if isinstance(text, str) else text)
-    return json.loads(files["manifest.json"])
+            digests[name] = sha256_text(_written(handle, text))
+    manifest = _manifest_text(digests)
+    (out / "manifest.json").write_text(manifest, encoding="utf-8")
+    return json.loads(manifest)
+
+
+def _written(handle, text: Text) -> Iterator[str]:
+    """The pieces of ``text``, each written to ``handle`` as it passes."""
+    for piece in (text,) if isinstance(text, str) else text:
+        handle.write(piece)
+        yield piece

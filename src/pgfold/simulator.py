@@ -25,12 +25,13 @@ read.  Compile turns each half into a plan: the resource ids each slot
 claims, the cell that feeds each unit-side switch port, and the cell,
 expected key and rank of each real delivery.  Resource ids are computed,
 not tabulated, and every per-event fact (claim id, write, token,
-delivery, access-trace row) is one entry of an ``array('q')`` column, so
-the plan holds no object per event.  The first iteration's traffic
-depends on the plan alone and is compared with the access trace files
-before the replay: a file whose text is the sorted row codes' own
-rendering holds exactly the observed rows, any other is parsed and
-compared as a multiset.  Replay runs every half of every iteration at its
+delivery, access-trace row) is one entry of an ``array('q')`` column, or
+of a 32-bit one for claim ids that fit, so the plan holds no object per
+event.  The first iteration's traffic depends on the plan alone and is
+compared with each side's access trace file, which may be pieces, before
+the replay: a file whose text is the sorted row codes' own rendering
+holds exactly the observed rows, any other is parsed and compared as a
+multiset.  Replay runs every half of every iteration at its
 absolute cycles; messages are decoded from ids and tokens only for a
 conflict, a misroute or a trace mismatch.
 
@@ -48,7 +49,7 @@ import json
 import re
 from array import array
 from collections import Counter
-from collections.abc import Iterator, Mapping, Set
+from collections.abc import Iterable, Iterator, Mapping, Set
 from dataclasses import dataclass, field
 from itertools import chain, count, islice
 from operator import itemgetter, le
@@ -120,6 +121,22 @@ def _text(files: Mapping[str, str], name: str, pieces: bool = False) -> str:
     return text if pieces or isinstance(text, str) else "".join(text)
 
 
+def _lines(text: str | Iterable[str]) -> Iterator[str]:
+    """The lines of a text, one string or its pieces, one at a time, each
+    with its newline; the text is never copied whole."""
+    head = ""
+    for piece in (text,) if isinstance(text, str) else text:
+        end = piece.rfind("\n") + 1
+        if end:
+            first = piece.index("\n") + 1
+            yield head + piece[:first]
+            yield from map(re.Match.group, re.compile(r".*\n").finditer(piece, first, end))
+            head = ""
+        head += piece[end:]
+    if head:
+        yield head
+
+
 def read_json(files: Mapping[str, str], name: str) -> object:
     """The parsed JSON of file ``name``; text that does not parse raises
     ``SimulationStructureError("<name>: not JSON ...")``."""
@@ -160,8 +177,7 @@ def _read_csv(
     ``SimulationStructureError("file:line:field ...")``; the header is line 1.
     """
     fields = ints + texts
-    lines = re.finditer(r".*\n|.+", _text(files, name))  # one at a time, no copy
-    reader = csv.reader(map(re.Match.group, lines))
+    reader = csv.reader(_lines(_text(files, name, pieces=True)))
     try:
         header = {column: index for index, column in enumerate(next(reader, []))}
         for column in fields:
@@ -698,7 +714,7 @@ class _Trace:
     is the rows' order by cycle, pmu, port, address and rw.  Rows with a
     pmu in [0, units), port 0 or 1, an address in [0, span) and rw "R" or
     "W" have a code, which covers every access the replay makes; no other
-    row does."""
+    row does.  The compile codes its own rows inline, unchecked."""
 
     HEADER = "cycle,pmu,port,address,rw\n"
 
@@ -725,26 +741,32 @@ class _Trace:
         cycle, pmu = divmod(code, self.units)
         return cycle, pmu, port, address, "RW"[write]
 
-    def renders(self, text: str, codes: array) -> bool:
-        """Is ``text`` the header and then the rows ``codes`` stand for, in
-        their order, as CSV lines?  Compared a chunk of rows at a time, so
-        that no whole rendering is made."""
-        if not text.startswith(self.HEADER):
-            return False
-        position = len(self.HEADER)
+    def renders(self, text: str | Iterable[str], codes: Iterable[int]) -> bool:
+        """Is ``text``, one string or its pieces, the header and then the
+        rows ``codes`` stand for, in their order, as CSV lines?  Compared
+        a chunk of rows at a time as the pieces come, so that neither text
+        is held whole."""
+        pieces = iter((text,) if isinstance(text, str) else text)
+        held, position = "", 0  # the pieces not yet compared, from ``position`` on
         span, pairs = self.span, 2 * self.units
         ports = [f"{pmu},{port}," for pmu in range(self.units) for port in (0, 1)]
-        for start in range(0, len(codes), 1024):
+        codes, chunk = iter(codes), self.HEADER
+        while chunk:
+            while len(held) - position < len(chunk):
+                piece = next(pieces, None)
+                if piece is None:
+                    return False
+                held, position = held[position:] + piece, 0
+            if not held.startswith(chunk, position):
+                return False
+            position += len(chunk)
             lines = []
-            for code in codes[start : start + 1024]:
+            for code in islice(codes, 256):
                 rest, address = divmod(code >> 1, span)
                 cycle, pair = divmod(rest, pairs)
                 lines.append(f"{cycle},{ports[pair]}{address},{'RW'[code & 1]}\n")
             chunk = "".join(lines)
-            if not text.startswith(chunk, position):
-                return False
-            position += len(chunk)
-        return position == len(text)
+        return position == len(held) and not any(pieces)
 
 
 def _column() -> array:
@@ -762,8 +784,8 @@ class _Half:
     written.  A token is one integer, (producer · J + consumer) · ranks +
     edge rank, and -1 stands
     for no token: a delivery to consumer c from producer p expects a token
-    whose // ranks is its key p · J + c.  Claim ids, deliveries and tokens
-    are ``array('q')`` columns, so the plan holds no object per event.
+    whose // ranks is its key p · J + c.  Claim ids (32-bit where they fit),
+    deliveries and tokens are columns, so the plan holds no object per event.
     """
 
     reading: str
@@ -785,12 +807,15 @@ class _Half:
 
 
 def _ids(ids: list[int]) -> tuple[array, bool, int, int]:
-    """The ids of a claim as a column, whether they are all distinct, and the lowest and highest."""
+    """The ids of a claim as a column, of 32-bit entries where they fit,
+    whether they are all distinct, and the lowest and highest."""
     unique = set(ids)
-    return array("q", ids), len(unique) == len(ids), min(unique, default=0), max(unique, default=-1)
+    low, high = min(unique, default=0), max(unique, default=-1)
+    typecode = "i" if -(2**31) <= low and high < 2**31 else "q"
+    return array(typecode, ids), len(unique) == len(ids), low, high
 
 
-def _compile(inputs: _Inputs) -> tuple[dict[str, _Half], _Resources, _Trace, dict[str, array]]:
+def _compile(inputs: _Inputs) -> tuple[dict[str, _Half], _Resources, _Trace, dict[str, tuple]]:
     """Both halves, their resource ids, and the first iteration's access
     trace of each side's memory as row codes: the row half's accesses,
     then the col half's, each half's in the order it makes them."""
@@ -814,7 +839,6 @@ def _compile(inputs: _Inputs) -> tuple[dict[str, _Half], _Resources, _Trace, dic
         index, blank = cell_index[half.producing], len(halves[half.producing].tokens)
         _compile_reads(inputs, half, rel_base, index, depth, blank, resources, trace, rows)
     del cell_index, index
-    observed = {side: first + second for side, (first, second) in observed.items()}
     return halves, resources, trace, observed
 
 
@@ -830,14 +854,16 @@ def _compile_writes(
     """Fill the write half; return the side's cell of each pmu · depth +
     address, or -1 where nothing is written."""
     units, order, capacity = inputs.units, inputs.order, inputs.capacity
+    width, span = trace.units, trace.span
     offsets = inputs.reader_offsets[half.reading]
     index = array("q", [-1]) * (max(units, 0) * depth)
     tokens = half.tokens
-    for slot, writes in enumerate(inputs.writes[half.reading]):
+    for slot, writes in enumerate(inputs.writes.pop(half.reading)):  # read once
         if not writes:
             continue
         l, k = inputs.slots[half.reading][slot]
         cycle = inputs.write_cycles[slot]
+        top = (rel_base + cycle) * width
         group = []
         for write in writes:
             place, port = divmod(write, 2)
@@ -849,7 +875,7 @@ def _compile_writes(
                 consumer = (producer + offsets[t]) % order
                 token = (producer * order + consumer) * half.ranks + t
             group.append(resources.port(half.reading, pmu, port))
-            rows.append(trace.code(rel_base + cycle, pmu, port, address, "W"))
+            rows.append((((top + pmu) * 2 + port) * span + address) * 2 + 1)
             if address < depth:
                 spot = pmu * depth + address
                 cell = index[spot]
@@ -877,6 +903,7 @@ def _compile_reads(
     of no written cell reads cell ``blank``, which is never written."""
     instance = f"{half.reading}_reads"
     units, order = inputs.units, inputs.order
+    width, span = trace.units, trace.span
     cons_offsets = inputs.reader_offsets[half.reading]
     cells, keys, delivery_ranks = half.cells, half.keys, half.delivery_ranks
     # A slot runs pattern l on units [0, active); a pattern is kept until its last slot.
@@ -898,9 +925,10 @@ def _compile_reads(
         half.port_reads += len(drives[0])
         # Per unit-side switch port the last drive of the slot wins.
         driven: dict[int, int] = {}
+        top = (rel_base + offset) * width
         for m, b, target in zip(*drives):
             address = 2 * slot + b
-            rows.append(trace.code(rel_base + offset, m, b, address, "R"))
+            rows.append((((top + m) * 2 + b) * span + address) * 2)
             if target >= 0:
                 cell = index[m * depth + address] if address < depth else -1
                 driven[target] = blank if cell < 0 else cell
@@ -1011,22 +1039,23 @@ def _deliver(half: _Half, memory: array, misroutes: list) -> tuple[int, ...]:
 
 
 def _check_trace(
-    files: Mapping[str, str], side: str, trace: _Trace, observed: array
+    files: Mapping[str, str], side: str, trace: _Trace, observed: tuple[array, ...]
 ) -> str | None:
-    """Compare ``side``'s access trace file with the observed row codes as
-    multisets; return the mismatch, if any.
+    """Compare ``side``'s access trace file with the observed row codes,
+    the columns of ``observed`` one after another, as multisets; return
+    the mismatch, if any.
 
     A file whose text is the rows' own rendering, the header and then the
     rows in code order, holds exactly the observed rows.  Only any other
     file is parsed and compared row by row."""
     name = f"access_trace_{side}.csv"
-    if not all(map(le, observed, islice(observed, 1, None))):
-        observed = array("q", sorted(observed))
-    if trace.renders(_text(files, name), observed):
+    if not all(map(le, chain(*observed), islice(chain(*observed), 1, None))):
+        observed = (array("q", sorted(chain(*observed))),)
+    if trace.renders(_text(files, name, pieces=True), chain(*observed)):
         return None
     columns = (("cycle", "pmu", "port", "address"), ("rw",))
-    counts = Counter(observed)
-    unmatched = len(observed)
+    counts = Counter(chain(*observed))
+    unmatched = sum(map(len, observed))
     encode = trace.code
     for _, values in _read_csv(files, name, *columns):
         row = encode(*values)
@@ -1076,9 +1105,7 @@ def simulate(files: Mapping[str, str] | str | Path, iterations: int = 1) -> SimR
     # The first iteration's traffic depends on the compiled plan alone, so
     # it is checked before the replay and not kept through it.
     for side in ("row", "col"):
-        mismatch = _check_trace(
-            files, side, trace, observed[side] if iterations > 0 else array("q")
-        )
+        mismatch = _check_trace(files, side, trace, observed[side] if iterations > 0 else ())
         if mismatch is not None:
             report.file_mismatches.append(mismatch)
     del observed

@@ -9,12 +9,15 @@ import csv
 import io
 import json
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
+from pgfold import emit
 from pgfold.circulant import CirculantBipartiteGraph
 from pgfold.emit import (
+    TextPieces,
     check_hdl,
     emit_access_trace,
     emit_graph_json,
@@ -225,7 +228,7 @@ class TestAccessTrace:
             s: generate_folded_sequence(graph, plan, s) for s in ("row", "col")
         }
         schedules = {s: write_schedule(graph, plan, s) for s in ("row", "col")}
-        text = emit_access_trace(pmu_side, plan, timing, sequences, schedules)
+        text = "".join(emit_access_trace(pmu_side, plan, timing, sequences, schedules))
         return graph, plan, timing, text
 
     def test_header_and_census(self):
@@ -304,7 +307,7 @@ class TestHdl:
     def test_write_lut_constant_is_the_csv_address_column(self):
         graph, plan = running_example()
         files = render_run_files(graph, plan)
-        rows = list(csv.DictReader(io.StringIO(files["write_lut_col.csv"])))
+        rows = list(csv.DictReader(io.StringIO("".join(files["write_lut_col.csv"]))))
         body = re.search(
             r"CONSTANT write_lut_col : integer_rom\(0 TO 119\) := \((.*?)\);",
             files["hdl/folded_luts.vhd"],
@@ -483,6 +486,33 @@ class TestRunDirectory:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    def test_each_file_of_pieces_is_made_once(self, tmp_path, monkeypatch):
+        # A file of pieces is hashed as it is written: its pieces are made
+        # once, not once for the manifest and once for the file.
+        made = Counter()
+        render = emit.render_run_files
+
+        def counted(name, text):
+            made[name] += 1
+            return iter(text)
+
+        def counting_render(*args):
+            files = render(*args)
+            for name, text in files.items():
+                if isinstance(text, TextPieces):
+                    files[name] = TextPieces(counted, name, text)
+            return files
+
+        monkeypatch.setattr(emit, "render_run_files", counting_render)
+        graph, plan = running_example()
+        manifest = write_run_directory(tmp_path / "run", graph, plan)
+        tables = ("schedule_table", "write_lut", "access_trace")
+        assert made == Counter(
+            ["netlist.json", "incidence.csv"]
+            + [f"{table}_{side}.csv" for table in tables for side in ("row", "col")]
+        )
+        assert manifest == json.loads((tmp_path / "run" / "manifest.json").read_text())
+
     def test_format_selection(self, tmp_path):
         graph, plan = running_example()
         manifest = write_run_directory(tmp_path / "run", graph, plan, ("json",))
@@ -545,7 +575,7 @@ class TestColumnWritersMatchObjectViews:
                 for e in schedules[side].entries
                 if e.producer_real
             ]
-            text = emit_access_trace(side, plan, timing, sequences, schedules)
+            text = "".join(emit_access_trace(side, plan, timing, sequences, schedules))
             assert text == csv_text([("cycle", "pmu", "port", "address", "rw"), *sorted(trace)])
 
             sequence = sequences[side]

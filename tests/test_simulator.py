@@ -8,6 +8,7 @@ import random
 import re
 import shutil
 import tracemalloc
+from itertools import accumulate, chain
 
 import pytest
 from hypothesis import given, settings
@@ -816,12 +817,13 @@ class TestLossCensus:
 
     def test_unfolded_replay_memory_is_bounded(self):
         # The q = 1 build is verify's throughput reference, with J units
-        # and J·γ wires.  Its replay peaks at 0.38 MiB on Python 3.11: the
-        # render makes netlist.json's text a piece at a time as the replay
-        # reads it, the wire index is integer columns, and every claim is
-        # an array('q') column.  A name, a dict entry and an int per wire
-        # and a tuple per access took it to 0.75 MiB; an int object per
-        # trace row, write, token and delivery then to 1.25 MiB.
+        # and J·γ wires.  Its replay peaks at 0.33 MiB on Python 3.11: the
+        # render makes netlist.json's and the access traces' text a piece
+        # at a time as the replay reads it, the wire index is integer
+        # columns, and every claim is an array column.  A name, a dict
+        # entry and an int per wire and a tuple per access took it to 0.75
+        # MiB; an int object per trace row, write, token and delivery then
+        # to 1.25 MiB.
         graph = pad_dummy_offset(build_pg_graph(PgParams(2, 3, 2)))
         files = render_run_files(graph, FoldPlan.for_graph(graph, 1), FLAT)
         simulate(files)  # warm caches
@@ -835,15 +837,14 @@ class TestLossCensus:
 
     def test_reference_replay_memory_is_bounded(self):
         # verify's q = 1 reference for P(2, GF(9)) folded by 7, render and
-        # replay, peaks at 0.43 MiB on Python 3.11, below the 0.52 MiB of
-        # its own netlist.json text: the text is never held whole, and the
-        # replay keeps no object per wire or access.  Joining the text and
-        # keeping a name and an int per wire and a tuple per access took
-        # the peak to 1.42 MiB.
+        # replay, peaks at 0.32-0.35 MiB on Python 3.10-3.13, well below the
+        # 0.52 MiB of its own netlist.json text: no file text is held whole
+        # (the access traces are made piece by piece as they are compared),
+        # the observed trace rows of a side's two halves are not
+        # concatenated, and claim ids take 32 bits.  With the access traces
+        # rendered whole before the replay, it peaked at 0.39-0.42 MiB.
         graph = pad_dummy_offset(build_pg_graph(PgParams(2, 3, 2)))
         plan = FoldPlan.for_graph(graph, 7)
-        netlist = render_run_files(graph, FoldPlan.for_graph(graph, 1), FLAT)["netlist.json"]
-        length = sum(map(len, netlist))
         cli._reference_replay(graph, plan)  # warm caches
         tracemalloc.start()
         try:
@@ -851,7 +852,7 @@ class TestLossCensus:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < length
+        assert peak < 0.37 * 2**20
 
     def test_loss_in_later_iterations_names_exactly_those(self, render15, monkeypatch):
         # Memory fault: from iteration 2 on, the cell feeding the row half's
@@ -1042,6 +1043,48 @@ class TestDecodedMessages:
         text = "\n".join(edit(header, rows)) + "\n"
         assert text != render15[name]
         assert simulate({**render15, name: text}).file_mismatches == mismatches
+
+
+class TestTracePieces:
+    """An access trace file given as pieces, cut anywhere, has the verdict
+    and the message of its whole text, whether it is the observed rows'
+    own rendering or is parsed and compared as a multiset."""
+
+    @pytest.fixture(scope="class")
+    def compiled15(self, render15):
+        _, _, trace, observed = simulator._compile(simulator._load(render15))
+        return trace, observed["row"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["same", "changed", "dropped", "extra"]),
+        data=st.data(),
+    )
+    def test_pieces_have_the_verdict_of_the_whole_text(self, render15, compiled15, kind, data):
+        trace, observed = compiled15
+        name = "access_trace_row.csv"
+        header, *rows = render15[name].splitlines(keepends=True)
+        index = data.draw(st.integers(0, len(rows) - 1), label="row")
+        if kind == "changed":
+            rows[index] = rows[index][:-2] + "RW"[rows[index][-2] == "R"] + "\n"
+        elif kind == "dropped":
+            del rows[index]
+        elif kind == "extra":
+            at = st.integers(0, len(rows)) | st.just(len(rows))
+            rows.insert(data.draw(at, label="at"), rows[index])
+        text = "".join([header, *rows])
+        # Cut anywhere, and often at line ends, as the emitted pieces are,
+        # the last line's start above all.
+        ends = st.sampled_from(list(accumulate(map(len, [header, *rows]))))
+        ends |= st.just(len(text) - len(rows[-1]))
+        cuts = data.draw(st.lists(st.integers(0, len(text)) | ends, max_size=12), label="cuts")
+        bounds = [0, *sorted(cuts), len(text)]
+        pieces = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+        # The pieces are the rows' own rendering exactly when the text is.
+        assert trace.renders(pieces, sorted(chain(*observed))) == (kind == "same")
+        whole = simulator._check_trace({name: text}, "row", trace, observed)
+        assert (whole is None) == (kind == "same")
+        assert simulator._check_trace({name: pieces}, "row", trace, observed) == whole
 
 
 def _int_leaves(data, path=()):
