@@ -22,7 +22,7 @@ import json
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 from .circulant import CirculantBipartiteGraph, SelfCheckError
@@ -290,62 +290,49 @@ def emit_access_trace(
     timing: TimingPlan,
     sequences: dict[str, FoldedSequence],
     write_schedules: dict[str, WriteSchedule],
-) -> TextPieces:
-    """Every memory transaction touching one side's memory units, as
-    pieces: the header, then one piece per slot of each half.
+) -> str:
+    """Every memory transaction touching one side's memory units, as runs:
+    a row (cycle, pmu, units, port, address, rw) stands for units pmu to
+    pmu + units - 1 each making that access in that cycle.
 
     Reads come from the opposite side's compute half at counter addresses
     2*slot and 2*slot+1; writes come from this side's own half at the
     scheduled LUT addresses.  Idle dummy-node slots produce no traffic.
 
-    Rows are sorted by cycle, then unit, port and address.  Every read and
-    write cycle of a half lies within that half's ``side_span``, and each
-    rises with the slot, so the row half's slots come first, then the col
-    half's, each slot's rows by unit and port.
+    Each run is maximal, and rows are sorted by cycle, port, address, rw
+    and first unit.  Every read and write cycle of a half lies within that
+    half's ``side_span``, and each rises with the slot, so the row half's
+    slots come first, then the col half's, each slot's runs in that order.
     """
     f_units = plan.units_per_side
     reader = other_side(pmu_side)
-
-    def reads() -> Iterator[str]:
-        sequence = sequences[reader]
-        read_base = 0 if reader == "row" else timing.side_span
-        for slot, (l, k) in enumerate(sequence.slots):
-            # Unit i reads memory (f + i) mod F on each port; its logical
-            # unit k*F + i is real for i < real_units.
-            real_units = write_schedules[reader].real_units(k)
-            f0, f1 = sequence.patterns[l].folded
-            ports = [(f0, f",0,{2 * slot},R\n")]
-            if f1 is not None:
-                ports.append((f1, f",1,{2 * slot + 1},R\n"))
-            cycle = read_base + timing.read_cycles[slot]
-            yield "".join(
-                [
-                    f"{cycle},{m}{tail}"
-                    for m in range(f_units)
-                    for f, tail in ports
-                    if (m - f) % f_units < real_units
-                ]
-            )
-
-    def writes() -> Iterator[str]:
-        schedule = write_schedules[pmu_side]
-        write_base = 0 if pmu_side == "row" else timing.side_span
-        unit_ports = [f"{i},{b}," for i in range(f_units) for b in (0, 1)]
-        for slot, (_, k) in enumerate(schedule.slots):
-            start = 2 * f_units * slot
-            cycle = write_base + timing.write_cycles[slot]
-            yield "".join(
-                [
-                    f"{cycle},{unit_port}{address},W\n"
-                    for unit_port, address in zip(
-                        unit_ports,
-                        schedule.addresses[start : start + 2 * schedule.real_units(k)],
-                    )
-                ]
-            )
-
-    halves = (reads, writes) if reader == "row" else (writes, reads)
-    return TextPieces(lambda: chain(["cycle,pmu,port,address,rw\n"], *(half() for half in halves)))
+    rows = {"row": [], "col": []}  # by compute half
+    sequence = sequences[reader]
+    base = 0 if reader == "row" else timing.side_span
+    for slot, (l, k) in enumerate(sequence.slots):
+        # Unit i reads memory (f + i) mod F on each port, for the real
+        # logical units k*F + i, i < n: a cyclic block of memories.
+        n = write_schedules[reader].real_units(k)
+        cycle = base + timing.read_cycles[slot]
+        for port, f in enumerate(sequence.patterns[l].folded):
+            if f is None:
+                continue  # the dummy half of a padded pattern
+            runs = [(0, f + n - f_units), (f, min(n, f_units - f))] if n < f_units else [(0, n)]
+            rows[reader] += [
+                f"{cycle},{first},{units},{port},{2 * slot + port},R\n"
+                for first, units in runs
+                if units > 0
+            ]
+    schedule = write_schedules[pmu_side]
+    base = 0 if pmu_side == "row" else timing.side_span
+    for slot in range(len(schedule.slots)):
+        cycle = base + timing.write_cycles[slot]
+        for port in (0, 1):
+            rows[pmu_side] += [
+                f"{cycle},{first},{units},{port},{address},W\n"
+                for address, first, units in sorted(schedule.address_runs(slot, port))
+            ]
+    return "".join(["cycle,pmu,units,port,address,rw\n", *rows["row"], *rows["col"]])
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +599,10 @@ def render_run_files(
     keyed by its path in the run directory: the graph, folded sequences,
     schedule tables, memory layout and address files, switch tables,
     netlist, timing, access traces, resource report and the HDL, which
-    must pass ``check_hdl``.  netlist.json and the CSV tables but the
-    switch tables are ``TextPieces``, made only when read; the others are
-    strings.  Nothing is written.
+    must pass ``check_hdl``.  netlist.json, incidence.csv, the schedule
+    tables and the write LUTs are ``TextPieces``, made only when read; the
+    others, the access traces' runs among them, are strings.  Nothing is
+    written.
     """
     for fmt in formats:
         if fmt not in FORMATS:

@@ -218,6 +218,25 @@ class WriteSchedule:
         f_units = self.units_per_side
         return min(f_units, max(0, self.real_order - k * f_units))
 
+    def address_runs(self, slot: int, port: int) -> list[tuple[int, int, int]]:
+        """(address, first unit, units) of each run of one address among the
+        real producers' writes on ``port`` in ``slot``, in unit order: the
+        two runs ``write_schedule`` fills, cut to the real units and merged
+        when they share their address."""
+        f_units = self.units_per_side
+        l, k = self.slots[slot]
+        units = self.real_units(k)
+        cut = min(units, f_units - (self.offsets[2 * l + port] or 0) % f_units)
+        start = 2 * f_units * slot + port
+        runs = [
+            (self.addresses[start + 2 * first], first, stop - first)
+            for first, stop in ((0, cut), (cut, units))
+            if first < stop
+        ]
+        if len(runs) == 2 and runs[0][0] == runs[1][0]:
+            return [(runs[0][0], 0, units)]
+        return runs
+
     def _entry(self, n: int) -> WriteEntry:
         f_units = self.units_per_side
         slot, pmu, port = n // (2 * f_units), n // 2 % f_units, n % 2

@@ -25,15 +25,15 @@ read.  Compile turns each half into a plan: the resource ids each slot
 claims, the cell that feeds each unit-side switch port, and the cell,
 expected key and rank of each real delivery.  Resource ids are computed,
 not tabulated, and every per-event fact (claim id, write, token,
-delivery, access-trace row) is one entry of an ``array('q')`` column, or
-of a 32-bit one for claim ids that fit, so the plan holds no object per
+delivery, memory access) is one entry of an ``array('q')`` column, or of
+a 32-bit one for claim ids that fit, so the plan holds no object per
 event.  The first iteration's traffic depends on the plan alone and is
-compared with each side's access trace file, which may be pieces, before
-the replay: a file whose text is the sorted row codes' own rendering
-holds exactly the observed rows, any other is parsed and compared as a
-multiset.  Replay runs every half of every iteration at its
-absolute cycles; messages are decoded from ids and tokens only for a
-conflict, a misroute or a trace mismatch.
+compared with each side's access trace file before the replay: a file
+whose text is the runs of the sorted access codes, rendered, holds
+exactly the observed accesses; any other is parsed, its runs expanded,
+and compared as a multiset.  Replay runs every half of every iteration
+at its absolute cycles; messages are decoded from ids and tokens only
+for a conflict, a misroute or a trace mismatch.
 
 What each consumer received is kept as a loss census: the report keeps
 each side's compiled deliveries once, as columns, and per iteration only
@@ -404,7 +404,7 @@ def _load(files: Mapping[str, str]) -> _Inputs:
 
         wires = _load_wires(_field("netlist.json", netlist, "wires", _json_list), units)
     del netlist
-    # Each write, token, delivery and trace row is one signed 64-bit integer.
+    # Each write, token, delivery and access is one signed 64-bit integer.
     latest = abs(side_span) + max(map(abs, sum(cycles.values(), [])), default=0)
     span = max(capacity, 2 * slot_count, 1)
     if max(order * order * ranks, (latest + 1) * units * 4 * span) >= 2**63:
@@ -660,7 +660,7 @@ class _Resources:
     def __init__(self, inputs: _Inputs) -> None:
         self.units = max(inputs.units, 0)
         self.wires = inputs.wires
-        self.port_base = max(self.wires.ids, default=-1) + 1
+        self.port_base = self.wires.top_id + 1
         base = self.port_base + 4 * self.units
         # (instance, direction) -> (first id, lowest code, codes per unit)
         self.switches: dict[tuple[str, str], tuple[int, int, int]] = {}
@@ -709,14 +709,17 @@ class _Resources:
 
 
 class _Trace:
-    """Codes an access-trace row (cycle, pmu, port, address, rw) as one
-    integer, so that a trace is a column of integers, and the codes' order
-    is the rows' order by cycle, pmu, port, address and rw.  Rows with a
-    pmu in [0, units), port 0 or 1, an address in [0, span) and rw "R" or
-    "W" have a code, which covers every access the replay makes; no other
-    row does.  The compile codes its own rows inline, unchecked."""
+    """Codes an access (cycle, pmu, port, address, rw) as one integer, so
+    that a trace is a column of integers, and the codes' order is the
+    accesses' order by cycle, port, address, rw and pmu.  The unit is the
+    last digit, so units pmu, pmu + 1, ... making one access have
+    consecutive codes: a run, which is one row of a trace file.  Accesses
+    with a pmu in [0, units), port 0 or 1, an address in [0, span) and rw
+    "R" or "W" have a code, which covers every access the replay makes; no
+    other access does.  The compile codes its own accesses inline,
+    unchecked."""
 
-    HEADER = "cycle,pmu,port,address,rw\n"
+    HEADER = "cycle,pmu,units,port,address,rw\n"
 
     def __init__(self, units: int, span: int) -> None:
         self.units = max(units, 1)
@@ -730,43 +733,29 @@ class _Trace:
             and rw in ("R", "W")
         ):
             return None
-        return (((cycle * self.units + pmu) * 2 + port) * self.span + address) * 2 + (
-            rw == "W"
-        )
+        return (((cycle * 2 + port) * self.span + address) * 2 + (rw == "W")) * self.units + pmu
 
     def row(self, code: int) -> tuple[int, int, int, int, str]:
+        code, pmu = divmod(code, self.units)
         code, write = divmod(code, 2)
         code, address = divmod(code, self.span)
-        code, port = divmod(code, 2)
-        cycle, pmu = divmod(code, self.units)
+        cycle, port = divmod(code, 2)
         return cycle, pmu, port, address, "RW"[write]
 
-    def renders(self, text: str | Iterable[str], codes: Iterable[int]) -> bool:
-        """Is ``text``, one string or its pieces, the header and then the
-        rows ``codes`` stand for, in their order, as CSV lines?  Compared
-        a chunk of rows at a time as the pieces come, so that neither text
-        is held whole."""
-        pieces = iter((text,) if isinstance(text, str) else text)
-        held, position = "", 0  # the pieces not yet compared, from ``position`` on
-        span, pairs = self.span, 2 * self.units
-        ports = [f"{pmu},{port}," for pmu in range(self.units) for port in (0, 1)]
-        codes, chunk = iter(codes), self.HEADER
-        while chunk:
-            while len(held) - position < len(chunk):
-                piece = next(pieces, None)
-                if piece is None:
-                    return False
-                held, position = held[position:] + piece, 0
-            if not held.startswith(chunk, position):
-                return False
-            position += len(chunk)
-            lines = []
-            for code in islice(codes, 256):
-                rest, address = divmod(code >> 1, span)
-                cycle, pair = divmod(rest, pairs)
-                lines.append(f"{cycle},{ports[pair]}{address},{'RW'[code & 1]}\n")
-            chunk = "".join(lines)
-        return position == len(held) and not any(pieces)
+    def render(self, codes: Iterable[int]) -> str:
+        """The trace file of ``codes``, in code order: the header, then one
+        row (cycle, pmu, units, port, address, rw) per maximal run."""
+        lines, units = [self.HEADER], self.units
+        first = last = None
+        for code in chain(codes, [None]):
+            if first is not None:
+                if code == last + 1 and code % units:
+                    last = code
+                    continue
+                cycle, pmu, port, address, rw = self.row(first)
+                lines.append(f"{cycle},{pmu},{last - first + 1},{port},{address},{rw}\n")
+            first = last = code
+        return "".join(lines)
 
 
 def _column() -> array:
@@ -817,8 +806,8 @@ def _ids(ids: list[int]) -> tuple[array, bool, int, int]:
 
 def _compile(inputs: _Inputs) -> tuple[dict[str, _Half], _Resources, _Trace, dict[str, tuple]]:
     """Both halves, their resource ids, and the first iteration's access
-    trace of each side's memory as row codes: the row half's accesses,
-    then the col half's, each half's in the order it makes them."""
+    trace of each side's memory as access codes: the row half's, then the
+    col half's, each slot's in code order."""
     resources = _Resources(inputs)
     ranks = len(inputs.reader_offsets["row"])
     slot_count = len(inputs.slots["row"])
@@ -827,17 +816,17 @@ def _compile(inputs: _Inputs) -> tuple[dict[str, _Half], _Resources, _Trace, dic
     # address [0, 2 · slots), and only below the capacity, so a cell at or
     # past the depth is never read and is not kept.
     depth = max(0, min(inputs.capacity, 2 * slot_count))
-    # memory side -> the row codes of the row half's and the col half's accesses
+    # memory side -> the codes of the row half's and the col half's accesses
     observed = {side: (array("q"), array("q")) for side in ("row", "col")}
     halves = {side: _Half(side, other, inputs.order, ranks) for side, other in _SIDES.items()}
     cell_index = {}
     for half_index, (side, half) in enumerate(halves.items()):
-        rel_base, rows = half_index * inputs.side_span, observed[side][half_index]
-        cell_index[side] = _compile_writes(inputs, half, rel_base, depth, resources, trace, rows)
+        rel_base, seen = half_index * inputs.side_span, observed[side][half_index]
+        cell_index[side] = _compile_writes(inputs, half, rel_base, depth, resources, trace, seen)
     for half_index, half in enumerate(halves.values()):
-        rel_base, rows = half_index * inputs.side_span, observed[half.producing][half_index]
+        rel_base, seen = half_index * inputs.side_span, observed[half.producing][half_index]
         index, blank = cell_index[half.producing], len(halves[half.producing].tokens)
-        _compile_reads(inputs, half, rel_base, index, depth, blank, resources, trace, rows)
+        _compile_reads(inputs, half, rel_base, index, depth, blank, resources, trace, seen)
     del cell_index, index
     return halves, resources, trace, observed
 
@@ -849,10 +838,10 @@ def _compile_writes(
     depth: int,
     resources: _Resources,
     trace: _Trace,
-    rows: array,
+    seen: array,
 ) -> array:
-    """Fill the write half; return the side's cell of each pmu · depth +
-    address, or -1 where nothing is written."""
+    """Fill the write half, each slot's access codes into ``seen`` sorted;
+    return the side's cell of each pmu · depth + address, or -1."""
     units, order, capacity = inputs.units, inputs.order, inputs.capacity
     width, span = trace.units, trace.span
     offsets = inputs.reader_offsets[half.reading]
@@ -863,8 +852,8 @@ def _compile_writes(
             continue
         l, k = inputs.slots[half.reading][slot]
         cycle = inputs.write_cycles[slot]
-        top = (rel_base + cycle) * width
-        group = []
+        top = (rel_base + cycle) * 2
+        group, codes = [], []
         for write in writes:
             place, port = divmod(write, 2)
             pmu, address = divmod(place, capacity)
@@ -875,7 +864,7 @@ def _compile_writes(
                 consumer = (producer + offsets[t]) % order
                 token = (producer * order + consumer) * half.ranks + t
             group.append(resources.port(half.reading, pmu, port))
-            rows.append((((top + pmu) * 2 + port) * span + address) * 2 + 1)
+            codes.append((((top + port) * span + address) * 2 + 1) * width + pmu)
             if address < depth:
                 spot = pmu * depth + address
                 cell = index[spot]
@@ -884,6 +873,7 @@ def _compile_writes(
                     tokens.append(token)
                 else:
                     tokens[cell] = token
+        seen.extend(sorted(codes))
         half.write_claims.append((cycle, *_ids(group)))
     return index
 
@@ -897,10 +887,11 @@ def _compile_reads(
     blank: int,
     resources: _Resources,
     trace: _Trace,
-    rows: array,
+    seen: array,
 ) -> None:
-    """Fill the read half from the producing side's cell ``index``; a read
-    of no written cell reads cell ``blank``, which is never written."""
+    """Fill the read half from the producing side's cell ``index``, each
+    slot's access codes into ``seen`` by port and unit; a read of no
+    written cell reads cell ``blank``, which is never written."""
     instance = f"{half.reading}_reads"
     units, order = inputs.units, inputs.order
     width, span = trace.units, trace.span
@@ -923,12 +914,13 @@ def _compile_reads(
         half.read_claims += ((offset, *out_claims), (offset + 1, *in_claims))
         half.busy += active
         half.port_reads += len(drives[0])
+        for b in (0, 1):
+            low = (((rel_base + offset) * 2 + b) * span + 2 * slot + b) * 2 * width
+            seen.extend([low + m for m, port in zip(drives[0], drives[1]) if port == b])
         # Per unit-side switch port the last drive of the slot wins.
         driven: dict[int, int] = {}
-        top = (rel_base + offset) * width
         for m, b, target in zip(*drives):
             address = 2 * slot + b
-            rows.append((((top + m) * 2 + b) * span + address) * 2)
             if target >= 0:
                 cell = index[m * depth + address] if address < depth else -1
                 driven[target] = blank if cell < 0 else cell
@@ -971,7 +963,8 @@ def _compile_pattern(
             if not 0 <= dst_unit < active:
                 continue
             out_switch = resources.switch(instance, "out", m, code)
-            out_ids += (out_switch, wires.ids[wire], resources.port(producing, m, b))
+            wire_id = wires.renamed.get(wire, key)  # the id of its name
+            out_ids += (out_switch, wire_id, resources.port(producing, m, b))
             target = resources.switch(instance, "in", dst_unit, code)
             drives[0].append(m)
             drives[1].append(b)
@@ -1041,35 +1034,33 @@ def _deliver(half: _Half, memory: array, misroutes: list) -> tuple[int, ...]:
 def _check_trace(
     files: Mapping[str, str], side: str, trace: _Trace, observed: tuple[array, ...]
 ) -> str | None:
-    """Compare ``side``'s access trace file with the observed row codes,
+    """Compare ``side``'s access trace file with the observed access codes,
     the columns of ``observed`` one after another, as multisets; return
     the mismatch, if any.
 
-    A file whose text is the rows' own rendering, the header and then the
-    rows in code order, holds exactly the observed rows.  Only any other
-    file is parsed and compared row by row."""
+    A file whose text is the codes' own rendering, the header and then
+    their runs in code order, holds exactly the observed accesses.  Only
+    any other file is parsed, each run expanded into its accesses, and
+    compared access by access."""
     name = f"access_trace_{side}.csv"
     if not all(map(le, chain(*observed), islice(chain(*observed), 1, None))):
         observed = (array("q", sorted(chain(*observed))),)
-    if trace.renders(_text(files, name, pieces=True), chain(*observed)):
+    if _text(files, name) == trace.render(chain(*observed)):
         return None
-    columns = (("cycle", "pmu", "port", "address"), ("rw",))
     counts = Counter(chain(*observed))
     unmatched = sum(map(len, observed))
-    encode = trace.code
-    for _, values in _read_csv(files, name, *columns):
-        row = encode(*values)
-        count = counts.get(row)
+    for _, code in _trace_accesses(files, name, trace):
+        count = counts.get(code)
         if not count:
             break
-        counts[row] = count - 1
+        counts[code] = count - 1
         unmatched -= 1
     else:
         if not unmatched:
             return None
-    # Described as sets: a row that only occurs more often on one side is
-    # neither missing nor extra.
-    expected = {values for _, values in _read_csv(files, name, *columns)}
+    # Described as sets: an access that only occurs more often on one side
+    # is neither missing nor extra.
+    expected = {values for values, _ in _trace_accesses(files, name, trace)}
     got = {trace.row(code) for code in counts}
     missing = expected - got
     extra = got - expected
@@ -1078,6 +1069,23 @@ def _check_trace(
         f"{name} disagrees with simulated traffic "
         f"({len(missing)} missing, {len(extra)} extra, sample {sample})"
     )
+
+
+def _trace_accesses(
+    files: Mapping[str, str], name: str, trace: _Trace
+) -> Iterator[tuple[tuple, int | None]]:
+    """Each access of the runs of trace file ``name``: its (cycle, pmu,
+    port, address, rw) and its code, or None.  A run of fewer than one or
+    more than all the units fails with its locus."""
+    columns = ("cycle", "pmu", "units", "port", "address"), ("rw",)
+    for line, (cycle, pmu, units, *access) in _read_csv(files, name, *columns):
+        if not 1 <= units <= trace.units:
+            raise SimulationStructureError(
+                f"{name}:{line}:units {units} outside [1, {trace.units}]"
+            )
+        for unit in range(pmu, pmu + units):
+            values = (cycle, unit, *access)
+            yield values, trace.code(*values)
 
 
 def simulate(files: Mapping[str, str] | str | Path, iterations: int = 1) -> SimReport:

@@ -23,13 +23,17 @@ class _Wires:
     A wire is claimed by the id of its name.  A name of the emitted form
     ``<instance>_w_<unit>_<code>`` with a unit below the unit count has the
     id ``src_key`` gives that port, so equal names have equal ids and no
-    name is kept; the n-th distinct name of any other form has id -1 - n."""
+    name is kept; the n-th distinct name of any other form has id -1 - n.
+    A wire named after its own source port has its ``by_src`` key as its
+    id, so only the other wires' ids are kept."""
 
     units: int
     # the key of an out-switch port -> the index of the last wire it drives, or -1
     by_src: array
-    # per wire: the id of its name
-    ids: array
+    # wire -> the id of its name, where that is not its source port's key
+    renamed: dict[int, int]
+    # the highest id of any wire, or -1
+    top_id: int
     # per wire: the unit number its destination switch ends in, or -1 past the units
     dst_unit: array
     # wires not into ``<instance>_in_<unit>`` of their source's instance: claimed, never selected
@@ -56,7 +60,7 @@ def _load_wires(entries: Iterable[object], units: int) -> _Wires:
     out switch of units [0, ``units``) can drive by their source port.  A
     port keyed past twice the wire count, as no code below its switch's port
     count is, drives no wire; a name keyed past 2**32 counts as another form."""
-    keys, ids, dst_units = array("q"), array("q"), array("q")
+    keys, dst_units, renamed, top_id = array("q"), array("q"), {}, -1
     foreign = set()
     # Switch names repeat once per port: each is parsed once.
     sources: dict[str, tuple[int, int, str] | None] = {}
@@ -111,10 +115,15 @@ def _load_wires(entries: Iterable[object], units: int) -> _Wires:
             if match is not None and int(match[2]) < units:
                 named = _INSTANCES.index(match[1]), int(match[2]), int(match[3])
                 name_key = _Wires.src_key(*named, units)
-        keys.append(key if 0 <= key < 2**62 else -1)
-        ids.append(name_key if 0 <= name_key < 2**32 else odd.setdefault(wire_name, -1 - len(odd)))
-    by_src = array("q", [-1]) * min(2 * len(ids), max(keys, default=-1) + 1)
+        key = key if 0 <= key < 2**62 else -1
+        keys.append(key)
+        if not 0 <= name_key < 2**32:
+            name_key = odd.setdefault(wire_name, -1 - len(odd))
+        if name_key != key:
+            renamed[index] = name_key
+        top_id = max(top_id, name_key)
+    by_src = array("q", [-1]) * min(2 * len(keys), max(keys, default=-1) + 1)
     for index, key in enumerate(keys):
         if 0 <= key < len(by_src):
             by_src[key] = index
-    return _Wires(units, by_src, ids, dst_units, frozenset(foreign), list(odd))
+    return _Wires(units, by_src, renamed, top_id, dst_units, frozenset(foreign), list(odd))

@@ -220,6 +220,24 @@ class TestFlatArtifacts:
         assert first[0] == "0" and first[4] == "0"
 
 
+def trace_runs(text):
+    """The rows of an access trace below its header, as (cycle, pmu, units,
+    port, address, rw) tuples."""
+    header, *lines = text.splitlines()
+    assert header == "cycle,pmu,units,port,address,rw"
+    return [(*map(int, line.split(",")[:5]), line.split(",")[5]) for line in lines]
+
+
+def expand_runs(text):
+    """The accesses of an access trace's runs, as (cycle, pmu, port,
+    address, rw) tuples in file order."""
+    return [
+        (cycle, pmu, port, address, rw)
+        for cycle, first, units, port, address, rw in trace_runs(text)
+        for pmu in range(first, first + units)
+    ]
+
+
 class TestAccessTrace:
     def make(self, pmu_side, **kwargs):
         graph, plan = running_example(**kwargs)
@@ -228,24 +246,27 @@ class TestAccessTrace:
             s: generate_folded_sequence(graph, plan, s) for s in ("row", "col")
         }
         schedules = {s: write_schedule(graph, plan, s) for s in ("row", "col")}
-        text = "".join(emit_access_trace(pmu_side, plan, timing, sequences, schedules))
+        text = emit_access_trace(pmu_side, plan, timing, sequences, schedules)
         return graph, plan, timing, text
 
     def test_header_and_census(self):
         graph, plan, timing, text = self.make("row")
-        lines = text.splitlines()
-        assert lines[0] == "cycle,pmu,port,address,rw"
-        rows = [line.split(",") for line in lines[1:]]
+        rows = expand_runs(text)
         reads = [r for r in rows if r[4] == "R"]
         writes = [r for r in rows if r[4] == "W"]
         assert len(reads) == 15 * 7
         assert len(writes) == 15 * 8
+        # Each slot reads all five memories on each of its ports, one run a
+        # port: two in slots 0-8, one in the dummy-padded slots 9-11.
+        read_runs = [r for r in trace_runs(text) if r[5] == "R"]
+        assert len(read_runs) == 9 * 2 + 3
+        assert read_runs[:2] == [(24, 0, 5, 0, 0, "R"), (24, 0, 5, 1, 1, "R")]
 
     def test_write_then_read_cycles(self):
         graph, plan, timing, text = self.make("row")
-        rows = [line.split(",") for line in text.splitlines()[1:]]
-        write_cycles = {int(r[0]) for r in rows if r[4] == "W"}
-        read_cycles = {int(r[0]) for r in rows if r[4] == "R"}
+        rows = expand_runs(text)
+        write_cycles = {r[0] for r in rows if r[4] == "W"}
+        read_cycles = {r[0] for r in rows if r[4] == "R"}
         # Row memories: written during the row half, read during the col half.
         assert write_cycles == set(range(12, 24))
         assert read_cycles == set(range(24, 36))
@@ -253,28 +274,27 @@ class TestAccessTrace:
     def test_addresses_within_capacity_and_counter_reads(self):
         for pmu_side in ("row", "col"):
             graph, plan, timing, text = self.make(pmu_side)
-            rows = [line.split(",") for line in text.splitlines()[1:]]
+            rows = expand_runs(text)
             for r in rows:
-                assert 0 <= int(r[3]) < 24
+                assert 0 <= r[3] < 24
             for r in rows:
                 if r[4] == "R":
-                    assert int(r[3]) % 2 == int(r[2])
+                    assert r[3] % 2 == r[2]
 
     def test_reads_cover_written_real_cells(self):
         graph, plan, timing, text = self.make("row")
-        rows = [line.split(",") for line in text.splitlines()[1:]]
+        rows = expand_runs(text)
         read_cells = {(r[1], r[3]) for r in rows if r[4] == "R"}
         write_cells = {(r[1], r[3]) for r in rows if r[4] == "W"}
         assert read_cells <= write_cells
-        reserved = {(str(m), str(a)) for m in range(5) for a in (19, 21, 23)}
+        reserved = {(m, a) for m in range(5) for a in (19, 21, 23)}
         assert write_cells - read_cells == reserved
 
     def test_no_port_conflicts_in_trace(self):
         for pmu_side in ("row", "col"):
             graph, plan, timing, text = self.make(pmu_side, design_option=2)
             seen = set()
-            for line in text.splitlines()[1:]:
-                cycle, pmu, port, _, _ = line.split(",")
+            for cycle, pmu, port, _, _ in expand_runs(text):
                 key = (cycle, pmu, port)
                 assert key not in seen
                 seen.add(key)
@@ -506,7 +526,7 @@ class TestRunDirectory:
         monkeypatch.setattr(emit, "render_run_files", counting_render)
         graph, plan = running_example()
         manifest = write_run_directory(tmp_path / "run", graph, plan)
-        tables = ("schedule_table", "write_lut", "access_trace")
+        tables = ("schedule_table", "write_lut")
         assert made == Counter(
             ["netlist.json", "incidence.csv"]
             + [f"{table}_{side}.csv" for table in tables for side in ("row", "col")]
@@ -557,6 +577,31 @@ class TestColumnWritersMatchObjectViews:
             ]
             assert emit_write_lut_csv(schedules[side]) == csv_text(lut_rows)
 
+            sequence = sequences[side]
+            group = sequence.q if sequence.design_option == 1 else sequence.pattern_count
+            grid = []
+            for slot, (l, k) in enumerate(sequence.slots):
+                if slot % group == 0:
+                    option1 = sequence.design_option == 1
+                    grid.append([f"Full Perfect Access Pattern {l}" if option1 else f"Fold {k}"])
+                cells = [
+                    format_schedule_cell(a["ppu"], *a["pmus"]) for a in accesses(sequence, slot)
+                ]
+                grid.append([str(slot), *cells])
+            assert emit_schedule_table(sequence) == csv_text(grid)
+
+    @settings(max_examples=80, deadline=None)
+    @given(render_designs())
+    def test_access_trace_runs_are_the_oracle_accesses(self, design):
+        # Expanding the runs gives the accesses of the per-unit views, each
+        # once; the rows are maximal runs in (cycle, port, address, rw,
+        # pmu) order.
+        graph, plan = design
+        sides = ("row", "col")
+        sequences = {s: generate_folded_sequence(graph, plan, s) for s in sides}
+        schedules = {s: write_schedule(graph, plan, s) for s in sides}
+        timing = full_timing(graph, plan)
+        for side in sides:
             reader = other_side(side)
             read_base = 0 if reader == "row" else timing.side_span
             write_base = 0 if side == "row" else timing.side_span
@@ -575,18 +620,16 @@ class TestColumnWritersMatchObjectViews:
                 for e in schedules[side].entries
                 if e.producer_real
             ]
-            text = "".join(emit_access_trace(side, plan, timing, sequences, schedules))
-            assert text == csv_text([("cycle", "pmu", "port", "address", "rw"), *sorted(trace)])
+            text = emit_access_trace(side, plan, timing, sequences, schedules)
+            assert sorted(expand_runs(text)) == sorted(trace)
+            rows = trace_runs(text)
+            assert all(units >= 1 for _, _, units, _, _, _ in rows)
 
-            sequence = sequences[side]
-            group = sequence.q if sequence.design_option == 1 else sequence.pattern_count
-            grid = []
-            for slot, (l, k) in enumerate(sequence.slots):
-                if slot % group == 0:
-                    option1 = sequence.design_option == 1
-                    grid.append([f"Full Perfect Access Pattern {l}" if option1 else f"Fold {k}"])
-                cells = [
-                    format_schedule_cell(a["ppu"], *a["pmus"]) for a in accesses(sequence, slot)
-                ]
-                grid.append([str(slot), *cells])
-            assert emit_schedule_table(sequence) == csv_text(grid)
+            def order(row):
+                cycle, pmu, _, port, address, rw = row
+                return cycle, port, address, rw, pmu
+
+            assert rows == sorted(rows, key=order)
+            for a, b in zip(rows, rows[1:]):
+                merges = order(a)[:4] == order(b)[:4] and a[1] + a[2] == b[1]
+                assert not merges, (a, b)

@@ -817,10 +817,10 @@ class TestLossCensus:
 
     def test_unfolded_replay_memory_is_bounded(self):
         # The q = 1 build is verify's throughput reference, with J units
-        # and J·γ wires.  Its replay peaks at 0.33 MiB on Python 3.11: the
-        # render makes netlist.json's and the access traces' text a piece
-        # at a time as the replay reads it, the wire index is integer
-        # columns, and every claim is an array column.  A name, a dict
+        # and J·γ wires.  Its replay peaks at 0.29 MiB on Python 3.11: the
+        # render makes netlist.json's text a piece at a time as the replay
+        # reads it, the access traces are a few runs a slot, the wire index
+        # is integer columns, and every claim is an array column.  A name, a dict
         # entry and an int per wire and a tuple per access took it to 0.75
         # MiB; an int object per trace row, write, token and delivery then
         # to 1.25 MiB.
@@ -837,12 +837,12 @@ class TestLossCensus:
 
     def test_reference_replay_memory_is_bounded(self):
         # verify's q = 1 reference for P(2, GF(9)) folded by 7, render and
-        # replay, peaks at 0.32-0.35 MiB on Python 3.10-3.13, well below the
-        # 0.52 MiB of its own netlist.json text: no file text is held whole
-        # (the access traces are made piece by piece as they are compared),
-        # the observed trace rows of a side's two halves are not
-        # concatenated, and claim ids take 32 bits.  With the access traces
-        # rendered whole before the replay, it peaked at 0.39-0.42 MiB.
+        # replay, peaks at 0.33 MiB on Python 3.11, well below the 0.52 MiB
+        # of its own netlist.json text: netlist.json is never held whole,
+        # the access traces are a few runs a slot, the observed accesses of
+        # a side's two halves are not concatenated, and claim ids take 32
+        # bits.  With one trace row per access, rendered whole before the
+        # replay, it peaked at 0.39-0.42 MiB.
         graph = pad_dummy_offset(build_pg_graph(PgParams(2, 3, 2)))
         plan = FoldPlan.for_graph(graph, 7)
         cli._reference_replay(graph, plan)  # warm caches
@@ -976,22 +976,66 @@ class TestDecodedMessages:
         )
 
     @pytest.mark.parametrize(
-        "new, counts",
+        "old, new, counts",
         [
-            # The rows as sets agree; the file holds one access twice.
-            ("\n12,0,0,0,W\n12,0,0,0,W\n", "0 missing, 0 extra, sample []"),
-            # The file lacks one access the replay makes.
-            ("\n", "0 missing, 1 extra, sample [(12, 0, 0, 0, 'W')]"),
+            # The accesses as sets agree; the file holds five of them twice.
+            (
+                "\n12,0,5,0,0,W\n",
+                "\n12,0,5,0,0,W\n12,0,5,0,0,W\n",
+                "0 missing, 0 extra, sample []",
+            ),
+            # The file lacks five accesses the replay makes.
+            (
+                "\n12,0,5,0,0,W\n",
+                "\n",
+                "0 missing, 5 extra, sample [(12, 0, 0, 0, 'W'), (12, 1, 0, 0, 'W'), "
+                "(12, 2, 0, 0, 'W')]",
+            ),
+            # A run one unit short, and one unit long into the next run.
+            (
+                "\n12,0,4,1,18,W\n",
+                "\n12,0,3,1,18,W\n",
+                "0 missing, 1 extra, sample [(12, 3, 1, 18, 'W')]",
+            ),
+            (
+                "\n12,0,4,1,18,W\n",
+                "\n12,0,5,1,18,W\n",
+                "1 missing, 0 extra, sample [(12, 4, 1, 18, 'W')]",
+            ),
+            # A run one unit long past the last unit, and one shifted down a unit.
+            (
+                "\n12,4,1,1,20,W\n",
+                "\n12,4,2,1,20,W\n",
+                "1 missing, 0 extra, sample [(12, 5, 1, 20, 'W')]",
+            ),
+            (
+                "\n12,4,1,1,20,W\n",
+                "\n12,3,1,1,20,W\n",
+                "1 missing, 1 extra, sample [(12, 3, 1, 20, 'W'), (12, 4, 1, 20, 'W')]",
+            ),
         ],
     )
-    def test_trace_rows_compare_as_multisets(self, render15, new, counts):
-        files = edited(render15, "access_trace_row.csv", "\n12,0,0,0,W\n", new)
+    def test_trace_runs_compare_as_multisets_of_accesses(self, render15, old, new, counts):
+        # The port-1 writes at cycle 12 go to address 18 for units 0-3 and
+        # to 20 for unit 4.
+        files = edited(render15, "access_trace_row.csv", old, new)
         assert simulate(files).file_mismatches == [
             f"access_trace_row.csv disagrees with simulated traffic ({counts})"
         ]
 
+    @pytest.mark.parametrize("units", [0, -1, 6])
+    def test_run_of_no_or_too_many_units_names_its_locus(self, render15, units):
+        files = edited(
+            render15, "access_trace_row.csv", "\n12,0,5,0,0,W\n", f"\n12,0,{units},0,0,W\n"
+        )
+        with pytest.raises(
+            SimulationStructureError,
+            match=rf"^access_trace_row.csv:2:units {units} outside \[1, 5\]$",
+        ):
+            simulate(files)
+
     def test_emitted_trace_is_compared_as_text(self, render15, monkeypatch):
-        # An emitted trace file is the observed rows' own text: it is not parsed.
+        # An emitted trace file is the observed runs' own text: it is not parsed.
         read_csv = simulator._read_csv
 
         def read_no_trace(files, name, *columns):
@@ -1027,19 +1071,26 @@ class TestDecodedMessages:
             pytest.param(
                 lambda header, rows: [header, rows[0][:-1] + "R", *rows[1:]],
                 [
-                    "access_trace_row.csv disagrees with simulated traffic (1 missing, "
-                    "1 extra, sample [(12, 0, 0, 0, 'R'), (12, 0, 0, 0, 'W')])"
+                    "access_trace_row.csv disagrees with simulated traffic (5 missing, "
+                    "5 extra, sample [(12, 0, 0, 0, 'R'), (12, 0, 0, 0, 'W'), "
+                    "(12, 1, 0, 0, 'R')])"
                 ],
                 id="flipped rw",
+            ),
+            pytest.param(
+                lambda header, rows: [header, "12,0,2,0,0,W", "12,2,3,0,0,W", *rows[1:]],
+                [],
+                id="run split in two",
             ),
         ],
     )
     def test_trace_text_that_differs_compares_as_multisets(self, render15, edit, mismatches):
-        # A trace file that is not the observed rows' own text is parsed and
-        # compared as a multiset of rows: any file with the same rows passes.
+        # A trace file that is not the observed runs' own text is parsed and
+        # compared as a multiset of accesses: any file with the same
+        # accesses passes.
         name = "access_trace_row.csv"
         header, *rows = render15[name].splitlines()
-        assert rows[0] == "12,0,0,0,W"
+        assert rows[0] == "12,0,5,0,0,W"
         text = "\n".join(edit(header, rows)) + "\n"
         assert text != render15[name]
         assert simulate({**render15, name: text}).file_mismatches == mismatches
@@ -1047,7 +1098,7 @@ class TestDecodedMessages:
 
 class TestTracePieces:
     """An access trace file given as pieces, cut anywhere, has the verdict
-    and the message of its whole text, whether it is the observed rows'
+    and the message of its whole text, whether it is the observed runs'
     own rendering or is parsed and compared as a multiset."""
 
     @pytest.fixture(scope="class")
@@ -1073,15 +1124,14 @@ class TestTracePieces:
             at = st.integers(0, len(rows)) | st.just(len(rows))
             rows.insert(data.draw(at, label="at"), rows[index])
         text = "".join([header, *rows])
-        # Cut anywhere, and often at line ends, as the emitted pieces are,
-        # the last line's start above all.
+        # Cut anywhere, and often at line ends, the last line's start above all.
         ends = st.sampled_from(list(accumulate(map(len, [header, *rows]))))
         ends |= st.just(len(text) - len(rows[-1]))
         cuts = data.draw(st.lists(st.integers(0, len(text)) | ends, max_size=12), label="cuts")
         bounds = [0, *sorted(cuts), len(text)]
         pieces = [text[a:b] for a, b in zip(bounds, bounds[1:])]
-        # The pieces are the rows' own rendering exactly when the text is.
-        assert trace.renders(pieces, sorted(chain(*observed))) == (kind == "same")
+        # The text is the runs' own rendering exactly when it is unedited.
+        assert (trace.render(sorted(chain(*observed))) == text) == (kind == "same")
         whole = simulator._check_trace({name: text}, "row", trace, observed)
         assert (whole is None) == (kind == "same")
         assert simulator._check_trace({name: pieces}, "row", trace, observed) == whole
