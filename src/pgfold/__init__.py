@@ -14,7 +14,7 @@ from .circulant import (
     expand_circulant,
     offsets_equivalent,
 )
-from .emit import emit_schedule_table, write_run_directory
+from .emit import write_run_directory
 from .folding import FoldPlan, generate_folded_sequence, pad_dummy_offset
 from .galois import FiniteField, Polynomial, field_build, find_primitive_polynomial
 from .projective import PgParams, build_pg_graph, phi, verify_pg_incidence
@@ -56,7 +56,6 @@ __all__ = [
     "check_dataflow_equivalence",
     "choose_alpha",
     "divisors",
-    "emit_schedule_table",
     "expand_circulant",
     "field_build",
     "find_primitive_polynomial",

@@ -31,7 +31,6 @@ from .emit import (
     _json_text,
     _manifest_text,
     emit_graph_json,
-    emit_incidence_csv,
     emit_manifest_json,
     render_run_files,
     sha256_text,
@@ -418,11 +417,10 @@ def cmd_build_pg(args: argparse.Namespace) -> int:
     graph = _acquire_graph(settings)
     out.mkdir(parents=True, exist_ok=True)
     (out / "graph.json").write_text(emit_graph_json(graph), encoding="utf-8")
-    (out / "incidence.csv").write_text(emit_incidence_csv(graph), encoding="utf-8")
     n, p, s = settings["geometry"]
     print(
         f"built P({n}, GF({p}^{s})): order {graph.order}, degree {graph.degree}; "
-        f"wrote graph.json and incidence.csv to {out}"
+        f"wrote graph.json to {out}"
     )
     return 0
 
@@ -444,10 +442,9 @@ def cmd_expand(args: argparse.Namespace) -> int:
     expanded = _expand(graph, alpha)
     out.mkdir(parents=True, exist_ok=True)
     (out / "graph.json").write_text(emit_graph_json(expanded), encoding="utf-8")
-    (out / "incidence.csv").write_text(emit_incidence_csv(expanded), encoding="utf-8")
     print(
         f"expanded order {graph.order} to {expanded.order} (alpha {alpha}, "
-        f"degree {expanded.degree}); wrote graph.json and incidence.csv to {out}"
+        f"degree {expanded.degree}); wrote graph.json to {out}"
     )
     return 0
 
@@ -804,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("build-pg", cmd_build_pg, "build a projective-geometry graph"),
         ("expand", cmd_expand, "grow a graph with dummy nodes to a composite order"),
         ("fold", cmd_fold, "compute the folded access sequences"),
-        ("schedule", cmd_schedule, "emit schedules, layouts, tables, and netlist"),
+        ("schedule", cmd_schedule, "emit folds, LUTs, switch tables, traces, and netlist"),
         ("simulate", cmd_simulate, "replay an emitted run directory cycle by cycle"),
         ("emit", cmd_emit, "emit artifacts in the chosen formats"),
         ("run", cmd_run, "full pipeline: build, fold, schedule, emit, simulate"),

@@ -1,7 +1,9 @@
 """Serialization of every synthesis artifact.
 
-Human-readable tables go out as CSV, machine artifacts as JSON with sorted
-keys, and the hardware as two VHDL files.  hdl/folded_luts.vhd is a ROM
+The tables go out as CSV, the design and its plans as JSON with sorted
+keys, and the hardware as two VHDL files.  The schedule grid and the
+incidence table are not emitted: they are fold_*.json's patterns and
+slots and graph.json's offsets.  hdl/folded_luts.vhd is a ROM
 package: one integer array per LUT file of the run, named after it and
 holding that file's column (the write LUT addresses, unit by unit, and
 each switch table's two port columns), which the replay compares with
@@ -44,11 +46,8 @@ from .schedule import (
 
 __all__ = [
     "FORMATS",
-    "format_schedule_cell",
-    "emit_schedule_table",
     "emit_netlist_json",
     "emit_graph_json",
-    "emit_incidence_csv",
     "emit_switch_lut_csv",
     "emit_read_counter_params",
     "emit_write_lut_csv",
@@ -96,52 +95,6 @@ def sha256_text(text: Text) -> str:
 
 # Artifact families a run can emit, in emission order.
 FORMATS = ("csv", "json", "hdl")
-
-
-# ---------------------------------------------------------------------------
-# schedule table (CSV)
-
-
-def format_schedule_cell(pu: int, first: int, second: int | None) -> str:
-    if second is None:
-        return f"[PU{pu} : MU{first}, D ]"
-    return f"[PU{pu} : MU{first}, MU{second} ]"
-
-
-def emit_schedule_table(sequence: FoldedSequence) -> str:
-    """Grid of one side's access schedule, one row per slot.
-
-    A banner row opens each group: the q slots of one pattern under design
-    option 1, the patterns of one fold under option 2.  Cells read
-    "[PUi : MUa, MUb ]" with "D" in place of the dummy access.  Unit i of
-    every slot of pattern l reads memories (f0 + i) mod F and (f1 + i)
-    mod F, so the q slots of a pattern share one row of cells.
-    """
-    f_units = sequence.units_per_side
-    cells = []
-    for pattern in sequence.patterns:
-        f0, f1 = pattern.folded
-        # Every cell holds ", ", so the CSV quotes it.
-        cells.append(
-            ",".join(
-                '"'
-                + format_schedule_cell(
-                    i, (f0 + i) % f_units, None if f1 is None else (f1 + i) % f_units
-                )
-                + '"'
-                for i in range(f_units)
-            )
-        )
-    group_size = sequence.q if sequence.design_option == 1 else sequence.pattern_count
-    lines = []
-    for slot, (l, k) in enumerate(sequence.slots):
-        if slot % group_size == 0:
-            if sequence.design_option == 1:
-                lines.append(f"Full Perfect Access Pattern {l}\n")
-            else:
-                lines.append(f"Fold {k}\n")
-        lines.append(f"{slot},{cells[l]}\n")
-    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +170,6 @@ def _wire_texts(netlist: Netlist) -> Iterator[str]:
 
 def emit_graph_json(graph: CirculantBipartiteGraph) -> str:
     return _json_text(graph.to_json_dict())
-
-
-def emit_incidence_csv(graph: CirculantBipartiteGraph) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["node"] + [f"edge{t}" for t in range(graph.degree)])
-    for i in range(graph.order):
-        writer.writerow([i] + graph.incidence_row(i))
-    return buffer.getvalue()
 
 
 def emit_switch_lut_csv(lut: SwitchLUT) -> str:
@@ -597,12 +541,11 @@ def render_run_files(
 ) -> dict[str, Text]:
     """Every artifact of one synthesis run in the selected ``formats``,
     keyed by its path in the run directory: the graph, folded sequences,
-    schedule tables, memory layout and address files, switch tables,
-    netlist, timing, access traces, resource report and the HDL, which
-    must pass ``check_hdl``.  netlist.json, incidence.csv, the schedule
-    tables and the write LUTs are ``TextPieces``, made only when read; the
-    others, the access traces' runs among them, are strings.  Nothing is
-    written.
+    memory layout and address files, switch tables, netlist, timing,
+    access traces, resource report and the HDL, which must pass
+    ``check_hdl``.  netlist.json and the write LUTs are ``TextPieces``,
+    made only when read; the others, the access traces' runs among them,
+    are strings.  Nothing is written.
     """
     for fmt in formats:
         if fmt not in FORMATS:
@@ -632,9 +575,7 @@ def render_run_files(
         files["read_counter_params.json"] = emit_read_counter_params(layout, graph)
         files["resource_report.json"] = _json_text(resource_report(graph, plan))
     if "csv" in formats:
-        files["incidence.csv"] = TextPieces(emit_incidence_csv, graph)
         for side in ("row", "col"):
-            files[f"schedule_table_{side}.csv"] = TextPieces(emit_schedule_table, sequences[side])
             files[f"write_lut_{side}.csv"] = TextPieces(emit_write_lut_csv, schedules[side])
             files[f"access_trace_{side}.csv"] = emit_access_trace(
                 side, plan, timing, sequences, schedules

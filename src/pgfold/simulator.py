@@ -357,6 +357,12 @@ def _load(files: Mapping[str, str]) -> _Inputs:
                 f"timing slot count disagrees with fold slots ({key})"
             )
     ranks = len(base_offsets)
+    netlist_units = _field("netlist.json", netlist, "units_per_side")
+    if netlist_units != units:
+        raise SimulationStructureError(
+            f"netlist.json: units_per_side {netlist_units} disagrees with "
+            f"plan.json's {units}"
+        )
     instances = netlist
     for key in ("annotations", "instances"):
         instances = _field("netlist.json", instances, key, json_value)
@@ -370,12 +376,21 @@ def _load(files: Mapping[str, str]) -> _Inputs:
         invalid[instance] = _field(f"netlist.json:{instance}", annotation, "rho_hat")
         for kind, store in (("out", out_rows), ("in", in_rows)):
             name = f"lut_{instance}_{kind}.csv"
-            records = sorted(
-                _read_csv(files, name, ("slot", "port0", "port1")),
-                key=lambda record: record[1][0],
-            )
-            if len(records) != pattern_count["row"]:
-                raise SimulationStructureError(f"{name} row count != pattern count")
+            # Pattern l's row is the one of slot l: each slot in range, once.
+            records: list = [None] * pattern_count["row"]
+            for line, values in _read_csv(files, name, ("slot", "port0", "port1")):
+                slot = values[0]
+                _outside(name, line, "slot", slot, 0, len(records))
+                if records[slot] is not None:
+                    raise SimulationStructureError(
+                        f"{name}:{line}:slot {slot} repeats line {records[slot][0]}"
+                    )
+                records[slot] = line, values
+            if None in records:
+                raise SimulationStructureError(
+                    f"{name}: slot {records.index(None)} missing, "
+                    f"one row per pattern of {len(records)}"
+                )
             store[instance] = [(port0, port1) for _, (_, port0, port1) in records]
             if roms is not None:
                 for b in (0, 1):
@@ -460,12 +475,13 @@ def _load(files: Mapping[str, str]) -> _Inputs:
 def _read_netlist(
     files: Mapping[str, str], units: int
 ) -> tuple[object, _Wires | SimulationStructureError | None]:
-    """netlist.json's ``annotations``, the one other member the replay
-    reads, and the index of its wires for out switches of units [0,
-    ``units``) or the first wire error, which the caller raises after its
-    table checks; decoded in one pass.  With ``wires`` absent or not a list
-    that member is kept and the index is None; for text that is not a JSON
-    object, ``json.loads`` decodes the whole document or names the fault."""
+    """netlist.json's ``annotations`` and ``units_per_side``, the other
+    members the replay reads, and the index of its wires for out switches
+    of units [0, ``units``) or the first wire error, which the caller
+    raises after its table checks; decoded in one pass.  With ``wires``
+    absent or not a list that member is kept and the index is None; for
+    text that is not a JSON object, ``json.loads`` decodes the whole
+    document or names the fault."""
 
     # Imported here, so that commands that replay nothing do not compile them.
     from .jsonstream import load_streamed
@@ -478,7 +494,7 @@ def _read_netlist(
             return exc
 
     text = _text(files, "netlist.json", pieces=True)
-    streamed = load_streamed(text, "wires", index, keep=("annotations",))
+    streamed = load_streamed(text, "wires", index, keep=("annotations", "units_per_side"))
     return streamed or (read_json(files, "netlist.json"), None)
 
 

@@ -23,7 +23,7 @@ from pgfold.circulant import (
     normalize_offsets,
 )
 from pgfold.cli import main as cli_main
-from pgfold.emit import emit_schedule_table, write_run_directory
+from pgfold.emit import write_run_directory
 from pgfold.folding import (
     FoldPlan,
     compute_rho,
@@ -41,7 +41,7 @@ from pgfold.schedule import (
 )
 from pgfold.simulator import simulate
 
-from .test_emit import FROZEN_SCHEDULE_GRID
+from .test_emit import FROZEN_SCHEDULE_GRID, schedule_grid
 from .test_projective import INCIDENCE_15, REFERENCE_OFFSETS_15
 from .test_schedule import accesses
 
@@ -163,7 +163,7 @@ class TestAcceptance:
             sequence = generate_folded_sequence(graph, plan, "row")
             assert sequence.slot_count == 12
             assert len(sequence.patterns) == 4
-            assert emit_schedule_table(sequence) == FROZEN_SCHEDULE_GRID
+            assert schedule_grid(sequence) == FROZEN_SCHEDULE_GRID
             for slot in (9, 10, 11):
                 for access in accesses(sequence, slot):
                     assert access["pmus"][1] is None

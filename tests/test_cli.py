@@ -42,11 +42,11 @@ def run15_dir(tmp_path_factory):
 
 
 class TestBuildPg:
-    def test_writes_graph_and_incidence(self, pg15_dir, capsys):
+    def test_writes_graph_only(self, pg15_dir, capsys):
         graph = read_json(pg15_dir / "graph.json")
         assert graph["J"] == 15
         assert graph["gamma"] == 7
-        assert (pg15_dir / "incidence.csv").is_file()
+        assert [path.name for path in pg15_dir.iterdir()] == ["graph.json"]
 
     def test_smaller_geometry(self, pg13_dir):
         graph = read_json(pg13_dir / "graph.json")
@@ -92,25 +92,17 @@ class TestBuildPg:
         assert not out.exists()
 
 
-# SHA-256 of build-pg's graph.json and incidence.csv, pinned so a change to
-# the offset construction that alters any byte of the ladder fails here.
+# SHA-256 of build-pg's graph.json, pinned so a change to the offset
+# construction that alters any byte of the ladder fails here.
 BUILD_PG_DIGESTS = {
-    "2,3,3": (  # J = 757
-        "9b18346712bc44e9bd5a4e1b3835d926325aa697c07e2b40ceef4afb497ba564",
-        "87720dc85a1c826aa8e763cb73ea681c8676f3f19084559f58b61a680021bba9",
-    ),
-    "2,31,1": (  # J = 993
-        "3eee7eaf1a451967cfc1f062cc2196ebd6178e84741bf1d1d64d879102ccd2d4",
-        "b6b421053122da89e4ea8f9d37defc696f51ffd2f8fde51ff6f09f61b31b99eb",
-    ),
-    "2,2,5": (  # J = 1057
-        "3baacb58e361c798cef3b1864cf2bed1dc8763e4f7d5ba66148269061599f35a",
-        "e69bb8ef77ca6b5954e9b49ddee89d279211268671c69074c24ec5cbb6210b19",
-    ),
-    "2,2,6": (  # J = 4161
-        "651db6eb58cd6e8b3f6222bc1ddd5b7c4b7e2a51a19f6a2594cbeab816dc7252",
-        "e9059a00421afb5595e8bf01ec2e19d9c1d65e440732dd4468a8d74da01c1c95",
-    ),
+    # J = 757
+    "2,3,3": "9b18346712bc44e9bd5a4e1b3835d926325aa697c07e2b40ceef4afb497ba564",
+    # J = 993
+    "2,31,1": "3eee7eaf1a451967cfc1f062cc2196ebd6178e84741bf1d1d64d879102ccd2d4",
+    # J = 1057
+    "2,2,5": "3baacb58e361c798cef3b1864cf2bed1dc8763e4f7d5ba66148269061599f35a",
+    # J = 4161
+    "2,2,6": "651db6eb58cd6e8b3f6222bc1ddd5b7c4b7e2a51a19f6a2594cbeab816dc7252",
 }
 
 
@@ -118,11 +110,8 @@ BUILD_PG_DIGESTS = {
 def test_build_pg_ladder_digests(tmp_path, capsys, geometry):
     out = tmp_path / "pg"
     assert main(["build-pg", "--geometry", geometry, "--out", str(out)]) == 0
-    digests = tuple(
-        hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("graph.json", "incidence.csv")
-    )
-    assert digests == BUILD_PG_DIGESTS[geometry]
+    digest = hashlib.sha256((out / "graph.json").read_bytes()).hexdigest()
+    assert digest == BUILD_PG_DIGESTS[geometry]
 
 
 class TestSelfChecks:
@@ -405,7 +394,9 @@ class TestScheduleAndEmit:
         )
         assert code == 0
         assert (out / "hdl" / "top.vhd").is_file()
-        assert (out / "schedule_table_row.csv").is_file()
+        assert (out / "write_lut_row.csv").is_file()
+        assert not list(out.glob("schedule_table_*.csv"))
+        assert not (out / "incidence.csv").exists()
 
     def test_emit_rejects_unknown_format(self, pg15_dir, tmp_path, capsys):
         code = main(

@@ -1,8 +1,9 @@
-"""Serialization goldens: schedule table grid, netlist JSON, LUT and
-address files, access traces, HDL skeleton, and the run directory.
+"""Serialization goldens: netlist JSON, LUT and address files, access
+traces, HDL skeleton, and the run directory.
 
 FROZEN_SCHEDULE_GRID is the frozen 15-node, q=3, option-1 schedule grid, written
-out by hand from the folded patterns before the emitter existed.
+out by hand from the folded patterns; ``schedule_grid`` builds the same grid
+from a folded sequence's per-unit accesses.
 """
 
 import csv
@@ -22,13 +23,10 @@ from pgfold.emit import (
     emit_access_trace,
     emit_graph_json,
     emit_hdl,
-    emit_incidence_csv,
     emit_netlist_json,
     emit_read_counter_params,
-    emit_schedule_table,
     emit_switch_lut_csv,
     emit_write_lut_csv,
-    format_schedule_cell,
     render_run_files,
     write_run_directory,
 )
@@ -46,32 +44,6 @@ from pgfold.schedule import (
 from .test_schedule import accesses, render_designs
 
 OFFSETS_15 = (0, 1, 2, 4, 5, 8, 10)
-
-# The inverse of emit_schedule_table, an oracle for its grid.
-CELL_RE = re.compile(r"^\[PU(\d+) : MU(\d+), (?:MU(\d+)|D) \]$")
-
-
-def decode_schedule_cell(cell: str) -> tuple[int, int, int | None]:
-    match = CELL_RE.match(cell)
-    if match is None:
-        raise ValueError(f"malformed schedule cell {cell!r}")
-    pu, first, second = match.groups()
-    return int(pu), int(first), None if second is None else int(second)
-
-
-def parse_schedule_table(text: str) -> dict:
-    """Banners plus decoded data rows."""
-    banners: list[tuple[int, str]] = []
-    rows: list[tuple[int, list[tuple[int, int, int | None]]]] = []
-    for record in csv.reader(io.StringIO(text)):
-        if not record:
-            continue
-        if len(record) == 1:
-            banners.append((len(rows), record[0]))
-            continue
-        slot = int(record[0])
-        rows.append((slot, [decode_schedule_cell(cell) for cell in record[1:]]))
-    return {"banners": banners, "rows": rows}
 
 _P0 = '"[PU0 : MU0, MU1 ]","[PU1 : MU1, MU2 ]","[PU2 : MU2, MU3 ]","[PU3 : MU3, MU4 ]","[PU4 : MU4, MU0 ]"'
 _P1 = '"[PU0 : MU2, MU4 ]","[PU1 : MU3, MU0 ]","[PU2 : MU4, MU1 ]","[PU3 : MU0, MU2 ]","[PU4 : MU1, MU3 ]"'
@@ -98,69 +70,37 @@ FROZEN_SCHEDULE_GRID = (
 )
 
 
+def csv_text(rows):
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def format_schedule_cell(pu: int, first: int, second: int | None) -> str:
+    """A cell of the schedule grid: "[PUi : MUa, MUb ]", with "D" in place
+    of the dummy access."""
+    if second is None:
+        return f"[PU{pu} : MU{first}, D ]"
+    return f"[PU{pu} : MU{first}, MU{second} ]"
+
+
+def schedule_grid(sequence) -> str:
+    """One side's schedule grid under design option 1, as CSV text: a
+    banner row opening the q slots of each pattern, and a row of per-unit
+    access cells per slot."""
+    grid = []
+    for slot, (l, _) in enumerate(sequence.slots):
+        if slot % sequence.q == 0:
+            grid.append([f"Full Perfect Access Pattern {l}"])
+        cells = [format_schedule_cell(a["ppu"], *a["pmus"]) for a in accesses(sequence, slot)]
+        grid.append([str(slot), *cells])
+    return csv_text(grid)
+
+
 def running_example(q=3, design_option=1, **kwargs):
     graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
     plan = FoldPlan.for_graph(graph, q, design_option=design_option, **kwargs)
     return graph, plan
-
-
-class TestScheduleTable:
-    def test_frozen_grid(self):
-        graph, plan = running_example()
-        sequence = generate_folded_sequence(graph, plan, "row")
-        assert emit_schedule_table(sequence) == FROZEN_SCHEDULE_GRID
-
-    def test_dummy_cell_in_row_9(self):
-        graph, plan = running_example()
-        text = emit_schedule_table(generate_folded_sequence(graph, plan, "row"))
-        parsed = parse_schedule_table(text)
-        rows = dict(parsed["rows"])
-        assert rows[9][0] == (0, 0, None)
-        raw = next(rec for rec in csv.reader(io.StringIO(text)) if rec[0] == "9")
-        assert raw[1] == "[PU0 : MU0, D ]"
-
-    def test_banner_census(self):
-        graph, plan = running_example()
-        text = emit_schedule_table(generate_folded_sequence(graph, plan, "row"))
-        parsed = parse_schedule_table(text)
-        assert [b for _, b in parsed["banners"]] == [
-            f"Full Perfect Access Pattern {l}" for l in range(4)
-        ]
-        assert len(parsed["rows"]) == 12
-
-    def test_option2_fold_banners(self):
-        graph, plan = running_example(design_option=2)
-        text = emit_schedule_table(generate_folded_sequence(graph, plan, "row"))
-        parsed = parse_schedule_table(text)
-        assert [b for _, b in parsed["banners"]] == ["Fold 0", "Fold 1", "Fold 2"]
-        assert len(parsed["rows"]) == 12
-
-    def test_unfolded_degenerate(self):
-        graph, plan = running_example(q=1)
-        text = emit_schedule_table(generate_folded_sequence(graph, plan, "row"))
-        parsed = parse_schedule_table(text)
-        assert len(parsed["rows"]) == 4
-        assert all(len(cells) == 15 for _, cells in parsed["rows"])
-
-    def test_round_trip_both_options(self):
-        for option in (1, 2):
-            graph, plan = running_example(design_option=option)
-            for side in ("row", "col"):
-                sequence = generate_folded_sequence(graph, plan, side)
-                parsed = parse_schedule_table(emit_schedule_table(sequence))
-                assert len(parsed["rows"]) == sequence.slot_count
-                for slot, cells in parsed["rows"]:
-                    expected = [
-                        (a["ppu"], a["pmus"][0], a["pmus"][1])
-                        for a in accesses(sequence, slot)
-                    ]
-                    assert cells == expected
-
-    def test_cell_codec(self):
-        assert decode_schedule_cell("[PU0 : MU0, MU1 ]") == (0, 0, 1)
-        assert decode_schedule_cell("[PU4 : MU4, D ]") == (4, 4, None)
-        with pytest.raises(ValueError):
-            decode_schedule_cell("[PU0 : MU0, MU1]")
 
 
 class TestFlatArtifacts:
@@ -185,13 +125,6 @@ class TestFlatArtifacts:
         assert data["J"] == 15
         assert data["gamma"] == 7
         assert data["base_offsets"] == list(OFFSETS_15)
-
-    def test_incidence_csv(self):
-        graph, _ = running_example()
-        lines = emit_incidence_csv(graph).splitlines()
-        assert lines[0] == "node,edge0,edge1,edge2,edge3,edge4,edge5,edge6"
-        assert lines[1] == "0,0,1,2,4,5,8,10"
-        assert lines[6] == "5,5,6,7,9,10,13,0"
 
     def test_switch_lut_csv(self):
         graph, plan = running_example()
@@ -477,9 +410,6 @@ class TestRunDirectory:
             "timing.json",
             "read_counter_params.json",
             "resource_report.json",
-            "incidence.csv",
-            "schedule_table_row.csv",
-            "schedule_table_col.csv",
             "write_lut_row.csv",
             "write_lut_col.csv",
             "access_trace_row.csv",
@@ -526,11 +456,7 @@ class TestRunDirectory:
         monkeypatch.setattr(emit, "render_run_files", counting_render)
         graph, plan = running_example()
         manifest = write_run_directory(tmp_path / "run", graph, plan)
-        tables = ("schedule_table", "write_lut")
-        assert made == Counter(
-            ["netlist.json", "incidence.csv"]
-            + [f"{table}_{side}.csv" for table in tables for side in ("row", "col")]
-        )
+        assert made == Counter(["netlist.json", "write_lut_row.csv", "write_lut_col.csv"])
         assert manifest == json.loads((tmp_path / "run" / "manifest.json").read_text())
 
     def test_format_selection(self, tmp_path):
@@ -542,12 +468,6 @@ class TestRunDirectory:
         graph, plan = running_example()
         with pytest.raises(ValueError, match="unknown emission format 'vhdl'"):
             render_run_files(graph, plan, ("csv", "vhdl"))
-
-
-def csv_text(rows):
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
-    return buffer.getvalue()
 
 
 class TestColumnWritersMatchObjectViews:
@@ -563,32 +483,16 @@ class TestColumnWritersMatchObjectViews:
         expected = json.dumps(netlist.to_json_dict(), indent=2, sort_keys=True) + "\n"
         assert "".join(emit_netlist_json(netlist)) == expected
 
-        sides = ("row", "col")
-        sequences = {s: generate_folded_sequence(graph, plan, s) for s in sides}
-        schedules = {s: write_schedule(graph, plan, s) for s in sides}
-        timing = full_timing(graph, plan)
-        for side in sides:
-            per_pmu = schedules[side].per_pmu()
+        for side in ("row", "col"):
+            schedule = write_schedule(graph, plan, side)
+            per_pmu = schedule.per_pmu()
             lut_rows = [["pmu", "index", "slot", "port", "address", "real", "producer_real"]]
             lut_rows += [
                 [pmu, index, e.slot, e.port, e.address, int(e.real), int(e.producer_real)]
                 for pmu in sorted(per_pmu)
                 for index, e in enumerate(per_pmu[pmu])
             ]
-            assert emit_write_lut_csv(schedules[side]) == csv_text(lut_rows)
-
-            sequence = sequences[side]
-            group = sequence.q if sequence.design_option == 1 else sequence.pattern_count
-            grid = []
-            for slot, (l, k) in enumerate(sequence.slots):
-                if slot % group == 0:
-                    option1 = sequence.design_option == 1
-                    grid.append([f"Full Perfect Access Pattern {l}" if option1 else f"Fold {k}"])
-                cells = [
-                    format_schedule_cell(a["ppu"], *a["pmus"]) for a in accesses(sequence, slot)
-                ]
-                grid.append([str(slot), *cells])
-            assert emit_schedule_table(sequence) == csv_text(grid)
+            assert emit_write_lut_csv(schedule) == csv_text(lut_rows)
 
     @settings(max_examples=80, deadline=None)
     @given(render_designs())

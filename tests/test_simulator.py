@@ -403,6 +403,9 @@ class TestLoadErrors:
             ("lut_row_reads_in.csv", 3, "port1", "0", "lut_row_reads_in.csv:5:port1 code 0 selects rank 7"),
             ("lut_col_reads_in.csv", 3, "port1", "2", "lut_col_reads_in.csv:5:port1 code 2 selects rank 7"),
             ("write_lut_row.csv", 0, "address", "x", "write_lut_row.csv:2:address 'x' is not an integer"),
+            ("lut_row_reads_in.csv", 0, "slot", "-1", "lut_row_reads_in.csv:2:slot -1 outside [0, 4)"),
+            ("lut_col_reads_out.csv", 3, "slot", "4", "lut_col_reads_out.csv:5:slot 4 outside [0, 4)"),
+            ("lut_row_reads_out.csv", 2, "slot", "0", "lut_row_reads_out.csv:4:slot 0 repeats line 2"),
         ],
     )
     def test_rejected_with_locus(self, scratch_run, capsys, name, index, column, value, locus):
@@ -432,6 +435,12 @@ class TestLoadErrors:
                 "row_reads_in_x",
                 "netlist.json:wires[0]:dst 'row_reads_in_x' does not end in a unit number",
             ),
+            (
+                "netlist.json",
+                ("units_per_side",),
+                99,
+                "netlist.json: units_per_side 99 disagrees with plan.json's 5",
+            ),
         ],
     )
     def test_json_entry_rejected_with_locus(self, scratch_run, capsys, name, path, value, locus):
@@ -449,6 +458,14 @@ class TestLoadErrors:
             captured = capsys.readouterr()
             assert "Traceback" not in captured.out + captured.err
             assert locus in captured.out + captured.err
+
+    def test_switch_table_without_a_pattern_row(self, scratch_run):
+        rewrite_csv(scratch_run, "lut_col_reads_in.csv", lambda rows: rows.pop(1))
+        with pytest.raises(
+            SimulationStructureError,
+            match=r"^lut_col_reads_in.csv: slot 1 missing, one row per pattern of 4$",
+        ):
+            simulate(scratch_run)
 
     @pytest.mark.parametrize("edit, count", [("last dropped", 11), ("first repeated", 13)])
     def test_fold_slot_counts_disagree(self, scratch_run, capsys, edit, count):
@@ -496,10 +513,29 @@ class TestFileSource:
     @settings(max_examples=100, deadline=None)
     @given(render_designs())
     def test_random_design_replays_end_to_end(self, design):
-        render = render_run_files(*design)
+        render = LookedUp(render_run_files(*design))
         report = simulate(render, 2)
         assert report.ok, summarize(report)
         assert check_dataflow_equivalence(report, render) == {"ok": True, "failures": []}
+        # Every emitted file but these is read by the replay or the
+        # dataflow check.
+        assert render.keys() - render.names == {
+            "read_counter_params.json",
+            "resource_report.json",
+            "hdl/top.vhd",
+        }
+
+
+class LookedUp(dict):
+    """A render that records the names of the files looked up in it."""
+
+    def __init__(self, files):
+        super().__init__(files)
+        self.names = set()
+
+    def __getitem__(self, name):
+        self.names.add(name)
+        return super().__getitem__(name)
 
 
 @pytest.fixture(scope="module")
@@ -530,6 +566,7 @@ JSON_FIELDS = [
         ("netlist.json", ("annotations", "instances", instance, "rho_hat"), "int")
         for instance in ("row_reads", "col_reads")
     ),
+    ("netlist.json", ("units_per_side",), "int"),
     ("netlist.json", ("wires", 1, "src"), "pair"),
     ("netlist.json", ("wires", 1, "dst"), "pair"),
     ("netlist.json", ("wires", 1, "name"), "str"),
@@ -1284,7 +1321,8 @@ class TestStreamedNetlist:
             document, index = simulator._read_netlist({"netlist.json": text}, 5)
             expected = json.loads(text)
             assert index == wires._load_wires(expected.pop("wires"), 5), layout
-            assert document == {"annotations": expected["annotations"]}, layout
+            kept = ("annotations", "units_per_side")
+            assert document == {key: expected[key] for key in kept}, layout
             assert _outcome({**render15, "netlist.json": text}) == passing, layout
 
     def faulty(self, render15, netlist15):
