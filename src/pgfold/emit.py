@@ -3,11 +3,13 @@
 The tables go out as CSV, the design and its plans as JSON with sorted
 keys, and the hardware as two VHDL files.  The schedule grid and the
 incidence table are not emitted: they are fold_*.json's patterns and
-slots and graph.json's offsets.  hdl/folded_luts.vhd is a ROM
-package: one integer array per LUT file of the run, named after it and
-holding that file's column (the write LUT addresses, unit by unit, and
-each switch table's two port columns), which the replay compares with
-the CSV integer by integer.  hdl/top.vhd is the structural top level: it
+slots and graph.json's offsets.  The write LUTs and the access traces
+are run-length rows: one row per run of memory units making the same
+access.  hdl/folded_luts.vhd is a ROM package: one integer array per
+LUT file of the run, named after it and holding that file's column (the
+write LUT addresses, unit by unit, its runs expanded, and each switch
+table's two port columns), which the replay compares with the CSV
+integer by integer.  hdl/top.vhd is the structural top level: it
 declares the memory unit, processing unit and switch components and wires
 F units per side through the static interconnect; the component bodies
 are not emitted.  Everything is rendered from the graph, the fold plan
@@ -69,15 +71,14 @@ def _json_text(data: object) -> str:
 
 
 class TextPieces:
-    """A file's text as the pieces, or the one string, that ``make(*args)``
-    makes afresh on each iteration, so that the text is made only when read."""
+    """A file's text as the pieces that ``make(*args)`` makes afresh on
+    each iteration, so that the text is made only when read."""
 
-    def __init__(self, make: Callable[..., Iterable[str] | str], *args: object) -> None:
+    def __init__(self, make: Callable[..., Iterable[str]], *args: object) -> None:
         self._make, self._args = make, args
 
     def __iter__(self) -> Iterator[str]:
-        text = self._make(*self._args)
-        return iter((text,) if isinstance(text, str) else text)
+        return iter(self._make(*self._args))
 
 
 Text = str | Iterable[str]  # a file's text: one string, or its pieces in order
@@ -198,34 +199,21 @@ def emit_read_counter_params(layout: MemoryLayout, graph: CirculantBipartiteGrap
 
 
 def emit_write_lut_csv(schedule: WriteSchedule) -> str:
-    """One row per write, by memory unit: unit m's writes in slot and port
-    order, numbered by ``index``."""
-    f_units = schedule.units_per_side
-    stride = 2 * f_units
-    addresses, real = schedule.addresses, schedule.real
-    # The index, slot and port columns of each slot's two rows, and the
-    # real producers of its fold: the same for every unit.
-    steps = [f"{j},{j >> 1},{j & 1}," for j in range(2 * len(schedule.slots))]
-    real_units = [schedule.real_units(k) for _, k in schedule.slots]
-    lines = ["pmu,index,slot,port,address,real,producer_real\n"]
-    for pmu in range(f_units):
-        lines.append(
-            "".join(
-                [
-                    f"{pmu},{step0}{a0},{r0}{p}{pmu},{step1}{a1},{r1}{p}"
-                    for step0, step1, a0, a1, r0, r1, p in zip(
-                        steps[0::2],
-                        steps[1::2],
-                        addresses[2 * pmu :: stride],
-                        addresses[2 * pmu + 1 :: stride],
-                        real[2 * pmu :: stride],
-                        real[2 * pmu + 1 :: stride],
-                        [",1\n" if pmu < n else ",0\n" for n in real_units],
-                    )
-                ]
-            )
-        )
-    return "".join(lines)
+    """One row (slot, pmu, units, port, address) per run: units pmu to
+    pmu + units - 1 write ``address`` on ``port`` in ``slot``.  The runs
+    cover every unit, dummy producers included, whose addresses the ROM
+    holds; rows are by slot, port and first unit."""
+    return "".join(
+        [
+            "slot,pmu,units,port,address\n",
+            *(
+                f"{slot},{first},{units},{port},{address}\n"
+                for slot in range(len(schedule.slots))
+                for port in (0, 1)
+                for address, first, units in schedule.unit_runs(slot, port)
+            ),
+        ]
+    )
 
 
 def emit_access_trace(
@@ -351,8 +339,8 @@ def _roms_vhdl(
     luts: dict[str, dict[str, SwitchLUT]], write_schedules: dict[str, WriteSchedule]
 ) -> str:
     """The ROM package: one integer array per LUT file of the run, named
-    after it.  ``write_lut_<side>`` is the address column of
-    write_lut_<side>.csv in its row order, unit by unit; the
+    after it.  ``write_lut_<side>`` holds one address per unit, slot and
+    port, unit by unit: the runs of write_lut_<side>.csv expanded; the
     ``lut_<instance>_<kind>_port<b>`` arrays are column port<b> of
     lut_<instance>_<kind>.csv, by slot."""
     roms: dict[str, list[int]] = {}
@@ -370,10 +358,10 @@ def _roms_vhdl(
         for name, values in roms.items()
     )
     return f"""-- ROM contents of the folded schedule: one array per LUT file of the
--- run, named after it.  write_lut_<side> is the address column of
--- write_lut_<side>.csv in its row order: each memory unit's writes in
--- turn, two per slot.  lut_<instance>_<kind>_port<b> is column port<b>
--- of lut_<instance>_<kind>.csv, one entry per slot.
+-- run, named after it.  write_lut_<side> is the address of each write
+-- of write_lut_<side>.csv's runs: each memory unit's writes in turn,
+-- two per slot.  lut_<instance>_<kind>_port<b> is column port<b> of
+-- lut_<instance>_<kind>.csv, one entry per slot.
 PACKAGE folded_luts IS
   TYPE integer_rom IS ARRAY (NATURAL RANGE <>) OF INTEGER;
 {constants}
@@ -543,9 +531,9 @@ def render_run_files(
     keyed by its path in the run directory: the graph, folded sequences,
     memory layout and address files, switch tables, netlist, timing,
     access traces, resource report and the HDL, which must pass
-    ``check_hdl``.  netlist.json and the write LUTs are ``TextPieces``,
-    made only when read; the others, the access traces' runs among them,
-    are strings.  Nothing is written.
+    ``check_hdl``.  netlist.json is ``TextPieces``, made only when read;
+    the others, the write LUTs' and access traces' runs among them, are
+    strings.  Nothing is written.
     """
     for fmt in formats:
         if fmt not in FORMATS:
@@ -576,7 +564,7 @@ def render_run_files(
         files["resource_report.json"] = _json_text(resource_report(graph, plan))
     if "csv" in formats:
         for side in ("row", "col"):
-            files[f"write_lut_{side}.csv"] = TextPieces(emit_write_lut_csv, schedules[side])
+            files[f"write_lut_{side}.csv"] = emit_write_lut_csv(schedules[side])
             files[f"access_trace_{side}.csv"] = emit_access_trace(
                 side, plan, timing, sequences, schedules
             )

@@ -183,7 +183,6 @@ class WriteEntry:
     pmu: int
     port: int
     address: int
-    real: bool
     producer_real: bool
     consumer: int | None
     consumer_rank: int | None
@@ -195,9 +194,8 @@ class WriteSchedule:
 
     Write n = (slot * F + pmu) * 2 + port is the result of edge
     2 * l + port of producer k * F + pmu, where (l, k) = ``slots[slot]``.
-    ``addresses[n]`` is the cell it lands in, and ``real[n]`` is 1 when
-    the edge existed before expansion.  ``entries`` and ``per_pmu`` make
-    ``WriteEntry`` views of the columns on demand.
+    ``addresses[n]`` is the cell it lands in.  ``entries`` and
+    ``per_pmu`` make ``WriteEntry`` views of the column on demand.
     """
 
     producer_side: str
@@ -211,31 +209,34 @@ class WriteSchedule:
     offsets: tuple[int | None, ...]
     ranks: tuple[int | None, ...]
     addresses: list[int]
-    real: bytes
 
     def real_units(self, k: int) -> int:
         """How many producers of fold k are real nodes; they come first."""
         f_units = self.units_per_side
         return min(f_units, max(0, self.real_order - k * f_units))
 
-    def address_runs(self, slot: int, port: int) -> list[tuple[int, int, int]]:
-        """(address, first unit, units) of each run of one address among the
-        real producers' writes on ``port`` in ``slot``, in unit order: the
-        two runs ``write_schedule`` fills, cut to the real units and merged
-        when they share their address."""
+    def unit_runs(self, slot: int, port: int) -> list[tuple[int, int, int]]:
+        """(address, first unit, units) of each run of one address among all
+        F producers' writes on ``port`` in ``slot``, dummy producers
+        included, in unit order: the two runs ``write_schedule`` fills,
+        merged when they share their address."""
         f_units = self.units_per_side
-        l, k = self.slots[slot]
-        units = self.real_units(k)
-        cut = min(units, f_units - (self.offsets[2 * l + port] or 0) % f_units)
+        l, _ = self.slots[slot]
+        cut = f_units - (self.offsets[2 * l + port] or 0) % f_units
         start = 2 * f_units * slot + port
-        runs = [
-            (self.addresses[start + 2 * first], first, stop - first)
-            for first, stop in ((0, cut), (cut, units))
-            if first < stop
+        first, second = self.addresses[start], self.addresses[start + 2 * f_units - 2]
+        if cut == f_units or first == second:
+            return [(first, 0, f_units)]
+        return [(first, 0, cut), (second, cut, f_units - cut)]
+
+    def address_runs(self, slot: int, port: int) -> list[tuple[int, int, int]]:
+        """``unit_runs`` cut to the real producers."""
+        units = self.real_units(self.slots[slot][1])
+        return [
+            (address, first, min(count, units - first))
+            for address, first, count in self.unit_runs(slot, port)
+            if first < units
         ]
-        if len(runs) == 2 and runs[0][0] == runs[1][0]:
-            return [(runs[0][0], 0, units)]
-        return runs
 
     def _entry(self, n: int) -> WriteEntry:
         f_units = self.units_per_side
@@ -250,7 +251,6 @@ class WriteSchedule:
             pmu=pmu,
             port=port,
             address=self.addresses[n],
-            real=bool(self.real[n]),
             producer_real=producer < self.real_order,
             consumer=None if d is None else (producer + d) % self.order,
             consumer_rank=self.ranks[2 * l + port],
@@ -286,10 +286,9 @@ def write_schedule(
     In slot (l, k) the F producers k*F + i of edge t reach the consumers
     (k*F + i + d) mod J, d = D[t]: those with i < F - d mod F lie in fold
     (k + d//F) mod q and the rest in the fold after it, so each slot and
-    port fills its address column with two runs of one address each, and
-    its real column with a few runs of one flag each.
+    port fills its address column with two runs of one address each.
     """
-    j_nodes, r_nodes = graph.order, graph.real_order
+    j_nodes = graph.order
     f_units = plan.units_per_side
     layout = layout_addresses(plan, graph)
     pattern_count = layout.pattern_count
@@ -301,7 +300,6 @@ def write_schedule(
     rank_of = {d: idx for idx, d in enumerate(cons_offsets)}
     ranks = tuple(None if d is None else rank_of[(-d) % j_nodes] for d in offsets)
     addresses = [0] * (2 * f_units * sequence.slot_count)
-    real = bytearray(len(addresses))
     for slot, (l, k) in enumerate(sequence.slots):
         for port in (0, 1):
             column = slice(2 * f_units * slot + port, 2 * f_units * (slot + 1), 2)
@@ -315,32 +313,16 @@ def write_schedule(
             first = layout.address(rank // 2, fold, rank % 2)
             second = layout.address(rank // 2, (fold + 1) % plan.q, rank % 2)
             addresses[column] = [first] * run + [second] * (f_units - run)
-            # Whether edge (h, (h + d) mod J) is real changes only where h
-            # or its consumer crosses the real order, or the consumer wraps.
-            base = k * f_units
-            changes = {r_nodes, r_nodes - d, j_nodes - d, j_nodes + r_nodes - d}
-            cuts = sorted(
-                {base, base + f_units} | {h for h in changes if base < h < base + f_units}
-            )
-            for start, stop in zip(cuts, cuts[1:]):
-                c = (start + d) % j_nodes
-                if producer_side == "row":
-                    flag = graph.is_real_edge(start, c)
-                else:
-                    flag = graph.is_real_edge(c, start)
-                n = 2 * f_units * slot + port + 2 * (start - base)
-                real[n : n + 2 * (stop - start) : 2] = bytes([flag]) * (stop - start)
     return WriteSchedule(
         producer_side=producer_side,
         design_option=plan.design_option,
         order=j_nodes,
-        real_order=r_nodes,
+        real_order=graph.real_order,
         units_per_side=f_units,
         slots=sequence.slots,
         offsets=offsets,
         ranks=ranks,
         addresses=addresses,
-        real=bytes(real),
     )
 
 

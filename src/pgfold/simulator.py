@@ -15,25 +15,28 @@ preloaded.  Every memory, wire and switch port access is checked for
 exclusive use per cycle, every delivered token for being the one its
 consumer and rank prescribe.
 
-Load reads each file once and names the file, row and field of any fault.
-netlist.json is decoded in one pass, its pieces never joined, and each
-wire goes into integer columns as it is decoded; a faulty wire is
-reported after the switch table checks, as a whole-file parse would have
-it.  With HDL, each array of hdl/folded_luts.vhd is compared integer by
-integer with the LUT file column it is named after; hdl/top.vhd is not
-read.  Compile turns each half into a plan: the resource ids each slot
-claims, the cell that feeds each unit-side switch port, and the cell,
-expected key and rank of each real delivery.  Resource ids are computed,
-not tabulated, and every per-event fact (claim id, write, token,
-delivery, memory access) is one entry of an ``array('q')`` column, or of
-a 32-bit one for claim ids that fit, so the plan holds no object per
-event.  The first iteration's traffic depends on the plan alone and is
-compared with each side's access trace file before the replay: a file
-whose text is the runs of the sorted access codes, rendered, holds
-exactly the observed accesses; any other is parsed, its runs expanded,
-and compared as a multiset.  Replay runs every half of every iteration
-at its absolute cycles; messages are decoded from ids and tokens only
-for a conflict, a misroute or a trace mismatch.
+Load reads each file once and names the file, row and field of any
+fault.  netlist.json is decoded in one pass, its pieces never joined,
+and each wire goes into integer columns as it is decoded; a faulty wire
+is reported after the switch table checks, as a whole-file parse would
+have it.  Each write LUT row is a run of units writing one address,
+expanded into codes by integer arithmetic; which producers are real
+follows from graph.json's real J.  With HDL, each array of
+hdl/folded_luts.vhd is compared integer by integer with the LUT file
+column it is named after, the write LUTs' runs expanded; hdl/top.vhd is
+not read.  Compile turns each half into a plan: the resource ids each
+slot claims, the cell that feeds each unit-side switch port, and the
+cell, expected key and rank of each real delivery.  Resource ids are
+computed, not tabulated, and every per-event fact (claim id, write,
+token, delivery, memory access) is one entry of an ``array('q')``
+column, or of a 32-bit one for claim ids that fit, so the plan holds no
+object per event.  The first iteration's traffic depends on the plan
+alone and is compared with each side's access trace file before the
+replay: a file whose text is the runs of the sorted access codes,
+rendered, holds exactly the observed accesses; any other is parsed, its
+runs expanded, and compared as a multiset.  Replay runs every half of
+every iteration at its absolute cycles; messages are decoded from ids
+and tokens only for a conflict, a misroute or a trace mismatch.
 
 What each consumer received is kept as a loss census: the report keeps
 each side's compiled deliveries once, as columns, and per iteration only
@@ -121,22 +124,6 @@ def _text(files: Mapping[str, str], name: str, pieces: bool = False) -> str:
     return text if pieces or isinstance(text, str) else "".join(text)
 
 
-def _lines(text: str | Iterable[str]) -> Iterator[str]:
-    """The lines of a text, one string or its pieces, one at a time, each
-    with its newline; the text is never copied whole."""
-    head = ""
-    for piece in (text,) if isinstance(text, str) else text:
-        end = piece.rfind("\n") + 1
-        if end:
-            first = piece.index("\n") + 1
-            yield head + piece[:first]
-            yield from map(re.Match.group, re.compile(r".*\n").finditer(piece, first, end))
-            head = ""
-        head += piece[end:]
-    if head:
-        yield head
-
-
 def read_json(files: Mapping[str, str], name: str) -> object:
     """The parsed JSON of file ``name``; text that does not parse raises
     ``SimulationStructureError("<name>: not JSON ...")``."""
@@ -177,7 +164,7 @@ def _read_csv(
     ``SimulationStructureError("file:line:field ...")``; the header is line 1.
     """
     fields = ints + texts
-    reader = csv.reader(_lines(_text(files, name, pieces=True)))
+    reader = csv.reader(map(re.Match.group, re.finditer(r".*\n|.+", _text(files, name))))
     try:
         header = {column: index for index, column in enumerate(next(reader, []))}
         for column in fields:
@@ -240,8 +227,8 @@ class _Inputs:
     in_rows: dict[str, list[tuple[int, int]]]
     invalid: dict[str, int]
     wires: _Wires
-    # Per side, per slot, the real writes in file order as a column, each
-    # (pmu · capacity + address) · 2 + port
+    # Per side, per slot, the real producers' writes by unit and port as a
+    # column, each (pmu · capacity + address) · 2 + port
     writes: dict[str, list[array]]
     reader_offsets: dict[str, list[int]]
     # Where hdl/folded_luts.vhd disagrees with the LUT files it mirrors
@@ -265,16 +252,18 @@ def _json_level(data: object, key: str) -> str:
 
 
 def _graph_fields(graph: object) -> tuple[int, tuple, int, tuple]:
-    """J, base offsets, real J and real base offsets of graph.json."""
+    """J, base offsets, real J in [2, J] and real base offsets in
+    [0, real J) of graph.json."""
     order = _field("graph.json", graph, "J")
     if order < 1:
         raise SimulationStructureError(f"graph.json: J must be positive, got {order}")
-    return (
-        order,
-        _field("graph.json", graph, "base_offsets", json_ints),
-        _field("graph.json", graph, "real_J"),
-        _field("graph.json", graph, "real_base_offsets", json_ints),
-    )
+    real_order = _field("graph.json", graph, "real_J")
+    if not 2 <= real_order <= order:
+        raise SimulationStructureError(f"graph.json: real_J {real_order} outside [2, {order}]")
+    real_offsets = _field("graph.json", graph, "real_base_offsets", json_ints)
+    for index, offset in enumerate(real_offsets):
+        _outside("graph.json", f"real_base_offsets[{index}]", "offset", offset, 0, real_order)
+    return order, _field("graph.json", graph, "base_offsets", json_ints), real_order, real_offsets
 
 
 def _reader_offsets(order: int, base_offsets: tuple[int, ...]) -> dict[str, list[int]]:
@@ -429,28 +418,10 @@ def _load(files: Mapping[str, str]) -> _Inputs:
         )
     writes = {}
     for side in ("row", "col"):
-        name = f"write_lut_{side}.csv"
-        by_slot = [array("q") for _ in range(slot_count)]
-        addresses = array("q")  # every row's, in file order, for the ROM
-        for line, (slot, pmu, port, address, producer_real) in _read_csv(
-            files, name, ("slot", "pmu", "port", "address", "producer_real")
-        ):
-            _outside(name, line, "pmu", pmu, 0, units)
-            _outside(name, line, "port", port, 0, 2)
-            _outside(name, line, "slot", slot, 0, slot_count)
-            if not 0 <= address < capacity:
-                raise SimulationStructureError(
-                    f"{name}:{line}:address {address} outside capacity {capacity}"
-                )
-            if producer_real:
-                by_slot[slot].append((pmu * capacity + address) * 2 + port)
-            if roms is not None:
-                addresses.append(address)
-        writes[side] = by_slot
-        if roms is not None:
-            rom_mismatches += _rom_mismatch(
-                roms, f"write_lut_{side}", f"{name} address", addresses
-            )
+        writes[side], mismatches = _read_write_lut(
+            files, side, slots[side], units, capacity, real_order, roms
+        )
+        rom_mismatches += mismatches
     return _Inputs(
         order=order,
         real_order=real_order,
@@ -470,6 +441,63 @@ def _load(files: Mapping[str, str]) -> _Inputs:
         reader_offsets=_reader_offsets(order, base_offsets),
         rom_mismatches=rom_mismatches,
     )
+
+
+def _read_write_lut(
+    files: Mapping[str, str],
+    side: str,
+    slots: list[tuple[int, int]],
+    units: int,
+    capacity: int,
+    real_order: int,
+    roms: dict[str, array] | None,
+) -> tuple[list[array], list[str]]:
+    """Per slot, the real producers' writes of write_lut_<side>.csv as a
+    column of codes (pmu · capacity + address) · 2 + port, by unit and
+    port, and where ``roms`` disagrees with the runs' addresses.  A row
+    (slot, pmu, units, port, address) stands for units pmu to pmu + units
+    - 1 writing ``address`` on ``port`` in ``slot``; unit m of fold k is a
+    real producer when k · F + m < real J.  The ROM holds an address per
+    unit, slot and port, unit by unit, compared as -1 where no run writes."""
+    name = f"write_lut_{side}.csv"
+    slot_count, step, stride = len(slots), 2 * capacity, 2 * len(slots)
+    # Each slot's writes at their places 2 · unit + port, -1 where none
+    by_slot = [
+        array("q", [-1]) * (2 * max(0, min(units, real_order - k * units))) for _, k in slots
+    ]
+    placed = [0] * slot_count
+    addresses = array("q", [-1]) * (units * stride) if roms is not None else None
+    columns = ("slot", "pmu", "units", "port", "address")
+    for line, (slot, pmu, count, port, address) in _read_csv(files, name, columns):
+        _outside(name, line, "slot", slot, 0, slot_count)
+        _outside(name, line, "port", port, 0, 2)
+        _outside(name, line, "pmu", pmu, 0, units)
+        _outside(name, line, "units", count, 1, units - pmu + 1)
+        if not 0 <= address < capacity:
+            bounds = f"address {address} outside capacity {capacity}"
+            raise SimulationStructureError(f"{name}:{line}:{bounds}")
+        if addresses is not None:
+            start = pmu * stride + 2 * slot + port
+            addresses[start : start + count * stride : stride] = array("q", [address]) * count
+        stop = min(pmu + count, len(by_slot[slot]) // 2)
+        if pmu < stop:
+            code = (pmu * capacity + address) * 2 + port
+            writes = range(code, code + (stop - pmu) * step, step)
+            by_slot[slot][2 * pmu + port : 2 * stop : 2] = array("q", writes)
+            placed[slot] += stop - pmu
+    # A slot whose runs leave a place empty or fill one twice has its
+    # writes read again and sorted by place.
+    places = {s: [] for s, writes in enumerate(by_slot) if placed[s] > len(writes) or -1 in writes}
+    if places:
+        for _, (slot, pmu, count, port, address) in _read_csv(files, name, columns):
+            stop = min(pmu + count, len(by_slot[slot]) // 2) if slot in places else pmu
+            for unit in range(pmu, stop):
+                places[slot].append((2 * unit + port, (unit * capacity + address) * 2 + port))
+        for slot, writes in places.items():
+            by_slot[slot] = array("q", map(itemgetter(1), sorted(writes)))
+    if roms is None:
+        return by_slot, []
+    return by_slot, _rom_mismatch(roms, f"write_lut_{side}", f"{name} address", addresses)
 
 
 def _read_netlist(

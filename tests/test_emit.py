@@ -144,13 +144,28 @@ class TestFlatArtifacts:
         assert data["reserved_addresses"] == [19, 21, 23]
 
     def test_write_lut_csv(self):
+        # Slot 0 writes address 0 from all five units on port 0; on port 1
+        # units 0-3 write address 18 and unit 4 address 20.  The 120 writes
+        # are 36 runs.
         graph, plan = running_example()
         text = emit_write_lut_csv(write_schedule(graph, plan, "row"))
         lines = text.splitlines()
-        assert lines[0] == "pmu,index,slot,port,address,real,producer_real"
-        assert len(lines) == 1 + 120
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[4] == "0"
+        assert lines[0] == "slot,pmu,units,port,address"
+        assert lines[1:4] == ["0,0,5,0,0", "0,0,4,1,18", "0,4,1,1,20"]
+        assert len(lines) == 1 + 36
+        assert len(write_lut_writes(text)) == 120
+
+
+def write_lut_writes(text):
+    """The writes of a write LUT's runs, as (slot, pmu, port, address)
+    tuples in file order."""
+    header, *lines = text.splitlines()
+    assert header == "slot,pmu,units,port,address"
+    return [
+        (slot, pmu, port, address)
+        for slot, first, units, port, address in (map(int, line.split(",")) for line in lines)
+        for pmu in range(first, first + units)
+    ]
 
 
 def trace_runs(text):
@@ -258,15 +273,18 @@ class TestHdl:
         assert "  CONSTANT lut_row_reads_out_port1 : integer_rom(0 TO 3) := (\n" in text
 
     def test_write_lut_constant_is_the_csv_address_column(self):
+        # The ROM holds the runs' addresses expanded, unit by unit, each
+        # unit's in slot and port order.
         graph, plan = running_example()
         files = render_run_files(graph, plan)
-        rows = list(csv.DictReader(io.StringIO("".join(files["write_lut_col.csv"]))))
+        writes = sorted(write_lut_writes(files["write_lut_col.csv"]), key=lambda w: (w[1], w[0], w[2]))
+        assert len(writes) == 120
         body = re.search(
             r"CONSTANT write_lut_col : integer_rom\(0 TO 119\) := \((.*?)\);",
             files["hdl/folded_luts.vhd"],
             re.DOTALL,
         )[1]
-        assert [int(v) for v in body.split(",")] == [int(row["address"]) for row in rows]
+        assert [int(v) for v in body.split(",")] == [address for *_, address in writes]
 
     def test_top_instance_count(self):
         files = self.build()
@@ -456,7 +474,7 @@ class TestRunDirectory:
         monkeypatch.setattr(emit, "render_run_files", counting_render)
         graph, plan = running_example()
         manifest = write_run_directory(tmp_path / "run", graph, plan)
-        assert made == Counter(["netlist.json", "write_lut_row.csv", "write_lut_col.csv"])
+        assert made == Counter(["netlist.json"])
         assert manifest == json.loads((tmp_path / "run" / "manifest.json").read_text())
 
     def test_format_selection(self, tmp_path):
@@ -484,14 +502,20 @@ class TestColumnWritersMatchObjectViews:
         assert "".join(emit_netlist_json(netlist)) == expected
 
         for side in ("row", "col"):
+            # The per_pmu() view, run-length encoded: by slot, port and
+            # unit, a run per stretch of units writing one address.
             schedule = write_schedule(graph, plan, side)
-            per_pmu = schedule.per_pmu()
-            lut_rows = [["pmu", "index", "slot", "port", "address", "real", "producer_real"]]
-            lut_rows += [
-                [pmu, index, e.slot, e.port, e.address, int(e.real), int(e.producer_real)]
-                for pmu in sorted(per_pmu)
-                for index, e in enumerate(per_pmu[pmu])
-            ]
+            entries = sorted(
+                (e for writes in schedule.per_pmu().values() for e in writes),
+                key=lambda e: (e.slot, e.port, e.pmu),
+            )
+            lut_rows = [["slot", "pmu", "units", "port", "address"]]
+            for e in entries:
+                last = lut_rows[-1]
+                if last[0] == e.slot and last[3] == e.port and last[4] == e.address:
+                    last[2] += 1
+                else:
+                    lut_rows.append([e.slot, e.pmu, 1, e.port, e.address])
             assert emit_write_lut_csv(schedule) == csv_text(lut_rows)
 
     @settings(max_examples=80, deadline=None)

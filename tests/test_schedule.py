@@ -231,7 +231,7 @@ class TestWriteSchedule:
         graph, plan = running_example()
         schedule = write_schedule(graph, plan, "row")
         assert len(schedule.entries) == 15 * 8
-        assert sum(1 for e in schedule.entries if e.real) == 15 * 7
+        assert sum(1 for e in schedule.entries if e.consumer is not None) == 15 * 7
         assert all(e.producer_real for e in schedule.entries)
 
     def test_per_pmu_bijective_addressing(self):
@@ -256,7 +256,6 @@ class TestWriteSchedule:
         sentinels = [e for e in schedule.entries if e.edge == 7]
         assert len(sentinels) == 15
         for e in sentinels:
-            assert not e.real
             assert e.consumer is None
             assert e.port == 1
             assert e.address in (19, 21, 23)
@@ -313,10 +312,14 @@ class TestWriteSchedule:
         plan = FoldPlan.for_graph(graph, 2)
         schedule = write_schedule(graph, plan, "row")
         assert len(schedule.entries) == 14 * 8
-        assert sum(1 for e in schedule.entries if e.real) == 13 * 4
+        real = [
+            e
+            for e in schedule.entries
+            if e.consumer is not None and graph.is_real_edge(e.producer, e.consumer)
+        ]
+        assert len(real) == 13 * 4 and all(e.producer_real for e in real)
         dummy_node = [e for e in schedule.entries if e.producer == 13]
         assert dummy_node and all(not e.producer_real for e in dummy_node)
-        assert all(not e.real for e in dummy_node)
 
 
 class TestConsumerRank:
@@ -661,16 +664,3 @@ class TestWriteScheduleProperties:
                 if e.consumer is None:
                     continue
                 assert (cons[e.consumer_rank] + e.consumer) % plan.units_per_side == e.pmu
-
-    @settings(max_examples=60, deadline=None)
-    @given(render_designs())
-    def test_real_flags_are_the_graphs_real_edges(self, design):
-        graph, plan = design
-        for side in ("row", "col"):
-            for e in write_schedule(graph, plan, side).entries:
-                if e.consumer is None:
-                    assert not e.real
-                elif side == "row":
-                    assert e.real == graph.is_real_edge(e.producer, e.consumer)
-                else:
-                    assert e.real == graph.is_real_edge(e.consumer, e.producer)

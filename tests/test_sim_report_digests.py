@@ -4,7 +4,8 @@ The golden manifests pin passing replays; this table pins failing ones.
 Each case copies a J=15 run directory (design option 1, or option 2 with
 graph-level pipelining), applies one or two field edits to timing.json, a
 write LUT or a switch LUT, replays it for 1-4 iterations and compares the
-SHA-256 of the sorted-key JSON report.  The report holds the conflict and
+SHA-256 of the sorted-key JSON report.  A write LUT's runs are edited as
+one row per write, unit by unit, and written back as runs.  The report holds the conflict and
 misroute messages in the order the replay raised them, so a faster replay
 that keeps every digest keeps the whole audit, message order included.
 
@@ -58,23 +59,84 @@ def build_base(out_dir: Path, base: str) -> Path:
     return out_dir
 
 
-def apply_edit(run_dir: Path, edit: dict) -> None:
-    path = run_dir / edit["file"]
-    if edit["file"] == "timing.json":
-        timing = json.loads(path.read_text(encoding="utf-8"))
-        if "index" in edit:
-            timing[edit["field"]][edit["index"]] = edit["value"]
+def apply_edits(run_dir: Path, edits: list[dict]) -> None:
+    """Apply ``edits`` in order.  A write LUT is edited as one row per
+    write (``write_rows``) and written back as runs after the last edit."""
+    writes = {}  # write LUT name -> its rows of one write each
+    for edit in edits:
+        path = run_dir / edit["file"]
+        if edit["file"] == "timing.json":
+            timing = json.loads(path.read_text(encoding="utf-8"))
+            if "index" in edit:
+                timing[edit["field"]][edit["index"]] = edit["value"]
+            else:
+                timing[edit["field"]] = edit["value"]
+            path.write_text(json.dumps(timing), encoding="utf-8")
+            continue
+        if edit["file"].startswith("write_lut_"):
+            if edit["file"] not in writes:
+                writes[edit["file"]] = write_rows(run_dir, edit["file"])
+            rows = writes[edit["file"]]
         else:
-            timing[edit["field"]] = edit["value"]
-        path.write_text(json.dumps(timing), encoding="utf-8")
-        return
-    with path.open(newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
-    header = rows[0]
-    rows[edit["row"]][header.index(edit["field"])] = str(edit["value"])
+            with path.open(newline="", encoding="utf-8") as handle:
+                rows = list(csv.reader(handle))
+        rows[edit["row"]][rows[0].index(edit["field"])] = str(edit["value"])
+        if not edit["file"].startswith("write_lut_"):
+            write_csv(path, rows)
+    for name, rows in writes.items():
+        write_csv(run_dir / name, write_runs(rows))
+
+
+def write_csv(path: Path, rows: list[list]) -> None:
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
     path.write_text(buffer.getvalue(), encoding="utf-8")
+
+
+WRITE_HEADER = ["pmu", "index", "slot", "port", "address", "real", "producer_real"]
+
+
+def write_rows(run_dir: Path, name: str) -> list[list]:
+    """The runs of write LUT ``name`` as one row per write, in the table's
+    edit coordinates: a row per unit, slot and port, unit by unit, under
+    ``WRITE_HEADER``.  A producer is real when k · F + unit < real J for
+    its slot's fold k; ``real`` is not read and stays 1."""
+    side = name.removeprefix("write_lut_").removesuffix(".csv")
+    units = json.loads((run_dir / "plan.json").read_text(encoding="utf-8"))["units_per_side"]
+    real_order = json.loads((run_dir / "graph.json").read_text(encoding="utf-8"))["real_J"]
+    slots = json.loads((run_dir / f"fold_{side}.json").read_text(encoding="utf-8"))["slots"]
+    address = {}
+    with (run_dir / name).open(newline="", encoding="utf-8") as handle:
+        for run in csv.DictReader(handle):
+            slot, pmu, port = int(run["slot"]), int(run["pmu"]), int(run["port"])
+            for unit in range(pmu, pmu + int(run["units"])):
+                address[(unit, slot, port)] = int(run["address"])
+    rows = [WRITE_HEADER]
+    for pmu in range(units):
+        for slot, (_, k) in enumerate(slots):
+            for port in (0, 1):
+                index = 2 * slot + port
+                real = int(k * units + pmu < real_order)
+                rows.append([pmu, index, slot, port, address[(pmu, slot, port)], 1, real])
+    return rows
+
+
+def write_runs(rows: list[list]) -> list[list]:
+    """Rows of one write each, under ``WRITE_HEADER``, as a write LUT's
+    runs: the writes of real producers, stably by slot, port and unit,
+    each run the longest stretch of consecutive units of one address."""
+    writes = sorted(
+        ([int(row[2]), int(row[3]), int(row[0]), int(row[4])] for row in rows[1:] if int(row[6])),
+        key=lambda write: write[:3],
+    )
+    runs = [["slot", "pmu", "units", "port", "address"]]
+    for slot, port, pmu, address in writes:
+        last = runs[-1]
+        if last[0] == slot and last[3] == port and last[4] == address and last[1] + last[2] == pmu:
+            last[2] += 1
+        else:
+            runs.append([slot, pmu, 1, port, address])
+    return runs
 
 
 def _digest(data) -> str:
@@ -92,8 +154,7 @@ def verdict_pin(verdict: dict) -> dict:
 def replay_case(case: dict, base_dir: Path, run_dir: Path):
     """The report of ``case``'s edits applied to a copy of ``base_dir``."""
     shutil.copytree(base_dir, run_dir)
-    for edit in case["edits"]:
-        apply_edit(run_dir, edit)
+    apply_edits(run_dir, case["edits"])
     return simulate(run_dir, case["iterations"])
 
 
@@ -184,8 +245,11 @@ def _random_edit(rng: random.Random, run_dir: Path, kind: str) -> dict:
         netlist = json.loads((run_dir / "netlist.json").read_text(encoding="utf-8"))
         field = rng.choice(["port0", "port1"])
         value = rng.randint(0, netlist["annotations"]["instances"][instance]["rho_hat"])
-    with (run_dir / name).open(newline="", encoding="utf-8") as handle:
-        row_count = sum(1 for _ in handle) - 1
+    if kind == "write_lut":
+        row_count = len(write_rows(run_dir, name)) - 1
+    else:
+        with (run_dir / name).open(newline="", encoding="utf-8") as handle:
+            row_count = sum(1 for _ in handle) - 1
     return {"file": name, "row": rng.randint(1, row_count), "field": field, "value": value}
 
 
@@ -205,8 +269,7 @@ def _print_table(candidates: int = 60) -> None:
             iterations = rng.randint(1, 4)
             run_dir = root / f"case{number}"
             shutil.copytree(bases[base], run_dir)
-            for edit in edits:
-                apply_edit(run_dir, edit)
+            apply_edits(run_dir, edits)
             try:
                 report = simulate(run_dir, iterations)
             except (IndexError, KeyError, ValueError):

@@ -84,10 +84,11 @@ def rewrite_timing(run_dir, mutate):
 
 
 def first_row_write(run_dir):
-    """(pmu, port, slot) of the first row-side write the replay performs."""
+    """(pmu, port, slot) of the first row-side write the replay performs:
+    the first unit of the first run, every producer of J=15 being real."""
     with (run_dir / "write_lut_row.csv").open(newline="", encoding="utf-8") as handle:
-        entry = next(r for r in csv.DictReader(handle) if r["producer_real"] == "1")
-    return int(entry["pmu"]), int(entry["port"]), int(entry["slot"])
+        run = next(csv.DictReader(handle))
+    return int(run["pmu"]), int(run["port"]), int(run["slot"])
 
 
 @pytest.fixture(scope="module")
@@ -271,8 +272,9 @@ class TestFaultInjection:
         assert not report.ok
 
     def test_corrupted_write_port_collides(self, scratch_run):
+        # A port-0 run moved to port 1 overlaps that port's runs.
         def mutate(rows):
-            target = next(r for r in rows if r["port"] == "0" and r["real"] == "1")
+            target = next(r for r in rows if r["port"] == "0")
             target["port"] = "1"
 
         rewrite_csv(scratch_run, "write_lut_row.csv", mutate)
@@ -281,7 +283,7 @@ class TestFaultInjection:
 
     def test_corrupted_write_address_breaks_delivery(self, scratch_run):
         def mutate(rows):
-            target = next(r for r in rows if r["real"] == "1")
+            target = rows[0]
             target["address"] = "0" if target["address"] != "0" else "2"
 
         rewrite_csv(scratch_run, "write_lut_row.csv", mutate)
@@ -400,6 +402,9 @@ class TestLoadErrors:
             ("write_lut_col.csv", 1, "port", "-1", "write_lut_col.csv:3:port -1 outside [0, 2)"),
             ("write_lut_row.csv", 0, "address", "-1", "write_lut_row.csv:2:address -1 outside capacity 24"),
             ("write_lut_row.csv", 3, "slot", "12", "write_lut_row.csv:5:slot 12 outside [0, 12)"),
+            ("write_lut_row.csv", 0, "units", "0", "write_lut_row.csv:2:units 0 outside [1, 6)"),
+            ("write_lut_col.csv", 1, "units", "6", "write_lut_col.csv:3:units 6 outside [1, 6)"),
+            ("write_lut_row.csv", 2, "units", "2", "write_lut_row.csv:4:units 2 outside [1, 2)"),
             ("lut_row_reads_in.csv", 3, "port1", "0", "lut_row_reads_in.csv:5:port1 code 0 selects rank 7"),
             ("lut_col_reads_in.csv", 3, "port1", "2", "lut_col_reads_in.csv:5:port1 code 2 selects rank 7"),
             ("write_lut_row.csv", 0, "address", "x", "write_lut_row.csv:2:address 'x' is not an integer"),
@@ -458,6 +463,40 @@ class TestLoadErrors:
             captured = capsys.readouterr()
             assert "Traceback" not in captured.out + captured.err
             assert locus in captured.out + captured.err
+
+    def test_per_write_lut_of_an_older_run_lacks_the_units_column(self, scratch_run, capsys):
+        # Runs written before the write LUTs were runs held one row per write.
+        path = scratch_run / "write_lut_row.csv"
+        path.write_text("pmu,index,slot,port,address,real,producer_real\n0,0,0,0,0,1,1\n")
+        locus = "write_lut_row.csv:1:units column missing"
+        with pytest.raises(SimulationStructureError, match=f"^{locus}$"):
+            simulate(scratch_run)
+        for argv in (["simulate"], ["verify"]):
+            assert main([*argv, "--out", str(scratch_run)]) == 1
+            captured = capsys.readouterr()
+            assert locus in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "key, value, locus",
+        [
+            ("real_J", 99, "graph.json: real_J 99 outside [2, 15]"),
+            ("real_J", 1, "graph.json: real_J 1 outside [2, 15]"),
+            ("real_base_offsets", [0, 1, 15], "graph.json:real_base_offsets[2]:offset 15 outside [0, 15)"),
+            ("real_base_offsets", [-1], "graph.json:real_base_offsets[0]:offset -1 outside [0, 15)"),
+        ],
+    )
+    def test_real_graph_fields_out_of_range(self, scratch_run, capsys, key, value, locus):
+        # The replay derives its real producers and edges from these.
+        graph = json.loads((scratch_run / "graph.json").read_text())
+        graph[key] = value
+        (scratch_run / "graph.json").write_text(json.dumps(graph))
+        with pytest.raises(SimulationStructureError, match=f"^{re.escape(locus)}$"):
+            simulate(scratch_run)
+        for argv in (["simulate"], ["verify"]):
+            assert main([*argv, "--out", str(scratch_run)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert locus in captured.out + captured.err
 
     def test_switch_table_without_a_pattern_row(self, scratch_run):
         rewrite_csv(scratch_run, "lut_col_reads_in.csv", lambda rows: rows.pop(1))
@@ -742,6 +781,21 @@ class TestRomPackage:
         assert not passed
         assert any(line.startswith("simulation: FAIL") for line in checks), checks
 
+    @pytest.mark.parametrize(
+        "new, value",
+        [("\n0,4,1,1,22\n", 22), ("\n", -1)],
+        ids=["run's address changed", "run dropped"],
+    )
+    def test_write_rom_is_compared_with_the_runs_expanded(self, hdl_renders, new, value):
+        # Unit 4 writes address 20 on port 1 of slot 0: entry (4 · 12 + 0)
+        # · 2 + 1 of the ROM, which holds each unit's 12 slots in turn.  A
+        # unit that no run covers is compared as -1.
+        files = edited(hdl_renders["J15-q3"], "write_lut_row.csv", "\n0,4,1,1,20\n", new)
+        assert simulate(files).file_mismatches[0] == (
+            f"{ROM_FILE}: write_lut_row(97) = 20, but write_lut_row.csv address(97) = {value} "
+            "(1 of 120 values differ)"
+        )
+
     def test_array_shorter_than_its_column_is_a_mismatch(self, hdl_renders):
         files = dict(hdl_renders["J15-q3"])
         values = rom_values(files[ROM_FILE], "write_lut_row")
@@ -941,10 +995,41 @@ class TestDecodedMessages:
 
     def test_memory_port_conflict(self, render15):
         # The first row write moves to port 1, which the second one uses.
-        files = edited(render15, "write_lut_row.csv", "\n0,0,0,0,0,1,1\n", "\n0,0,0,1,0,1,1\n")
+        files = edited(render15, "write_lut_row.csv", "\n0,0,5,0,0\n", "\n0,0,1,1,0\n0,1,4,0,0\n")
         assert simulate(files).conflicts == [
             "pmu port double access: side row pmu 0 port 1 cycle 12"
         ]
+
+    @pytest.mark.parametrize(
+        "runs, conflicts",
+        [
+            # A second run over unit 2 on port 0 of slot 0.
+            ("0,0,5,0,0\n0,2,1,0,2", [(2, 0)]),
+            # Runs that overlap on unit 2 and leave out unit 4, as many
+            # writes as units.
+            ("0,0,3,0,0\n0,2,2,0,0", [(2, 0)]),
+            # Two units written twice: the conflicts come in (unit, port)
+            # order, as a file of one row per write, unit by unit, gave them.
+            ("0,0,5,0,0\n0,1,1,0,0\n0,0,1,1,18", [(0, 1), (1, 0)]),
+            # Unit 0 writes each port twice, port 0 last at the higher address.
+            ("0,0,5,0,0\n0,0,1,0,22\n0,0,1,1,18", [(0, 0), (0, 1)]),
+        ],
+    )
+    def test_overlapping_write_runs_are_a_conflict(self, render15, runs, conflicts):
+        files = edited(render15, "write_lut_row.csv", "\n0,0,5,0,0\n", f"\n{runs}\n")
+        assert simulate(files).conflicts == [
+            f"pmu port double access: side row pmu {pmu} port {port} cycle 12"
+            for pmu, port in conflicts
+        ]
+
+    def test_unit_no_write_run_covers_loses_its_token(self, render15):
+        # Unit 4 writes nothing on port 0 of slot 0: its consumer's token
+        # is missing, and the dataflow check fails.
+        files = edited(render15, "write_lut_row.csv", "\n0,0,5,0,0\n", "\n0,0,4,0,0\n")
+        report = simulate(files)
+        assert not report.conflicts
+        assert any(m.startswith("missing token: col consumer") for m in report.misroutes)
+        assert not check_dataflow_equivalence(report, files)["ok"]
 
     def test_wire_conflict(self, render15):
         # Two wires of out switch 0 that pattern 0 drives share a name.
