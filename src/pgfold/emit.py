@@ -25,8 +25,6 @@ import io
 import json
 import re
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
-from itertools import islice
 from pathlib import Path
 
 from .circulant import CirculantBipartiteGraph, SelfCheckError
@@ -57,7 +55,6 @@ __all__ = [
     "emit_hdl",
     "check_hdl",
     "render_run_files",
-    "TextPieces",
     "emit_manifest_json",
     "write_run_directory",
     "sha256_text",
@@ -70,28 +67,11 @@ def _json_text(data: object) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-class TextPieces:
-    """A file's text as the pieces that ``make(*args)`` makes afresh on
-    each iteration, so that the text is made only when read."""
-
-    def __init__(self, make: Callable[..., Iterable[str]], *args: object) -> None:
-        self._make, self._args = make, args
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._make(*self._args))
-
-
-Text = str | Iterable[str]  # a file's text: one string, or its pieces in order
-
-
-def sha256_text(text: Text) -> str:
+def sha256_text(text: str) -> str:
     # Imported here, so that commands that hash nothing do not load OpenSSL.
     import hashlib
 
-    digest = hashlib.sha256()
-    for piece in (text,) if isinstance(text, str) else text:
-        digest.update(piece.encode("utf-8"))
-    return digest.hexdigest()
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # Artifact families a run can emit, in emission order.
@@ -102,71 +82,8 @@ FORMATS = ("csv", "json", "hdl")
 # flat artifacts
 
 
-# One wire of netlist.json, as ``_json_text`` indents it there: copy, the
-# destination switch and port, folded offset, instance, name, and the
-# source switch and port.
-_WIRE_JSON = """    {
-      "copy": %d,
-      "dst": [
-        "%s_in_%d",
-        %d
-      ],
-      "folded_offset": %d,
-      "instance": "%s",
-      "name": "%s_w_%d_%d",
-      "src": [
-        "%s_out_%d",
-        %d
-      ]
-    }"""
-
-
-def emit_netlist_json(netlist: Netlist) -> TextPieces:
-    """``netlist.to_json_dict()`` as ``_json_text`` writes it, as pieces:
-    the lists are spliced into the text of the other fields, 64 items a
-    piece, so that no list is held whole.  Each wire is written from its
-    port codes by one template."""
-    return TextPieces(_netlist_pieces, netlist)
-
-
-def _netlist_pieces(netlist: Netlist) -> Iterator[str]:
-    lists = {
-        "components": map(_json_items, _batches(netlist.iter_components())),
-        "local_channels": map(_json_items, _batches(netlist.iter_local_channels())),
-        "wires": map(",\n".join, _batches(_wire_texts(netlist))),
-    }
-    text = _json_text({**netlist.json_fields(), **dict.fromkeys(lists, [])})
-    # No list is empty: F >= 1, and a graph has at least one offset.
-    for key, pieces in lists.items():
-        head, text = text.split(f'"{key}": []', 1)
-        yield f'{head}"{key}": [\n'
-        separator = ""
-        for piece in pieces:
-            yield separator + piece
-            separator = ",\n"
-        yield "\n  ]"
-    yield text
-
-
-def _batches(items: Iterable) -> Iterator[list]:
-    items = iter(items)
-    while batch := list(islice(items, 64)):
-        yield batch
-
-
-def _json_items(items: list) -> str:
-    """``items`` as ``_json_text`` indents items of a top-level list."""
-    return "  " + json.dumps(items, indent=2, sort_keys=True)[2:-2].replace("\n", "\n  ")
-
-
-def _wire_texts(netlist: Netlist) -> Iterator[str]:
-    f_units = netlist.units_per_side
-    for inst in netlist.ports:
-        ports = netlist.wire_ports(inst)
-        for m in range(f_units):
-            for delta, j, copy in ports:
-                dst = (m - delta) % f_units
-                yield _WIRE_JSON % (copy, inst, dst, j, delta, inst, inst, m, j, inst, m, j)
+def emit_netlist_json(netlist: Netlist) -> str:
+    return _json_text(netlist.to_json_dict())
 
 
 def emit_graph_json(graph: CirculantBipartiteGraph) -> str:
@@ -401,10 +318,13 @@ def _top_vhdl(
         for name in ("write", "read", "operand")
         for signal in channel(side, name, i)
     ]
-    wire_names: dict[tuple[str, int], str] = {}
-    for wire in netlist.iter_wires():
-        signals.append(wire["name"])
-        wire_names[tuple(wire["src"])] = wire_names[tuple(wire["dst"])] = wire["name"]
+    # Out switch m's port j drives wire <instance>_w_<m>_<j>; in switch m's
+    # port j reads the wire of out switch (m + delta) mod F.
+    offsets = {}
+    for instance in ("row_reads", "col_reads"):
+        families = netlist.wire_ports(instance)
+        offsets[instance] = dict(sorted((j, delta) for delta, j, _ in families))
+        signals += [f"{instance}_w_{m}_{j}" for m in range(f_units) for _, j, _ in families]
 
     insts: list[str] = []
 
@@ -427,10 +347,12 @@ def _top_vhdl(
             port_map(f"{side}_ppu_{i}", "processing_unit", [*operand, *write])
     for instance in ("row_reads", "col_reads"):
         reading = instance.split("_")[0]
-        codes = range(luts[instance]["out"].port_count)
         for m in range(f_units):
-            out_wires = [wire_names[(f"{instance}_out_{m}", j)] for j in codes]
-            in_wires = [wire_names[(f"{instance}_in_{m}", j)] for j in codes]
+            out_wires = [f"{instance}_w_{m}_{j}" for j in offsets[instance]]
+            in_wires = [
+                f"{instance}_w_{(m + delta) % f_units}_{j}"
+                for j, delta in offsets[instance].items()
+            ]
             read = channel(other_side(reading), "read", m)
             operand = channel(reading, "operand", m)
             port_map(f"{instance}_out_{m}", f"switch_{instance}_out", [*read, *out_wires])
@@ -526,14 +448,12 @@ def render_run_files(
     graph: CirculantBipartiteGraph,
     plan: FoldPlan,
     formats: tuple[str, ...] = FORMATS,
-) -> dict[str, Text]:
+) -> dict[str, str]:
     """Every artifact of one synthesis run in the selected ``formats``,
     keyed by its path in the run directory: the graph, folded sequences,
     memory layout and address files, switch tables, netlist, timing,
     access traces, resource report and the HDL, which must pass
-    ``check_hdl``.  netlist.json is ``TextPieces``, made only when read;
-    the others, the write LUTs' and access traces' runs among them, are
-    strings.  Nothing is written.
+    ``check_hdl``.  Nothing is written.
     """
     for fmt in formats:
         if fmt not in FORMATS:
@@ -546,7 +466,7 @@ def render_run_files(
     netlist = build_netlist(graph, plan)
     layout = layout_addresses(plan, graph)
     timing = full_timing(graph, plan)
-    files: dict[str, Text] = {}
+    files: dict[str, str] = {}
     if "json" in formats:
         files["graph.json"] = emit_graph_json(graph)
         files["plan.json"] = _json_text(plan.to_json_dict())
@@ -583,7 +503,7 @@ def render_run_files(
     return files
 
 
-def emit_manifest_json(files: dict[str, Text]) -> str:
+def emit_manifest_json(files: dict[str, str]) -> str:
     """manifest.json of a run: the SHA-256 of each file's text, by name."""
     return _manifest_text({name: sha256_text(files[name]) for name in sorted(files)})
 
@@ -599,25 +519,16 @@ def write_run_directory(
     plan: FoldPlan,
     formats: tuple[str, ...] = FORMATS,
 ) -> dict:
-    """Write the rendered artifacts of one synthesis run, each hashed as it
-    is written, and manifest.json of their digests.  Returns the manifest dict.
+    """Write the rendered artifacts of one synthesis run and manifest.json
+    of their digests.  Returns the manifest dict.
     """
     files = render_run_files(graph, plan, formats)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    digests = {}
     for name, text in files.items():
         path = out / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as handle:
-            digests[name] = sha256_text(_written(handle, text))
-    manifest = _manifest_text(digests)
+        path.write_text(text, encoding="utf-8")
+    manifest = emit_manifest_json(files)
     (out / "manifest.json").write_text(manifest, encoding="utf-8")
     return json.loads(manifest)
-
-
-def _written(handle, text: Text) -> Iterator[str]:
-    """The pieces of ``text``, each written to ``handle`` as it passes."""
-    for piece in (text,) if isinstance(text, str) else text:
-        handle.write(piece)
-        yield piece

@@ -3,7 +3,7 @@
 Everything the hardware needs beyond the access patterns themselves: which
 physical memories each unit pairs with, where every datum lives (bins and
 addresses), when it is read, where and when results are written back,
-switch port-selection tables, the static wire list, timing intervals for
+switch port-selection tables, the static wire families, timing intervals for
 every pipelining level, and the resource savings of overlaid folding.
 
 Data placement follows one rule: a producer writes each result into its own
@@ -14,8 +14,8 @@ bare counter; all placement intelligence sits on the write side.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .circulant import CirculantBipartiteGraph
 from .folding import (
@@ -409,12 +409,15 @@ def switch_luts(
 
 @dataclass(frozen=True)
 class Netlist:
-    """Static component and wire inventory of the folded architecture.
+    """Static interconnect of the folded architecture as circulant wire
+    families.
 
-    Nothing per unit is stored: ``ports`` keeps, per interconnect instance,
-    the port code of each distinct folded offset and the folded offset of
-    each extra port, and the components, local channels and wires follow
-    from those and F.  The ``iter_*`` methods make them one dict at a time.
+    ``ports`` keeps, per interconnect instance, the port code of each
+    distinct folded offset and the folded offset of each extra port.  Each
+    port code j with folded offset delta is one family: the F wires
+    ``<instance>_w_<m>_<j>``, m in [0, F), from port j of out switch m to
+    port j of in switch (m - delta) mod F.  The units, switches and local
+    channels follow from F and are not listed.
     """
 
     units_per_side: int
@@ -423,82 +426,35 @@ class Netlist:
     annotations: dict
 
     def wire_ports(self, instance: str) -> list[tuple[int, int, int]]:
-        """(folded offset, port code, copy) of each wire of one of the
-        instance's switches, in netlist.json order: first the offset
-        ports, then the extra ones (copy 1)."""
+        """(folded offset, port code, copy) of each family of the instance:
+        first the offset ports, then the extra ones (copy 1)."""
         port_of, extra_ports = self.ports[instance]
         return [(delta, j, 0) for delta, j in port_of.items()] + [
             (delta, j, 1) for j, delta in extra_ports.items()
         ]
 
-    def iter_components(self) -> Iterator[dict]:
-        """Per side the units, then per instance its two switches per unit."""
-        f_units = self.units_per_side
-        for side in ("row", "col"):
-            for i in range(f_units):
-                for kind in ("ppu", "pmu"):
-                    yield {"id": f"{side}_{kind}_{i}", "kind": kind, "side": side}
-        for instance in self.ports:
-            reading = reader_of(instance)
-            ports = self.annotations["instances"][instance]["rho_hat"]
-            for m in range(f_units):
-                for kind, at in (("out", f"{other_side(reading)}_pmu"), ("in", f"{reading}_ppu")):
-                    yield {
-                        "id": f"{instance}_{kind}_{m}",
-                        "kind": "switch_pmu_out" if kind == "out" else "switch_ppu_in",
-                        "instance": instance,
-                        "at": f"{at}_{m}",
-                        "ports": ports,
-                    }
-
-    def iter_local_channels(self) -> Iterator[dict]:
-        for side in ("row", "col"):
-            for i in range(self.units_per_side):
-                yield {"ppu": f"{side}_ppu_{i}", "pmu": f"{side}_pmu_{i}", "ports": 2}
-
-    def iter_wires(self) -> Iterator[dict]:
-        """Every wire, in netlist.json order: per instance and memory m, one
-        wire per port from m's output switch to the input switch of reading
-        unit (m - delta) mod F."""
-        f_units = self.units_per_side
-        for instance in self.ports:
-            ports = self.wire_ports(instance)
-            for m in range(f_units):
-                for delta, j, copy in ports:
-                    yield {
-                        "name": f"{instance}_w_{m}_{j}",
-                        "instance": instance,
-                        "src": [f"{instance}_out_{m}", j],
-                        "dst": [f"{instance}_in_{(m - delta) % f_units}", j],
-                        "folded_offset": delta,
-                        "copy": copy,
-                    }
-
-    def json_fields(self) -> dict:
-        """netlist.json's fields but its lists."""
+    def to_json_dict(self) -> dict:
+        families = [
+            {"instance": instance, "port": j, "folded_offset": delta, "copy": copy}
+            for instance in self.ports
+            for delta, j, copy in self.wire_ports(instance)
+        ]
         return {
-            "format_version": 1,
+            "format_version": 2,
             "units_per_side": self.units_per_side,
             "annotations": self.annotations,
-        }
-
-    def to_json_dict(self) -> dict:
-        return {
-            **self.json_fields(),
-            "components": list(self.iter_components()),
-            "local_channels": list(self.iter_local_channels()),
-            "wires": list(self.iter_wires()),
+            "wire_families": sorted(families, key=itemgetter("instance", "port")),
         }
 
 
 def build_netlist(graph: CirculantBipartiteGraph, plan: FoldPlan) -> Netlist:
-    """Components and static wires for both sides and both interconnects.
+    """The wire families of both interconnects.
 
     For each memory m of the producing side and each distinct folded offset
     delta of the reading side, one wire runs from memory m's output switch
     port j(delta) to the input switch of reading unit (m - delta) mod F,
-    same port code.  Doubled patterns add a second wire between the same
-    switch pair on their extra port.
+    same port code.  Doubled patterns add a second family between the same
+    switch pairs on their extra port.
     """
     f_units = plan.units_per_side
     ports: dict[str, tuple[dict[int, int], dict[int, int]]] = {}

@@ -16,27 +16,29 @@ exclusive use per cycle, every delivered token for being the one its
 consumer and rank prescribe.
 
 Load reads each file once and names the file, row and field of any
-fault.  netlist.json is decoded in one pass, its pieces never joined,
-and each wire goes into integer columns as it is decoded; a faulty wire
-is reported after the switch table checks, as a whole-file parse would
-have it.  Each write LUT row is a run of units writing one address,
-expanded into codes by integer arithmetic; which producers are real
-follows from graph.json's real J.  With HDL, each array of
-hdl/folded_luts.vhd is compared integer by integer with the LUT file
-column it is named after, the write LUTs' runs expanded; hdl/top.vhd is
-not read.  Compile turns each half into a plan: the resource ids each
-slot claims, the cell that feeds each unit-side switch port, and the
-cell, expected key and rank of each real delivery.  Resource ids are
-computed, not tabulated, and every per-event fact (claim id, write,
-token, delivery, memory access) is one entry of an ``array('q')``
-column, or of a 32-bit one for claim ids that fit, so the plan holds no
-object per event.  The first iteration's traffic depends on the plan
-alone and is compared with each side's access trace file before the
-replay: a file whose text is the runs of the sorted access codes,
-rendered, holds exactly the observed accesses; any other is parsed, its
-runs expanded, and compared as a multiset.  Replay runs every half of
-every iteration at its absolute cycles; messages are decoded from ids
-and tokens only for a conflict, a misroute or a trace mismatch.
+fault.  netlist.json lists one wire family per switch port code of an
+instance: the F wires from each out switch m to in switch (m - delta)
+mod F, delta the family's folded offset, so each wire's destination and
+id are computed from its out switch and code (``families`` checks each
+family and the annotations they determine).  Each write LUT row is a run
+of units writing one address, expanded into codes by integer arithmetic;
+which producers are real follows from graph.json's real J.  With HDL,
+each array of hdl/folded_luts.vhd is compared integer by integer with
+the LUT file column it is named after, the write LUTs' runs expanded;
+hdl/top.vhd is not read.  Compile turns each half into a plan: the
+resource ids each slot claims, the cell that feeds each unit-side switch
+port, and the cell, expected key and rank of each real delivery.
+Resource ids are computed, not tabulated, and every per-event fact
+(claim id, write, token, delivery, memory access) is one entry of an
+``array('q')`` column, or of a 32-bit one for claim ids that fit, so the
+plan holds no object per event.  The first iteration's traffic depends
+on the plan alone and is compared with each side's access trace file
+before the replay: a file whose text is the runs of the sorted access
+codes, rendered, holds exactly the observed accesses; any other is
+parsed, its runs expanded, and compared as a multiset.  Replay runs
+every half of every iteration at its absolute cycles; messages are
+decoded from ids and tokens only for a conflict, a misroute or a trace
+mismatch.
 
 What each consumer received is kept as a loss census: the report keeps
 each side's compiled deliveries once, as columns, and per iteration only
@@ -57,12 +59,8 @@ from dataclasses import dataclass, field
 from itertools import chain, count, islice
 from operator import itemgetter, le
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-from .circulant import is_int, json_int, json_ints, json_value
-
-if TYPE_CHECKING:
-    from .wires import _Wires
+from .circulant import json_int, json_ints, json_value
 
 __all__ = [
     "RunDirectory",
@@ -116,12 +114,12 @@ def _source(files: Mapping[str, str] | str | Path) -> Mapping[str, str]:
     return files if isinstance(files, Mapping) else RunDirectory(files)
 
 
-def _text(files: Mapping[str, str], name: str, pieces: bool = False) -> str:
-    """File ``name``'s text, its pieces joined unless ``pieces`` asks for them."""
+def _text(files: Mapping[str, str], name: str) -> str:
+    """File ``name``'s text, joined if it is held as pieces."""
     if name not in files:
         raise SimulationStructureError(f"missing artifact {name}")
     text = files[name]
-    return text if pieces or isinstance(text, str) else "".join(text)
+    return text if isinstance(text, str) else "".join(text)
 
 
 def read_json(files: Mapping[str, str], name: str) -> object:
@@ -226,7 +224,8 @@ class _Inputs:
     out_rows: dict[str, list[tuple[int, int]]]
     in_rows: dict[str, list[tuple[int, int]]]
     invalid: dict[str, int]
-    wires: _Wires
+    # Per instance, port code -> the folded offset of its wire family
+    wire_offsets: dict[str, dict[int, int]]
     # Per side, per slot, the real producers' writes by unit and port as a
     # column, each (pmu · capacity + address) · 2 + port
     writes: dict[str, list[array]]
@@ -286,14 +285,10 @@ def _is_real_edge(
 
 def _load(files: Mapping[str, str]) -> _Inputs:
     docs = {
-        name: read_json(files, f"{name}.json") for name in ("graph", "plan", "layout", "timing")
+        name: read_json(files, f"{name}.json")
+        for name in ("graph", "plan", "layout", "timing", "netlist")
     }
-    plan, timing = docs["plan"], docs["timing"]
-    # The wires are indexed as netlist.json is read, by plan.json's unit
-    # count; if that is not an integer, its check below fails before the
-    # index is used.
-    units = plan.get("units_per_side") if isinstance(plan, dict) else None
-    netlist, wires = _read_netlist(files, units if is_int(units) else 0)
+    plan, timing, netlist = docs["plan"], docs["timing"], docs["netlist"]
     order, base_offsets, real_order, real_base_offsets = _graph_fields(docs["graph"])
     units = _field("plan.json", plan, "units_per_side")
     folds = _field("plan.json", plan, "q")
@@ -346,23 +341,15 @@ def _load(files: Mapping[str, str]) -> _Inputs:
                 f"timing slot count disagrees with fold slots ({key})"
             )
     ranks = len(base_offsets)
-    netlist_units = _field("netlist.json", netlist, "units_per_side")
-    if netlist_units != units:
-        raise SimulationStructureError(
-            f"netlist.json: units_per_side {netlist_units} disagrees with "
-            f"plan.json's {units}"
-        )
-    instances = netlist
-    for key in ("annotations", "instances"):
-        instances = _field("netlist.json", instances, key, json_value)
+    # Imported here, so that commands that replay nothing do not compile it.
+    from .families import read_netlist
+
+    invalid, wire_offsets = read_netlist(netlist, units)
     out_rows = {}
     in_rows = {}
-    invalid = {}
     roms = _read_roms(files)
     rom_mismatches = []
     for instance in _INSTANCES:
-        annotation = _field("netlist.json", instances, instance, json_value)
-        invalid[instance] = _field(f"netlist.json:{instance}", annotation, "rho_hat")
         for kind, store in (("out", out_rows), ("in", in_rows)):
             name = f"lut_{instance}_{kind}.csv"
             # Pattern l's row is the one of slot l: each slot in range, once.
@@ -401,13 +388,6 @@ def _load(files: Mapping[str, str]) -> _Inputs:
                             f"{2 * pattern + b}, past the {ranks} reader offsets "
                             f"(only {invalid[instance]} may)"
                         )
-    if isinstance(wires, SimulationStructureError):
-        raise wires
-    if wires is None:
-        from .wires import _load_wires
-
-        wires = _load_wires(_field("netlist.json", netlist, "wires", _json_list), units)
-    del netlist
     # Each write, token, delivery and access is one signed 64-bit integer.
     latest = abs(side_span) + max(map(abs, sum(cycles.values(), [])), default=0)
     span = max(capacity, 2 * slot_count, 1)
@@ -436,7 +416,7 @@ def _load(files: Mapping[str, str]) -> _Inputs:
         out_rows=out_rows,
         in_rows=in_rows,
         invalid=invalid,
-        wires=wires,
+        wire_offsets=wire_offsets,
         writes=writes,
         reader_offsets=_reader_offsets(order, base_offsets),
         rom_mismatches=rom_mismatches,
@@ -498,32 +478,6 @@ def _read_write_lut(
     if roms is None:
         return by_slot, []
     return by_slot, _rom_mismatch(roms, f"write_lut_{side}", f"{name} address", addresses)
-
-
-def _read_netlist(
-    files: Mapping[str, str], units: int
-) -> tuple[object, _Wires | SimulationStructureError | None]:
-    """netlist.json's ``annotations`` and ``units_per_side``, the other
-    members the replay reads, and the index of its wires for out switches
-    of units [0, ``units``) or the first wire error, which the caller
-    raises after its table checks; decoded in one pass.  With ``wires``
-    absent or not a list that member is kept and the index is None; for
-    text that is not a JSON object, ``json.loads`` decodes the whole
-    document or names the fault."""
-
-    # Imported here, so that commands that replay nothing do not compile them.
-    from .jsonstream import load_streamed
-    from .wires import _load_wires
-
-    def index(items: Iterator[object]) -> _Wires | SimulationStructureError:
-        try:
-            return _load_wires(items, units)
-        except SimulationStructureError as exc:
-            return exc
-
-    text = _text(files, "netlist.json", pieces=True)
-    streamed = load_streamed(text, "wires", index, keep=("annotations", "units_per_side"))
-    return streamed or (read_json(files, "netlist.json"), None)
 
 
 # The ROM package of a run with HDL: one integer array per LUT file
@@ -694,17 +648,22 @@ class _Resources:
     claims, computed rather than tabulated, and the text of each for a
     conflict message.
 
-    The wires' ids are their names' (see ``wires._Wires``); then follow
-    consecutive ranges: the memory ports by (side, unit, port); then, for
-    each instance and direction, the switch ports by (unit, code), the
-    code range spanning the lowest to the highest code of that switch
-    table.  Every id fits an ``array('q')`` column.
+    The wires come first: wire ``<instance>_w_<m>_<code>`` has id
+    (code · 2 + instance) · F + m, instance 0 for row_reads and 1 for
+    col_reads.  Then follow consecutive ranges: the memory ports by (side,
+    unit, port); then, for each instance and direction, the switch ports by
+    (unit, code), the code range spanning the lowest to the highest code of
+    that switch table.  Every id fits an ``array('q')`` column.
     """
 
     def __init__(self, inputs: _Inputs) -> None:
         self.units = max(inputs.units, 0)
-        self.wires = inputs.wires
-        self.port_base = self.wires.top_id + 1
+        codes = max(max(ports, default=-1) for ports in inputs.wire_offsets.values()) + 1
+        self.port_base = 2 * codes * self.units
+        if self.port_base >= 2**63:
+            raise SimulationStructureError(
+                f"netlist.json: port codes up to {codes - 1} are too many to replay"
+            )
         base = self.port_base + 4 * self.units
         # (instance, direction) -> (first id, lowest code, codes per unit)
         self.switches: dict[tuple[str, str], tuple[int, int, int]] = {}
@@ -734,7 +693,9 @@ class _Resources:
 
     def conflict(self, rid: int, cycle: int) -> str:
         if rid < self.port_base:
-            return f"wire double drive: {self.wires.name(rid)} cycle {cycle}"
+            code, unit = divmod(rid, self.units)
+            code, instance = divmod(code, 2)
+            return f"wire double drive: {_INSTANCES[instance]}_w_{unit}_{code} cycle {cycle}"
         if rid < self.port_base + 4 * self.units:
             side, rest = divmod(rid - self.port_base, 2 * self.units)
             pmu, port = divmod(rest, 2)
@@ -988,7 +949,7 @@ def _compile_pattern(
     drive is (memory unit, port, unit-side switch port it feeds or -1), a
     select (unit, rank within the pattern) with the in-claim's id."""
     invalid = inputs.invalid[instance]
-    wires = inputs.wires
+    offsets = inputs.wire_offsets[instance]
     index = _INSTANCES.index(instance)
     # Memory-side switches drive their wires.
     out_ids, drives = [], (array("q"), array("q"), array("q"))
@@ -996,23 +957,21 @@ def _compile_pattern(
         for b, code in enumerate(inputs.out_rows[instance][l]):
             if code == invalid:
                 continue
-            key = wires.src_key(index, m, code, inputs.units)
-            wire = wires.by_src[key] if 0 <= key < len(wires.by_src) else -1
-            if wire < 0:
+            delta = offsets.get(code)
+            if delta is None:
                 raise SimulationStructureError(
                     f"switch table references missing wire at "
                     f"{instance} out switch {m} port {code} (pattern {l})"
                 )
-            dst_unit = wires.dst_unit[wire]
-            if not 0 <= dst_unit < active:
+            dst_unit = (m - delta) % inputs.units
+            if dst_unit >= active:
                 continue
             out_switch = resources.switch(instance, "out", m, code)
-            wire_id = wires.renamed.get(wire, key)  # the id of its name
+            wire_id = (code * 2 + index) * inputs.units + m
             out_ids += (out_switch, wire_id, resources.port(producing, m, b))
-            target = resources.switch(instance, "in", dst_unit, code)
             drives[0].append(m)
             drives[1].append(b)
-            drives[2].append(-1 if wire in wires.foreign else target)
+            drives[2].append(resources.switch(instance, "in", dst_unit, code))
     # Unit-side switches select, one cycle staggered.
     in_ids, selects = [], (array("q"), array("q"))
     for i in range(active):

@@ -10,15 +10,12 @@ import csv
 import io
 import json
 import re
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
-from pgfold import emit
 from pgfold.circulant import CirculantBipartiteGraph
 from pgfold.emit import (
-    TextPieces,
     check_hdl,
     emit_access_trace,
     emit_graph_json,
@@ -41,7 +38,7 @@ from pgfold.schedule import (
     write_schedule,
 )
 
-from .test_schedule import accesses, render_designs
+from .test_schedule import accesses, render_designs, wires_of
 
 OFFSETS_15 = (0, 1, 2, 4, 5, 8, 10)
 
@@ -105,19 +102,18 @@ def running_example(q=3, design_option=1, **kwargs):
 
 class TestFlatArtifacts:
     def test_netlist_json(self):
+        # One family per switch port of an instance: 5 row_reads ports and
+        # 6 col_reads ports, the last an extra port (copy 1), for 55 wires.
         graph, plan = running_example()
-        data = json.loads("".join(emit_netlist_json(build_netlist(graph, plan))))
-        assert len(data["components"]) == 40
-        switches = [c for c in data["components"] if c["kind"].startswith("switch")]
-        assert len(switches) == 20
-        assert len(data["wires"]) == 55
+        data = json.loads(emit_netlist_json(build_netlist(graph, plan)))
+        assert set(data) == {"format_version", "units_per_side", "annotations", "wire_families"}
+        families = data["wire_families"]
+        assert [(f["instance"], f["port"], f["copy"]) for f in families] == [
+            *(("col_reads", j, int(j == 5)) for j in range(6)),
+            *(("row_reads", j, 0) for j in range(5)),
+        ]
+        assert len(wires_of(data)) == 55
         assert data["annotations"]["instances"]["row_reads"]["rho_hat"] == 5
-
-    def test_netlist_json_streams_the_wires_as_listed(self):
-        graph, plan = running_example()
-        netlist = build_netlist(graph, plan)
-        expected = json.dumps(netlist.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        assert "".join(emit_netlist_json(netlist)) == expected
 
     def test_graph_json_round_trip(self):
         graph, _ = running_example()
@@ -454,29 +450,6 @@ class TestRunDirectory:
                 tmp_path / "b" / name
             ).read_bytes()
 
-    def test_each_file_of_pieces_is_made_once(self, tmp_path, monkeypatch):
-        # A file of pieces is hashed as it is written: its pieces are made
-        # once, not once for the manifest and once for the file.
-        made = Counter()
-        render = emit.render_run_files
-
-        def counted(name, text):
-            made[name] += 1
-            return iter(text)
-
-        def counting_render(*args):
-            files = render(*args)
-            for name, text in files.items():
-                if isinstance(text, TextPieces):
-                    files[name] = TextPieces(counted, name, text)
-            return files
-
-        monkeypatch.setattr(emit, "render_run_files", counting_render)
-        graph, plan = running_example()
-        manifest = write_run_directory(tmp_path / "run", graph, plan)
-        assert made == Counter(["netlist.json"])
-        assert manifest == json.loads((tmp_path / "run" / "manifest.json").read_text())
-
     def test_format_selection(self, tmp_path):
         graph, plan = running_example()
         manifest = write_run_directory(tmp_path / "run", graph, plan, ("json",))
@@ -490,17 +463,13 @@ class TestRunDirectory:
 
 class TestColumnWritersMatchObjectViews:
     """The writers read int columns and the folded patterns arithmetically;
-    each must write what the ``WriteEntry``, access-dict and wire-dict
-    views of the same design give."""
+    each must write what the ``WriteEntry`` and access-dict views of the
+    same design give."""
 
     @settings(max_examples=80, deadline=None)
     @given(render_designs())
     def test_every_writer_matches_its_oracle(self, design):
         graph, plan = design
-        netlist = build_netlist(graph, plan)
-        expected = json.dumps(netlist.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        assert "".join(emit_netlist_json(netlist)) == expected
-
         for side in ("row", "col"):
             # The per_pmu() view, run-length encoded: by slot, port and
             # unit, a run per stretch of units writing one address.

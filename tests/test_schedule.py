@@ -5,11 +5,15 @@ folded by q=3 onto 5 units) were derived by hand from the placement rule
 and frozen here before the implementation existed.
 """
 
+import re
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgfold.circulant import CirculantBipartiteGraph, divisors, expand_circulant
+from pgfold.emit import render_run_files
 from pgfold.folding import (
     FoldPlan,
     compute_rho,
@@ -64,13 +68,31 @@ def accesses(sequence, slot):
 
 
 def wires_of(netlist, instance=None):
-    """The netlist's wires, or one instance's, as dicts."""
-    return [w for w in netlist.iter_wires() if instance in (None, w["instance"])]
+    """The wires of a ``Netlist`` or of netlist.json's parsed data, or one
+    instance's, as dicts: family (instance, j, delta) stands for the F
+    wires <instance>_w_<m>_<j>, each from port j of out switch m to port j
+    of in switch (m - delta) mod F."""
+    data = netlist if isinstance(netlist, dict) else netlist.to_json_dict()
+    f_units = data["units_per_side"]
+    return [
+        {
+            "name": f"{inst}_w_{m}_{j}",
+            "instance": inst,
+            "src": [f"{inst}_out_{m}", j],
+            "dst": [f"{inst}_in_{(m - family['folded_offset']) % f_units}", j],
+            "folded_offset": family["folded_offset"],
+            "copy": family["copy"],
+        }
+        for family in data["wire_families"]
+        if instance in (None, family["instance"])
+        for inst, j in [(family["instance"], family["port"])]
+        for m in range(f_units)
+    ]
 
 
 def wire_lookup(netlist):
     """Map (source switch, source port) -> wire."""
-    return {tuple(w["src"]): w for w in netlist.iter_wires()}
+    return {tuple(w["src"]): w for w in wires_of(netlist)}
 
 
 class TestMemoryLayout:
@@ -410,34 +432,46 @@ class TestSwitchLuts:
         assert rows[3] == (3, 0, 5)
 
 
+def top_port_maps(graph, plan):
+    """Instance label -> (component, {formal: actual}) of hdl/top.vhd, where
+    the units, switches and local channels of the netlist are instantiated."""
+    top = render_run_files(graph, plan, ("hdl",))["hdl/top.vhd"]
+    return {
+        label: (component, dict(re.findall(r"(\w+) => ([\w(), ]+?)(?:,\n|\n)", body)))
+        for label, component, body in re.findall(
+            r"^  (\w+) : (\w+) PORT MAP \((.*?)\);", top, re.MULTILINE | re.DOTALL
+        )
+    }
+
+
 class TestNetlist:
     def test_component_census(self):
         graph, plan = running_example()
-        net = build_netlist(graph, plan)
-        kinds = {}
-        for c in list(net.iter_components()):
-            kinds[c["kind"]] = kinds.get(c["kind"], 0) + 1
+        instances = top_port_maps(graph, plan)
+        kinds = Counter(component for component, _ in instances.values())
         assert kinds == {
-            "ppu": 10,
-            "pmu": 10,
-            "switch_pmu_out": 10,
-            "switch_ppu_in": 10,
+            "processing_unit": 10,
+            "memory_unit_row": 5,
+            "memory_unit_col": 5,
+            **{
+                f"switch_{instance}_{kind}": 5
+                for instance in ("row_reads", "col_reads")
+                for kind in ("out", "in")
+            },
         }
-        ids = {c["id"] for c in list(net.iter_components())}
-        assert "row_ppu_0" in ids
-        assert "col_pmu_4" in ids
-        assert "row_reads_out_0" in ids
-        assert "col_reads_in_3" in ids
+        for label in ("row_ppu_0", "col_pmu_4", "row_reads_out_0", "col_reads_in_3"):
+            assert label in instances
 
     def test_switch_placement(self):
         graph, plan = running_example()
-        net = build_netlist(graph, plan)
-        by_id = {c["id"]: c for c in list(net.iter_components())}
+        instances = top_port_maps(graph, plan)
         # Row units read column memories, so the memory-side switches of
         # the row_reads instance sit at column memories.
-        assert by_id["row_reads_out_2"]["at"] == "col_pmu_2"
-        assert by_id["row_reads_in_2"]["at"] == "row_ppu_2"
-        assert by_id["col_reads_out_1"]["at"] == "row_pmu_1"
+        assert instances["row_reads_out_2"][1]["in0"] == "col_read_2_0"
+        assert instances["col_pmu_2"][1]["data_out0"] == "col_read_2_0"
+        assert instances["row_reads_in_2"][1]["out1"] == "row_operand_2_1"
+        assert instances["row_ppu_2"][1]["data_in1"] == "row_operand_2_1"
+        assert instances["col_reads_out_1"][1]["in1"] == "row_read_1_1"
 
     def test_wire_counts(self):
         graph, plan = running_example()
@@ -484,11 +518,34 @@ class TestNetlist:
             count = sum(1 for k in seen if k[0].startswith(f"{instance}_in_"))
             assert count == plan.units_per_side * ports
 
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_top_level_binds_each_family_wire(self, q):
+        # hdl/top.vhd names each switch port's wire from the families: out
+        # switch m port j drives <instance>_w_<m>_<j>, which in switch
+        # (m - delta) mod F reads on port j.
+        graph, plan = running_example(q=q)
+        instances = top_port_maps(graph, plan)
+        wires = wires_of(build_netlist(graph, plan))
+        for wire in wires:
+            (src, j), (dst, _) = wire["src"], wire["dst"]
+            assert instances[src][1][f"out{j}"] == instances[dst][1][f"in{j}"] == wire["name"]
+        bound = [a for _, ports in instances.values() for a in ports.values() if "_w_" in a]
+        assert len(bound) == 2 * len(wires)
+
     def test_local_channels(self):
+        # Unit i of a side writes its collocated memory i over two ports.
         graph, plan = running_example()
-        net = build_netlist(graph, plan)
-        assert len(list(net.iter_local_channels())) == 10
-        assert {"ppu": "row_ppu_0", "pmu": "row_pmu_0", "ports": 2} in list(net.iter_local_channels())
+        instances = top_port_maps(graph, plan)
+        channels = [
+            (side, i)
+            for side in ("row", "col")
+            for i in range(plan.units_per_side)
+            for b in (0, 1)
+            if instances[f"{side}_ppu_{i}"][1][f"data_out{b}"]
+            == instances[f"{side}_pmu_{i}"][1][f"data_in{b}"]
+            == f"{side}_write_{i}_{b}"
+        ]
+        assert len(set(channels)) == len(channels) // 2 == 10
 
     def test_annotations_and_lookup(self):
         graph, plan = running_example()
@@ -501,9 +558,12 @@ class TestNetlist:
     def test_json_round_shape(self):
         graph, plan = running_example()
         data = build_netlist(graph, plan).to_json_dict()
-        assert data["format_version"] == 1
+        assert data["format_version"] == 2
         assert data["units_per_side"] == 5
-        assert len(data["wires"]) == 55
+        assert len(data["wire_families"]) == 11
+        keys = [(family["instance"], family["port"]) for family in data["wire_families"]]
+        assert keys == sorted(set(keys))
+        assert len(wires_of(data)) == 55
 
 
 class TestTiming:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgfold import cli, simulator, wires
+from pgfold import cli, simulator
 from pgfold.circulant import CirculantBipartiteGraph, expand_circulant
 from pgfold.cli import main
 from pgfold.emit import emit_manifest_json, render_run_files, write_run_directory
@@ -35,12 +35,6 @@ FANO_OFFSETS = (0, 1, 3)
 OFFSETS_13 = (0, 1, 3, 9)
 
 FLAT = ("csv", "json")
-
-
-def as_text(files):
-    """``files`` with netlist.json's pieces joined, for tests that edit
-    file text."""
-    return {name: "".join(text) for name, text in files.items()}
 
 
 def build_run(out_dir, order, offsets, q, **plan_kwargs):
@@ -240,6 +234,69 @@ class TestThroughput:
         assert result["ok"]
 
 
+def with_families(files, edit):
+    """``files`` with netlist.json's wire families edited in place by
+    ``edit``, then written as the emitter writes them."""
+    data = json.loads(files["netlist.json"])
+    edit(data["wire_families"], data["annotations"]["instances"])
+    return {**files, "netlist.json": json.dumps(data, indent=2, sort_keys=True) + "\n"}
+
+
+def raised_offset(index):
+    """An edit of the families that raises family ``index``'s folded offset
+    by 1 mod the 5 units of J = 15."""
+
+    def edit(families, _):
+        families[index]["folded_offset"] = (families[index]["folded_offset"] + 1) % 5
+
+    return edit
+
+
+class TestWireFamilyTamper:
+    """Every token travels the wires that netlist.json's families stand
+    for, so a family that points elsewhere misroutes or collides.  The
+    J = 15 families are col_reads ports 0-5, port 5 the extra one, then
+    row_reads ports 0-4."""
+
+    @pytest.mark.parametrize("index", range(11))
+    def test_raised_folded_offset_fails_the_replay(self, render15, index):
+        report = simulate(with_families(render15, raised_offset(index)))
+        assert report.misroutes or report.conflicts
+        assert not report.ok
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(a, b) for low in (0, 6) for a in range(low, low + 5) for b in range(a + 1, low + 5)],
+    )
+    def test_swapped_ports_fail_the_replay(self, render15, first, second):
+        def edit(families, _):
+            a, b = families[first], families[second]
+            assert a["instance"] == b["instance"] and a["copy"] == b["copy"] == 0
+            a["port"], b["port"] = b["port"], a["port"]
+
+        report = simulate(with_families(render15, edit))
+        assert report.misroutes or report.conflicts
+        assert not report.ok
+
+    def test_changed_offset_fails_simulate(self, scratch_run, capsys):
+        path = scratch_run / "netlist.json"
+        files = with_families({"netlist.json": path.read_text()}, raised_offset(6))
+        path.write_text(files["netlist.json"])
+        assert main(["simulate", "--out", str(scratch_run)]) == 1
+        assert "misrouted token" in capsys.readouterr().out
+
+    def test_switch_code_without_a_family_names_the_missing_wire(self, render15):
+        def edit(families, instances):
+            families.pop(10)  # row_reads port 4
+            instances["row_reads"]["wire_count"] -= 5
+
+        with pytest.raises(
+            SimulationStructureError,
+            match=r"^switch table references missing wire at row_reads out switch 0 port 4 \(pattern ",
+        ):
+            simulate(with_families(render15, edit))
+
+
 class TestFaultInjection:
     def test_swapped_switch_ports_misroute(self, scratch_run):
         def mutate(rows):
@@ -434,11 +491,60 @@ class TestLoadErrors:
             ("fold_col.json", ("slots", 2), [-1, 0], "fold_col.json:slots[2]:pattern -1 outside [0, 4)"),
             ("fold_row.json", ("slots", 1), [0, 3], "fold_row.json:slots[1]:fold 3 outside [0, 3)"),
             ("fold_row.json", ("slots", 1), [0], "fold_row.json:slots[1] [0] is not a (pattern, fold) pair"),
+            # The J = 15 families: col_reads ports 0-5, port 5 the extra
+            # one, then row_reads ports 0-4; each instance's rho is 5.
+            ("netlist.json", ("wire_families", 0), 3, "netlist.json:wire_families[0]: expected a JSON object, got int"),
             (
                 "netlist.json",
-                ("wires", 0, "dst", 0),
-                "row_reads_in_x",
-                "netlist.json:wires[0]:dst 'row_reads_in_x' does not end in a unit number",
+                ("wire_families", 0, "instance"),
+                "rows",
+                "netlist.json:wire_families[0]:instance 'rows' is not one of row_reads, col_reads",
+            ),
+            ("netlist.json", ("wire_families", 2, "port"), "2", "netlist.json:wire_families[2]: port must be an integer"),
+            ("netlist.json", ("wire_families", 6, "port"), 5, "netlist.json:wire_families[6]:port 5 outside [0, 5)"),
+            ("netlist.json", ("wire_families", 6, "port"), -1, "netlist.json:wire_families[6]:port -1 outside [0, 5)"),
+            (
+                "netlist.json",
+                ("wire_families", 0, "folded_offset"),
+                5,
+                "netlist.json:wire_families[0]:folded_offset 5 outside [0, 5)",
+            ),
+            ("netlist.json", ("wire_families", 0, "copy"), 2, "netlist.json:wire_families[0]:copy 2 outside [0, 2)"),
+            (
+                "netlist.json",
+                ("wire_families", 0, "copy"),
+                1,
+                "netlist.json:wire_families[0]:copy 1, but col_reads's port 0 is below rho 5",
+            ),
+            (
+                "netlist.json",
+                ("wire_families", 5, "copy"),
+                0,
+                "netlist.json:wire_families[5]:copy 0, but col_reads's port 5 is at or past rho 5",
+            ),
+            (
+                "netlist.json",
+                ("wire_families", 7, "port"),
+                0,
+                "netlist.json:wire_families[7]:port 0 of row_reads repeats",
+            ),
+            (
+                "netlist.json",
+                ("annotations", "instances", "row_reads", "rho"),
+                4,
+                "netlist.json:row_reads:rho_hat 5 is not rho + theta = 4 + 0",
+            ),
+            (
+                "netlist.json",
+                ("annotations", "instances", "col_reads", "theta"),
+                0,
+                "netlist.json:col_reads:rho_hat 6 is not rho + theta = 5 + 0",
+            ),
+            (
+                "netlist.json",
+                ("annotations", "instances", "row_reads", "wire_count"),
+                30,
+                "netlist.json:row_reads:wire_count 30 is not F × families = 5 × 5",
             ),
             (
                 "netlist.json",
@@ -580,7 +686,7 @@ class LookedUp(dict):
 @pytest.fixture(scope="module")
 def render15():
     graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
-    return as_text(render_run_files(graph, FoldPlan.for_graph(graph, 3), FLAT))
+    return render_run_files(graph, FoldPlan.for_graph(graph, 3), FLAT)
 
 
 # (file, path to the field, the kind of value it holds)
@@ -606,9 +712,14 @@ JSON_FIELDS = [
         for instance in ("row_reads", "col_reads")
     ),
     ("netlist.json", ("units_per_side",), "int"),
-    ("netlist.json", ("wires", 1, "src"), "pair"),
-    ("netlist.json", ("wires", 1, "dst"), "pair"),
-    ("netlist.json", ("wires", 1, "name"), "str"),
+    *(
+        ("netlist.json", ("annotations", "instances", instance, key), "int")
+        for instance in ("row_reads", "col_reads")
+        for key in ("rho", "theta", "wire_count")
+    ),
+    ("netlist.json", ("wire_families",), "list"),
+    ("netlist.json", ("wire_families", 1, "instance"), "instance"),
+    *(("netlist.json", ("wire_families", 1, key), "int") for key in ("port", "folded_offset", "copy")),
 ]
 # A value of the right type for its field is not a type error.
 RIGHT_TYPE = {"ints": [[1]], "list": [[1]], "str": ["x"]}
@@ -725,7 +836,7 @@ def hdl_renders():
     graph40 = pad_dummy_offset(build_pg_graph(PgParams(3, 3, 1)))
     renders = {}
     for design, graph, q in (("J15-q3", graph15, 3), ("J40-q2", graph40, 2)):
-        files = as_text(render_run_files(graph, FoldPlan.for_graph(graph, q)))
+        files = render_run_files(graph, FoldPlan.for_graph(graph, q))
         renders[design] = {**files, "manifest.json": emit_manifest_json(files)}
     return renders
 
@@ -908,13 +1019,12 @@ class TestLossCensus:
 
     def test_unfolded_replay_memory_is_bounded(self):
         # The q = 1 build is verify's throughput reference, with J units
-        # and J·γ wires.  Its replay peaks at 0.29 MiB on Python 3.11: the
-        # render makes netlist.json's text a piece at a time as the replay
-        # reads it, the access traces are a few runs a slot, the wire index
-        # is integer columns, and every claim is an array column.  A name, a dict
-        # entry and an int per wire and a tuple per access took it to 0.75
-        # MiB; an int object per trace row, write, token and delivery then
-        # to 1.25 MiB.
+        # and J·γ wires.  Its replay peaks at 0.24 MiB on Python 3.11: the
+        # wires are a few families whose ids are computed, the access traces
+        # are a few runs a slot, and every claim is an array column.  A name,
+        # a dict entry and an int per wire and a tuple per access took it to
+        # 0.75 MiB; an int object per trace row, write, token and delivery
+        # then to 1.25 MiB.
         graph = pad_dummy_offset(build_pg_graph(PgParams(2, 3, 2)))
         files = render_run_files(graph, FoldPlan.for_graph(graph, 1), FLAT)
         simulate(files)  # warm caches
@@ -928,12 +1038,11 @@ class TestLossCensus:
 
     def test_reference_replay_memory_is_bounded(self):
         # verify's q = 1 reference for P(2, GF(9)) folded by 7, render and
-        # replay, peaks at 0.33 MiB on Python 3.11, well below the 0.52 MiB
-        # of its own netlist.json text: netlist.json is never held whole,
-        # the access traces are a few runs a slot, the observed accesses of
-        # a side's two halves are not concatenated, and claim ids take 32
-        # bits.  With one trace row per access, rendered whole before the
-        # replay, it peaked at 0.39-0.42 MiB.
+        # replay, peaks at 0.25 MiB on Python 3.11: netlist.json is 20 wire
+        # families, the access traces are a few runs a slot, the observed
+        # accesses of a side's two halves are not concatenated, and claim
+        # ids take 32 bits.  With one trace row per access, rendered whole
+        # before the replay, it peaked at 0.39-0.42 MiB.
         graph = pad_dummy_offset(build_pg_graph(PgParams(2, 3, 2)))
         plan = FoldPlan.for_graph(graph, 7)
         cli._reference_replay(graph, plan)  # warm caches
@@ -1030,30 +1139,6 @@ class TestDecodedMessages:
         assert not report.conflicts
         assert any(m.startswith("missing token: col consumer") for m in report.misroutes)
         assert not check_dataflow_equivalence(report, files)["ok"]
-
-    def test_wire_conflict(self, render15):
-        # Two wires of out switch 0 that pattern 0 drives share a name.
-        files = edited(
-            render15, "netlist.json", '"name": "row_reads_w_0_1"', '"name": "row_reads_w_0_0"'
-        )
-        assert simulate(files).conflicts == [
-            f"wire double drive: row_reads_w_0_0 cycle {slot}" for slot in range(3)
-        ]
-
-    @pytest.mark.parametrize(
-        "name",
-        # not of the form <instance>_w_<unit>_<code>, a unit past the 5 units,
-        # a code not in canonical decimal
-        ["shared wire", "row_reads_w_5_0", "row_reads_w_0_01"],
-    )
-    def test_wire_conflict_of_a_name_of_another_form(self, render15, name):
-        # The two wires of the test above, both renamed: the index gives
-        # names of every form the duplicate-name semantics of the emitted one.
-        files = edited(render15, "netlist.json", '"name": "row_reads_w_0_0"', f'"name": "{name}"')
-        files = edited(files, "netlist.json", '"name": "row_reads_w_0_1"', f'"name": "{name}"')
-        assert simulate(files).conflicts == [
-            f"wire double drive: {name} cycle {slot}" for slot in range(3)
-        ]
 
     def test_switch_codes_past_the_id_range_name_the_table(self, render15):
         # Resource ids are signed 64-bit integers: a code that would take a
@@ -1273,8 +1358,8 @@ def _int_leaves(data, path=()):
 @st.composite
 def mutants(draw, files):
     """``files`` with one field or one byte edited: a CSV cell, a switch
-    table code, an integer of a JSON file, the port of a netlist wire end,
-    or any byte."""
+    table code, an integer of a JSON file, the port, folded offset or copy
+    of a netlist wire family, or any byte."""
     kind = draw(st.sampled_from(["csv", "code", "json", "port", "byte"]))
     names = sorted(files)
     if kind in ("csv", "code"):
@@ -1303,8 +1388,9 @@ def mutants(draw, files):
         )
         data = json.loads(files[name])
         if kind == "port":
-            wire = draw(st.integers(0, len(data["wires"]) - 1))
-            path = ("wires", wire, draw(st.sampled_from(["src", "dst"])), 1)
+            family = draw(st.integers(0, len(data["wire_families"]) - 1))
+            key = draw(st.sampled_from(["port", "folded_offset", "copy"]))
+            path = ("wire_families", family, key)
         else:
             path = draw(st.sampled_from(_int_leaves(data)))
         target = data
@@ -1336,162 +1422,3 @@ class TestMutatedRender:
         if files != stored:
             passed, checks = cli._verify_files(files, "the mutant", 1)
             assert not passed, checks
-
-
-def _outcome(files):
-    """The report of ``simulate(files)``, or the message it fails with."""
-    try:
-        return simulate(files).to_json_dict()
-    except SimulationStructureError as exc:
-        return str(exc)
-
-
-def _netlist_by_json_loads(files, units):
-    """``simulator._read_netlist`` as ``json.loads`` of the whole file: the
-    wires stay in the document, to be indexed after the table checks."""
-    return simulator.read_json(files, "netlist.json"), None
-
-
-def _spaced(value, rng):
-    """``value`` as JSON with random whitespace around every token."""
-
-    def space():
-        return rng.choice(["", " ", "\n", "\t", " \r\n  "])
-
-    if isinstance(value, dict):
-        members = [
-            f"{space()}{json.dumps(key)}{space()}:{space()}{_spaced(item, rng)}{space()}"
-            for key, item in value.items()
-        ]
-        return "{" + ",".join(members) + space() + "}"
-    if isinstance(value, list):
-        items = [f"{space()}{_spaced(item, rng)}{space()}" for item in value]
-        return "[" + ",".join(items) + space() + "]"
-    return json.dumps(value)
-
-
-class TestStreamedNetlist:
-    """netlist.json is read in one pass that indexes each wire as it is
-    decoded.  Any JSON layout reads as ``json.loads`` reads it, and every
-    fault fails with the message and in the order of a ``json.loads`` read."""
-
-    @pytest.fixture(scope="class")
-    def netlist15(self, render15):
-        return json.loads(render15["netlist.json"])
-
-    def relaid(self, netlist15):
-        data = netlist15
-        rest = {key: value for key, value in data.items() if key != "wires"}
-        compact = json.dumps(data)
-        odd_names = json.loads(compact)
-        for wire in odd_names["wires"]:
-            wire["name"] += ' ],"\\\\'
-        rng = random.Random(11)
-        return {
-            "compact": compact,
-            "no spaces": json.dumps(data, separators=(",", ":")),
-            "indent 0": json.dumps(data, indent=0),
-            "indent 4": json.dumps(data, indent=4),
-            "wires first": json.dumps({"wires": data["wires"], **rest}),
-            "wires last": json.dumps({**rest, "wires": data["wires"]}),
-            "duplicate wires": '{"wires": [1, "x", {}], ' + compact[1:],
-            "duplicate non-list wires": '{"wires": 5, ' + compact[1:],
-            "spaced": _spaced(data, rng),
-            "spaced, odd names": _spaced(odd_names, rng),
-        }
-
-    def test_layouts_read_as_json_loads_reads_them(self, render15, netlist15):
-        passing = simulate(render15).to_json_dict()
-        for layout, text in self.relaid(netlist15).items():
-            document, index = simulator._read_netlist({"netlist.json": text}, 5)
-            expected = json.loads(text)
-            assert index == wires._load_wires(expected.pop("wires"), 5), layout
-            kept = ("annotations", "units_per_side")
-            assert document == {key: expected[key] for key in kept}, layout
-            assert _outcome({**render15, "netlist.json": text}) == passing, layout
-
-    def faulty(self, render15, netlist15):
-        text = render15["netlist.json"]
-        rng = random.Random(7)
-        cuts = sorted(rng.sample(range(len(text)), 24)) + [0, 1, len(text) - 2]
-        bad_name = json.loads(text)
-        bad_name["wires"][3]["name"] = 5
-        bad_name = json.dumps(bad_name)
-        wires = json.dumps(netlist15["wires"])
-        rest = json.dumps({k: v for k, v in netlist15.items() if k != "wires"})
-        faults = {
-            **{f"cut at {cut}": text[:cut] for cut in cuts},
-            "trailing garbage": text + "x",
-            "trailing array": text + "[]",
-            "trailing comma": text.rstrip()[:-1] + ",}",
-            "comma in wires": text.replace("}\n  ],\n", "},\n  ],\n", 1),
-            "wires a number": rest[:-1] + ', "wires": 5}',
-            "wires an object": rest[:-1] + ', "wires": {"0": {}}}',
-            "wires missing": rest,
-            "later wires not a list": text.rstrip()[:-1] + ', "wires": "[]"}',
-            "top level a list": wires,
-            "top level a string": '"netlist"',
-            "top level null": "null",
-            "byte order mark": "\ufeff" + text,
-            "bad wire name": bad_name,
-            "bad wire name, then garbage": bad_name + "]",
-            "bad wire name, then good wires": bad_name[:-1] + ", " + '"wires": ' + wires + "}",
-            "bad wire name, good wires before": '{"wires": ' + wires + ", " + bad_name[1:],
-        }
-        assert text not in faults.values()
-        return faults
-
-    def test_faults_fail_as_json_loads_reads_them(self, render15, netlist15, monkeypatch):
-        for fault, text in self.faulty(render15, netlist15).items():
-            files = {**render15, "netlist.json": text}
-            for other in ({}, {"lut_row_reads_in.csv": "slot,port0\n"}):
-                streamed = _outcome({**files, **other})
-                with monkeypatch.context() as patch:
-                    patch.setattr(simulator, "_read_netlist", _netlist_by_json_loads)
-                    assert streamed == _outcome({**files, **other}), (fault, other)
-            if fault != "bad wire name, then good wires":  # the later wires win
-                assert isinstance(_outcome(files), str), fault
-
-    @pytest.fixture(scope="class")
-    def cut_texts(self, render15, netlist15):
-        """The emitted text, and copies with a planted fault."""
-        text = render15["netlist.json"]
-        bad_wire = json.loads(text)
-        bad_wire["wires"][4]["src"] = ["row_reads_out_0"]
-        return {
-            "emitted": text,
-            "truncated": text[: len(text) // 2],
-            "malformed wire": json.dumps(bad_wire, indent=2, sort_keys=True) + "\n",
-            "duplicate wires": '{"wires": [1, "x", {}], ' + text[1:],
-            "trailing garbage": text + "]x",
-        }
-
-    @settings(max_examples=80, deadline=None)
-    @given(data=st.data())
-    def test_pieces_read_as_the_whole_text(self, render15, cut_texts, data):
-        # The text cut at random points, empty pieces included, gives the
-        # same document and wire index, or the same error, as the text whole.
-        fault = data.draw(st.sampled_from(sorted(cut_texts)))
-        text = cut_texts[fault]
-        cuts = sorted(data.draw(st.lists(st.integers(0, len(text)), max_size=16)))
-        pieces = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
-
-        def read(netlist):
-            try:
-                document, index = simulator._read_netlist({"netlist.json": netlist}, 5)
-            except SimulationStructureError as exc:
-                return str(exc)
-            return document, str(index) if isinstance(index, Exception) else index
-
-        assert read(pieces) == read(text), fault
-        assert _outcome({**render15, "netlist.json": pieces}) == _outcome(
-            {**render15, "netlist.json": text}
-        ), fault
-
-    def test_wire_errors_follow_the_table_checks(self, render15, netlist15):
-        data = json.loads(render15["netlist.json"])
-        data["wires"][3]["name"] = 5
-        files = {**render15, "netlist.json": json.dumps(data)}
-        assert _outcome(files) == "netlist.json:wires[3]:name 5 is not a string"
-        files["lut_row_reads_in.csv"] = "slot,port0\n"
-        assert _outcome(files) == "lut_row_reads_in.csv:1:port1 column missing"
