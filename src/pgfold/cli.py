@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Mapping
 from dataclasses import replace
@@ -818,10 +819,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SelfCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            code = args.func(args)
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        except SelfCheckError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: send what is left to the null device,
+        # so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    return code

@@ -1,15 +1,17 @@
 """Serialization of every synthesis artifact.
 
 The tables go out as CSV, the design and its plans as JSON with sorted
-keys, and the hardware as two VHDL files.  The schedule grid and the
-incidence table are not emitted: they are fold_*.json's patterns and
-slots and graph.json's offsets.  The write LUTs and the access traces
-are run-length rows: one row per run of memory units making the same
-access.  hdl/folded_luts.vhd is a ROM package: one integer array per
-LUT file of the run, named after it and holding that file's column (the
-write LUT addresses, unit by unit, its runs expanded, and each switch
-table's two port columns), which the replay compares with the CSV
-integer by integer.  hdl/top.vhd is the structural top level: it
+keys, and the hardware as two VHDL files.  The plan and the graph are
+each stated once: plan.json alone gives q, F, the design option, T,
+delta and the pipeline level, and graph.json alone J and the offsets.
+The schedule grid and the incidence table are not emitted: they are
+fold_*.json's patterns and slots and graph.json's offsets.  The write
+LUTs and the access traces are run-length rows: one row per run of
+memory units making the same access.  hdl/folded_luts.vhd is a ROM
+package: one integer array per LUT file of the run, named after it and
+holding that file's column (the write LUT addresses, unit by unit, its
+runs expanded, and each switch table's two port columns), which the
+replay compares with the CSV integer by integer.  hdl/top.vhd is the structural top level: it
 declares the memory unit, processing unit and switch components and wires
 F units per side through the static interconnect; the component bodies
 are not emitted.  Everything is rendered from the graph, the fold plan
@@ -30,7 +32,6 @@ from pathlib import Path
 from .circulant import CirculantBipartiteGraph, SelfCheckError
 from .folding import FoldPlan, FoldedSequence, generate_folded_sequence
 from .schedule import (
-    MemoryLayout,
     Netlist,
     SwitchLUT,
     TimingPlan,
@@ -39,7 +40,6 @@ from .schedule import (
     full_timing,
     layout_addresses,
     other_side,
-    resource_report,
     switch_luts,
     write_schedule,
 )
@@ -49,7 +49,6 @@ __all__ = [
     "emit_netlist_json",
     "emit_graph_json",
     "emit_switch_lut_csv",
-    "emit_read_counter_params",
     "emit_write_lut_csv",
     "emit_access_trace",
     "emit_hdl",
@@ -97,22 +96,6 @@ def emit_switch_lut_csv(lut: SwitchLUT) -> str:
     for slot, a, b in lut.to_rows():
         writer.writerow([slot, a, b])
     return buffer.getvalue()
-
-
-def emit_read_counter_params(layout: MemoryLayout, graph: CirculantBipartiteGraph) -> str:
-    """Read addressing is one shared counter: start 0, stride 1, wrap at
-    capacity; the sentinel pattern gates the second port instead of
-    disturbing the count."""
-    return _json_text(
-        {
-            "format_version": 1,
-            "start": 0,
-            "stride": 1,
-            "wrap": layout.capacity,
-            "ports_per_slot": 2,
-            "reserved_addresses": layout.reserved_addresses(graph.degree),
-        }
-    )
 
 
 def emit_write_lut_csv(schedule: WriteSchedule) -> str:
@@ -450,10 +433,10 @@ def render_run_files(
     formats: tuple[str, ...] = FORMATS,
 ) -> dict[str, str]:
     """Every artifact of one synthesis run in the selected ``formats``,
-    keyed by its path in the run directory: the graph, folded sequences,
-    memory layout and address files, switch tables, netlist, timing,
-    access traces, resource report and the HDL, which must pass
-    ``check_hdl``.  Nothing is written.
+    keyed by its path in the run directory: the graph, the plan, folded
+    sequences, memory layout, write LUTs, switch tables, netlist, timing,
+    access traces and the HDL, which must pass ``check_hdl``.  Nothing is
+    written.
     """
     for fmt in formats:
         if fmt not in FORMATS:
@@ -464,7 +447,6 @@ def render_run_files(
     schedules = {side: write_schedule(graph, plan, side) for side in ("row", "col")}
     luts = switch_luts(graph, plan)
     netlist = build_netlist(graph, plan)
-    layout = layout_addresses(plan, graph)
     timing = full_timing(graph, plan)
     files: dict[str, str] = {}
     if "json" in formats:
@@ -472,16 +454,10 @@ def render_run_files(
         files["plan.json"] = _json_text(plan.to_json_dict())
         for side in ("row", "col"):
             files[f"fold_{side}.json"] = _json_text(sequences[side].to_json_dict())
-        files["layout.json"] = _json_text(
-            {
-                **layout.to_json_dict(),
-                "reserved_addresses": layout.reserved_addresses(graph.degree),
-            }
-        )
+        layout = layout_addresses(plan, graph)
+        files["layout.json"] = _json_text(layout.to_json_dict(graph.degree))
         files["netlist.json"] = emit_netlist_json(netlist)
         files["timing.json"] = _json_text(timing.to_json_dict())
-        files["read_counter_params.json"] = emit_read_counter_params(layout, graph)
-        files["resource_report.json"] = _json_text(resource_report(graph, plan))
     if "csv" in formats:
         for side in ("row", "col"):
             files[f"write_lut_{side}.csv"] = emit_write_lut_csv(schedules[side])

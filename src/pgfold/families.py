@@ -17,11 +17,6 @@ def read_netlist(
     those at or past rho; no port of an instance has two.  Per instance,
     rho + theta must be rho_hat and wire_count F times its families.  A
     fault raises SimulationStructureError naming its field."""
-    netlist_units = _field("netlist.json", netlist, "units_per_side")
-    if netlist_units != units:
-        raise SimulationStructureError(
-            f"netlist.json: units_per_side {netlist_units} disagrees with plan.json's {units}"
-        )
     instances = netlist
     for key in ("annotations", "instances"):
         instances = _field("netlist.json", instances, key, json_value)

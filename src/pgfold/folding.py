@@ -139,7 +139,6 @@ class FoldedSequence:
     """Ordered folded patterns plus the slot order of one side's reads."""
 
     side: str
-    order: int
     q: int
     units_per_side: int
     design_option: int
@@ -161,12 +160,7 @@ class FoldedSequence:
 
     def to_json_dict(self) -> dict:
         return {
-            "format_version": 1,
-            "side": self.side,
-            "J": self.order,
-            "q": self.q,
-            "F": self.units_per_side,
-            "design_option": self.design_option,
+            "format_version": 2,
             "patterns": [
                 {
                     "index": p.index,
@@ -242,7 +236,6 @@ def generate_folded_sequence(
         slots = tuple((l, k) for k in range(plan.q) for l in range(pattern_count))
     return FoldedSequence(
         side=side,
-        order=graph.order,
         q=plan.q,
         units_per_side=f_units,
         design_option=plan.design_option,

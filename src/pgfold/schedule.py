@@ -3,8 +3,8 @@
 Everything the hardware needs beyond the access patterns themselves: which
 physical memories each unit pairs with, where every datum lives (bins and
 addresses), when it is read, where and when results are written back,
-switch port-selection tables, the static wire families, timing intervals for
-every pipelining level, and the resource savings of overlaid folding.
+switch port-selection tables, the static wire families, and the cycle of
+every read and write for each pipelining level.
 
 Data placement follows one rule: a producer writes each result into its own
 collocated memory at the address the consumer's read counter will have
@@ -42,7 +42,6 @@ __all__ = [
     "switch_luts",
     "build_netlist",
     "full_timing",
-    "resource_report",
 ]
 
 INSTANCES = ("row_reads", "col_reads")
@@ -110,15 +109,14 @@ class MemoryLayout:
             return []
         return [self.address(self.pattern_count - 1, k, 1) for k in range(self.q)]
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, degree: int) -> dict:
         return {
-            "format_version": 1,
-            "design_option": self.design_option,
-            "q": self.q,
+            "format_version": 2,
             "pattern_count": self.pattern_count,
             "bin_count": self.bin_count,
             "bin_size": self.bin_size,
             "capacity": self.capacity,
+            "reserved_addresses": self.reserved_addresses(degree),
         }
 
 
@@ -417,10 +415,9 @@ class Netlist:
     port code j with folded offset delta is one family: the F wires
     ``<instance>_w_<m>_<j>``, m in [0, F), from port j of out switch m to
     port j of in switch (m - delta) mod F.  The units, switches and local
-    channels follow from F and are not listed.
+    channels follow from the plan's F and are not listed.
     """
 
-    units_per_side: int
     # instance -> ({folded offset: port code}, {extra port code: folded offset})
     ports: dict[str, tuple[dict[int, int], dict[int, int]]]
     annotations: dict
@@ -440,8 +437,7 @@ class Netlist:
             for delta, j, copy in self.wire_ports(instance)
         ]
         return {
-            "format_version": 2,
-            "units_per_side": self.units_per_side,
+            "format_version": 3,
             "annotations": self.annotations,
             "wire_families": sorted(families, key=itemgetter("instance", "port")),
         }
@@ -458,14 +454,7 @@ def build_netlist(graph: CirculantBipartiteGraph, plan: FoldPlan) -> Netlist:
     """
     f_units = plan.units_per_side
     ports: dict[str, tuple[dict[int, int], dict[int, int]]] = {}
-    annotations: dict = {
-        "q": plan.q,
-        "design_option": plan.design_option,
-        "T": plan.T,
-        "delta": plan.delta,
-        "register_replication": plan.q,
-        "instances": {},
-    }
+    annotations: dict = {"instances": {}}
     for instance in INSTANCES:
         sequence = generate_folded_sequence(graph, plan, reader_of(instance))
         port_of, extra_ports, port_count = switch_ports(sequence)
@@ -480,7 +469,7 @@ def build_netlist(graph: CirculantBipartiteGraph, plan: FoldPlan) -> Netlist:
             "rho_hat": port_count,
             "wire_count": f_units * port_count,
         }
-    return Netlist(units_per_side=f_units, ports=ports, annotations=annotations)
+    return Netlist(ports=ports, annotations=annotations)
 
 
 # ---------------------------------------------------------------------------
@@ -495,47 +484,27 @@ class TimingPlan:
     the memory-access window (read side) for unpipelined levels, and the
     span up to the last write arrival for graph-level pipelining.
     side_span covers one side's complete activity; a full iteration is two
-    sides back to back.
+    sides back to back.  Slot s of a half is read at the half's base plus
+    ``read_cycles[s]`` and written at its base plus ``write_cycles[s]``.
     """
 
-    pipeline_level: str
-    design_option: int
-    T: int
-    delta: int
-    q: int
-    pattern_count: int
-    slots_per_half: int
     half_length: int
     side_span: int
-    full_iteration: int
     read_cycles: tuple[int, ...]
     write_cycles: tuple[int, ...]
-    intervals: tuple[tuple[str, int, int], ...]
 
     def to_json_dict(self) -> dict:
         return {
-            "format_version": 1,
-            "pipeline_level": self.pipeline_level,
-            "design_option": self.design_option,
-            "T": self.T,
-            "delta": self.delta,
-            "q": self.q,
-            "pattern_count": self.pattern_count,
-            "slots_per_half": self.slots_per_half,
+            "format_version": 2,
             "half_length": self.half_length,
             "side_span": self.side_span,
-            "full_iteration": self.full_iteration,
             "read_cycles": list(self.read_cycles),
             "write_cycles": list(self.write_cycles),
-            "intervals": [
-                {"name": name, "start": start, "end": end}
-                for name, start, end in self.intervals
-            ],
         }
 
 
 def full_timing(graph: CirculantBipartiteGraph, plan: FoldPlan) -> TimingPlan:
-    """Slot-to-cycle mapping and interval table for the plan's pipeline level.
+    """Slot-to-cycle mapping for the plan's pipeline level.
 
     none:      reads at the end of each T-cycle slot window, all writes in a
                separate writeback phase (one cycle per producer slot).
@@ -551,9 +520,8 @@ def full_timing(graph: CirculantBipartiteGraph, plan: FoldPlan) -> TimingPlan:
             "graph-level pipelining requires design option 2; "
             "choose design option 2 or a different pipeline level"
         )
-    pattern_count = graph.scheduled_degree // 2
-    q, T, delta = plan.q, plan.T, plan.delta
-    slots = pattern_count * q
+    T, delta = plan.T, plan.delta
+    slots = graph.scheduled_degree // 2 * plan.q
     if level == "none":
         read_cycles = [(s + 1) * T - 1 for s in range(slots)]
         write_cycles = [slots * T + s for s in range(slots)]
@@ -574,56 +542,9 @@ def full_timing(graph: CirculantBipartiteGraph, plan: FoldPlan) -> TimingPlan:
         write_cycles = [(2 * delta + s + 1) * T - 1 for s in range(slots)]
         half_length = (slots + 2 * delta) * T
         side_span = (slots + 2 * delta) * T
-    intervals: list[tuple[str, int, int]] = []
-    for side_index, side in enumerate(("row", "col")):
-        base = side_index * side_span
-        intervals.append((f"{side}_half", base, base + side_span))
-        intervals.append(
-            (f"{side}_read_window", base + read_cycles[0], base + read_cycles[-1] + 1)
-        )
-        intervals.append(
-            (f"{side}_write_window", base + write_cycles[0], base + write_cycles[-1] + 1)
-        )
-        instance = f"{side}_reads"
-        intervals.append(
-            (
-                f"{instance}_out_switch_enable",
-                base + read_cycles[0],
-                base + read_cycles[-1] + 1,
-            )
-        )
-        intervals.append(
-            (
-                f"{instance}_in_switch_enable",
-                base + read_cycles[0] + 1,
-                base + read_cycles[-1] + 2,
-            )
-        )
     return TimingPlan(
-        pipeline_level=level,
-        design_option=plan.design_option,
-        T=T,
-        delta=delta,
-        q=q,
-        pattern_count=pattern_count,
-        slots_per_half=slots,
         half_length=half_length,
         side_span=side_span,
-        full_iteration=2 * side_span,
         read_cycles=tuple(read_cycles),
         write_cycles=tuple(write_cycles),
-        intervals=tuple(intervals),
     )
-
-
-def resource_report(graph: CirculantBipartiteGraph, plan: FoldPlan) -> dict:
-    """Savings of overlaid folding versus per-fold multiplexing."""
-    q = plan.q
-    return {
-        "format_version": 1,
-        "fold_factor": q,
-        "units_per_side": plan.units_per_side,
-        "multiplexer_sets_avoided": q - 1,
-        "wiring_factor_avoided": q,
-        "fold_select_control_avoided": q > 1,
-    }

@@ -4,9 +4,9 @@ This module deliberately reimplements the access semantics from the files
 of a run (graph, fold sequences, write LUTs, switch tables, netlist,
 timing) rather than reusing the synthesis code, so a passing simulation
 also validates the file formats and their mutual consistency.  The files
-come from a read-only ``name → text`` mapping: an in-memory render, whose
-text may be held as a sequence of pieces, or a run directory through
-``RunDirectory``, which reads and decodes each file only when looked up.
+come from a read-only ``name → text`` mapping: an in-memory render, or a
+run directory through ``RunDirectory``, which reads and decodes each file
+only when looked up.
 
 One iteration is a row compute half, in which row units read the column
 memories through the row_reads interconnect and write their collocated
@@ -115,11 +115,10 @@ def _source(files: Mapping[str, str] | str | Path) -> Mapping[str, str]:
 
 
 def _text(files: Mapping[str, str], name: str) -> str:
-    """File ``name``'s text, joined if it is held as pieces."""
+    """File ``name``'s text."""
     if name not in files:
         raise SimulationStructureError(f"missing artifact {name}")
-    text = files[name]
-    return text if isinstance(text, str) else "".join(text)
+    return files[name]
 
 
 def read_json(files: Mapping[str, str], name: str) -> object:
@@ -310,10 +309,6 @@ def _load(files: Mapping[str, str]) -> _Inputs:
         name = f"fold_{side}.json"
         fold = read_json(files, name)
         pattern_count[side] = len(_field(name, fold, "patterns", _json_list))
-        if _field(name, fold, "F") != units:
-            raise SimulationStructureError(
-                f"{name} unit count disagrees with plan.json"
-            )
         # A slot (l, k) runs pattern l for fold k.
         for index, slot in enumerate(_field(name, fold, "slots", _json_list)):
             entry = f"slots[{index}]"

@@ -3,6 +3,7 @@ selection, config handling, exit codes, and the verify flow."""
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -861,6 +862,34 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert "run: PASS" in proc.stdout
+
+    @pytest.mark.parametrize("tampered", [False, True], ids=["passing", "failing"])
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_closed_stdout_exits_one_without_a_traceback(
+        self, run15_dir, tmp_path, command, tampered
+    ):
+        # The reader of stdout has gone, as in `pgfold simulate | true`.
+        run = tmp_path / "run"
+        shutil.copytree(run15_dir, run)
+        if tampered:
+            netlist = read_json(run / "netlist.json")
+            family = netlist["wire_families"][0]
+            family["folded_offset"] = (family["folded_offset"] + 1) % 5
+            (run / "netlist.json").write_text(json.dumps(netlist), encoding="utf-8")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pgfold", command, "--out", str(run)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -21,7 +21,6 @@ from pgfold.emit import (
     emit_graph_json,
     emit_hdl,
     emit_netlist_json,
-    emit_read_counter_params,
     emit_switch_lut_csv,
     emit_write_lut_csv,
     render_run_files,
@@ -32,7 +31,6 @@ from pgfold.projective import PgParams, build_pg_graph
 from pgfold.schedule import (
     build_netlist,
     full_timing,
-    layout_addresses,
     other_side,
     switch_luts,
     write_schedule,
@@ -106,13 +104,13 @@ class TestFlatArtifacts:
         # 6 col_reads ports, the last an extra port (copy 1), for 55 wires.
         graph, plan = running_example()
         data = json.loads(emit_netlist_json(build_netlist(graph, plan)))
-        assert set(data) == {"format_version", "units_per_side", "annotations", "wire_families"}
+        assert set(data) == {"format_version", "annotations", "wire_families"}
         families = data["wire_families"]
         assert [(f["instance"], f["port"], f["copy"]) for f in families] == [
             *(("col_reads", j, int(j == 5)) for j in range(6)),
             *(("row_reads", j, 0) for j in range(5)),
         ]
-        assert len(wires_of(data)) == 55
+        assert len(wires_of(data, plan.units_per_side)) == 55
         assert data["annotations"]["instances"]["row_reads"]["rho_hat"] == 5
 
     def test_graph_json_round_trip(self):
@@ -130,14 +128,19 @@ class TestFlatArtifacts:
         assert lines[1] == "0,0,1"
         assert lines[4] == "3,0,5"
 
-    def test_read_counter_params(self):
+    def test_layout_json(self):
+        # The read counter wraps at the capacity; the padded sentinel leaves
+        # the last pattern's port-1 cell of each fold unread.
         graph, plan = running_example()
-        layout = layout_addresses(plan, graph)
-        data = json.loads(emit_read_counter_params(layout, graph))
-        assert data["start"] == 0
-        assert data["stride"] == 1
-        assert data["wrap"] == 24
-        assert data["reserved_addresses"] == [19, 21, 23]
+        data = json.loads(render_run_files(graph, plan, ("json",))["layout.json"])
+        assert data == {
+            "format_version": 2,
+            "pattern_count": 4,
+            "bin_count": 4,
+            "bin_size": 6,
+            "capacity": 24,
+            "reserved_addresses": [19, 21, 23],
+        }
 
     def test_write_lut_csv(self):
         # Slot 0 writes address 0 from all five units on port 0; on port 1
@@ -414,7 +417,7 @@ class TestRunDirectory:
         graph, plan = running_example()
         manifest = write_run_directory(tmp_path / "run", graph, plan)
         names = set(manifest["files"])
-        for expected in (
+        assert names == {
             "graph.json",
             "plan.json",
             "fold_row.json",
@@ -422,8 +425,6 @@ class TestRunDirectory:
             "layout.json",
             "netlist.json",
             "timing.json",
-            "read_counter_params.json",
-            "resource_report.json",
             "write_lut_row.csv",
             "write_lut_col.csv",
             "access_trace_row.csv",
@@ -432,9 +433,9 @@ class TestRunDirectory:
             "lut_row_reads_in.csv",
             "lut_col_reads_out.csv",
             "lut_col_reads_in.csv",
+            "hdl/folded_luts.vhd",
             "hdl/top.vhd",
-        ):
-            assert expected in names
+        }
         for name in names:
             assert (tmp_path / "run" / name).is_file()
         stored = json.loads((tmp_path / "run" / "manifest.json").read_text())

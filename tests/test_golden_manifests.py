@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from pgfold.circulant import divisors, expand_circulant
-from pgfold.emit import write_run_directory
+from pgfold.emit import emit_manifest_json, render_run_files, write_run_directory
 from pgfold.folding import PIPELINE_LEVELS, FoldPlan, pad_dummy_offset
 from pgfold.projective import PgParams, build_pg_graph
 
@@ -50,7 +50,8 @@ def _configs() -> dict[str, tuple]:
 CONFIGS = _configs()
 
 
-def manifest_digest(config: tuple, out_dir: Path) -> str:
+def design(config: tuple) -> tuple:
+    """The graph, fold plan and formats of a config."""
     geometry, alpha, q, option, level, T, delta, formats = config
     graph = build_pg_graph(PgParams(*geometry))
     if alpha is not None:
@@ -59,7 +60,11 @@ def manifest_digest(config: tuple, out_dir: Path) -> str:
     plan = FoldPlan.for_graph(
         graph, q, design_option=option, T=T, delta=delta, pipeline_level=level
     )
-    write_run_directory(out_dir, graph, plan, formats)
+    return graph, plan, formats
+
+
+def manifest_digest(config: tuple, out_dir: Path) -> str:
+    write_run_directory(out_dir, *design(config))
     return hashlib.sha256((out_dir / "manifest.json").read_bytes()).hexdigest()
 
 
@@ -75,6 +80,37 @@ def test_golden_table_covers_every_config(golden):
 @pytest.mark.parametrize("config_id", sorted(CONFIGS))
 def test_manifest_digest_unchanged(config_id, golden, tmp_path):
     assert manifest_digest(CONFIGS[config_id], tmp_path / "run") == golden[config_id]
+
+
+# The plan's fields, and q under another name, which only plan.json may
+# hold.
+PLAN_FIELDS = {
+    "q", "F", "units_per_side", "design_option", "T", "delta", "pipeline_level",
+    "register_replication",
+}
+
+
+def _field_names(data) -> set:
+    """The key of every JSON object within parsed ``data``."""
+    if isinstance(data, dict):
+        return set(data).union(*map(_field_names, data.values()))
+    if isinstance(data, list):
+        return set().union(*map(_field_names, data))
+    return set()
+
+
+@pytest.mark.parametrize("config_id", sorted(CONFIGS))
+def test_plan_and_graph_are_stated_once(config_id):
+    files = render_run_files(*design(CONFIGS[config_id]))
+    files["manifest.json"] = emit_manifest_json(files)
+    for name, text in files.items():
+        if not name.endswith(".json"):
+            continue
+        fields = _field_names(json.loads(text))
+        if name != "plan.json":
+            assert not fields & PLAN_FIELDS, name
+        if name != "graph.json":
+            assert "J" not in fields, name
 
 
 def _print_table() -> None:

@@ -30,7 +30,6 @@ from pgfold.schedule import (
     layout_addresses,
     other_side,
     read_cycle,
-    resource_report,
     switch_luts,
     write_schedule,
 )
@@ -67,13 +66,12 @@ def accesses(sequence, slot):
     ]
 
 
-def wires_of(netlist, instance=None):
+def wires_of(netlist, f_units, instance=None):
     """The wires of a ``Netlist`` or of netlist.json's parsed data, or one
-    instance's, as dicts: family (instance, j, delta) stands for the F
-    wires <instance>_w_<m>_<j>, each from port j of out switch m to port j
-    of in switch (m - delta) mod F."""
+    instance's, as dicts: family (instance, j, delta) stands for the F =
+    ``f_units`` wires <instance>_w_<m>_<j>, each from port j of out switch
+    m to port j of in switch (m - delta) mod F."""
     data = netlist if isinstance(netlist, dict) else netlist.to_json_dict()
-    f_units = data["units_per_side"]
     return [
         {
             "name": f"{inst}_w_{m}_{j}",
@@ -90,9 +88,9 @@ def wires_of(netlist, instance=None):
     ]
 
 
-def wire_lookup(netlist):
+def wire_lookup(netlist, f_units):
     """Map (source switch, source port) -> wire."""
-    return {tuple(w["src"]): w for w in wires_of(netlist)}
+    return {tuple(w["src"]): w for w in wires_of(netlist, f_units)}
 
 
 class TestMemoryLayout:
@@ -476,9 +474,9 @@ class TestNetlist:
     def test_wire_counts(self):
         graph, plan = running_example()
         net = build_netlist(graph, plan)
-        assert len(wires_of(net, "row_reads")) == 25
-        assert len(wires_of(net, "col_reads")) == 30
-        assert len(wires_of(net)) == 55
+        assert len(wires_of(net, 5, "row_reads")) == 25
+        assert len(wires_of(net, 5, "col_reads")) == 30
+        assert len(wires_of(net, 5)) == 55
         ann = net.annotations["instances"]
         assert ann["row_reads"] == {
             "rho": 5,
@@ -497,7 +495,7 @@ class TestNetlist:
         graph, plan = running_example()
         net = build_netlist(graph, plan)
         f_units = plan.units_per_side
-        for wire in wires_of(net):
+        for wire in wires_of(net, f_units):
             src_sw, src_port = wire["src"]
             dst_sw, dst_port = wire["dst"]
             assert dst_port == src_port
@@ -509,7 +507,7 @@ class TestNetlist:
         graph, plan = running_example()
         net = build_netlist(graph, plan)
         seen = {}
-        for wire in wires_of(net):
+        for wire in wires_of(net, plan.units_per_side):
             key = tuple(wire["dst"])
             assert key not in seen
             seen[key] = wire
@@ -525,7 +523,7 @@ class TestNetlist:
         # (m - delta) mod F reads on port j.
         graph, plan = running_example(q=q)
         instances = top_port_maps(graph, plan)
-        wires = wires_of(build_netlist(graph, plan))
+        wires = wires_of(build_netlist(graph, plan), plan.units_per_side)
         for wire in wires:
             (src, j), (dst, _) = wire["src"], wire["dst"]
             assert instances[src][1][f"out{j}"] == instances[dst][1][f"in{j}"] == wire["name"]
@@ -550,30 +548,27 @@ class TestNetlist:
     def test_annotations_and_lookup(self):
         graph, plan = running_example()
         net = build_netlist(graph, plan)
-        assert net.annotations["q"] == 3
-        assert net.annotations["register_replication"] == 3
-        wire = wire_lookup(net)[("row_reads_out_0", 0)]
+        assert set(net.annotations) == {"instances"}
+        wire = wire_lookup(net, 5)[("row_reads_out_0", 0)]
         assert wire["dst"] == ["row_reads_in_0", 0]
 
     def test_json_round_shape(self):
         graph, plan = running_example()
         data = build_netlist(graph, plan).to_json_dict()
-        assert data["format_version"] == 2
-        assert data["units_per_side"] == 5
+        assert data["format_version"] == 3
         assert len(data["wire_families"]) == 11
         keys = [(family["instance"], family["port"]) for family in data["wire_families"]]
         assert keys == sorted(set(keys))
-        assert len(wires_of(data)) == 55
+        assert len(wires_of(data, 5)) == 55
 
 
 class TestTiming:
     def test_unpipelined(self):
         graph, plan = running_example(T=2)
         timing = full_timing(graph, plan)
-        assert timing.slots_per_half == 12
+        assert len(timing.read_cycles) == 12
         assert timing.half_length == 24
         assert timing.side_span == 36
-        assert timing.full_iteration == 72
         assert timing.read_cycles[0] == 1
         assert timing.read_cycles[-1] == 23
         assert list(timing.write_cycles) == list(range(24, 36))
@@ -605,7 +600,6 @@ class TestTiming:
         timing = full_timing(graph, plan)
         assert timing.half_length == 28
         assert timing.side_span == 28
-        assert timing.full_iteration == 56
 
     def test_graph_level_golden_degree10(self):
         graph = CirculantBipartiteGraph.plain(21, tuple(range(10)))
@@ -613,7 +607,7 @@ class TestTiming:
             graph, 7, design_option=2, T=1, delta=2, pipeline_level="graph"
         )
         timing = full_timing(graph, plan)
-        assert timing.slots_per_half == 35
+        assert len(timing.read_cycles) == 35
         assert timing.half_length == 39
 
     def test_half_length_ratio_is_fold_factor(self):
@@ -623,42 +617,28 @@ class TestTiming:
             folded = full_timing(graph, FoldPlan.for_graph(graph, q, T=3))
             assert folded.half_length == q * base.half_length
 
-    def test_intervals(self):
+    def test_windows_follow_from_the_cycle_lists(self):
+        # Half h spans [h * side_span, (h + 1) * side_span); its read and
+        # write windows are its base plus the first and last cycle of each
+        # list.
         graph, plan = running_example(T=2)
         timing = full_timing(graph, plan)
-        table = {name: (start, end) for name, start, end in timing.intervals}
-        assert table["row_half"] == (0, 36)
-        assert table["col_half"] == (36, 72)
-        assert table["row_read_window"] == (1, 24)
-        assert table["row_write_window"] == (24, 36)
-        out_win = table["row_reads_out_switch_enable"]
-        in_win = table["row_reads_in_switch_enable"]
-        assert in_win == (out_win[0] + 1, out_win[1] + 1)
+        reads, writes = timing.read_cycles, timing.write_cycles
+        assert [h * timing.side_span for h in (0, 1, 2)] == [0, 36, 72]
+        assert (reads[0], reads[-1] + 1) == (1, 24)
+        assert (writes[0], writes[-1] + 1) == (24, 36)
+        assert timing.side_span + reads[0] == 37
 
     def test_serialization(self):
         graph, plan = running_example()
         data = full_timing(graph, plan).to_json_dict()
-        assert data["pipeline_level"] == "none"
-        assert len(data["read_cycles"]) == 12
-        assert data["intervals"][0] == {"name": "row_half", "start": 0, "end": 24}
-
-
-class TestResourceReport:
-    def test_folded(self):
-        graph, plan = running_example()
-        report = resource_report(graph, plan)
-        assert report["fold_factor"] == 3
-        assert report["units_per_side"] == 5
-        assert report["multiplexer_sets_avoided"] == 2
-        assert report["wiring_factor_avoided"] == 3
-        assert report["fold_select_control_avoided"] is True
-
-    def test_unfolded(self):
-        graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
-        plan = FoldPlan.for_graph(graph, 1)
-        report = resource_report(graph, plan)
-        assert report["multiplexer_sets_avoided"] == 0
-        assert report["fold_select_control_avoided"] is False
+        assert data == {
+            "format_version": 2,
+            "half_length": 12,
+            "side_span": 24,
+            "read_cycles": list(range(12)),
+            "write_cycles": list(range(12, 24)),
+        }
 
 
 @st.composite

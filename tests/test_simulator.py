@@ -8,7 +8,7 @@ import random
 import re
 import shutil
 import tracemalloc
-from itertools import accumulate, chain
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -132,7 +132,7 @@ class TestRunningExample:
             "col": timing["half_length"],
         }
         assert report.measured_half["row"] == 12
-        assert report.measured_full == timing["full_iteration"] == 48
+        assert report.measured_full == 2 * timing["side_span"] == 48
 
     def test_dataflow_equivalence(self, base_run):
         report = simulate(base_run)
@@ -546,12 +546,6 @@ class TestLoadErrors:
                 30,
                 "netlist.json:row_reads:wire_count 30 is not F × families = 5 × 5",
             ),
-            (
-                "netlist.json",
-                ("units_per_side",),
-                99,
-                "netlist.json: units_per_side 99 disagrees with plan.json's 5",
-            ),
         ],
     )
     def test_json_entry_rejected_with_locus(self, scratch_run, capsys, name, path, value, locus):
@@ -659,28 +653,60 @@ class TestFileSource:
     @given(render_designs())
     def test_random_design_replays_end_to_end(self, design):
         render = LookedUp(render_run_files(*design))
-        report = simulate(render, 2)
-        assert report.ok, summarize(report)
-        assert check_dataflow_equivalence(report, render) == {"ok": True, "failures": []}
-        # Every emitted file but these is read by the replay or the
+        keys = {}  # JSON file -> the top-level keys looked up in it
+        parse = simulator._parse_json
+
+        def parse_recorded(name, text):
+            data = parse(name, text)
+            return LookedUp(data, keys.setdefault(name, set())) if isinstance(data, dict) else data
+
+        with mock.patch.object(simulator, "_parse_json", parse_recorded):
+            report = simulate(render, 2)
+            assert report.ok, summarize(report)
+            assert check_dataflow_equivalence(report, render) == {"ok": True, "failures": []}
+        # Every emitted file but this is read by the replay or the
         # dataflow check.
-        assert render.keys() - render.names == {
-            "read_counter_params.json",
-            "resource_report.json",
-            "hdl/top.vhd",
+        assert render.keys() - render.names == {"hdl/top.vhd"}
+        # And every top-level field of a JSON file but these.
+        unread = {
+            (name.removesuffix(".json"), key)
+            for name in render
+            if name.endswith(".json")
+            for key in json.loads(render[name]).keys() - keys[name]
         }
+        assert unread == UNREAD_JSON_FIELDS
 
 
 class LookedUp(dict):
-    """A render that records the names of the files looked up in it."""
+    """A mapping that records the keys looked up in it: the names of the
+    files of a render, or the fields of a parsed JSON object."""
 
-    def __init__(self, files):
-        super().__init__(files)
-        self.names = set()
+    def __init__(self, data, names=None):
+        super().__init__(data)
+        self.names = set() if names is None else names
 
     def __getitem__(self, name):
         self.names.add(name)
         return super().__getitem__(name)
+
+    def get(self, name, default=None):
+        self.names.add(name)
+        return super().get(name, default)
+
+
+# The top-level fields of the emitted JSON files that neither the replay
+# nor the dataflow check looks up.  The replay takes its timing from
+# timing.json's cycle lists, not from plan.json's T, delta and option.
+UNREAD_JSON_FIELDS = {
+    *(
+        (name, "format_version")
+        for name in ("graph", "plan", "fold_row", "fold_col", "layout", "netlist", "timing")
+    ),
+    *(("graph", key) for key in ("gamma", "dummy_offset_padded")),
+    *(("plan", key) for key in ("design_option", "T", "delta")),
+    ("timing", "half_length"),
+    *(("layout", key) for key in ("pattern_count", "bin_count", "bin_size", "reserved_addresses")),
+}
 
 
 @pytest.fixture(scope="module")
@@ -705,13 +731,12 @@ JSON_FIELDS = [
     *(
         (f"fold_{side}.json", (key,), kind)
         for side in ("row", "col")
-        for key, kind in (("F", "int"), ("patterns", "list"), ("slots", "pairs"))
+        for key, kind in (("patterns", "list"), ("slots", "pairs"))
     ),
     *(
         ("netlist.json", ("annotations", "instances", instance, "rho_hat"), "int")
         for instance in ("row_reads", "col_reads")
     ),
-    ("netlist.json", ("units_per_side",), "int"),
     *(
         ("netlist.json", ("annotations", "instances", instance, key), "int")
         for instance in ("row_reads", "col_reads")
@@ -1301,47 +1326,6 @@ class TestDecodedMessages:
         text = "\n".join(edit(header, rows)) + "\n"
         assert text != render15[name]
         assert simulate({**render15, name: text}).file_mismatches == mismatches
-
-
-class TestTracePieces:
-    """An access trace file given as pieces, cut anywhere, has the verdict
-    and the message of its whole text, whether it is the observed runs'
-    own rendering or is parsed and compared as a multiset."""
-
-    @pytest.fixture(scope="class")
-    def compiled15(self, render15):
-        _, _, trace, observed = simulator._compile(simulator._load(render15))
-        return trace, observed["row"]
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        kind=st.sampled_from(["same", "changed", "dropped", "extra"]),
-        data=st.data(),
-    )
-    def test_pieces_have_the_verdict_of_the_whole_text(self, render15, compiled15, kind, data):
-        trace, observed = compiled15
-        name = "access_trace_row.csv"
-        header, *rows = render15[name].splitlines(keepends=True)
-        index = data.draw(st.integers(0, len(rows) - 1), label="row")
-        if kind == "changed":
-            rows[index] = rows[index][:-2] + "RW"[rows[index][-2] == "R"] + "\n"
-        elif kind == "dropped":
-            del rows[index]
-        elif kind == "extra":
-            at = st.integers(0, len(rows)) | st.just(len(rows))
-            rows.insert(data.draw(at, label="at"), rows[index])
-        text = "".join([header, *rows])
-        # Cut anywhere, and often at line ends, the last line's start above all.
-        ends = st.sampled_from(list(accumulate(map(len, [header, *rows]))))
-        ends |= st.just(len(text) - len(rows[-1]))
-        cuts = data.draw(st.lists(st.integers(0, len(text)) | ends, max_size=12), label="cuts")
-        bounds = [0, *sorted(cuts), len(text)]
-        pieces = [text[a:b] for a, b in zip(bounds, bounds[1:])]
-        # The text is the runs' own rendering exactly when it is unedited.
-        assert (trace.render(sorted(chain(*observed))) == text) == (kind == "same")
-        whole = simulator._check_trace({name: text}, "row", trace, observed)
-        assert (whole is None) == (kind == "same")
-        assert simulator._check_trace({name: pieces}, "row", trace, observed) == whole
 
 
 def _int_leaves(data, path=()):
