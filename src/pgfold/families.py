@@ -1,10 +1,22 @@
-"""The replay's reader of netlist.json's wire families; only the replay
-imports it, so commands that replay nothing do not compile it."""
+"""The replay's readers of netlist.json's wire families, of the write
+LUTs' runs and of the ROM package hdl/folded_luts.vhd; only the replay
+imports them, so commands that replay nothing do not compile them."""
 
 from __future__ import annotations
 
+import re
+from array import array
+from collections.abc import Mapping
+
 from .circulant import json_value
-from .simulator import _INSTANCES, SimulationStructureError, _field, _json_list, _outside
+from .simulator import (
+    _INSTANCES,
+    SimulationStructureError,
+    _field,
+    _json_list,
+    _outside,
+    _read_csv,
+)
 
 
 def read_netlist(
@@ -63,3 +75,111 @@ def read_netlist(
             )
     invalid = {instance: rho_hat for instance, (_, rho_hat, _) in sizes.items()}
     return invalid, offsets
+
+
+def read_write_lut(
+    files: Mapping[str, str],
+    side: str,
+    slots: list[tuple[int, int]],
+    units: int,
+    capacity: int,
+    real_order: int,
+    hdl: bool,
+) -> tuple[list[array], array | None]:
+    """Per slot, the runs of write_lut_<side>.csv that real producers make,
+    as a column of (port, first unit, stop unit, address) in file order,
+    and, with ``hdl``, the address column the ROM package mirrors.  A row
+    (slot, pmu, units, port, address) stands for units pmu to pmu + units
+    - 1 writing ``address`` on ``port`` in ``slot``; unit m of fold k is a
+    real producer when k · F + m < real J.  The ROM holds an address per
+    unit, slot and port, unit by unit, -1 where no run writes."""
+    name = f"write_lut_{side}.csv"
+    slot_count, stride = len(slots), 2 * len(slots)
+    real = [max(0, min(units, real_order - k * units)) for _, k in slots]
+    by_slot = [array("q") for _ in slots]
+    addresses = array("q", [-1]) * (units * stride) if hdl else None
+    columns = ("slot", "pmu", "units", "port", "address")
+    for line, (slot, pmu, count, port, address) in _read_csv(files, name, columns):
+        _outside(name, line, "slot", slot, 0, slot_count)
+        _outside(name, line, "port", port, 0, 2)
+        _outside(name, line, "pmu", pmu, 0, units)
+        _outside(name, line, "units", count, 1, units - pmu + 1)
+        if not 0 <= address < capacity:
+            bounds = f"address {address} outside capacity {capacity}"
+            raise SimulationStructureError(f"{name}:{line}:{bounds}")
+        if addresses is not None:
+            start = pmu * stride + 2 * slot + port
+            addresses[start : start + count * stride : stride] = array("q", [address]) * count
+        stop = min(pmu + count, real[slot])
+        if pmu < stop:
+            by_slot[slot].extend((port, pmu, stop, address))
+    return by_slot, addresses
+
+
+# The ROM package of a run with HDL: one integer array per LUT file
+_ROM_FILE = "hdl/folded_luts.vhd"
+_ROM_NAMES = ("write_lut_row", "write_lut_col") + tuple(
+    f"lut_{instance}_{kind}_port{b}"
+    for instance in _INSTANCES
+    for kind in ("out", "in")
+    for b in (0, 1)
+)
+_ROM_CONSTANT = re.compile(r"\bCONSTANT\s+(\w+)([^;]*);")
+_ROM_DECLARATION = re.compile(
+    r"\s*:\s*integer_rom\(0 TO (\d+)\)\s*:=\s*\((?:\s*0\s*=>)?(.*)\)\s*", re.DOTALL
+)
+_ROM_VALUE = re.compile(r"-?\d{1,18}")
+
+
+def read_roms(files: Mapping[str, str]) -> dict[str, array] | None:
+    """The arrays of the ROM package by name, or None for a run without
+    HDL.  Each must read ``CONSTANT <name> : integer_rom(0 TO <n - 1>) :=
+    (<n integers>);``, with ``(0 => <integer>)`` for one integer.  A
+    missing package, a constant that does not parse or holds another
+    count, and a missing or unknown name raise SimulationStructureError."""
+    if not any(name.startswith("hdl/") for name in files):
+        return None
+    if _ROM_FILE not in files:
+        raise SimulationStructureError(f"{_ROM_FILE}: absent, but the run has hdl/ files")
+    roms = {}
+    for match in _ROM_CONSTANT.finditer(files[_ROM_FILE]):
+        name, declaration = match.groups()
+        where = f"{_ROM_FILE}: constant {name}"
+        parsed = _ROM_DECLARATION.fullmatch(declaration)
+        if parsed is None:
+            raise SimulationStructureError(f"{where} is not an integer_rom(0 TO n) aggregate")
+        if name not in _ROM_NAMES or name in roms:
+            raise SimulationStructureError(f"{where} is not one LUT of the run")
+        top = int(parsed[1])
+        values = array("q")
+        for index, cell in enumerate(parsed[2].split(",")):
+            if _ROM_VALUE.fullmatch(cell.strip()) is None:
+                raise SimulationStructureError(
+                    f"{where}({index}) {cell.strip()!r} is not an integer"
+                )
+            values.append(int(cell))
+        if len(values) != top + 1:
+            raise SimulationStructureError(
+                f"{where} declares {top + 1} values but holds {len(values)}"
+            )
+        roms[name] = values
+    for name in _ROM_NAMES:
+        if name not in roms:
+            raise SimulationStructureError(f"{_ROM_FILE}: constant {name} missing")
+    return roms
+
+
+def rom_mismatch(roms: dict[str, array], name: str, twin: str, values) -> list[str]:
+    """ROM array ``name`` against ``values``, the column ``twin`` of its
+    LUT file: one message for any difference, naming the first."""
+    rom = roms[name]
+    if len(rom) != len(values):
+        return [f"{_ROM_FILE}: {name} holds {len(rom)} values, {twin} {len(values)}"]
+    differ = [index for index, (a, b) in enumerate(zip(rom, values)) if a != b]
+    if not differ:
+        return []
+    index = differ[0]
+    return [
+        f"{_ROM_FILE}: {name}({index}) = {rom[index]}, but {twin}({index}) = "
+        f"{values[index]} ({len(differ)} of {len(rom)} values differ)"
+    ]

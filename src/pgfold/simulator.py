@@ -18,27 +18,25 @@ consumer and rank prescribe.
 Load reads each file once and names the file, row and field of any
 fault.  netlist.json lists one wire family per switch port code of an
 instance: the F wires from each out switch m to in switch (m - delta)
-mod F, delta the family's folded offset, so each wire's destination and
-id are computed from its out switch and code (``families`` checks each
-family and the annotations they determine).  Each write LUT row is a run
-of units writing one address, expanded into codes by integer arithmetic;
-which producers are real follows from graph.json's real J.  With HDL,
-each array of hdl/folded_luts.vhd is compared integer by integer with
-the LUT file column it is named after, the write LUTs' runs expanded;
-hdl/top.vhd is not read.  Compile turns each half into a plan: the
-resource ids each slot claims, the cell that feeds each unit-side switch
-port, and the cell, expected key and rank of each real delivery.
-Resource ids are computed, not tabulated, and every per-event fact
-(claim id, write, token, delivery, memory access) is one entry of an
-``array('q')`` column, or of a 32-bit one for claim ids that fit, so the
-plan holds no object per event.  The first iteration's traffic depends
-on the plan alone and is compared with each side's access trace file
-before the replay: a file whose text is the runs of the sorted access
-codes, rendered, holds exactly the observed accesses; any other is
-parsed, its runs expanded, and compared as a multiset.  Replay runs
-every half of every iteration at its absolute cycles; messages are
-decoded from ids and tokens only for a conflict, a misroute or a trace
-mismatch.
+mod F.  Each write LUT row is a run of units writing one address; which
+producers are real follows from graph.json's real J.  With HDL, each
+array of hdl/folded_luts.vhd is compared integer by integer with the LUT
+file column it is named after; hdl/top.vhd is not read.  ``families``
+reads the wire families, the write LUTs and the ROM package.
+
+Compile turns each half into a plan, run by run and pattern by pattern:
+a write run's tokens, cells and claimed memory ports are arithmetic in
+the unit, and the units that drive a wire family form at most two ranges,
+so the tokens, the deliveries (cell, expected key, rank) and the access
+runs of the first iteration's trace are filled from ranges into
+``array('q')`` columns.  A half's claims are checked against one another
+once, as unit ranges; only those at a cycle where they conflict, or that
+another half can reach, are claimed again in every iteration, as id
+columns.  The access trace files are compared with the observed runs
+before the replay: a file whose text is their rendering holds exactly
+the observed accesses; any other is parsed and compared as a multiset.
+Messages are decoded from ids and tokens only for a conflict, a misroute
+or a trace mismatch.
 
 What each consumer received is kept as a loss census: the report keeps
 each side's compiled deliveries once, as columns, and per iteration only
@@ -56,8 +54,8 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Set
 from dataclasses import dataclass, field
-from itertools import chain, count, islice
-from operator import itemgetter, le
+from itertools import chain, compress, count, cycle, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 
 from .circulant import json_int, json_ints, json_value
@@ -225,8 +223,8 @@ class _Inputs:
     invalid: dict[str, int]
     # Per instance, port code -> the folded offset of its wire family
     wire_offsets: dict[str, dict[int, int]]
-    # Per side, per slot, the real producers' writes by unit and port as a
-    # column, each (pmu · capacity + address) · 2 + port
+    # Per side, per slot, the real producers' write runs (port, first unit,
+    # stop unit, address) as one column
     writes: dict[str, list[array]]
     reader_offsets: dict[str, list[int]]
     # Where hdl/folded_luts.vhd disagrees with the LUT files it mirrors
@@ -271,15 +269,25 @@ def _reader_offsets(order: int, base_offsets: tuple[int, ...]) -> dict[str, list
     return {"row": list(base_offsets), "col": sorted((-d) % order for d in base_offsets)}
 
 
-def _is_real_edge(
-    real_order: int, real_offsets: Set[int], side: str, consumer: int, producer: int
-) -> bool:
-    """Is the edge between a ``side`` consumer and its producer one of the
-    unexpanded graph's?"""
-    row, col = (consumer, producer) if side == "row" else (producer, consumer)
-    if row >= real_order or col >= real_order:
-        return False
-    return (col - row) % real_order in real_offsets
+def _real_masks(
+    order: int, real_order: int, real_offsets: Set[int], side: str, offsets: list[int]
+) -> list[bytearray]:
+    """Per reader offset d, whether the edge of each ``side`` consumer c in
+    [0, real J) to producer (c + d) mod J is one of the unexpanded graph's.
+    Both ends must lie below real J, and col - row mod real J must be a
+    real offset; that difference is the same for every consumer until the
+    producer wraps past J, so each mask is filled run by run."""
+    masks, sign = [], 1 if side == "row" else -1
+    for d in offsets:
+        masks.append(bytearray(real_order))
+        first, producer = 0, d % order
+        while first < real_order:
+            wrap = min(real_order, first + order - producer)
+            end = min(wrap, first + real_order - producer)
+            if first < end and (producer - first) * sign % real_order in real_offsets:
+                masks[-1][first:end] = b"\x01" * (end - first)
+            first, producer = wrap, 0
+    return masks
 
 
 def _load(files: Mapping[str, str]) -> _Inputs:
@@ -337,12 +345,12 @@ def _load(files: Mapping[str, str]) -> _Inputs:
             )
     ranks = len(base_offsets)
     # Imported here, so that commands that replay nothing do not compile it.
-    from .families import read_netlist
+    from .families import read_netlist, read_roms, read_write_lut, rom_mismatch
 
     invalid, wire_offsets = read_netlist(netlist, units)
     out_rows = {}
     in_rows = {}
-    roms = _read_roms(files)
+    roms = read_roms(files)
     rom_mismatches = []
     for instance in _INSTANCES:
         for kind, store in (("out", out_rows), ("in", in_rows)):
@@ -365,7 +373,7 @@ def _load(files: Mapping[str, str]) -> _Inputs:
             store[instance] = [(port0, port1) for _, (_, port0, port1) in records]
             if roms is not None:
                 for b in (0, 1):
-                    rom_mismatches += _rom_mismatch(
+                    rom_mismatches += rom_mismatch(
                         roms,
                         f"lut_{instance}_{kind}_port{b}",
                         f"{name} port{b}",
@@ -393,10 +401,12 @@ def _load(files: Mapping[str, str]) -> _Inputs:
         )
     writes = {}
     for side in ("row", "col"):
-        writes[side], mismatches = _read_write_lut(
-            files, side, slots[side], units, capacity, real_order, roms
+        writes[side], addresses = read_write_lut(
+            files, side, slots[side], units, capacity, real_order, roms is not None
         )
-        rom_mismatches += mismatches
+        if roms is not None:
+            name = f"write_lut_{side}"
+            rom_mismatches += rom_mismatch(roms, name, f"{name}.csv address", addresses)
     return _Inputs(
         order=order,
         real_order=real_order,
@@ -416,132 +426,6 @@ def _load(files: Mapping[str, str]) -> _Inputs:
         reader_offsets=_reader_offsets(order, base_offsets),
         rom_mismatches=rom_mismatches,
     )
-
-
-def _read_write_lut(
-    files: Mapping[str, str],
-    side: str,
-    slots: list[tuple[int, int]],
-    units: int,
-    capacity: int,
-    real_order: int,
-    roms: dict[str, array] | None,
-) -> tuple[list[array], list[str]]:
-    """Per slot, the real producers' writes of write_lut_<side>.csv as a
-    column of codes (pmu · capacity + address) · 2 + port, by unit and
-    port, and where ``roms`` disagrees with the runs' addresses.  A row
-    (slot, pmu, units, port, address) stands for units pmu to pmu + units
-    - 1 writing ``address`` on ``port`` in ``slot``; unit m of fold k is a
-    real producer when k · F + m < real J.  The ROM holds an address per
-    unit, slot and port, unit by unit, compared as -1 where no run writes."""
-    name = f"write_lut_{side}.csv"
-    slot_count, step, stride = len(slots), 2 * capacity, 2 * len(slots)
-    # Each slot's writes at their places 2 · unit + port, -1 where none
-    by_slot = [
-        array("q", [-1]) * (2 * max(0, min(units, real_order - k * units))) for _, k in slots
-    ]
-    placed = [0] * slot_count
-    addresses = array("q", [-1]) * (units * stride) if roms is not None else None
-    columns = ("slot", "pmu", "units", "port", "address")
-    for line, (slot, pmu, count, port, address) in _read_csv(files, name, columns):
-        _outside(name, line, "slot", slot, 0, slot_count)
-        _outside(name, line, "port", port, 0, 2)
-        _outside(name, line, "pmu", pmu, 0, units)
-        _outside(name, line, "units", count, 1, units - pmu + 1)
-        if not 0 <= address < capacity:
-            bounds = f"address {address} outside capacity {capacity}"
-            raise SimulationStructureError(f"{name}:{line}:{bounds}")
-        if addresses is not None:
-            start = pmu * stride + 2 * slot + port
-            addresses[start : start + count * stride : stride] = array("q", [address]) * count
-        stop = min(pmu + count, len(by_slot[slot]) // 2)
-        if pmu < stop:
-            code = (pmu * capacity + address) * 2 + port
-            writes = range(code, code + (stop - pmu) * step, step)
-            by_slot[slot][2 * pmu + port : 2 * stop : 2] = array("q", writes)
-            placed[slot] += stop - pmu
-    # A slot whose runs leave a place empty or fill one twice has its
-    # writes read again and sorted by place.
-    places = {s: [] for s, writes in enumerate(by_slot) if placed[s] > len(writes) or -1 in writes}
-    if places:
-        for _, (slot, pmu, count, port, address) in _read_csv(files, name, columns):
-            stop = min(pmu + count, len(by_slot[slot]) // 2) if slot in places else pmu
-            for unit in range(pmu, stop):
-                places[slot].append((2 * unit + port, (unit * capacity + address) * 2 + port))
-        for slot, writes in places.items():
-            by_slot[slot] = array("q", map(itemgetter(1), sorted(writes)))
-    if roms is None:
-        return by_slot, []
-    return by_slot, _rom_mismatch(roms, f"write_lut_{side}", f"{name} address", addresses)
-
-
-# The ROM package of a run with HDL: one integer array per LUT file
-_ROM_FILE = "hdl/folded_luts.vhd"
-_ROM_NAMES = ("write_lut_row", "write_lut_col") + tuple(
-    f"lut_{instance}_{kind}_port{b}"
-    for instance in _INSTANCES
-    for kind in ("out", "in")
-    for b in (0, 1)
-)
-_ROM_CONSTANT = re.compile(r"\bCONSTANT\s+(\w+)([^;]*);")
-_ROM_DECLARATION = re.compile(
-    r"\s*:\s*integer_rom\(0 TO (\d+)\)\s*:=\s*\((?:\s*0\s*=>)?(.*)\)\s*", re.DOTALL
-)
-_ROM_VALUE = re.compile(r"-?\d{1,18}")
-
-
-def _read_roms(files: Mapping[str, str]) -> dict[str, array] | None:
-    """The arrays of the ROM package by name, or None for a run without
-    HDL.  Each must read ``CONSTANT <name> : integer_rom(0 TO <n - 1>) :=
-    (<n integers>);``, with ``(0 => <integer>)`` for one integer.  A
-    missing package, a constant that does not parse or holds another
-    count, and a missing or unknown name raise SimulationStructureError."""
-    if not any(name.startswith("hdl/") for name in files):
-        return None
-    if _ROM_FILE not in files:
-        raise SimulationStructureError(f"{_ROM_FILE}: absent, but the run has hdl/ files")
-    roms = {}
-    for match in _ROM_CONSTANT.finditer(files[_ROM_FILE]):
-        name, declaration = match.groups()
-        where = f"{_ROM_FILE}: constant {name}"
-        parsed = _ROM_DECLARATION.fullmatch(declaration)
-        if parsed is None:
-            raise SimulationStructureError(f"{where} is not an integer_rom(0 TO n) aggregate")
-        if name not in _ROM_NAMES or name in roms:
-            raise SimulationStructureError(f"{where} is not one LUT of the run")
-        top = int(parsed[1])
-        values = array("q")
-        for index, cell in enumerate(parsed[2].split(",")):
-            if _ROM_VALUE.fullmatch(cell.strip()) is None:
-                raise SimulationStructureError(
-                    f"{where}({index}) {cell.strip()!r} is not an integer"
-                )
-            values.append(int(cell))
-        if len(values) != top + 1:
-            raise SimulationStructureError(
-                f"{where} declares {top + 1} values but holds {len(values)}"
-            )
-        roms[name] = values
-    for name in _ROM_NAMES:
-        if name not in roms:
-            raise SimulationStructureError(f"{_ROM_FILE}: constant {name} missing")
-    return roms
-
-
-def _rom_mismatch(roms: dict[str, array], name: str, twin: str, values) -> list[str]:
-    """ROM array ``name`` against ``values``, the column ``twin`` of its
-    LUT file: one message for any difference, naming the first."""
-    rom = roms[name]
-    if len(rom) != len(values):
-        return [f"{_ROM_FILE}: {name} holds {len(rom)} values, {twin} {len(values)}"]
-    differ = [index for index, (a, b) in enumerate(zip(rom, values)) if a != b]
-    if not differ:
-        return []
-    index = differ[0]
-    return [
-        f"{_ROM_FILE}: {name}({index}) = {rom[index]}, but {twin}({index}) = "
-        f"{values[index]} ({len(differ)} of {len(rom)} values differ)"
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -675,16 +559,10 @@ class _Resources:
                         f"{low + width - 1} are too many to replay"
                     )
 
-    def port(self, side: str, pmu: int, port: int) -> int:
-        return self.port_base + ((side == "col") * self.units + pmu) * 2 + port
-
-    def switch(self, instance: str, direction: str, unit: int, code: int) -> int:
-        """The id of port ``code`` of switch ``unit``, or -1 when the
-        switch table holds no such code."""
-        base, low, width = self.switches[(instance, direction)]
-        if not low <= code < low + width:
-            return -1
-        return base + unit * width + code - low
+    def ports(self, side: str) -> int:
+        """The id of port 0 of ``side``'s memory unit 0; port b of unit m
+        adds 2 · m + b."""
+        return self.port_base + (side == "col") * 2 * self.units
 
     def conflict(self, rid: int, cycle: int) -> str:
         if rid < self.port_base:
@@ -710,14 +588,13 @@ class _Resources:
 
 class _Trace:
     """Codes an access (cycle, pmu, port, address, rw) as one integer, so
-    that a trace is a column of integers, and the codes' order is the
-    accesses' order by cycle, port, address, rw and pmu.  The unit is the
-    last digit, so units pmu, pmu + 1, ... making one access have
-    consecutive codes: a run, which is one row of a trace file.  Accesses
-    with a pmu in [0, units), port 0 or 1, an address in [0, span) and rw
-    "R" or "W" have a code, which covers every access the replay makes; no
-    other access does.  The compile codes its own accesses inline,
-    unchecked."""
+    that the codes' order is the accesses' order by cycle, port, address,
+    rw and pmu.  The unit is the last digit, so units pmu, pmu + 1, ...
+    making one access have consecutive codes: a run, which is one row of a
+    trace file, and which the compile keeps as one integer, first code ·
+    (units + 1) + units.  Accesses with a pmu in [0, units), port 0 or 1,
+    an address in [0, span) and rw "R" or "W" have a code, which covers
+    every access the replay makes; no other access does."""
 
     HEADER = "cycle,pmu,units,port,address,rw\n"
 
@@ -742,19 +619,19 @@ class _Trace:
         cycle, port = divmod(code, 2)
         return cycle, pmu, port, address, "RW"[write]
 
-    def render(self, codes: Iterable[int]) -> str:
-        """The trace file of ``codes``, in code order: the header, then one
-        row (cycle, pmu, units, port, address, rw) per maximal run."""
+    def render(self, runs: Iterable[int]) -> str:
+        """The trace file of the sorted ``runs``: the header, then one row
+        (cycle, pmu, units, port, address, rw) per maximal run."""
         lines, units = [self.HEADER], self.units
         first = last = None
-        for code in chain(codes, [None]):
+        for start, length in chain(map(divmod, runs, repeat(units + 1)), [(None, 0)]):
             if first is not None:
-                if code == last + 1 and code % units:
-                    last = code
+                if start == last and start % units:
+                    last += length
                     continue
                 cycle, pmu, port, address, rw = self.row(first)
-                lines.append(f"{cycle},{pmu},{last - first + 1},{port},{address},{rw}\n")
-            first = last = code
+                lines.append(f"{cycle},{pmu},{last - first},{port},{address},{rw}\n")
+            first, last = start, (start or 0) + length
         return "".join(lines)
 
 
@@ -764,17 +641,17 @@ def _column() -> array:
 
 @dataclass
 class _Half:
-    """One side's read half and write half, compiled once from the files.
+    """One side's read half and write half, compiled once from the files,
+    run by run and pattern by pattern.
 
-    Claims are (cycle offset from the half's base, resource ids, ids all
-    distinct, lowest id, highest id) in event order.  A cell indexes the
-    flat memory of a side: one entry per (unit, address) that side's write
-    LUT fills and a read can reach, plus a last entry that is never
-    written.  A token is one integer, (producer · J + consumer) · ranks +
-    edge rank, and -1 stands
-    for no token: a delivery to consumer c from producer p expects a token
-    whose // ranks is its key p · J + c.  Claim ids (32-bit where they fit),
-    deliveries and tokens are columns, so the plan holds no object per event.
+    A cell indexes the flat memory of a side, pmu · depth + address, then a
+    blank cell that is never written.  A token is one integer, (producer ·
+    J + consumer) · ranks + edge rank, and -1 stands for no token: a
+    delivery to consumer c from producer p expects a token whose // ranks
+    is its key p · J + c.  Deliveries and tokens are columns.  Claims are
+    (cycle offset from the half's base, ids, ids all distinct, lowest id,
+    highest id), 32-bit ids where they fit, and only those that the replay
+    must claim in every iteration.
     """
 
     reading: str
@@ -790,9 +667,12 @@ class _Half:
     busy: int = 0
     port_reads: int = 0
     write_claims: list[tuple[int, array, bool, int, int]] = field(default_factory=list)
-    # The token each written cell of the reading side's memory holds after
-    # the write half (its last write); -1 for the sentinel rank's filler.
+    # The token each cell of the reading side's memory holds after the
+    # write half (its last write), -1 for none or the sentinel rank's filler
     tokens: array = field(default_factory=_column)
+    # The producing half's tokens, and what the deliveries lose reading them
+    source: array = field(default_factory=_column)
+    arrived: tuple | None = None
 
 
 def _ids(ids: list[int]) -> tuple[array, bool, int, int]:
@@ -804,179 +684,220 @@ def _ids(ids: list[int]) -> tuple[array, bool, int, int]:
     return array(typecode, ids), len(unique) == len(ids), low, high
 
 
-def _compile(inputs: _Inputs) -> tuple[dict[str, _Half], _Resources, _Trace, dict[str, tuple]]:
+def _interleave(first, second):
+    """The entries of the equally long arrays ``first`` and ``second`` in turn."""
+    merged = first * 2
+    merged[::2], merged[1::2] = first, second
+    return merged
+
+
+def _compile(inputs: _Inputs) -> tuple[dict[str, _Half], _Resources, _Trace, dict[str, list]]:
     """Both halves, their resource ids, and the first iteration's access
-    trace of each side's memory as access codes: the row half's, then the
-    col half's, each slot's in code order."""
+    runs of each side's memory."""
     resources = _Resources(inputs)
-    ranks = len(inputs.reader_offsets["row"])
     slot_count = len(inputs.slots["row"])
     trace = _Trace(inputs.units, max(inputs.capacity, 2 * slot_count))
     # A memory's cells are indexed by pmu · depth + address: the reads
     # address [0, 2 · slots), and only below the capacity, so a cell at or
     # past the depth is never read and is not kept.
     depth = max(0, min(inputs.capacity, 2 * slot_count))
-    # memory side -> the codes of the row half's and the col half's accesses
-    observed = {side: (array("q"), array("q")) for side in ("row", "col")}
+    observed: dict[str, list] = {"row": [], "col": []}
+    ranks = len(inputs.reader_offsets["row"])
     halves = {side: _Half(side, other, inputs.order, ranks) for side, other in _SIDES.items()}
-    cell_index = {}
-    for half_index, (side, half) in enumerate(halves.items()):
-        rel_base, seen = half_index * inputs.side_span, observed[side][half_index]
-        cell_index[side] = _compile_writes(inputs, half, rel_base, depth, resources, trace, seen)
+    # Each claim of either half lies in [low, high] of its base.
+    cycles = inputs.read_cycles + inputs.write_cycles
+    high = max(max(cycles, default=0), max(inputs.read_cycles, default=-1) + 1)
+    reach = min(cycles, default=0), high, abs(inputs.side_span)
     for half_index, half in enumerate(halves.values()):
-        rel_base, seen = half_index * inputs.side_span, observed[half.producing][half_index]
-        index, blank = cell_index[half.producing], len(halves[half.producing].tokens)
-        _compile_reads(inputs, half, rel_base, index, depth, blank, resources, trace, seen)
-    del cell_index, index
+        rel_base = half_index * inputs.side_span
+        writes = _compile_writes(inputs, half, rel_base, depth, trace, observed)
+        reads = _compile_reads(inputs, half, rel_base, depth, trace, observed)
+        _keep_claims(half, reads, writes, resources, reach)
+    for half in halves.values():
+        half.source = halves[half.producing].tokens
     return halves, resources, trace, observed
 
 
 def _compile_writes(
-    inputs: _Inputs,
-    half: _Half,
-    rel_base: int,
-    depth: int,
-    resources: _Resources,
-    trace: _Trace,
-    seen: array,
-) -> array:
-    """Fill the write half, each slot's access codes into ``seen`` sorted;
-    return the side's cell of each pmu · depth + address, or -1."""
-    units, order, capacity = inputs.units, inputs.order, inputs.capacity
-    width, span = trace.units, trace.span
-    offsets = inputs.reader_offsets[half.reading]
-    index = array("q", [-1]) * (max(units, 0) * depth)
-    tokens = half.tokens
-    for slot, writes in enumerate(inputs.writes.pop(half.reading)):  # read once
-        if not writes:
-            continue
-        l, k = inputs.slots[half.reading][slot]
-        cycle = inputs.write_cycles[slot]
-        top = (rel_base + cycle) * 2
-        group, codes = [], []
-        for write in writes:
-            place, port = divmod(write, 2)
-            pmu, address = divmod(place, capacity)
-            producer = k * units + pmu
-            t = 2 * l + port
-            token = -1  # sentinel: reserved-cell filler
-            if t < half.ranks:
+    inputs: _Inputs, half: _Half, rel_base: int, depth: int, trace: _Trace, observed: dict
+) -> list[tuple]:
+    """Fill the write half's tokens run by run, each run's accesses into
+    ``observed``; return each writing slot's (offset, runs, whether two of
+    its runs write one place)."""
+    units, order, ranks, width = inputs.units, inputs.order, half.ranks, trace.units
+    offsets, slots = inputs.reader_offsets[half.reading], inputs.slots[half.reading]
+    step = (order + 1) * ranks
+    half.tokens = tokens = array("q", [-1]) * (units * depth + 1)
+    seen, claims = observed[half.reading], []
+    for slot, runs in enumerate(inputs.writes.pop(half.reading)):  # read once
+        (l, k), cycle, last, clash = slots[slot], inputs.write_cycles[slot], (-1, 0), False
+        # By port, then unit: where a unit's two ports write one cell, the
+        # token of port 1 is the last, and runs on one port that overlap
+        # claim a memory port twice.
+        for port, pmu, stop, address in sorted(zip(*[iter(runs)] * 4)):
+            clash, last = clash or (port, pmu) < last, (port, stop)
+            first = ((((rel_base + cycle) * 2 + port) * trace.span + address) * 2 + 1) * width
+            seen.append((first + pmu) * (width + 1) + stop - pmu)
+            # Unit m's producer k · F + m feeds consumer d_t further mod J: the
+            # token rises a step a unit until the consumer wraps.  A sentinel
+            # write fills its cell with no token.
+            t, producer, values = 2 * l + port, k * units + pmu, repeat(-1)
+            if t < ranks:
                 consumer = (producer + offsets[t]) % order
-                token = (producer * order + consumer) * half.ranks + t
-            group.append(resources.port(half.reading, pmu, port))
-            codes.append((((top + port) * span + address) * 2 + 1) * width + pmu)
-            if address < depth:
-                spot = pmu * depth + address
-                cell = index[spot]
-                if cell < 0:
-                    index[spot] = len(tokens)
-                    tokens.append(token)
-                else:
-                    tokens[cell] = token
-        seen.extend(sorted(codes))
-        half.write_claims.append((cycle, *_ids(group)))
-    return index
+                token = (producer * order + consumer) * ranks + t
+                wrap = token + (order - consumer) * step
+                values = chain(range(token, wrap, step), count(wrap - order * ranks, step))
+            if address < depth:  # a cell that a read can reach
+                cells = range(pmu * depth + address, stop * depth, depth)
+                any(map(tokens.__setitem__, cells, values))
+        if runs:
+            claims.append((cycle, runs, clash))
+    return claims
 
 
 def _compile_reads(
-    inputs: _Inputs,
-    half: _Half,
-    rel_base: int,
-    index: array,
-    depth: int,
-    blank: int,
-    resources: _Resources,
-    trace: _Trace,
-    seen: array,
-) -> None:
-    """Fill the read half from the producing side's cell ``index``, each
-    slot's access codes into ``seen`` by port and unit; a read of no
-    written cell reads cell ``blank``, which is never written."""
-    instance = f"{half.reading}_reads"
-    units, order = inputs.units, inputs.order
-    width, span = trace.units, trace.span
-    cons_offsets = inputs.reader_offsets[half.reading]
-    cells, keys, delivery_ranks = half.cells, half.keys, half.delivery_ranks
-    # A slot runs pattern l on units [0, active); a pattern is kept until its last slot.
-    slots = inputs.slots[half.reading]
-    runs = [(l, max(0, min(units, inputs.real_order - k * units))) for l, k in slots]
-    uses = Counter(runs)
-    patterns: dict[tuple[int, int], tuple] = {}
-    for slot, ((l, k), (_, active)) in enumerate(zip(slots, runs)):
+    inputs: _Inputs, half: _Half, rel_base: int, depth: int, trace: _Trace, observed: dict
+) -> list[tuple]:
+    """Fill the read half's deliveries, each drive's accesses into
+    ``observed``; return each slot's (offset, pattern).
+
+    Unit i of a slot that selects code c on port b receives the cell at
+    address 2 · slot + b' of unit (i + δ) mod F, b' the last port whose
+    out code is c and δ its family's offset.  Its cell and key are
+    arithmetic in i until the unit or the producer wraps.  Deliveries are
+    made unit by unit, port by port, so each port's are gathered as a lane,
+    and the two lanes interleaved where the edge is real."""
+    instance, units, order = f"{half.reading}_reads", inputs.units, inputs.order
+    width, offsets = trace.units, inputs.reader_offsets[half.reading]
+    real = _real_masks(order, inputs.real_order, inputs.real_base_offsets, half.reading, offsets)
+    blank, seen, claims, patterns = units * depth, observed[half.producing], [], {}
+    # Per port, the cells and keys of its deliveries, and whether real;
+    # their ranks, port by port
+    lanes = (array("q"), array("q"), bytearray()), (array("q"), array("q"), bytearray())
+    ranks = array("q")
+    for slot, (l, k) in enumerate(inputs.slots[half.reading]):
+        active, lpu = max(0, min(units, inputs.real_order - k * units)), k * units
+        pattern = patterns.get((l, active))
+        if pattern is None:
+            pattern = patterns[(l, active)] = _pattern(inputs, instance, l, active)
         offset = inputs.read_cycles[slot]
-        pattern = patterns.pop((l, active), None) or _compile_pattern(
-            inputs, resources, instance, half.producing, l, active
-        )
-        uses[(l, active)] -= 1
-        if uses[(l, active)]:
-            patterns[(l, active)] = pattern
-        out_claims, drives, in_claims, selects = pattern
-        half.read_claims += ((offset, *out_claims), (offset + 1, *in_claims))
+        claims.append((offset, pattern))
         half.busy += active
-        half.port_reads += len(drives[0])
-        for b in (0, 1):
-            low = (((rel_base + offset) * 2 + b) * span + 2 * slot + b) * 2 * width
-            seen.extend([low + m for m, port in zip(drives[0], drives[1]) if port == b])
-        # Per unit-side switch port the last drive of the slot wins.
-        driven: dict[int, int] = {}
-        for m, b, target in zip(*drives):
-            address = 2 * slot + b
-            if target >= 0:
-                cell = index[m * depth + address] if address < depth else -1
-                driven[target] = blank if cell < 0 else cell
-        for i, b, in_id in zip(*selects, in_claims[0]):
-            lpu = k * units + i
-            rank = 2 * l + b
-            producer = (lpu + cons_offsets[rank]) % order
-            if _is_real_edge(
-                inputs.real_order, inputs.real_base_offsets, half.reading, lpu, producer
-            ):
-                cells.append(driven.get(in_id, blank))
-                keys.append(producer * order + lpu)
-                delivery_ranks.append(rank)
+        half.port_reads += active * len(pattern[1])
+        for b, _, ranges in pattern[1]:
+            first = (((rel_base + offset) * 2 + b) * trace.span + 2 * slot + b) * 2 * width
+            seen += [(first + m) * (width + 1) + stop - m for m, stop in ranges]
+        ranks += pattern[4] * active
+        for (cells, keys, real_edges), (rank, source, delta) in zip(lanes, pattern[2]):
+            address = 2 * slot + source if source is not None else depth
+            if address < depth:
+                cell = delta * depth + address
+                values = chain(range(cell, blank, depth), count(address, depth))
+                cells.extend(islice(values, active))
+            else:
+                cells += array("q", [blank]) * active
+            d = offsets[rank] if rank is not None else 0
+            key = (lpu + d) % order * order + lpu
+            wrap = key + (order - (lpu + d) % order) * (order + 1)
+            values = chain(range(key, wrap, order + 1), count(wrap - order**2, order + 1))
+            keys.extend(islice(values, active))
+            real_edges += real[rank][lpu : lpu + active] if rank is not None else bytes(active)
+    (cells, keys, real_edges), (other_cells, other_keys, other_real_edges) = lanes
+    keep = _interleave(real_edges, other_real_edges)
+    half.delivery_ranks = array("q", compress(ranks, keep))
+    half.cells = array("q", compress(_interleave(cells, other_cells), keep))
+    del cells[:], other_cells[:]
+    half.keys = array("q", compress(_interleave(keys, other_keys), keep))
+    return claims
 
 
-def _compile_pattern(
-    inputs: _Inputs, resources: _Resources, instance: str, producing: str, l: int, active: int
-) -> tuple:
-    """Claims, drives and selects of pattern ``l`` with units [0, active)
-    busy, shared by every slot that runs it, as ``array('q')`` columns: a
-    drive is (memory unit, port, unit-side switch port it feeds or -1), a
-    select (unit, rank within the pattern) with the in-claim's id."""
-    invalid = inputs.invalid[instance]
-    offsets = inputs.wire_offsets[instance]
-    index = _INSTANCES.index(instance)
-    # Memory-side switches drive their wires.
-    out_ids, drives = [], (array("q"), array("q"), array("q"))
-    for m in range(inputs.units):
-        for b, code in enumerate(inputs.out_rows[instance][l]):
-            if code == invalid:
-                continue
-            delta = offsets.get(code)
-            if delta is None:
-                raise SimulationStructureError(
-                    f"switch table references missing wire at "
-                    f"{instance} out switch {m} port {code} (pattern {l})"
+def _pattern(inputs: _Inputs, instance: str, l: int, active: int) -> tuple:
+    """Pattern ``l`` with units [0, active) busy, shared by every slot that
+    runs it: ``active``; its drives (port, code, ranges of the units that
+    drive it); per port, its select (rank, the last port driving the
+    selected code, that code's offset), all None where it selects
+    nothing; its in codes; a unit's ranks, 0 where none; and whether its
+    out claim, and its in claim, names an id twice.  Wire family (code, δ)
+    carries out switch m's port to in switch (m - δ) mod F, so the units
+    that drive the busy units are those rotated by δ."""
+    invalid, families = inputs.invalid[instance], inputs.wire_offsets[instance]
+    outs, ins = inputs.out_rows[instance][l], inputs.in_rows[instance][l]
+    drives, selects, units = [], [], inputs.units
+    for b, code in enumerate(outs):
+        if code != invalid and code not in families:
+            raise SimulationStructureError(
+                f"switch table references missing wire at "
+                f"{instance} out switch 0 port {code} (pattern {l})"
+            )
+        if code != invalid:
+            delta = families[code]
+            ranges = ((delta, min(units, delta + active)), (0, delta + active - units))
+            drives.append((b, code, [(m, stop) for m, stop in ranges if m < stop]))
+    for b, code in enumerate(ins):
+        sources = [None] + [port for port, out, _ in drives if out == code]
+        select = 2 * l + b, sources[-1], families.get(code)
+        selects.append(select if code != invalid else (None,) * 3)
+    # Two ports of one code drive, or select, each of its ids twice.
+    codes = [code for _, code, _ in drives], [code for code in ins if code != invalid]
+    ranks = array("q", [rank or 0 for rank, _, _ in selects])
+    twice = (active > 0 and len(set(c)) < len(c) for c in codes)
+    return active, drives, selects, ins, ranks, *twice
+
+
+def _keep_claims(
+    half: _Half, reads: list, writes: list, resources: _Resources, reach: tuple[int, int, int]
+) -> None:
+    """Keep, as id columns in event order, the claims that the replay must
+    make in every iteration: those at an offset where the half's own claims
+    can conflict, or that another half can reach.
+
+    Claims of different kinds (out switch port and wire, memory port read,
+    in switch port, memory port written) share no id.  So a claim conflicts
+    with itself where its pattern drives or selects a code on both ports or
+    its runs on one port overlap, and with another only at an offset two
+    slots share.  Every half's claims lie in [low, high] of its base, and
+    bases are whole side spans apart, so only an offset less than a span
+    from both ends is out of every other half's reach.  The ids of a kept
+    claim are listed one by one, as the replay claims them one by one."""
+    low, high, span = reach
+    offsets = Counter(offset for offset, _ in reads)
+    cycles = Counter(cycle for cycle, _, _ in writes)
+    recurring = {cycle for cycle, _, clash in writes if clash or cycles[cycle] > 1}
+    for offset, (*_, out_twice, in_twice) in reads:
+        pairs = ((offset, out_twice), (offset + 1, in_twice))
+        recurring.update(o for o, clash in pairs if clash or offsets[offset] > 1)
+    if high - low >= span:
+        every = chain(offsets, (offset + 1 for offset in offsets), cycles)
+        recurring.update(o for o in every if max(o - low, high - o) >= span)
+    instance, units = f"{half.reading}_reads", resources.units
+    wires, ports = _INSTANCES.index(instance), resources.ports(half.producing)
+    (out_base, out_low, out_width), (in_base, in_low, in_width) = (
+        resources.switches[(instance, direction)] for direction in ("out", "in")
+    )
+    for offset, (active, drives, selects, codes, *_) in reads:
+        if offset in recurring:  # per driving unit and port: out switch, wire, memory port
+            ids = [
+                rid
+                for m in range(units)
+                for b, code, ranges in drives
+                if any(start <= m < stop for start, stop in ranges)
+                for rid in (
+                    out_base + m * out_width + code - out_low,
+                    (code * 2 + wires) * units + m,
+                    ports + 2 * m + b,
                 )
-            dst_unit = (m - delta) % inputs.units
-            if dst_unit >= active:
-                continue
-            out_switch = resources.switch(instance, "out", m, code)
-            wire_id = (code * 2 + index) * inputs.units + m
-            out_ids += (out_switch, wire_id, resources.port(producing, m, b))
-            drives[0].append(m)
-            drives[1].append(b)
-            drives[2].append(resources.switch(instance, "in", dst_unit, code))
-    # Unit-side switches select, one cycle staggered.
-    in_ids, selects = [], (array("q"), array("q"))
-    for i in range(active):
-        for b, code in enumerate(inputs.in_rows[instance][l]):
-            if code == invalid:
-                continue
-            in_ids.append(resources.switch(instance, "in", i, code))
-            selects[0].append(i)
-            selects[1].append(b)
-    return _ids(out_ids), drives, _ids(in_ids), selects
+            ]
+            half.read_claims.append((offset, *_ids(ids)))
+        if offset + 1 in recurring:  # per busy unit and selecting port: in switch
+            selected = [code for code, (rank, _, _) in zip(codes, selects) if rank is not None]
+            ids = [in_base + i * in_width + c - in_low for i in range(active) for c in selected]
+            half.read_claims.append((offset + 1, *_ids(ids)))
+    ports = resources.ports(half.reading)
+    for cycle, runs, _ in writes:
+        if cycle in recurring:  # by place 2 · unit + port
+            places = (range(2 * a + p, 2 * z, 2) for p, a, z, _ in zip(*[iter(runs)] * 4))
+            places = chain.from_iterable(places)
+            half.write_claims.append((cycle, *_ids([ports + place for place in sorted(places)])))
 
 
 # ---------------------------------------------------------------------------
@@ -1006,47 +927,56 @@ def _claim(
 
 def _deliver(half: _Half, memory: array, misroutes: list) -> tuple[int, ...]:
     """Check each real delivery against the token its cell holds; return
-    the indices of those that did not arrive intact."""
-    ranks, order = half.ranks, half.order
-    lost = [
-        index
-        for index, cell, key in zip(count(), half.cells, half.keys)
-        if memory[cell] // ranks != key  # no token, -1, has key -1
-    ]
-    for index in lost:
-        producer, consumer = divmod(half.keys[index], order)
-        token = memory[half.cells[index]]
-        delivery = (
-            f"{half.reading} consumer {consumer} "
-            f"rank {half.delivery_ranks[index]} expected producer {producer}"
+    the indices of those that did not arrive intact.  A memory as the
+    producing half wrote it gives the same outcome every time, found once."""
+    written = memory == half.source
+    if written and half.arrived is not None:
+        lost, messages = half.arrived
+    else:
+        ranks, order = half.ranks, half.order
+        lost = tuple(
+            index
+            for index, cell, key in zip(count(), half.cells, half.keys)
+            if memory[cell] // ranks != key  # no token, -1, has key -1
         )
-        misroutes.append(
-            f"missing token: {delivery}"
-            if token < 0
-            else f"misrouted token: {delivery}, "
-            f"got producer {token // ranks // order} edge {token % ranks}"
-        )
-    return tuple(lost)
+        messages = []
+        for index in lost:
+            producer, consumer = divmod(half.keys[index], order)
+            token = memory[half.cells[index]]
+            delivery = (
+                f"{half.reading} consumer {consumer} "
+                f"rank {half.delivery_ranks[index]} expected producer {producer}"
+            )
+            messages.append(
+                f"missing token: {delivery}"
+                if token < 0
+                else f"misrouted token: {delivery}, "
+                f"got producer {token // ranks // order} edge {token % ranks}"
+            )
+        if written:
+            half.arrived = lost, messages
+    misroutes += messages
+    return lost
 
 
 def _check_trace(
-    files: Mapping[str, str], side: str, trace: _Trace, observed: tuple[array, ...]
+    files: Mapping[str, str], side: str, trace: _Trace, observed: list[int]
 ) -> str | None:
-    """Compare ``side``'s access trace file with the observed access codes,
-    the columns of ``observed`` one after another, as multisets; return
-    the mismatch, if any.
+    """Compare ``side``'s access trace file with the observed accesses, the
+    runs of ``observed`` as ``_Trace.render`` reads them, as multisets;
+    return the mismatch, if any.
 
-    A file whose text is the codes' own rendering, the header and then
-    their runs in code order, holds exactly the observed accesses.  Only
+    A file whose text is the runs' own rendering, the header and then the
+    maximal runs in code order, holds exactly the observed accesses.  Only
     any other file is parsed, each run expanded into its accesses, and
     compared access by access."""
     name = f"access_trace_{side}.csv"
-    if not all(map(le, chain(*observed), islice(chain(*observed), 1, None))):
-        observed = (array("q", sorted(chain(*observed))),)
-    if _text(files, name) == trace.render(chain(*observed)):
+    observed = sorted(observed)
+    if _text(files, name) == trace.render(observed):
         return None
-    counts = Counter(chain(*observed))
-    unmatched = sum(map(len, observed))
+    runs = map(divmod, observed, repeat(trace.units + 1))
+    codes = [code for first, n in runs for code in range(first, first + n)]
+    counts, unmatched = Counter(codes), len(codes)
     for _, code in _trace_accesses(files, name, trace):
         count = counts.get(code)
         if not count:
@@ -1111,11 +1041,11 @@ def simulate(files: Mapping[str, str] | str | Path, iterations: int = 1) -> SimR
     # The first iteration's traffic depends on the compiled plan alone, so
     # it is checked before the replay and not kept through it.
     for side in ("row", "col"):
-        mismatch = _check_trace(files, side, trace, observed[side] if iterations > 0 else ())
+        mismatch = _check_trace(files, side, trace, observed[side] if iterations > 0 else [])
         if mismatch is not None:
             report.file_mismatches.append(mismatch)
     del observed
-    memory = {side: array("q", [-1]) * (len(half.tokens) + 1) for side, half in halves.items()}
+    memory = {side: array("q", [-1]) * len(half.tokens) for side, half in halves.items()}
     report.ppu_slots = units * slot_count * iterations
     report.pmu_port_slots = 2 * units * slot_count * iterations
     report.ppu_busy = {"row": 0, "col": 0}
@@ -1134,7 +1064,7 @@ def simulate(files: Mapping[str, str] | str | Path, iterations: int = 1) -> SimR
 
     def write(half: _Half, base: int) -> None:
         _claim(half.write_claims, base, use, resources, report.conflicts)
-        memory[half.reading][: len(half.tokens)] = half.tokens
+        memory[half.reading][:] = half.tokens
 
     # Preload the column memories so the first row half has data.
     write(halves["col"], -2 * side_span)
@@ -1174,7 +1104,8 @@ def check_dataflow_equivalence(
     What a consumer received in an iteration is its share of the side's
     compiled deliveries minus those the census lists as lost, so each
     distinct loss set is checked once and its failures are repeated, with
-    their ``iteration i:`` prefix, for every iteration that had it.
+    their ``iteration i:`` prefix, for every iteration that had it.  Which
+    consumers an offset's edges reach is read from its runs of real edges.
     """
     order, base_offsets, real_order, real_offsets = _graph_fields(
         read_json(_source(files), "graph.json")
@@ -1183,29 +1114,46 @@ def check_dataflow_equivalence(
     failures: list[str] = []
     if report.iterations < 1:
         return {"ok": False, "failures": ["no iterations simulated"]}
-    reader_offsets = _reader_offsets(order, base_offsets)
     for side in ("row", "col"):
         keys, ranks = report.deliveries[side]
         # consumer -> the indices of its deliveries, in the order made
         received = [array("q") for _ in range(max(order, real_order))]
         for index, key in enumerate(keys):
             received[key % order].append(index)
+        # Per rank, its offset and whether each consumer's edge of it is real
+        offsets = _reader_offsets(order, base_offsets)[side]
+        incident = list(zip(offsets, _real_masks(order, real_order, real_offsets, side, offsets)))
+        # Consumers that received their edges in rank order, and nothing
+        # else, as key and rank columns: with them, only a consumer whose
+        # delivery the census drops can fail.
+        width, made = len(offsets), array("q", chain.from_iterable(received[:real_order]))
+        edges, keep = array("q", [0]) * (width * real_order), bytearray(width * real_order)
+        for rank, (d, real) in enumerate(incident):
+            key = (d % order) * order
+            wrap = key + (order - d % order) * (order + 1)
+            values = chain(range(key, wrap, order + 1), count(wrap - order**2, order + 1))
+            edges[rank::width], keep[rank::width] = array("q", islice(values, real_order)), real
+        clean = array("q", compress(edges, keep)) == array("q", map(keys.__getitem__, made))
+        clean = clean and array("q", compress(cycle(range(width)), keep)) == array(
+            "q", map(ranks.__getitem__, made)
+        )
         lost = report.lost[side]
-        dropped = {indices: set(indices) for indices in {(), *lost.values()}}
-        verdicts = {indices: [] for indices in dropped}
-        for consumer in range(real_order):
-            incident = set()
-            for rank, d in enumerate(reader_offsets[side]):
-                producer = (consumer + d) % order
-                if _is_real_edge(real_order, real_offsets, side, consumer, producer):
-                    incident.add((rank, producer))
-            for indices, failed in verdicts.items():
+        verdicts = {}
+        for indices in {(), *lost.values()}:
+            dropped, verdicts[indices] = set(indices), []
+            suspects = sorted({keys[index] % order for index in indices})
+            for consumer in suspects if clean else range(real_order):
                 pairs = [
                     (ranks[index], keys[index] // order)
                     for index in received[consumer]
-                    if index not in dropped[indices]
+                    if index not in dropped
                 ]
-                failed += _consumer_failures(side, consumer, incident, pairs)
+                expected = {
+                    (rank, (consumer + d) % order)
+                    for rank, (d, real) in enumerate(incident)
+                    if real[consumer]
+                }
+                verdicts[indices] += _consumer_failures(side, consumer, expected, pairs)
         # An iteration absent from the census lost nothing; unless that
         # itself fails, only the iterations with losses can fail.
         for iteration in range(report.iterations) if verdicts[()] else sorted(lost):
