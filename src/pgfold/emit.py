@@ -11,13 +11,16 @@ memory units making the same access.  hdl/folded_luts.vhd is a ROM
 package: one integer array per LUT file of the run, named after it and
 holding that file's column (the write LUT addresses, unit by unit, its
 runs expanded, and each switch table's two port columns), which the
-replay compares with the CSV integer by integer.  hdl/top.vhd is the structural top level: it
-declares the memory unit, processing unit and switch components and wires
-F units per side through the static interconnect; the component bodies
-are not emitted.  Everything is rendered from the graph, the fold plan
-and a subset of ``FORMATS``.  Data ports are ``DATA_WIDTH`` bits; a unit
-id is the fewest bits that index F units.  All output is deterministic:
-identical inputs give byte-identical files.
+replay compares with the CSV integer by integer.  hdl/top.vhd is the
+structural top level: it declares the memory unit, processing unit and
+switch components, and wires them as one FOR GENERATE over the F units of
+each side and one over the switches of each interconnect instance, whose
+in switch m reads port j of out switch (m + delta) mod F: one statement
+per wire family, which the replay compares with netlist.json's.  The
+component bodies are not emitted.  Everything is rendered from the graph,
+the fold plan and a subset of ``FORMATS``.  Data ports are
+``DATA_WIDTH`` bits; a unit id is the fewest bits that index F units.
+All output is deterministic: identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -273,7 +276,6 @@ def _top_vhdl(
     plan: FoldPlan, netlist: Netlist, luts: dict[str, dict[str, SwitchLUT]]
 ) -> str:
     f_units = plan.units_per_side
-    mu_width = _width(f_units)
     components = {f"memory_unit_{side}": _memory_unit_ports(f_units) for side in ("row", "col")}
     components["processing_unit"] = _PROCESSING_UNIT_PORTS
     for instance in ("row_reads", "col_reads"):
@@ -288,67 +290,69 @@ def _top_vhdl(
         for entity, ports in components.items()
     ]
 
-    # The local channels of unit i on a side: "write" carries its outputs
-    # into the collocated memory, "read" that memory's outputs into the
-    # interconnect, and "operand" the unit-side switch outputs into it.
-    def channel(side: str, name: str, i: int) -> list[str]:
-        return [f"{side}_{name}_{i}_{b}" for b in (0, 1)]
-
-    signals = [
-        signal
-        for side in ("row", "col")
-        for i in range(f_units)
-        for name in ("write", "read", "operand")
-        for signal in channel(side, name, i)
-    ]
-    # Out switch m's port j drives wire <instance>_w_<m>_<j>; in switch m's
-    # port j reads the wire of out switch (m + delta) mod F.
-    offsets = {}
-    for instance in ("row_reads", "col_reads"):
-        families = netlist.wire_ports(instance)
-        offsets[instance] = dict(sorted((j, delta) for delta, j, _ in families))
-        signals += [f"{instance}_w_{m}_{j}" for m in range(f_units) for _, j, _ in families]
-
-    insts: list[str] = []
-
-    def port_map(label: str, component: str, actuals: list[str]) -> None:
+    def port_map(label: str, component: str, actuals: list[str]) -> str:
         """Instance ``label`` with ``actuals`` bound, in order, to the
         component's ports after the three control inputs."""
         formals = [name for name, _, _ in components[component]]
         actuals = ["clock", "reset", "enable", *actuals]
-        joined = ",\n    ".join(
+        joined = ",\n      ".join(
             f"{formal} => {actual}" for formal, actual in zip(formals, actuals, strict=True)
         )
-        insts.append(f"  {label} : {component} PORT MAP (\n    {joined}\n  );")
+        return f"    {label} : {component} PORT MAP (\n      {joined}\n    );"
 
+    def generate(label: str, *statements: str) -> str:
+        body = "\n".join(statements)
+        return f"  {label} : FOR m IN 0 TO {f_units - 1} GENERATE\n{body}\n  END GENERATE {label};"
+
+    # The local channels of unit m on a side: "write" carries its outputs
+    # into the collocated memory, "read" that memory's outputs into the
+    # interconnect, and "operand" the unit-side switch outputs into it.
+    # Each is an array of F units by two ports.
+    def channel(side: str, name: str) -> list[str]:
+        return [f"{side}_{name}(m, {b})" for b in (0, 1)]
+
+    arrays = {
+        f"{side}_{name}": 2 for side in ("row", "col") for name in ("write", "read", "operand")
+    }
+    blocks = []
     for side in ("row", "col"):
-        for i in range(f_units):
-            mu_id = f"STD_LOGIC_VECTOR(TO_UNSIGNED({i}, {mu_width}))"
-            write, operand = channel(side, "write", i), channel(side, "operand", i)
-            memory = [mu_id, *write, *channel(side, "read", i)]
-            port_map(f"{side}_pmu_{i}", f"memory_unit_{side}", memory)
-            port_map(f"{side}_ppu_{i}", "processing_unit", [*operand, *write])
+        mu_id = f"STD_LOGIC_VECTOR(TO_UNSIGNED(m, {_width(f_units)}))"
+        write = channel(side, "write")
+        blocks.append(
+            generate(
+                f"{side}_units",
+                port_map("pmu", f"memory_unit_{side}", [mu_id, *write, *channel(side, "read")]),
+                port_map("ppu", "processing_unit", [*channel(side, "operand"), *write]),
+            )
+        )
+    # Out switch m's port j drives wire <instance>_w(m, j); in switch m's
+    # port j reads the wire of out switch (m + delta) mod F: one statement
+    # per wire family.
     for instance in ("row_reads", "col_reads"):
         reading = instance.split("_")[0]
-        for m in range(f_units):
-            out_wires = [f"{instance}_w_{m}_{j}" for j in offsets[instance]]
-            in_wires = [
-                f"{instance}_w_{(m + delta) % f_units}_{j}"
-                for j, delta in offsets[instance].items()
-            ]
-            read = channel(other_side(reading), "read", m)
-            operand = channel(reading, "operand", m)
-            port_map(f"{instance}_out_{m}", f"switch_{instance}_out", [*read, *out_wires])
-            port_map(f"{instance}_in_{m}", f"switch_{instance}_in", [*in_wires, *operand])
+        offsets = sorted((j, delta) for delta, j, _ in netlist.wire_ports(instance))
+        arrays[f"{instance}_w"] = len(offsets)
+        out_wires = [f"{instance}_w(m, {j})" for j, _ in offsets]
+        in_wires = [f"{instance}_w((m + {delta}) MOD {f_units}, {j})" for j, delta in offsets]
+        read, operand = channel(other_side(reading), "read"), channel(reading, "operand")
+        blocks.append(
+            generate(
+                instance,
+                port_map("out_switch", f"switch_{instance}_out", [*read, *out_wires]),
+                port_map("in_switch", f"switch_{instance}_in", [*in_wires, *operand]),
+            )
+        )
 
     decl_text = "\n".join(decls)
-    vec = f"STD_LOGIC_VECTOR({DATA_WIDTH - 1} DOWNTO 0)"
-    signal_text = "\n".join(f"  SIGNAL {name} : {vec};" for name in signals)
-    inst_text = "\n".join(insts)
+    signal_text = "\n".join(
+        f"  SIGNAL {name} : word_array(0 TO {f_units - 1}, 0 TO {ports - 1});"
+        for name, ports in arrays.items()
+    )
+    block_text = "\n".join(blocks)
     return f"""-- Structural top level: {f_units} processing and {f_units} memory units
--- per side plus the two static interconnect instances.  The component
--- bodies are not emitted; folded_luts.vhd holds the contents of their
--- LUTs.
+-- per side plus the two static interconnect instances, each a FOR
+-- GENERATE over the units.  The component bodies are not emitted;
+-- folded_luts.vhd holds the contents of their LUTs.
 LIBRARY ieee;
 USE ieee.std_logic_1164.ALL;
 USE ieee.numeric_std.ALL;
@@ -363,9 +367,11 @@ END folded_top;
 
 ARCHITECTURE structural OF folded_top IS
 {decl_text}
+  TYPE word_array IS ARRAY (NATURAL RANGE <>, NATURAL RANGE <>)
+    OF STD_LOGIC_VECTOR({DATA_WIDTH - 1} DOWNTO 0);
 {signal_text}
 BEGIN
-{inst_text}
+{block_text}
 END structural;
 """
 
@@ -388,6 +394,8 @@ def emit_hdl(
 # architecture.
 _UNIT_RE = re.compile(r"^(ENTITY|ARCHITECTURE|PACKAGE) (\w+)(?: OF \w+)? IS$", re.MULTILINE)
 _END_RE = re.compile(r"^END (\w+);$", re.MULTILINE)
+_GENERATE_RE = re.compile(r"^\s*(\w+) : FOR \w+ IN .* GENERATE$", re.MULTILINE)
+_END_GENERATE_RE = re.compile(r"^\s*END GENERATE (\w+);$", re.MULTILINE)
 _COMPONENT_RE = re.compile(r"^\s*COMPONENT (\w+) IS$", re.MULTILINE)
 _SIGNAL_RE = re.compile(r"^\s*SIGNAL (\w+)\s*:", re.MULTILINE)
 _INSTANCE_RE = re.compile(r"^\s*(\w+) : (\w+) PORT MAP", re.MULTILINE)
@@ -398,6 +406,7 @@ def check_hdl(files: dict[str, str]) -> list[str]:
     """Lexical well-formedness of the emitted HDL set.
 
     Checks that every ENTITY, ARCHITECTURE and PACKAGE has its END, that
+    every ``label : FOR ... GENERATE`` has its ``END GENERATE label;``, that
     every declared signal is referenced beyond its declaration, and that
     every instance names a COMPONENT declared in its file.  The signal
     check makes one pass per file: it tokenises the file once, and a
@@ -410,6 +419,10 @@ def check_hdl(files: dict[str, str]) -> list[str]:
         for kind, unit in _UNIT_RE.findall(text):
             if unit not in ends:
                 problems.append(f"{name}: {kind.lower()} {unit} has no matching end")
+        generate_ends = set(_END_GENERATE_RE.findall(text))
+        for label in _GENERATE_RE.findall(text):
+            if label not in generate_ends:
+                problems.append(f"{name}: generate {label} has no matching end")
         tokens = Counter(_IDENTIFIER_RE.findall(text))
         for sig in _SIGNAL_RE.findall(text):
             if tokens[sig] < 2:

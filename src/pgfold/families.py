@@ -1,6 +1,7 @@
 """The replay's readers of netlist.json's wire families, of the write
-LUTs' runs and of the ROM package hdl/folded_luts.vhd; only the replay
-imports them, so commands that replay nothing do not compile them."""
+LUTs' runs, of the ROM package hdl/folded_luts.vhd and of the generate
+statements of hdl/top.vhd; only the replay imports them, so commands that
+replay nothing do not compile them."""
 
 from __future__ import annotations
 
@@ -183,3 +184,67 @@ def rom_mismatch(roms: dict[str, array], name: str, twin: str, values) -> list[s
         f"{_ROM_FILE}: {name}({index}) = {rom[index]}, but {twin}({index}) = "
         f"{values[index]} ({len(differ)} of {len(rom)} values differ)"
     ]
+
+
+# The structural top level of a run with HDL: a FOR GENERATE per side over
+# its units, and one per interconnect instance over its switches
+_TOP_FILE = "hdl/top.vhd"
+_GENERATE = re.compile(
+    r"^  (\w+) : FOR m IN 0 TO (\d+) GENERATE\n(.*?)^  END GENERATE \1;$", re.MULTILINE | re.DOTALL
+)
+
+
+def top_mismatch(
+    files: Mapping[str, str], units: int, offsets: dict[str, dict[int, int]]
+) -> list[str]:
+    """hdl/top.vhd's wiring against netlist.json's families, ``offsets``:
+    every generate must run m over 0 TO F - 1, and each instance's must
+    bind, for each family (port j, folded offset delta), out switch m's
+    port j to ``<instance>_w(m, j)`` and in switch m's port j to
+    ``<instance>_w((m + delta) MOD F, j)``.  A family's copy follows from
+    its port and offset, so equal offsets make equal families.  One
+    message per differing generate, naming it; a missing file, generate or
+    switch, or a wire of another form, raises SimulationStructureError."""
+    if _TOP_FILE not in files:
+        raise SimulationStructureError(f"{_TOP_FILE}: absent, but the run has hdl/ files")
+    text = files[_TOP_FILE]
+    generates = {label: (int(top), body) for label, top, body in _GENERATE.findall(text)}
+    mismatches = []
+    for label in ("row_units", "col_units", *_INSTANCES):
+        if label not in generates:
+            raise SimulationStructureError(f"{_TOP_FILE}: generate {label} missing")
+        top, body = generates[label]
+        where = f"{_TOP_FILE}: generate {label}"
+        if top != units - 1:
+            mismatches.append(f"{where} runs m over 0 TO {top}, not 0 TO F - 1 = {units - 1}")
+        if label not in _INSTANCES:
+            continue
+        wired = {}  # switch kind -> {port: folded offset}
+        for kind, index, form in (
+            ("out", "m", "m"),
+            ("in", rf"\(m \+ (\d+)\) MOD {units}", f"(m + offset) MOD {units}"),
+        ):
+            switch = re.search(rf"^    {kind}_switch : \w+ PORT MAP \((.*?)\);$", body, re.M | re.S)
+            if switch is None:
+                raise SimulationStructureError(f"{where} has no {kind}_switch")
+            wired[kind] = {}
+            for j, actual in re.findall(rf"^ +{kind}(\d+) => (.*?),?$", switch[1], re.M):
+                wire = re.fullmatch(rf"{label}_w\({index}, {j}\)", actual)
+                if wire is None:
+                    raise SimulationStructureError(
+                        f"{where}: {kind}_switch {kind}{j} => {actual}, not {label}_w({form}, {j})"
+                    )
+                wired[kind][int(j)] = int(wire[1]) if kind == "in" else None
+        if wired["out"].keys() != wired["in"].keys():
+            mismatches.append(
+                f"{where}: out_switch drives ports {sorted(wired['out'])}, "
+                f"in_switch reads ports {sorted(wired['in'])}"
+            )
+        elif wired["in"] != offsets[label]:
+            ports = sorted(wired["in"].keys() | offsets[label].keys())
+            port = next(j for j in ports if wired["in"].get(j) != offsets[label].get(j))
+            mismatches.append(
+                f"{where}: port {port} reads offset {wired['in'].get(port)}, but "
+                f"netlist.json's family has folded offset {offsets[label].get(port)}"
+            )
+    return mismatches

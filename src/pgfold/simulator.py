@@ -21,8 +21,9 @@ instance: the F wires from each out switch m to in switch (m - delta)
 mod F.  Each write LUT row is a run of units writing one address; which
 producers are real follows from graph.json's real J.  With HDL, each
 array of hdl/folded_luts.vhd is compared integer by integer with the LUT
-file column it is named after; hdl/top.vhd is not read.  ``families``
-reads the wire families, the write LUTs and the ROM package.
+file column it is named after, and the in switch wiring of each instance's
+FOR GENERATE in hdl/top.vhd with the wire families.  ``families`` reads
+the wire families, the write LUTs, the ROM package and the top level.
 
 Compile turns each half into a plan, run by run and pattern by pattern:
 a write run's tokens, cells and claimed memory ports are arithmetic in
@@ -54,7 +55,7 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Set
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, cycle, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -227,8 +228,9 @@ class _Inputs:
     # stop unit, address) as one column
     writes: dict[str, list[array]]
     reader_offsets: dict[str, list[int]]
-    # Where hdl/folded_luts.vhd disagrees with the LUT files it mirrors
-    rom_mismatches: list[str]
+    # Where hdl/folded_luts.vhd disagrees with the LUT files it mirrors, and
+    # hdl/top.vhd with netlist.json's families
+    hdl_mismatches: list[str]
 
 
 _INSTANCES = ("row_reads", "col_reads")
@@ -249,17 +251,24 @@ def _json_level(data: object, key: str) -> str:
 
 def _graph_fields(graph: object) -> tuple[int, tuple, int, tuple]:
     """J, base offsets, real J in [2, J] and real base offsets in
-    [0, real J) of graph.json."""
+    [0, real J) of graph.json; its gamma must be the count of base
+    offsets."""
     order = _field("graph.json", graph, "J")
     if order < 1:
         raise SimulationStructureError(f"graph.json: J must be positive, got {order}")
+    base_offsets = _field("graph.json", graph, "base_offsets", json_ints)
+    gamma = _field("graph.json", graph, "gamma")
+    if gamma != len(base_offsets):
+        raise SimulationStructureError(
+            f"graph.json: gamma {gamma} is not the {len(base_offsets)} base offsets"
+        )
     real_order = _field("graph.json", graph, "real_J")
     if not 2 <= real_order <= order:
         raise SimulationStructureError(f"graph.json: real_J {real_order} outside [2, {order}]")
     real_offsets = _field("graph.json", graph, "real_base_offsets", json_ints)
     for index, offset in enumerate(real_offsets):
         _outside("graph.json", f"real_base_offsets[{index}]", "offset", offset, 0, real_order)
-    return order, _field("graph.json", graph, "base_offsets", json_ints), real_order, real_offsets
+    return order, base_offsets, real_order, real_offsets
 
 
 def _reader_offsets(order: int, base_offsets: tuple[int, ...]) -> dict[str, list[int]]:
@@ -345,13 +354,13 @@ def _load(files: Mapping[str, str]) -> _Inputs:
             )
     ranks = len(base_offsets)
     # Imported here, so that commands that replay nothing do not compile it.
-    from .families import read_netlist, read_roms, read_write_lut, rom_mismatch
+    from .families import read_netlist, read_roms, read_write_lut, rom_mismatch, top_mismatch
 
     invalid, wire_offsets = read_netlist(netlist, units)
     out_rows = {}
     in_rows = {}
     roms = read_roms(files)
-    rom_mismatches = []
+    hdl_mismatches = [] if roms is None else top_mismatch(files, units, wire_offsets)
     for instance in _INSTANCES:
         for kind, store in (("out", out_rows), ("in", in_rows)):
             name = f"lut_{instance}_{kind}.csv"
@@ -373,7 +382,7 @@ def _load(files: Mapping[str, str]) -> _Inputs:
             store[instance] = [(port0, port1) for _, (_, port0, port1) in records]
             if roms is not None:
                 for b in (0, 1):
-                    rom_mismatches += rom_mismatch(
+                    hdl_mismatches += rom_mismatch(
                         roms,
                         f"lut_{instance}_{kind}_port{b}",
                         f"{name} port{b}",
@@ -406,7 +415,7 @@ def _load(files: Mapping[str, str]) -> _Inputs:
         )
         if roms is not None:
             name = f"write_lut_{side}"
-            rom_mismatches += rom_mismatch(roms, name, f"{name}.csv address", addresses)
+            hdl_mismatches += rom_mismatch(roms, name, f"{name}.csv address", addresses)
     return _Inputs(
         order=order,
         real_order=real_order,
@@ -424,7 +433,7 @@ def _load(files: Mapping[str, str]) -> _Inputs:
         wire_offsets=wire_offsets,
         writes=writes,
         reader_offsets=_reader_offsets(order, base_offsets),
-        rom_mismatches=rom_mismatches,
+        hdl_mismatches=hdl_mismatches,
     )
 
 
@@ -1033,7 +1042,7 @@ def simulate(files: Mapping[str, str] | str | Path, iterations: int = 1) -> SimR
     inputs = _load(files)
     halves, resources, trace, observed = _compile(inputs)
     units, side_span = inputs.units, inputs.side_span
-    report = SimReport(iterations=iterations, file_mismatches=inputs.rom_mismatches)
+    report = SimReport(iterations=iterations, file_mismatches=inputs.hdl_mismatches)
     read_cycles, write_cycles = inputs.read_cycles, inputs.write_cycles
     slot_count = len(inputs.slots["row"])
     pipeline_level = inputs.pipeline_level
@@ -1116,28 +1125,32 @@ def check_dataflow_equivalence(
         return {"ok": False, "failures": ["no iterations simulated"]}
     for side in ("row", "col"):
         keys, ranks = report.deliveries[side]
-        # consumer -> the indices of its deliveries, in the order made
-        received = [array("q") for _ in range(max(order, real_order))]
-        for index, key in enumerate(keys):
-            received[key % order].append(index)
         # Per rank, its offset and whether each consumer's edge of it is real
         offsets = _reader_offsets(order, base_offsets)[side]
         incident = list(zip(offsets, _real_masks(order, real_order, real_offsets, side, offsets)))
-        # Consumers that received their edges in rank order, and nothing
-        # else, as key and rank columns: with them, only a consumer whose
-        # delivery the census drops can fail.
-        width, made = len(offsets), array("q", chain.from_iterable(received[:real_order]))
+        # Each delivery as the code key · width + rank, by consumer in the
+        # order made (the load lets no delivery's rank reach width), against
+        # each consumer's real edges in rank order.  When they are equal,
+        # only a consumer whose delivery the census drops can fail.
+        width = len(offsets)
+        codes = [array("q") for _ in range(order)]
+        for key, rank in zip(keys, ranks):
+            codes[key % order].append(key * width + rank)
         edges, keep = array("q", [0]) * (width * real_order), bytearray(width * real_order)
+        step = (order + 1) * width
         for rank, (d, real) in enumerate(incident):
-            key = (d % order) * order
-            wrap = key + (order - d % order) * (order + 1)
-            values = chain(range(key, wrap, order + 1), count(wrap - order**2, order + 1))
+            code = (d % order) * order * width + rank
+            wrap = code + (order - d % order) * step
+            values = chain(range(code, wrap, step), count(wrap - order**2 * width, step))
             edges[rank::width], keep[rank::width] = array("q", islice(values, real_order)), real
-        clean = array("q", compress(edges, keep)) == array("q", map(keys.__getitem__, made))
-        clean = clean and array("q", compress(cycle(range(width)), keep)) == array(
-            "q", map(ranks.__getitem__, made)
-        )
+        made = array("q", chain.from_iterable(codes[:real_order]))
+        clean = array("q", compress(edges, keep)) == made
         lost = report.lost[side]
+        if lost or not clean:
+            # consumer -> the indices of its deliveries, in the order made
+            received = [array("q") for _ in range(order)]
+            for index, key in enumerate(keys):
+                received[key % order].append(index)
         verdicts = {}
         for indices in {(), *lost.values()}:
             dropped, verdicts[indices] = set(indices), []

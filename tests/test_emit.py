@@ -263,7 +263,7 @@ class TestHdl:
         files = self.build()
         text = files["top.vhd"]
         assert "      mu_id : IN STD_LOGIC_VECTOR(2 DOWNTO 0);\n" in text
-        assert "STD_LOGIC_VECTOR(TO_UNSIGNED(4, 3))" in text
+        assert "      mu_id => STD_LOGIC_VECTOR(TO_UNSIGNED(m, 3)),\n" in text
 
     def test_switch_has_lut_constants(self):
         files = self.build()
@@ -285,9 +285,14 @@ class TestHdl:
         )[1]
         assert [int(v) for v in body.split(",")] == [address for *_, address in writes]
 
-    def test_top_instance_count(self):
+    def test_top_generate_count(self):
+        # One FOR GENERATE over the 5 units per side and one per instance,
+        # whichever the unit count.
         files = self.build()
-        assert files["top.vhd"].count("PORT MAP") == 40
+        assert re.findall(r"^  (\w+) : FOR m IN 0 TO 4 GENERATE$", files["top.vhd"], re.M) == [
+            "row_units", "col_units", "row_reads", "col_reads"
+        ]
+        assert files["top.vhd"].count(" GENERATE\n") == 4
 
     def test_self_check_passes(self):
         files = self.build()
@@ -311,18 +316,18 @@ class TestHdl:
             "COMPONENT processing_unit IS", "COMPONENT processing_core IS"
         )
         problems = check_hdl(files)
-        assert "top.vhd: instance row_ppu_0 references missing component processing_unit" in problems
+        assert "top.vhd: instance ppu references missing component processing_unit" in problems
 
     def test_self_check_catches_signal_used_only_as_prefix(self):
         files = self.build()
-        declaration = "  SIGNAL row_write_0_0 : STD_LOGIC_VECTOR(7 DOWNTO 0);\n"
+        declaration = "  SIGNAL row_write : word_array(0 TO 4, 0 TO 1);\n"
         assert declaration in files["top.vhd"]
         files["top.vhd"] = files["top.vhd"].replace(
             declaration,
-            "  SIGNAL row_write_0 : STD_LOGIC_VECTOR(7 DOWNTO 0);\n" + declaration,
+            "  SIGNAL row_writ : word_array(0 TO 4, 0 TO 1);\n" + declaration,
         )
         assert check_hdl(files) == [
-            "top.vhd: signal row_write_0 declared but never used"
+            "top.vhd: signal row_writ declared but never used"
         ]
 
     def test_self_check_accepts_signal_used_once(self):
@@ -333,9 +338,17 @@ class TestHdl:
                 "BEGIN\n",
                 "  SIGNAL spare_0 : STD_LOGIC_VECTOR(7 DOWNTO 0);\nBEGIN\n",
             )
-            .replace("END structural;", "  spare_0 <= row_write_0_0;\nEND structural;")
+            .replace("END structural;", "  spare_0 <= row_write(0, 0);\nEND structural;")
         )
         assert check_hdl(files) == []
+
+    @pytest.mark.parametrize("label", ["row_units", "col_reads"])
+    def test_self_check_catches_generate_without_its_end(self, label):
+        files = self.build()
+        end = f"  END GENERATE {label};\n"
+        assert end in files["top.vhd"]
+        files["top.vhd"] = files["top.vhd"].replace(end, "")
+        assert check_hdl(files) == [f"top.vhd: generate {label} has no matching end"]
 
     def test_single_unit_architecture(self):
         files = self.build(q=15)
@@ -347,7 +360,7 @@ _COMPONENT_RE = re.compile(r"COMPONENT (\w+) IS\n(.*?)\n\s*END COMPONENT;", re.D
 _PORT_RE = re.compile(
     r"^\s*(\w+) : (IN|OUT) STD_LOGIC(?:_VECTOR\((\d+) DOWNTO 0\))?;?$", re.MULTILINE
 )
-_PORT_MAP_RE = re.compile(r"^  (\w+) : (\w+) PORT MAP \((.*?)\);", re.MULTILINE | re.DOTALL)
+_PORT_MAP_RE = re.compile(r"^ +(\w+) : (\w+) PORT MAP \((.*?)\);", re.MULTILINE | re.DOTALL)
 
 
 def hdl_interfaces(text):
@@ -409,7 +422,7 @@ class TestHdlInterfaces:
         assert names[-3:] == ["in10", "out0", "out1"]
         assert "      in9 : IN STD_LOGIC_VECTOR(7 DOWNTO 0);\n" in top
         assert "      in10 : IN STD_LOGIC_VECTOR(7 DOWNTO 0);\n" in top
-        assert "    in10 => row_reads_w_0_10,\n" in top
+        assert "      in10 => row_reads_w((m + 18) MOD 20, 10),\n" in top
 
 
 class TestRunDirectory:

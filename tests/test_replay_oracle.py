@@ -322,7 +322,7 @@ def oracle_simulate(files, iterations=1):
     }
     halves, resources, trace, observed = compile_halves(inputs)
     units, side_span = inputs.units, inputs.side_span
-    report = SimReport(iterations=iterations, file_mismatches=inputs.rom_mismatches)
+    report = SimReport(iterations=iterations, file_mismatches=inputs.hdl_mismatches)
     read_cycles, write_cycles = inputs.read_cycles, inputs.write_cycles
     slot_count = len(inputs.slots["row"])
     for side in ("row", "col"):

@@ -432,14 +432,42 @@ class TestSwitchLuts:
 
 def top_port_maps(graph, plan):
     """Instance label -> (component, {formal: actual}) of hdl/top.vhd, where
-    the units, switches and local channels of the netlist are instantiated."""
+    the units, switches and local channels of the netlist are instantiated.
+    Each FOR GENERATE is expanded for every m: its statements become
+    <side>_pmu_<m>, <side>_ppu_<m>, <instance>_out_<m> and <instance>_in_<m>,
+    and an array element <name>(i, b) becomes the signal <name>_<i>_<b>."""
     top = render_run_files(graph, plan, ("hdl",))["hdl/top.vhd"]
-    return {
-        label: (component, dict(re.findall(r"(\w+) => ([\w(), ]+?)(?:,\n|\n)", body)))
-        for label, component, body in re.findall(
-            r"^  (\w+) : (\w+) PORT MAP \((.*?)\);", top, re.MULTILINE | re.DOTALL
-        )
-    }
+    instances = {}
+    for generate, last, body in re.findall(
+        r"^  (\w+) : FOR m IN 0 TO (\d+) GENERATE\n(.*?)^  END GENERATE \1;",
+        top,
+        re.MULTILINE | re.DOTALL,
+    ):
+        prefix = generate.removesuffix("_units")
+        for label, component, ports in re.findall(
+            r"^    (\w+) : (\w+) PORT MAP \((.*?)\);", body, re.MULTILINE | re.DOTALL
+        ):
+            associations = re.findall(r"(\w+) => (.+?),?$", ports, re.MULTILINE)
+            for m in range(int(last) + 1):
+                instances[f"{prefix}_{label.removesuffix('_switch')}_{m}"] = (
+                    component,
+                    {formal: generated_actual(actual, m) for formal, actual in associations},
+                )
+    return instances
+
+
+def generated_actual(actual, m):
+    """``actual`` of generate step ``m``: m replaced by its value, and an
+    array element <name>(m, b) or <name>((m + d) MOD F, b) by the signal
+    <name>_<i>_<b> it selects."""
+
+    def element(match):
+        name, offset, units, b = match.groups()
+        i = m if offset is None else (m + int(offset)) % int(units)
+        return f"{name}_{i}_{b}"
+
+    actual = re.sub(r"^(\w+)\((?:m|\(m \+ (\d+)\) MOD (\d+)), (\d+)\)$", element, actual)
+    return actual.replace("TO_UNSIGNED(m,", f"TO_UNSIGNED({m},")
 
 
 class TestNetlist:

@@ -583,6 +583,7 @@ class TestLoadErrors:
             ("real_J", 1, "graph.json: real_J 1 outside [2, 15]"),
             ("real_base_offsets", [0, 1, 15], "graph.json:real_base_offsets[2]:offset 15 outside [0, 15)"),
             ("real_base_offsets", [-1], "graph.json:real_base_offsets[0]:offset -1 outside [0, 15)"),
+            ("gamma", 8, "graph.json: gamma 8 is not the 7 base offsets"),
         ],
     )
     def test_real_graph_fields_out_of_range(self, scratch_run, capsys, key, value, locus):
@@ -664,9 +665,8 @@ class TestFileSource:
             report = simulate(render, 2)
             assert report.ok, summarize(report)
             assert check_dataflow_equivalence(report, render) == {"ok": True, "failures": []}
-        # Every emitted file but this is read by the replay or the
-        # dataflow check.
-        assert render.keys() - render.names == {"hdl/top.vhd"}
+        # Every emitted file is read by the replay or the dataflow check.
+        assert render.keys() - render.names == set()
         # And every top-level field of a JSON file but these.
         unread = {
             (name.removesuffix(".json"), key)
@@ -702,7 +702,7 @@ UNREAD_JSON_FIELDS = {
         (name, "format_version")
         for name in ("graph", "plan", "fold_row", "fold_col", "layout", "netlist", "timing")
     ),
-    *(("graph", key) for key in ("gamma", "dummy_offset_padded")),
+    ("graph", "dummy_offset_padded"),
     *(("plan", key) for key in ("design_option", "T", "delta")),
     ("timing", "half_length"),
     *(("layout", key) for key in ("pattern_count", "bin_count", "bin_size", "reserved_addresses")),
@@ -719,6 +719,7 @@ def render15():
 JSON_FIELDS = [
     ("graph.json", ("J",), "int"),
     ("graph.json", ("base_offsets",), "ints"),
+    ("graph.json", ("gamma",), "int"),
     ("graph.json", ("real_J",), "int"),
     ("graph.json", ("real_base_offsets",), "ints"),
     ("plan.json", ("q",), "int"),
@@ -1012,6 +1013,126 @@ class TestRomPackage:
             simulate(files)
         except SimulationStructureError as exc:
             assert str(exc).startswith(ROM_FILE)
+
+
+TOP_FILE = "hdl/top.vhd"
+_IN_WIRE_RE = re.compile(r"      in(\d+) => (\w+)_w\(\(m \+ (\d+)\) MOD (\d+), \d+\),\n")
+
+
+def in_wires(text, instance):
+    """(port, folded offset, F, the line) of each in switch wire of the
+    ``instance`` generate of top.vhd's ``text``."""
+    return [
+        (int(j), int(delta), int(units), match[0])
+        for match in _IN_WIRE_RE.finditer(text)
+        for j, name, delta, units in [match.groups()]
+        if name == instance
+    ]
+
+
+def with_manifest(files):
+    """``files`` with manifest.json rewritten to match the others."""
+    rest = {key: text for key, text in files.items() if key != "manifest.json"}
+    return {**rest, "manifest.json": emit_manifest_json(rest)}
+
+
+TOP_CASES = [
+    pytest.param(design, instance, id=f"{design}-{instance}")
+    for design in ("J15-q3", "J40-q2")
+    for instance in ("row_reads", "col_reads")
+]
+
+
+class TestTopLevel:
+    """The replay reads hdl/top.vhd's generate statements and requires each
+    instance's in switch wiring to equal netlist.json's wire families."""
+
+    @pytest.mark.parametrize("design, instance", TOP_CASES)
+    def test_generate_wiring_is_the_families(self, hdl_renders, design, instance):
+        families = {
+            family["port"]: family["folded_offset"]
+            for family in json.loads(hdl_renders[design]["netlist.json"])["wire_families"]
+            if family["instance"] == instance
+        }
+        wires = in_wires(hdl_renders[design][TOP_FILE], instance)
+        assert {j: delta for j, delta, _, _ in wires} == families
+
+    @pytest.mark.parametrize("design, instance", TOP_CASES)
+    def test_changed_offset_fails_naming_file_and_label(self, hdl_renders, design, instance):
+        files = dict(hdl_renders[design])
+        j, delta, units, line = in_wires(files[TOP_FILE], instance)[-1]
+        new = (delta + 1) % units
+        files[TOP_FILE] = files[TOP_FILE].replace(line, line.replace(f"(m + {delta})", f"(m + {new})"))
+        files = with_manifest(files)
+        report = simulate(files)
+        assert report.file_mismatches == [
+            f"{TOP_FILE}: generate {instance}: port {j} reads offset {new}, but netlist.json's "
+            f"family has folded offset {delta}"
+        ]
+        assert not (report.conflicts or report.misroutes)
+        passed, checks = cli._verify_files(files, "the mutant", 1)
+        assert not passed
+        assert any(line.startswith("simulation: FAIL") for line in checks), checks
+
+    def test_changed_range_fails_naming_the_label(self, hdl_renders):
+        files = edited(hdl_renders["J15-q3"], TOP_FILE, "col_units : FOR m IN 0 TO 4", "col_units : FOR m IN 0 TO 3")
+        assert simulate(files).file_mismatches == [
+            f"{TOP_FILE}: generate col_units runs m over 0 TO 3, not 0 TO F - 1 = 4"
+        ]
+
+    def test_dropped_switch_port_fails_naming_the_label(self, hdl_renders):
+        files = dict(hdl_renders["J15-q3"])
+        *_, line = in_wires(files[TOP_FILE], "col_reads")[-1]
+        files[TOP_FILE] = files[TOP_FILE].replace(line, "")
+        assert simulate(files).file_mismatches == [
+            f"{TOP_FILE}: generate col_reads: out_switch drives ports [0, 1, 2, 3, 4, 5], "
+            "in_switch reads ports [0, 1, 2, 3, 4]"
+        ]
+
+    @pytest.mark.parametrize(
+        "old, new, locus",
+        [
+            ("in1 => row_reads_w((m + 1) MOD 5, 1)", "in1 => row_reads_w((m + 1) MOD 4, 1)",
+             "generate row_reads: in_switch in1 => row_reads_w((m + 1) MOD 4, 1), "
+             "not row_reads_w((m + offset) MOD 5, 1)"),
+            ("out2 => col_reads_w(m, 2)", "out2 => col_reads_w(m, 3)",
+             "generate col_reads: out_switch out2 => col_reads_w(m, 3), not col_reads_w(m, 2)"),
+            ("END GENERATE row_units;", "END GENERATE;", "generate row_units missing"),
+            ("in_switch : switch_col_reads_in", "in_sw : switch_col_reads_in",
+             "generate col_reads has no in_switch"),
+        ],
+        ids=["other modulus", "other port", "unlabelled end", "switch renamed"],
+    )
+    def test_unreadable_generate_exits_1_naming_it(self, hdl_renders, tmp_path, capsys, old, new, locus):
+        files = edited(hdl_renders["J15-q3"], TOP_FILE, old, new)
+        with pytest.raises(SimulationStructureError, match=f"^{re.escape(TOP_FILE)}: {re.escape(locus)}$"):
+            simulate(files)
+        run = tmp_path / "run"
+        for file_name, text in with_manifest(files).items():
+            (run / file_name).parent.mkdir(parents=True, exist_ok=True)
+            (run / file_name).write_text(text, encoding="utf-8")
+        assert main(["simulate", "--out", str(run)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert locus in captured.out + captured.err
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_byte_edit_ends_in_a_report_or_a_locus(self, hdl_renders, data):
+        files = dict(hdl_renders["J15-q3"])
+        text = files[TOP_FILE]
+        index = data.draw(st.integers(0, len(text) - 1))
+        byte = data.draw(st.sampled_from(sorted(set("0123456789+-,:;() \nmMODGENERATE_w"))))
+        files[TOP_FILE] = text[:index] + byte + text[index + 1 :]
+        try:
+            simulate(files)
+        except SimulationStructureError as exc:
+            assert str(exc).startswith(TOP_FILE)
+
+    def test_missing_top_beside_package_is_a_locus(self, hdl_renders):
+        files = {key: text for key, text in hdl_renders["J15-q3"].items() if key != TOP_FILE}
+        with pytest.raises(SimulationStructureError, match=f"^{TOP_FILE}: absent, but the run has hdl/ files$"):
+            simulate(files)
 
 
 class TestLossCensus:
