@@ -218,6 +218,18 @@ def resolve_settings(args: argparse.Namespace) -> dict:
 # pipeline assembly
 
 
+def _incidence_failures(
+    graph: CirculantBipartiteGraph, geometry: tuple[int, int, int] | None
+) -> tuple[str, ...] | None:
+    """What ``verify_pg_incidence`` finds wrong with an unexpanded graph
+    built from ``geometry`` (n, p, s), or None when there is no geometry
+    or the graph was expanded, as nothing can be checked.  A geometry
+    that names no projective space raises ValueError."""
+    if geometry is None or graph.order != graph.real_order:
+        return None
+    return verify_pg_incidence(graph, PgParams(*geometry)).failures
+
+
 def _acquire_graph(settings: dict) -> CirculantBipartiteGraph:
     geometry, graph_file = settings["geometry"], settings["graph"]
     if (geometry is None) == (graph_file is None):
@@ -225,27 +237,28 @@ def _acquire_graph(settings: dict) -> CirculantBipartiteGraph:
             "exactly one input is required: --geometry n,p,s or --graph FILE"
         )
     if geometry is not None:
-        n, p, s = geometry
         try:
-            params = PgParams(n=n, p=p, s=s)
-            graph = build_pg_graph(params)
+            graph = build_pg_graph(PgParams(*geometry))
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        report = verify_pg_incidence(graph, params)
-        if not report.ok:
-            raise SelfCheckError(
-                f"incidence self-check failed for P({n}, GF({p}^{s})): "
-                + "; ".join(report.failures[:3])
-            )
-        return graph
-    path = Path(graph_file)
-    if not path.is_file():
-        raise UsageError(f"graph file {path} not found")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-        return CirculantBipartiteGraph.from_json_dict(data)
-    except ValueError as exc:
-        raise UsageError(f"graph file {path} is not a valid graph: {exc}") from None
+        failures = _incidence_failures(graph, geometry)
+    else:
+        path = Path(graph_file)
+        if not path.is_file():
+            raise UsageError(f"graph file {path} not found")
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+            graph = CirculantBipartiteGraph.from_json_dict(data)
+            geometry = graph.geometry
+            failures = _incidence_failures(graph, geometry)
+        except ValueError as exc:
+            raise UsageError(f"graph file {path} is not a valid graph: {exc}") from None
+    if failures:
+        n, p, s = geometry
+        raise SelfCheckError(
+            f"incidence self-check failed for P({n}, GF({p}^{s})): " + "; ".join(failures[:3])
+        )
+    return graph
 
 
 def _alpha_candidates_for_divisibility(order: int, q: int, count: int = 3) -> list[int]:
@@ -674,15 +687,18 @@ def _verify_files(
         return False, checks
 
     # Incidence structure, when the graph came from a geometry.
-    if graph.geometry is not None and graph.order == graph.real_order:
-        try:
-            report = verify_pg_incidence(graph, PgParams(*graph.geometry))
-        except ValueError as exc:
-            check("incidence", False, f"graph.json geometry: {exc}")
-        else:
-            check("incidence", report.ok, f"P{tuple(graph.geometry)}")
+    try:
+        failures = _incidence_failures(graph, graph.geometry)
+    except ValueError as exc:
+        check("incidence", False, f"graph.json geometry: {exc}")
     else:
-        checks.append("incidence: skipped (expanded or hand-supplied graph)")
+        if failures is None:
+            checks.append("incidence: skipped (expanded or hand-supplied graph)")
+        else:
+            detail = f"P{tuple(graph.geometry)}"
+            if failures:
+                detail += ": " + "; ".join(failures)
+            check("incidence", not failures, detail)
 
     # Folded-sequence invariants.
     balance_ok = True

@@ -5,28 +5,31 @@ keys, and the hardware as two VHDL files.  The plan and the graph are
 each stated once: plan.json alone gives q, F, the design option, T,
 delta and the pipeline level, and graph.json alone J and the offsets.
 The schedule grid and the incidence table are not emitted: they are
-fold_*.json's patterns and slots and graph.json's offsets.  The write
-LUTs and the access traces are run-length rows: one row per run of
-memory units making the same access.  hdl/folded_luts.vhd is a ROM
-package: one integer array per LUT file of the run, named after it and
-holding that file's column (the write LUT addresses, unit by unit, its
-runs expanded, and each switch table's two port columns), which the
+fold_*.json's patterns and slots and graph.json's offsets; nor is the
+memory depth, two cells per slot of fold_*.json.  Each interconnect
+instance has one switch table, lut_<instance>.csv, which its out
+switches and, a cycle later, its in switches both run, and netlist.json
+lists its wire families alone, one per port code, so their count is the
+instance's invalid code.  The write LUTs and the access traces are
+run-length rows: one row per run of memory units making the same access.
+hdl/folded_luts.vhd is a ROM package: one integer array per LUT column
+of the run, named after its file (the write LUT addresses, unit by unit,
+its runs expanded, and each switch table's two port columns), which the
 replay compares with the CSV integer by integer.  hdl/top.vhd is the
 structural top level: it declares the memory unit, processing unit and
-switch components, and wires them as one FOR GENERATE over the F units of
-each side and one over the switches of each interconnect instance, whose
-in switch m reads port j of out switch (m + delta) mod F: one statement
-per wire family, which the replay compares with netlist.json's.  The
-component bodies are not emitted.  Everything is rendered from the graph,
-the fold plan and a subset of ``FORMATS``.  Data ports are
-``DATA_WIDTH`` bits; a unit id is the fewest bits that index F units.
-All output is deterministic: identical inputs give byte-identical files.
+switch components, and wires them as one FOR GENERATE over the F units
+of each side and one over the switches of each interconnect instance,
+whose in switch m reads port j of out switch (m + delta) mod F: one
+statement per wire family, which the replay compares with
+netlist.json's.  The component bodies are not emitted.  Everything is
+rendered from the graph, the fold plan and a subset of ``FORMATS``.
+Data ports are ``DATA_WIDTH`` bits; a unit id is the fewest bits that
+index F units.  All output is deterministic: identical inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import re
 from collections import Counter
@@ -41,7 +44,6 @@ from .schedule import (
     WriteSchedule,
     build_netlist,
     full_timing,
-    layout_addresses,
     other_side,
     switch_luts,
     write_schedule,
@@ -93,12 +95,11 @@ def emit_graph_json(graph: CirculantBipartiteGraph) -> str:
 
 
 def emit_switch_lut_csv(lut: SwitchLUT) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["slot", "port0", "port1"])
-    for slot, a, b in lut.to_rows():
-        writer.writerow([slot, a, b])
-    return buffer.getvalue()
+    """One row (slot, port0, port1) per pattern: the codes that both the
+    out and the in switches of the instance select."""
+    return "".join(
+        ["slot,port0,port1\n", *(f"{l},{a},{b}\n" for l, (a, b) in enumerate(lut.rows))]
+    )
 
 
 def emit_write_lut_csv(schedule: WriteSchedule) -> str:
@@ -203,10 +204,9 @@ def _memory_unit_ports(units_per_side: int) -> list[Port]:
     ]
 
 
-def _switch_ports(lut: SwitchLUT) -> list[Port]:
+def _switch_ports(inputs: int, outputs: int) -> list[Port]:
     """A memory-side switch fans two memory ports out to the wires; a
     unit-side switch selects two unit operands from them."""
-    inputs, outputs = (2, lut.port_count) if lut.kind == "pmu_out" else (lut.port_count, 2)
     return [
         *_CONTROL_PORTS,
         *_data_ports("in", "IN", inputs),
@@ -238,23 +238,20 @@ def _vhdl_int_array(values: list[int], per_line: int = 12) -> str:
     return f"(\n    {body}\n  )"
 
 
-def _roms_vhdl(
-    luts: dict[str, dict[str, SwitchLUT]], write_schedules: dict[str, WriteSchedule]
-) -> str:
+def _roms_vhdl(luts: dict[str, SwitchLUT], write_schedules: dict[str, WriteSchedule]) -> str:
     """The ROM package: one integer array per LUT file of the run, named
     after it.  ``write_lut_<side>`` holds one address per unit, slot and
     port, unit by unit: the runs of write_lut_<side>.csv expanded; the
-    ``lut_<instance>_<kind>_port<b>`` arrays are column port<b> of
-    lut_<instance>_<kind>.csv, by slot."""
+    ``lut_<instance>_port<b>`` arrays are column port<b> of
+    lut_<instance>.csv, by slot, which both switch sets of the instance
+    read."""
     roms: dict[str, list[int]] = {}
     for side in ("row", "col"):
         per_pmu = write_schedules[side].per_pmu()
         roms[f"write_lut_{side}"] = [e.address for pmu in sorted(per_pmu) for e in per_pmu[pmu]]
     for instance in ("row_reads", "col_reads"):
-        for kind in ("out", "in"):
-            rows = luts[instance][kind].rows
-            for b in (0, 1):
-                roms[f"lut_{instance}_{kind}_port{b}"] = [row[b] for row in rows]
+        for b in (0, 1):
+            roms[f"lut_{instance}_port{b}"] = [row[b] for row in luts[instance].rows]
     constants = "\n".join(
         f"  CONSTANT {name} : integer_rom(0 TO {len(values) - 1}) := "
         f"{_vhdl_int_array(values)};"
@@ -263,8 +260,9 @@ def _roms_vhdl(
     return f"""-- ROM contents of the folded schedule: one array per LUT file of the
 -- run, named after it.  write_lut_<side> is the address of each write
 -- of write_lut_<side>.csv's runs: each memory unit's writes in turn,
--- two per slot.  lut_<instance>_<kind>_port<b> is column port<b> of
--- lut_<instance>_<kind>.csv, one entry per slot.
+-- two per slot.  lut_<instance>_port<b> is column port<b> of
+-- lut_<instance>.csv, one entry per slot, which the out and the in
+-- switches of the instance both read.
 PACKAGE folded_luts IS
   TYPE integer_rom IS ARRAY (NATURAL RANGE <>) OF INTEGER;
 {constants}
@@ -272,15 +270,15 @@ END folded_luts;
 """
 
 
-def _top_vhdl(
-    plan: FoldPlan, netlist: Netlist, luts: dict[str, dict[str, SwitchLUT]]
-) -> str:
+def _top_vhdl(plan: FoldPlan, netlist: Netlist) -> str:
     f_units = plan.units_per_side
     components = {f"memory_unit_{side}": _memory_unit_ports(f_units) for side in ("row", "col")}
     components["processing_unit"] = _PROCESSING_UNIT_PORTS
     for instance in ("row_reads", "col_reads"):
-        for kind in ("out", "in"):
-            components[f"switch_{instance}_{kind}"] = _switch_ports(luts[instance][kind])
+        # Port count rho_hat: one port per wire family.
+        ports = len(netlist.offsets[instance])
+        components[f"switch_{instance}_out"] = _switch_ports(2, ports)
+        components[f"switch_{instance}_in"] = _switch_ports(ports, 2)
     decls = [
         f"""  COMPONENT {entity} IS
     PORT (
@@ -330,7 +328,7 @@ def _top_vhdl(
     # per wire family.
     for instance in ("row_reads", "col_reads"):
         reading = instance.split("_")[0]
-        offsets = sorted((j, delta) for delta, j, _ in netlist.wire_ports(instance))
+        offsets = sorted(netlist.offsets[instance].items())
         arrays[f"{instance}_w"] = len(offsets)
         out_wires = [f"{instance}_w(m, {j})" for j, _ in offsets]
         in_wires = [f"{instance}_w((m + {delta}) MOD {f_units}, {j})" for j, delta in offsets]
@@ -379,14 +377,14 @@ END structural;
 def emit_hdl(
     plan: FoldPlan,
     netlist: Netlist,
-    luts: dict[str, dict[str, SwitchLUT]],
+    luts: dict[str, SwitchLUT],
     write_schedules: dict[str, WriteSchedule],
 ) -> dict[str, str]:
     """The HDL files, keyed by file name: the ROM package and the
     structural top level."""
     return {
         "folded_luts.vhd": _roms_vhdl(luts, write_schedules),
-        "top.vhd": _top_vhdl(plan, netlist, luts),
+        "top.vhd": _top_vhdl(plan, netlist),
     }
 
 
@@ -447,8 +445,8 @@ def render_run_files(
 ) -> dict[str, str]:
     """Every artifact of one synthesis run in the selected ``formats``,
     keyed by its path in the run directory: the graph, the plan, folded
-    sequences, memory layout, write LUTs, switch tables, netlist, timing,
-    access traces and the HDL, which must pass ``check_hdl``.  Nothing is
+    sequences, write LUTs, switch tables, netlist, timing, access traces
+    and the HDL, which must pass ``check_hdl``.  Nothing is
     written.
     """
     for fmt in formats:
@@ -467,8 +465,6 @@ def render_run_files(
         files["plan.json"] = _json_text(plan.to_json_dict())
         for side in ("row", "col"):
             files[f"fold_{side}.json"] = _json_text(sequences[side].to_json_dict())
-        layout = layout_addresses(plan, graph)
-        files["layout.json"] = _json_text(layout.to_json_dict(graph.degree))
         files["netlist.json"] = emit_netlist_json(netlist)
         files["timing.json"] = _json_text(timing.to_json_dict())
     if "csv" in formats:
@@ -478,10 +474,7 @@ def render_run_files(
                 side, plan, timing, sequences, schedules
             )
         for instance in ("row_reads", "col_reads"):
-            for kind in ("out", "in"):
-                files[f"lut_{instance}_{kind}.csv"] = emit_switch_lut_csv(
-                    luts[instance][kind]
-                )
+            files[f"lut_{instance}.csv"] = emit_switch_lut_csv(luts[instance])
     if "hdl" in formats:
         hdl = emit_hdl(plan, netlist, luts, schedules)
         problems = check_hdl(hdl)

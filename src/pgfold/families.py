@@ -1,7 +1,9 @@
 """The replay's readers of netlist.json's wire families, of the write
 LUTs' runs, of the ROM package hdl/folded_luts.vhd and of the generate
 statements of hdl/top.vhd; only the replay imports them, so commands that
-replay nothing do not compile them."""
+replay nothing do not compile them.  Each fact is read from the one file
+that states it: an instance's switch port count from its wire families,
+a memory's depth, two cells per slot, from fold_*.json's slots."""
 
 from __future__ import annotations
 
@@ -20,30 +22,12 @@ from .simulator import (
 )
 
 
-def read_netlist(
-    netlist: object, units: int
-) -> tuple[dict[str, int], dict[str, dict[int, int]]]:
-    """Per instance, netlist.json's rho_hat, the switch code no wire
-    carries, and the folded offset of each port code of its wire families.
-    A family names an instance, a port in [0, rho_hat), a folded offset in
-    [0, F) and a copy of 0 or 1, which is 1 exactly for the extra ports,
-    those at or past rho; no port of an instance has two.  Per instance,
-    rho + theta must be rho_hat and wire_count F times its families.  A
-    fault raises SimulationStructureError naming its field."""
-    instances = netlist
-    for key in ("annotations", "instances"):
-        instances = _field("netlist.json", instances, key, json_value)
-    sizes = {}  # instance -> (rho, rho_hat, wire_count)
-    for instance in _INSTANCES:
-        name = f"netlist.json:{instance}"
-        annotation = _field("netlist.json", instances, instance, json_value)
-        keys = ("rho", "theta", "rho_hat", "wire_count")
-        rho, theta, rho_hat, wire_count = (_field(name, annotation, key) for key in keys)
-        if rho + theta != rho_hat:
-            raise SimulationStructureError(
-                f"{name}:rho_hat {rho_hat} is not rho + theta = {rho} + {theta}"
-            )
-        sizes[instance] = rho, rho_hat, wire_count
+def read_netlist(netlist: object, units: int) -> dict[str, dict[int, int]]:
+    """Per instance, the folded offset of each port code of netlist.json's
+    wire families.  A family names an instance, a port and a folded offset
+    in [0, F); an instance's ports are exactly [0, rho_hat), rho_hat its
+    family count, which is also the switch code no wire carries.  A fault
+    raises SimulationStructureError naming its field."""
     offsets: dict[str, dict[int, int]] = {instance: {} for instance in _INSTANCES}
     families = _field("netlist.json", netlist, "wire_families", _json_list)
     for index, family in enumerate(families):
@@ -54,28 +38,20 @@ def read_netlist(
             raise SimulationStructureError(
                 f"{where}:instance {instance!r} is not one of {', '.join(_INSTANCES)}"
             )
-        keys = ("port", "folded_offset", "copy")
-        port, delta, copy = (_field(where, family, key) for key in keys)
-        rho, rho_hat, _ = sizes[instance]
-        _outside("netlist.json", entry, "port", port, 0, rho_hat)
+        port, delta = (_field(where, family, key) for key in ("port", "folded_offset"))
+        _outside("netlist.json", entry, "port", port, 0, len(families))
         _outside("netlist.json", entry, "folded_offset", delta, 0, units)
-        _outside("netlist.json", entry, "copy", copy, 0, 2)
-        if copy != (port >= rho):
-            raise SimulationStructureError(
-                f"{where}:copy {copy}, but {instance}'s port {port} is "
-                f"{'at or past' if port >= rho else 'below'} rho {rho}"
-            )
         if port in offsets[instance]:
             raise SimulationStructureError(f"{where}:port {port} of {instance} repeats")
         offsets[instance][port] = delta
-    for instance, (_, _, wire_count) in sizes.items():
-        if wire_count != units * len(offsets[instance]):
+    for instance, ports in offsets.items():
+        missing = set(range(len(ports))) - ports.keys()
+        if missing:
             raise SimulationStructureError(
-                f"netlist.json:{instance}:wire_count {wire_count} is not F × families "
-                f"= {units} × {len(offsets[instance])}"
+                f"netlist.json:{instance}: {len(ports)} wire families, "
+                f"but none of port {min(missing)}"
             )
-    invalid = {instance: rho_hat for instance, (_, rho_hat, _) in sizes.items()}
-    return invalid, offsets
+    return offsets
 
 
 def read_write_lut(
@@ -83,7 +59,6 @@ def read_write_lut(
     side: str,
     slots: list[tuple[int, int]],
     units: int,
-    capacity: int,
     real_order: int,
     hdl: bool,
 ) -> tuple[list[array], array | None]:
@@ -91,9 +66,10 @@ def read_write_lut(
     as a column of (port, first unit, stop unit, address) in file order,
     and, with ``hdl``, the address column the ROM package mirrors.  A row
     (slot, pmu, units, port, address) stands for units pmu to pmu + units
-    - 1 writing ``address`` on ``port`` in ``slot``; unit m of fold k is a
-    real producer when k · F + m < real J.  The ROM holds an address per
-    unit, slot and port, unit by unit, -1 where no run writes."""
+    - 1 writing ``address``, one of the two cells per slot, on ``port`` in
+    ``slot``; unit m of fold k is a real producer when k · F + m < real J.
+    The ROM holds an address per unit, slot and port, unit by unit, -1
+    where no run writes."""
     name = f"write_lut_{side}.csv"
     slot_count, stride = len(slots), 2 * len(slots)
     real = [max(0, min(units, real_order - k * units)) for _, k in slots]
@@ -105,9 +81,7 @@ def read_write_lut(
         _outside(name, line, "port", port, 0, 2)
         _outside(name, line, "pmu", pmu, 0, units)
         _outside(name, line, "units", count, 1, units - pmu + 1)
-        if not 0 <= address < capacity:
-            bounds = f"address {address} outside capacity {capacity}"
-            raise SimulationStructureError(f"{name}:{line}:{bounds}")
+        _outside(name, line, "address", address, 0, stride)
         if addresses is not None:
             start = pmu * stride + 2 * slot + port
             addresses[start : start + count * stride : stride] = array("q", [address]) * count
@@ -120,10 +94,7 @@ def read_write_lut(
 # The ROM package of a run with HDL: one integer array per LUT file
 _ROM_FILE = "hdl/folded_luts.vhd"
 _ROM_NAMES = ("write_lut_row", "write_lut_col") + tuple(
-    f"lut_{instance}_{kind}_port{b}"
-    for instance in _INSTANCES
-    for kind in ("out", "in")
-    for b in (0, 1)
+    f"lut_{instance}_port{b}" for instance in _INSTANCES for b in (0, 1)
 )
 _ROM_CONSTANT = re.compile(r"\bCONSTANT\s+(\w+)([^;]*);")
 _ROM_DECLARATION = re.compile(
@@ -201,9 +172,8 @@ def top_mismatch(
     every generate must run m over 0 TO F - 1, and each instance's must
     bind, for each family (port j, folded offset delta), out switch m's
     port j to ``<instance>_w(m, j)`` and in switch m's port j to
-    ``<instance>_w((m + delta) MOD F, j)``.  A family's copy follows from
-    its port and offset, so equal offsets make equal families.  One
-    message per differing generate, naming it; a missing file, generate or
+    ``<instance>_w((m + delta) MOD F, j)``.  One message per differing
+    generate, naming it; a missing file, generate or
     switch, or a wire of another form, raises SimulationStructureError."""
     if _TOP_FILE not in files:
         raise SimulationStructureError(f"{_TOP_FILE}: absent, but the run has hdl/ files")

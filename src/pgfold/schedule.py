@@ -15,8 +15,6 @@ bare counter; all placement intelligence sits on the write side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
-
 from .circulant import CirculantBipartiteGraph
 from .folding import (
     FoldPlan,
@@ -68,28 +66,16 @@ def reader_of(instance: str) -> str:
 
 @dataclass(frozen=True)
 class MemoryLayout:
-    """Bin structure of every physical memory unit.
+    """Addressing of every physical memory unit.
 
-    Option 1 keeps one bin per pattern (bin size 2q); option 2 one bin per
-    fold (bin size 2B).  Either way address(l, k, b) = 2 * slot_index + b,
-    so a read port only ever needs a counter.
+    Option 1 keeps one bin per pattern; option 2 one bin per fold.  Either
+    way address(l, k, b) = 2 * slot_index + b, so a read port only ever
+    needs a counter, and a memory holds two cells per slot.
     """
 
     design_option: int
     q: int
     pattern_count: int
-
-    @property
-    def bin_count(self) -> int:
-        return self.pattern_count if self.design_option == 1 else self.q
-
-    @property
-    def bin_size(self) -> int:
-        return 2 * self.q if self.design_option == 1 else 2 * self.pattern_count
-
-    @property
-    def capacity(self) -> int:
-        return 2 * self.q * self.pattern_count
 
     def slot_index(self, l: int, k: int) -> int:
         if not (0 <= l < self.pattern_count and 0 <= k < self.q):
@@ -102,22 +88,6 @@ class MemoryLayout:
         if b not in (0, 1):
             raise ValueError("port must be 0 or 1")
         return 2 * self.slot_index(l, k) + b
-
-    def reserved_addresses(self, degree: int) -> list[int]:
-        """Cells never read because the sentinel pads an odd degree."""
-        if degree % 2 == 0:
-            return []
-        return [self.address(self.pattern_count - 1, k, 1) for k in range(self.q)]
-
-    def to_json_dict(self, degree: int) -> dict:
-        return {
-            "format_version": 2,
-            "pattern_count": self.pattern_count,
-            "bin_count": self.bin_count,
-            "bin_size": self.bin_size,
-            "capacity": self.capacity,
-            "reserved_addresses": self.reserved_addresses(degree),
-        }
 
 
 def layout_addresses(plan: FoldPlan, graph: CirculantBipartiteGraph) -> MemoryLayout:
@@ -345,36 +315,25 @@ def edge_shift_replica(
 
 @dataclass(frozen=True)
 class SwitchLUT:
-    """Port selection table of one switch set.
+    """Port selection table of one interconnect instance.
 
-    One row per pattern: the output (or input) port codes for the two
-    accesses.  A dummy second access carries the invalid code, which
-    tristates every output but the active one.  The table is identical for
+    One row per pattern: the port codes of its two accesses.  Wire j of a
+    memory-side (out) switch lands on port j of a unit-side (in) switch,
+    so both switch sets run this one table, the in set one cycle after the
+    out set.  A dummy second access carries the invalid code
+    ``port_count``, which no wire carries.  The table is identical for
     every switch of the set; a unit's position only shifts which wire a
     port reaches, not the code.
     """
 
     instance: str
-    kind: str  # "pmu_out" (2-to-rho_hat) or "ppu_in" (rho_hat-to-2)
     rows: tuple[tuple[int, int], ...]
     port_count: int
-    invalid_code: int
-    stagger: int
-
-    def to_rows(self) -> list[tuple[int, int, int]]:
-        return [(l, a, b) for l, (a, b) in enumerate(self.rows)]
 
 
-def switch_luts(
-    graph: CirculantBipartiteGraph, plan: FoldPlan
-) -> dict[str, dict[str, SwitchLUT]]:
-    """Port-selection tables for both interconnect instances.
-
-    The memory-side and unit-side tables carry the same codes because wire
-    j of a memory's switch lands on port j of the consumer's switch.  The
-    unit-side set activates one cycle after the memory-side set.
-    """
-    out: dict[str, dict[str, SwitchLUT]] = {}
+def switch_luts(graph: CirculantBipartiteGraph, plan: FoldPlan) -> dict[str, SwitchLUT]:
+    """The port-selection table of each interconnect instance."""
+    out: dict[str, SwitchLUT] = {}
     for instance in INSTANCES:
         sequence = generate_folded_sequence(graph, plan, reader_of(instance))
         port_of, extra_ports, port_count = switch_ports(sequence)
@@ -384,24 +343,7 @@ def switch_luts(
             # A dummy second access (f1 None) carries the invalid code.
             j1 = extra_ports.get(pattern.index, port_of.get(f1, port_count))
             rows.append((port_of[f0], j1))
-        out[instance] = {
-            "out": SwitchLUT(
-                instance=instance,
-                kind="pmu_out",
-                rows=tuple(rows),
-                port_count=port_count,
-                invalid_code=port_count,
-                stagger=0,
-            ),
-            "in": SwitchLUT(
-                instance=instance,
-                kind="ppu_in",
-                rows=tuple(rows),
-                port_count=port_count,
-                invalid_code=port_count,
-                stagger=1,
-            ),
-        }
+        out[instance] = SwitchLUT(instance=instance, rows=tuple(rows), port_count=port_count)
     return out
 
 
@@ -410,36 +352,25 @@ class Netlist:
     """Static interconnect of the folded architecture as circulant wire
     families.
 
-    ``ports`` keeps, per interconnect instance, the port code of each
-    distinct folded offset and the folded offset of each extra port.  Each
-    port code j with folded offset delta is one family: the F wires
-    ``<instance>_w_<m>_<j>``, m in [0, F), from port j of out switch m to
-    port j of in switch (m - delta) mod F.  The units, switches and local
-    channels follow from the plan's F and are not listed.
+    ``offsets`` maps, per interconnect instance, each port code j to the
+    folded offset delta of its family: the F wires ``<instance>_w_<m>_<j>``,
+    m in [0, F), from port j of out switch m to port j of in switch
+    (m - delta) mod F.  The codes are exactly [0, rho_hat): first one per
+    distinct folded offset, then one per doubled pattern, so an instance's
+    family count is its invalid switch code.  The units, switches and
+    local channels follow from the plan's F and are not listed.
     """
 
-    # instance -> ({folded offset: port code}, {extra port code: folded offset})
-    ports: dict[str, tuple[dict[int, int], dict[int, int]]]
-    annotations: dict
-
-    def wire_ports(self, instance: str) -> list[tuple[int, int, int]]:
-        """(folded offset, port code, copy) of each family of the instance:
-        first the offset ports, then the extra ones (copy 1)."""
-        port_of, extra_ports = self.ports[instance]
-        return [(delta, j, 0) for delta, j in port_of.items()] + [
-            (delta, j, 1) for j, delta in extra_ports.items()
-        ]
+    offsets: dict[str, dict[int, int]]
 
     def to_json_dict(self) -> dict:
-        families = [
-            {"instance": instance, "port": j, "folded_offset": delta, "copy": copy}
-            for instance in self.ports
-            for delta, j, copy in self.wire_ports(instance)
-        ]
         return {
             "format_version": 3,
-            "annotations": self.annotations,
-            "wire_families": sorted(families, key=itemgetter("instance", "port")),
+            "wire_families": [
+                {"instance": instance, "port": j, "folded_offset": delta}
+                for instance in sorted(self.offsets)
+                for j, delta in sorted(self.offsets[instance].items())
+            ],
         }
 
 
@@ -450,26 +381,18 @@ def build_netlist(graph: CirculantBipartiteGraph, plan: FoldPlan) -> Netlist:
     delta of the reading side, one wire runs from memory m's output switch
     port j(delta) to the input switch of reading unit (m - delta) mod F,
     same port code.  Doubled patterns add a second family between the same
-    switch pairs on their extra port.
+    switch pairs on their extra port, which carries the pattern's first
+    folded offset.
     """
-    f_units = plan.units_per_side
-    ports: dict[str, tuple[dict[int, int], dict[int, int]]] = {}
-    annotations: dict = {"instances": {}}
+    offsets: dict[str, dict[int, int]] = {}
     for instance in INSTANCES:
         sequence = generate_folded_sequence(graph, plan, reader_of(instance))
-        port_of, extra_ports, port_count = switch_ports(sequence)
-        # A doubled pattern's extra port carries its first folded offset.
-        ports[instance] = (
-            port_of,
-            {j: sequence.patterns[l].folded[0] for l, j in extra_ports.items()},
+        port_of, extra_ports, _ = switch_ports(sequence)
+        offsets[instance] = {j: delta for delta, j in port_of.items()}
+        offsets[instance].update(
+            (j, sequence.patterns[l].folded[0]) for l, j in extra_ports.items()
         )
-        annotations["instances"][instance] = {
-            "rho": len(port_of),
-            "theta": len(extra_ports),
-            "rho_hat": port_count,
-            "wire_count": f_units * port_count,
-        }
-    return Netlist(ports=ports, annotations=annotations)
+    return Netlist(offsets=offsets)
 
 
 # ---------------------------------------------------------------------------

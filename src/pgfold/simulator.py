@@ -1,7 +1,7 @@
 """Cycle-accurate token simulator of an emitted folded architecture.
 
 This module deliberately reimplements the access semantics from the files
-of a run (graph, fold sequences, write LUTs, switch tables, netlist,
+of a run (graph, plan, fold sequences, write LUTs, switch tables, netlist,
 timing) rather than reusing the synthesis code, so a passing simulation
 also validates the file formats and their mutual consistency.  The files
 come from a read-only ``name → text`` mapping: an in-memory render, or a
@@ -18,11 +18,17 @@ consumer and rank prescribe.
 Load reads each file once and names the file, row and field of any
 fault.  netlist.json lists one wire family per switch port code of an
 instance: the F wires from each out switch m to in switch (m - delta)
-mod F.  Each write LUT row is a run of units writing one address; which
-producers are real follows from graph.json's real J.  With HDL, each
-array of hdl/folded_luts.vhd is compared integer by integer with the LUT
-file column it is named after, and the in switch wiring of each instance's
-FOR GENERATE in hdl/top.vhd with the wire families.  ``families`` reads
+mod F; the codes are [0, rho_hat), and rho_hat, the family count, is the
+invalid code no wire carries.  Each instance has one switch table,
+lut_<instance>.csv: its out switches select a pattern's codes and its
+in switches the same codes one cycle later, each reading the last port
+that drives its code.  A memory holds two cells per slot of fold_*.json,
+which bound the write LUTs' addresses.  Each write LUT row is a run of
+units writing one address; which producers are real follows from
+graph.json's real J.  With HDL, each array of hdl/folded_luts.vhd is
+compared integer by integer with the LUT file column it is named after,
+and the in switch wiring of each instance's FOR GENERATE in hdl/top.vhd
+with the wire families.  ``families`` reads
 the wire families, the write LUTs, the ROM package and the top level.
 
 Compile turns each half into a plan, run by run and pattern by pattern:
@@ -213,16 +219,16 @@ class _Inputs:
     real_order: int
     real_base_offsets: frozenset[int]
     units: int
-    capacity: int
     pipeline_level: str
     slots: dict[str, list[tuple[int, int]]]
     read_cycles: list[int]
     write_cycles: list[int]
     side_span: int
-    out_rows: dict[str, list[tuple[int, int]]]
-    in_rows: dict[str, list[tuple[int, int]]]
-    invalid: dict[str, int]
-    # Per instance, port code -> the folded offset of its wire family
+    # Per instance, the codes (port0, port1) of each pattern, which its out
+    # switches select and, a cycle later, its in switches
+    switch_rows: dict[str, list[tuple[int, int]]]
+    # Per instance, port code -> the folded offset of its wire family; the
+    # codes are [0, families), and the family count is the invalid code
     wire_offsets: dict[str, dict[int, int]]
     # Per side, per slot, the real producers' write runs (port, first unit,
     # stop unit, address) as one column
@@ -302,7 +308,7 @@ def _real_masks(
 def _load(files: Mapping[str, str]) -> _Inputs:
     docs = {
         name: read_json(files, f"{name}.json")
-        for name in ("graph", "plan", "layout", "timing", "netlist")
+        for name in ("graph", "plan", "timing", "netlist")
     }
     plan, timing, netlist = docs["plan"], docs["timing"], docs["netlist"]
     order, base_offsets, real_order, real_base_offsets = _graph_fields(docs["graph"])
@@ -314,7 +320,6 @@ def _load(files: Mapping[str, str]) -> _Inputs:
             f"q × units_per_side = {folds} × {units} = {folds * units}"
         )
     pipeline_level = _field("plan.json", plan, "pipeline_level", _json_level)
-    capacity = _field("layout.json", docs["layout"], "capacity")
     cycles = {
         key: list(_field("timing.json", timing, key, json_ints))
         for key in ("read_cycles", "write_cycles")
@@ -356,62 +361,56 @@ def _load(files: Mapping[str, str]) -> _Inputs:
     # Imported here, so that commands that replay nothing do not compile it.
     from .families import read_netlist, read_roms, read_write_lut, rom_mismatch, top_mismatch
 
-    invalid, wire_offsets = read_netlist(netlist, units)
-    out_rows = {}
-    in_rows = {}
-    roms = read_roms(files)
-    hdl_mismatches = [] if roms is None else top_mismatch(files, units, wire_offsets)
+    wire_offsets = read_netlist(netlist, units)
+    switch_rows = {}
     for instance in _INSTANCES:
-        for kind, store in (("out", out_rows), ("in", in_rows)):
-            name = f"lut_{instance}_{kind}.csv"
-            # Pattern l's row is the one of slot l: each slot in range, once.
-            records: list = [None] * pattern_count["row"]
-            for line, values in _read_csv(files, name, ("slot", "port0", "port1")):
-                slot = values[0]
-                _outside(name, line, "slot", slot, 0, len(records))
-                if records[slot] is not None:
-                    raise SimulationStructureError(
-                        f"{name}:{line}:slot {slot} repeats line {records[slot][0]}"
-                    )
-                records[slot] = line, values
-            if None in records:
+        name, invalid = f"lut_{instance}.csv", len(wire_offsets[instance])
+        # Pattern l's row is the one of slot l: each slot in range, once.
+        records: list = [None] * pattern_count["row"]
+        for line, values in _read_csv(files, name, ("slot", "port0", "port1")):
+            slot = values[0]
+            _outside(name, line, "slot", slot, 0, len(records))
+            if records[slot] is not None:
                 raise SimulationStructureError(
-                    f"{name}: slot {records.index(None)} missing, "
-                    f"one row per pattern of {len(records)}"
+                    f"{name}:{line}:slot {slot} repeats line {records[slot][0]}"
                 )
-            store[instance] = [(port0, port1) for _, (_, port0, port1) in records]
-            if roms is not None:
-                for b in (0, 1):
-                    hdl_mismatches += rom_mismatch(
-                        roms,
-                        f"lut_{instance}_{kind}_port{b}",
-                        f"{name} port{b}",
-                        [row[b] for row in store[instance]],
+            records[slot] = line, values
+        if None in records:
+            raise SimulationStructureError(
+                f"{name}: slot {records.index(None)} missing, "
+                f"one row per pattern of {len(records)}"
+            )
+        switch_rows[instance] = [(port0, port1) for _, (_, port0, port1) in records]
+        # Ranks past the reader offsets are the padded sentinel port,
+        # which only the unused code may select.
+        for pattern, (line, (_, *codes)) in enumerate(records):
+            for b, code in enumerate(codes):
+                if 2 * pattern + b >= ranks and code != invalid:
+                    raise SimulationStructureError(
+                        f"{name}:{line}:port{b} code {code} selects rank "
+                        f"{2 * pattern + b}, past the {ranks} reader offsets "
+                        f"(only {invalid} may)"
                     )
-            if kind == "out":
-                continue
-            # Ranks past the reader offsets are the padded sentinel port,
-            # which only the unused code may select.
-            for pattern, (line, (_, *codes)) in enumerate(records):
-                for b, code in enumerate(codes):
-                    if 2 * pattern + b >= ranks and code != invalid[instance]:
-                        raise SimulationStructureError(
-                            f"{name}:{line}:port{b} code {code} selects rank "
-                            f"{2 * pattern + b}, past the {ranks} reader offsets "
-                            f"(only {invalid[instance]} may)"
-                        )
+    roms = read_roms(files)
+    hdl_mismatches = []
+    if roms is not None:
+        hdl_mismatches = top_mismatch(files, units, wire_offsets)
+        for instance, rows in switch_rows.items():
+            for b in (0, 1):
+                array_name, twin = f"lut_{instance}_port{b}", f"lut_{instance}.csv port{b}"
+                hdl_mismatches += rom_mismatch(roms, array_name, twin, [row[b] for row in rows])
     # Each write, token, delivery and access is one signed 64-bit integer.
     latest = abs(side_span) + max(map(abs, sum(cycles.values(), [])), default=0)
-    span = max(capacity, 2 * slot_count, 1)
+    span = max(2 * slot_count, 1)
     if max(order * order * ranks, (latest + 1) * units * 4 * span) >= 2**63:
         raise SimulationStructureError(
-            f"timing.json, layout.json: cycles up to {latest}, capacity {capacity} "
+            f"timing.json: cycles up to {latest}, {slot_count} slots "
             f"and J {order} are too large to replay"
         )
     writes = {}
     for side in ("row", "col"):
         writes[side], addresses = read_write_lut(
-            files, side, slots[side], units, capacity, real_order, roms is not None
+            files, side, slots[side], units, real_order, roms is not None
         )
         if roms is not None:
             name = f"write_lut_{side}"
@@ -421,15 +420,12 @@ def _load(files: Mapping[str, str]) -> _Inputs:
         real_order=real_order,
         real_base_offsets=frozenset(real_base_offsets),
         units=units,
-        capacity=capacity,
         pipeline_level=pipeline_level,
         slots=slots,
         read_cycles=cycles["read_cycles"],
         write_cycles=cycles["write_cycles"],
         side_span=side_span,
-        out_rows=out_rows,
-        in_rows=in_rows,
-        invalid=invalid,
+        switch_rows=switch_rows,
         wire_offsets=wire_offsets,
         writes=writes,
         reader_offsets=_reader_offsets(order, base_offsets),
@@ -541,7 +537,7 @@ class _Resources:
     col_reads.  Then follow consecutive ranges: the memory ports by (side,
     unit, port); then, for each instance and direction, the switch ports by
     (unit, code), the code range spanning the lowest to the highest code of
-    that switch table.  Every id fits an ``array('q')`` column.
+    the instance's switch table.  Every id fits an ``array('q')`` column.
     """
 
     def __init__(self, inputs: _Inputs) -> None:
@@ -556,17 +552,16 @@ class _Resources:
         # (instance, direction) -> (first id, lowest code, codes per unit)
         self.switches: dict[tuple[str, str], tuple[int, int, int]] = {}
         for instance in _INSTANCES:
-            for direction, rows in (("out", inputs.out_rows), ("in", inputs.in_rows)):
-                codes = [code for row in rows[instance] for code in row]
-                low = min(codes, default=0)
-                width = max(codes, default=low - 1) - low + 1
+            codes = [code for row in inputs.switch_rows[instance] for code in row]
+            low = min(codes, default=0)
+            width = max(codes, default=low - 1) - low + 1
+            for direction in ("out", "in"):
                 self.switches[(instance, direction)] = (base, low, width)
                 base += self.units * width
-                if base >= 2**63:
-                    raise SimulationStructureError(
-                        f"lut_{instance}_{direction}.csv: codes {low} to "
-                        f"{low + width - 1} are too many to replay"
-                    )
+            if base >= 2**63:
+                raise SimulationStructureError(
+                    f"lut_{instance}.csv: codes {low} to {low + width - 1} are too many to replay"
+                )
 
     def ports(self, side: str) -> int:
         """The id of port 0 of ``side``'s memory unit 0; port b of unit m
@@ -704,12 +699,10 @@ def _compile(inputs: _Inputs) -> tuple[dict[str, _Half], _Resources, _Trace, dic
     """Both halves, their resource ids, and the first iteration's access
     runs of each side's memory."""
     resources = _Resources(inputs)
-    slot_count = len(inputs.slots["row"])
-    trace = _Trace(inputs.units, max(inputs.capacity, 2 * slot_count))
-    # A memory's cells are indexed by pmu · depth + address: the reads
-    # address [0, 2 · slots), and only below the capacity, so a cell at or
-    # past the depth is never read and is not kept.
-    depth = max(0, min(inputs.capacity, 2 * slot_count))
+    # A memory's cells are indexed by pmu · depth + address: two per slot,
+    # which the reads address as [0, 2 · slots) and the writes as well.
+    depth = 2 * len(inputs.slots["row"])
+    trace = _Trace(inputs.units, depth)
     observed: dict[str, list] = {"row": [], "col": []}
     ranks = len(inputs.reader_offsets["row"])
     halves = {side: _Half(side, other, inputs.order, ranks) for side, other in _SIDES.items()}
@@ -756,9 +749,8 @@ def _compile_writes(
                 token = (producer * order + consumer) * ranks + t
                 wrap = token + (order - consumer) * step
                 values = chain(range(token, wrap, step), count(wrap - order * ranks, step))
-            if address < depth:  # a cell that a read can reach
-                cells = range(pmu * depth + address, stop * depth, depth)
-                any(map(tokens.__setitem__, cells, values))
+            cells = range(pmu * depth + address, stop * depth, depth)
+            any(map(tokens.__setitem__, cells, values))
         if runs:
             claims.append((cycle, runs, clash))
     return claims
@@ -798,8 +790,8 @@ def _compile_reads(
             seen += [(first + m) * (width + 1) + stop - m for m, stop in ranges]
         ranks += pattern[4] * active
         for (cells, keys, real_edges), (rank, source, delta) in zip(lanes, pattern[2]):
-            address = 2 * slot + source if source is not None else depth
-            if address < depth:
+            if source is not None:
+                address = 2 * slot + source
                 cell = delta * depth + address
                 values = chain(range(cell, blank, depth), count(address, depth))
                 cells.extend(islice(values, active))
@@ -825,14 +817,15 @@ def _pattern(inputs: _Inputs, instance: str, l: int, active: int) -> tuple:
     runs it: ``active``; its drives (port, code, ranges of the units that
     drive it); per port, its select (rank, the last port driving the
     selected code, that code's offset), all None where it selects
-    nothing; its in codes; a unit's ranks, 0 where none; and whether its
-    out claim, and its in claim, names an id twice.  Wire family (code, δ)
-    carries out switch m's port to in switch (m - δ) mod F, so the units
-    that drive the busy units are those rotated by δ."""
-    invalid, families = inputs.invalid[instance], inputs.wire_offsets[instance]
-    outs, ins = inputs.out_rows[instance][l], inputs.in_rows[instance][l]
+    nothing; its codes; a unit's ranks, 0 where none; and whether its out
+    and in claims name an id twice.  The out and the in
+    switches select the same codes.  Wire family (code, δ) carries out
+    switch m's port to in switch (m - δ) mod F, so the units that drive
+    the busy units are those rotated by δ."""
+    families = inputs.wire_offsets[instance]
+    invalid, codes = len(families), inputs.switch_rows[instance][l]
     drives, selects, units = [], [], inputs.units
-    for b, code in enumerate(outs):
+    for b, code in enumerate(codes):
         if code != invalid and code not in families:
             raise SimulationStructureError(
                 f"switch table references missing wire at "
@@ -842,15 +835,16 @@ def _pattern(inputs: _Inputs, instance: str, l: int, active: int) -> tuple:
             delta = families[code]
             ranges = ((delta, min(units, delta + active)), (0, delta + active - units))
             drives.append((b, code, [(m, stop) for m, stop in ranges if m < stop]))
-    for b, code in enumerate(ins):
+    for b, code in enumerate(codes):
         sources = [None] + [port for port, out, _ in drives if out == code]
         select = 2 * l + b, sources[-1], families.get(code)
         selects.append(select if code != invalid else (None,) * 3)
-    # Two ports of one code drive, or select, each of its ids twice.
-    codes = [code for _, code, _ in drives], [code for code in ins if code != invalid]
+    # Two ports of one code drive, or select, each of its ids twice: both
+    # switches or neither, as every out code but the invalid one is a family.
+    valid = [code for code in codes if code != invalid]
+    twice = active > 0 and len(set(valid)) < len(valid)
     ranks = array("q", [rank or 0 for rank, _, _ in selects])
-    twice = (active > 0 and len(set(c)) < len(c) for c in codes)
-    return active, drives, selects, ins, ranks, *twice
+    return active, drives, selects, codes, ranks, twice
 
 
 def _keep_claims(
@@ -872,9 +866,9 @@ def _keep_claims(
     offsets = Counter(offset for offset, _ in reads)
     cycles = Counter(cycle for cycle, _, _ in writes)
     recurring = {cycle for cycle, _, clash in writes if clash or cycles[cycle] > 1}
-    for offset, (*_, out_twice, in_twice) in reads:
-        pairs = ((offset, out_twice), (offset + 1, in_twice))
-        recurring.update(o for o, clash in pairs if clash or offsets[offset] > 1)
+    for offset, (*_, twice) in reads:
+        if twice or offsets[offset] > 1:
+            recurring.update((offset, offset + 1))
     if high - low >= span:
         every = chain(offsets, (offset + 1 for offset in offsets), cycles)
         recurring.update(o for o in every if max(o - low, high - o) >= span)

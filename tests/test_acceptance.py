@@ -35,7 +35,6 @@ from pgfold.folding import (
 from pgfold.projective import PgParams, build_pg_graph
 from pgfold.schedule import (
     edge_shift_replica,
-    layout_addresses,
     read_cycle,
     write_schedule,
 )
@@ -183,7 +182,9 @@ class TestAcceptance:
             assert by_edge[(0, 0)] == 0
             assert by_edge[(5, 6)] == 1
             assert by_edge[(0, 4)] == 9
-            assert layout_addresses(plan, graph).capacity == 24
+            # Capacity is two cells per slot, and the writes fill them.
+            assert 2 * generate_folded_sequence(graph, plan, "row").slot_count == 24
+            assert set(by_edge.values()) == set(range(24))
             assert compute_rho(graph, plan, "row") == (5, 0, 5)
 
     def test_criterion_04_edge_replica_golden(self):

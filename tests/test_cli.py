@@ -4,6 +4,7 @@ selection, config handling, exit codes, and the verify flow."""
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import sys
 import pytest
 
 from pgfold.cli import main
+from pgfold.emit import emit_manifest_json
 from pgfold.simulator import SimulationStructureError
 
 from .test_simulator import rewrite_csv
@@ -32,6 +34,69 @@ def pg13_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli13") / "pg13"
     assert main(["build-pg", "--geometry", "2,3,1", "--out", str(out)]) == 0
     return out
+
+
+def older_format(run_dir):
+    """Rewrite the run in ``run_dir`` into the older run format: with
+    layout.json, an out and an in switch table per instance and their ROM
+    arrays, netlist.json's annotations and each family's copy, and a
+    manifest of those files."""
+    (run_dir / "layout.json").write_text(
+        json.dumps(
+            {
+                "bin_count": 4,
+                "bin_size": 6,
+                "capacity": 24,
+                "format_version": 2,
+                "pattern_count": 4,
+                "reserved_addresses": [19, 21, 23],
+            },
+            indent=2,
+            sort_keys=True,
+        )
+        + "\n"
+    )
+    for instance in ("row_reads", "col_reads"):
+        table = (run_dir / f"lut_{instance}.csv").read_text()
+        (run_dir / f"lut_{instance}.csv").unlink()
+        for kind in ("out", "in"):
+            (run_dir / f"lut_{instance}_{kind}.csv").write_text(table)
+    netlist = read_json(run_dir / "netlist.json")
+    sizes = {"row_reads": (5, 0, 5), "col_reads": (5, 1, 6)}
+    netlist["annotations"] = {
+        "instances": {
+            instance: {"rho": rho, "theta": theta, "rho_hat": rho_hat, "wire_count": 5 * rho_hat}
+            for instance, (rho, theta, rho_hat) in sizes.items()
+        }
+    }
+    for family in netlist["wire_families"]:
+        family["copy"] = int(family["port"] >= sizes[family["instance"]][0])
+    (run_dir / "netlist.json").write_text(json.dumps(netlist, indent=2, sort_keys=True) + "\n")
+    roms = run_dir / "hdl" / "folded_luts.vhd"
+    text = roms.read_text().replace(
+        "lut_<instance>_port<b> is column port<b> of\n-- lut_<instance>.csv, one entry per slot, "
+        "which the out and the in\n-- switches of the instance both read.",
+        "lut_<instance>_<kind>_port<b> is column port<b> of\n"
+        "-- lut_<instance>_<kind>.csv, one entry per slot.",
+    )
+    roms.write_text(
+        re.sub(
+            r"^  CONSTANT lut_(\w+)_port0 ([^;]*;)\n  CONSTANT lut_\1_port1 ([^;]*;)\n",
+            lambda m: "".join(
+                f"  CONSTANT lut_{m[1]}_{kind}_port{b} {m[2 + b]}\n"
+                for kind in ("out", "in")
+                for b in (0, 1)
+            ),
+            text,
+            flags=re.MULTILINE,
+        )
+    )
+    files = {
+        path.relative_to(run_dir).as_posix(): path.read_text()
+        for path in sorted(run_dir.rglob("*"))
+        if path.is_file() and path.name != "manifest.json"
+    }
+    (run_dir / "manifest.json").write_text(emit_manifest_json(files))
 
 
 @pytest.fixture(scope="module")
@@ -580,13 +645,25 @@ class TestSimulateCommand:
         def mutate(rows):
             rows[1]["port0"], rows[1]["port1"] = rows[1]["port1"], rows[1]["port0"]
 
-        rewrite_csv(work, "lut_row_reads_in.csv", mutate)
+        rewrite_csv(work, "lut_row_reads.csv", mutate)
         assert main(["simulate", "--out", str(work)]) == 1
         assert "simulate: FAIL" in capsys.readouterr().out
 
     def test_missing_directory_is_usage_error(self, tmp_path, capsys):
         assert main(["simulate", "--out", str(tmp_path / "nope")]) == 2
         assert "not found" in capsys.readouterr().err
+
+    def test_run_of_the_older_format_must_be_emitted_again(self, run15_dir, tmp_path, capsys):
+        # Runs of the older format held layout.json and two switch tables per
+        # instance; they end as a missing switch table does.
+        work = tmp_path / "older"
+        shutil.copytree(run15_dir, work)
+        older_format(work)
+        for command in ("simulate", "verify"):
+            assert main([command, "--out", str(work)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: missing artifact lut_row_reads.csv in {work}\n"
+            assert "Traceback" not in captured.out
 
 
 class TestVerify:
@@ -606,12 +683,42 @@ class TestVerify:
         def mutate(rows):
             rows[0]["port0"], rows[0]["port1"] = rows[0]["port1"], rows[0]["port0"]
 
-        rewrite_csv(work, "lut_col_reads_in.csv", mutate)
+        rewrite_csv(work, "lut_col_reads.csv", mutate)
         assert main(["verify", "--out", str(work)]) == 1
         out = capsys.readouterr().out
         assert "verify: FAIL" in out
         assert "re-derivation: FAIL" in out
         assert "manifest: FAIL" in out
+
+    def test_mislabelled_geometry_fails_run_naming_the_failures(self, tmp_path, capsys):
+        # The J = 15 offsets of P(3, GF(2)) labelled P(3, GF(4)), of J 85.
+        source = tmp_path / "graph.json"
+        source.write_text(
+            json.dumps({"J": 15, "base_offsets": [0, 1, 2, 4, 5, 8, 10], "geometry": [3, 2, 2]})
+        )
+        out = tmp_path / "run"
+        assert main(["run", "--graph", str(source), "--q", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: incidence self-check failed for P(3, GF(2^2)): order 15 != 85; "
+            "degree 7 != 21; rows 0 and 1 share 3 points, expected 5\n"
+        )
+        assert not out.exists()
+
+    def test_mislabelled_geometry_fails_verify_naming_the_failures(
+        self, run15_dir, tmp_path, capsys
+    ):
+        work = tmp_path / "mislabelled"
+        shutil.copytree(run15_dir, work)
+        graph = read_json(work / "graph.json")
+        graph["geometry"] = [3, 2, 2]
+        (work / "graph.json").write_text(json.dumps(graph))
+        assert main(["verify", "--out", str(work)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            "incidence: FAIL (P(3, 2, 2): order 15 != 85; degree 7 != 21; "
+            "rows 0 and 1 share 3 points, expected 5)"
+        )
+        assert lines[-1] == "verify: FAIL"
 
     def test_unfolded_run_ratio_is_one(self, tmp_path, capsys):
         out = tmp_path / "flat"

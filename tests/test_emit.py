@@ -101,17 +101,18 @@ def running_example(q=3, design_option=1, **kwargs):
 class TestFlatArtifacts:
     def test_netlist_json(self):
         # One family per switch port of an instance: 5 row_reads ports and
-        # 6 col_reads ports, the last an extra port (copy 1), for 55 wires.
+        # 6 col_reads ports, the last the extra port of the doubled pattern,
+        # for 55 wires.  The family count is each instance's rho_hat.
         graph, plan = running_example()
         data = json.loads(emit_netlist_json(build_netlist(graph, plan)))
-        assert set(data) == {"format_version", "annotations", "wire_families"}
+        assert set(data) == {"format_version", "wire_families"}
         families = data["wire_families"]
-        assert [(f["instance"], f["port"], f["copy"]) for f in families] == [
-            *(("col_reads", j, int(j == 5)) for j in range(6)),
-            *(("row_reads", j, 0) for j in range(5)),
+        assert [set(f) for f in families] == [{"instance", "port", "folded_offset"}] * 11
+        assert [(f["instance"], f["port"]) for f in families] == [
+            *(("col_reads", j) for j in range(6)),
+            *(("row_reads", j) for j in range(5)),
         ]
         assert len(wires_of(data, plan.units_per_side)) == 55
-        assert data["annotations"]["instances"]["row_reads"]["rho_hat"] == 5
 
     def test_graph_json_round_trip(self):
         graph, _ = running_example()
@@ -122,25 +123,22 @@ class TestFlatArtifacts:
 
     def test_switch_lut_csv(self):
         graph, plan = running_example()
-        text = emit_switch_lut_csv(switch_luts(graph, plan)["row_reads"]["out"])
+        text = emit_switch_lut_csv(switch_luts(graph, plan)["row_reads"])
         lines = text.splitlines()
         assert lines[0] == "slot,port0,port1"
         assert lines[1] == "0,0,1"
         assert lines[4] == "3,0,5"
 
-    def test_layout_json(self):
-        # The read counter wraps at the capacity; the padded sentinel leaves
-        # the last pattern's port-1 cell of each fold unread.
+    def test_memory_depth_is_two_cells_per_slot(self):
+        # No file states the depth: fold_row.json's 12 slots make 24 cells,
+        # which the write LUT's addresses fill.
         graph, plan = running_example()
-        data = json.loads(render_run_files(graph, plan, ("json",))["layout.json"])
-        assert data == {
-            "format_version": 2,
-            "pattern_count": 4,
-            "bin_count": 4,
-            "bin_size": 6,
-            "capacity": 24,
-            "reserved_addresses": [19, 21, 23],
-        }
+        files = render_run_files(graph, plan, ("csv", "json"))
+        assert "layout.json" not in files
+        slots = json.loads(files["fold_row.json"])["slots"]
+        rows = files["write_lut_row.csv"].splitlines()[1:]
+        assert {int(row.rsplit(",", 1)[1]) for row in rows} == set(range(2 * len(slots)))
+        assert len(slots) == 12
 
     def test_write_lut_csv(self):
         # Slot 0 writes address 0 from all five units on port 0; on port 1
@@ -268,8 +266,9 @@ class TestHdl:
     def test_switch_has_lut_constants(self):
         files = self.build()
         text = files["folded_luts.vhd"]
-        assert "  CONSTANT lut_row_reads_out_port0 : integer_rom(0 TO 3) := (\n" in text
-        assert "  CONSTANT lut_row_reads_out_port1 : integer_rom(0 TO 3) := (\n" in text
+        assert "  CONSTANT lut_row_reads_port0 : integer_rom(0 TO 3) := (\n" in text
+        assert "  CONSTANT lut_row_reads_port1 : integer_rom(0 TO 3) := (\n" in text
+        assert "_out_port" not in text and "_in_port" not in text
 
     def test_write_lut_constant_is_the_csv_address_column(self):
         # The ROM holds the runs' addresses expanded, unit by unit, each
@@ -435,17 +434,14 @@ class TestRunDirectory:
             "plan.json",
             "fold_row.json",
             "fold_col.json",
-            "layout.json",
             "netlist.json",
             "timing.json",
             "write_lut_row.csv",
             "write_lut_col.csv",
             "access_trace_row.csv",
             "access_trace_col.csv",
-            "lut_row_reads_out.csv",
-            "lut_row_reads_in.csv",
-            "lut_col_reads_out.csv",
-            "lut_col_reads_in.csv",
+            "lut_row_reads.csv",
+            "lut_col_reads.csv",
             "hdl/folded_luts.vhd",
             "hdl/top.vhd",
         }

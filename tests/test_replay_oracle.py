@@ -56,12 +56,14 @@ def _is_real_edge(real_order, real_offsets, side, consumer, producer):
     return (col - row) % real_order in real_offsets
 
 
-def read_write_lut(files, side, slots, units, capacity, real_order):
-    """Per slot, the real producers' writes as codes (pmu · capacity +
-    address) · 2 + port, by place 2 · unit + port; a slot whose runs leave
-    a place empty or fill one twice has its writes sorted by place."""
+def read_write_lut(files, side, slots, units, real_order):
+    """Per slot, the real producers' writes as codes (pmu · depth +
+    address) · 2 + port, depth two cells per slot, by place 2 · unit +
+    port; a slot whose runs leave a place empty or fill one twice has its
+    writes sorted by place."""
     name = f"write_lut_{side}.csv"
-    step = 2 * capacity
+    depth = 2 * len(slots)
+    step = 2 * depth
     by_slot = [
         array("q", [-1]) * (2 * max(0, min(units, real_order - k * units))) for _, k in slots
     ]
@@ -70,7 +72,7 @@ def read_write_lut(files, side, slots, units, capacity, real_order):
     for _, (slot, pmu, count_, port, address) in _read_csv(files, name, columns):
         stop = min(pmu + count_, len(by_slot[slot]) // 2)
         if pmu < stop:
-            code = (pmu * capacity + address) * 2 + port
+            code = (pmu * depth + address) * 2 + port
             writes = range(code, code + (stop - pmu) * step, step)
             by_slot[slot][2 * pmu + port : 2 * stop : 2] = array("q", writes)
             placed[slot] += stop - pmu
@@ -79,7 +81,7 @@ def read_write_lut(files, side, slots, units, capacity, real_order):
         for _, (slot, pmu, count_, port, address) in _read_csv(files, name, columns):
             stop = min(pmu + count_, len(by_slot[slot]) // 2) if slot in places else pmu
             for unit in range(pmu, stop):
-                places[slot].append((2 * unit + port, (unit * capacity + address) * 2 + port))
+                places[slot].append((2 * unit + port, (unit * depth + address) * 2 + port))
         for slot, writes in places.items():
             by_slot[slot] = array("q", map(itemgetter(1), sorted(writes)))
     return by_slot
@@ -122,8 +124,8 @@ def compile_halves(inputs):
     resources = Resources(inputs)
     ranks = len(inputs.reader_offsets["row"])
     slot_count = len(inputs.slots["row"])
-    trace = _Trace(inputs.units, max(inputs.capacity, 2 * slot_count))
-    depth = max(0, min(inputs.capacity, 2 * slot_count))
+    depth = 2 * slot_count
+    trace = _Trace(inputs.units, depth)
     observed = {side: (array("q"), array("q")) for side in ("row", "col")}
     halves = {side: Half(side, other, inputs.order, ranks) for side, other in _SIDES.items()}
     cell_index = {}
@@ -138,7 +140,7 @@ def compile_halves(inputs):
 
 
 def compile_writes(inputs, half, rel_base, depth, resources, trace, seen):
-    units, order, capacity = inputs.units, inputs.order, inputs.capacity
+    units, order = inputs.units, inputs.order
     width, span = trace.units, trace.span
     offsets = inputs.reader_offsets[half.reading]
     index = array("q", [-1]) * (max(units, 0) * depth)
@@ -152,7 +154,7 @@ def compile_writes(inputs, half, rel_base, depth, resources, trace, seen):
         group, codes = [], []
         for write in writes:
             place, port = divmod(write, 2)
-            pmu, address = divmod(place, capacity)
+            pmu, address = divmod(place, depth)
             producer = k * units + pmu
             t = 2 * l + port
             token = -1
@@ -161,14 +163,13 @@ def compile_writes(inputs, half, rel_base, depth, resources, trace, seen):
                 token = (producer * order + consumer) * half.ranks + t
             group.append(resources.port(half.reading, pmu, port))
             codes.append((((top + port) * span + address) * 2 + 1) * width + pmu)
-            if address < depth:
-                spot = pmu * depth + address
-                cell = index[spot]
-                if cell < 0:
-                    index[spot] = len(tokens)
-                    tokens.append(token)
-                else:
-                    tokens[cell] = token
+            spot = pmu * depth + address
+            cell = index[spot]
+            if cell < 0:
+                index[spot] = len(tokens)
+                tokens.append(token)
+            else:
+                tokens[cell] = token
         seen.extend(sorted(codes))
         half.write_claims.append((cycle, *ids_of(group)))
     return index
@@ -196,7 +197,7 @@ def compile_reads(inputs, half, rel_base, index, depth, blank, resources, trace,
         for m, b, target in zip(*drives):
             address = 2 * slot + b
             if target >= 0:
-                cell = index[m * depth + address] if address < depth else -1
+                cell = index[m * depth + address]
                 driven[target] = blank if cell < 0 else cell
         for i, b, in_id in zip(*selects, in_claims[0]):
             lpu = k * units + i
@@ -211,12 +212,13 @@ def compile_reads(inputs, half, rel_base, index, depth, blank, resources, trace,
 
 
 def compile_pattern(inputs, resources, instance, producing, l, active):
-    invalid = inputs.invalid[instance]
     offsets = inputs.wire_offsets[instance]
+    invalid = len(offsets)
+    codes = inputs.switch_rows[instance][l]
     index = _INSTANCES.index(instance)
     out_ids, drives = [], ([], [], [])
     for m in range(inputs.units):
-        for b, code in enumerate(inputs.out_rows[instance][l]):
+        for b, code in enumerate(codes):
             if code == invalid:
                 continue
             delta = offsets.get(code)
@@ -236,7 +238,7 @@ def compile_pattern(inputs, resources, instance, producing, l, active):
             drives[2].append(resources.switch(instance, "in", dst_unit, code))
     in_ids, selects = [], ([], [])
     for i in range(active):
-        for b, code in enumerate(inputs.in_rows[instance][l]):
+        for b, code in enumerate(codes):
             if code == invalid:
                 continue
             in_ids.append(resources.switch(instance, "in", i, code))
@@ -315,9 +317,7 @@ def oracle_simulate(files, iterations=1):
     files = _source(files)
     inputs = simulator._load(files)
     inputs.writes = {
-        side: read_write_lut(
-            files, side, inputs.slots[side], inputs.units, inputs.capacity, inputs.real_order
-        )
+        side: read_write_lut(files, side, inputs.slots[side], inputs.units, inputs.real_order)
         for side in ("row", "col")
     }
     halves, resources, trace, observed = compile_halves(inputs)
@@ -418,10 +418,12 @@ def _csv_text(header, rows):
 
 @st.composite
 def tampers(draw, files):
-    """``files`` with at most one drawn edit of a write LUT, timing.json or
-    netlist.json, and the edit's name."""
+    """``files`` with at most one drawn edit of a write LUT, timing.json,
+    netlist.json or a switch table, and the edit's name."""
     kind = draw(
-        st.sampled_from(["none", "drop", "duplicate", "units", "address", "cycle", "offset"])
+        st.sampled_from(
+            ["none", "drop", "duplicate", "units", "address", "cycle", "offset", "code"]
+        )
     )
     if kind in ("drop", "duplicate", "units", "address"):
         name = f"write_lut_{draw(st.sampled_from(['row', 'col']))}.csv"
@@ -450,6 +452,15 @@ def tampers(draw, files):
         family = draw(st.sampled_from(netlist["wire_families"]))
         family["folded_offset"] = (family["folded_offset"] + draw(st.integers(1, 3))) % units
         return {**files, "netlist.json": json.dumps(netlist)}, kind
+    if kind == "code":
+        instance = draw(st.sampled_from(["row_reads", "col_reads"]))
+        families = json.loads(files["netlist.json"])["wire_families"]
+        invalid = sum(family["instance"] == instance for family in families)
+        name = f"lut_{instance}.csv"
+        header, rows = _csv_rows(files[name])
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(1, 2))] = str(draw(st.integers(0, invalid)))
+        return {**files, name: _csv_text(header, rows)}, kind
     return files, kind
 
 

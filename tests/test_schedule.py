@@ -79,7 +79,6 @@ def wires_of(netlist, f_units, instance=None):
             "src": [f"{inst}_out_{m}", j],
             "dst": [f"{inst}_in_{(m - family['folded_offset']) % f_units}", j],
             "folded_offset": family["folded_offset"],
-            "copy": family["copy"],
         }
         for family in data["wire_families"]
         if instance in (None, family["instance"])
@@ -93,21 +92,34 @@ def wire_lookup(netlist, f_units):
     return {tuple(w["src"]): w for w in wires_of(netlist, f_units)}
 
 
+def depth(layout):
+    """The cells of a memory: two per slot."""
+    return 2 * layout.pattern_count * layout.q
+
+
+def reserved_cells(layout, degree):
+    """The cells no read reaches because the sentinel pads an odd degree:
+    the last pattern's port-1 cell of each fold."""
+    if degree % 2 == 0:
+        return []
+    return [layout.address(layout.pattern_count - 1, k, 1) for k in range(layout.q)]
+
+
 class TestMemoryLayout:
     def test_running_example_capacity(self):
+        # Option 1 keeps a bin of 2q = 6 cells per pattern.
         graph, plan = running_example()
         layout = layout_addresses(plan, graph)
         assert layout.pattern_count == 4
-        assert layout.bin_count == 4
-        assert layout.bin_size == 6
-        assert layout.capacity == 24
+        assert depth(layout) == 24
+        assert [layout.address(l, 0, 0) for l in range(4)] == [0, 6, 12, 18]
 
     def test_option2_same_capacity_transposed_bins(self):
+        # Option 2 keeps a bin of 2B = 8 cells per fold.
         graph, plan = running_example(design_option=2)
         layout = layout_addresses(plan, graph)
-        assert layout.bin_count == 3
-        assert layout.bin_size == 8
-        assert layout.capacity == 24
+        assert depth(layout) == 24
+        assert [layout.address(0, k, 0) for k in range(3)] == [0, 8, 16]
 
     def test_address_goldens_option1(self):
         graph, plan = running_example()
@@ -128,16 +140,18 @@ class TestMemoryLayout:
                         addr = layout.address(l, k, b)
                         assert addr == 2 * layout.slot_index(l, k) + b
                         seen.add(addr)
-            assert seen == set(range(layout.capacity))
+            assert seen == set(range(depth(layout)))
 
     def test_reserved_cells(self):
-        graph, plan = running_example()
-        layout = layout_addresses(plan, graph)
-        assert layout.reserved_addresses(graph.scheduled_degree - 1) == [19, 21, 23]
-        graph2, plan2 = running_example(design_option=2)
-        layout2 = layout_addresses(plan2, graph2)
-        assert layout2.reserved_addresses(7) == [7, 15, 23]
-        assert layout.reserved_addresses(8) == []
+        # The sentinel writes of the padded degree fill the cells no read
+        # reaches.
+        for option, cells in ((1, [19, 21, 23]), (2, [7, 15, 23])):
+            graph, plan = running_example(design_option=option)
+            layout = layout_addresses(plan, graph)
+            assert reserved_cells(layout, graph.degree) == cells
+            sentinels = [e for e in write_schedule(graph, plan).entries if e.consumer is None]
+            assert sorted({e.address for e in sentinels}) == cells
+        assert reserved_cells(layout, 8) == []
 
     def test_address_validation(self):
         graph, plan = running_example()
@@ -259,14 +273,12 @@ class TestWriteSchedule:
             for side in ("row", "col"):
                 graph, plan = running_example(design_option=option)
                 layout = layout_addresses(plan, graph)
-                reserved = set(layout.reserved_addresses(graph.degree))
+                reserved = set(reserved_cells(layout, graph.degree))
                 schedule = write_schedule(graph, plan, side)
                 for pmu, entries in schedule.per_pmu().items():
                     real_addrs = [e.address for e in entries if e.consumer is not None]
                     dummy_addrs = [e.address for e in entries if e.consumer is None]
-                    assert sorted(real_addrs) == sorted(
-                        set(range(layout.capacity)) - reserved
-                    )
+                    assert sorted(real_addrs) == sorted(set(range(depth(layout))) - reserved)
                     assert set(dummy_addrs) <= reserved
                     assert len(dummy_addrs) == len(reserved)
 
@@ -383,51 +395,44 @@ class TestEdgeShiftReplica:
 class TestSwitchLuts:
     def test_row_instance_rows(self):
         graph, plan = running_example()
-        luts = switch_luts(graph, plan)
-        out = luts["row_reads"]["out"]
-        assert out.rows == ((0, 1), (2, 4), (0, 3), (0, 5))
-        assert out.port_count == 5
-        assert out.invalid_code == 5
-        assert out.kind == "pmu_out"
+        lut = switch_luts(graph, plan)["row_reads"]
+        assert lut.rows == ((0, 1), (2, 4), (0, 3), (0, 5))
+        assert lut.port_count == 5
 
     def test_col_instance_rows_with_doubled_pattern(self):
         graph, plan = running_example()
-        luts = switch_luts(graph, plan)
-        out = luts["col_reads"]["out"]
-        assert out.rows == ((0, 5), (2, 0), (1, 3), (4, 6))
-        assert out.port_count == 6
-        assert out.invalid_code == 6
+        lut = switch_luts(graph, plan)["col_reads"]
+        assert lut.rows == ((0, 5), (2, 0), (1, 3), (4, 6))
+        assert lut.port_count == 6
 
-    def test_in_table_mirrors_out_table(self):
+    def test_one_table_per_instance(self):
+        # Wire j of an out switch lands on port j of an in switch, so the
+        # two switch sets share one table; the invalid code is rho_hat,
+        # the instance's family count.
         graph, plan = running_example()
-        for instance, pair in switch_luts(graph, plan).items():
-            assert pair["in"].rows == pair["out"].rows
-            assert pair["in"].port_count == pair["out"].port_count
-            assert pair["out"].stagger == 0
-            assert pair["in"].stagger == 1
-            assert pair["in"].kind == "ppu_in"
+        luts = switch_luts(graph, plan)
+        assert sorted(luts) == ["col_reads", "row_reads"]
+        netlist = build_netlist(graph, plan)
+        for instance, lut in luts.items():
+            assert lut.instance == instance
+            assert lut.port_count == len(netlist.offsets[instance])
+            codes = {code for row in lut.rows for code in row}
+            assert codes <= set(range(lut.port_count + 1))
 
     def test_port_counts_match_rho(self):
         graph, plan = running_example()
         luts = switch_luts(graph, plan)
         for side in ("row", "col"):
             rho, theta, rho_hat = compute_rho(graph, plan, side)
-            assert luts[f"{side}_reads"]["out"].port_count == rho_hat
+            assert luts[f"{side}_reads"].port_count == rho_hat
 
     def test_doubled_toy(self):
         graph = CirculantBipartiteGraph.plain(8, (0, 4))
         plan = FoldPlan.for_graph(graph, 2)
         luts = switch_luts(graph, plan)
         for instance in ("row_reads", "col_reads"):
-            out = luts[instance]["out"]
-            assert out.rows == ((0, 1),)
-            assert out.port_count == 2
-
-    def test_to_rows(self):
-        graph, plan = running_example()
-        rows = switch_luts(graph, plan)["row_reads"]["out"].to_rows()
-        assert rows[0] == (0, 0, 1)
-        assert rows[3] == (3, 0, 5)
+            assert luts[instance].rows == ((0, 1),)
+            assert luts[instance].port_count == 2
 
 
 def top_port_maps(graph, plan):
@@ -505,19 +510,12 @@ class TestNetlist:
         assert len(wires_of(net, 5, "row_reads")) == 25
         assert len(wires_of(net, 5, "col_reads")) == 30
         assert len(wires_of(net, 5)) == 55
-        ann = net.annotations["instances"]
-        assert ann["row_reads"] == {
-            "rho": 5,
-            "theta": 0,
-            "rho_hat": 5,
-            "wire_count": 25,
+        # rho_hat ports, rho + theta: 5 + 0 for row_reads, 5 + 1 for col_reads
+        assert {instance: sorted(ports) for instance, ports in net.offsets.items()} == {
+            "row_reads": [0, 1, 2, 3, 4],
+            "col_reads": [0, 1, 2, 3, 4, 5],
         }
-        assert ann["col_reads"] == {
-            "rho": 5,
-            "theta": 1,
-            "rho_hat": 6,
-            "wire_count": 30,
-        }
+        assert net.offsets["col_reads"][5] == net.offsets["col_reads"][0] == 0
 
     def test_wires_are_circulant_rotations(self):
         graph, plan = running_example()
@@ -540,7 +538,7 @@ class TestNetlist:
             assert key not in seen
             seen[key] = wire
         for instance in ("row_reads", "col_reads"):
-            ports = net.annotations["instances"][instance]["rho_hat"]
+            ports = len(net.offsets[instance])
             count = sum(1 for k in seen if k[0].startswith(f"{instance}_in_"))
             assert count == plan.units_per_side * ports
 
@@ -573,10 +571,9 @@ class TestNetlist:
         ]
         assert len(set(channels)) == len(channels) // 2 == 10
 
-    def test_annotations_and_lookup(self):
+    def test_lookup(self):
         graph, plan = running_example()
         net = build_netlist(graph, plan)
-        assert set(net.annotations) == {"instances"}
         wire = wire_lookup(net, 5)[("row_reads_out_0", 0)]
         assert wire["dst"] == ["row_reads_in_0", 0]
 
@@ -717,7 +714,7 @@ class TestWriteScheduleProperties:
     def test_bijective_and_reciprocal(self, case):
         graph, plan = case
         layout = layout_addresses(plan, graph)
-        reserved = set(layout.reserved_addresses(graph.degree))
+        reserved = set(reserved_cells(layout, graph.degree))
         for side in ("row", "col"):
             schedule = write_schedule(graph, plan, side)
             cons = [
@@ -727,7 +724,7 @@ class TestWriteScheduleProperties:
                 real_addrs = sorted(
                     e.address for e in entries if e.consumer is not None
                 )
-                assert real_addrs == sorted(set(range(layout.capacity)) - reserved)
+                assert real_addrs == sorted(set(range(depth(layout))) - reserved)
             for e in schedule.entries:
                 if e.consumer is None:
                     continue

@@ -11,7 +11,10 @@ that keeps every digest keeps the whole audit, message order included.
 
 The edits were drawn with ``random.Random(4)``; only those whose replay
 returns a failing report (rather than raising or passing) were kept, and
-they are stored explicitly in golden_sim_reports.json.  Print a fresh table with
+they are stored explicitly in golden_sim_reports.json.  The switch-table
+edits were drawn when each instance had an out and an in table, and were
+then mapped onto the instance's one table, which both switch sets run.
+Print a fresh table with
 ``PYTHONPATH=src python -m tests.test_sim_report_digests``.
 
 golden_dataflow_verdicts.json pins, per case, the SHA-256 of the sorted-key
@@ -45,11 +48,7 @@ BASES = {
     "opt1": {},
     "opt2-graph": {"design_option": 2, "delta": 2, "pipeline_level": "graph"},
 }
-SWITCH_LUTS = [
-    f"lut_{instance}_{kind}.csv"
-    for instance in ("row_reads", "col_reads")
-    for kind in ("in", "out")
-]
+SWITCH_LUTS = [f"lut_{instance}.csv" for instance in ("row_reads", "col_reads")]
 
 
 def build_base(out_dir: Path, base: str) -> Path:
@@ -190,6 +189,27 @@ def test_fault_injected_report_digest_unchanged(case_id, golden, base_runs, tmp_
     assert report_digest(report) == case["sha256"]
 
 
+@pytest.mark.parametrize("base", sorted(BASES))
+@pytest.mark.parametrize("kind", ["timing", "write_lut", "switch_lut"])
+def test_table_generator_draws_and_applies_each_kind(base, kind, base_runs, tmp_path):
+    # The generator runs only as a script; this keeps it drawing edits from
+    # the files a run holds.
+    edit = _random_edit(random.Random(4), base_runs[base], kind)
+    assert edit["file"] in {"timing.json", "write_lut_row.csv", "write_lut_col.csv", *SWITCH_LUTS}
+    if edit["field"] == "address":
+        assert 0 <= edit["value"] < 24  # two cells per slot of 12
+    if kind == "switch_lut":
+        # Up to the invalid code: 5 row_reads families, 6 col_reads ones.
+        assert 0 <= edit["value"] <= {"lut_row_reads.csv": 5, "lut_col_reads.csv": 6}[edit["file"]]
+    run_dir = tmp_path / "run"
+    shutil.copytree(base_runs[base], run_dir)
+    apply_edits(run_dir, [edit])
+    try:
+        simulate(run_dir, 1)
+    except (IndexError, KeyError, ValueError):
+        pass  # the generator keeps only the edits whose replay reports
+
+
 def test_verdict_table_covers_every_case(golden, verdicts):
     assert verdicts.keys() == golden.keys()
     assert sum(pin["failures"] > 0 for pin in verdicts.values()) == 34
@@ -214,8 +234,12 @@ def test_fault_injected_dataflow_verdict_unchanged(
 
 
 def _random_edit(rng: random.Random, run_dir: Path, kind: str) -> dict:
-    timing = json.loads((run_dir / "timing.json").read_text(encoding="utf-8"))
-    slots = len(timing["read_cycles"])
+    """One edit of ``kind``, timing, write_lut or switch_lut, drawn from
+    the run in ``run_dir``: a write goes to a slot, unit, port and one of
+    the memory's two cells per slot of fold_row.json, and a switch code
+    is one of the instance's codes, up to its invalid code, the count of
+    its wire families."""
+    slots = len(json.loads((run_dir / "fold_row.json").read_text(encoding="utf-8"))["slots"])
     if kind == "timing":
         field = rng.choice(["read_cycles", "write_cycles", "side_span"])
         if field == "side_span":
@@ -229,22 +253,22 @@ def _random_edit(rng: random.Random, run_dir: Path, kind: str) -> dict:
     if kind == "write_lut":
         name = f"write_lut_{rng.choice(['row', 'col'])}.csv"
         plan = json.loads((run_dir / "plan.json").read_text(encoding="utf-8"))
-        layout = json.loads((run_dir / "layout.json").read_text(encoding="utf-8"))
         domains = {
             "pmu": plan["units_per_side"],
             "slot": slots,
             "port": 2,
-            "address": layout["capacity"],
+            "address": 2 * slots,
             "producer_real": 2,
         }
         field = rng.choice(sorted(domains))
         value = rng.randrange(domains[field])
     else:
         name = rng.choice(SWITCH_LUTS)
-        instance = name.split("_", 1)[1].rsplit("_", 1)[0]
+        instance = name.removeprefix("lut_").removesuffix(".csv")
         netlist = json.loads((run_dir / "netlist.json").read_text(encoding="utf-8"))
+        families = netlist["wire_families"]
         field = rng.choice(["port0", "port1"])
-        value = rng.randint(0, netlist["annotations"]["instances"][instance]["rho_hat"])
+        value = rng.randint(0, sum(family["instance"] == instance for family in families))
     if kind == "write_lut":
         row_count = len(write_rows(run_dir, name)) - 1
     else:
