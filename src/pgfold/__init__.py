@@ -19,14 +19,12 @@ from .folding import FoldPlan, generate_folded_sequence, pad_dummy_offset
 from .galois import FiniteField, Polynomial, field_build, find_primitive_polynomial
 from .projective import PgParams, build_pg_graph, phi, verify_pg_incidence
 from .schedule import (
-    MemoryLayout,
     Netlist,
     SwitchLUT,
     TimingPlan,
     WriteSchedule,
     build_netlist,
     full_timing,
-    layout_addresses,
     switch_luts,
     write_schedule,
 )
@@ -43,7 +41,6 @@ __all__ = [
     "CirculantBipartiteGraph",
     "FiniteField",
     "FoldPlan",
-    "MemoryLayout",
     "Netlist",
     "PgParams",
     "Polynomial",
@@ -61,7 +58,6 @@ __all__ = [
     "find_primitive_polynomial",
     "full_timing",
     "generate_folded_sequence",
-    "layout_addresses",
     "measure_throughput",
     "offsets_equivalent",
     "pad_dummy_offset",

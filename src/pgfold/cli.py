@@ -221,12 +221,15 @@ def resolve_settings(args: argparse.Namespace) -> dict:
 def _incidence_failures(
     graph: CirculantBipartiteGraph, geometry: tuple[int, int, int] | None
 ) -> tuple[str, ...] | None:
-    """What ``verify_pg_incidence`` finds wrong with an unexpanded graph
-    built from ``geometry`` (n, p, s), or None when there is no geometry
-    or the graph was expanded, as nothing can be checked.  A geometry
-    that names no projective space raises ValueError."""
-    if geometry is None or graph.order != graph.real_order:
+    """What ``verify_pg_incidence`` finds wrong with a graph built from
+    ``geometry`` (n, p, s), checked on its real J and offsets when it was
+    expanded, or None when there is no geometry, as nothing can be
+    checked.  A geometry that names no projective space raises
+    ValueError."""
+    if geometry is None:
         return None
+    if graph.is_expanded:
+        graph = CirculantBipartiteGraph.plain(graph.real_order, graph.real_base_offsets)
     return verify_pg_incidence(graph, PgParams(*geometry)).failures
 
 
@@ -693,7 +696,7 @@ def _verify_files(
         check("incidence", False, f"graph.json geometry: {exc}")
     else:
         if failures is None:
-            checks.append("incidence: skipped (expanded or hand-supplied graph)")
+            checks.append("incidence: skipped (hand-supplied graph)")
         else:
             detail = f"P{tuple(graph.geometry)}"
             if failures:

@@ -38,6 +38,7 @@ from pathlib import Path
 from .circulant import CirculantBipartiteGraph, SelfCheckError
 from .folding import FoldPlan, FoldedSequence, generate_folded_sequence
 from .schedule import (
+    INSTANCES,
     Netlist,
     SwitchLUT,
     TimingPlan,
@@ -45,6 +46,7 @@ from .schedule import (
     build_netlist,
     full_timing,
     other_side,
+    reader_of,
     switch_luts,
     write_schedule,
 )
@@ -112,9 +114,9 @@ def emit_write_lut_csv(schedule: WriteSchedule) -> str:
             "slot,pmu,units,port,address\n",
             *(
                 f"{slot},{first},{units},{port},{address}\n"
-                for slot in range(len(schedule.slots))
-                for port in (0, 1)
-                for address, first, units in schedule.unit_runs(slot, port)
+                for slot, ports in enumerate(schedule.runs)
+                for port, runs in enumerate(ports)
+                for address, first, units in runs
             ),
         ]
     )
@@ -247,9 +249,9 @@ def _roms_vhdl(luts: dict[str, SwitchLUT], write_schedules: dict[str, WriteSched
     read."""
     roms: dict[str, list[int]] = {}
     for side in ("row", "col"):
-        per_pmu = write_schedules[side].per_pmu()
-        roms[f"write_lut_{side}"] = [e.address for pmu in sorted(per_pmu) for e in per_pmu[pmu]]
-    for instance in ("row_reads", "col_reads"):
+        columns = write_schedules[side].per_pmu()
+        roms[f"write_lut_{side}"] = [address for column in columns for address in column]
+    for instance in INSTANCES:
         for b in (0, 1):
             roms[f"lut_{instance}_port{b}"] = [row[b] for row in luts[instance].rows]
     constants = "\n".join(
@@ -274,7 +276,7 @@ def _top_vhdl(plan: FoldPlan, netlist: Netlist) -> str:
     f_units = plan.units_per_side
     components = {f"memory_unit_{side}": _memory_unit_ports(f_units) for side in ("row", "col")}
     components["processing_unit"] = _PROCESSING_UNIT_PORTS
-    for instance in ("row_reads", "col_reads"):
+    for instance in INSTANCES:
         # Port count rho_hat: one port per wire family.
         ports = len(netlist.offsets[instance])
         components[f"switch_{instance}_out"] = _switch_ports(2, ports)
@@ -326,8 +328,8 @@ def _top_vhdl(plan: FoldPlan, netlist: Netlist) -> str:
     # Out switch m's port j drives wire <instance>_w(m, j); in switch m's
     # port j reads the wire of out switch (m + delta) mod F: one statement
     # per wire family.
-    for instance in ("row_reads", "col_reads"):
-        reading = instance.split("_")[0]
+    for instance in INSTANCES:
+        reading = reader_of(instance)
         offsets = sorted(netlist.offsets[instance].items())
         arrays[f"{instance}_w"] = len(offsets)
         out_wires = [f"{instance}_w(m, {j})" for j, _ in offsets]
@@ -473,7 +475,7 @@ def render_run_files(
             files[f"access_trace_{side}.csv"] = emit_access_trace(
                 side, plan, timing, sequences, schedules
             )
-        for instance in ("row_reads", "col_reads"):
+        for instance in INSTANCES:
             files[f"lut_{instance}.csv"] = emit_switch_lut_csv(luts[instance])
     if "hdl" in formats:
         hdl = emit_hdl(plan, netlist, luts, schedules)

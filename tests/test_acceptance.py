@@ -33,16 +33,12 @@ from pgfold.folding import (
     verify_balance,
 )
 from pgfold.projective import PgParams, build_pg_graph
-from pgfold.schedule import (
-    edge_shift_replica,
-    read_cycle,
-    write_schedule,
-)
+from pgfold.schedule import full_timing
 from pgfold.simulator import simulate
 
 from .test_emit import FROZEN_SCHEDULE_GRID, schedule_grid
 from .test_projective import INCIDENCE_15, REFERENCE_OFFSETS_15
-from .test_schedule import accesses
+from .test_schedule import accesses, checked_writes
 
 GEOMETRIES = ((2, 2, 1), (3, 2, 1), (2, 3, 1), (2, 3, 2))
 REFERENCE_PROTOTYPE_CYCLES = 63
@@ -174,11 +170,13 @@ class TestAcceptance:
             "five switch ports",
         ):
             graph, plan = running_example()
-            assert read_cycle(5, 0, plan, 4) == 7
+            # Edge 5 of fold 0 is read in slot (2, 0); its window ends
+            # with cycle 7T.
+            slot = generate_folded_sequence(graph, plan, "row").slot_index(2, 0)
+            assert full_timing(graph, plan).read_cycles[slot] + 1 == 7
             slow = FoldPlan.for_graph(graph, 3, T=12)
-            assert read_cycle(5, 0, slow, 4) == 7 * 12
-            schedule = write_schedule(graph, plan, "row")
-            by_edge = {(e.producer, e.edge): e.address for e in schedule.entries}
+            assert full_timing(graph, slow).read_cycles[slot] + 1 == 7 * 12
+            by_edge = {(w.producer, w.edge): w.address for w in checked_writes(graph, plan, "row")}
             assert by_edge[(0, 0)] == 0
             assert by_edge[(5, 6)] == 1
             assert by_edge[(0, 4)] == 9
@@ -194,7 +192,7 @@ class TestAcceptance:
         ):
             graph, _ = running_example()
             assert sorted(graph.incidence_row(1))[3] == 5
-            assert edge_shift_replica(graph, 1, 3, (1 + 11) % 15) == 1
+            assert (5 + 11) % 15 in graph.incidence_row((1 + 11) % 15)
 
     def test_criterion_05_expansion(self):
         with verdict(

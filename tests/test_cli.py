@@ -720,6 +720,39 @@ class TestVerify:
         )
         assert lines[-1] == "verify: FAIL"
 
+    def test_mislabelled_expanded_geometry_fails_run_and_verify(self, pg15_dir, tmp_path, capsys):
+        # An expanded graph is checked through its real J and offsets: the
+        # J = 15 graph expanded to 16 passes as P(3, GF(2)) and fails
+        # relabelled as P(3, GF(4)).
+        expanded = tmp_path / "expanded"
+        argv = ["expand", "--graph", str(pg15_dir / "graph.json"), "--alpha", "1"]
+        assert main([*argv, "--out", str(expanded)]) == 0
+        run = tmp_path / "run"
+        assert main(["run", "--graph", str(expanded / "graph.json"), "--q", "2", "--out", str(run)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--out", str(run)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "incidence: ok (P(3, 2, 1))"
+
+        def relabelled(path):
+            graph = read_json(path)
+            graph["geometry"] = [3, 2, 2]
+            return json.dumps(graph)
+
+        mislabelled = tmp_path / "mislabelled.json"
+        mislabelled.write_text(relabelled(expanded / "graph.json"))
+        bad = tmp_path / "bad"
+        assert main(["run", "--graph", str(mislabelled), "--q", "2", "--out", str(bad)]) == 1
+        failures = "order 15 != 85; degree 7 != 21; rows 0 and 1 share 3 points, expected 5"
+        assert capsys.readouterr().err == (
+            f"error: incidence self-check failed for P(3, GF(2^2)): {failures}\n"
+        )
+        assert not bad.exists()
+        (run / "graph.json").write_text(relabelled(run / "graph.json"))
+        assert main(["verify", "--out", str(run)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"incidence: FAIL (P(3, 2, 2): {failures})"
+        assert lines[-1] == "verify: FAIL"
+
     def test_unfolded_run_ratio_is_one(self, tmp_path, capsys):
         out = tmp_path / "flat"
         assert main(["run", "--geometry", "3,2,1", "--q", "1", "--out", str(out)]) == 0

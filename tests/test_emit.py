@@ -36,7 +36,7 @@ from pgfold.schedule import (
     write_schedule,
 )
 
-from .test_schedule import accesses, render_designs, wires_of
+from .test_schedule import accesses, oracle_writes, render_designs, wires_of
 
 OFFSETS_15 = (0, 1, 2, 4, 5, 8, 10)
 
@@ -472,30 +472,26 @@ class TestRunDirectory:
 
 
 class TestColumnWritersMatchObjectViews:
-    """The writers read int columns and the folded patterns arithmetically;
-    each must write what the ``WriteEntry`` and access-dict views of the
-    same design give."""
+    """The writers read the write runs and the folded patterns
+    arithmetically; each must write what the per-write and access-dict
+    oracles of the same design give."""
 
     @settings(max_examples=80, deadline=None)
     @given(render_designs())
     def test_every_writer_matches_its_oracle(self, design):
         graph, plan = design
         for side in ("row", "col"):
-            # The per_pmu() view, run-length encoded: by slot, port and
+            # The oracle's writes, run-length encoded: by slot, port and
             # unit, a run per stretch of units writing one address.
-            schedule = write_schedule(graph, plan, side)
-            entries = sorted(
-                (e for writes in schedule.per_pmu().values() for e in writes),
-                key=lambda e: (e.slot, e.port, e.pmu),
-            )
+            writes = sorted(oracle_writes(graph, plan, side), key=lambda w: (w.slot, w.port, w.pmu))
             lut_rows = [["slot", "pmu", "units", "port", "address"]]
-            for e in entries:
+            for w in writes:
                 last = lut_rows[-1]
-                if last[0] == e.slot and last[3] == e.port and last[4] == e.address:
+                if last[0] == w.slot and last[3] == w.port and last[4] == w.address:
                     last[2] += 1
                 else:
-                    lut_rows.append([e.slot, e.pmu, 1, e.port, e.address])
-            assert emit_write_lut_csv(schedule) == csv_text(lut_rows)
+                    lut_rows.append([w.slot, w.pmu, 1, w.port, w.address])
+            assert emit_write_lut_csv(write_schedule(graph, plan, side)) == csv_text(lut_rows)
 
     @settings(max_examples=80, deadline=None)
     @given(render_designs())
@@ -523,9 +519,9 @@ class TestColumnWritersMatchObjectViews:
                     if p1 is not None:
                         trace.append((cycle, p1, 1, 2 * slot + 1, "R"))
             trace += [
-                (write_base + timing.write_cycles[e.slot], e.pmu, e.port, e.address, "W")
-                for e in schedules[side].entries
-                if e.producer_real
+                (write_base + timing.write_cycles[w.slot], w.pmu, w.port, w.address, "W")
+                for w in oracle_writes(graph, plan, side)
+                if w.producer < graph.real_order
             ]
             text = emit_access_trace(side, plan, timing, sequences, schedules)
             assert sorted(expand_runs(text)) == sorted(trace)

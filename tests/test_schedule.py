@@ -1,4 +1,4 @@
-"""Memory layout, write scheduling, switch tables, netlist, and timing.
+"""Write scheduling, switch tables, netlist, and timing.
 
 Golden values for the 15-node running example (offsets 0,1,2,4,5,8,10
 folded by q=3 onto 5 units) were derived by hand from the placement rule
@@ -7,6 +7,7 @@ and frozen here before the implementation existed.
 
 import re
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -22,14 +23,9 @@ from pgfold.folding import (
     reader_offsets,
 )
 from pgfold.schedule import (
-    MemoryLayout,
-    assign_memory_units,
     build_netlist,
-    edge_shift_replica,
     full_timing,
-    layout_addresses,
     other_side,
-    read_cycle,
     switch_luts,
     write_schedule,
 )
@@ -92,248 +88,208 @@ def wire_lookup(netlist, f_units):
     return {tuple(w["src"]): w for w in wires_of(netlist, f_units)}
 
 
-def depth(layout):
-    """The cells of a memory: two per slot."""
-    return 2 * layout.pattern_count * layout.q
+class Write(NamedTuple):
+    """One write as ``oracle_writes`` derives it from the graph: producer
+    node and edge t, the producer's slot, memory and port, the cell it
+    lands in, and its consumer and rank (None for the sentinel)."""
+
+    producer: int
+    edge: int
+    slot: int
+    pmu: int
+    port: int
+    address: int
+    consumer: int | None
+    rank: int | None
 
 
-def reserved_cells(layout, degree):
-    """The cells no read reaches because the sentinel pads an odd degree:
-    the last pattern's port-1 cell of each fold."""
-    if degree % 2 == 0:
-        return []
-    return [layout.address(layout.pattern_count - 1, k, 1) for k in range(layout.q)]
+def neighbours(graph, side, node):
+    if side == "row":
+        return graph.incidence_row(node)
+    return graph.incidence_col(node)
 
 
-class TestMemoryLayout:
-    def test_running_example_capacity(self):
-        # Option 1 keeps a bin of 2q = 6 cells per pattern.
-        graph, plan = running_example()
-        layout = layout_addresses(plan, graph)
-        assert layout.pattern_count == 4
-        assert depth(layout) == 24
-        assert [layout.address(l, 0, 0) for l in range(4)] == [0, 6, 12, 18]
-
-    def test_option2_same_capacity_transposed_bins(self):
-        # Option 2 keeps a bin of 2B = 8 cells per fold.
-        graph, plan = running_example(design_option=2)
-        layout = layout_addresses(plan, graph)
-        assert depth(layout) == 24
-        assert [layout.address(0, k, 0) for k in range(3)] == [0, 8, 16]
-
-    def test_address_goldens_option1(self):
-        graph, plan = running_example()
-        layout = layout_addresses(plan, graph)
-        assert layout.address(0, 0, 0) == 0
-        assert layout.address(0, 0, 1) == 1
-        assert layout.address(1, 1, 1) == 9
-        assert layout.address(3, 2, 1) == 23
-
-    def test_address_is_two_slot_plus_port_both_options(self):
-        for option in (1, 2):
-            graph, plan = running_example(design_option=option)
-            layout = layout_addresses(plan, graph)
-            seen = set()
-            for l in range(layout.pattern_count):
-                for k in range(layout.q):
-                    for b in (0, 1):
-                        addr = layout.address(l, k, b)
-                        assert addr == 2 * layout.slot_index(l, k) + b
-                        seen.add(addr)
-            assert seen == set(range(depth(layout)))
-
-    def test_reserved_cells(self):
-        # The sentinel writes of the padded degree fill the cells no read
-        # reaches.
-        for option, cells in ((1, [19, 21, 23]), (2, [7, 15, 23])):
-            graph, plan = running_example(design_option=option)
-            layout = layout_addresses(plan, graph)
-            assert reserved_cells(layout, graph.degree) == cells
-            sentinels = [e for e in write_schedule(graph, plan).entries if e.consumer is None]
-            assert sorted({e.address for e in sentinels}) == cells
-        assert reserved_cells(layout, 8) == []
-
-    def test_address_validation(self):
-        graph, plan = running_example()
-        layout = layout_addresses(plan, graph)
-        with pytest.raises(ValueError):
-            layout.address(4, 0, 0)
-        with pytest.raises(ValueError):
-            layout.address(0, 3, 0)
-        with pytest.raises(ValueError):
-            layout.address(0, 0, 2)
+def consumer_rank(graph, consumer_side, consumer, producer):
+    """The place of the edge from ``producer`` among the offsets of
+    ``consumer``, sorted."""
+    order = graph.order
+    offsets = sorted((h - consumer) % order for h in neighbours(graph, consumer_side, consumer))
+    return offsets.index((producer - consumer) % order)
 
 
-class TestAssignMemoryUnits:
-    def test_goldens(self):
-        graph, plan = running_example()
-        table = assign_memory_units(graph, plan, "row")
-        assert table[(0, 0, 1)] == (2, 4)
-        assert table[(2, 3, 0)] == (3, 4)
-        assert table[(0, 0, 0)] == (0, 1)
+def oracle_writes(graph, plan, producer_side):
+    """Every write of one side's compute half, one per producer and edge.
 
-    def test_fold_invariance(self):
-        graph, plan = running_example()
-        table = assign_memory_units(graph, plan, "row")
-        for (k, i, l), pair in table.items():
-            assert table[(0, i, l)] == pair
-
-    def test_matches_sequence_accesses(self):
-        for side in ("row", "col"):
-            graph, plan = running_example()
-            table = assign_memory_units(graph, plan, side)
-            sequence = generate_folded_sequence(graph, plan, side)
-            for slot in range(sequence.slot_count):
-                l, k = sequence.slots[slot]
-                for access in accesses(sequence, slot):
-                    assert table[(k, access["ppu"], l)] == access["pmus"]
-
-    def test_sentinel_second_member(self):
-        graph, plan = running_example()
-        table = assign_memory_units(graph, plan, "row")
-        for k in range(3):
-            for i in range(5):
-                p0, p1 = table[(k, i, 3)]
-                assert p0 == (10 + i) % 5
-                assert p1 is None
+    Edge t of producer p, of offset d, goes to consumer (p + d) mod J, into
+    p's collocated memory p mod F on port t mod 2, in the producer's slot
+    of pattern t // 2 in fold p // F.  It lands at 2 * s + rank mod 2,
+    where s is the consumer's slot of pattern rank // 2 in its own fold.
+    The sentinel edge lands in port 1 of the consumer-side slot of the
+    last pattern in the producer's fold: the reserved cell.
+    """
+    order, f_units = graph.order, plan.units_per_side
+    consumer_side = other_side(producer_side)
+    producing = generate_folded_sequence(graph, plan, producer_side)
+    consuming = generate_folded_sequence(graph, plan, consumer_side)
+    producer_slot = {lk: s for s, lk in enumerate(producing.slots)}
+    consumer_slot = {lk: s for s, lk in enumerate(consuming.slots)}
+    last = len(consuming.patterns) - 1
+    writes = []
+    for p in range(order):
+        for t, d in enumerate(reader_offsets(graph, producer_side)):
+            if d is None:
+                consumer = rank = None
+                address = 2 * consumer_slot[(last, p // f_units)] + 1
+            else:
+                consumer = (p + d) % order
+                rank = consumer_rank(graph, consumer_side, consumer, p)
+                address = 2 * consumer_slot[(rank // 2, consumer // f_units)] + rank % 2
+            slot = producer_slot[(t // 2, p // f_units)]
+            writes.append(Write(p, t, slot, p % f_units, t % 2, address, consumer, rank))
+    return writes
 
 
-class TestReadCycle:
-    def test_option1_golden(self):
-        graph, plan = running_example(T=1)
-        assert read_cycle(5, 0, plan, 4) == 7
-        graph, plan = running_example(T=12)
-        assert read_cycle(5, 0, plan, 4) == 84
+def checked_writes(graph, plan, side):
+    """``oracle_writes``, once the runs and the ROM columns of
+    ``write_schedule`` are shown to hold exactly these writes."""
+    f_units = plan.units_per_side
+    schedule = write_schedule(graph, plan, side)
+    writes = oracle_writes(graph, plan, side)
+    expected = {(w.slot, w.pmu, w.port): w.address for w in writes}
+    assert len(expected) == len(writes)
+    expanded = {}
+    for slot, ports in enumerate(schedule.runs):
+        assert len(ports) == 2
+        for port, runs in enumerate(ports):
+            # One or two maximal runs that cover the units in order.
+            assert 1 <= len(runs) <= 2
+            assert [first for _, first, _ in runs] == [0, *(f + n for _, f, n in runs[:-1])]
+            assert sum(units for _, _, units in runs) == f_units
+            assert len({address for address, _, _ in runs}) == len(runs)
+            for address, first, units in runs:
+                expanded.update(((slot, m, port), address) for m in range(first, first + units))
+    assert expanded == expected
+    columns = schedule.per_pmu()
+    assert len(columns) == f_units
+    assert {
+        (n // 2, m, n % 2): address
+        for m, column in enumerate(columns)
+        for n, address in enumerate(column)
+    } == expected
+    return writes
 
-    def test_option1_full_window_structure(self):
-        graph, plan = running_example(T=2)
-        for t in range(8):
-            for k in range(3):
-                assert read_cycle(t, k, plan, 4) == (3 * (t // 2) + k + 1) * 2
 
-    def test_option2_formula_and_even_edge_quirk(self):
-        graph, plan = running_example(design_option=2, T=1)
-        assert read_cycle(5, 0, plan, 4) == 3
-        assert read_cycle(7, 2, plan, 4) == 12
-        # For an even edge index the count reaches only the start of its
-        # slot window (slot index k*B + t/2), one window early.
-        assert read_cycle(4, 0, plan, 4) == 2
-        sequence = generate_folded_sequence(graph, plan, "row")
-        assert sequence.slot_index(2, 0) == 2
+def reserved_cells(sequence):
+    """The cells of a memory that no read of ``sequence`` reaches: port 1
+    of each slot whose pattern's second access is the sentinel's."""
+    return sorted(
+        2 * s + 1 for s, (l, _) in enumerate(sequence.slots) if sequence.patterns[l].has_dummy
+    )
 
-    def test_domain_errors(self):
-        graph, plan = running_example()
-        with pytest.raises(ValueError):
-            read_cycle(8, 0, plan, 4)
-        with pytest.raises(ValueError):
-            read_cycle(0, 3, plan, 4)
+
+def assert_bijective_addressing(graph, plan, side):
+    """Each memory's real writes fill every cell its reads reach once, and
+    its sentinel writes the reserved cells.  Returns the writes."""
+    consuming = generate_folded_sequence(graph, plan, other_side(side))
+    reserved = reserved_cells(consuming)
+    cells = set(range(2 * consuming.slot_count)) - set(reserved)
+    writes = checked_writes(graph, plan, side)
+    by_pmu = {}
+    for w in writes:
+        by_pmu.setdefault(w.pmu, ([], []))[w.consumer is None].append(w.address)
+    assert len(by_pmu) == plan.units_per_side
+    for real, sentinel in by_pmu.values():
+        assert sorted(real) == sorted(cells)
+        assert sorted(sentinel) == reserved
+    return writes
 
 
 class TestWriteSchedule:
     def test_address_goldens(self):
         graph, plan = running_example()
-        schedule = write_schedule(graph, plan, "row")
-        by_key = {(e.producer, e.edge): e for e in schedule.entries}
+        by_key = {(w.producer, w.edge): w for w in checked_writes(graph, plan, "row")}
         assert by_key[(0, 0)].address == 0
         assert by_key[(5, 6)].address == 1
         assert by_key[(0, 4)].address == 9
 
     def test_consumer_coordinates_of_goldens(self):
         graph, plan = running_example()
-        schedule = write_schedule(graph, plan, "row")
-        by_key = {(e.producer, e.edge): e for e in schedule.entries}
+        by_key = {(w.producer, w.edge): w for w in checked_writes(graph, plan, "row")}
         entry = by_key[(0, 4)]
         assert entry.consumer == 5
-        assert entry.consumer_rank == 3
+        assert entry.rank == 3
         assert by_key[(5, 6)].consumer == 0
-        assert by_key[(5, 6)].consumer_rank == 1
+        assert by_key[(5, 6)].rank == 1
 
-    def test_port_is_edge_parity(self):
+    @pytest.mark.parametrize("side", ["row", "col"])
+    def test_port_is_edge_parity_and_writes_are_collocated(self, side):
         graph, plan = running_example()
-        schedule = write_schedule(graph, plan, "row")
-        for entry in schedule.entries:
-            assert entry.port == entry.edge % 2
+        for w in checked_writes(graph, plan, side):
+            assert w.port == w.edge % 2
+            assert w.pmu == w.producer % plan.units_per_side
 
-    def test_collocated_writes(self):
+    @pytest.mark.parametrize("side", ["row", "col"])
+    def test_census(self, side):
         graph, plan = running_example()
-        for side in ("row", "col"):
-            schedule = write_schedule(graph, plan, side)
-            for entry in schedule.entries:
-                assert entry.pmu == entry.producer % plan.units_per_side
+        writes = checked_writes(graph, plan, side)
+        assert len(writes) == 15 * 8
+        assert sum(1 for w in writes if w.consumer is not None) == 15 * 7
+        assert all(w.producer < graph.real_order for w in writes)
 
-    def test_census(self):
-        graph, plan = running_example()
-        schedule = write_schedule(graph, plan, "row")
-        assert len(schedule.entries) == 15 * 8
-        assert sum(1 for e in schedule.entries if e.consumer is not None) == 15 * 7
-        assert all(e.producer_real for e in schedule.entries)
+    @pytest.mark.parametrize("option", [1, 2])
+    @pytest.mark.parametrize("side", ["row", "col"])
+    def test_bijective_addressing(self, option, side):
+        graph, plan = running_example(design_option=option)
+        assert_bijective_addressing(graph, plan, side)
 
-    def test_per_pmu_bijective_addressing(self):
-        for option in (1, 2):
-            for side in ("row", "col"):
-                graph, plan = running_example(design_option=option)
-                layout = layout_addresses(plan, graph)
-                reserved = set(reserved_cells(layout, graph.degree))
-                schedule = write_schedule(graph, plan, side)
-                for pmu, entries in schedule.per_pmu().items():
-                    real_addrs = [e.address for e in entries if e.consumer is not None]
-                    dummy_addrs = [e.address for e in entries if e.consumer is None]
-                    assert sorted(real_addrs) == sorted(set(range(depth(layout))) - reserved)
-                    assert set(dummy_addrs) <= reserved
-                    assert len(dummy_addrs) == len(reserved)
-
-    def test_sentinel_entries_flagged(self):
-        graph, plan = running_example()
-        schedule = write_schedule(graph, plan, "row")
-        sentinels = [e for e in schedule.entries if e.edge == 7]
-        assert len(sentinels) == 15
-        for e in sentinels:
-            assert e.consumer is None
-            assert e.port == 1
-            assert e.address in (19, 21, 23)
-
-    def test_slot_grouping(self):
-        graph, plan = running_example()
-        schedule = write_schedule(graph, plan, "row")
-        sequence = generate_folded_sequence(graph, plan, "row")
-        for slot in range(sequence.slot_count):
-            group = [e for e in schedule.entries if e.slot == slot]
-            assert len(group) == 2 * plan.units_per_side
-            per_pmu = {}
-            for e in group:
-                per_pmu.setdefault(e.pmu, set()).add(e.port)
-            assert all(ports == {0, 1} for ports in per_pmu.values())
-
-    def test_write_lands_where_consumer_reads(self):
-        for option in (1, 2):
+    def test_reserved_cells(self):
+        # The sentinel writes of the padded degree fill the cells no read
+        # reaches: two per slot, so 24 cells, of which one per fold.
+        for option, cells in ((1, [19, 21, 23]), (2, [7, 15, 23])):
             graph, plan = running_example(design_option=option)
-            layout = layout_addresses(plan, graph)
-            for side in ("row", "col"):
-                schedule = write_schedule(graph, plan, side)
-                cons = [
-                    d
-                    for d in reader_offsets(graph, other_side(side))
-                    if d is not None
-                ]
-                for e in schedule.entries:
-                    if e.consumer is None:
-                        continue
-                    rank = e.consumer_rank
-                    # The consumer's read pairs its unit with exactly the
-                    # producer's collocated memory...
-                    read_pmu = (cons[rank] + e.consumer) % plan.units_per_side
-                    assert read_pmu == e.pmu
-                    # ...at the address its forward counter has reached.
-                    assert e.address == layout.address(
-                        rank // 2, e.consumer // plan.units_per_side, rank % 2
-                    )
+            assert reserved_cells(generate_folded_sequence(graph, plan, "col")) == cells
+            sentinels = [w for w in checked_writes(graph, plan, "row") if w.consumer is None]
+            assert sorted({w.address for w in sentinels}) == cells
+        graph = CirculantBipartiteGraph.plain(8, (0, 4))
+        plan = FoldPlan.for_graph(graph, 2)
+        assert reserved_cells(generate_folded_sequence(graph, plan, "col")) == []
+
+    @pytest.mark.parametrize("side", ["row", "col"])
+    def test_sentinel_entries_flagged(self, side):
+        graph, plan = running_example()
+        sentinels = [w for w in checked_writes(graph, plan, side) if w.edge == 7]
+        assert len(sentinels) == 15
+        for w in sentinels:
+            assert w.consumer is None
+            assert w.port == 1
+            assert w.address in (19, 21, 23)
+
+    @pytest.mark.parametrize("option", [1, 2])
+    @pytest.mark.parametrize("side", ["row", "col"])
+    def test_write_lands_where_consumer_reads(self, option, side):
+        graph, plan = running_example(design_option=option)
+        f_units = plan.units_per_side
+        consuming = generate_folded_sequence(graph, plan, other_side(side))
+        for w in checked_writes(graph, plan, side):
+            if w.consumer is None:
+                continue
+            # The consumer reads the edge in its slot (rank // 2, its
+            # fold), on port rank mod 2, from exactly the producer's
+            # collocated memory, at the counter address 2 * slot + port.
+            slot = consuming.slots.index((w.rank // 2, w.consumer // f_units))
+            access = accesses(consuming, slot)[w.consumer % f_units]
+            assert access["lpu"] == w.consumer
+            assert access["pmus"][w.rank % 2] == w.pmu
+            assert w.address == 2 * slot + w.rank % 2
 
     def test_full_fold_addresses_descend_cyclically(self):
         graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
         plan = FoldPlan.for_graph(graph, 1)
-        schedule = write_schedule(graph, plan, "row")
-        for pmu, entries in schedule.per_pmu().items():
-            addrs = [e.address for e in entries if e.consumer is not None]
+        checked_writes(graph, plan, "row")
+        # With q = 1 slot l is pattern l, so a unit's ROM column is in edge
+        # order; the last edge is the sentinel's.
+        for column in write_schedule(graph, plan, "row").per_pmu():
+            addrs = column[:7]
             assert addrs == [0, 6, 5, 4, 3, 2, 1]
             for prev, cur in zip(addrs, addrs[1:]):
                 assert (prev - cur) % 7 == 1
@@ -342,54 +298,61 @@ class TestWriteSchedule:
         base = CirculantBipartiteGraph.plain(13, (0, 1, 3, 9))
         graph = pad_dummy_offset(expand_circulant(base, 1))
         plan = FoldPlan.for_graph(graph, 2)
-        schedule = write_schedule(graph, plan, "row")
-        assert len(schedule.entries) == 14 * 8
+        writes = checked_writes(graph, plan, "row")
+        assert len(writes) == 14 * 8
         real = [
-            e
-            for e in schedule.entries
-            if e.consumer is not None and graph.is_real_edge(e.producer, e.consumer)
+            w
+            for w in writes
+            if w.consumer is not None and graph.is_real_edge(w.producer, w.consumer)
         ]
-        assert len(real) == 13 * 4 and all(e.producer_real for e in real)
-        dummy_node = [e for e in schedule.entries if e.producer == 13]
-        assert dummy_node and all(not e.producer_real for e in dummy_node)
+        assert len(real) == 13 * 4 and all(w.producer < graph.real_order for w in real)
+        dummy_node = [w for w in writes if w.producer == 13]
+        assert dummy_node and all(w.producer >= graph.real_order for w in dummy_node)
+
+    def test_real_units_and_address_runs(self):
+        # Only the real producers of each fold write; the dummy node 13
+        # of the expanded J = 14 graph is the last unit of fold 1.
+        base = CirculantBipartiteGraph.plain(13, (0, 1, 3, 9))
+        graph = pad_dummy_offset(expand_circulant(base, 1))
+        plan = FoldPlan.for_graph(graph, 2)
+        schedule = write_schedule(graph, plan, "row")
+        assert [schedule.real_units(k) for k in range(2)] == [7, 6]
+        real = {
+            (w.slot, w.pmu, w.port): w.address
+            for w in oracle_writes(graph, plan, "row")
+            if w.producer < graph.real_order
+        }
+        assert {
+            (slot, m, port): address
+            for slot in range(len(schedule.slots))
+            for port in (0, 1)
+            for address, first, units in schedule.address_runs(slot, port)
+            for m in range(first, first + units)
+        } == real
 
 
 class TestConsumerRank:
     def test_spot_values(self):
-        graph, plan = running_example()
-        ranks = write_schedule(graph, plan, "row").ranks
+        graph, _ = running_example()
+        ranks = [consumer_rank(graph, "col", d % 15, 0) for d in OFFSETS_15]
         assert ranks[0] == 0
         assert ranks[6] == 1
         assert ranks[4] == 3
 
     def test_reciprocal(self):
-        graph, plan = running_example()
-        row = write_schedule(graph, plan, "row").ranks
-        col = write_schedule(graph, plan, "col").ranks
-        real = [t for t, rank in enumerate(row) if rank is not None]
-        assert real == list(range(graph.degree))
-        for t in real:
-            assert col[row[t]] == t
-
-
-class TestEdgeShiftReplica:
-    def test_goldens(self):
+        # Edge t of row node 0 has rank r at its consumer, whose edge r
+        # has rank t back at row node 0.
         graph, _ = running_example()
-        assert edge_shift_replica(graph, 1, 3, 1) == 5
-        assert edge_shift_replica(graph, 1, 3, 12) == 1
-        assert edge_shift_replica(graph, 12, 3, 12) == 7
+        col_offsets = graph.col_offsets()
+        for t, d in enumerate(OFFSETS_15):
+            rank = consumer_rank(graph, "col", d, 0)
+            assert (d + col_offsets[rank]) % 15 == 0
+            assert consumer_rank(graph, "row", 0, d) == t
 
-    def test_identity_is_sorted_row(self):
-        graph, _ = running_example()
-        for base in range(15):
-            row = sorted(graph.incidence_row(base))
-            for t in range(7):
-                assert edge_shift_replica(graph, base, t, base) == row[t]
 
-    def test_domain(self):
-        graph, _ = running_example()
-        with pytest.raises(ValueError):
-            edge_shift_replica(graph, 0, 7, 0)
+def family_count(graph, plan, instance):
+    """rho_hat of an interconnect instance: its number of wire families."""
+    return len(build_netlist(graph, plan).offsets[instance])
 
 
 class TestSwitchLuts:
@@ -397,13 +360,13 @@ class TestSwitchLuts:
         graph, plan = running_example()
         lut = switch_luts(graph, plan)["row_reads"]
         assert lut.rows == ((0, 1), (2, 4), (0, 3), (0, 5))
-        assert lut.port_count == 5
+        assert family_count(graph, plan, "row_reads") == 5
 
     def test_col_instance_rows_with_doubled_pattern(self):
         graph, plan = running_example()
         lut = switch_luts(graph, plan)["col_reads"]
         assert lut.rows == ((0, 5), (2, 0), (1, 3), (4, 6))
-        assert lut.port_count == 6
+        assert family_count(graph, plan, "col_reads") == 6
 
     def test_one_table_per_instance(self):
         # Wire j of an out switch lands on port j of an in switch, so the
@@ -412,19 +375,16 @@ class TestSwitchLuts:
         graph, plan = running_example()
         luts = switch_luts(graph, plan)
         assert sorted(luts) == ["col_reads", "row_reads"]
-        netlist = build_netlist(graph, plan)
         for instance, lut in luts.items():
             assert lut.instance == instance
-            assert lut.port_count == len(netlist.offsets[instance])
             codes = {code for row in lut.rows for code in row}
-            assert codes <= set(range(lut.port_count + 1))
+            assert codes <= set(range(family_count(graph, plan, instance) + 1))
 
     def test_port_counts_match_rho(self):
         graph, plan = running_example()
-        luts = switch_luts(graph, plan)
         for side in ("row", "col"):
             rho, theta, rho_hat = compute_rho(graph, plan, side)
-            assert luts[f"{side}_reads"].port_count == rho_hat
+            assert family_count(graph, plan, f"{side}_reads") == rho_hat
 
     def test_doubled_toy(self):
         graph = CirculantBipartiteGraph.plain(8, (0, 4))
@@ -432,7 +392,7 @@ class TestSwitchLuts:
         luts = switch_luts(graph, plan)
         for instance in ("row_reads", "col_reads"):
             assert luts[instance].rows == ((0, 1),)
-            assert luts[instance].port_count == 2
+            assert family_count(graph, plan, instance) == 2
 
 
 def top_port_maps(graph, plan):
@@ -654,6 +614,20 @@ class TestTiming:
         assert (writes[0], writes[-1] + 1) == (24, 36)
         assert timing.side_span + reads[0] == 37
 
+    @pytest.mark.parametrize("option", [1, 2])
+    @pytest.mark.parametrize("T", [1, 2, 12])
+    def test_read_window_of_each_edge(self, option, T):
+        # Edge t of fold k is read in slot (t // 2, k), whose window ends
+        # with cycle (q * (t // 2) + k + 1) * T under option 1 and
+        # (B * k + t // 2 + 1) * T under option 2, for odd and even t.
+        graph, plan = running_example(design_option=option, T=T)
+        sequence = generate_folded_sequence(graph, plan, "row")
+        reads = full_timing(graph, plan).read_cycles
+        for t in range(8):
+            for k in range(3):
+                window = 3 * (t // 2) + k if option == 1 else 4 * k + t // 2
+                assert reads[sequence.slot_index(t // 2, k)] + 1 == (window + 1) * T
+
     def test_serialization(self):
         graph, plan = running_example()
         data = full_timing(graph, plan).to_json_dict()
@@ -713,19 +687,18 @@ class TestWriteScheduleProperties:
     @given(folded_graphs())
     def test_bijective_and_reciprocal(self, case):
         graph, plan = case
-        layout = layout_addresses(plan, graph)
-        reserved = set(reserved_cells(layout, graph.degree))
         for side in ("row", "col"):
-            schedule = write_schedule(graph, plan, side)
             cons = [
                 d for d in reader_offsets(graph, other_side(side)) if d is not None
             ]
-            for pmu, entries in schedule.per_pmu().items():
-                real_addrs = sorted(
-                    e.address for e in entries if e.consumer is not None
-                )
-                assert real_addrs == sorted(set(range(depth(layout))) - reserved)
-            for e in schedule.entries:
-                if e.consumer is None:
+            for w in assert_bijective_addressing(graph, plan, side):
+                if w.consumer is None:
                     continue
-                assert (cons[e.consumer_rank] + e.consumer) % plan.units_per_side == e.pmu
+                assert (cons[w.rank] + w.consumer) % plan.units_per_side == w.pmu
+
+    @settings(max_examples=80, deadline=None)
+    @given(render_designs())
+    def test_runs_are_the_oracle_writes(self, design):
+        graph, plan = design
+        for side in ("row", "col"):
+            checked_writes(graph, plan, side)
