@@ -474,15 +474,9 @@ def cmd_fold(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "graph.json").write_text(emit_graph_json(graph), encoding="utf-8")
     (out / "plan.json").write_text(_json_text(plan.to_json_dict()), encoding="utf-8")
-    for side in ("row", "col"):
-        sequence = generate_folded_sequence(graph, plan, side)
-        (out / f"fold_{side}.json").write_text(
-            _json_text(sequence.to_json_dict()), encoding="utf-8"
-        )
     print(
         f"folded order {graph.order} by q={plan.q} into {plan.units_per_side} "
-        f"units per side; wrote graph.json, plan.json, fold_row.json, "
-        f"fold_col.json to {out}"
+        f"units per side; wrote graph.json, plan.json to {out}"
     )
     return 0
 
@@ -820,8 +814,8 @@ def build_parser() -> argparse.ArgumentParser:
     commands = (
         ("build-pg", cmd_build_pg, "build a projective-geometry graph"),
         ("expand", cmd_expand, "grow a graph with dummy nodes to a composite order"),
-        ("fold", cmd_fold, "compute the folded access sequences"),
-        ("schedule", cmd_schedule, "emit folds, LUTs, switch tables, traces, and netlist"),
+        ("fold", cmd_fold, "plan the fold: write graph.json and plan.json"),
+        ("schedule", cmd_schedule, "emit LUTs, switch tables, timing, traces, and netlist"),
         ("simulate", cmd_simulate, "replay an emitted run directory cycle by cycle"),
         ("emit", cmd_emit, "emit artifacts in the chosen formats"),
         ("run", cmd_run, "full pipeline: build, fold, schedule, emit, simulate"),

@@ -4,14 +4,16 @@ The tables go out as CSV, the design and its plans as JSON with sorted
 keys, and the hardware as two VHDL files.  The plan and the graph are
 each stated once: plan.json alone gives q, F, the design option, T,
 delta and the pipeline level, and graph.json alone J and the offsets.
-The schedule grid and the incidence table are not emitted: they are
-fold_*.json's patterns and slots and graph.json's offsets; nor is the
-memory depth, two cells per slot of fold_*.json.  Each interconnect
-instance has one switch table, lut_<instance>.csv, which its out
-switches and, a cycle later, its in switches both run, and netlist.json
-lists its wire families alone, one per port code, so their count is the
-instance's invalid code.  The write LUTs and the access traces are
-run-length rows: one row per run of memory units making the same access.
+The folded sequences, the schedule grid and the incidence table are not
+emitted: a side's P = ⌈γ/2⌉ patterns pair graph.json's γ offsets,
+plan.json's design option orders their P · q slots, and the incidence
+is the offsets'; nor is the memory depth, two cells per slot.  Each
+interconnect instance has one switch table, lut_<instance>.csv, which
+its out switches and, a cycle later, its in switches both run, and
+netlist.json lists its wire families alone, one per port code, so their
+count is the instance's invalid code.  The write LUTs and the access
+traces are run-length rows: one row per run of memory units making the
+same access.
 hdl/folded_luts.vhd is a ROM package: one integer array per LUT column
 of the run, named after its file (the write LUT addresses, unit by unit,
 its runs expanded, and each switch table's two port columns), which the
@@ -446,10 +448,9 @@ def render_run_files(
     formats: tuple[str, ...] = FORMATS,
 ) -> dict[str, str]:
     """Every artifact of one synthesis run in the selected ``formats``,
-    keyed by its path in the run directory: the graph, the plan, folded
-    sequences, write LUTs, switch tables, netlist, timing, access traces
-    and the HDL, which must pass ``check_hdl``.  Nothing is
-    written.
+    keyed by its path in the run directory: the graph, the plan, write
+    LUTs, switch tables, netlist, timing, access traces and the HDL,
+    which must pass ``check_hdl``.  Nothing is written.
     """
     for fmt in formats:
         if fmt not in FORMATS:
@@ -465,8 +466,6 @@ def render_run_files(
     if "json" in formats:
         files["graph.json"] = emit_graph_json(graph)
         files["plan.json"] = _json_text(plan.to_json_dict())
-        for side in ("row", "col"):
-            files[f"fold_{side}.json"] = _json_text(sequences[side].to_json_dict())
         files["netlist.json"] = emit_netlist_json(netlist)
         files["timing.json"] = _json_text(timing.to_json_dict())
     if "csv" in formats:

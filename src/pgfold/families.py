@@ -3,7 +3,8 @@ LUTs' runs, of the ROM package hdl/folded_luts.vhd and of the generate
 statements of hdl/top.vhd; only the replay imports them, so commands that
 replay nothing do not compile them.  Each fact is read from the one file
 that states it: an instance's switch port count from its wire families,
-a memory's depth, two cells per slot, from fold_*.json's slots."""
+a memory's depth, two cells per slot, from the P · q slots that
+graph.json's offsets and plan.json's q make."""
 
 from __future__ import annotations
 

@@ -158,21 +158,6 @@ class FoldedSequence:
             return l * self.q + k
         return k * self.pattern_count + l
 
-    def to_json_dict(self) -> dict:
-        return {
-            "format_version": 2,
-            "patterns": [
-                {
-                    "index": p.index,
-                    "offsets": list(p.offsets),
-                    "folded": list(p.folded),
-                    "doubled": p.doubled,
-                }
-                for p in self.patterns
-            ],
-            "slots": [list(s) for s in self.slots],
-        }
-
 
 def pad_dummy_offset(graph: CirculantBipartiteGraph) -> CirculantBipartiteGraph:
     """Append the scheduling sentinel when the degree is odd (no-op otherwise).

@@ -1,9 +1,9 @@
 """Cycle-accurate token simulator of an emitted folded architecture.
 
 This module deliberately reimplements the access semantics from the files
-of a run (graph, plan, fold sequences, write LUTs, switch tables, netlist,
-timing) rather than reusing the synthesis code, so a passing simulation
-also validates the file formats and their mutual consistency.  The files
+of a run (graph, plan, write LUTs, switch tables, netlist, timing)
+rather than reusing the synthesis code, so a passing simulation also
+validates the file formats and their mutual consistency.  The files
 come from a read-only ``name → text`` mapping: an in-memory render, or a
 run directory through ``RunDirectory``, which reads and decodes each file
 only when looked up.
@@ -22,14 +22,17 @@ mod F; the codes are [0, rho_hat), and rho_hat, the family count, is the
 invalid code no wire carries.  Each instance has one switch table,
 lut_<instance>.csv: its out switches select a pattern's codes and its
 in switches the same codes one cycle later, each reading the last port
-that drives its code.  A memory holds two cells per slot of fold_*.json,
-which bound the write LUTs' addresses.  Each write LUT row is a run of
-units writing one address; which producers are real follows from
-graph.json's real J.  With HDL, each array of hdl/folded_luts.vhd is
-compared integer by integer with the LUT file column it is named after,
-and the in switch wiring of each instance's FOR GENERATE in hdl/top.vhd
-with the wire families.  ``families`` reads
-the wire families, the write LUTs, the ROM package and the top level.
+that drives its code.  The slots are derived, not read: graph.json's γ
+offsets pair into P = ⌈γ/2⌉ patterns, and plan.json's design option
+runs them pattern-major (1) or fold-major (2) over the q folds.  A
+memory holds two cells per slot, which bound the write LUTs' addresses.
+Each write LUT row is a run of units writing one address; which
+producers are real follows from graph.json's real J.  With HDL, each
+array of hdl/folded_luts.vhd is compared integer by integer with the LUT
+file column it is named after, and the in switch wiring of each
+instance's FOR GENERATE in hdl/top.vhd with the wire families.
+``families`` reads the wire families, the write LUTs, the ROM package
+and the top level.
 
 Compile turns each half into a plan, run by run and pattern by pattern:
 a write run's tokens, cells and claimed memory ports are arithmetic in
@@ -220,7 +223,8 @@ class _Inputs:
     real_base_offsets: frozenset[int]
     units: int
     pipeline_level: str
-    slots: dict[str, list[tuple[int, int]]]
+    # Per slot, the (pattern, fold) both halves run in it
+    slots: list[tuple[int, int]]
     read_cycles: list[int]
     write_cycles: list[int]
     side_span: int
@@ -252,6 +256,13 @@ def _json_level(data: object, key: str) -> str:
         raise ValueError(
             f"{key} must be one of {', '.join(_PIPELINE_LEVELS)}, got {value!r}"
         )
+    return value
+
+
+def _json_option(data: object, key: str) -> int:
+    value = json_int(data, key)
+    if value not in (1, 2):
+        raise ValueError(f"{key} must be 1 or 2, got {value}")
     return value
 
 
@@ -314,49 +325,35 @@ def _load(files: Mapping[str, str]) -> _Inputs:
     order, base_offsets, real_order, real_base_offsets = _graph_fields(docs["graph"])
     units = _field("plan.json", plan, "units_per_side")
     folds = _field("plan.json", plan, "q")
+    if folds < 1:
+        raise SimulationStructureError(f"plan.json: q must be positive, got {folds}")
     if order != folds * units:
         raise SimulationStructureError(
             f"graph.json: J {order} disagrees with plan.json: "
             f"q × units_per_side = {folds} × {units} = {folds * units}"
         )
+    design_option = _field("plan.json", plan, "design_option", _json_option)
     pipeline_level = _field("plan.json", plan, "pipeline_level", _json_level)
     cycles = {
         key: list(_field("timing.json", timing, key, json_ints))
         for key in ("read_cycles", "write_cycles")
     }
     side_span = _field("timing.json", timing, "side_span")
-    slots = {}
-    pattern_count = {}
-    for side in ("row", "col"):
-        name = f"fold_{side}.json"
-        fold = read_json(files, name)
-        pattern_count[side] = len(_field(name, fold, "patterns", _json_list))
-        # A slot (l, k) runs pattern l for fold k.
-        for index, slot in enumerate(_field(name, fold, "slots", _json_list)):
-            entry = f"slots[{index}]"
-            if not (
-                isinstance(slot, list)
-                and len(slot) == 2
-                and all(type(value) is int for value in slot)
-            ):
-                raise SimulationStructureError(
-                    f"{name}:{entry} {slot!r} is not a (pattern, fold) pair of integers"
-                )
-            _outside(name, entry, "pattern", slot[0], 0, pattern_count[side])
-            _outside(name, entry, "fold", slot[1], 0, folds)
-        slots[side] = [tuple(slot) for slot in fold["slots"]]
-    if pattern_count["row"] != pattern_count["col"]:
-        raise SimulationStructureError("sides disagree on pattern count")
-    slot_count = len(slots["row"])
-    if len(slots["col"]) != slot_count:
-        raise SimulationStructureError(
-            f"fold_col.json: {len(slots['col'])} slots, but fold_row.json has {slot_count}"
-        )
+    # P = ⌈γ/2⌉ patterns pair the reader offsets, and slot s runs pattern l
+    # for fold k: (s // q, s mod q) under option 1, (s mod P, s // P) under
+    # option 2.  The timing lists bound the slot count.
+    patterns = (len(base_offsets) + 1) // 2
+    slot_count = patterns * folds
     for key, values in cycles.items():
         if len(values) != slot_count:
             raise SimulationStructureError(
-                f"timing slot count disagrees with fold slots ({key})"
+                f"timing.json: {key} has {len(values)} entries, not P · q = "
+                f"{patterns} · {folds} = {slot_count}"
             )
+    if design_option == 1:
+        slots = [(l, k) for l in range(patterns) for k in range(folds)]
+    else:
+        slots = [(l, k) for k in range(folds) for l in range(patterns)]
     ranks = len(base_offsets)
     # Imported here, so that commands that replay nothing do not compile it.
     from .families import read_netlist, read_roms, read_write_lut, rom_mismatch, top_mismatch
@@ -366,7 +363,7 @@ def _load(files: Mapping[str, str]) -> _Inputs:
     for instance in _INSTANCES:
         name, invalid = f"lut_{instance}.csv", len(wire_offsets[instance])
         # Pattern l's row is the one of slot l: each slot in range, once.
-        records: list = [None] * pattern_count["row"]
+        records: list = [None] * patterns
         for line, values in _read_csv(files, name, ("slot", "port0", "port1")):
             slot = values[0]
             _outside(name, line, "slot", slot, 0, len(records))
@@ -410,7 +407,7 @@ def _load(files: Mapping[str, str]) -> _Inputs:
     writes = {}
     for side in ("row", "col"):
         writes[side], addresses = read_write_lut(
-            files, side, slots[side], units, real_order, roms is not None
+            files, side, slots, units, real_order, roms is not None
         )
         if roms is not None:
             name = f"write_lut_{side}"
@@ -701,7 +698,7 @@ def _compile(inputs: _Inputs) -> tuple[dict[str, _Half], _Resources, _Trace, dic
     resources = _Resources(inputs)
     # A memory's cells are indexed by pmu · depth + address: two per slot,
     # which the reads address as [0, 2 · slots) and the writes as well.
-    depth = 2 * len(inputs.slots["row"])
+    depth = 2 * len(inputs.slots)
     trace = _Trace(inputs.units, depth)
     observed: dict[str, list] = {"row": [], "col": []}
     ranks = len(inputs.reader_offsets["row"])
@@ -727,7 +724,7 @@ def _compile_writes(
     ``observed``; return each writing slot's (offset, runs, whether two of
     its runs write one place)."""
     units, order, ranks, width = inputs.units, inputs.order, half.ranks, trace.units
-    offsets, slots = inputs.reader_offsets[half.reading], inputs.slots[half.reading]
+    offsets, slots = inputs.reader_offsets[half.reading], inputs.slots
     step = (order + 1) * ranks
     half.tokens = tokens = array("q", [-1]) * (units * depth + 1)
     seen, claims = observed[half.reading], []
@@ -776,7 +773,7 @@ def _compile_reads(
     # their ranks, port by port
     lanes = (array("q"), array("q"), bytearray()), (array("q"), array("q"), bytearray())
     ranks = array("q")
-    for slot, (l, k) in enumerate(inputs.slots[half.reading]):
+    for slot, (l, k) in enumerate(inputs.slots):
         active, lpu = max(0, min(units, inputs.real_order - k * units)), k * units
         pattern = patterns.get((l, active))
         if pattern is None:
@@ -1038,7 +1035,7 @@ def simulate(files: Mapping[str, str] | str | Path, iterations: int = 1) -> SimR
     units, side_span = inputs.units, inputs.side_span
     report = SimReport(iterations=iterations, file_mismatches=inputs.hdl_mismatches)
     read_cycles, write_cycles = inputs.read_cycles, inputs.write_cycles
-    slot_count = len(inputs.slots["row"])
+    slot_count = len(inputs.slots)
     pipeline_level = inputs.pipeline_level
     del inputs  # the load-only indexes
     # The first iteration's traffic depends on the compiled plan alone, so

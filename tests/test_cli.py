@@ -330,8 +330,18 @@ class TestExpand:
         assert "--alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["schedule", "emit", "run"])
+def test_no_command_writes_fold_files(pg15_dir, tmp_path, command):
+    # The replay derives the slots from graph.json and plan.json.
+    out = tmp_path / command
+    argv = [command, "--graph", str(pg15_dir / "graph.json"), "--q", "3", "--out", str(out)]
+    assert main(argv) == 0
+    assert (out / "plan.json").is_file()
+    assert not list(out.glob("fold_*"))
+
+
 class TestFold:
-    def test_writes_plan_and_sequences(self, pg15_dir, tmp_path):
+    def test_writes_graph_and_plan_only(self, pg15_dir, tmp_path):
         out = tmp_path / "fold"
         code = main(
             [
@@ -348,8 +358,7 @@ class TestFold:
         plan = read_json(out / "plan.json")
         assert plan["q"] == 3
         assert plan["units_per_side"] == 5
-        assert len(read_json(out / "fold_row.json")["slots"]) == 12
-        assert (out / "fold_col.json").is_file()
+        assert sorted(path.name for path in out.iterdir()) == ["graph.json", "plan.json"]
 
     def test_auto_q_picks_unit_range(self, pg15_dir, tmp_path):
         out = tmp_path / "fold"

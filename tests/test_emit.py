@@ -130,15 +130,18 @@ class TestFlatArtifacts:
         assert lines[4] == "3,0,5"
 
     def test_memory_depth_is_two_cells_per_slot(self):
-        # No file states the depth: fold_row.json's 12 slots make 24 cells,
-        # which the write LUT's addresses fill.
+        # No file states the depth: gamma = 7 offsets make P = 4 patterns,
+        # q = 3 folds make 12 slots and 24 cells, which the write LUT's
+        # addresses fill.
         graph, plan = running_example()
         files = render_run_files(graph, plan, ("csv", "json"))
         assert "layout.json" not in files
-        slots = json.loads(files["fold_row.json"])["slots"]
+        assert not any(name.startswith("fold_") for name in files)
+        patterns = -(-json.loads(files["graph.json"])["gamma"] // 2)
+        slots = patterns * json.loads(files["plan.json"])["q"]
         rows = files["write_lut_row.csv"].splitlines()[1:]
-        assert {int(row.rsplit(",", 1)[1]) for row in rows} == set(range(2 * len(slots)))
-        assert len(slots) == 12
+        assert {int(row.rsplit(",", 1)[1]) for row in rows} == set(range(2 * slots))
+        assert slots == 12
 
     def test_write_lut_csv(self):
         # Slot 0 writes address 0 from all five units on port 0; on port 1
@@ -432,8 +435,6 @@ class TestRunDirectory:
         assert names == {
             "graph.json",
             "plan.json",
-            "fold_row.json",
-            "fold_col.json",
             "netlist.json",
             "timing.json",
             "write_lut_row.csv",

@@ -123,7 +123,7 @@ def ids_of(ids):
 def compile_halves(inputs):
     resources = Resources(inputs)
     ranks = len(inputs.reader_offsets["row"])
-    slot_count = len(inputs.slots["row"])
+    slot_count = len(inputs.slots)
     depth = 2 * slot_count
     trace = _Trace(inputs.units, depth)
     observed = {side: (array("q"), array("q")) for side in ("row", "col")}
@@ -148,7 +148,7 @@ def compile_writes(inputs, half, rel_base, depth, resources, trace, seen):
     for slot, writes in enumerate(inputs.writes.pop(half.reading)):
         if not writes:
             continue
-        l, k = inputs.slots[half.reading][slot]
+        l, k = inputs.slots[slot]
         cycle = inputs.write_cycles[slot]
         top = (rel_base + cycle) * 2
         group, codes = [], []
@@ -180,7 +180,7 @@ def compile_reads(inputs, half, rel_base, index, depth, blank, resources, trace,
     units, order = inputs.units, inputs.order
     width, span = trace.units, trace.span
     cons_offsets = inputs.reader_offsets[half.reading]
-    slots = inputs.slots[half.reading]
+    slots = inputs.slots
     for slot, (l, k) in enumerate(slots):
         active = max(0, min(units, inputs.real_order - k * units))
         offset = inputs.read_cycles[slot]
@@ -317,14 +317,14 @@ def oracle_simulate(files, iterations=1):
     files = _source(files)
     inputs = simulator._load(files)
     inputs.writes = {
-        side: read_write_lut(files, side, inputs.slots[side], inputs.units, inputs.real_order)
+        side: read_write_lut(files, side, inputs.slots, inputs.units, inputs.real_order)
         for side in ("row", "col")
     }
     halves, resources, trace, observed = compile_halves(inputs)
     units, side_span = inputs.units, inputs.side_span
     report = SimReport(iterations=iterations, file_mismatches=inputs.hdl_mismatches)
     read_cycles, write_cycles = inputs.read_cycles, inputs.write_cycles
-    slot_count = len(inputs.slots["row"])
+    slot_count = len(inputs.slots)
     for side in ("row", "col"):
         mismatch = check_trace(files, side, trace, observed[side] if iterations > 0 else ())
         if mismatch is not None:

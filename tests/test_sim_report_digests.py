@@ -100,10 +100,9 @@ def write_rows(run_dir: Path, name: str) -> list[list]:
     edit coordinates: a row per unit, slot and port, unit by unit, under
     ``WRITE_HEADER``.  A producer is real when k · F + unit < real J for
     its slot's fold k; ``real`` is not read and stays 1."""
-    side = name.removeprefix("write_lut_").removesuffix(".csv")
     units = json.loads((run_dir / "plan.json").read_text(encoding="utf-8"))["units_per_side"]
     real_order = json.loads((run_dir / "graph.json").read_text(encoding="utf-8"))["real_J"]
-    slots = json.loads((run_dir / f"fold_{side}.json").read_text(encoding="utf-8"))["slots"]
+    slots = run_slots(run_dir)
     address = {}
     with (run_dir / name).open(newline="", encoding="utf-8") as handle:
         for run in csv.DictReader(handle):
@@ -118,6 +117,18 @@ def write_rows(run_dir: Path, name: str) -> list[list]:
                 real = int(k * units + pmu < real_order)
                 rows.append([pmu, index, slot, port, address[(pmu, slot, port)], 1, real])
     return rows
+
+
+def run_slots(run_dir: Path) -> list[tuple[int, int]]:
+    """The (pattern, fold) of each slot of a run: graph.json's gamma
+    offsets pair into P = ceil(gamma/2) patterns, which plan.json's design
+    option runs pattern-major (1) or fold-major (2) over its q folds."""
+    gamma = json.loads((run_dir / "graph.json").read_text(encoding="utf-8"))["gamma"]
+    plan = json.loads((run_dir / "plan.json").read_text(encoding="utf-8"))
+    patterns, folds = range((gamma + 1) // 2), range(plan["q"])
+    if plan["design_option"] == 1:
+        return [(l, k) for l in patterns for k in folds]
+    return [(l, k) for k in folds for l in patterns]
 
 
 def write_runs(rows: list[list]) -> list[list]:
@@ -236,10 +247,10 @@ def test_fault_injected_dataflow_verdict_unchanged(
 def _random_edit(rng: random.Random, run_dir: Path, kind: str) -> dict:
     """One edit of ``kind``, timing, write_lut or switch_lut, drawn from
     the run in ``run_dir``: a write goes to a slot, unit, port and one of
-    the memory's two cells per slot of fold_row.json, and a switch code
-    is one of the instance's codes, up to its invalid code, the count of
-    its wire families."""
-    slots = len(json.loads((run_dir / "fold_row.json").read_text(encoding="utf-8"))["slots"])
+    the memory's two cells per slot, and a switch code is one of the
+    instance's codes, up to its invalid code, the count of its wire
+    families."""
+    slots = len(run_slots(run_dir))
     if kind == "timing":
         field = rng.choice(["read_cycles", "write_cycles", "side_span"])
         if field == "side_span":

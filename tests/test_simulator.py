@@ -8,6 +8,7 @@ import random
 import re
 import shutil
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -18,7 +19,7 @@ from pgfold import cli, simulator
 from pgfold.circulant import CirculantBipartiteGraph, expand_circulant
 from pgfold.cli import main
 from pgfold.emit import emit_manifest_json, render_run_files, write_run_directory
-from pgfold.folding import FoldPlan, pad_dummy_offset
+from pgfold.folding import FoldPlan, generate_folded_sequence, pad_dummy_offset
 from pgfold.projective import PgParams, build_pg_graph
 from pgfold.simulator import (
     SimulationStructureError,
@@ -428,12 +429,12 @@ class TestFaultInjection:
         timing = json.loads((scratch_run / "timing.json").read_text())
         timing["read_cycles"] = timing["read_cycles"][:-1]
         (scratch_run / "timing.json").write_text(json.dumps(timing))
-        with pytest.raises(SimulationStructureError, match="slot count"):
+        with pytest.raises(SimulationStructureError, match=r"^timing\.json: read_cycles has 11"):
             simulate(scratch_run)
 
     def test_truncated_write_timing_rejected(self, scratch_run):
         rewrite_timing(scratch_run, lambda timing: timing["write_cycles"].pop())
-        with pytest.raises(SimulationStructureError, match="slot count"):
+        with pytest.raises(SimulationStructureError, match=r"^timing\.json: write_cycles has 11"):
             simulate(scratch_run)
 
     def test_late_write_collides_with_next_half_read(self, scratch_run):
@@ -544,10 +545,6 @@ class TestLoadErrors:
     @pytest.mark.parametrize(
         "name, path, value, locus",
         [
-            ("fold_row.json", ("slots", 0), [9, 0], "fold_row.json:slots[0]:pattern 9 outside [0, 4)"),
-            ("fold_col.json", ("slots", 2), [-1, 0], "fold_col.json:slots[2]:pattern -1 outside [0, 4)"),
-            ("fold_row.json", ("slots", 1), [0, 3], "fold_row.json:slots[1]:fold 3 outside [0, 3)"),
-            ("fold_row.json", ("slots", 1), [0], "fold_row.json:slots[1] [0] is not a (pattern, fold) pair"),
             # The J = 15 families: col_reads ports 0-5, port 5 the extra
             # one, then row_reads ports 0-4; 11 families in all.
             ("netlist.json", ("wire_families", 0), 3, "netlist.json:wire_families[0]: expected a JSON object, got int"),
@@ -635,20 +632,116 @@ class TestLoadErrors:
         ):
             simulate(scratch_run)
 
-    @pytest.mark.parametrize("edit, count", [("last dropped", 11), ("first repeated", 13)])
-    def test_fold_slot_counts_disagree(self, scratch_run, capsys, edit, count):
-        fold = json.loads((scratch_run / "fold_col.json").read_text())
-        slots = fold["slots"]
-        fold["slots"] = slots[:-1] if edit == "last dropped" else [slots[0], *slots]
-        (scratch_run / "fold_col.json").write_text(json.dumps(fold))
-        locus = f"fold_col.json: {count} slots, but fold_row.json has 12"
-        with pytest.raises(SimulationStructureError, match=f"^{locus}$"):
+    @pytest.mark.parametrize(
+        "key, edit, count",
+        [("read_cycles", "last dropped", 11), ("write_cycles", "first repeated", 13)],
+    )
+    def test_timing_list_counts_disagree_with_the_slots(self, scratch_run, capsys, key, edit, count):
+        # gamma = 7 offsets make P = 4 patterns, so q = 3 folds make 12 slots.
+        def mutate(timing):
+            cycles = timing[key]
+            timing[key] = cycles[:-1] if edit == "last dropped" else [cycles[0], *cycles]
+
+        rewrite_timing(scratch_run, mutate)
+        locus = f"timing.json: {key} has {count} entries, not P · q = 4 · 3 = 12"
+        with pytest.raises(SimulationStructureError, match=f"^{re.escape(locus)}$"):
             simulate(scratch_run)
         for argv in (["simulate"], ["verify"]):
             assert main([*argv, "--out", str(scratch_run)]) == 1
             captured = capsys.readouterr()
             assert "Traceback" not in captured.out + captured.err
             assert locus in captured.out + captured.err
+
+    @pytest.mark.parametrize("option", [0, 3])
+    def test_design_option_out_of_range(self, scratch_run, capsys, option):
+        plan = json.loads((scratch_run / "plan.json").read_text())
+        plan["design_option"] = option
+        (scratch_run / "plan.json").write_text(json.dumps(plan))
+        locus = f"plan.json: design_option must be 1 or 2, got {option}"
+        with pytest.raises(SimulationStructureError, match=f"^{locus}$"):
+            simulate(scratch_run)
+        assert main(["simulate", "--out", str(scratch_run)]) == 1
+        assert locus in capsys.readouterr().err
+        # verify reads the plan before it replays, and rejects it there.
+        assert main(["verify", "--out", str(scratch_run)]) == 1
+        assert "design: FAIL (plan.json: design option must be 1 or 2)" in capsys.readouterr().out
+
+    def test_nonpositive_fold_factor(self, scratch_run):
+        plan = json.loads((scratch_run / "plan.json").read_text())
+        plan["q"], plan["units_per_side"] = -3, -5  # still J = 15
+        (scratch_run / "plan.json").write_text(json.dumps(plan))
+        with pytest.raises(SimulationStructureError, match=r"^plan\.json: q must be positive, got -3$"):
+            simulate(scratch_run)
+
+
+class TestDesignOption:
+    """The replay orders the slots by plan.json's design option."""
+
+    @pytest.mark.parametrize("option", [1, 2])
+    def test_flipped_option_loses_tokens(self, tmp_path, capsys, option):
+        # J = 15 folded by 3 has P = 4 patterns and q = 3 folds, so the two
+        # orders differ: the write LUTs and the switch tables address the
+        # slots of one order, and the replay runs the other.
+        graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
+        run = tmp_path / "run"
+        write_run_directory(run, graph, FoldPlan.for_graph(graph, 3, design_option=option), FLAT)
+        flip_design_option(run)
+        assert main(["simulate", "--out", str(run)]) == 1
+        out = capsys.readouterr().out
+        assert "dataflow: iteration 0:" in out and out.endswith("simulate: FAIL\n")
+        assert main(["verify", "--out", str(run)]) == 1
+        assert "verify: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("offsets, q", [(OFFSETS_15, 1), ((0, 1), 3)], ids=["q1", "P1"])
+    def test_flip_is_the_same_design_for_one_fold_or_pattern(self, tmp_path, capsys, offsets, q):
+        # With q = 1 or P = 1 both orders list the same slots, so no
+        # failure is expected: the flipped run is the run of the other
+        # option, file for file.  The graph (15, {0, 1}) has P = 1 pattern.
+        graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, offsets))
+        run = tmp_path / "run"
+        write_run_directory(run, graph, FoldPlan.for_graph(graph, q), FLAT)
+        flip_design_option(run)
+        assert main(["verify", "--out", str(run)]) == 0
+        assert capsys.readouterr().out.endswith("verify: PASS\n")
+
+    @pytest.mark.parametrize("q", [1, 3, 5, 15])
+    @pytest.mark.parametrize("option", [1, 2])
+    def test_derived_slots_are_the_folded_sequences(self, option, q):
+        graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
+        plan = FoldPlan.for_graph(graph, q, design_option=option)
+        slots = simulator._load(render_run_files(graph, plan, FLAT)).slots
+        for side in ("row", "col"):
+            assert tuple(slots) == generate_folded_sequence(graph, plan, side).slots
+
+
+def flip_design_option(run_dir):
+    """Swap plan.json's design option 1 <-> 2 and rewrite the manifest to match."""
+    path = run_dir / "plan.json"
+    plan = json.loads(path.read_text())
+    plan["design_option"] = 3 - plan["design_option"]
+    path.write_text(json.dumps(plan, indent=2, sort_keys=True) + "\n")
+    files = {
+        name: (run_dir / name).read_text()
+        for name in json.loads((run_dir / "manifest.json").read_text())["files"]
+    }
+    (run_dir / "manifest.json").write_text(emit_manifest_json(files))
+
+
+def test_run_written_with_fold_files_replays_but_fails_its_manifest(tmp_path, capsys):
+    # run_with_fold_files/ was written by pgfold while runs still held
+    # fold_row.json and fold_col.json: J = 15 by OFFSETS_15 folded by 3,
+    # CSV and JSON, its manifest listing both.  The replay ignores them;
+    # verify finds every other file as rendered today, and the two extra.
+    run = tmp_path / "run"
+    shutil.copytree(Path(__file__).with_name("run_with_fold_files"), run)
+    assert {"fold_row.json", "fold_col.json"} <= json.loads((run / "manifest.json").read_text())["files"].keys()
+    assert simulate(run).ok
+    assert main(["simulate", "--out", str(run)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--out", str(run)]) == 1
+    out = capsys.readouterr().out
+    assert "re-derivation: ok (10 artifacts)\n" in out
+    assert "manifest: FAIL (['fold_col.json unexpected', 'fold_row.json unexpected'])\n" in out
 
 
 class TestFileSource:
@@ -724,14 +817,11 @@ class LookedUp(dict):
 
 # The top-level fields of the emitted JSON files that neither the replay
 # nor the dataflow check looks up.  The replay takes its timing from
-# timing.json's cycle lists, not from plan.json's T, delta and option.
+# timing.json's cycle lists, not from plan.json's T and delta.
 UNREAD_JSON_FIELDS = {
-    *(
-        (name, "format_version")
-        for name in ("graph", "plan", "fold_row", "fold_col", "netlist", "timing")
-    ),
+    *((name, "format_version") for name in ("graph", "plan", "netlist", "timing")),
     ("graph", "dummy_offset_padded"),
-    *(("plan", key) for key in ("design_option", "T", "delta")),
+    *(("plan", key) for key in ("T", "delta")),
     ("timing", "half_length"),
 }
 
@@ -751,15 +841,11 @@ JSON_FIELDS = [
     ("graph.json", ("real_base_offsets",), "ints"),
     ("plan.json", ("q",), "int"),
     ("plan.json", ("units_per_side",), "int"),
+    ("plan.json", ("design_option",), "int"),
     ("plan.json", ("pipeline_level",), "level"),
     ("timing.json", ("read_cycles",), "ints"),
     ("timing.json", ("write_cycles",), "ints"),
     ("timing.json", ("side_span",), "int"),
-    *(
-        (f"fold_{side}.json", (key,), kind)
-        for side in ("row", "col")
-        for key, kind in (("patterns", "list"), ("slots", "pairs"))
-    ),
     ("netlist.json", ("wire_families",), "list"),
     ("netlist.json", ("wire_families", 1, "instance"), "instance"),
     *(("netlist.json", ("wire_families", 1, key), "int") for key in ("port", "folded_offset")),
