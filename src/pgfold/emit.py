@@ -26,8 +26,10 @@ statement per wire family, which the replay compares with
 netlist.json's.  The component bodies are not emitted.  Everything is
 rendered from the graph, the fold plan and a subset of ``FORMATS``.
 Data ports are ``DATA_WIDTH`` bits; a unit id is the fewest bits that
-index F units.  All output is deterministic: identical inputs give
-byte-identical files.
+index F units.  manifest.json lists each file's digest: the SHA-256 of
+its UTF-8 text, computed with CPython's built-in implementation, so no
+command loads OpenSSL.  All output is deterministic: identical inputs
+give byte-identical files.
 """
 
 from __future__ import annotations
@@ -75,11 +77,26 @@ def _json_text(data: object) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def sha256_text(text: str) -> str:
-    # Imported here, so that commands that hash nothing do not load OpenSSL.
-    import hashlib
+def _sha256_constructor():
+    """SHA-256 from CPython's own implementation, which, unlike
+    ``hashlib``, does not load OpenSSL; ``hashlib``'s on an interpreter
+    built without it."""
+    try:
+        from _sha2 import sha256  # 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256
 
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+_sha256 = _sha256_constructor()
+
+
+def sha256_text(text: str) -> str:
+    """The hex SHA-256 digest of ``text``'s UTF-8 bytes."""
+    return _sha256(text.encode("utf-8")).hexdigest()
 
 
 # Artifact families a run can emit, in emission order.
