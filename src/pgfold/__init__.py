@@ -15,7 +15,7 @@ from .circulant import (
     offsets_equivalent,
 )
 from .emit import write_run_directory
-from .folding import FoldPlan, generate_folded_sequence, pad_dummy_offset
+from .folding import FoldPlan, generate_folded_sequence
 from .galois import FiniteField, Polynomial, field_build, find_primitive_polynomial
 from .projective import PgParams, build_pg_graph, phi, verify_pg_incidence
 from .schedule import (
@@ -60,7 +60,6 @@ __all__ = [
     "generate_folded_sequence",
     "measure_throughput",
     "offsets_equivalent",
-    "pad_dummy_offset",
     "phi",
     "simulate",
     "switch_luts",

@@ -4,6 +4,9 @@ A circulant balanced bipartite graph has J nodes per side and a base offset
 set D: row i is adjacent to columns (i + d) mod J for every d in D.  After
 order expansion some nodes and edges are padding; real_order and
 real_base_offsets keep enough information to tell real edges from dummies.
+A graph of odd degree is scheduled with one sentinel offset, "no
+transaction"; the degree's parity alone decides it (see
+folding.reader_offsets).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ __all__ = [
     "expand_circulant",
     "expand_matrix_oracle",
     "choose_alpha",
+    "fold_factors",
     "offsets_equivalent",
     "normalize_offsets",
     "apply_affine",
@@ -75,8 +79,6 @@ class CirculantBipartiteGraph:
     real_order: nodes >= real_order on either side are dummies.
     real_base_offsets: offset set of the graph before expansion, used to
         decide which edges are real.
-    dummy_offset_padded: a sentinel offset has been appended for scheduling
-        (odd degree); it never appears in base_offsets.
     geometry: optional (n, p, s) provenance when built from a projective
         space.
     """
@@ -85,7 +87,6 @@ class CirculantBipartiteGraph:
     base_offsets: tuple[int, ...]
     real_order: int
     real_base_offsets: tuple[int, ...]
-    dummy_offset_padded: bool = False
     geometry: tuple[int, int, int] | None = None
 
     def __post_init__(self) -> None:
@@ -115,15 +116,8 @@ class CirculantBipartiteGraph:
 
     @property
     def scheduled_degree(self) -> int:
-        """Degree including the sentinel pad, always even when padded."""
-        return self.degree + (1 if self.dummy_offset_padded else 0)
-
-    @property
-    def scheduled_offsets(self) -> tuple[int | None, ...]:
-        """Base offsets plus the sentinel (None) when padded."""
-        if self.dummy_offset_padded:
-            return self.base_offsets + (None,)
-        return self.base_offsets
+        """Degree including the sentinel an odd degree is scheduled with."""
+        return self.degree + self.degree % 2
 
     @property
     def is_expanded(self) -> bool:
@@ -177,7 +171,6 @@ class CirculantBipartiteGraph:
             "base_offsets": list(self.base_offsets),
             "real_J": self.real_order,
             "real_base_offsets": list(self.real_base_offsets),
-            "dummy_offset_padded": self.dummy_offset_padded,
         }
         if self.geometry is not None:
             data["geometry"] = list(self.geometry)
@@ -189,11 +182,6 @@ class CirculantBipartiteGraph:
         wrong JSON type or range, raises ValueError naming the field."""
         order = json_int(data, "J")
         base_offsets = json_ints(data, "base_offsets")
-        padded = json_value(data, "dummy_offset_padded", False)
-        if not isinstance(padded, bool):
-            raise ValueError(
-                f"dummy_offset_padded must be true or false, got {padded!r}"
-            )
         geometry = None
         if data.get("geometry") is not None:
             geometry = json_ints(data, "geometry")
@@ -206,7 +194,6 @@ class CirculantBipartiteGraph:
             base_offsets=base_offsets,
             real_order=json_int(data, "real_J", order),
             real_base_offsets=json_ints(data, "real_base_offsets", list(base_offsets)),
-            dummy_offset_padded=padded,
             geometry=geometry,
         )
 
@@ -267,6 +254,18 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _expanded_offsets(offsets: tuple[int, ...], alpha: int) -> set[int]:
+    """Offset set after expansion by alpha: each d, and d + alpha for d >= 1."""
+    return {*offsets, *(d + alpha for d in offsets if d >= 1)}
+
+
+def fold_factors(order: int, target_f: tuple[int, int]) -> list[int]:
+    """Fold factors q > 1 of the order whose unit count order/q lies in
+    target_f, ascending."""
+    lo, hi = target_f
+    return [q for q in divisors(order) if q > 1 and lo <= order // q <= hi]
+
+
 def expand_circulant(graph: CirculantBipartiteGraph, alpha: int) -> CirculantBipartiteGraph:
     """Grow the graph order by alpha dummy nodes per side, staying circulant.
 
@@ -277,16 +276,12 @@ def expand_circulant(graph: CirculantBipartiteGraph, alpha: int) -> CirculantBip
     """
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    if graph.is_expanded or graph.dummy_offset_padded:
-        raise ValueError("only an unexpanded, unpadded graph can be expanded")
-    old_order = graph.order
-    new_order = old_order + alpha
-    offsets = set(graph.base_offsets)
-    offsets.update(d + alpha for d in graph.base_offsets if d >= 1)
+    if graph.is_expanded:
+        raise ValueError("only an unexpanded graph can be expanded")
     return CirculantBipartiteGraph(
-        order=new_order,
-        base_offsets=tuple(sorted(offsets)),
-        real_order=old_order,
+        order=graph.order + alpha,
+        base_offsets=tuple(sorted(_expanded_offsets(graph.base_offsets, alpha))),
+        real_order=graph.order,
         real_base_offsets=graph.base_offsets,
         geometry=graph.geometry,
     )
@@ -342,19 +337,15 @@ def choose_alpha(
     found = []
     for alpha in range(1, max_alpha + 1):
         new_order = graph.order + alpha
-        q_options = [
-            q for q in divisors(new_order) if q > 1 and lo <= new_order // q <= hi
-        ]
+        q_options = fold_factors(new_order, target_f)
         if not q_options:
             continue
-        offsets = set(graph.base_offsets)
-        offsets.update(d + alpha for d in graph.base_offsets if d >= 1)
         found.append(
             {
                 "alpha": alpha,
                 "order": new_order,
                 "fold_factors": q_options,
-                "expanded_degree": len(offsets),
+                "expanded_degree": len(_expanded_offsets(graph.base_offsets, alpha)),
             }
         )
     return found

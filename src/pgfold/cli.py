@@ -24,6 +24,7 @@ from .circulant import (
     choose_alpha,
     divisors,
     expand_circulant,
+    fold_factors,
     is_int,
     json_value,
 )
@@ -43,7 +44,6 @@ from .folding import (
     compute_rho,
     cross_fold_endpoints,
     generate_folded_sequence,
-    pad_dummy_offset,
     verify_balance,
 )
 from .projective import PgParams, build_pg_graph, verify_pg_incidence
@@ -282,10 +282,6 @@ def _expand(graph: CirculantBipartiteGraph, alpha: int) -> CirculantBipartiteGra
         raise UsageError(str(exc)) from None
 
 
-def _fold_factors_in_range(order: int, lo: int, hi: int) -> list[int]:
-    return [q for q in divisors(order) if q > 1 and lo <= order // q <= hi]
-
-
 def _auto_alpha(
     graph: CirculantBipartiteGraph, q_setting: int | str, target_f: tuple[int, int]
 ) -> int:
@@ -312,10 +308,10 @@ def _resolve_fold_inputs(settings: dict) -> tuple[CirculantBipartiteGraph, int]:
     if isinstance(alpha_setting, int):
         graph = _expand(graph, alpha_setting)
     if q_setting == "auto":
-        fits = _fold_factors_in_range(graph.order, lo, hi)
+        fits = fold_factors(graph.order, (lo, hi))
         if not fits and alpha_setting == "auto":
             graph = _expand(graph, _auto_alpha(graph, q_setting, (lo, hi)))
-            fits = _fold_factors_in_range(graph.order, lo, hi)
+            fits = fold_factors(graph.order, (lo, hi))
         if not fits:
             order = graph.order
             hints = [c["alpha"] for c in choose_alpha(graph, (lo, hi))[:3]]
@@ -337,7 +333,7 @@ def _resolve_fold_inputs(settings: dict) -> tuple[CirculantBipartiteGraph, int]:
                     f"{_alpha_candidates_for_divisibility(order, q)}"
                 )
             graph = _expand(graph, _auto_alpha(graph, q, (lo, hi)))
-    return pad_dummy_offset(graph), q
+    return graph, q
 
 
 def _build_plan(graph: CirculantBipartiteGraph, settings: dict, q: int) -> FoldPlan:

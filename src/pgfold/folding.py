@@ -4,13 +4,14 @@ A fold plan time-multiplexes q logical units onto each physical unit.  The
 reader side's offset pairs (taken two at a time from the sorted offset set)
 become folded access patterns; executing every pattern for every fold covers
 each edge exactly once while every physical memory unit serves exactly two
-accesses per step.
+accesses per step.  An odd degree leaves the last pattern one offset short;
+its second access is the scheduling sentinel (None), "no transaction".
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .circulant import (
     CirculantBipartiteGraph,
@@ -25,7 +26,6 @@ __all__ = [
     "FoldedPattern",
     "FoldedSequence",
     "BalanceReport",
-    "pad_dummy_offset",
     "reader_offsets",
     "generate_folded_sequence",
     "verify_balance",
@@ -159,28 +159,16 @@ class FoldedSequence:
         return k * self.pattern_count + l
 
 
-def pad_dummy_offset(graph: CirculantBipartiteGraph) -> CirculantBipartiteGraph:
-    """Append the scheduling sentinel when the degree is odd (no-op otherwise).
-
-    The sentinel behaves as one extra edge per node scheduled as "no
-    transaction", making the number of access patterns integral.
-    """
-    if graph.degree % 2 == 0 or graph.dummy_offset_padded:
-        return graph
-    return replace(graph, dummy_offset_padded=True)
-
-
 def reader_offsets(graph: CirculantBipartiteGraph, side: str) -> tuple[int | None, ...]:
-    """Sorted offsets a side's units read with; sentinel (None) stays last."""
+    """Sorted offsets a side's units read with, and the sentinel (None)
+    last when the degree is odd, so that they pair into whole patterns."""
     if side == "row":
         base = graph.base_offsets
     elif side == "col":
         base = graph.col_offsets()
     else:
         raise ValueError("side must be 'row' or 'col'")
-    if graph.dummy_offset_padded:
-        return tuple(base) + (None,)
-    return tuple(base)
+    return tuple(base) + (None,) * (graph.degree % 2)
 
 
 def generate_folded_sequence(
@@ -196,10 +184,6 @@ def generate_folded_sequence(
     if plan.order != graph.order:
         raise ValueError("fold plan was built for a different graph order")
     offsets = reader_offsets(graph, side)
-    if len(offsets) % 2 != 0:
-        raise ValueError(
-            "degree must be even before folding; pad the dummy offset first"
-        )
     f_units = plan.units_per_side
     patterns = []
     for l in range(len(offsets) // 2):

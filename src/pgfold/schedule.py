@@ -112,7 +112,7 @@ def write_schedule(
     Edge t of producer node h lands at address 2 * slot + rank mod 2 of
     its consumer, where rank is the edge's position in the consumer's own
     sorted offset order and slot is the consumer's slot of pattern
-    rank // 2 in its fold.  The sentinel edge of a padded degree writes
+    rank // 2 in its fold.  The sentinel edge of an odd degree writes
     into the reserved cell of its producer's fold: port 1 of the last
     pattern, which no read reaches.
 

@@ -29,7 +29,6 @@ from pgfold.folding import (
     compute_rho,
     cross_fold_endpoints,
     generate_folded_sequence,
-    pad_dummy_offset,
     verify_balance,
 )
 from pgfold.projective import PgParams, build_pg_graph
@@ -63,7 +62,7 @@ def verdict(number: int, summary: str, detail: list | None = None):
 
 
 def running_example(q=3, design_option=1, **kwargs):
-    graph = pad_dummy_offset(build_pg_graph(PgParams(3, 2, 1)))
+    graph = build_pg_graph(PgParams(3, 2, 1))
     plan = FoldPlan.for_graph(graph, q, design_option=design_option, **kwargs)
     return graph, plan
 
@@ -75,11 +74,9 @@ def running_example(q=3, design_option=1, **kwargs):
 def _sweep_subjects():
     subjects = []
     for n, p, s in GEOMETRIES:
-        graph = pad_dummy_offset(build_pg_graph(PgParams(n, p, s)))
+        graph = build_pg_graph(PgParams(n, p, s))
         subjects.append((f"P({n},GF({p}^{s}))", graph))
-    expanded = pad_dummy_offset(
-        expand_circulant(build_pg_graph(PgParams(2, 3, 1)), 1)
-    )
+    expanded = expand_circulant(build_pg_graph(PgParams(2, 3, 1)), 1)
     subjects.append(("P(2,GF(3^1))+1", expanded))
     return subjects
 
@@ -234,7 +231,7 @@ class TestAcceptance:
             started = time.monotonic()
             combos = 0
             for n, p, s in GEOMETRIES:
-                graph = pad_dummy_offset(build_pg_graph(PgParams(n, p, s)))
+                graph = build_pg_graph(PgParams(n, p, s))
                 gamma = len(graph.real_base_offsets)
                 for q in divisors(graph.order):
                     plan = FoldPlan.for_graph(graph, q)
@@ -305,9 +302,7 @@ class TestAcceptance:
             out = tmp_path / "slow"
             write_run_directory(out, graph, slow_plan, flat)
             assert simulate(out).measured_half == {"row": 144, "col": 144}
-            wide = pad_dummy_offset(
-                CirculantBipartiteGraph.plain(70, tuple(range(10)))
-            )
+            wide = CirculantBipartiteGraph.plain(70, tuple(range(10)))
             wide_plan = FoldPlan.for_graph(
                 wide, 7, design_option=2, delta=2, pipeline_level="graph"
             )

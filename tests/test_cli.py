@@ -162,13 +162,13 @@ class TestBuildPg:
 # construction that alters any byte of the ladder fails here.
 BUILD_PG_DIGESTS = {
     # J = 757
-    "2,3,3": "9b18346712bc44e9bd5a4e1b3835d926325aa697c07e2b40ceef4afb497ba564",
+    "2,3,3": "622b98183b1a469b6ec6766bb2810dbf5ef3892d0e81b6d1b59ed8e93ab5cf51",
     # J = 993
-    "2,31,1": "3eee7eaf1a451967cfc1f062cc2196ebd6178e84741bf1d1d64d879102ccd2d4",
+    "2,31,1": "d116cd0453e8ea88d3a2df2689da97eb606d5e8897ba213161cc54126dbd6897",
     # J = 1057
-    "2,2,5": "3baacb58e361c798cef3b1864cf2bed1dc8763e4f7d5ba66148269061599f35a",
+    "2,2,5": "37f08a079ca2a16814cd25cf871416c8c7b1c70b3be321068fe79cbc0de78baf",
     # J = 4161
-    "2,2,6": "651db6eb58cd6e8b3f6222bc1ddd5b7c4b7e2a51a19f6a2594cbeab816dc7252",
+    "2,2,6": "e5f62664a241d7e0e402d1901ee05a6f5d3ef02c6e7dfbbdde1902a69de7b910",
 }
 
 
@@ -330,6 +330,39 @@ class TestExpand:
         assert "--alpha" in capsys.readouterr().err
 
 
+class TestOneGraphJson:
+    """Every command writes the same graph.json for the same graph: the
+    sentinel of an odd degree follows from the degree, not from a field.
+    P(3, GF(2)) has J = 15 and degree 7."""
+
+    def test_build_pg_and_run_write_the_same_graph(self, pg15_dir, run15_dir):
+        assert (run15_dir / "graph.json").read_bytes() == (pg15_dir / "graph.json").read_bytes()
+
+    def test_graph_of_a_run_expands_like_the_built_graph(self, pg15_dir, run15_dir, tmp_path):
+        for name, source in (("built", pg15_dir), ("run", run15_dir)):
+            argv = ["expand", "--graph", str(source / "graph.json"), "--alpha", "1"]
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        expanded = (tmp_path / "run" / "graph.json").read_bytes()
+        assert expanded == (tmp_path / "built" / "graph.json").read_bytes()
+        assert read_json(tmp_path / "run" / "graph.json")["J"] == 16
+
+    def test_graph_file_with_the_older_flag_runs_the_same(self, pg15_dir, tmp_path):
+        # graph.json files written with the sentinel flag still load; the
+        # flag is ignored like any unknown field.
+        flagged = read_json(pg15_dir / "graph.json")
+        flagged["dummy_offset_padded"] = True
+        (tmp_path / "flagged.json").write_text(json.dumps(flagged))
+        runs = {}
+        for name, source in (("plain", pg15_dir / "graph.json"), ("flagged", tmp_path / "flagged.json")):
+            out = tmp_path / name
+            assert main(["run", "--graph", str(source), "--q", "3", "--out", str(out)]) == 0
+            runs[name] = {
+                path.relative_to(out): path.read_bytes() for path in out.rglob("*") if path.is_file()
+            }
+        assert runs["flagged"] == runs["plain"]
+        assert len(runs["plain"]) > 10
+
+
 @pytest.mark.parametrize("command", ["schedule", "emit", "run"])
 def test_no_command_writes_fold_files(pg15_dir, tmp_path, command):
     # The replay derives the slots from graph.json and plan.json.
@@ -407,7 +440,7 @@ class TestFold:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "only an unexpanded, unpadded graph can be expanded" in err
+        assert "only an unexpanded graph can be expanded" in err
 
     def test_requires_out(self, pg15_dir, capsys):
         code = main(["fold", "--graph", str(pg15_dir / "graph.json"), "--q", "3"])

@@ -26,7 +26,7 @@ from pgfold.emit import (
     render_run_files,
     write_run_directory,
 )
-from pgfold.folding import FoldPlan, generate_folded_sequence, pad_dummy_offset
+from pgfold.folding import FoldPlan, generate_folded_sequence
 from pgfold.projective import PgParams, build_pg_graph
 from pgfold.schedule import (
     build_netlist,
@@ -93,7 +93,7 @@ def schedule_grid(sequence) -> str:
 
 
 def running_example(q=3, design_option=1, **kwargs):
-    graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
+    graph = CirculantBipartiteGraph.plain(15, OFFSETS_15)
     plan = FoldPlan.for_graph(graph, q, design_option=design_option, **kwargs)
     return graph, plan
 
@@ -378,7 +378,7 @@ def hdl_interfaces(text):
 
 
 def pg_design(geometry, q):
-    graph = pad_dummy_offset(build_pg_graph(PgParams(*geometry)))
+    graph = build_pg_graph(PgParams(*geometry))
     return graph, FoldPlan.for_graph(graph, q)
 
 

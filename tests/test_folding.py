@@ -14,7 +14,6 @@ from pgfold.folding import (
     compute_rho,
     cross_fold_endpoints,
     generate_folded_sequence,
-    pad_dummy_offset,
     reader_offsets,
     verify_balance,
 )
@@ -24,9 +23,7 @@ from .test_schedule import accesses, folded_graphs
 
 
 def graph_15() -> CirculantBipartiteGraph:
-    return pad_dummy_offset(
-        CirculantBipartiteGraph.plain(15, (0, 1, 2, 4, 5, 8, 10), geometry=(3, 2, 1))
-    )
+    return CirculantBipartiteGraph.plain(15, (0, 1, 2, 4, 5, 8, 10), geometry=(3, 2, 1))
 
 
 class TestFoldPlan:
@@ -49,19 +46,28 @@ class TestFoldPlan:
 
 
 class TestPadding:
-    def test_odd_degree_padded(self):
+    def test_odd_degree_sentinel_derived(self):
+        # The sentinel comes from the degree's parity: a plain odd-degree
+        # graph folds into whole patterns as it is.
         g = CirculantBipartiteGraph.plain(15, (0, 1, 2, 4, 5, 8, 10))
-        padded = pad_dummy_offset(g)
-        assert padded.scheduled_degree == 8
-        assert padded.scheduled_offsets[-1] is None
-        assert padded.degree == 7
+        assert g.degree == 7
+        assert g.scheduled_degree == 8
+        for side in ("row", "col"):
+            offsets = reader_offsets(g, side)
+            assert len(offsets) == 8
+            assert offsets[-1] is None
+            assert None not in offsets[:-1]
+            seq = generate_folded_sequence(g, FoldPlan.for_graph(g, 3), side)
+            assert seq.pattern_count == 4
+            assert [p.has_dummy for p in seq.patterns] == [False, False, False, True]
 
     def test_even_degree_untouched(self):
         g = CirculantBipartiteGraph.plain(11, (0, 1, 3, 7))
-        assert pad_dummy_offset(g) is g
+        assert g.scheduled_degree == g.degree == 4
+        assert reader_offsets(g, "row") == (0, 1, 3, 7)
 
     def test_fano_two_patterns(self):
-        g = pad_dummy_offset(CirculantBipartiteGraph.plain(7, (0, 1, 3)))
+        g = CirculantBipartiteGraph.plain(7, (0, 1, 3))
         plan = FoldPlan.for_graph(g, 1)
         seq = generate_folded_sequence(g, plan)
         assert seq.pattern_count == 2
@@ -145,7 +151,6 @@ class TestBalance:
 
     def test_expanded_graph_balanced(self):
         g = expand_circulant(CirculantBipartiteGraph.plain(13, (0, 1, 3, 9)), 1)
-        g = pad_dummy_offset(g)
         plan = FoldPlan.for_graph(g, 2)
         for side in ("row", "col"):
             seq = generate_folded_sequence(g, plan, side)
@@ -248,7 +253,7 @@ class TestCrossFold:
         assert set(table.values()) == {0}
 
     def test_fano_full_fold(self):
-        g = pad_dummy_offset(CirculantBipartiteGraph.plain(7, (0, 1, 3)))
+        g = CirculantBipartiteGraph.plain(7, (0, 1, 3))
         plan = FoldPlan.for_graph(g, 7)
         table = cross_fold_endpoints(g, plan)
         assert set(table.values()) == {0}
@@ -285,7 +290,7 @@ class TestRho:
         from pgfold.circulant import divisors as divisors_of
 
         for params in [PgParams(2, 2, 1), PgParams(3, 2, 1), PgParams(2, 3, 1), PgParams(2, 3, 2)]:
-            g = pad_dummy_offset(build_pg_graph(params))
+            g = build_pg_graph(params)
             for q in divisors_of(g.order):
                 plan = FoldPlan.for_graph(g, q)
                 rho, theta, rho_hat = compute_rho(g, plan)

@@ -19,7 +19,7 @@ import pytest
 
 from pgfold.circulant import divisors, expand_circulant
 from pgfold.emit import emit_manifest_json, render_run_files, write_run_directory
-from pgfold.folding import PIPELINE_LEVELS, FoldPlan, pad_dummy_offset
+from pgfold.folding import PIPELINE_LEVELS, FoldPlan
 from pgfold.projective import PgParams, build_pg_graph
 
 GOLDEN_PATH = Path(__file__).with_name("golden_manifests.json")
@@ -56,7 +56,6 @@ def design(config: tuple) -> tuple:
     graph = build_pg_graph(PgParams(*geometry))
     if alpha is not None:
         graph = expand_circulant(graph, alpha)
-    graph = pad_dummy_offset(graph)
     plan = FoldPlan.for_graph(
         graph, q, design_option=option, T=T, delta=delta, pipeline_level=level
     )

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from pgfold import simulator
 from pgfold.circulant import CirculantBipartiteGraph
 from pgfold.emit import render_run_files
-from pgfold.folding import FoldPlan, pad_dummy_offset
+from pgfold.folding import FoldPlan
 from pgfold.simulator import (
     _INSTANCES,
     _SIDES,
@@ -513,7 +513,7 @@ class TestAgainstOracle:
         # half's window, where that half reads the same memory ports: the
         # halves share cycles, so those claims are made, and conflict, in
         # every iteration.
-        graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, (0, 1, 2, 4, 5, 8, 10)))
+        graph = CirculantBipartiteGraph.plain(15, (0, 1, 2, 4, 5, 8, 10))
         files = render_run_files(graph, FoldPlan.for_graph(graph, q), ("csv", "json"))
         timing = json.loads(files["timing.json"])
         timing["write_cycles"] = [cycle + timing["side_span"] for cycle in timing["read_cycles"]]
@@ -524,7 +524,7 @@ class TestAgainstOracle:
         assert all(half.read_claims and half.write_claims for half in halves)
 
     def test_zero_side_span_claims_every_iteration(self):
-        graph = pad_dummy_offset(CirculantBipartiteGraph.plain(13, (0, 1, 3, 9)))
+        graph = CirculantBipartiteGraph.plain(13, (0, 1, 3, 9))
         files = render_run_files(graph, FoldPlan.for_graph(graph, 1), ("csv", "json"))
         timing = json.loads(files["timing.json"])
         timing["side_span"] = 0
@@ -532,7 +532,7 @@ class TestAgainstOracle:
         assert report.conflicts
 
     def test_clean_design_claims_nothing_per_iteration(self):
-        graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, (0, 1, 2, 4, 5, 8, 10)))
+        graph = CirculantBipartiteGraph.plain(15, (0, 1, 2, 4, 5, 8, 10))
         plan = FoldPlan.for_graph(graph, 3, design_option=2, pipeline_level="graph", T=2, delta=1)
         files = render_run_files(graph, plan, ("csv", "json"))
         halves = simulator._compile(simulator._load(files))[0]

@@ -19,7 +19,6 @@ from pgfold.folding import (
     FoldPlan,
     compute_rho,
     generate_folded_sequence,
-    pad_dummy_offset,
     reader_offsets,
 )
 from pgfold.schedule import (
@@ -34,7 +33,7 @@ OFFSETS_15 = (0, 1, 2, 4, 5, 8, 10)
 
 
 def running_example(q=3, design_option=1, **kwargs):
-    graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
+    graph = CirculantBipartiteGraph.plain(15, OFFSETS_15)
     plan = FoldPlan.for_graph(graph, q, design_option=design_option, **kwargs)
     return graph, plan
 
@@ -283,7 +282,7 @@ class TestWriteSchedule:
             assert w.address == 2 * slot + w.rank % 2
 
     def test_full_fold_addresses_descend_cyclically(self):
-        graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
+        graph = CirculantBipartiteGraph.plain(15, OFFSETS_15)
         plan = FoldPlan.for_graph(graph, 1)
         checked_writes(graph, plan, "row")
         # With q = 1 slot l is pattern l, so a unit's ROM column is in edge
@@ -296,7 +295,7 @@ class TestWriteSchedule:
 
     def test_expanded_graph_flags(self):
         base = CirculantBipartiteGraph.plain(13, (0, 1, 3, 9))
-        graph = pad_dummy_offset(expand_circulant(base, 1))
+        graph = expand_circulant(base, 1)
         plan = FoldPlan.for_graph(graph, 2)
         writes = checked_writes(graph, plan, "row")
         assert len(writes) == 14 * 8
@@ -313,7 +312,7 @@ class TestWriteSchedule:
         # Only the real producers of each fold write; the dummy node 13
         # of the expanded J = 14 graph is the last unit of fold 1.
         base = CirculantBipartiteGraph.plain(13, (0, 1, 3, 9))
-        graph = pad_dummy_offset(expand_circulant(base, 1))
+        graph = expand_circulant(base, 1)
         plan = FoldPlan.for_graph(graph, 2)
         schedule = write_schedule(graph, plan, "row")
         assert [schedule.real_units(k) for k in range(2)] == [7, 6]
@@ -596,7 +595,7 @@ class TestTiming:
         assert timing.half_length == 39
 
     def test_half_length_ratio_is_fold_factor(self):
-        graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
+        graph = CirculantBipartiteGraph.plain(15, OFFSETS_15)
         base = full_timing(graph, FoldPlan.for_graph(graph, 1, T=3))
         for q in (3, 5, 15):
             folded = full_timing(graph, FoldPlan.for_graph(graph, q, T=3))
@@ -652,7 +651,7 @@ def folded_graphs(draw):
             unique=True,
         )
     )
-    graph = pad_dummy_offset(CirculantBipartiteGraph.plain(order, offsets))
+    graph = CirculantBipartiteGraph.plain(order, offsets)
     q = draw(st.sampled_from(divisors(order)))
     option = draw(st.sampled_from([1, 2]))
     return graph, FoldPlan.for_graph(graph, q, design_option=option)
@@ -667,7 +666,6 @@ def render_designs(draw):
     graph = CirculantBipartiteGraph.plain(graph.order, graph.base_offsets)
     if draw(st.booleans()):
         graph = expand_circulant(graph, draw(st.integers(min_value=1, max_value=8)))
-    graph = pad_dummy_offset(graph)
     q = draw(st.sampled_from([1, *divisors(graph.order)]))
     option = draw(st.sampled_from([1, 2]))
     levels = ["none", "writeback", "node"] + (["graph"] if option == 2 else [])

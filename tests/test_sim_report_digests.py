@@ -38,7 +38,7 @@ import pytest
 
 from pgfold.circulant import CirculantBipartiteGraph
 from pgfold.emit import write_run_directory
-from pgfold.folding import FoldPlan, pad_dummy_offset
+from pgfold.folding import FoldPlan
 from pgfold.simulator import check_dataflow_equivalence, simulate
 
 GOLDEN_PATH = Path(__file__).with_name("golden_sim_reports.json")
@@ -52,7 +52,7 @@ SWITCH_LUTS = [f"lut_{instance}.csv" for instance in ("row_reads", "col_reads")]
 
 
 def build_base(out_dir: Path, base: str) -> Path:
-    graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
+    graph = CirculantBipartiteGraph.plain(15, OFFSETS_15)
     plan = FoldPlan.for_graph(graph, 3, **BASES[base])
     write_run_directory(out_dir, graph, plan, ("csv", "json"))
     return out_dir

@@ -19,7 +19,7 @@ from pgfold import cli, simulator
 from pgfold.circulant import CirculantBipartiteGraph, expand_circulant
 from pgfold.cli import main
 from pgfold.emit import emit_manifest_json, render_run_files, write_run_directory
-from pgfold.folding import FoldPlan, generate_folded_sequence, pad_dummy_offset
+from pgfold.folding import FoldPlan, generate_folded_sequence
 from pgfold.projective import PgParams, build_pg_graph
 from pgfold.simulator import (
     SimulationStructureError,
@@ -39,16 +39,14 @@ FLAT = ("csv", "json")
 
 
 def build_run(out_dir, order, offsets, q, **plan_kwargs):
-    graph = pad_dummy_offset(CirculantBipartiteGraph.plain(order, offsets))
+    graph = CirculantBipartiteGraph.plain(order, offsets)
     plan = FoldPlan.for_graph(graph, q, **plan_kwargs)
     write_run_directory(out_dir, graph, plan, FLAT)
     return out_dir
 
 
 def expanded_design(q):
-    graph = pad_dummy_offset(
-        expand_circulant(CirculantBipartiteGraph.plain(13, OFFSETS_13), 1)
-    )
+    graph = expand_circulant(CirculantBipartiteGraph.plain(13, OFFSETS_13), 1)
     return graph, FoldPlan.for_graph(graph, q)
 
 
@@ -318,7 +316,7 @@ SWITCH_BASES_15 = {
 
 @pytest.fixture(scope="module")
 def switch_renders():
-    graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
+    graph = CirculantBipartiteGraph.plain(15, OFFSETS_15)
     return {
         base: render_run_files(graph, FoldPlan.for_graph(graph, 3, **kwargs), FLAT)
         for base, kwargs in SWITCH_BASES_15.items()
@@ -682,7 +680,7 @@ class TestDesignOption:
         # J = 15 folded by 3 has P = 4 patterns and q = 3 folds, so the two
         # orders differ: the write LUTs and the switch tables address the
         # slots of one order, and the replay runs the other.
-        graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
+        graph = CirculantBipartiteGraph.plain(15, OFFSETS_15)
         run = tmp_path / "run"
         write_run_directory(run, graph, FoldPlan.for_graph(graph, 3, design_option=option), FLAT)
         flip_design_option(run)
@@ -697,7 +695,7 @@ class TestDesignOption:
         # With q = 1 or P = 1 both orders list the same slots, so no
         # failure is expected: the flipped run is the run of the other
         # option, file for file.  The graph (15, {0, 1}) has P = 1 pattern.
-        graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, offsets))
+        graph = CirculantBipartiteGraph.plain(15, offsets)
         run = tmp_path / "run"
         write_run_directory(run, graph, FoldPlan.for_graph(graph, q), FLAT)
         flip_design_option(run)
@@ -707,7 +705,7 @@ class TestDesignOption:
     @pytest.mark.parametrize("q", [1, 3, 5, 15])
     @pytest.mark.parametrize("option", [1, 2])
     def test_derived_slots_are_the_folded_sequences(self, option, q):
-        graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
+        graph = CirculantBipartiteGraph.plain(15, OFFSETS_15)
         plan = FoldPlan.for_graph(graph, q, design_option=option)
         slots = simulator._load(render_run_files(graph, plan, FLAT)).slots
         for side in ("row", "col"):
@@ -729,9 +727,11 @@ def flip_design_option(run_dir):
 
 def test_run_written_with_fold_files_replays_but_fails_its_manifest(tmp_path, capsys):
     # run_with_fold_files/ was written by pgfold while runs still held
-    # fold_row.json and fold_col.json: J = 15 by OFFSETS_15 folded by 3,
-    # CSV and JSON, its manifest listing both.  The replay ignores them;
-    # verify finds every other file as rendered today, and the two extra.
+    # fold_row.json and fold_col.json, and graph.json a flag for the
+    # sentinel of the odd degree: J = 15 by OFFSETS_15 folded by 3, CSV
+    # and JSON, its manifest listing both fold files.  The replay ignores
+    # the fold files and the flag; verify renders graph.json one line
+    # shorter, every other file as stored, and finds the two extra.
     run = tmp_path / "run"
     shutil.copytree(Path(__file__).with_name("run_with_fold_files"), run)
     assert {"fold_row.json", "fold_col.json"} <= json.loads((run / "manifest.json").read_text())["files"].keys()
@@ -740,7 +740,7 @@ def test_run_written_with_fold_files_replays_but_fails_its_manifest(tmp_path, ca
     capsys.readouterr()
     assert main(["verify", "--out", str(run)]) == 1
     out = capsys.readouterr().out
-    assert "re-derivation: ok (10 artifacts)\n" in out
+    assert "re-derivation: FAIL (differs: ['graph.json'])\n" in out
     assert "manifest: FAIL (['fold_col.json unexpected', 'fold_row.json unexpected'])\n" in out
 
 
@@ -759,7 +759,7 @@ class TestFileSource:
         if design == "13-expanded-to-14":
             graph, plan = expanded_design(2)
         else:
-            graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
+            graph = CirculantBipartiteGraph.plain(15, OFFSETS_15)
             options = {"design_option": 2, "delta": 2, "pipeline_level": "graph"}
             plan = FoldPlan.for_graph(graph, 3, **(options if "graph" in design else {}))
         write_run_directory(tmp_path / "run", graph, plan, FLAT)
@@ -820,7 +820,6 @@ class LookedUp(dict):
 # timing.json's cycle lists, not from plan.json's T and delta.
 UNREAD_JSON_FIELDS = {
     *((name, "format_version") for name in ("graph", "plan", "netlist", "timing")),
-    ("graph", "dummy_offset_padded"),
     *(("plan", key) for key in ("T", "delta")),
     ("timing", "half_length"),
 }
@@ -828,7 +827,7 @@ UNREAD_JSON_FIELDS = {
 
 @pytest.fixture(scope="module")
 def render15():
-    graph = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
+    graph = CirculantBipartiteGraph.plain(15, OFFSETS_15)
     return render_run_files(graph, FoldPlan.for_graph(graph, 3), FLAT)
 
 
@@ -953,8 +952,8 @@ def csv_twin(name):
 def hdl_renders():
     """In-memory renders with HDL: J=15 folded by 3, and J=40 folded by 2,
     whose switches have 11 ports."""
-    graph15 = pad_dummy_offset(CirculantBipartiteGraph.plain(15, OFFSETS_15))
-    graph40 = pad_dummy_offset(build_pg_graph(PgParams(3, 3, 1)))
+    graph15 = CirculantBipartiteGraph.plain(15, OFFSETS_15)
+    graph40 = build_pg_graph(PgParams(3, 3, 1))
     renders = {}
     for design, graph, q in (("J15-q3", graph15, 3), ("J40-q2", graph40, 2)):
         files = render_run_files(graph, FoldPlan.for_graph(graph, q))
@@ -981,7 +980,7 @@ class TestRomPackage:
 
     def test_one_entry_arrays_are_read(self):
         # Degree 2 makes one pattern: each switch array is "(0 => code)".
-        graph = pad_dummy_offset(CirculantBipartiteGraph.plain(4, (0, 1)))
+        graph = CirculantBipartiteGraph.plain(4, (0, 1))
         files = render_run_files(graph, FoldPlan.for_graph(graph, 2))
         declaration = "  CONSTANT lut_col_reads_port1 : integer_rom(0 TO 0) := (0 => 1);\n"
         assert declaration in files[ROM_FILE]
@@ -1266,7 +1265,7 @@ class TestLossCensus:
         # a dict entry and an int per wire and a tuple per access took it to
         # 0.75 MiB; an int object per trace row, write, token and delivery
         # then to 1.25 MiB.
-        graph = pad_dummy_offset(build_pg_graph(PgParams(2, 3, 2)))
+        graph = build_pg_graph(PgParams(2, 3, 2))
         files = render_run_files(graph, FoldPlan.for_graph(graph, 1), FLAT)
         simulate(files)  # warm caches
         tracemalloc.start()
@@ -1284,7 +1283,7 @@ class TestLossCensus:
         # accesses of a side's two halves are not concatenated, and claim
         # ids take 32 bits.  With one trace row per access, rendered whole
         # before the replay, it peaked at 0.39-0.42 MiB.
-        graph = pad_dummy_offset(build_pg_graph(PgParams(2, 3, 2)))
+        graph = build_pg_graph(PgParams(2, 3, 2))
         plan = FoldPlan.for_graph(graph, 7)
         cli._reference_replay(graph, plan)  # warm caches
         tracemalloc.start()
